@@ -580,6 +580,32 @@ def reform_rhs(state: ReformState, params: FluidParams,
     return d_vphi, d_phi, np.asarray(d_u, dtype=float)
 
 
+def primitive_rates(grid: Grid, params: FluidParams, rho: np.ndarray,
+                    mom: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unforced time derivatives of (rho, rho u) in conservative form, all
+    products dealiased. The velocity u is passed alongside the momentum so
+    that vacuum cells need no division by rho."""
+    drho = np.zeros_like(rho)
+    for j in range(grid.dim):
+        drho -= _dx(grid, grid.mult(rho, u[j]), j)
+
+    pressure = params.A * stable_power(rho, params.gamma)
+    mu = params.alpha * stable_power(rho, params.delta1)
+    lam = params.beta * stable_power(rho, params.delta2)
+    div_u = grid.div(u)
+    jac = [[_dx(grid, u[a], b) for b in range(grid.dim)] for a in range(grid.dim)]
+
+    dmom = np.empty_like(mom)
+    for a in range(grid.dim):
+        acc = -_dx(grid, pressure, a)
+        for b in range(grid.dim):
+            acc -= _dx(grid, grid.mult(mom[a], u[b]), b)
+            acc += _dx(grid, grid.mult(mu, jac[a][b] + jac[b][a]), b)
+        acc += _dx(grid, grid.mult(lam, div_u), a)
+        dmom[a] = acc
+    return drho, dmom
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     times: tuple
@@ -642,29 +668,10 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
         rlinf = max(rlinf, float(np.abs(r1).max()), float(np.abs(r2).max()),
                     float(np.abs(r3).max()))
 
-        rho = rho_st[i]
-        u = u_st[i]
-        flux = np.zeros_like(rho)
-        for j in range(grid.dim):
-            flux += _dx(grid, grid.mult(rho, u[j]), j)
-        r_mass = drho[i] + flux
-
-        pressure = params.A * stable_power(rho, params.gamma)
-        mu = params.alpha * stable_power(rho, params.delta1)
-        lam = params.beta * stable_power(rho, params.delta2)
-        div_u = grid.div(u)
-        jac = [[_dx(grid, u[a], b) for b in range(grid.dim)]
-               for a in range(grid.dim)]
-        r_mom = np.empty_like(u)
-        for a in range(grid.dim):
-            conv = np.zeros_like(rho)
-            for b in range(grid.dim):
-                conv += _dx(grid, grid.mult(mom_st[i][a], u[b]), b)
-            stress = np.zeros_like(rho)
-            for b in range(grid.dim):
-                stress += _dx(grid, grid.mult(mu, jac[a][b] + jac[b][a]), b)
-            stress += _dx(grid, grid.mult(lam, div_u), a)
-            r_mom[a] = dmom[i][a] + conv + _dx(grid, pressure, a) - stress
+        rates_rho, rates_mom = primitive_rates(grid, params, rho_st[i],
+                                               mom_st[i], u_st[i])
+        r_mass = drho[i] - rates_rho
+        r_mom = dmom[i] - rates_mom
         pm = max(pm, quadrature_l2(grid, r_mass))
         pmom = max(pmom, quadrature_l2(grid, r_mom))
         plinf = max(plinf, float(np.abs(r_mass).max()),

@@ -183,11 +183,6 @@ class Grid:
         bm = self.ifft(self.dealias_mask * self.fft(b))
         return self.ifft(self.dealias_mask * self.fft(am * bm))
 
-    def masked(self, values: np.ndarray) -> np.ndarray:
-        """Truncate to the dealias band (alias of dealias, named for use as
-        a precomputation step before repeated mult_masked calls)."""
-        return self.dealias(values)
-
     def mult_masked(self, am: np.ndarray, bm: np.ndarray) -> np.ndarray:
         """Product of two already-truncated factors, truncated once more."""
         return self.ifft(self.dealias_mask * self.fft(am * bm))

@@ -27,8 +27,8 @@ from .linearized import (
     FrozenCoefficients,
     SolverAbort,
     Trajectory,
-    _sample_times,
     adaptive_dt,
+    march,
     solve_linearized,
     transport_step,
 )
@@ -85,20 +85,14 @@ class PicardTrace:
         return float(math.exp(slope))
 
 
-def write_trace_csv(trace: PicardTrace, path, include_timing: bool = False) -> None:
-    """Dump the iteration history. Timing is off by default so reruns of the
+def write_trace_csv(trace: PicardTrace, path) -> None:
+    """Dump the iteration history. Wall times are left out so reruns of the
     same configuration produce byte-identical files."""
-    fields = ["k", "S_k", "linf_delta"]
-    if include_timing:
-        fields.append("wall_time")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(["k", "S_k", "linf_delta"])
         for it in trace.iterations:
-            row = [it.k, f"{it.S_k:.17e}", f"{it.linf_delta:.17e}"]
-            if include_timing:
-                row.append(f"{it.wall_time:.6f}")
-            writer.writerow(row)
+            writer.writerow([it.k, f"{it.S_k:.17e}", f"{it.linf_delta:.17e}"])
 
 
 def trace_summary(trace: PicardTrace) -> dict:
@@ -168,43 +162,26 @@ def _start_guess(init: ReformState, params: FluidParams, eta: float,
     provider = ConstantCoefficients(init.u.values, zeros, zeros)
     coeffs = FrozenCoefficients(provider=provider, eta=eta, t_window=t_window,
                                 clip=clip)
-    samples = _sample_times(t_window, sample_dt)
     floor = CLIP_TOLERANCE if clip else None
+    step = dt if dt is not None else adaptive_dt(params, grid, init.u.values,
+                                                 zeros, cfl_safety)
 
-    vphi = init.vphi
-    phi = init.phi
-    u = init.u
+    vphi, phi, u = init.vphi, init.phi, init.u
     traj = Trajectory(states=[ReformState(vphi, phi, u, time=0.0, floor=floor)],
                       times=[0.0], eta=eta)
-    speed = float(np.sqrt(np.sum(init.u.values ** 2, axis=0)).max())
 
-    t = 0.0
-    sample_idx = 0
-    dt_floor = 1e-13 * max(t_window, 1.0)
-    while t < t_window - 1e-12 * max(1.0, t_window):
-        step = dt if dt is not None else adaptive_dt(params, grid, init.u.values,
-                                                     zeros, cfl_safety)
-        t_target = samples[sample_idx] if samples is not None and sample_idx < len(samples) else t_window
-        if t + step >= t_target - 1e-12 * max(1.0, t_target):
-            step = t_target - t
-        if step <= dt_floor:
-            raise SolverAbort("step size underflow", t, f"dt = {step:.3e}")
-        vphi, _ = transport_step(params, vphi, coeffs, step, t)
-        phi, _ = transport_step(params, phi, coeffs, step, t)
-        t = t_target if abs(t + step - t_target) <= 1e-12 * max(1.0, t_target) else t + step
-        traj.dt_history.append(step)
-        traj.max_speed_history.append(speed)
+    def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
+        nonlocal vphi, phi
+        vphi, _ = transport_step(params, vphi, coeffs, dt, t)
+        phi, _ = transport_step(params, phi, coeffs, dt, t)
+        traj.dt_history.append(dt)
         traj.clip_counts.append(0)
         traj.clipped_mass.append(0.0)
-        at_sample = samples is None or (
-            sample_idx < len(samples)
-            and abs(t - samples[sample_idx]) <= 1e-12 * max(1.0, samples[sample_idx])
-        )
         if at_sample:
-            traj.states.append(ReformState(vphi, phi, u, time=t, floor=floor))
-            traj.times.append(t)
-            if samples is not None:
-                sample_idx += 1
+            traj.states.append(ReformState(vphi, phi, u, time=t_new, floor=floor))
+            traj.times.append(t_new)
+
+    march(t_window, sample_dt, lambda t: step, advance)
     return traj
 
 

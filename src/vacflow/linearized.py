@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField
-from .operators import ReformState, advect, stable_power
+from .operators import ReformState, advect, deformation, stable_power
 from .params import FluidParams
 
 CLIP_TOLERANCE = -1e-12
@@ -184,33 +184,22 @@ class _StageCoeffs:
 
     def __init__(self, grid: Grid, provider, t: float, need_q1: bool):
         v = np.asarray(provider.velocity(t), dtype=float)
-        self.v = np.stack([grid.masked(v[i]) for i in range(grid.dim)])
-        self.div_v = grid.masked(grid.div(v))
-        self.phit = grid.masked(np.asarray(provider.phi_coeff(t), dtype=float))
-        self.vphit = grid.masked(np.asarray(provider.vphi_coeff(t), dtype=float))
+        self.v = np.stack([grid.dealias(v[i]) for i in range(grid.dim)])
+        self.div_v = grid.dealias(grid.div(v))
+        self.phit = grid.dealias(np.asarray(provider.phi_coeff(t), dtype=float))
+        self.vphit = grid.dealias(np.asarray(provider.vphi_coeff(t), dtype=float))
         if need_q1:
-            jac = np.empty((grid.dim, grid.dim) + grid.shape)
-            for j in range(grid.dim):
-                spec = grid.fft(v[j])
-                for i in range(grid.dim):
-                    order = tuple(1 if a == i else 0 for a in range(grid.dim))
-                    jac[i, j] = grid.ifft(grid.derivative_multiplier(order) * spec)
-            q1 = jac + np.swapaxes(jac, 0, 1)
+            q1 = deformation(grid, v)
             self.q1 = np.stack(
-                [grid.masked(q1[i, j]) for i in range(grid.dim) for j in range(grid.dim)]
+                [grid.dealias(q1[i, j]) for i in range(grid.dim) for j in range(grid.dim)]
             ).reshape((grid.dim, grid.dim) + grid.shape)
         else:
             self.q1 = None
 
 
-def _pm(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dealiased product of two already-masked factors."""
-    return grid.ifft(grid.dealias_mask * grid.fft(a * b))
-
-
 def _transport_rhs(grid, params, stage: _StageCoeffs, f: np.ndarray, forcing_val):
     rhs = -advect(grid, stage.v, f)
-    rhs -= 0.5 * (params.delta1 - 1.0) * _pm(grid, stage.vphit, stage.div_v)
+    rhs -= 0.5 * (params.delta1 - 1.0) * grid.mult_masked(stage.vphit, stage.div_v)
     if forcing_val is not None:
         rhs = rhs + forcing_val
     return rhs
@@ -238,14 +227,14 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
 
     phi_hat = grid.fft(phi)
     dphi = -advect(grid, stage.v, phi)
-    dphi -= 0.5 * (params.gamma - 1.0) * _pm(grid, stage.phit, div_u)
+    dphi -= 0.5 * (params.gamma - 1.0) * grid.mult_masked(stage.phit, div_u)
     if forcing_phi is not None:
         dphi = dphi + forcing_phi
 
     grad_sq = grid.grad(vphi_arr**2)
     grad_hi = grid.grad(stable_power(vphi_arr, 2.0 * params.m + 2.0))
-    c_shear_m = grid.masked(c_shear)
-    c_compr_m = grid.masked(c_compr)
+    c_shear_m = grid.dealias(c_shear)
+    c_compr_m = grid.dealias(c_compr)
 
     du = np.empty_like(u)
     for i in range(grid.dim):
@@ -254,13 +243,13 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
         lap = grid.ifft(-grid.k_squared * u_hats[i])
         gd = grid.ifft(mult_i * div_u_hat)
         dphi_i = grid.ifft(mult_i * phi_hat)
-        term = -advect(grid, stage.v, u[i]) - press * _pm(grid, stage.phit, dphi_i)
-        term += _pm(grid, c_shear_m, lap) + _pm(grid, c_compr_m, gd)
+        term = -advect(grid, stage.v, u[i]) - press * grid.mult_masked(stage.phit, dphi_i)
+        term += grid.mult_masked(c_shear_m, lap) + grid.mult_masked(c_compr_m, gd)
         term -= nu1 * lap + nu2 * gd
         acc = np.zeros(grid.shape)
         for j in range(grid.dim):
-            acc += _pm(grid, stage.q1[i, j], grid.masked(grad_sq[j]))
-        term += s1 * acc + s2 * _pm(grid, stage.div_v, grid.masked(grad_hi[i]))
+            acc += grid.mult_masked(stage.q1[i, j], grid.dealias(grad_sq[j]))
+        term += s1 * acc + s2 * grid.mult_masked(stage.div_v, grid.dealias(grad_hi[i]))
         if forcing_u is not None:
             term = term + forcing_u[i]
         du[i] = term
@@ -326,6 +315,8 @@ def transport_step(params: FluidParams, vphi: ScalarField,
     u1 = f + dt * rhs(t, f)
     u2 = 0.75 * f + 0.25 * (u1 + dt * rhs(t + dt, u1))
     out = f / 3.0 + (2.0 / 3.0) * (u2 + dt * rhs(t + 0.5 * dt, u2))
+    if not np.all(np.isfinite(out)):
+        raise SolverAbort("solution lost finiteness", t + dt)
 
     count, mass = 0, 0.0
     if coeffs.clip:
@@ -433,7 +424,6 @@ class Trajectory:
     states: list
     times: list
     dt_history: list = field(default_factory=list)
-    max_speed_history: list = field(default_factory=list)
     clip_counts: list = field(default_factory=list)
     clipped_mass: list = field(default_factory=list)
     eta: float = 0.0
@@ -464,16 +454,42 @@ class Trajectory:
         return self.states[-1]
 
 
-def _sample_times(t_window: float, sample_dt: float | None):
-    if sample_dt is None:
-        return None
-    times = []
-    k = 1
-    while k * sample_dt < t_window - 1e-12 * max(1.0, t_window):
-        times.append(k * sample_dt)
-        k += 1
-    times.append(t_window)
-    return times
+def march(t_window: float, sample_dt: float | None, next_dt, advance) -> None:
+    """Step time across [0, t_window], landing exactly on the sample times.
+
+    The sample times are the multiples of sample_dt below t_window followed
+    by t_window itself; sample_dt = None makes every step a sample. Each
+    step asks next_dt(t) for a size, cuts it to land on the next sample when
+    it would reach or pass it, snaps the new time onto that sample, and
+    calls advance(t, dt, t_new, at_sample). A step at or below
+    1e-13 max(t_window, 1) aborts with a step-size underflow."""
+    tol = 1e-12 * max(1.0, t_window)
+    samples = None
+    if sample_dt is not None:
+        samples = []
+        k = 1
+        while k * sample_dt < t_window - tol:
+            samples.append(k * sample_dt)
+            k += 1
+        samples.append(t_window)
+
+    t = 0.0
+    sample_idx = 0
+    dt_floor = 1e-13 * max(t_window, 1.0)
+    while t < t_window - tol:
+        dt = next_dt(t)
+        t_target = samples[sample_idx] if samples is not None else t_window
+        target_tol = 1e-12 * max(1.0, t_target)
+        if t + dt >= t_target - target_tol:
+            dt = t_target - t
+        if dt <= dt_floor:
+            raise SolverAbort("step size underflow", t, f"dt = {dt:.3e}")
+        t_new = t_target if abs(t + dt - t_target) <= target_tol else t + dt
+        at_sample = samples is None or t_new == t_target
+        advance(t, dt, t_new, at_sample)
+        if samples is not None and at_sample:
+            sample_idx += 1
+        t = t_new
 
 
 def adaptive_dt(params: FluidParams, grid: Grid, v: np.ndarray,
@@ -499,62 +515,36 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
     proxy advances in lockstep by two transport half steps per outer step,
     feeding stage fields to the momentum update."""
     grid = init.grid
-    t_window = coeffs.t_window
-    samples = _sample_times(t_window, coeffs.sample_dt)
-
     floor = CLIP_TOLERANCE if coeffs.clip else None
-    vphi = init.vphi
-    phi = init.phi
-    u = init.u
-    states = [ReformState(vphi, phi, u, time=0.0, floor=floor)]
-    times = [0.0]
-    traj = Trajectory(states=states, times=times, eta=coeffs.eta)
+    vphi, phi, u = init.vphi, init.phi, init.u
+    traj = Trajectory(states=[ReformState(vphi, phi, u, time=0.0, floor=floor)],
+                      times=[0.0], eta=coeffs.eta)
+    half = FrozenCoefficients(
+        provider=coeffs.provider, eta=coeffs.eta, t_window=coeffs.t_window,
+        clip=coeffs.clip, forcing=coeffs.forcing,
+    )
 
-    t = 0.0
-    sample_idx = 0
-    dt_floor = 1e-13 * max(t_window, 1.0)
-    while t < t_window - 1e-12 * max(1.0, t_window):
+    def next_dt(t: float) -> float:
         if coeffs.dt is not None:
-            dt = coeffs.dt
-            speed = float(np.sqrt(np.sum(coeffs.provider.velocity(t) ** 2, axis=0)).max())
-        else:
-            v_now = np.asarray(coeffs.provider.velocity(t), dtype=float)
-            phit_now = np.asarray(coeffs.provider.phi_coeff(t), dtype=float)
-            dt = adaptive_dt(params, grid, v_now, phit_now, coeffs.cfl_safety)
-            speed = float(np.sqrt(np.sum(v_now**2, axis=0)).max())
-        if samples is not None and sample_idx < len(samples):
-            t_target = samples[sample_idx]
-        else:
-            t_target = t_window
-        if t + dt >= t_target - 1e-12 * max(1.0, t_target):
-            dt = t_target - t
-        if dt <= dt_floor:
-            raise SolverAbort("step size underflow", t, f"dt = {dt:.3e}")
+            return coeffs.dt
+        v_now = np.asarray(coeffs.provider.velocity(t), dtype=float)
+        phit_now = np.asarray(coeffs.provider.phi_coeff(t), dtype=float)
+        return adaptive_dt(params, grid, v_now, phit_now, coeffs.cfl_safety)
 
-        half = FrozenCoefficients(
-            provider=coeffs.provider, eta=coeffs.eta, t_window=t_window,
-            clip=coeffs.clip, forcing=coeffs.forcing,
-        )
+    def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
+        nonlocal vphi, phi, u
         vphi_half, d1 = transport_step(params, vphi, half, 0.5 * dt, t)
         vphi_full, d2 = transport_step(params, vphi_half, half, 0.5 * dt, t + 0.5 * dt)
         phi, u, mdiag = momentum_step(
             params, phi, u, coeffs, (vphi, vphi_half, vphi_full), dt, t
         )
         vphi = vphi_full
-        t = t_target if abs(t + dt - t_target) <= 1e-12 * max(1.0, t_target) else t + dt
-
         traj.dt_history.append(dt)
-        traj.max_speed_history.append(speed)
         traj.clip_counts.append(d1.clip_count + d2.clip_count + mdiag.clip_count)
         traj.clipped_mass.append(d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)
-
-        at_sample = samples is None or (
-            sample_idx < len(samples)
-            and abs(t - samples[sample_idx]) <= 1e-12 * max(1.0, samples[sample_idx])
-        )
         if at_sample:
-            traj.states.append(ReformState(vphi, phi, u, time=t, floor=floor))
-            traj.times.append(t)
-            if samples is not None:
-                sample_idx += 1
+            traj.states.append(ReformState(vphi, phi, u, time=t_new, floor=floor))
+            traj.times.append(t_new)
+
+    march(coeffs.t_window, coeffs.sample_dt, next_dt, advance)
     return traj

@@ -5,8 +5,10 @@ The primitive solver works directly in (rho, momentum) with classic RK4 and
 a conservative continuity update, accepting the explicit viscous step-size
 penalty because oracle runs are deliberately small. It exists to check the
 main pipeline from outside: same physics, different variables, different
-time integrator, no shared solver code. It refuses data that touches
-vacuum; there the primitive form divides by rho and no oracle is possible.
+time integrator. The only solver code it shares is the step-cadence
+driver ``march``, so both solvers sample the same times. It refuses data
+that touches vacuum; there the primitive form divides by rho and no oracle
+is possible.
 
 Manufactured cases carry closed-form fields with analytic time derivatives;
 their forcing terms come from applying the same discrete spatial operators
@@ -22,26 +24,29 @@ import numpy as np
 
 from .fields import Grid, ScalarField, VectorField, quadrature_l2
 from .linearized import (
+    DEFAULT_CFL_SAFETY,
+    DEFAULT_SAMPLES_PER_WINDOW,
     AnalyticCoefficients,
     CallableForcing,
+    ConstantCoefficients,
     FrozenCoefficients,
     SolverAbort,
+    march,
     solve_linearized,
     transport_step,
-    ConstantCoefficients,
 )
-from .diagnostics import PrimitiveState, reconstruct_primitive, reform_rhs
-from .fixedpoint import picard_solve
+from .diagnostics import (
+    PrimitiveState,
+    primitive_rates,
+    reconstruct_primitive,
+    reform_rhs,
+)
+from .fixedpoint import DEFAULT_MAX_ITER, DEFAULT_PICARD_TOL, picard_solve
 from .operators import ReformState, stable_power
 from .params import FluidParams, validate_params
 
 ORACLE_SAFETY = 0.3
 ORACLE_MIN_RHO = 1e-8
-
-
-def _dx(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    order = tuple(1 if a == axis else 0 for a in range(grid.dim))
-    return grid.deriv(values, order)
 
 
 # -- primitive solver ---------------------------------------------------------
@@ -62,26 +67,7 @@ def primitive_rhs(grid: Grid, params: FluidParams, rho: np.ndarray,
                   mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unforced time derivatives of (rho, rho u) in conservative form, all
     products dealiased. Divides by rho, so callers must keep it positive."""
-    u = mom / rho
-    drho = np.zeros_like(rho)
-    for j in range(grid.dim):
-        drho -= _dx(grid, grid.mult(rho, u[j]), j)
-
-    pressure = params.A * stable_power(rho, params.gamma)
-    mu = params.alpha * stable_power(rho, params.delta1)
-    lam = params.beta * stable_power(rho, params.delta2)
-    div_u = grid.div(u)
-    jac = [[_dx(grid, u[a], b) for b in range(grid.dim)] for a in range(grid.dim)]
-
-    dmom = np.empty_like(mom)
-    for a in range(grid.dim):
-        acc = -_dx(grid, pressure, a)
-        for b in range(grid.dim):
-            acc -= _dx(grid, grid.mult(mom[a], u[b]), b)
-            acc += _dx(grid, grid.mult(mu, jac[a][b] + jac[b][a]), b)
-        acc += _dx(grid, grid.mult(lam, div_u), a)
-        dmom[a] = acc
-    return drho, dmom
+    return primitive_rates(grid, params, rho, mom, mom / rho)
 
 
 def oracle_dt(grid: Grid, params: FluidParams, rho: np.ndarray,
@@ -129,32 +115,16 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
             dm = dm + f
         return dr, dm
 
-    samples = None
-    if sample_dt is not None:
-        samples = []
-        k = 1
-        while k * sample_dt < t_window - 1e-12 * max(1.0, t_window):
-            samples.append(k * sample_dt)
-            k += 1
-        samples.append(t_window)
-
     def snap(t: float) -> PrimitiveState:
         return PrimitiveState(rho=ScalarField(grid, rho.copy()),
                               u=VectorField(grid, mom / rho), time=t)
 
-    traj = PrimitiveTrajectory(states=[snap(0.0)], times=[0.0])
-    t = 0.0
-    sample_idx = 0
-    dt_floor = 1e-13 * max(t_window, 1.0)
-    while t < t_window - 1e-12 * max(1.0, t_window):
-        step = dt if dt is not None else oracle_dt(grid, params, rho,
+    def next_dt(t: float) -> float:
+        return dt if dt is not None else oracle_dt(grid, params, rho,
                                                    mom / rho, safety)
-        t_target = samples[sample_idx] if samples is not None and sample_idx < len(samples) else t_window
-        if t + step >= t_target - 1e-12 * max(1.0, t_target):
-            step = t_target - t
-        if step <= dt_floor:
-            raise SolverAbort("step size underflow", t, f"dt = {step:.3e}")
 
+    def advance(t: float, step: float, t_new: float, at_sample: bool) -> None:
+        nonlocal rho, mom
         k1r, k1m = rhs(t, rho, mom)
         k2r, k2m = rhs(t + 0.5 * step, rho + 0.5 * step * k1r, mom + 0.5 * step * k1m)
         k3r, k3m = rhs(t + 0.5 * step, rho + 0.5 * step * k2r, mom + 0.5 * step * k2m)
@@ -166,17 +136,13 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
         if float(rho.min()) <= ORACLE_MIN_RHO:
             raise SolverAbort("density left the oracle regime", t + step,
                               f"min rho = {float(rho.min()):.3e}")
-        t = t_target if abs(t + step - t_target) <= 1e-12 * max(1.0, t_target) else t + step
         traj.dt_history.append(step)
-        at_sample = samples is None or (
-            sample_idx < len(samples)
-            and abs(t - samples[sample_idx]) <= 1e-12 * max(1.0, samples[sample_idx])
-        )
         if at_sample:
-            traj.states.append(snap(t))
-            traj.times.append(t)
-            if samples is not None:
-                sample_idx += 1
+            traj.states.append(snap(t_new))
+            traj.times.append(t_new)
+
+    traj = PrimitiveTrajectory(states=[snap(0.0)], times=[0.0])
+    march(t_window, sample_dt, next_dt, advance)
     return traj
 
 
@@ -417,9 +383,8 @@ def reform_spatial_errors(ns, dt: float, t_window: float,
 def advection_temporal_study(grid: Grid, dts, t_window: float) -> MMSStudy:
     """Pure transport sub-case: a profile advected by a uniform unit
     velocity, compared against its exactly shifted self."""
-    from .params import validate_params as _vp
-
-    params = _vp(A=1.0, gamma=3.0, alpha=1.0, beta=0.5, delta1=3.0, delta2=6.0)
+    params = validate_params(A=1.0, gamma=3.0, alpha=1.0, beta=0.5,
+                             delta1=3.0, delta2=6.0)
     k0 = 2.0 * math.pi / grid.box_length
     x = grid.coordinates[0]
     prof0 = np.broadcast_to(np.sin(k0 * x), grid.shape).copy()
@@ -432,11 +397,12 @@ def advection_temporal_study(grid: Grid, dts, t_window: float) -> MMSStudy:
     errors = []
     for dt in dts:
         f = ScalarField(grid, prof0)
-        t = 0.0
-        while t < t_window - 1e-12:
-            step = min(dt, t_window - t)
+
+        def advance(t: float, step: float, t_new: float, at_sample: bool) -> None:
+            nonlocal f
             f, _ = transport_step(params, f, coeffs, step, t)
-            t += step
+
+        march(t_window, None, lambda t: dt, advance)
         exact = np.broadcast_to(np.sin(k0 * x - t_window), grid.shape)
         errors.append(quadrature_l2(grid, f.values - exact))
     return observed_orders(list(dts), errors, "advection temporal")
@@ -524,8 +490,9 @@ class CrossCompareReport:
 def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
                   t_window: float, *, eta: float = 0.0,
                   sample_dt: float | None = None,
-                  picard_tol: float = 1e-10, max_iter: int = 50,
-                  cfl_safety: float = 0.4) -> CrossCompareReport:
+                  picard_tol: float = DEFAULT_PICARD_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER,
+                  cfl_safety: float = DEFAULT_CFL_SAFETY) -> CrossCompareReport:
     """Run the main pipeline and the primitive oracle from the same smooth
     positive data and report the L2 distance of the reconstructed (rho, u)
     at every shared sample time."""
@@ -534,7 +501,7 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
                          "only defined away from vacuum")
     grid = rho0.grid
     if sample_dt is None:
-        sample_dt = t_window / 32.0
+        sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
 
     init = ReformState(
         ScalarField(grid, stable_power(rho0.values, 0.5 * (params.delta1 - 1.0))),

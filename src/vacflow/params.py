@@ -49,6 +49,23 @@ class FluidParams:
     a2_density_cap: float | None
 
 
+def admissibility_rows(A, gamma, alpha, delta1, delta2) -> list:
+    """(name, margin, ok) per admissibility inequality in declaration order.
+    The margin is the slack of the inequality (the value itself for the
+    strict positivity rows)."""
+    low = 2.5 * delta1 - 1.5
+    return [
+        ("A > 0", A, A > 0),
+        ("gamma > 1", gamma - 1.0, gamma > 1),
+        ("alpha > 0", alpha, alpha > 0),
+        ("delta2 > delta1", delta2 - delta1, delta2 > delta1),
+        ("delta1 > 1", delta1 - 1.0, delta1 > 1),
+        ("delta2 >= (5/2)*delta1 - 3/2", delta2 - low, delta2 >= low),
+        ("min(delta1, gamma) <= 3", 3.0 - min(delta1, gamma),
+         min(delta1, gamma) <= 3),
+    ]
+
+
 def validate_params(A, gamma, alpha, beta, delta1, delta2) -> FluidParams:
     """Check admissibility in declaration order and derive a1, m, and the
     density cap. The raised error names exactly the first failed inequality."""
@@ -56,26 +73,9 @@ def validate_params(A, gamma, alpha, beta, delta1, delta2) -> FluidParams:
     for name, v in values.items():
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise ParameterError(f"{name} must be a finite number", f"got {v!r}")
-    if A <= 0:
-        raise ParameterError("A > 0", f"got A = {A}")
-    if not gamma > 1:
-        raise ParameterError("gamma > 1", f"got gamma = {gamma}")
-    if not alpha > 0:
-        raise ParameterError("alpha > 0", f"got alpha = {alpha}")
-    if not delta2 > delta1:
-        raise ParameterError("delta2 > delta1", f"got delta2 = {delta2}, delta1 = {delta1}")
-    if not delta1 > 1:
-        raise ParameterError("delta1 > 1", f"got delta1 = {delta1}")
-    if not delta2 >= 2.5 * delta1 - 1.5:
-        raise ParameterError(
-            "delta2 >= (5/2)*delta1 - 3/2",
-            f"got delta2 = {delta2} < {2.5 * delta1 - 1.5}",
-        )
-    if not min(delta1, gamma) <= 3:
-        raise ParameterError(
-            "min(delta1, gamma) <= 3",
-            f"got min({delta1}, {gamma}) = {min(delta1, gamma)}",
-        )
+    for name, margin, ok in admissibility_rows(A, gamma, alpha, delta1, delta2):
+        if not ok:
+            raise ParameterError(name, f"margin {margin:+.6g}")
     a1 = (gamma - 1.0) ** 2 / (4.0 * A * gamma)
     m = (delta2 - delta1) / (delta1 - 1.0)
     cap = None

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from vacflow.cli import main
@@ -137,6 +138,28 @@ def test_run_reports_solver_failure(tmp_path, capsys):
         record = json.load(fh)
     assert record["phase"] == "continuation level 0"
     assert "no convergence" in record["detail"]
+
+
+def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr("vacflow.linearized.advect",
+                        lambda grid, v, f: np.full(grid.shape, np.nan))
+    text = BASE.format(beta="0.5", amplitude="0.2")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text),
+                 "--out", str(out_dir)]) == 2
+    assert "solution lost finiteness" in capsys.readouterr().err
+    with open(out_dir / "failure.json", encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert record["phase"] == "continuation level 0"
+
+    text += "\n[sweep]\namplitude_scales = 1\n"
+    sweep_dir = tmp_path / "sw"
+    assert main(["sweep", "--config", write(tmp_path, text, "sweep.ini"),
+                 "--out", str(sweep_dir)]) == 0
+    rows = (sweep_dir / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].split(",")[2] == "failed"
 
 
 def test_run_rejects_bad_constants(tmp_path, capsys):

@@ -109,7 +109,7 @@ def test_trace_validation_and_fitted_ratio():
     assert math.isnan(short.geometric_ratio())
 
 
-def test_trace_csv_columns_and_optional_timing(tmp_path):
+def test_trace_csv_columns(tmp_path):
     rows = tuple(
         PicardIteration(k=k, S_k=10.0**-k, linf_delta=2.0 * 10.0**-k,
                         wall_time=0.125)
@@ -125,12 +125,6 @@ def test_trace_csv_columns_and_optional_timing(tmp_path):
     assert len(got) == 3
     assert float(got[1][1]) == 0.1
     assert float(got[2][2]) == 0.02
-
-    timed = tmp_path / "timed.csv"
-    write_trace_csv(trace, timed, include_timing=True)
-    with open(timed, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got[0][-1] == "wall_time"
 
 
 def test_trajectory_gap_separates_the_two_blocks():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.linearized import (
@@ -13,6 +15,7 @@ from vacflow.linearized import (
     Trajectory,
     TrajectoryCoefficients,
     adaptive_dt,
+    march,
     momentum_step,
     solve_linearized,
     transport_step,
@@ -299,6 +302,38 @@ def test_step_size_underflow_aborts():
     coeffs = still_coeffs(g, 1.0, dt=1e-20)
     with pytest.raises(SolverAbort, match="underflow"):
         solve_linearized(init, coeffs, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_window=st.floats(1e-4, 10.0), cadence=st.floats(0.02, 1.5),
+       step=st.floats(0.05, 3.0))
+def test_march_lands_on_every_sample_and_steps_sum_to_the_window(
+        t_window, cadence, step):
+    sample_dt = cadence * t_window
+    dt = step * sample_dt
+    recorded, steps = [], []
+
+    def advance(t, h, t_new, at_sample):
+        steps.append(h)
+        if at_sample:
+            recorded.append(t_new)
+
+    march(t_window, sample_dt, lambda t: dt, advance)
+    tol = 1e-12 * max(1.0, t_window)
+    assert recorded[:-1] == [k * sample_dt for k in range(1, len(recorded))]
+    assert recorded[-1] == t_window
+    assert len(recorded) * sample_dt >= t_window - tol
+    assert all(b > a for a, b in zip(recorded, recorded[1:]))
+    assert abs(sum(steps) - t_window) <= 1e-12 * t_window
+    assert max(steps) <= dt + tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(t_window=st.floats(1e-4, 10.0), frac=st.floats(0.0, 0.99))
+def test_march_aborts_on_a_step_below_the_floor(t_window, frac):
+    dt = frac * 1e-13 * max(t_window, 1.0)
+    with pytest.raises(SolverAbort, match="underflow"):
+        march(t_window, t_window / 4, lambda t: dt, lambda *args: None)
 
 
 def test_adaptive_dt_obeys_both_bounds_and_shrinks_with_speed():

@@ -7,7 +7,8 @@ import pytest
 
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.initial_data import bump_density
-from vacflow.linearized import SolverAbort
+from vacflow.linearized import FrozenCoefficients, SolverAbort, solve_linearized
+from vacflow.operators import ReformState
 from vacflow.oracle import (
     ManufacturedCase,
     acoustic_dispersion,
@@ -89,6 +90,22 @@ def test_oracle_sampling_times_with_fixed_dt():
                                        abs=1e-12)
     assert len(traj.states) == 5
     assert traj.final is traj.states[-1]
+
+
+def test_both_solvers_sample_the_same_times():
+    rho0, u0 = smooth_positive(n=16)
+    p = stiff_params()
+    g = rho0.grid
+    t_window, sample_dt = 0.01, 0.01 / 3
+    init = ReformState(
+        ScalarField(g, rho0.values ** (0.5 * (p.delta1 - 1.0))),
+        ScalarField(g, rho0.values ** (0.5 * (p.gamma - 1.0))), u0)
+    coeffs = FrozenCoefficients.from_state(init, init.vphi, 0.0, t_window,
+                                           dt=0.003, sample_dt=sample_dt)
+    reform = solve_linearized(init, coeffs, p)
+    oracle = primitive_solve(rho0, u0, p, t_window, dt=0.002,
+                             sample_dt=sample_dt)
+    assert reform.times == oracle.times
 
 
 def test_oracle_aborts_when_density_leaves_regime():
