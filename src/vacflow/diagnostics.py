@@ -26,7 +26,8 @@ from .fields import (
     weighted_seminorm,
 )
 from .linearized import Trajectory
-from .operators import ReformState, advect, momentum_rhs_componentwise, stable_power
+from .operators import (ReformState, advect, momentum_rhs_componentwise,
+                        stable_power, truncate)
 from .params import FluidParams
 
 VAC_EPS = 1e-10
@@ -571,10 +572,11 @@ def reform_rhs(state: ReformState, params: FluidParams,
     use the same discrete operators."""
     grid = state.grid
     u = state.u.values
+    um = truncate(grid, u)
     div_u = grid.div(u)
-    d_vphi = -(advect(grid, u, state.vphi.values)
+    d_vphi = -(advect(grid, um, state.vphi.values)
                + 0.5 * (params.delta1 - 1.0) * grid.mult(state.vphi.values, div_u))
-    d_phi = -(advect(grid, u, state.phi.values)
+    d_phi = -(advect(grid, um, state.phi.values)
               + 0.5 * (params.gamma - 1.0) * grid.mult(state.phi.values, div_u))
     d_u = momentum_rhs_componentwise(params, state, state.vphi, eta, state)
     return d_vphi, d_phi, np.asarray(d_u, dtype=float)

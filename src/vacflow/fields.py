@@ -37,6 +37,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Grid:
     """Isotropic periodic box [0, L)^dim with n collocation points per axis."""
@@ -122,8 +127,31 @@ class Grid:
     def ifft(self, spectrum: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(spectrum).real
 
+    @cached_property
+    def _multipliers(self) -> dict:
+        return {}
+
+    @cached_property
+    def ik(self) -> tuple:
+        """First-derivative multipliers ik_axis, one per axis (read-only)."""
+        return tuple(
+            self.derivative_multiplier(tuple(int(a == axis) for a in range(self.dim)))
+            for axis in range(self.dim)
+        )
+
+    @cached_property
+    def ik_masked(self) -> tuple:
+        """First-derivative multipliers times the 2/3-rule mask: one inverse
+        transform of ik_masked[axis] * fhat is the truncated derivative."""
+        return tuple(_read_only(self.dealias_mask * m) for m in self.ik)
+
     def derivative_multiplier(self, order: tuple) -> np.ndarray:
-        """(ik)^order multiplier; Nyquist zeroed on axes with odd order."""
+        """(ik)^order multiplier; Nyquist zeroed on axes with odd order.
+        Built once per order and shared, so the array is read-only."""
+        order = tuple(order)
+        cached = self._multipliers.get(order)
+        if cached is not None:
+            return cached
         if len(order) != self.dim:
             raise FieldError(
                 f"order has {len(order)} entries for a {self.dim}-d grid"
@@ -145,6 +173,7 @@ class Grid:
                 shape = [-1 if a == axis else 1 for a in range(self.dim)]
                 factor = factor * nyq_keep.reshape(shape)
             mult = mult * factor
+        self._multipliers[order] = _read_only(mult)
         return mult
 
     def deriv(self, values: np.ndarray, order: tuple) -> np.ndarray:
@@ -155,15 +184,13 @@ class Grid:
         spectrum = self.fft(values)
         out = np.empty((self.dim,) + self.shape)
         for axis in range(self.dim):
-            order = tuple(1 if a == axis else 0 for a in range(self.dim))
-            out[axis] = self.ifft(self.derivative_multiplier(order) * spectrum)
+            out[axis] = self.ifft(self.ik[axis] * spectrum)
         return out
 
     def div(self, vec: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape)
         for axis in range(self.dim):
-            order = tuple(1 if a == axis else 0 for a in range(self.dim))
-            out += self.deriv(vec[axis], order)
+            out += self.ifft(self.ik[axis] * self.fft(vec[axis]))
         return out
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
@@ -184,7 +211,10 @@ class Grid:
         return self.ifft(self.dealias_mask * self.fft(am * bm))
 
     def mult_masked(self, am: np.ndarray, bm: np.ndarray) -> np.ndarray:
-        """Product of two already-truncated factors, truncated once more."""
+        """Pointwise product truncated once, with neither factor truncated
+        here. Equals mult(a, b) only when both factors are already
+        truncated; otherwise the untruncated factor's high modes alias into
+        the kept band."""
         return self.ifft(self.dealias_mask * self.fft(am * bm))
 
 

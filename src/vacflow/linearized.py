@@ -17,6 +17,14 @@ multiplier, so the scheme is stable at transport-limited step sizes
 regardless of how stiff the shift is. Negative proxy values are clipped to
 zero after each step; cells below the tolerance -1e-12 are counted and the
 removed mass is tracked.
+
+The steps read their coefficients as masked stages from the provider: v,
+div v, Q1(v), phitilde and vphitilde after the 2/3 rule. A stored
+trajectory masks each sample once and interpolates the masked samples in
+time, which equals masking the interpolated fields because truncation and
+interpolation are both linear; only the two samples around the current step
+are kept. The truncation of a derivative factor is folded into the cached
+multipliers Grid.ik_masked.
 """
 
 from __future__ import annotations
@@ -27,12 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField
-from .operators import ReformState, advect, deformation, stable_power
+from .operators import ReformState, advect, deformation, stable_power, truncate
 from .params import FluidParams
 
 CLIP_TOLERANCE = -1e-12
 DEFAULT_CFL_SAFETY = 0.4
 DEFAULT_SAMPLES_PER_WINDOW = 32
+SAMPLE_SNAP = 1e-12
 STABILITY_COURANT = 0.9 * math.sqrt(3.0)
 
 
@@ -60,6 +69,14 @@ class ConstantCoefficients:
         self.v = np.asarray(v, dtype=float)
         self.phitilde = np.asarray(phitilde, dtype=float)
         self.vphitilde = np.asarray(vphitilde, dtype=float)
+        self._masked = None
+
+    def stage(self, grid: Grid, t: float) -> "_StageCoeffs":
+        """The masked coefficients, built on the first call."""
+        if self._masked is None:
+            self._masked = _mask_coefficients(grid, self.v, self.phitilde,
+                                              self.vphitilde)
+        return self._masked
 
     def velocity(self, t: float) -> np.ndarray:
         return self.v
@@ -89,10 +106,21 @@ class AnalyticCoefficients:
     def vphi_coeff(self, t: float) -> np.ndarray:
         return self._vphi(t)
 
+    def stage(self, grid: Grid, t: float) -> "_StageCoeffs":
+        """The masked coefficients at t, built afresh on every call."""
+        return _mask_coefficients(grid, self._velocity(t), self._phi(t),
+                                  self._vphi(t))
+
 
 class TrajectoryCoefficients:
     """Piecewise-linear interpolation in time through a stored trajectory,
-    clamped at the endpoints."""
+    clamped at the endpoints.
+
+    Masked stages interpolate masked samples, which equals masking the
+    interpolated fields because truncation is linear. Each sample is masked
+    when first needed, and only the (at most two) samples bracketing the
+    latest query are kept: march lands on every sample, so no step needs a
+    sample behind the one it starts from."""
 
     def __init__(self, times, vphis, phis, velocities):
         self.times = np.asarray(times, dtype=float)
@@ -101,17 +129,50 @@ class TrajectoryCoefficients:
         self.vphis = np.asarray(vphis, dtype=float)
         self.phis = np.asarray(phis, dtype=float)
         self.velocities = np.asarray(velocities, dtype=float)
+        self._masked: dict = {}
 
-    def _interp(self, stack: np.ndarray, t: float) -> np.ndarray:
+    def _bracket(self, t: float) -> tuple:
+        """(j, w): t sits at weight w between samples j and j + 1; w = 0
+        at a sample time and past either clamped end. A stage time that
+        misses a sample by roundoff (t + dt against the snapped t_new)
+        counts as the sample, so it needs no second one."""
         times = self.times
         if t <= times[0]:
-            return stack[0]
+            return 0, 0.0
         if t >= times[-1]:
-            return stack[-1]
+            return len(times) - 1, 0.0
         j = int(np.searchsorted(times, t, side="right")) - 1
         j = min(j, len(times) - 2)
         w = (t - times[j]) / (times[j + 1] - times[j])
+        if w <= SAMPLE_SNAP:
+            return j, 0.0
+        if w >= 1.0 - SAMPLE_SNAP:
+            return j + 1, 0.0
+        return j, w
+
+    def _interp(self, stack: np.ndarray, t: float) -> np.ndarray:
+        j, w = self._bracket(t)
+        if w == 0.0:
+            return stack[j]
         return (1.0 - w) * stack[j] + w * stack[j + 1]
+
+    def _masked_sample(self, grid: Grid, j: int, keep) -> "_StageCoeffs":
+        """Sample j masked; on a miss every other cached sample but keep is
+        dropped."""
+        if j not in self._masked:
+            self._masked = {i: s for i, s in self._masked.items() if i == keep}
+            self._masked[j] = _mask_coefficients(
+                grid, self.velocities[j], self.phis[j], self.vphis[j])
+        return self._masked[j]
+
+    def stage(self, grid: Grid, t: float) -> "_StageCoeffs":
+        """The masked coefficients at t."""
+        j, w = self._bracket(t)
+        if w == 0.0:
+            return self._masked_sample(grid, j, None)
+        a = self._masked_sample(grid, j, j + 1)
+        b = self._masked_sample(grid, j + 1, j)
+        return _StageCoeffs(grid, (1.0 - w) * a.packed + w * b.packed)
 
     def velocity(self, t: float) -> np.ndarray:
         return self._interp(self.velocities, t)
@@ -178,23 +239,37 @@ class FrozenCoefficients:
 
 
 class _StageCoeffs:
-    """Masked coefficient fields at one stage time."""
+    """Masked coefficient fields at one stage time: v, div v, Q1(v),
+    phitilde and vphitilde, views into one packed array so that a time
+    interpolation is a single operation."""
 
-    __slots__ = ("v", "div_v", "q1", "phit", "vphit")
+    __slots__ = ("packed", "v", "div_v", "q1", "phit", "vphit")
 
-    def __init__(self, grid: Grid, provider, t: float, need_q1: bool):
-        v = np.asarray(provider.velocity(t), dtype=float)
-        self.v = np.stack([grid.dealias(v[i]) for i in range(grid.dim)])
-        self.div_v = grid.dealias(grid.div(v))
-        self.phit = grid.dealias(np.asarray(provider.phi_coeff(t), dtype=float))
-        self.vphit = grid.dealias(np.asarray(provider.vphi_coeff(t), dtype=float))
-        if need_q1:
-            q1 = deformation(grid, v)
-            self.q1 = np.stack(
-                [grid.dealias(q1[i, j]) for i in range(grid.dim) for j in range(grid.dim)]
-            ).reshape((grid.dim, grid.dim) + grid.shape)
-        else:
-            self.q1 = None
+    def __init__(self, grid: Grid, packed: np.ndarray):
+        d = grid.dim
+        self.packed = packed
+        self.v = packed[:d]
+        self.div_v = packed[d]
+        self.q1 = packed[d + 1:d + 1 + d * d].reshape((d, d) + grid.shape)
+        self.phit = packed[-2]
+        self.vphit = packed[-1]
+
+
+def _mask_coefficients(grid: Grid, v, phit, vphit) -> _StageCoeffs:
+    """Truncate one set of raw coefficients into a stage."""
+    d = grid.dim
+    v = np.asarray(v, dtype=float)
+    stage = _StageCoeffs(grid, np.empty((d * d + d + 3,) + grid.shape))
+    stage.v[...] = truncate(grid, v)
+    q1 = deformation(grid, v)
+    for i in range(d):
+        for j in range(i, d):
+            stage.q1[i, j] = stage.q1[j, i] = grid.dealias(q1[i, j])
+    # div v = tr Q1(v) / 2
+    stage.div_v[...] = 0.5 * sum(stage.q1[i, i] for i in range(d))
+    stage.phit[...] = grid.dealias(np.asarray(phit, dtype=float))
+    stage.vphit[...] = grid.dealias(np.asarray(vphit, dtype=float))
+    return stage
 
 
 def _transport_rhs(grid, params, stage: _StageCoeffs, f: np.ndarray, forcing_val):
@@ -207,10 +282,15 @@ def _transport_rhs(grid, params, stage: _StageCoeffs, f: np.ndarray, forcing_val
 
 def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
                   phi, u, nu1, nu2, forcing_phi, forcing_u):
-    """Explicit slope of the (phi, u) pair: the full right-hand side minus
-    the shift (nu1 Lap + nu2 grad div) u. Passing nu1 = nu2 = 0 gives the
-    full physical right-hand side (used for forcing construction and
-    residual evaluation)."""
+    """Explicit slope of the (phi, u) pair: the right-hand side minus the
+    shift (nu1 Lap + nu2 grad div) u.
+
+    The coefficient factors (the stage fields, the viscous weights and the
+    gradients of vphi^2 and vphi^(2m+2)) are truncated, but div u, grad phi,
+    Lap u and grad div u enter their products untruncated; only each
+    product is truncated. So even at nu1 = nu2 = 0 this is not
+    momentum_rhs_componentwise, which truncates both factors."""
+    d = grid.dim
     press = 2.0 * params.A * params.gamma / (params.gamma - 1.0)
     weight = vphi_arr**2 + eta**2
     c_shear = params.alpha * weight
@@ -218,12 +298,9 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
     s1 = params.alpha * params.delta1 / (params.delta1 - 1.0)
     s2 = params.beta * params.delta2 / (params.delta2 - 1.0)
 
-    u_hats = [grid.fft(u[i]) for i in range(grid.dim)]
-    div_u = np.zeros(grid.shape)
-    for i in range(grid.dim):
-        order = tuple(1 if a == i else 0 for a in range(grid.dim))
-        div_u += grid.ifft(grid.derivative_multiplier(order) * u_hats[i])
-    div_u_hat = grid.fft(div_u)
+    u_hats = [grid.fft(u[i]) for i in range(d)]
+    div_u_hat = sum(grid.ik[i] * u_hats[i] for i in range(d))
+    div_u = grid.ifft(div_u_hat)
 
     phi_hat = grid.fft(phi)
     dphi = -advect(grid, stage.v, phi)
@@ -231,25 +308,23 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
     if forcing_phi is not None:
         dphi = dphi + forcing_phi
 
-    grad_sq = grid.grad(vphi_arr**2)
-    grad_hi = grid.grad(stable_power(vphi_arr, 2.0 * params.m + 2.0))
+    sq_hat = grid.fft(vphi_arr**2)
+    hi_hat = grid.fft(stable_power(vphi_arr, 2.0 * params.m + 2.0))
+    grad_sq_m = [grid.ifft(grid.ik_masked[j] * sq_hat) for j in range(d)]
+    grad_hi_m = [grid.ifft(grid.ik_masked[j] * hi_hat) for j in range(d)]
     c_shear_m = grid.dealias(c_shear)
     c_compr_m = grid.dealias(c_compr)
 
     du = np.empty_like(u)
-    for i in range(grid.dim):
-        order = tuple(1 if a == i else 0 for a in range(grid.dim))
-        mult_i = grid.derivative_multiplier(order)
+    for i in range(d):
         lap = grid.ifft(-grid.k_squared * u_hats[i])
-        gd = grid.ifft(mult_i * div_u_hat)
-        dphi_i = grid.ifft(mult_i * phi_hat)
+        gd = grid.ifft(grid.ik[i] * div_u_hat)
+        dphi_i = grid.ifft(grid.ik[i] * phi_hat)
         term = -advect(grid, stage.v, u[i]) - press * grid.mult_masked(stage.phit, dphi_i)
         term += grid.mult_masked(c_shear_m, lap) + grid.mult_masked(c_compr_m, gd)
         term -= nu1 * lap + nu2 * gd
-        acc = np.zeros(grid.shape)
-        for j in range(grid.dim):
-            acc += grid.mult_masked(stage.q1[i, j], grid.dealias(grad_sq[j]))
-        term += s1 * acc + s2 * grid.mult_masked(stage.div_v, grid.dealias(grad_hi[i]))
+        acc = sum(stage.q1[i, j] * grad_sq_m[j] for j in range(d))
+        term += s1 * grid.dealias(acc) + s2 * grid.mult_masked(stage.div_v, grad_hi_m[i])
         if forcing_u is not None:
             term = term + forcing_u[i]
         du[i] = term
@@ -308,7 +383,7 @@ def transport_step(params: FluidParams, vphi: ScalarField,
     f = vphi.values
 
     def rhs(ts: float, arr: np.ndarray) -> np.ndarray:
-        stage = _StageCoeffs(grid, coeffs.provider, ts, need_q1=False)
+        stage = coeffs.provider.stage(grid, ts)
         fv = forcing.vphi_term(ts) if forcing is not None else None
         return _transport_rhs(grid, params, stage, arr, fv)
 
@@ -382,7 +457,7 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
     provider = coeffs.provider
 
     def slope(ts: float, phi_arr, u_arr, vphi_arr):
-        stage = _StageCoeffs(grid, provider, ts, need_q1=True)
+        stage = provider.stage(grid, ts)
         fp = forcing.phi_term(ts) if forcing is not None else None
         fu = forcing.velocity_term(ts) if forcing is not None else None
         return _momentum_rhs(grid, params, stage, vphi_arr, eta,
@@ -391,16 +466,19 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
     G = lambda tau, vec: _exp_shift(grid, nu1, nu2, tau, vec)
     p0, u0 = phi.values, u.values
 
+    # G is linear, so G(dt) u0 + c G(dt) k1u is applied as G(dt)(u0 + c k1u)
+    # and G(dt/2) k2u is applied once for both of its uses.
     k1p, k1u = slope(t, p0, u0, stages_vphi[0])
     p2 = p0 + 0.5 * dt * k1p
     u2 = G(0.5 * dt, u0 + 0.5 * dt * k1u)
     k2p, k2u = slope(t + 0.5 * dt, p2, u2, stages_vphi[1])
+    g_k2u = G(0.5 * dt, k2u)
     p3 = p0 + dt * (-k1p + 2.0 * k2p)
-    u3 = G(dt, u0) + dt * (-G(dt, k1u) + 2.0 * G(0.5 * dt, k2u))
+    u3 = G(dt, u0 - dt * k1u) + 2.0 * dt * g_k2u
     k3p, k3u = slope(t + dt, p3, u3, stages_vphi[2])
 
     phi_new = p0 + dt * (k1p + 4.0 * k2p + k3p) / 6.0
-    u_new = G(dt, u0) + dt * (G(dt, k1u) + 4.0 * G(0.5 * dt, k2u) + k3u) / 6.0
+    u_new = G(dt, u0 + (dt / 6.0) * k1u) + dt * (4.0 * g_k2u + k3u) / 6.0
 
     if not (np.all(np.isfinite(phi_new)) and np.all(np.isfinite(u_new))):
         raise SolverAbort("solution lost finiteness", t + dt)

@@ -74,15 +74,20 @@ class ReformState:
         return self.vphi.grid
 
 
+def truncate(grid: Grid, vec: np.ndarray) -> np.ndarray:
+    """Every component of a stacked field passed through the 2/3 rule."""
+    return np.stack([grid.dealias(c) for c in vec])
+
+
 def advect(grid: Grid, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """v . grad f with a dealiased product per component."""
-    out = np.zeros(grid.shape)
+    """v . grad f, dealiased, for an already-truncated velocity v: each
+    truncated derivative is one inverse transform of ik_masked * fhat, and
+    the summed product is truncated once."""
     spectrum = grid.fft(f)
+    out = np.zeros(grid.shape)
     for axis in range(grid.dim):
-        order = tuple(1 if a == axis else 0 for a in range(grid.dim))
-        df = grid.ifft(grid.derivative_multiplier(order) * spectrum)
-        out += grid.mult(v[axis], df)
-    return out
+        out += v[axis] * grid.ifft(grid.ik_masked[axis] * spectrum)
+    return grid.dealias(out)
 
 
 def deformation(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -105,13 +110,14 @@ def convection_apply(params: FluidParams, V: ReformState, W: ReformState):
     phitilde = V.phi.values
     half_gm1 = 0.5 * (params.gamma - 1.0)
 
+    vm = truncate(grid, v)
     div_u = grid.div(W.u.values)
-    scalar = advect(grid, v, W.phi.values) + half_gm1 * grid.mult(phitilde, div_u)
+    scalar = advect(grid, vm, W.phi.values) + half_gm1 * grid.mult(phitilde, div_u)
 
     grad_phi = grid.grad(W.phi.values)
     vector = np.empty_like(W.u.values)
     for i in range(grid.dim):
-        vector[i] = params.a1 * advect(grid, v, W.u.values[i]) + half_gm1 * grid.mult(
+        vector[i] = params.a1 * advect(grid, vm, W.u.values[i]) + half_gm1 * grid.mult(
             phitilde, grad_phi[i]
         )
     return ScalarField(grid, scalar), VectorField(grid, vector)
@@ -185,10 +191,11 @@ def momentum_rhs_componentwise(params, V: ReformState, vphi: ScalarField, eta: f
     grad_sq = grid.grad(vphi.values**2)
     grad_hi = grid.grad(stable_power(vphi.values, 2.0 * params.m + 2.0))
 
+    vm = truncate(grid, v)
     out = np.empty_like(W.u.values)
     for i in range(grid.dim):
         lap = grid.laplacian(W.u.values[i])
-        term = -advect(grid, v, W.u.values[i]) - press * grid.mult(phitilde, grad_phi[i])
+        term = -advect(grid, vm, W.u.values[i]) - press * grid.mult(phitilde, grad_phi[i])
         term += grid.mult(c_shear, lap) + grid.mult(c_compr, gd[i])
         acc = np.zeros(grid.shape)
         for j in range(grid.dim):

@@ -132,7 +132,7 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
         rho = rho + step / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         mom = mom + step / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(mom))):
-            raise SolverAbort("non-finite state", t + step)
+            raise SolverAbort("solution lost finiteness", t + step)
         if float(rho.min()) <= ORACLE_MIN_RHO:
             raise SolverAbort("density left the oracle regime", t + step,
                               f"min rho = {float(rho.min()):.3e}")

@@ -80,7 +80,11 @@ def validate_params(A, gamma, alpha, beta, delta1, delta2) -> FluidParams:
     m = (delta2 - delta1) / (delta1 - 1.0)
     cap = None
     if beta < 0:
-        cap = (-alpha / (3.0 * beta)) ** (1.0 / (delta2 - delta1))
+        try:
+            cap = (-alpha / (3.0 * beta)) ** (1.0 / (delta2 - delta1))
+        except OverflowError:
+            # a vanishing negative beta puts the cap beyond every float
+            cap = math.inf
     return FluidParams(
         A=float(A),
         gamma=float(gamma),

@@ -227,6 +227,25 @@ def test_oracle_compare_within_gate(tmp_path, capsys):
     assert out.rstrip().endswith("ok")
 
 
+@pytest.mark.parametrize("target, nan_out", [
+    # the oracle's own RK4
+    ("vacflow.oracle.primitive_rates",
+     lambda grid, params, rho, mom, u: (np.full_like(rho, np.nan),
+                                        np.full_like(mom, np.nan))),
+    # the Picard solve inside cross_compare
+    ("vacflow.linearized.advect",
+     lambda grid, v, f: np.full(grid.shape, np.nan)),
+])
+def test_oracle_compare_nonfinite_state_is_a_solver_failure(
+        tmp_path, capsys, monkeypatch, target, nan_out):
+    monkeypatch.setattr(target, nan_out)
+    cfg = write(tmp_path, POSITIVE)
+    assert main(["oracle-compare", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err
+    assert "solution lost finiteness" in err
+
+
 def test_oracle_compare_refuses_vacuum(tmp_path, capsys):
     cfg = write(tmp_path, POSITIVE.replace("background = 1.0\n", ""))
     assert main(["oracle-compare", "--config", cfg]) == 1

@@ -82,6 +82,30 @@ def test_product_rule_identity_for_resolved_products():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cached_multipliers_are_read_only_and_stay_intact(dim):
+    g = Grid(dim=dim, n=16, box_length=L)
+    e0 = tuple(int(a == 0) for a in range(dim))
+    assert g.derivative_multiplier(e0) is g.ik[0]
+    second = (2,) + (0,) * (dim - 1)
+    for arr in (g.derivative_multiplier(second), g.ik[-1], g.ik_masked[-1]):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    # the masked multiplier is the plain one with the 2/3 rule applied
+    for axis in range(dim):
+        assert np.array_equal(g.ik_masked[axis], g.dealias_mask * g.ik[axis])
+
+    rng = np.random.default_rng(dim)
+    f = rng.standard_normal(g.shape)
+    u = VectorField(g, rng.standard_normal((dim,) + g.shape))
+    w = ScalarField(g, rng.uniform(0.5, 1.5, g.shape))
+    order = (1,) * dim
+    first = g.deriv(f, order)
+    norms = [weighted_seminorm(w, u, k) for k in (1, 2, 3)]
+    assert np.array_equal(g.deriv(f, order), first)
+    assert [weighted_seminorm(w, u, k) for k in (1, 2, 3)] == norms
+
+
 def test_l2_norm_of_constant():
     g = Grid(dim=3, n=8, box_length=2.0)
     c = -1.25

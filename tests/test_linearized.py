@@ -14,13 +14,15 @@ from vacflow.linearized import (
     SolverAbort,
     Trajectory,
     TrajectoryCoefficients,
+    _exp_shift,
+    _momentum_rhs,
     adaptive_dt,
     march,
     momentum_step,
     solve_linearized,
     transport_step,
 )
-from vacflow.operators import ReformState
+from vacflow.operators import ReformState, deformation
 from vacflow.params import validate_params
 
 
@@ -378,3 +380,151 @@ def test_trajectory_coefficients_interpolate_and_clamp():
     assert np.allclose(tc.vphi_coeff(-1.0), 0.0)
     with pytest.raises(ValueError, match="at least one"):
         TrajectoryCoefficients([], vphis[:0], phis[:0], vels[:0])
+
+
+# -- masked stages and the transform budget ------------------------------------
+
+
+def random_trajectory(grid, times, seed):
+    """A TrajectoryCoefficients provider with unresolved random samples:
+    vphi in [0.1, 0.9] keeps the soft parameters inside the regime."""
+    rng = np.random.default_rng(seed)
+    k = len(times)
+    return TrajectoryCoefficients(
+        times,
+        rng.uniform(0.1, 0.9, (k,) + grid.shape),
+        rng.uniform(0.0, 0.7, (k,) + grid.shape),
+        rng.uniform(-0.3, 0.3, (k, grid.dim) + grid.shape),
+    )
+
+
+def fresh_stage(grid, provider, t):
+    """The former per-stage build: interpolate the raw fields, then mask
+    every coefficient from scratch."""
+    v = provider.velocity(t)
+    q1 = deformation(grid, v)
+    d = grid.dim
+    return {
+        "v": np.stack([grid.dealias(v[i]) for i in range(d)]),
+        "div_v": grid.dealias(grid.div(v)),
+        "q1": np.stack([grid.dealias(q1[i, j]) for i in range(d)
+                        for j in range(d)]).reshape((d, d) + grid.shape),
+        "phit": grid.dealias(provider.phi_coeff(t)),
+        "vphit": grid.dealias(provider.vphi_coeff(t)),
+    }
+
+
+SAMPLE_TIMES = [0.0, 0.3, 0.5, 1.0]
+# between samples, one ulp off a sample on either side, past both ends
+QUERY_TIMES = SAMPLE_TIMES + [0.15, 0.4, 0.75, float(np.nextafter(0.3, 0.0)),
+                              float(np.nextafter(0.5, 1.0)), -0.5, 1.7]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       order=st.permutations(QUERY_TIMES))
+def test_masked_stage_equals_a_stage_masked_from_interpolated_fields(
+        seed, dim, order):
+    g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
+    provider = random_trajectory(g, SAMPLE_TIMES, seed)
+    for t in order + order[::-1]:
+        got = provider.stage(g, t)
+        assert len(provider._masked) <= 2
+        for name, want in fresh_stage(g, provider, t).items():
+            err = np.max(np.abs(getattr(got, name) - want))
+            assert err <= 1e-12 * max(np.max(np.abs(want)), 1.0), (name, t)
+
+
+def seven_exponential_update(p, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
+    """The IF-RK3 update as first written, one exponential per term."""
+    g = phi.grid
+
+    def slope(ts, pa, ua, va):
+        return _momentum_rhs(g, p, coeffs.provider.stage(g, ts), va,
+                             coeffs.eta, pa, ua, nu1, nu2, None, None)
+
+    def G(tau, vec):
+        return _exp_shift(g, nu1, nu2, tau, vec)
+
+    p0, u0 = phi.values, u.values
+    k1p, k1u = slope(t, p0, u0, stages_vphi[0])
+    p2 = p0 + 0.5 * dt * k1p
+    u2 = G(0.5 * dt, u0 + 0.5 * dt * k1u)
+    k2p, k2u = slope(t + 0.5 * dt, p2, u2, stages_vphi[1])
+    p3 = p0 + dt * (-k1p + 2.0 * k2p)
+    u3 = G(dt, u0) + dt * (-G(dt, k1u) + 2.0 * G(0.5 * dt, k2u))
+    k3p, k3u = slope(t + dt, p3, u3, stages_vphi[2])
+    phi_new = p0 + dt * (k1p + 4.0 * k2p + k3p) / 6.0
+    u_new = G(dt, u0) + dt * (G(dt, k1u) + 4.0 * G(0.5 * dt, k2u) + k3u) / 6.0
+    return phi_new, u_new
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 2))
+def test_four_exponential_update_equals_the_seven_exponential_form(seed, dim):
+    p = soft_params()
+    g = Grid(dim=dim, n=16, box_length=2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    provider = random_trajectory(g, [0.0, 0.01, 0.02], seed + 1)
+    coeffs = FrozenCoefficients(provider=provider, eta=0.1, t_window=0.02,
+                                clip=False)
+    phi = ScalarField(g, rng.uniform(0.0, 0.7, g.shape))
+    u = VectorField(g, rng.uniform(-0.3, 0.3, (dim,) + g.shape))
+    stages_vphi = tuple(rng.uniform(0.1, 0.9, g.shape) for _ in range(3))
+    dt, t = 0.004, 0.003
+    phi_new, u_new, diag = momentum_step(p, phi, u, coeffs, stages_vphi, dt, t)
+    want_phi, want_u = seven_exponential_update(
+        p, phi, u, coeffs, stages_vphi, dt, t, diag.nu1, diag.nu2)
+    assert diag.nu1 > 0.0 and diag.nu2 > 0.0
+    for got, want in ((phi_new.values, want_phi), (u_new.values, want_u)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_transform_budget_of_one_window(dim, monkeypatch):
+    # Transforms (one fftn or ifftn call each) of one window with every step
+    # landing on a sample, in d dimensions:
+    #   advect: one forward, d masked-derivative inverses, one pair to
+    #     truncate the summed product                               d + 3
+    #   transport right-hand side: advect + one truncated product    d + 5
+    #     x 3 stages x 2 half steps                                  6d + 30
+    #   momentum slope: d (u hats) + 1 (div u) + 1 (phi hat)
+    #     + advect(phi) (d + 3) + 2 (phitilde div u) + 2 + 2d (masked
+    #     gradients of vphi^2 and vphi^(2m+2)) + 4 (viscous weights)
+    #     + per component d x [3 (Lap u, grad div u, grad phi) + advect
+    #     (d + 3) + 6 (three products) + 2 (Q1 contraction) + 2 (div v
+    #     product)]                                                  d^2 + 20d + 13
+    #     x 3 slopes
+    #   shift exponentials: 4 x 2d                                   8d
+    #   per step: 3d^2 + 74d + 69 = 146, 229, 318 for d = 1, 2, 3
+    #   per sample, masked once: truncated v 2d, Q1 d + d^2, its upper
+    #     triangle truncated d(d + 1), phitilde and vphitilde 4
+    #                                                      2d^2 + 4d + 4 = 10, 20, 34
+    p = soft_params()
+    g = Grid(dim=dim, n=16, box_length=2.0 * np.pi)
+    steps, dt = 4, 0.001
+    times = [k * dt for k in range(steps + 1)]
+    provider = random_trajectory(g, times, 7)
+    rng = np.random.default_rng(8)
+    init = ReformState(
+        vphi=ScalarField(g, rng.uniform(0.1, 0.9, g.shape)),
+        phi=ScalarField(g, rng.uniform(0.0, 0.7, g.shape)),
+        u=VectorField(g, rng.uniform(-0.3, 0.3, (dim,) + g.shape)),
+    )
+    coeffs = FrozenCoefficients(provider=provider, eta=0.1,
+                                t_window=times[-1], dt=dt, sample_dt=dt)
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
+    traj = solve_linearized(init, coeffs, p)
+    assert len(traj.dt_history) == steps
+    per_step = 3 * dim**2 + 74 * dim + 69
+    per_sample = 2 * dim**2 + 4 * dim + 4
+    assert calls[0] == steps * per_step + len(times) * per_sample

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.operators import (
@@ -16,6 +18,7 @@ from vacflow.operators import (
     reformulation_gap,
     source_apply,
     stable_power,
+    truncate,
     viscous_apply,
 )
 from vacflow.params import validate_params
@@ -100,6 +103,24 @@ def test_advect_constant_velocity_single_mode():
     v = np.full((1,) + g.shape, 0.7)
     out = advect(g, v, f)
     assert np.max(np.abs(out - 0.7 * 3.0 * np.cos(3.0 * x))) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_advect_of_truncated_velocity_equals_the_product_loop(seed, dim):
+    # Unresolved data on purpose: every mode is populated, so the
+    # truncations matter. The reference is the former per-component form
+    # with both factors and the product truncated by Grid.mult.
+    g = Grid(dim=dim, n=16, box_length=2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((dim,) + g.shape)
+    f = rng.standard_normal(g.shape)
+    want = np.zeros(g.shape)
+    for i in range(dim):
+        order = tuple(int(a == i) for a in range(dim))
+        want += g.mult(v[i], g.deriv(f, order))
+    got = advect(g, truncate(g, v), f)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_deformation_is_symmetric_with_analytic_entries():
