@@ -212,12 +212,11 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     if snapshots:
         from .diagnostics import density_of
         from .fields import ScalarField
-        final = traj.final
-        rho_final = ScalarField(final.grid, density_of(final, params))
+        rho_final = ScalarField(traj.grid, density_of(traj.vphi[-1], params))
         save_snapshot(os.path.join(out_dir, "final_density.snap"),
                       rho_final, "density", time=traj.times[-1])
         save_snapshot(os.path.join(out_dir, "final_velocity.snap"),
-                      final.u, "velocity", time=traj.times[-1])
+                      traj.final.u, "velocity", time=traj.times[-1])
         files += ["final_density.snap", "final_velocity.snap"]
 
     t1, t2, t3, tss = led.horizons

@@ -4,7 +4,7 @@ conservation totals, reconstruction back to primitive variables, particle
 tracing along characteristics, and residuals of the full nonlinear system.
 
 Everything here treats trajectories as immutable inputs and recomputes what
-it needs from the stored states, so the checks stay independent of the
+it needs from the stored samples, so the checks stay independent of the
 solver's internal arithmetic.
 """
 
@@ -40,9 +40,10 @@ def _dx(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
     return grid.deriv(values, order)
 
 
-def density_of(state: ReformState, params: FluidParams) -> np.ndarray:
-    """Density recovered from the viscosity proxy (the reference route)."""
-    return stable_power(state.vphi.values, 2.0 / (params.delta1 - 1.0))
+def density_of(vphi: np.ndarray, params: FluidParams) -> np.ndarray:
+    """Density recovered from viscosity-proxy values (the reference route),
+    one sample or a whole stack."""
+    return stable_power(vphi, 2.0 / (params.delta1 - 1.0))
 
 
 def _nonuniform_derivative(stack: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -76,14 +77,6 @@ def _nonuniform_derivative(stack: np.ndarray, times: np.ndarray) -> np.ndarray:
         + (2.0 * hm + hmm) / (hm * (hm + hmm)) * stack[-1]
     )
     return out
-
-
-def _stacks(traj: Trajectory):
-    times = np.asarray(traj.times, dtype=float)
-    vphi = np.stack([s.vphi.values for s in traj.states])
-    phi = np.stack([s.phi.values for s in traj.states])
-    u = np.stack([s.u.values for s in traj.states])
-    return times, vphi, phi, u
 
 
 # -- a priori ledger ----------------------------------------------------------
@@ -151,15 +144,16 @@ def ledger(traj: Trajectory, params: FluidParams,
     """
     if not calib_C >= 1.0:
         raise ValueError(f"calib_C must be at least 1, got {calib_C}")
-    times, vphi_st, phi_st, u_st = _stacks(traj)
-    grid = traj.states[0].grid
+    times = np.asarray(traj.times, dtype=float)
+    grid = traj.grid
     nt = len(times)
 
     vphi_n = np.empty((nt, 3))
     phi_n = np.empty((nt, 3))
     u_n = np.empty((nt, 3))
     w_sq = np.empty((nt, 3))
-    for i, state in enumerate(traj.states):
+    for i in range(nt):
+        state = traj.state(i)
         for j, s in enumerate((1, 2, 3)):
             vphi_n[i, j] = sobolev_norm(state.vphi, s)
             phi_n[i, j] = sobolev_norm(state.phi, s)
@@ -172,9 +166,9 @@ def ledger(traj: Trajectory, params: FluidParams,
         integrals[i] = integrals[i - 1] + 0.5 * dt * (w_sq[i] + w_sq[i - 1])
 
     if nt >= 3:
-        dv = _nonuniform_derivative(vphi_st, times)
-        dp = _nonuniform_derivative(phi_st, times)
-        du = _nonuniform_derivative(u_st, times)
+        dv = _nonuniform_derivative(traj.vphi, times)
+        dp = _nonuniform_derivative(traj.phi, times)
+        du = _nonuniform_derivative(traj.u, times)
         dvphi_h2 = np.array([sobolev_norm(ScalarField(grid, dv[i]), 2) for i in range(nt)])
         dphi_h2 = np.array([sobolev_norm(ScalarField(grid, dp[i]), 2) for i in range(nt)])
         du_h1 = np.array([sobolev_norm(VectorField(grid, du[i]), 1) for i in range(nt)])
@@ -183,7 +177,7 @@ def ledger(traj: Trajectory, params: FluidParams,
         dphi_h2 = np.full(nt, math.nan)
         du_h1 = np.full(nt, math.nan)
 
-    s0 = traj.states[0]
+    s0 = traj.state(0)
     c0 = 1.0 + sobolev_norm(s0.vphi, 3) + sobolev_norm(s0.phi, 3) + sobolev_norm(s0.u, 3)
     c_val = math.sqrt(calib_C) * c0
     c_levels = (c_val, c_val, c_val)
@@ -253,8 +247,8 @@ class ValidityVerdict:
 
 def validity(traj: Trajectory, led: AprioriLedger, params: FluidParams,
              vac_eps: float = VAC_EPS) -> ValidityVerdict:
-    grid = traj.states[0].grid
-    rho0 = density_of(traj.states[0], params)
+    grid = traj.grid
+    rho0 = density_of(traj.vphi[0], params)
     margin0 = support_margin(ScalarField(grid, rho0), vac_eps)
     watch_support = math.isfinite(margin0) and margin0 > 0.0
     seam_floor = SEAM_FRACTION * grid.box_length
@@ -271,9 +265,8 @@ def validity(traj: Trajectory, led: AprioriLedger, params: FluidParams,
     t_valid = 0.0
     reasons = []
     ended = False
-    for i, state in enumerate(traj.states):
-        visc = params.alpha + params.beta * stable_power(state.vphi.values,
-                                                         2.0 * params.m)
+    for i, vphi in enumerate(traj.vphi):
+        visc = params.alpha + params.beta * stable_power(vphi, 2.0 * params.m)
         cmin = float(visc.min())
         coeffs.append(cmin)
         row_ok = bool(led.level_ok[i].all())
@@ -281,7 +274,7 @@ def validity(traj: Trajectory, led: AprioriLedger, params: FluidParams,
         conditions = [("coefficient", cmin >= 0.5 * params.alpha),
                       ("ledger", row_ok)]
         if watch_support:
-            rho = density_of(state, params)
+            rho = density_of(vphi, params)
             dust = max(vac_eps, dust_rel * float(rho.max()))
             m = support_margin(ScalarField(grid, rho), dust)
             margins.append(m)
@@ -318,21 +311,21 @@ def vacuum_residual(traj: Trajectory, params: FluidParams,
     """Pointwise size of u_t + (u . grad)u over cells the density has
     abandoned. Zero with a flag when no cell is below the cutoff; the time
     derivative comes from differencing the stored samples."""
-    times, _, _, u_st = _stacks(traj)
-    grid = traj.states[0].grid
+    times = np.asarray(traj.times, dtype=float)
+    grid = traj.grid
     if len(times) < 3:
         raise ValueError("need at least three samples for the vacuum check")
-    dudt = _nonuniform_derivative(u_st, times)
+    dudt = _nonuniform_derivative(traj.u, times)
     worst = 0.0
     cells = 0
-    for i, state in enumerate(traj.states):
-        rho = density_of(state, params)
+    for i, vphi in enumerate(traj.vphi):
+        rho = density_of(vphi, params)
         mask = rho < vac_eps
         count = int(mask.sum())
         cells += count
         if count == 0:
             continue
-        u = state.u.values
+        u = traj.u[i]
         adv = np.zeros_like(u)
         for comp in range(grid.dim):
             grads = grid.grad(u[comp])
@@ -360,14 +353,14 @@ class ConservationReport:
 def conservation(traj: Trajectory, params: FluidParams) -> ConservationReport:
     """Quadrature totals of density and momentum per sample, with the worst
     relative drift against the initial totals."""
-    grid = traj.states[0].grid
+    grid = traj.grid
     vol = grid.cell_volume
     masses = []
     momenta = []
-    for state in traj.states:
-        rho = density_of(state, params)
+    for vphi, u in zip(traj.vphi, traj.u):
+        rho = density_of(vphi, params)
         masses.append(float(rho.sum()) * vol)
-        momenta.append(tuple(float((rho * state.u.values[j]).sum()) * vol
+        momenta.append(tuple(float((rho * u[j]).sum()) * vol
                              for j in range(grid.dim)))
     m0 = masses[0]
     mass_scale = max(abs(m0), 1e-300)
@@ -461,12 +454,12 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     than seam_buffer are dropped and counted; by default the buffer is an
     eighth of the box for compactly supported data and zero otherwise.
     """
-    grid = traj.states[0].grid
-    times, _, _, u_st = _stacks(traj)
+    grid = traj.grid
+    times = np.asarray(traj.times, dtype=float)
     if len(times) < 2:
         raise ValueError("need at least two samples to trace")
-    rho0 = density_of(traj.states[0], params)
-    rho_end = density_of(traj.states[-1], params)
+    rho0 = density_of(traj.vphi[0], params)
+    rho_end = density_of(traj.vphi[-1], params)
 
     if seam_buffer is None:
         margin0 = support_margin(ScalarField(grid, rho0), vac_eps)
@@ -482,26 +475,22 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     chosen = cells[rng.choice(cells.shape[0], size=take, replace=False)]
     pos = chosen.T.astype(float) * grid.spacing
 
-    div_st = np.stack([grid.div(s.u.values) for s in traj.states])
+    div_st = np.stack([grid.div(u) for u in traj.u])
+
+    def at(stack: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
+        """A sampled field, linear in time and multilinear in space."""
+        j = int(np.searchsorted(times, t, side="right")) - 1
+        j = min(max(j, 0), len(times) - 2)
+        w = (t - times[j]) / (times[j + 1] - times[j])
+        a = _periodic_interp(grid, stack[j], x % grid.box_length)
+        b = _periodic_interp(grid, stack[j + 1], x % grid.box_length)
+        return (1.0 - w) * a + w * b
 
     def vel_at(t: float, x: np.ndarray) -> np.ndarray:
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        j = min(max(j, 0), len(times) - 2)
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        out = np.empty_like(x)
-        for comp in range(grid.dim):
-            a = _periodic_interp(grid, u_st[j, comp], x % grid.box_length)
-            b = _periodic_interp(grid, u_st[j + 1, comp], x % grid.box_length)
-            out[comp] = (1.0 - w) * a + w * b
-        return out
+        return np.stack([at(traj.u[:, comp], t, x) for comp in range(grid.dim)])
 
     def div_at(t: float, x: np.ndarray) -> np.ndarray:
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        j = min(max(j, 0), len(times) - 2)
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        a = _periodic_interp(grid, div_st[j], x % grid.box_length)
-        b = _periodic_interp(grid, div_st[j + 1], x % grid.box_length)
-        return (1.0 - w) * a + w * b
+        return at(div_st, t, x)
 
     integ = np.zeros(take)
     alive = np.ones(take, dtype=bool)
@@ -631,16 +620,16 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
     forcing, when given, is subtracted from the reformulated side only; the
     primitive side is reported for the unforced system.
     """
-    times, vphi_st, phi_st, u_st = _stacks(traj)
-    grid = traj.states[0].grid
+    times = np.asarray(traj.times, dtype=float)
+    grid = traj.grid
     if len(times) < 3:
         raise ValueError("need at least three samples for residuals")
-    dvphi = _nonuniform_derivative(vphi_st, times)
-    dphi = _nonuniform_derivative(phi_st, times)
-    du = _nonuniform_derivative(u_st, times)
+    dvphi = _nonuniform_derivative(traj.vphi, times)
+    dphi = _nonuniform_derivative(traj.phi, times)
+    du = _nonuniform_derivative(traj.u, times)
 
-    rho_st = np.stack([density_of(s, params) for s in traj.states])
-    mom_st = np.stack([rho_st[i] * u_st[i] for i in range(len(times))])
+    rho_st = density_of(traj.vphi, params)
+    mom_st = rho_st[:, None] * traj.u
     drho = _nonuniform_derivative(rho_st, times)
     dmom = _nonuniform_derivative(mom_st, times)
 
@@ -648,9 +637,8 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
     pm = pmom = plinf = 0.0
     interior = range(1, len(times) - 1)
     for i in interior:
-        state = traj.states[i]
         t = times[i]
-        f_vphi, f_phi, f_u = reform_rhs(state, params, eta)
+        f_vphi, f_phi, f_u = reform_rhs(traj.state(i), params, eta)
         r1 = dvphi[i] - f_vphi
         r2 = dphi[i] - f_phi
         r3 = du[i] - f_u
@@ -671,7 +659,7 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
                     float(np.abs(r3).max()))
 
         rates_rho, rates_mom = primitive_rates(grid, params, rho_st[i],
-                                               mom_st[i], u_st[i])
+                                               mom_st[i], traj.u[i])
         r_mass = drho[i] - rates_rho
         r_mom = dmom[i] - rates_mom
         pm = max(pm, quadrature_l2(grid, r_mass))

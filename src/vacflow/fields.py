@@ -107,18 +107,6 @@ class Grid:
             )
         return mask
 
-    @cached_property
-    def _nyquist_free(self) -> np.ndarray:
-        """Mask zeroing the Nyquist plane on every axis (odd derivatives)."""
-        modes = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        keep = np.abs(modes) < self.n // 2
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            mask &= keep.reshape(
-                [-1 if a == axis else 1 for a in range(self.dim)]
-            )
-        return mask
-
     # -- spectral calculus -------------------------------------------------
 
     def fft(self, values: np.ndarray) -> np.ndarray:
@@ -218,9 +206,10 @@ class Grid:
         return self.ifft(self.dealias_mask * self.fft(am * bm))
 
 
-def _as_values(values, grid: Grid, ncomp: int | None) -> np.ndarray:
+def checked_values(values, expected: tuple) -> np.ndarray:
+    """values as a read-only contiguous float array of the expected shape,
+    all finite."""
     arr = np.asarray(values, dtype=float)
-    expected = grid.shape if ncomp is None else (ncomp,) + grid.shape
     if arr.shape != expected:
         raise FieldError(f"values shape {arr.shape}, expected {expected}")
     if not np.all(np.isfinite(arr)):
@@ -236,7 +225,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.values, self.grid, None))
+        object.__setattr__(self, "values", checked_values(self.values, self.grid.shape))
 
     def linf(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -249,7 +238,8 @@ class VectorField:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "values", _as_values(self.values, self.grid, self.grid.dim)
+            self, "values",
+            checked_values(self.values, (self.grid.dim,) + self.grid.shape)
         )
 
     def linf(self) -> float:
@@ -272,31 +262,28 @@ def _component_list(field) -> list:
     raise FieldError(f"expected ScalarField or VectorField, got {type(field)}")
 
 
-def sobolev_norm(field, s: int) -> float:
-    """||f||_s with the quadrature-L2 normalization; vector fields sum
-    component squares before the square root."""
+def _spectral_norm(field, weight: np.ndarray) -> float:
+    """(sum_k weight_k |fhat_k|^2 L^dim)^(1/2), all components summed."""
     grid = field.grid
-    weight = (1.0 + grid.k_squared) ** s
     total = 0.0
     scale = grid.box_length**grid.dim / grid.n ** (2 * grid.dim)
     for comp in _component_list(field):
         spectrum = grid.fft(comp)
         total += float(np.sum(weight * np.abs(spectrum) ** 2)) * scale
     return math.sqrt(total)
+
+
+def sobolev_norm(field, s: int) -> float:
+    """||f||_s with the quadrature-L2 normalization; vector fields sum
+    component squares before the square root."""
+    return _spectral_norm(field, (1.0 + field.grid.k_squared) ** s)
 
 
 def seminorm(field, k: int) -> float:
     """|f|_{D^k}: the |k|^{2k} spectral weight, all components summed."""
     if k < 0 or k > MAX_DERIVATIVE_ORDER:
         raise FieldError(f"seminorm order {k} outside 0..{MAX_DERIVATIVE_ORDER}")
-    grid = field.grid
-    weight = grid.k_squared**k
-    total = 0.0
-    scale = grid.box_length**grid.dim / grid.n ** (2 * grid.dim)
-    for comp in _component_list(field):
-        spectrum = grid.fft(comp)
-        total += float(np.sum(weight * np.abs(spectrum) ** 2)) * scale
-    return math.sqrt(total)
+    return _spectral_norm(field, field.grid.k_squared**k)
 
 
 def quadrature_l2(grid: Grid, values: np.ndarray) -> float:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .fields import quadrature_l2
 from .linearized import (
-    CLIP_TOLERANCE,
     DEFAULT_CFL_SAFETY,
     DEFAULT_SAMPLES_PER_WINDOW,
     ConstantCoefficients,
@@ -28,7 +27,7 @@ from .linearized import (
     SolverAbort,
     Trajectory,
     adaptive_dt,
-    march,
+    record_window,
     solve_linearized,
     transport_step,
 )
@@ -105,13 +104,19 @@ def trace_summary(trace: PicardTrace) -> dict:
     }
 
 
-def _common_indices(a: Trajectory, b: Trajectory) -> range:
+def _sample_gaps(a: Trajectory, b: Trajectory):
+    """Per shared sample time: the squared L2 gaps of phi, u and vphi, and
+    the largest pointwise gap of the three."""
     ta = np.asarray(a.times, dtype=float)
     tb = np.asarray(b.times, dtype=float)
     if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=0.0,
                                                atol=1e-10 * max(1.0, float(ta[-1]))):
         raise ValueError("trajectories are sampled on different time grids")
-    return range(len(a.times))
+    grid = a.grid
+    for i in range(len(ta)):
+        diffs = (a.phi[i] - b.phi[i], a.u[i] - b.u[i], a.vphi[i] - b.vphi[i])
+        yield (*(quadrature_l2(grid, d) ** 2 for d in diffs),
+               max(float(np.abs(d).max()) for d in diffs))
 
 
 def trajectory_gap(a: Trajectory, b: Trajectory) -> tuple[float, float, float]:
@@ -119,36 +124,21 @@ def trajectory_gap(a: Trajectory, b: Trajectory) -> tuple[float, float, float]:
     separately for the (phi, u) block and for the viscosity proxy, plus the
     sup-in-time pointwise gap. The two blocks are kept apart because the
     contraction metric adds their separate suprema."""
-    grid = a.states[0].grid
     w_sq = 0.0
     v_sq = 0.0
     linf = 0.0
-    for i in _common_indices(a, b):
-        sa, sb = a.states[i], b.states[i]
-        dphi = sa.phi.values - sb.phi.values
-        du = sa.u.values - sb.u.values
-        dvphi = sa.vphi.values - sb.vphi.values
-        w_sq = max(w_sq, quadrature_l2(grid, dphi) ** 2 + quadrature_l2(grid, du) ** 2)
-        v_sq = max(v_sq, quadrature_l2(grid, dvphi) ** 2)
-        linf = max(linf, float(np.abs(dphi).max()),
-                   float(np.abs(du).max()), float(np.abs(dvphi).max()))
+    for phi_sq, u_sq, vphi_sq, gap in _sample_gaps(a, b):
+        w_sq = max(w_sq, phi_sq + u_sq)
+        v_sq = max(v_sq, vphi_sq)
+        linf = max(linf, gap)
     return w_sq, v_sq, linf
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
     """Sup over shared sample times of the combined L2 distance between
     states (all three fields in one norm)."""
-    grid = a.states[0].grid
-    best = 0.0
-    for i in _common_indices(a, b):
-        sa, sb = a.states[i], b.states[i]
-        d = math.sqrt(
-            quadrature_l2(grid, sa.phi.values - sb.phi.values) ** 2
-            + quadrature_l2(grid, sa.u.values - sb.u.values) ** 2
-            + quadrature_l2(grid, sa.vphi.values - sb.vphi.values) ** 2
-        )
-        best = max(best, d)
-    return best
+    return max(math.sqrt(phi_sq + u_sq + vphi_sq)
+               for phi_sq, u_sq, vphi_sq, _ in _sample_gaps(a, b))
 
 
 def _start_guess(init: ReformState, params: FluidParams, eta: float,
@@ -162,27 +152,16 @@ def _start_guess(init: ReformState, params: FluidParams, eta: float,
     provider = ConstantCoefficients(init.u.values, zeros, zeros)
     coeffs = FrozenCoefficients(provider=provider, eta=eta, t_window=t_window,
                                 clip=clip)
-    floor = CLIP_TOLERANCE if clip else None
-    step = dt if dt is not None else adaptive_dt(params, grid, init.u.values,
-                                                 zeros, cfl_safety)
+    h = dt if dt is not None else adaptive_dt(params, grid, init.u.values,
+                                              zeros, cfl_safety)
 
-    vphi, phi, u = init.vphi, init.phi, init.u
-    traj = Trajectory(states=[ReformState(vphi, phi, u, time=0.0, floor=floor)],
-                      times=[0.0], eta=eta)
-
-    def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
-        nonlocal vphi, phi
+    def step(t: float, dt: float, vphi, phi, u):
         vphi, _ = transport_step(params, vphi, coeffs, dt, t)
         phi, _ = transport_step(params, phi, coeffs, dt, t)
-        traj.dt_history.append(dt)
-        traj.clip_counts.append(0)
-        traj.clipped_mass.append(0.0)
-        if at_sample:
-            traj.states.append(ReformState(vphi, phi, u, time=t_new, floor=floor))
-            traj.times.append(t_new)
+        return vphi, phi, u, 0, 0.0
 
-    march(t_window, sample_dt, lambda t: step, advance)
-    return traj
+    return record_window(init, t_window, sample_dt, lambda t: h, step,
+                         eta=eta, clip=clip)
 
 
 def picard_solve(init: ReformState, params: FluidParams, eta: float,

@@ -30,12 +30,13 @@ multipliers Grid.ik_masked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField
-from .operators import ReformState, advect, deformation, stable_power, truncate
+from .fields import Grid, ScalarField, VectorField, checked_values
+from .operators import (STATE_FLOOR, ReformState, advect, deformation,
+                        stable_power, truncate)
 from .params import FluidParams
 
 CLIP_TOLERANCE = -1e-12
@@ -494,42 +495,51 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
 # -- window solve ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of one linearized window: states at the sample
-    times, plus per-step diagnostics."""
+    """Sampled solution of one linearized window: the sample times, one
+    read-only stacked array per field (vphi and phi shaped (nt,) + shape, u
+    shaped (nt, dim) + shape), plus per-step diagnostics. The proxies must be
+    nonnegative up to the clip tolerance at every sample; pass floor=None for
+    signed data produced with clipping disabled."""
 
-    states: list
+    grid: Grid
     times: list
+    vphi: np.ndarray
+    phi: np.ndarray
+    u: np.ndarray
     dt_history: list = field(default_factory=list)
     clip_counts: list = field(default_factory=list)
     clipped_mass: list = field(default_factory=list)
     eta: float = 0.0
+    floor: InitVar[float | None] = STATE_FLOOR
 
-    def __post_init__(self):
-        if len(self.states) != len(self.times):
-            raise ValueError("states and times disagree in length")
+    def __post_init__(self, floor):
+        g, nt = self.grid, len(self.times)
+        for name, shape in (("vphi", g.shape), ("phi", g.shape),
+                            ("u", (g.dim,) + g.shape)):
+            stack = checked_values(getattr(self, name), (nt,) + shape)
+            if floor is not None and name != "u" and float(stack.min()) < floor:
+                raise ValueError(f"{name} has negative values below the clip "
+                                 f"tolerance: min = {float(stack.min()):.3e}")
+            object.__setattr__(self, name, stack)
         for a, b in zip(self.times, self.times[1:]):
             if not b > a:
                 raise ValueError("sample times must increase strictly")
 
-    def state_at(self, t: float) -> ReformState:
-        for s, ts in zip(self.states, self.times):
-            if abs(ts - t) <= 1e-12 * max(1.0, abs(t)):
-                return s
-        raise KeyError(f"no sample at t = {t}")
+    def state(self, i: int) -> ReformState:
+        """Sample i as a ReformState whose fields are views into the stacks."""
+        g = self.grid
+        return ReformState(ScalarField(g, self.vphi[i]), ScalarField(g, self.phi[i]),
+                           VectorField(g, self.u[i]), time=self.times[i], floor=None)
 
     def as_coefficients(self) -> TrajectoryCoefficients:
-        return TrajectoryCoefficients(
-            times=self.times,
-            vphis=np.stack([s.vphi.values for s in self.states]),
-            phis=np.stack([s.phi.values for s in self.states]),
-            velocities=np.stack([s.u.values for s in self.states]),
-        )
+        """The stacks as a coefficient provider, shared, not copied."""
+        return TrajectoryCoefficients(self.times, self.vphi, self.phi, self.u)
 
     @property
     def final(self) -> ReformState:
-        return self.states[-1]
+        return self.state(-1)
 
 
 def march(t_window: float, sample_dt: float | None, next_dt, advance) -> None:
@@ -570,6 +580,35 @@ def march(t_window: float, sample_dt: float | None, next_dt, advance) -> None:
         t = t_new
 
 
+def record_window(init: ReformState, t_window: float, sample_dt: float | None,
+                  next_dt, step, *, eta: float, clip: bool) -> Trajectory:
+    """March init across [0, t_window] and record the window. step(t, dt,
+    vphi, phi, u) returns the fields after one step followed by its clip
+    count and clipped mass; the fields at every sample time are stacked into
+    the trajectory when the window is done."""
+    fields = (init.vphi, init.phi, init.u)
+    samples = tuple([f.values] for f in fields)
+    times = [0.0]
+    dt_history, clip_counts, clipped_mass = [], [], []
+
+    def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
+        nonlocal fields
+        *fields, count, mass = step(t, dt, *fields)
+        dt_history.append(dt)
+        clip_counts.append(count)
+        clipped_mass.append(mass)
+        if at_sample:
+            for stack, f in zip(samples, fields):
+                stack.append(f.values)
+            times.append(t_new)
+
+    march(t_window, sample_dt, next_dt, advance)
+    return Trajectory(init.grid, times, *(np.stack(s) for s in samples),
+                      dt_history=dt_history, clip_counts=clip_counts,
+                      clipped_mass=clipped_mass, eta=eta,
+                      floor=CLIP_TOLERANCE if clip else None)
+
+
 def adaptive_dt(params: FluidParams, grid: Grid, v: np.ndarray,
                 phitilde: np.ndarray, cfl_safety: float) -> float:
     """Transport-limited step: the configured CFL formula combined with the
@@ -593,10 +632,6 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
     proxy advances in lockstep by two transport half steps per outer step,
     feeding stage fields to the momentum update."""
     grid = init.grid
-    floor = CLIP_TOLERANCE if coeffs.clip else None
-    vphi, phi, u = init.vphi, init.phi, init.u
-    traj = Trajectory(states=[ReformState(vphi, phi, u, time=0.0, floor=floor)],
-                      times=[0.0], eta=coeffs.eta)
     half = FrozenCoefficients(
         provider=coeffs.provider, eta=coeffs.eta, t_window=coeffs.t_window,
         clip=coeffs.clip, forcing=coeffs.forcing,
@@ -609,20 +644,15 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
         phit_now = np.asarray(coeffs.provider.phi_coeff(t), dtype=float)
         return adaptive_dt(params, grid, v_now, phit_now, coeffs.cfl_safety)
 
-    def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
-        nonlocal vphi, phi, u
+    def step(t: float, dt: float, vphi, phi, u):
         vphi_half, d1 = transport_step(params, vphi, half, 0.5 * dt, t)
         vphi_full, d2 = transport_step(params, vphi_half, half, 0.5 * dt, t + 0.5 * dt)
         phi, u, mdiag = momentum_step(
             params, phi, u, coeffs, (vphi, vphi_half, vphi_full), dt, t
         )
-        vphi = vphi_full
-        traj.dt_history.append(dt)
-        traj.clip_counts.append(d1.clip_count + d2.clip_count + mdiag.clip_count)
-        traj.clipped_mass.append(d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)
-        if at_sample:
-            traj.states.append(ReformState(vphi, phi, u, time=t_new, floor=floor))
-            traj.times.append(t_new)
+        return (vphi_full, phi, u,
+                d1.clip_count + d2.clip_count + mdiag.clip_count,
+                d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)
 
-    march(coeffs.t_window, coeffs.sample_dt, next_dt, advance)
-    return traj
+    return record_window(init, coeffs.t_window, coeffs.sample_dt, next_dt, step,
+                         eta=coeffs.eta, clip=coeffs.clip)

@@ -521,7 +521,7 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
 
     distances = []
     for i in range(len(tr)):
-        prim, _ = reconstruct_primitive(reform_traj.states[i], params)
+        prim, _ = reconstruct_primitive(reform_traj.state(i), params)
         orac = oracle_traj.states[i]
         d = math.sqrt(
             quadrature_l2(grid, prim.rho.values - orac.rho.values) ** 2

@@ -26,9 +26,10 @@ from vacflow.diagnostics import (
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.fixedpoint import picard_solve
 from vacflow.initial_data import bump_density, reform_state_from_density
-from vacflow.linearized import Trajectory
 from vacflow.operators import ReformState, stable_power
 from vacflow.params import validate_params
+
+from stacking import stacked
 
 
 def soft_params():
@@ -46,11 +47,7 @@ def state_from_density(grid, rho, u_values, params, t=0.0):
 
 
 def static_trajectory(state, times):
-    states = [
-        ReformState(vphi=state.vphi, phi=state.phi, u=state.u, time=float(t))
-        for t in times
-    ]
-    return Trajectory(states=states, times=[float(t) for t in times])
+    return stacked([state] * len(times), [float(t) for t in times])
 
 
 def zero_trajectory(n=16, times=(0.0, 0.5, 1.0)):
@@ -78,7 +75,7 @@ def test_density_roundtrip_through_the_proxy():
     g = Grid(dim=1, n=32, box_length=2.0 * np.pi)
     rho = 0.4 + 0.3 * np.cos(g.coordinates[0])
     st = state_from_density(g, rho, np.zeros((1, 32)), p)
-    assert np.max(np.abs(density_of(st, p) - rho)) < 1e-13
+    assert np.max(np.abs(density_of(st.vphi.values, p) - rho)) < 1e-13
 
 
 def test_horizon_ladder_hand_values():
@@ -135,7 +132,7 @@ def test_ledger_trapezoid_integral_converges_second_order():
             )
             for t in times
         ]
-        led = ledger(Trajectory(states=states, times=list(times)), p)
+        led = ledger(stacked(states, times), p)
         got = led.weighted_integrals[-1]
         from vacflow.fields import weighted_seminorm
         w0 = np.array([
@@ -251,7 +248,7 @@ def test_conservation_detects_a_doubling():
     rho = 0.4 + 0.1 * np.cos(g.coordinates[0])
     a = state_from_density(g, rho, np.zeros((1, 32)), p, t=0.0)
     b = state_from_density(g, 2.0 * rho, np.zeros((1, 32)), p, t=1.0)
-    rep = conservation(Trajectory(states=[a, b], times=[0.0, 1.0]), p)
+    rep = conservation(stacked([a, b], [0.0, 1.0]), p)
     assert rep.mass_drift == pytest.approx(1.0, rel=1e-12)
 
 
@@ -300,7 +297,7 @@ def test_characteristics_uniform_translation_small_error():
                            np.full((1, 64), c), p, t=float(t))
         for t in times
     ]
-    traj = Trajectory(states=states, times=list(times))
+    traj = stacked(states, times)
     rep = characteristics_check(traj, p, n_particles=32, seed=5)
     assert rep.traced == 32
     assert rep.max_rel_error < 2e-3

@@ -21,9 +21,10 @@ from vacflow.fixedpoint import (
     write_trace_csv,
 )
 from vacflow.initial_data import reform_state_from_density
-from vacflow.linearized import Trajectory
 from vacflow.operators import ReformState
 from vacflow.params import validate_params
+
+from stacking import stacked
 
 
 def soft_params():
@@ -134,8 +135,8 @@ def test_trajectory_gap_separates_the_two_blocks():
         phi=ScalarField(g, np.zeros(16)),
         u=VectorField(g, np.zeros((1, 16))),
     )
-    a = Trajectory(states=[mk(0.0), mk(0.0)], times=[0.0, 1.0])
-    b = Trajectory(states=[mk(0.0), mk(0.5)], times=[0.0, 1.0])
+    a = stacked([mk(0.0), mk(0.0)], [0.0, 1.0])
+    b = stacked([mk(0.0), mk(0.5)], [0.0, 1.0])
     w_sq, v_sq, linf = trajectory_gap(a, b)
     assert w_sq == 0.0
     assert v_sq == pytest.approx(0.25, rel=1e-12)  # |0.5|^2 * volume 1
@@ -150,8 +151,8 @@ def test_trajectory_gap_rejects_mismatched_time_grids():
         phi=ScalarField(g, np.zeros(16)),
         u=VectorField(g, np.zeros((1, 16))),
     )
-    a = Trajectory(states=[z, z], times=[0.0, 1.0])
-    b = Trajectory(states=[z, z], times=[0.0, 2.0])
+    a = stacked([z, z], [0.0, 1.0])
+    b = stacked([z, z], [0.0, 2.0])
     with pytest.raises(ValueError, match="time grids"):
         trajectory_gap(a, b)
 

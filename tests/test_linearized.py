@@ -25,6 +25,8 @@ from vacflow.linearized import (
 from vacflow.operators import ReformState, deformation
 from vacflow.params import validate_params
 
+from stacking import stacked
+
 
 def soft_params():
     return validate_params(A=1.0, gamma=2.0, alpha=1.0, beta=-0.1,
@@ -261,7 +263,6 @@ def test_window_lands_exactly_on_the_sample_cadence():
     coeffs = still_coeffs(g, T, dt=0.012, sample_dt=T / 4)
     traj = solve_linearized(init, coeffs, p)
     assert traj.times == [0.0, 1 * (T / 4), 2 * (T / 4), 3 * (T / 4), T]
-    assert traj.state_at(T / 2).time == 2 * (T / 4)
 
 
 def test_window_shorter_than_dt_takes_a_single_step():
@@ -359,13 +360,57 @@ def test_trajectory_validation_and_lookup():
         phi=ScalarField(g, np.zeros(16)),
         u=VectorField(g, np.zeros((1, 16))),
     )
-    with pytest.raises(ValueError, match="length"):
-        Trajectory(states=[zero], times=[0.0, 1.0])
+    one = ReformState(
+        vphi=ScalarField(g, np.ones(16)),
+        phi=ScalarField(g, np.full(16, 2.0)),
+        u=VectorField(g, np.full((1, 16), 3.0)),
+    )
+    with pytest.raises(ValueError, match="shape"):
+        stacked([zero], [0.0, 1.0])
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory(g, [0.0, 1.0], np.zeros((2, 16)), np.zeros((2, 16)),
+                   np.zeros((3, 1, 16)))
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory(g, [0.0], np.zeros((1, 8)), np.zeros((1, 16)),
+                   np.zeros((1, 1, 16)))
     with pytest.raises(ValueError, match="increase"):
-        Trajectory(states=[zero, zero], times=[0.0, 0.0])
-    traj = Trajectory(states=[zero, zero], times=[0.0, 1.0])
-    with pytest.raises(KeyError):
-        traj.state_at(0.5)
+        stacked([zero, zero], [0.0, 0.0])
+    with pytest.raises(ValueError, match="clip tolerance"):
+        stacked([zero, ReformState(ScalarField(g, np.full(16, -1e-6)),
+                                   zero.phi, zero.u, floor=None)], [0.0, 1.0])
+    stacked([zero, ReformState(ScalarField(g, np.full(16, -1e-6)),
+                               zero.phi, zero.u, floor=None)], [0.0, 1.0],
+            floor=None)
+    traj = stacked([zero, one, zero], [0.0, 0.5, 1.0])
+    got = traj.state(1)
+    assert got.time == 0.5
+    assert np.array_equal(got.vphi.values, one.vphi.values)
+    assert np.array_equal(got.phi.values, one.phi.values)
+    assert np.array_equal(got.u.values, one.u.values)
+    assert np.array_equal(traj.final.vphi.values, zero.vphi.values)
+
+
+def test_trajectory_stacks_are_read_only_and_shared_with_the_provider():
+    p = soft_params()
+    g = Grid(dim=2, n=16, box_length=1.0)
+    init = ReformState(
+        vphi=ScalarField(g, np.full(g.shape, 0.5)),
+        phi=ScalarField(g, np.full(g.shape, 0.5)),
+        u=VectorField(g, np.zeros((2,) + g.shape)),
+    )
+    traj = solve_linearized(init, still_coeffs(g, 0.02, dt=0.01), p)
+    assert traj.vphi.shape == (3,) + g.shape
+    assert traj.phi.shape == (3,) + g.shape
+    assert traj.u.shape == (3, 2) + g.shape
+    for stack in (traj.vphi, traj.phi, traj.u):
+        with pytest.raises(ValueError):
+            stack[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        traj.state(1).u.values[0] += 1.0
+    tc = traj.as_coefficients()
+    assert np.shares_memory(tc.vphis, traj.vphi)
+    assert np.shares_memory(tc.phis, traj.phi)
+    assert np.shares_memory(tc.velocities, traj.u)
 
 
 def test_trajectory_coefficients_interpolate_and_clamp():
