@@ -288,9 +288,11 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
 
     The coefficient factors (the stage fields, the viscous weights and the
     gradients of vphi^2 and vphi^(2m+2)) are truncated, but div u, grad phi,
-    Lap u and grad div u enter their products untruncated; only each
-    product is truncated. So even at nu1 = nu2 = 0 this is not
-    momentum_rhs_componentwise, which truncates both factors."""
+    Lap u and grad div u enter their products untruncated. Per velocity
+    component the pressure, the two viscous, the Q1 and the div v products
+    are summed and the sum is truncated once, which equals truncating each
+    product because truncation is linear. So even at nu1 = nu2 = 0 this is
+    not momentum_rhs_componentwise, which truncates both factors."""
     d = grid.dim
     press = 2.0 * params.A * params.gamma / (params.gamma - 1.0)
     weight = vphi_arr**2 + eta**2
@@ -321,11 +323,11 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
         lap = grid.ifft(-grid.k_squared * u_hats[i])
         gd = grid.ifft(grid.ik[i] * div_u_hat)
         dphi_i = grid.ifft(grid.ik[i] * phi_hat)
-        term = -advect(grid, stage.v, u[i]) - press * grid.mult_masked(stage.phit, dphi_i)
-        term += grid.mult_masked(c_shear_m, lap) + grid.mult_masked(c_compr_m, gd)
+        products = (-press * stage.phit * dphi_i + c_shear_m * lap + c_compr_m * gd
+                    + s1 * sum(stage.q1[i, j] * grad_sq_m[j] for j in range(d))
+                    + s2 * stage.div_v * grad_hi_m[i])
+        term = -advect(grid, stage.v, u[i]) + grid.dealias(products)
         term -= nu1 * lap + nu2 * gd
-        acc = sum(stage.q1[i, j] * grad_sq_m[j] for j in range(d))
-        term += s1 * grid.dealias(acc) + s2 * grid.mult_masked(stage.div_v, grad_hi_m[i])
         if forcing_u is not None:
             term = term + forcing_u[i]
         du[i] = term

@@ -22,7 +22,7 @@ from vacflow.linearized import (
     solve_linearized,
     transport_step,
 )
-from vacflow.operators import ReformState, deformation
+from vacflow.operators import ReformState, advect, deformation, stable_power
 from vacflow.params import validate_params
 
 from stacking import stacked
@@ -525,6 +525,45 @@ def test_four_exponential_update_equals_the_seven_exponential_form(seed, dim):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def per_product_velocity_slope(g, p, stage, vphi, eta, phi, u, nu1, nu2):
+    """The velocity slope with each of its products truncated on its own."""
+    press = 2.0 * p.A * p.gamma / (p.gamma - 1.0)
+    weight = vphi**2 + eta**2
+    c_shear_m = g.dealias(p.alpha * weight)
+    c_compr_m = g.dealias(weight * (p.alpha + p.beta * stable_power(vphi, 2.0 * p.m)))
+    s1 = p.alpha * p.delta1 / (p.delta1 - 1.0)
+    s2 = p.beta * p.delta2 / (p.delta2 - 1.0)
+    grad_sq = [g.dealias(c) for c in g.grad(vphi**2)]
+    grad_hi = [g.dealias(c) for c in g.grad(stable_power(vphi, 2.0 * p.m + 2.0))]
+    grad_phi, grad_div = g.grad(phi), g.grad_div(u)
+    out = np.empty_like(u)
+    for i in range(g.dim):
+        lap = g.laplacian(u[i])
+        q1_term = g.dealias(sum(stage.q1[i, j] * grad_sq[j] for j in range(g.dim)))
+        out[i] = (-advect(g, stage.v, u[i])
+                  - press * g.mult_masked(stage.phit, grad_phi[i])
+                  + g.mult_masked(c_shear_m, lap)
+                  + g.mult_masked(c_compr_m, grad_div[i])
+                  - nu1 * lap - nu2 * grad_div[i]
+                  + s1 * q1_term + s2 * g.mult_masked(stage.div_v, grad_hi[i]))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_one_truncation_of_the_summed_products_equals_one_per_product(seed, dim):
+    p = soft_params()
+    g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    stage = random_trajectory(g, [0.0], seed + 1).stage(g, 0.0)
+    vphi = rng.uniform(0.1, 0.9, g.shape)
+    phi = rng.uniform(0.0, 0.7, g.shape)
+    u = rng.uniform(-0.3, 0.3, (dim,) + g.shape)
+    _, got = _momentum_rhs(g, p, stage, vphi, 0.1, phi, u, 0.3, 0.2, None, None)
+    want = per_product_velocity_slope(g, p, stage, vphi, 0.1, phi, u, 0.3, 0.2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_transform_budget_of_one_window(dim, monkeypatch):
     # Transforms (one fftn or ifftn call each) of one window with every step
@@ -537,11 +576,11 @@ def test_transform_budget_of_one_window(dim, monkeypatch):
     #     + advect(phi) (d + 3) + 2 (phitilde div u) + 2 + 2d (masked
     #     gradients of vphi^2 and vphi^(2m+2)) + 4 (viscous weights)
     #     + per component d x [3 (Lap u, grad div u, grad phi) + advect
-    #     (d + 3) + 6 (three products) + 2 (Q1 contraction) + 2 (div v
-    #     product)]                                                  d^2 + 20d + 13
+    #     (d + 3) + 2 (the pressure, two viscous, Q1 and div v products
+    #     summed, then truncated once)]                              d^2 + 12d + 13
     #     x 3 slopes
     #   shift exponentials: 4 x 2d                                   8d
-    #   per step: 3d^2 + 74d + 69 = 146, 229, 318 for d = 1, 2, 3
+    #   per step: 3d^2 + 50d + 69 = 122, 181, 246 for d = 1, 2, 3
     #   per sample, masked once: truncated v 2d, Q1 d + d^2, its upper
     #     triangle truncated d(d + 1), phitilde and vphitilde 4
     #                                                      2d^2 + 4d + 4 = 10, 20, 34
@@ -570,6 +609,6 @@ def test_transform_budget_of_one_window(dim, monkeypatch):
     monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
     traj = solve_linearized(init, coeffs, p)
     assert len(traj.dt_history) == steps
-    per_step = 3 * dim**2 + 74 * dim + 69
+    per_step = 3 * dim**2 + 50 * dim + 69
     per_sample = 2 * dim**2 + 4 * dim + 4
     assert calls[0] == steps * per_step + len(times) * per_sample
