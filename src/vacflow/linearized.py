@@ -525,9 +525,8 @@ class Trajectory:
                 raise ValueError(f"{name} has negative values below the clip "
                                  f"tolerance: min = {float(stack.min()):.3e}")
             object.__setattr__(self, name, stack)
-        for a, b in zip(self.times, self.times[1:]):
-            if not b > a:
-                raise ValueError("sample times must increase strictly")
+        if not all(b > a for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("sample times must increase strictly")
 
     def state(self, i: int) -> ReformState:
         """Sample i as a ReformState whose fields are views into the stacks."""
@@ -634,10 +633,6 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
     proxy advances in lockstep by two transport half steps per outer step,
     feeding stage fields to the momentum update."""
     grid = init.grid
-    half = FrozenCoefficients(
-        provider=coeffs.provider, eta=coeffs.eta, t_window=coeffs.t_window,
-        clip=coeffs.clip, forcing=coeffs.forcing,
-    )
 
     def next_dt(t: float) -> float:
         if coeffs.dt is not None:
@@ -647,8 +642,8 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
         return adaptive_dt(params, grid, v_now, phit_now, coeffs.cfl_safety)
 
     def step(t: float, dt: float, vphi, phi, u):
-        vphi_half, d1 = transport_step(params, vphi, half, 0.5 * dt, t)
-        vphi_full, d2 = transport_step(params, vphi_half, half, 0.5 * dt, t + 0.5 * dt)
+        vphi_half, d1 = transport_step(params, vphi, coeffs, 0.5 * dt, t)
+        vphi_full, d2 = transport_step(params, vphi_half, coeffs, 0.5 * dt, t + 0.5 * dt)
         phi, u, mdiag = momentum_step(
             params, phi, u, coeffs, (vphi, vphi_half, vphi_full), dt, t
         )
