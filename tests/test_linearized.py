@@ -375,12 +375,11 @@ def test_trajectory_validation_and_lookup():
                    np.zeros((1, 1, 16)))
     with pytest.raises(ValueError, match="increase"):
         stacked([zero, zero], [0.0, 0.0])
+    signed = ReformState(ScalarField(g, np.full(16, -1e-6)), zero.phi, zero.u,
+                         floor=None)
     with pytest.raises(ValueError, match="clip tolerance"):
-        stacked([zero, ReformState(ScalarField(g, np.full(16, -1e-6)),
-                                   zero.phi, zero.u, floor=None)], [0.0, 1.0])
-    stacked([zero, ReformState(ScalarField(g, np.full(16, -1e-6)),
-                               zero.phi, zero.u, floor=None)], [0.0, 1.0],
-            floor=None)
+        stacked([zero, signed], [0.0, 1.0])
+    stacked([zero, signed], [0.0, 1.0], floor=None)
     traj = stacked([zero, one, zero], [0.0, 0.5, 1.0])
     got = traj.state(1)
     assert got.time == 0.5
