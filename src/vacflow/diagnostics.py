@@ -27,17 +27,12 @@ from .fields import (
 )
 from .linearized import Trajectory
 from .operators import (ReformState, advect, momentum_rhs_componentwise,
-                        stable_power, truncate)
+                        stable_power)
 from .params import FluidParams
 
 VAC_EPS = 1e-10
 SEAM_FRACTION = 0.125
 SUPPORT_DUST_REL = 1e-5
-
-
-def _dx(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    order = tuple(1 if a == axis else 0 for a in range(grid.dim))
-    return grid.deriv(values, order)
 
 
 def density_of(vphi: np.ndarray, params: FluidParams) -> np.ndarray:
@@ -326,12 +321,7 @@ def vacuum_residual(traj: Trajectory, params: FluidParams,
         if count == 0:
             continue
         u = traj.u[i]
-        adv = np.zeros_like(u)
-        for comp in range(grid.dim):
-            grads = grid.grad(u[comp])
-            for j in range(grid.dim):
-                adv[comp] += u[j] * grads[j]
-        resid = dudt[i] + adv
+        resid = dudt[i] + np.sum(u * grid.grad(u), axis=1)
         mag = np.sqrt(np.sum(resid**2, axis=0))
         worst = max(worst, float(mag[mask].max()))
     return VacuumReport(residual=worst, no_vacuum=cells == 0,
@@ -560,13 +550,12 @@ def reform_rhs(state: ReformState, params: FluidParams,
     residual evaluation and manufactured-forcing construction so both sides
     use the same discrete operators."""
     grid = state.grid
-    u = state.u.values
-    um = truncate(grid, u)
-    div_u = grid.div(u)
-    d_vphi = -(advect(grid, um, state.vphi.values)
-               + 0.5 * (params.delta1 - 1.0) * grid.mult(state.vphi.values, div_u))
-    d_phi = -(advect(grid, um, state.phi.values)
-              + 0.5 * (params.gamma - 1.0) * grid.mult(state.phi.values, div_u))
+    vphi, phi, u = state.vphi.values, state.phi.values, state.u.values
+    factors = grid.dealias(np.concatenate((u, np.stack((vphi, phi, grid.div(u))))))
+    um, (vphi_m, phi_m, div_m) = factors[:grid.dim], factors[grid.dim:]
+    sources = np.stack((0.5 * (params.delta1 - 1.0) * vphi_m,
+                        0.5 * (params.gamma - 1.0) * phi_m)) * div_m
+    d_vphi, d_phi = -grid.dealias(advect(grid, um, np.stack((vphi, phi))) + sources)
     d_u = momentum_rhs_componentwise(params, state, state.vphi, eta, state)
     return d_vphi, d_phi, np.asarray(d_u, dtype=float)
 
@@ -575,26 +564,35 @@ def primitive_rates(grid: Grid, params: FluidParams, rho: np.ndarray,
                     mom: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unforced time derivatives of (rho, rho u) in conservative form, all
     products dealiased. The velocity u is passed alongside the momentum so
-    that vacuum cells need no division by rho."""
-    drho = np.zeros_like(rho)
-    for j in range(grid.dim):
-        drho -= _dx(grid, grid.mult(rho, u[j]), j)
+    that vacuum cells need no division by rho.
 
-    pressure = params.A * stable_power(rho, params.gamma)
+    The factors rho, mu, lambda, u and rho u, with Q1(u) and div u built
+    from the spectrum of u, are truncated in one batched transform pair.
+    The mass and momentum fluxes formed from them are transformed in one
+    call, differentiated with the truncating multipliers (the pressure with
+    the plain ones), and brought back in one inverse call."""
+    d = grid.dim
     mu = params.alpha * stable_power(rho, params.delta1)
     lam = params.beta * stable_power(rho, params.delta2)
-    div_u = grid.div(u)
-    jac = [[_dx(grid, u[a], b) for b in range(grid.dim)] for a in range(grid.dim)]
+    spectra = grid.fft(np.concatenate((np.stack((rho, mu, lam)), u, mom)))
+    # jac_hat[a, b] is the truncated d_b u_a
+    jac_hat = spectra[3:3 + d, None] * grid.ik_masked
+    masked = grid.ifft(np.concatenate((
+        grid.dealias_mask * spectra,
+        jac_hat.reshape((d * d,) + grid.spectral_shape))))
+    (rho_m, mu_m, lam_m), u_m, mom_m, jac = np.split(masked, [3, 3 + d, 3 + 2 * d])
+    jac = jac.reshape((d, d) + grid.shape)
 
-    dmom = np.empty_like(mom)
-    for a in range(grid.dim):
-        acc = -_dx(grid, pressure, a)
-        for b in range(grid.dim):
-            acc -= _dx(grid, grid.mult(mom[a], u[b]), b)
-            acc += _dx(grid, grid.mult(mu, jac[a][b] + jac[b][a]), b)
-        acc += _dx(grid, grid.mult(lam, div_u), a)
-        dmom[a] = acc
-    return drho, dmom
+    stress = mu_m * (jac + np.swapaxes(jac, 0, 1)) - mom_m[:, None] * u_m
+    stress[range(d), range(d)] += lam_m * np.trace(jac)
+    pressure = params.A * stable_power(rho, params.gamma)
+    fluxes = grid.fft(np.concatenate((rho_m * u_m, stress.reshape((d * d,) + grid.shape),
+                                      pressure[None])))
+    mass_hat, stress_hat = fluxes[:d], fluxes[d:-1].reshape((d, d) + grid.spectral_shape)
+    rates = grid.ifft(np.concatenate((
+        -np.sum(grid.ik_masked * mass_hat, axis=0)[None],
+        np.sum(grid.ik_masked * stress_hat, axis=1) - grid.ik * fluxes[-1])))
+    return rates[0], rates[1:]
 
 
 @dataclass(frozen=True)

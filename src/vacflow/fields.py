@@ -8,6 +8,12 @@ Sobolev norm coincides with the physical quadrature L2 norm:
 
     ||f||_s^2 = sum_k (1 + |k|^2)^s |fhat_k|^2 * L^dim,   fhat = FFT(f)/n^dim.
 
+All fields are real, so Grid transforms keep only the half spectrum
+(rfftn over the trailing dim axes, last axis holding modes 0..n/2); leading
+axes batch, so one call transforms a stack of fields. Each last-axis mode
+1..n/2-1 stands for itself and its mirror -m, so the norm sums give it
+weight 2, and the modes 0 and n/2 weight 1.
+
 Seminorms |f|_{D^k} replace the weight by |k|^{2k}. The weighted seminorm
 |w grad^k u|_2 is evaluated in physical space: all distinct k-th partials of
 every velocity component, squared with multinomial multiplicity, against the
@@ -79,18 +85,36 @@ class Grid:
             for axis in range(self.dim)
         )
 
+    @property
+    def spectral_shape(self) -> tuple:
+        """Shape of the half spectrum: the last axis keeps modes 0..n/2."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
+
     @cached_property
-    def wavenumbers(self) -> tuple:
-        """Per-axis physical wavenumber arrays shaped for broadcasting."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+    def _axes(self) -> tuple:
+        return tuple(range(-self.dim, 0))
+
+    @cached_property
+    def _modes(self) -> tuple:
+        """Per-axis integer modes of the half spectrum shaped for
+        broadcasting: fftfreq order on every axis but the last, which holds
+        0..n/2 (its Nyquist mode is +n/2)."""
+        full = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        half = np.fft.rfftfreq(self.n, d=1.0 / self.n)
         return tuple(
-            k.reshape([-1 if a == axis else 1 for a in range(self.dim)])
+            (half if axis == self.dim - 1 else full).reshape(
+                [-1 if a == axis else 1 for a in range(self.dim)])
             for axis in range(self.dim)
         )
 
     @cached_property
+    def wavenumbers(self) -> tuple:
+        """Per-axis physical wavenumber arrays shaped for broadcasting."""
+        return tuple(2.0 * np.pi / self.box_length * m for m in self._modes)
+
+    @cached_property
     def k_squared(self) -> np.ndarray:
-        ks = np.zeros(self.shape)
+        ks = np.zeros(self.spectral_shape)
         for k in self.wavenumbers:
             ks = ks + k**2
         return ks
@@ -98,40 +122,38 @@ class Grid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask: keep integer modes with |m| <= n//3."""
-        modes = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        keep = np.abs(modes) <= self.n // 3
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            mask &= keep.reshape(
-                [-1 if a == axis else 1 for a in range(self.dim)]
-            )
+        mask = np.ones(self.spectral_shape, dtype=bool)
+        for m in self._modes:
+            mask &= np.abs(m) <= self.n // 3
         return mask
 
     # -- spectral calculus -------------------------------------------------
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(values)
+        """Half spectrum over the trailing dim axes; leading axes batch."""
+        return np.fft.rfftn(values, axes=self._axes)
 
     def ifft(self, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(spectrum).real
+        return np.fft.irfftn(spectrum, s=self.shape, axes=self._axes)
 
     @cached_property
     def _multipliers(self) -> dict:
         return {}
 
     @cached_property
-    def ik(self) -> tuple:
-        """First-derivative multipliers ik_axis, one per axis (read-only)."""
-        return tuple(
+    def ik(self) -> np.ndarray:
+        """First-derivative multipliers ik_axis stacked along a leading axis
+        (read-only)."""
+        return _read_only(np.stack([
             self.derivative_multiplier(tuple(int(a == axis) for a in range(self.dim)))
             for axis in range(self.dim)
-        )
+        ]))
 
     @cached_property
-    def ik_masked(self) -> tuple:
+    def ik_masked(self) -> np.ndarray:
         """First-derivative multipliers times the 2/3-rule mask: one inverse
-        transform of ik_masked[axis] * fhat is the truncated derivative."""
-        return tuple(_read_only(self.dealias_mask * m) for m in self.ik)
+        transform of ik_masked * fhat is the truncated gradient."""
+        return _read_only(self.dealias_mask * self.ik)
 
     def derivative_multiplier(self, order: tuple) -> np.ndarray:
         """(ik)^order multiplier; Nyquist zeroed on axes with odd order.
@@ -149,17 +171,13 @@ class Grid:
                 f"derivative order {order} outside supported range "
                 f"(nonnegative, total <= {MAX_DERIVATIVE_ORDER})"
             )
-        mult = np.ones(self.shape, dtype=complex)
-        modes = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        nyq_keep = np.abs(modes) < self.n // 2
-        for axis, o in enumerate(order):
+        mult = np.ones(self.spectral_shape, dtype=complex)
+        for k, m, o in zip(self.wavenumbers, self._modes, order):
             if o == 0:
                 continue
-            k = self.wavenumbers[axis]
             factor = (1j * k) ** o
             if o % 2 == 1:
-                shape = [-1 if a == axis else 1 for a in range(self.dim)]
-                factor = factor * nyq_keep.reshape(shape)
+                factor = factor * (np.abs(m) < self.n // 2)
             mult = mult * factor
         self._multipliers[order] = _read_only(mult)
         return mult
@@ -168,18 +186,15 @@ class Grid:
         return self.ifft(self.derivative_multiplier(order) * self.fft(values))
 
     def grad(self, values: np.ndarray) -> np.ndarray:
-        """Gradient, stacked along a leading component axis."""
-        spectrum = self.fft(values)
-        out = np.empty((self.dim,) + self.shape)
-        for axis in range(self.dim):
-            out[axis] = self.ifft(self.ik[axis] * spectrum)
-        return out
+        """Gradient, its components along a new axis in front of the
+        trailing dim axes (leading axes batch)."""
+        spectrum = np.expand_dims(self.fft(values), -self.dim - 1)
+        return self.ifft(self.ik * spectrum)
 
     def div(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for axis in range(self.dim):
-            out += self.ifft(self.ik[axis] * self.fft(vec[axis]))
-        return out
+        """Divergence over the component axis in front of the trailing dim
+        axes (leading axes batch)."""
+        return self.ifft(np.sum(self.ik * self.fft(vec), axis=-self.dim - 1))
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         return self.ifft(-self.k_squared * self.fft(values))
@@ -189,21 +204,14 @@ class Grid:
         return self.grad(d)
 
     def dealias(self, values: np.ndarray) -> np.ndarray:
+        """Values passed through the 2/3 rule (leading axes batch)."""
         return self.ifft(self.dealias_mask * self.fft(values))
 
     def mult(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Dealiased pointwise product: truncate both factors, multiply,
         truncate the result. Exact for inputs supported on |m| <= n//3."""
-        am = self.ifft(self.dealias_mask * self.fft(a))
-        bm = self.ifft(self.dealias_mask * self.fft(b))
-        return self.ifft(self.dealias_mask * self.fft(am * bm))
-
-    def mult_masked(self, am: np.ndarray, bm: np.ndarray) -> np.ndarray:
-        """Pointwise product truncated once, with neither factor truncated
-        here. Equals mult(a, b) only when both factors are already
-        truncated; otherwise the untruncated factor's high modes alias into
-        the kept band."""
-        return self.ifft(self.dealias_mask * self.fft(am * bm))
+        am, bm = self.dealias(np.stack((a, b)))
+        return self.dealias(am * bm)
 
 
 def checked_values(values, expected: tuple) -> np.ndarray:
@@ -263,14 +271,15 @@ def _component_list(field) -> list:
 
 
 def _spectral_norm(field, weight: np.ndarray) -> float:
-    """(sum_k weight_k |fhat_k|^2 L^dim)^(1/2), all components summed."""
+    """(sum_k weight_k |fhat_k|^2 L^dim)^(1/2), all components summed. The
+    half spectrum holds each last-axis mode 1..n/2-1 for itself and its
+    mirror, so those count twice."""
     grid = field.grid
-    total = 0.0
+    hermitian = np.full(grid.n // 2 + 1, 2.0)
+    hermitian[0] = hermitian[-1] = 1.0
     scale = grid.box_length**grid.dim / grid.n ** (2 * grid.dim)
-    for comp in _component_list(field):
-        spectrum = grid.fft(comp)
-        total += float(np.sum(weight * np.abs(spectrum) ** 2)) * scale
-    return math.sqrt(total)
+    power = np.abs(grid.fft(field.values)) ** 2
+    return math.sqrt(float(np.sum(weight * hermitian * power)) * scale)
 
 
 def sobolev_norm(field, s: int) -> float:
@@ -315,40 +324,12 @@ def weighted_seminorm(weight: ScalarField, u: VectorField, k: int) -> float:
         raise FieldError(f"weighted seminorm order {k} outside 1..{MAX_DERIVATIVE_ORDER}")
     grid = u.grid
     w2 = weight.values**2
+    spectrum = grid.fft(u.values)
     total = 0.0
-    for comp in _component_list(u):
-        spectrum = grid.fft(comp)
-        for order, mult in multi_indices(grid.dim, k):
-            d = grid.ifft(grid.derivative_multiplier(order) * spectrum)
-            total += mult * float(np.sum(w2 * d**2))
+    for order, mult in multi_indices(grid.dim, k):
+        d = grid.ifft(grid.derivative_multiplier(order) * spectrum)
+        total += mult * float(np.sum(w2 * d**2))
     return math.sqrt(total * grid.cell_volume)
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """One field's discrete norms: ||.||_s for s = 0..3, |.|_{D^k} for
-    k = 1..3, and the max norm. Velocity reports add |w grad^k u|_2."""
-
-    h_norms: tuple
-    seminorms: tuple
-    linf: float
-    weighted: tuple = ()
-
-    def __post_init__(self):
-        for a, b in zip(self.h_norms, self.h_norms[1:]):
-            if b < a - 1e-12 * max(1.0, a):
-                raise FieldError("Sobolev norms must be nondecreasing in s")
-
-
-def norm_report(field, weight: ScalarField | None = None) -> NormReport:
-    h = tuple(sobolev_norm(field, s) for s in range(4))
-    d = tuple(seminorm(field, k) for k in (1, 2, 3))
-    w = ()
-    if weight is not None:
-        if not isinstance(field, VectorField):
-            raise FieldError("weighted seminorms apply to vector fields")
-        w = tuple(weighted_seminorm(weight, field, k) for k in (2, 3, 4))
-    return NormReport(h_norms=h, seminorms=d, linf=field.linf(), weighted=w)
 
 
 # -- support margin ----------------------------------------------------------

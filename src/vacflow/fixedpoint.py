@@ -94,16 +94,6 @@ def write_trace_csv(trace: PicardTrace, path) -> None:
             writer.writerow([it.k, f"{it.S_k:.17e}", f"{it.linf_delta:.17e}"])
 
 
-def trace_summary(trace: PicardTrace) -> dict:
-    return {
-        "converged": trace.converged,
-        "final_k": trace.final_k,
-        "final_S": trace.final_S,
-        "fitted_ratio": trace.geometric_ratio(),
-        "iterations": len(trace.iterations),
-    }
-
-
 def _sample_gaps(a: Trajectory, b: Trajectory):
     """Per shared sample time: the squared L2 gaps of phi, u and vphi, and
     the largest pointwise gap of the three."""

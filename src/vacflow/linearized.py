@@ -24,7 +24,9 @@ trajectory masks each sample once and interpolates the masked samples in
 time, which equals masking the interpolated fields because truncation and
 interpolation are both linear; only the two samples around the current step
 are kept. The truncation of a derivative factor is folded into the cached
-multipliers Grid.ik_masked.
+multipliers Grid.ik_masked, and each right-hand side is truncated once: the
+products of a slope are summed with its advection and the sums of all
+slopes go through one batched transform pair.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField, checked_values
-from .operators import (STATE_FLOOR, ReformState, advect, deformation,
-                        stable_power, truncate)
+from .operators import STATE_FLOOR, ReformState, advect, stable_power
 from .params import FluidParams
 
 CLIP_TOLERANCE = -1e-12
@@ -257,25 +258,29 @@ class _StageCoeffs:
 
 
 def _mask_coefficients(grid: Grid, v, phit, vphit) -> _StageCoeffs:
-    """Truncate one set of raw coefficients into a stage."""
+    """Truncate one set of raw coefficients into a stage: one forward
+    transform of (v, phitilde, vphitilde), one inverse of their masked
+    spectra and the upper triangle of the masked Q1(v)."""
     d = grid.dim
-    v = np.asarray(v, dtype=float)
+    spectra = grid.fft(np.concatenate((v, [phit, vphit])))
+    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    q1_hat = [grid.ik_masked[i] * spectra[j] + grid.ik_masked[j] * spectra[i]
+              for i, j in upper]
+    masked = grid.ifft(np.concatenate((grid.dealias_mask * spectra, q1_hat)))
     stage = _StageCoeffs(grid, np.empty((d * d + d + 3,) + grid.shape))
-    stage.v[...] = truncate(grid, v)
-    q1 = deformation(grid, v)
-    for i in range(d):
-        for j in range(i, d):
-            stage.q1[i, j] = stage.q1[j, i] = grid.dealias(q1[i, j])
+    stage.v[...] = masked[:d]
+    stage.phit[...] = masked[d]
+    stage.vphit[...] = masked[d + 1]
+    for (i, j), q in zip(upper, masked[d + 2:]):
+        stage.q1[i, j] = stage.q1[j, i] = q
     # div v = tr Q1(v) / 2
     stage.div_v[...] = 0.5 * sum(stage.q1[i, i] for i in range(d))
-    stage.phit[...] = grid.dealias(np.asarray(phit, dtype=float))
-    stage.vphit[...] = grid.dealias(np.asarray(vphit, dtype=float))
     return stage
 
 
 def _transport_rhs(grid, params, stage: _StageCoeffs, f: np.ndarray, forcing_val):
-    rhs = -advect(grid, stage.v, f)
-    rhs -= 0.5 * (params.delta1 - 1.0) * grid.mult_masked(stage.vphit, stage.div_v)
+    rhs = -grid.dealias(advect(grid, stage.v, f)
+                        + 0.5 * (params.delta1 - 1.0) * stage.vphit * stage.div_v)
     if forcing_val is not None:
         rhs = rhs + forcing_val
     return rhs
@@ -288,11 +293,12 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
 
     The coefficient factors (the stage fields, the viscous weights and the
     gradients of vphi^2 and vphi^(2m+2)) are truncated, but div u, grad phi,
-    Lap u and grad div u enter their products untruncated. Per velocity
-    component the pressure, the two viscous, the Q1 and the div v products
-    are summed and the sum is truncated once, which equals truncating each
-    product because truncation is linear. So even at nu1 = nu2 = 0 this is
-    not momentum_rhs_componentwise, which truncates both factors."""
+    Lap u and grad div u enter their products untruncated. The products of
+    each slope, advection included, are summed and the phi slope and the d
+    velocity slopes are truncated in one batched pair, which equals
+    truncating each product because truncation is linear. So even at
+    nu1 = nu2 = 0 this is not momentum_rhs_componentwise, which truncates
+    both factors."""
     d = grid.dim
     press = 2.0 * params.A * params.gamma / (params.gamma - 1.0)
     weight = vphi_arr**2 + eta**2
@@ -301,59 +307,57 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
     s1 = params.alpha * params.delta1 / (params.delta1 - 1.0)
     s2 = params.beta * params.delta2 / (params.delta2 - 1.0)
 
-    u_hats = [grid.fft(u[i]) for i in range(d)]
-    div_u_hat = sum(grid.ik[i] * u_hats[i] for i in range(d))
-    div_u = grid.ifft(div_u_hat)
+    phi_u = np.concatenate((phi[None], u))
+    spectra = grid.fft(np.concatenate((
+        phi_u, np.stack((vphi_arr**2, stable_power(vphi_arr, 2.0 * params.m + 2.0),
+                         c_shear, c_compr)))))
+    phi_hat, u_hat = spectra[0], spectra[1:d + 1]
+    sq_hat, hi_hat = spectra[d + 1], spectra[d + 2]
+    div_u_hat = np.sum(grid.ik * u_hat, axis=0)
+    # untruncated: div u, Lap u, grad div u, grad phi; truncated: the
+    # gradients of vphi^2 and vphi^(2m+2) and the two viscous weights
+    phys = grid.ifft(np.concatenate((
+        div_u_hat[None], -grid.k_squared * u_hat, grid.ik * div_u_hat,
+        grid.ik * phi_hat, grid.ik_masked * sq_hat, grid.ik_masked * hi_hat,
+        grid.dealias_mask * spectra[d + 3:])))
+    div_u = phys[0]
+    lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m) = np.split(
+        phys[1:], [d, 2 * d, 3 * d, 4 * d, 5 * d])
 
-    phi_hat = grid.fft(phi)
-    dphi = -advect(grid, stage.v, phi)
-    dphi -= 0.5 * (params.gamma - 1.0) * grid.mult_masked(stage.phit, div_u)
+    products = np.concatenate((
+        (0.5 * (params.gamma - 1.0) * stage.phit * div_u)[None],
+        press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
+        - s1 * np.sum(stage.q1 * grad_sq_m, axis=1) - s2 * stage.div_v * grad_hi_m))
+    slopes = -grid.dealias(advect(grid, stage.v, phi_u) + products)
+    dphi, du = slopes[0], slopes[1:]
+    du -= nu1 * lap + nu2 * gd
     if forcing_phi is not None:
         dphi = dphi + forcing_phi
-
-    sq_hat = grid.fft(vphi_arr**2)
-    hi_hat = grid.fft(stable_power(vphi_arr, 2.0 * params.m + 2.0))
-    grad_sq_m = [grid.ifft(grid.ik_masked[j] * sq_hat) for j in range(d)]
-    grad_hi_m = [grid.ifft(grid.ik_masked[j] * hi_hat) for j in range(d)]
-    c_shear_m = grid.dealias(c_shear)
-    c_compr_m = grid.dealias(c_compr)
-
-    du = np.empty_like(u)
-    for i in range(d):
-        lap = grid.ifft(-grid.k_squared * u_hats[i])
-        gd = grid.ifft(grid.ik[i] * div_u_hat)
-        dphi_i = grid.ifft(grid.ik[i] * phi_hat)
-        products = (-press * stage.phit * dphi_i + c_shear_m * lap + c_compr_m * gd
-                    + s1 * sum(stage.q1[i, j] * grad_sq_m[j] for j in range(d))
-                    + s2 * stage.div_v * grad_hi_m[i])
-        term = -advect(grid, stage.v, u[i]) + grid.dealias(products)
-        term -= nu1 * lap + nu2 * gd
-        if forcing_u is not None:
-            term = term + forcing_u[i]
-        du[i] = term
+    if forcing_u is not None:
+        du = du + forcing_u
     return dphi, du
 
 
 def _exp_shift(grid: Grid, nu1: float, nu2: float, tau: float, u: np.ndarray) -> np.ndarray:
-    """Apply exp(tau (nu1 Lap + nu2 grad div)) exactly in Fourier space."""
+    """Apply exp(tau (nu1 Lap + nu2 grad div)) exactly in Fourier space.
+
+    The projection onto k uses the part of k_i k_j that is even under
+    k -> -k, which is what a real field keeps: the cross term vanishes
+    where exactly one of axes i, j sits at the Nyquist mode and is
+    (pi n / L)^2 where both do. That is k_i k_j = kn_i kn_j + ny_i ny_j,
+    with kn the wavenumbers with the Nyquist modes zeroed and ny the
+    Nyquist wavenumber |k| on the Nyquist modes only."""
     if tau == 0.0 or (nu1 == 0.0 and nu2 == 0.0):
         return u
     k2 = grid.k_squared
     decay_perp = np.exp(-nu1 * k2 * tau)
     decay_par = np.exp(-(nu1 + nu2) * k2 * tau)
-    u_hats = [grid.fft(u[i]) for i in range(grid.dim)]
-    if grid.dim == 1:
-        return np.stack([grid.ifft(decay_par * u_hats[0])])
-    kdotu = np.zeros(grid.shape, dtype=complex)
-    for i in range(grid.dim):
-        kdotu += grid.wavenumbers[i] * u_hats[i]
     inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
-    out = np.empty_like(u)
-    for i in range(grid.dim):
-        par = grid.wavenumbers[i] * kdotu * inv_k2
-        perp = u_hats[i] - par
-        out[i] = grid.ifft(decay_perp * perp + decay_par * par)
-    return out
+    kn = grid.ik.imag
+    ny = np.abs(np.stack(np.broadcast_arrays(*grid.wavenumbers))) - np.abs(kn)
+    u_hat = grid.fft(u)
+    par = (kn * np.sum(kn * u_hat, axis=0) + ny * np.sum(ny * u_hat, axis=0)) * inv_k2
+    return grid.ifft(decay_perp * (u_hat - par) + decay_par * par)
 
 
 def _clip(values: np.ndarray, cell_volume: float):

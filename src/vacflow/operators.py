@@ -74,30 +74,19 @@ class ReformState:
         return self.vphi.grid
 
 
-def truncate(grid: Grid, vec: np.ndarray) -> np.ndarray:
-    """Every component of a stacked field passed through the 2/3 rule."""
-    return np.stack([grid.dealias(c) for c in vec])
-
-
 def advect(grid: Grid, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """v . grad f, dealiased, for an already-truncated velocity v: each
-    truncated derivative is one inverse transform of ik_masked * fhat, and
-    the summed product is truncated once."""
-    spectrum = grid.fft(f)
-    out = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        out += v[axis] * grid.ifft(grid.ik_masked[axis] * spectrum)
-    return grid.dealias(out)
+    """v . grad f for an already-truncated velocity v, with the truncated
+    gradient of f from one inverse transform of ik_masked * fhat. f may
+    carry a leading batch axis (several fields advected at once). The sum
+    is left untruncated: each caller truncates it once together with its
+    other products."""
+    spectrum = np.expand_dims(grid.fft(f), -grid.dim - 1)
+    return np.sum(v * grid.ifft(grid.ik_masked * spectrum), axis=-grid.dim - 1)
 
 
 def deformation(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Q1(v)_ij = d_i v_j + d_j v_i, shape (dim, dim) + grid.shape."""
-    jac = np.empty((grid.dim, grid.dim) + grid.shape)
-    for j in range(grid.dim):
-        spectrum = grid.fft(v[j])
-        for i in range(grid.dim):
-            order = tuple(1 if a == i else 0 for a in range(grid.dim))
-            jac[i, j] = grid.ifft(grid.derivative_multiplier(order) * spectrum)
+    jac = grid.grad(v)
     return jac + np.swapaxes(jac, 0, 1)
 
 
@@ -110,14 +99,15 @@ def convection_apply(params: FluidParams, V: ReformState, W: ReformState):
     phitilde = V.phi.values
     half_gm1 = 0.5 * (params.gamma - 1.0)
 
-    vm = truncate(grid, v)
+    adv = grid.dealias(advect(grid, grid.dealias(v),
+                              np.concatenate((W.phi.values[None], W.u.values))))
     div_u = grid.div(W.u.values)
-    scalar = advect(grid, vm, W.phi.values) + half_gm1 * grid.mult(phitilde, div_u)
+    scalar = adv[0] + half_gm1 * grid.mult(phitilde, div_u)
 
     grad_phi = grid.grad(W.phi.values)
     vector = np.empty_like(W.u.values)
     for i in range(grid.dim):
-        vector[i] = params.a1 * advect(grid, vm, W.u.values[i]) + half_gm1 * grid.mult(
+        vector[i] = params.a1 * adv[1 + i] + half_gm1 * grid.mult(
             phitilde, grad_phi[i]
         )
     return ScalarField(grid, scalar), VectorField(grid, vector)
@@ -191,11 +181,11 @@ def momentum_rhs_componentwise(params, V: ReformState, vphi: ScalarField, eta: f
     grad_sq = grid.grad(vphi.values**2)
     grad_hi = grid.grad(stable_power(vphi.values, 2.0 * params.m + 2.0))
 
-    vm = truncate(grid, v)
+    adv = grid.dealias(advect(grid, grid.dealias(v), W.u.values))
     out = np.empty_like(W.u.values)
     for i in range(grid.dim):
         lap = grid.laplacian(W.u.values[i])
-        term = -advect(grid, vm, W.u.values[i]) - press * grid.mult(phitilde, grad_phi[i])
+        term = -adv[i] - press * grid.mult(phitilde, grad_phi[i])
         term += grid.mult(c_shear, lap) + grid.mult(c_compr, gd[i])
         acc = np.zeros(grid.shape)
         for j in range(grid.dim):

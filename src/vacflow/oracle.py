@@ -453,7 +453,7 @@ def acoustic_dispersion(params: FluidParams, n: int = 256,
 
     series = []
     for s in traj.states:
-        spec = np.fft.fft(s.rho.values - rho_bar)
+        spec = grid.fft(s.rho.values - rho_bar)
         series.append(float(spec[mode].imag))
     times = np.asarray(traj.times)
     vals = np.asarray(series)

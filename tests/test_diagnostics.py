@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+# st names a state in this module
+from hypothesis import strategies as hst
 
 from vacflow.diagnostics import (
     SEAM_FRACTION,
@@ -16,6 +19,7 @@ from vacflow.diagnostics import (
     horizon_times,
     ledger,
     nonlinear_residual,
+    primitive_rates,
     reconstruct_primitive,
     reform_rhs,
     vacuum_residual,
@@ -338,6 +342,47 @@ def test_characteristics_seam_buffer_drops_and_empty_density():
     assert rep.traced == 0 and rep.dropped == 0
     with pytest.raises(ValueError, match="two samples"):
         characteristics_check(static_trajectory(st, [0.0]), p)
+
+
+def per_product_primitive_rates(g, p, rho, mom, u):
+    """(rho_t, (rho u)_t) with every product through Grid.mult and every
+    derivative its own transform pair."""
+    def dx(values, axis):
+        return g.deriv(values, tuple(int(a == axis) for a in range(g.dim)))
+
+    drho = np.zeros_like(rho)
+    for j in range(g.dim):
+        drho -= dx(g.mult(rho, u[j]), j)
+    pressure = p.A * stable_power(rho, p.gamma)
+    mu = p.alpha * stable_power(rho, p.delta1)
+    lam = p.beta * stable_power(rho, p.delta2)
+    div_u = g.div(u)
+    jac = [[dx(u[a], b) for b in range(g.dim)] for a in range(g.dim)]
+    dmom = np.empty_like(mom)
+    for a in range(g.dim):
+        acc = -dx(pressure, a)
+        for b in range(g.dim):
+            acc -= dx(g.mult(mom[a], u[b]), b)
+            acc += dx(g.mult(mu, jac[a][b] + jac[b][a]), b)
+        acc += dx(g.mult(lam, div_u), a)
+        dmom[a] = acc
+    return drho, dmom
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), dim=hst.integers(1, 3))
+def test_primitive_rates_equal_the_per_product_loop(seed, dim):
+    # White noise on purpose: every mode is populated, so each truncation
+    # matters.
+    p = soft_params()
+    g = Grid(dim=dim, n=8, box_length=2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.0, 1.0, g.shape)
+    u = rng.standard_normal((dim,) + g.shape)
+    got = primitive_rates(g, p, rho, rho * u, u)
+    want = per_product_primitive_rates(g, p, rho, rho * u, u)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_residuals_vanish_on_a_constant_equilibrium():

@@ -16,6 +16,7 @@ from vacflow.fields import (
     load_snapshot,
     quadrature_l2,
     save_snapshot,
+    seminorm,
     sobolev_norm,
     support_margin,
     weighted_seminorm,
@@ -86,9 +87,10 @@ def test_product_rule_identity_for_resolved_products():
 def test_cached_multipliers_are_read_only_and_stay_intact(dim):
     g = Grid(dim=dim, n=16, box_length=L)
     e0 = tuple(int(a == 0) for a in range(dim))
-    assert g.derivative_multiplier(e0) is g.ik[0]
+    assert np.array_equal(g.derivative_multiplier(e0), g.ik[0])
     second = (2,) + (0,) * (dim - 1)
-    for arr in (g.derivative_multiplier(second), g.ik[-1], g.ik_masked[-1]):
+    for arr in (g.derivative_multiplier(e0), g.derivative_multiplier(second),
+                g.ik, g.ik_masked):
         with pytest.raises(ValueError):
             arr[...] = 0.0
     # the masked multiplier is the plain one with the 2/3 rule applied
@@ -151,6 +153,38 @@ def test_sobolev_norms_nondecreasing_in_order(seed, kmax):
     norms = [sobolev_norm(f, s) for s in range(4)]
     for a, b in zip(norms, norms[1:]):
         assert b >= a - 1e-12 * max(1.0, a)
+
+
+def complex_spectral_norm(field, power):
+    """sqrt(sum_k w(|k|^2) |fhat_k|^2 L^dim) over the full complex spectrum,
+    fhat = fftn(f) / n^dim, all components summed; w = power(|k|^2)."""
+    g = field.grid
+    k = 2.0 * np.pi / g.box_length * np.fft.fftfreq(g.n, 1.0 / g.n)
+    k2 = sum(np.reshape(k, [-1 if a == axis else 1 for a in range(g.dim)])**2
+             for axis in range(g.dim))
+    comps = field.values.reshape((-1,) + g.shape)
+    total = sum(np.sum(power(k2) * np.abs(np.fft.fftn(c))**2) for c in comps)
+    return math.sqrt(total * g.box_length**g.dim / g.n**(2 * g.dim))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       vector=st.booleans())
+def test_half_spectrum_norms_equal_the_complex_sums(seed, dim, vector):
+    # White noise fills the Nyquist planes, whose half-spectrum weight is 1
+    # against 2 for the interior last-axis modes.
+    g = Grid(dim=dim, n=8, box_length=1.7)
+    rng = np.random.default_rng(seed)
+    if vector:
+        f = VectorField(g, rng.standard_normal((dim,) + g.shape))
+    else:
+        f = ScalarField(g, rng.standard_normal(g.shape))
+    for s in range(4):
+        want = complex_spectral_norm(f, lambda k2: (1.0 + k2)**s)
+        assert sobolev_norm(f, s) == pytest.approx(want, rel=1e-12)
+    for k in range(5):
+        want = complex_spectral_norm(f, lambda k2: k2**k)
+        assert seminorm(f, k) == pytest.approx(want, rel=1e-12)
 
 
 def test_weighted_seminorm_unit_weight_matches_unweighted():

@@ -524,8 +524,39 @@ def test_four_exponential_update_equals_the_seven_exponential_form(seed, dim):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def per_product_velocity_slope(g, p, stage, vphi, eta, phi, u, nu1, nu2):
-    """The velocity slope with each of its products truncated on its own."""
+def complex_exp_shift(g, nu1, nu2, tau, u):
+    """exp(tau (nu1 Lap + nu2 grad div)) u through full complex transforms,
+    keeping the real part."""
+    k = [2.0 * np.pi / g.box_length * np.fft.fftfreq(g.n, 1.0 / g.n).reshape(
+        [-1 if a == axis else 1 for a in range(g.dim)]) for axis in range(g.dim)]
+    k2 = sum(ki**2 for ki in k)
+    inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+    u_hats = [np.fft.fftn(c) for c in u]
+    kdotu = sum(ki * uh for ki, uh in zip(k, u_hats))
+    out = np.empty_like(u)
+    for i in range(g.dim):
+        par = k[i] * kdotu * inv_k2
+        out[i] = np.fft.ifftn(np.exp(-nu1 * k2 * tau) * (u_hats[i] - par)
+                              + np.exp(-(nu1 + nu2) * k2 * tau) * par).real
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_exp_shift_equals_the_complex_route_with_nyquist_content(seed, dim):
+    # White noise fills the Nyquist planes, where the half spectrum must
+    # reproduce what the real part of the complex route keeps.
+    g = Grid(dim=dim, n=8, box_length=2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((dim,) + g.shape)
+    got = _exp_shift(g, 0.3, 0.2, 0.05, u)
+    want = complex_exp_shift(g, 0.3, 0.2, 0.05, u)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def per_product_slopes(g, p, stage, vphi, eta, phi, u, nu1, nu2):
+    """The phi and velocity slopes with each of their products, advection
+    included, truncated on its own."""
     press = 2.0 * p.A * p.gamma / (p.gamma - 1.0)
     weight = vphi**2 + eta**2
     c_shear_m = g.dealias(p.alpha * weight)
@@ -535,17 +566,19 @@ def per_product_velocity_slope(g, p, stage, vphi, eta, phi, u, nu1, nu2):
     grad_sq = [g.dealias(c) for c in g.grad(vphi**2)]
     grad_hi = [g.dealias(c) for c in g.grad(stable_power(vphi, 2.0 * p.m + 2.0))]
     grad_phi, grad_div = g.grad(phi), g.grad_div(u)
+    dphi = (-g.dealias(advect(g, stage.v, phi))
+            - 0.5 * (p.gamma - 1.0) * g.dealias(stage.phit * g.div(u)))
     out = np.empty_like(u)
     for i in range(g.dim):
         lap = g.laplacian(u[i])
         q1_term = g.dealias(sum(stage.q1[i, j] * grad_sq[j] for j in range(g.dim)))
-        out[i] = (-advect(g, stage.v, u[i])
-                  - press * g.mult_masked(stage.phit, grad_phi[i])
-                  + g.mult_masked(c_shear_m, lap)
-                  + g.mult_masked(c_compr_m, grad_div[i])
+        out[i] = (-g.dealias(advect(g, stage.v, u[i]))
+                  - press * g.dealias(stage.phit * grad_phi[i])
+                  + g.dealias(c_shear_m * lap)
+                  + g.dealias(c_compr_m * grad_div[i])
                   - nu1 * lap - nu2 * grad_div[i]
-                  + s1 * q1_term + s2 * g.mult_masked(stage.div_v, grad_hi[i]))
-    return out
+                  + s1 * q1_term + s2 * g.dealias(stage.div_v * grad_hi[i]))
+    return dphi, out
 
 
 @settings(max_examples=20, deadline=None)
@@ -558,31 +591,33 @@ def test_one_truncation_of_the_summed_products_equals_one_per_product(seed, dim)
     vphi = rng.uniform(0.1, 0.9, g.shape)
     phi = rng.uniform(0.0, 0.7, g.shape)
     u = rng.uniform(-0.3, 0.3, (dim,) + g.shape)
-    _, got = _momentum_rhs(g, p, stage, vphi, 0.1, phi, u, 0.3, 0.2, None, None)
-    want = per_product_velocity_slope(g, p, stage, vphi, 0.1, phi, u, 0.3, 0.2)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    got = _momentum_rhs(g, p, stage, vphi, 0.1, phi, u, 0.3, 0.2, None, None)
+    want = per_product_slopes(g, p, stage, vphi, 0.1, phi, u, 0.3, 0.2)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_transform_budget_of_one_window(dim, monkeypatch):
-    # Transforms (one fftn or ifftn call each) of one window with every step
-    # landing on a sample, in d dimensions:
-    #   advect: one forward, d masked-derivative inverses, one pair to
-    #     truncate the summed product                               d + 3
-    #   transport right-hand side: advect + one truncated product    d + 5
-    #     x 3 stages x 2 half steps                                  6d + 30
-    #   momentum slope: d (u hats) + 1 (div u) + 1 (phi hat)
-    #     + advect(phi) (d + 3) + 2 (phitilde div u) + 2 + 2d (masked
-    #     gradients of vphi^2 and vphi^(2m+2)) + 4 (viscous weights)
-    #     + per component d x [3 (Lap u, grad div u, grad phi) + advect
-    #     (d + 3) + 2 (the pressure, two viscous, Q1 and div v products
-    #     summed, then truncated once)]                              d^2 + 12d + 13
-    #     x 3 slopes
-    #   shift exponentials: 4 x 2d                                   8d
-    #   per step: 3d^2 + 50d + 69 = 122, 181, 246 for d = 1, 2, 3
-    #   per sample, masked once: truncated v 2d, Q1 d + d^2, its upper
-    #     triangle truncated d(d + 1), phitilde and vphitilde 4
-    #                                                      2d^2 + 4d + 4 = 10, 20, 34
+    # Transforms of one window with every step landing on a sample, in d
+    # dimensions, as (rfftn + irfftn calls, real fields transformed: the
+    # stack size of the physical side of each call):
+    #   transport right-hand side: advect (a forward of f, an inverse of
+    #     its d masked derivatives), then one pair truncating advect plus
+    #     the vphitilde div v product                      (4, d + 3)
+    #     x 3 stages x 2 half steps                        (24, 6d + 18)
+    #   momentum slope: advect of (phi, u) (forward d + 1, inverse
+    #     d(d + 1)); one forward of (u, phi, vphi^2, vphi^(2m+2), c_shear,
+    #     c_compr) (d + 5); one inverse of div u, Lap u, grad div u,
+    #     grad phi, the masked gradients of vphi^2 and vphi^(2m+2) and the
+    #     masked viscous weights (5d + 3); one pair truncating the phi and
+    #     the d velocity slopes (2d + 2)          (6, d^2 + 10d + 11)
+    #     x 3 slopes                              (18, 3d^2 + 30d + 33)
+    #   shift exponentials: 4 x one pair of d fields           (8, 8d)
+    #   per step: 50 calls, 3d^2 + 44d + 51 = 98, 151, 210 fields
+    #   per sample, masked once: a forward of (v, phitilde, vphitilde)
+    #     and an inverse of them masked with the upper triangle of Q1
+    #                      (2, (d^2 + 5d + 8) / 2 = 7, 11, 16 fields)
     p = soft_params()
     g = Grid(dim=dim, n=16, box_length=2.0 * np.pi)
     steps, dt = 4, 0.001
@@ -596,18 +631,20 @@ def test_transform_budget_of_one_window(dim, monkeypatch):
     )
     coeffs = FrozenCoefficients(provider=provider, eta=0.1,
                                 t_window=times[-1], dt=dt, sample_dt=dt)
-    calls = [0]
+    calls, fields = [0], [0]
 
     def counted(fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(a, *args, **kwargs):
+            out = fn(a, *args, **kwargs)
             calls[0] += 1
-            return fn(*args, **kwargs)
+            fields[0] += max(a.size, out.size) // g.n**dim
+            return out
         return wrapper
 
-    monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn))
-    monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     traj = solve_linearized(init, coeffs, p)
     assert len(traj.dt_history) == steps
-    per_step = 3 * dim**2 + 50 * dim + 69
-    per_sample = 2 * dim**2 + 4 * dim + 4
-    assert calls[0] == steps * per_step + len(times) * per_sample
+    assert calls[0] == steps * 50 + len(times) * 2
+    assert fields[0] == (steps * (3 * dim**2 + 44 * dim + 51)
+                         + len(times) * (dim**2 + 5 * dim + 8) // 2)

@@ -18,7 +18,6 @@ from vacflow.operators import (
     reformulation_gap,
     source_apply,
     stable_power,
-    truncate,
     viscous_apply,
 )
 from vacflow.params import validate_params
@@ -40,7 +39,7 @@ def band_limited(grid, rng, lo=0.0, hi=1.0):
         mask &= np.abs(m) <= cut
     spec[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(
         int(mask.sum()))
-    f = grid.ifft(spec)
+    f = np.fft.ifftn(spec).real
     f = (f - f.min()) / max(f.max() - f.min(), 1e-30)
     return lo + (hi - lo) * f
 
@@ -110,7 +109,8 @@ def test_advect_constant_velocity_single_mode():
 def test_advect_of_truncated_velocity_equals_the_product_loop(seed, dim):
     # Unresolved data on purpose: every mode is populated, so the
     # truncations matter. The reference is the former per-component form
-    # with both factors and the product truncated by Grid.mult.
+    # with both factors and the product truncated by Grid.mult; advect
+    # leaves its sum for the caller to truncate.
     g = Grid(dim=dim, n=16, box_length=2.0 * np.pi)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((dim,) + g.shape)
@@ -119,8 +119,22 @@ def test_advect_of_truncated_velocity_equals_the_product_loop(seed, dim):
     for i in range(dim):
         order = tuple(int(a == i) for a in range(dim))
         want += g.mult(v[i], g.deriv(f, order))
-    got = advect(g, truncate(g, v), f)
+    got = g.dealias(advect(g, g.dealias(v), f))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       batch=st.integers(1, 4))
+def test_batched_advect_equals_the_per_field_loop(seed, dim, batch):
+    g = Grid(dim=dim, n=8, box_length=2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    v = g.dealias(rng.standard_normal((dim,) + g.shape))
+    f = rng.standard_normal((batch,) + g.shape)
+    want = np.stack([advect(g, v, f[b]) for b in range(batch)])
+    got = advect(g, v, f)
+    assert got.shape == f.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_deformation_is_symmetric_with_analytic_entries():
