@@ -155,6 +155,17 @@ class Grid:
         transform of ik_masked * fhat is the truncated gradient."""
         return _read_only(self.dealias_mask * self.ik)
 
+    @cached_property
+    def k_projection(self) -> tuple:
+        """(kn, ny, 1/|k|^2), read-only, kn and ny stacked like ik: kn the
+        wavenumbers with the Nyquist modes zeroed, ny |k| on the Nyquist
+        modes only, 1/|k|^2 zero at k = 0."""
+        kn = self.ik.imag
+        ny = np.abs(np.stack(np.broadcast_arrays(*self.wavenumbers))) - np.abs(kn)
+        k2 = self.k_squared
+        inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+        return tuple(_read_only(a) for a in (kn, ny, inv_k2))
+
     def derivative_multiplier(self, order: tuple) -> np.ndarray:
         """(ik)^order multiplier; Nyquist zeroed on axes with odd order.
         Built once per order and shared, so the array is read-only."""

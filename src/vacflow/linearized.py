@@ -10,23 +10,26 @@ constant-coefficient shift
     nubar1 = alpha * max(vphi^2 + eta^2),
     nubar2 = max((vphi^2 + eta^2)(alpha + beta vphi^(2m)))_+,
 
-is applied through its exact Fourier exponential (split into directions
-parallel and perpendicular to k), and the explicit slope carries the full
-right-hand side minus M u. Monotone nodes keep every exponential a decay
-multiplier, so the scheme is stable at transport-limited step sizes
-regardless of how stiff the shift is. Negative proxy values are clipped to
-zero after each step; cells below the tolerance -1e-12 are counted and the
-removed mass is tracked.
+is applied through its exact Fourier exponential, and the explicit slope
+carries the full right-hand side minus M u. Monotone nodes keep every
+exponential a decay multiplier, so the scheme is stable at transport-limited
+step sizes regardless of how stiff the shift is. Negative proxy values are
+clipped to zero after each step; cells below the tolerance -1e-12 are
+counted and the removed mass is tracked.
+
+As in Kassam and Trefethen (2005), the stages are truncated half spectra
+(Grid.fft output): a step transforms its state once, and each stage goes to
+physical space only for its products (one inverse of the derivatives it
+needs, one forward of the summed products, truncated once because truncation
+is linear). The exponential of M is a diagonal multiply. A step adds the
+inverse transform of its increment to the physical state, where the
+finiteness check and the clip act.
 
 The steps read their coefficients as masked stages from the provider: v,
 div v, Q1(v), phitilde and vphitilde after the 2/3 rule. A stored
 trajectory masks each sample once and interpolates the masked samples in
 time, which equals masking the interpolated fields because truncation and
-interpolation are both linear; only the two samples around the current step
-are kept. The truncation of a derivative factor is folded into the cached
-multipliers Grid.ik_masked, and each right-hand side is truncated once: the
-products of a slope are summed with its advection and the sums of all
-slopes go through one batched transform pair.
+interpolation are both linear.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField, checked_values
-from .operators import STATE_FLOOR, ReformState, advect, stable_power
+# advect is not called here; perfbench rebinds it as vacflow.linearized.advect
+from .operators import STATE_FLOOR, ReformState, advect, stable_power  # noqa: F401
 from .params import FluidParams
 
 CLIP_TOLERANCE = -1e-12
@@ -122,7 +126,8 @@ class TrajectoryCoefficients:
     interpolated fields because truncation is linear. Each sample is masked
     when first needed, and only the (at most two) samples bracketing the
     latest query are kept: march lands on every sample, so no step needs a
-    sample behind the one it starts from."""
+    sample behind the one it starts from. Stages interpolated between them
+    are kept by time until the bracket moves, which masks a new sample."""
 
     def __init__(self, times, vphis, phis, velocities):
         self.times = np.asarray(times, dtype=float)
@@ -132,6 +137,7 @@ class TrajectoryCoefficients:
         self.phis = np.asarray(phis, dtype=float)
         self.velocities = np.asarray(velocities, dtype=float)
         self._masked: dict = {}
+        self._between: dict = {}
 
     def _bracket(self, t: float) -> tuple:
         """(j, w): t sits at weight w between samples j and j + 1; w = 0
@@ -160,9 +166,10 @@ class TrajectoryCoefficients:
 
     def _masked_sample(self, grid: Grid, j: int, keep) -> "_StageCoeffs":
         """Sample j masked; on a miss every other cached sample but keep is
-        dropped."""
+        dropped, and so is every interpolated stage."""
         if j not in self._masked:
             self._masked = {i: s for i, s in self._masked.items() if i == keep}
+            self._between = {}
             self._masked[j] = _mask_coefficients(
                 grid, self.velocities[j], self.phis[j], self.vphis[j])
         return self._masked[j]
@@ -172,9 +179,11 @@ class TrajectoryCoefficients:
         j, w = self._bracket(t)
         if w == 0.0:
             return self._masked_sample(grid, j, None)
-        a = self._masked_sample(grid, j, j + 1)
-        b = self._masked_sample(grid, j + 1, j)
-        return _StageCoeffs(grid, (1.0 - w) * a.packed + w * b.packed)
+        if t not in self._between:
+            a = self._masked_sample(grid, j, j + 1)
+            b = self._masked_sample(grid, j + 1, j)
+            self._between[t] = _StageCoeffs(grid, (1.0 - w) * a.packed + w * b.packed)
+        return self._between[t]
 
     def velocity(self, t: float) -> np.ndarray:
         return self._interp(self.velocities, t)
@@ -191,18 +200,22 @@ class CallableForcing:
     mapping t to an array (or None for an unforced slot)."""
 
     def __init__(self, vphi=None, phi=None, velocity=None):
-        self._vphi = vphi
-        self._phi = phi
-        self._velocity = velocity
+        self._vphi, self._phi, self._velocity = vphi, phi, velocity
 
     def vphi_term(self, t: float):
         return None if self._vphi is None else self._vphi(t)
 
-    def phi_term(self, t: float):
-        return None if self._phi is None else self._phi(t)
-
-    def velocity_term(self, t: float):
-        return None if self._velocity is None else self._velocity(t)
+    def momentum_term(self, grid: Grid, t: float):
+        """The (phi, u) forcing at t stacked like the state, an unforced
+        slot zero; None when neither is forced."""
+        if self._phi is None and self._velocity is None:
+            return None
+        out = np.zeros((grid.dim + 1,) + grid.shape)
+        if self._phi is not None:
+            out[0] = self._phi(t)
+        if self._velocity is not None:
+            out[1:] = self._velocity(t)
+        return out
 
 
 @dataclass
@@ -278,91 +291,105 @@ def _mask_coefficients(grid: Grid, v, phit, vphit) -> _StageCoeffs:
     return stage
 
 
-def _transport_rhs(grid, params, stage: _StageCoeffs, f: np.ndarray, forcing_val):
-    rhs = -grid.dealias(advect(grid, stage.v, f)
-                        + 0.5 * (params.delta1 - 1.0) * stage.vphit * stage.div_v)
-    if forcing_val is not None:
-        rhs = rhs + forcing_val
-    return rhs
+def _slope_spectrum(grid: Grid, products: np.ndarray, forcing) -> np.ndarray:
+    """Minus the truncated spectrum of the summed products plus the
+    untruncated one of the forcing, both from one forward transform."""
+    if forcing is None:
+        return -(grid.dealias_mask * grid.fft(products))
+    spectra = grid.fft(np.stack((products, forcing)))
+    return spectra[1] - grid.dealias_mask * spectra[0]
 
 
-def _momentum_rhs(grid, params, stage: _StageCoeffs, vphi_arr, eta,
-                  phi, u, nu1, nu2, forcing_phi, forcing_u):
-    """Explicit slope of the (phi, u) pair: the right-hand side minus the
-    shift (nu1 Lap + nu2 grad div) u.
+def _transport_rhs(grid, params, stage: _StageCoeffs, f_hat: np.ndarray, forcing_val):
+    """Slope spectrum of -(v.grad f + ((delta1-1)/2) vphitilde div v) plus
+    the forcing, from the truncated gradient of f."""
+    grad = grid.ifft(grid.ik_masked * f_hat)
+    products = (np.sum(stage.v * grad, axis=0)
+                + 0.5 * (params.delta1 - 1.0) * stage.vphit * stage.div_v)
+    return _slope_spectrum(grid, products, forcing_val)
 
-    The coefficient factors (the stage fields, the viscous weights and the
-    gradients of vphi^2 and vphi^(2m+2)) are truncated, but div u, grad phi,
-    Lap u and grad div u enter their products untruncated. The products of
-    each slope, advection included, are summed and the phi slope and the d
-    velocity slopes are truncated in one batched pair, which equals
-    truncating each product because truncation is linear. So even at
-    nu1 = nu2 = 0 this is not momentum_rhs_componentwise, which truncates
-    both factors."""
+
+def _viscous_fields(params, vphi: np.ndarray, eta: float):
+    """The momentum coefficients (vphi^2, vphi^(2m+2), c_shear, c_compr)
+    stacked along a new leading axis, and alpha + beta vphi^(2m), from one
+    power evaluation."""
+    sq = vphi**2
+    weight = sq + eta**2
+    power = stable_power(vphi, 2.0 * params.m)
+    compr = params.alpha + params.beta * power
+    return np.stack((sq, power * sq, params.alpha * weight, weight * compr)), compr
+
+
+def _momentum_rhs(grid, params, stage: _StageCoeffs, coeff_hat: np.ndarray,
+                  y_hat: np.ndarray, nu1, nu2, forcing):
+    """Slope spectra of the stacked (phi, u) spectra y_hat: the right-hand
+    side minus the shift (nu1 Lap + nu2 grad div) u, coeff_hat the spectra
+    of one stage's _viscous_fields. One inverse makes every factor, one
+    forward truncates the summed products of all d + 1 slopes. div u, Lap u,
+    grad div u and grad phi stay untruncated, so even at nu1 = nu2 = 0 this
+    is not momentum_rhs_componentwise, which truncates both factors."""
     d = grid.dim
     press = 2.0 * params.A * params.gamma / (params.gamma - 1.0)
-    weight = vphi_arr**2 + eta**2
-    c_shear = params.alpha * weight
-    c_compr = weight * (params.alpha + params.beta * stable_power(vphi_arr, 2.0 * params.m))
     s1 = params.alpha * params.delta1 / (params.delta1 - 1.0)
     s2 = params.beta * params.delta2 / (params.delta2 - 1.0)
 
-    phi_u = np.concatenate((phi[None], u))
-    spectra = grid.fft(np.concatenate((
-        phi_u, np.stack((vphi_arr**2, stable_power(vphi_arr, 2.0 * params.m + 2.0),
-                         c_shear, c_compr)))))
-    phi_hat, u_hat = spectra[0], spectra[1:d + 1]
-    sq_hat, hi_hat = spectra[d + 1], spectra[d + 2]
+    u_hat = y_hat[1:]
     div_u_hat = np.sum(grid.ik * u_hat, axis=0)
-    # untruncated: div u, Lap u, grad div u, grad phi; truncated: the
-    # gradients of vphi^2 and vphi^(2m+2) and the two viscous weights
+    lap_hat = -grid.k_squared * u_hat
+    gd_hat = grid.ik * div_u_hat
+    grads_hat = grid.ik_masked[None] * y_hat[:, None]
     phys = grid.ifft(np.concatenate((
-        div_u_hat[None], -grid.k_squared * u_hat, grid.ik * div_u_hat,
-        grid.ik * phi_hat, grid.ik_masked * sq_hat, grid.ik_masked * hi_hat,
-        grid.dealias_mask * spectra[d + 3:])))
+        div_u_hat[None], lap_hat, gd_hat, grid.ik * y_hat[0],
+        grid.ik_masked * coeff_hat[0], grid.ik_masked * coeff_hat[1],
+        grid.dealias_mask * coeff_hat[2:],
+        grads_hat.reshape((-1,) + grid.spectral_shape))))
     div_u = phys[0]
-    lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m) = np.split(
-        phys[1:], [d, 2 * d, 3 * d, 4 * d, 5 * d])
+    lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m), grads = np.split(
+        phys[1:], [d, 2 * d, 3 * d, 4 * d, 5 * d, 5 * d + 2])
 
     products = np.concatenate((
         (0.5 * (params.gamma - 1.0) * stage.phit * div_u)[None],
         press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
         - s1 * np.sum(stage.q1 * grad_sq_m, axis=1) - s2 * stage.div_v * grad_hi_m))
-    slopes = -grid.dealias(advect(grid, stage.v, phi_u) + products)
-    dphi, du = slopes[0], slopes[1:]
-    du -= nu1 * lap + nu2 * gd
-    if forcing_phi is not None:
-        dphi = dphi + forcing_phi
-    if forcing_u is not None:
-        du = du + forcing_u
-    return dphi, du
+    advection = np.sum(stage.v * grads.reshape((d + 1, d) + grid.shape), axis=1)
+    slopes = _slope_spectrum(grid, advection + products, forcing)
+    slopes[1:] -= nu1 * lap_hat + nu2 * gd_hat
+    return slopes
 
 
-def _exp_shift(grid: Grid, nu1: float, nu2: float, tau: float, u: np.ndarray) -> np.ndarray:
-    """Apply exp(tau (nu1 Lap + nu2 grad div)) exactly in Fourier space.
+def _shift(grid: Grid, nu1: float, nu2: float, dt: float):
+    """G(tau) = exp(tau (nu1 Lap + nu2 grad div)) on velocity half spectra
+    for tau in (dt/2, dt), split into the directions parallel and
+    perpendicular to k: a diagonal multiply, its decay factors built once.
 
     The projection onto k uses the part of k_i k_j that is even under
-    k -> -k, which is what a real field keeps: the cross term vanishes
-    where exactly one of axes i, j sits at the Nyquist mode and is
-    (pi n / L)^2 where both do. That is k_i k_j = kn_i kn_j + ny_i ny_j,
-    with kn the wavenumbers with the Nyquist modes zeroed and ny the
-    Nyquist wavenumber |k| on the Nyquist modes only."""
-    if tau == 0.0 or (nu1 == 0.0 and nu2 == 0.0):
-        return u
+    k -> -k, which is what a real field keeps: kn_i kn_j + ny_i ny_j
+    (Grid.k_projection), whose cross term vanishes where exactly one of axes
+    i, j sits at the Nyquist mode and is (pi n / L)^2 where both do."""
+    if nu1 == 0.0 and nu2 == 0.0:
+        return lambda tau, u_hat: u_hat
     k2 = grid.k_squared
-    decay_perp = np.exp(-nu1 * k2 * tau)
-    decay_par = np.exp(-(nu1 + nu2) * k2 * tau)
-    inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
-    kn = grid.ik.imag
-    ny = np.abs(np.stack(np.broadcast_arrays(*grid.wavenumbers))) - np.abs(kn)
-    u_hat = grid.fft(u)
-    par = (kn * np.sum(kn * u_hat, axis=0) + ny * np.sum(ny * u_hat, axis=0)) * inv_k2
-    return grid.ifft(decay_perp * (u_hat - par) + decay_par * par)
+    decay = {tau: (np.exp(-nu1 * k2 * tau), np.exp(-(nu1 + nu2) * k2 * tau))
+             for tau in (0.5 * dt, dt)}
+    kn, ny, inv_k2 = grid.k_projection
+
+    def G(tau: float, u_hat: np.ndarray) -> np.ndarray:
+        decay_perp, decay_par = decay[tau]
+        par = (kn * np.sum(kn * u_hat, axis=0) + ny * np.sum(ny * u_hat, axis=0)) * inv_k2
+        return decay_perp * (u_hat - par) + decay_par * par
+
+    return G
 
 
-def _clip(values: np.ndarray, cell_volume: float):
-    """Zero every negative entry; report the count below the tolerance and
-    the removed mass."""
+def _finish(values: np.ndarray, clip: bool, cell_volume: float, t: float,
+            *others):
+    """Abort unless values and others are all finite; with clip set, zero
+    every negative entry of values. Returns the values, the count below the
+    clip tolerance and the removed mass."""
+    if not all(np.all(np.isfinite(a)) for a in (values, *others)):
+        raise SolverAbort("solution lost finiteness", t)
+    if not clip:
+        return values, 0, 0.0
     negative = values < 0.0
     count = int(np.count_nonzero(values < CLIP_TOLERANCE))
     mass = -float(values[negative].sum()) * cell_volume if negative.any() else 0.0
@@ -389,20 +416,19 @@ def transport_step(params: FluidParams, vphi: ScalarField,
     forcing = coeffs.forcing
     f = vphi.values
 
-    def rhs(ts: float, arr: np.ndarray) -> np.ndarray:
+    def rhs(ts: float, f_hat: np.ndarray) -> np.ndarray:
         stage = coeffs.provider.stage(grid, ts)
         fv = forcing.vphi_term(ts) if forcing is not None else None
-        return _transport_rhs(grid, params, stage, arr, fv)
+        return _transport_rhs(grid, params, stage, f_hat, fv)
 
-    u1 = f + dt * rhs(t, f)
-    u2 = 0.75 * f + 0.25 * (u1 + dt * rhs(t + dt, u1))
-    out = f / 3.0 + (2.0 / 3.0) * (u2 + dt * rhs(t + 0.5 * dt, u2))
-    if not np.all(np.isfinite(out)):
-        raise SolverAbort("solution lost finiteness", t + dt)
-
-    count, mass = 0, 0.0
-    if coeffs.clip:
-        out, count, mass = _clip(out, grid.cell_volume)
+    # The Shu-Osher stages f + dt r1 and f + dt (r1 + r2) / 4 on spectra;
+    # the update f/3 + 2/3 (u2 + dt r3) as an increment of f.
+    f_hat = grid.fft(f)
+    r1 = rhs(t, f_hat)
+    r2 = rhs(t + dt, f_hat + dt * r1)
+    r3 = rhs(t + 0.5 * dt, f_hat + 0.25 * dt * (r1 + r2))
+    out, count, mass = _finish(f + grid.ifft(dt * (r1 + r2 + 4.0 * r3) / 6.0),
+                               coeffs.clip, grid.cell_volume, t + dt)
     return ScalarField(grid, out), TransportDiag(clip_count=count, clipped_mass=mass)
 
 
@@ -415,19 +441,15 @@ class MomentumDiag:
     clipped_mass: float
 
 
-def _stage_fields(vphi_new, dt_needed=3):
+def _stage_fields(vphi_new):
     """Normalize the new-iterate viscosity proxy into per-stage arrays at
     node offsets (0, 1/2, 1). A single field is reused at all stages (the
     frozen mode); a 3-tuple supplies the lockstep-transported fields."""
     if isinstance(vphi_new, ScalarField):
-        arr = vphi_new.values
-        return (arr, arr, arr)
-    stages = tuple(
-        s.values if isinstance(s, ScalarField) else np.asarray(s, dtype=float)
-        for s in vphi_new
-    )
-    if len(stages) != dt_needed:
-        raise ValueError(f"expected {dt_needed} stage fields, got {len(stages)}")
+        return (vphi_new.values,) * 3
+    stages = tuple(np.asarray(getattr(s, "values", s), dtype=float) for s in vphi_new)
+    if len(stages) != 3:
+        raise ValueError(f"expected 3 stage fields, got {len(stages)}")
     return stages
 
 
@@ -440,59 +462,47 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
     when the compressive coefficient alpha + beta vphi^(2m) drops below
     alpha/2 anywhere on the grid."""
     grid = phi.grid
-    eta = coeffs.eta
-    stages_vphi = _stage_fields(vphi_new)
-
-    coeff_min = math.inf
-    nu1 = 0.0
-    nu2 = 0.0
-    for arr in stages_vphi:
-        weight = arr**2 + eta**2
-        compr = params.alpha + params.beta * stable_power(arr, 2.0 * params.m)
-        coeff_min = min(coeff_min, float(compr.min()))
-        nu1 = max(nu1, params.alpha * float(weight.max()))
-        nu2 = max(nu2, float((weight * compr).max()))
-    nu2 = max(nu2, 0.0)
+    d = grid.dim
+    # the coefficients of the three stage fields, (4, 3) + shape
+    fields, compr = _viscous_fields(params, np.stack(_stage_fields(vphi_new)), coeffs.eta)
+    coeff_min = float(compr.min())
+    nu1, nu2 = float(fields[2].max()), max(float(fields[3].max()), 0.0)
     if coeff_min < 0.5 * params.alpha:
-        raise SolverAbort(
-            "ellipticity regime exit",
-            t,
-            f"grid-min alpha + beta vphi^(2m) = {coeff_min:.6g} < alpha/2",
-        )
+        raise SolverAbort("ellipticity regime exit", t, "grid-min alpha + beta "
+                          f"vphi^(2m) = {coeff_min:.6g} < alpha/2")
 
-    forcing = coeffs.forcing
-    provider = coeffs.provider
+    spectra = grid.fft(np.concatenate(([phi.values], u.values,
+                                       fields.reshape((12,) + grid.shape))))
+    y0, coeff_hat = spectra[:d + 1], spectra[d + 1:].reshape((4, 3) + grid.spectral_shape)
 
-    def slope(ts: float, phi_arr, u_arr, vphi_arr):
-        stage = provider.stage(grid, ts)
-        fp = forcing.phi_term(ts) if forcing is not None else None
-        fu = forcing.velocity_term(ts) if forcing is not None else None
-        return _momentum_rhs(grid, params, stage, vphi_arr, eta,
-                             phi_arr, u_arr, nu1, nu2, fp, fu)
+    def slope(ts: float, y_hat, i: int):
+        stage = coeffs.provider.stage(grid, ts)
+        fm = coeffs.forcing.momentum_term(grid, ts) if coeffs.forcing is not None else None
+        return _momentum_rhs(grid, params, stage, coeff_hat[:, i], y_hat, nu1, nu2, fm)
 
-    G = lambda tau, vec: _exp_shift(grid, nu1, nu2, tau, vec)
-    p0, u0 = phi.values, u.values
+    G = _shift(grid, nu1, nu2, dt)
+    half = 0.5 * dt
 
-    # G is linear, so G(dt) u0 + c G(dt) k1u is applied as G(dt)(u0 + c k1u)
-    # and G(dt/2) k2u is applied once for both of its uses.
-    k1p, k1u = slope(t, p0, u0, stages_vphi[0])
-    p2 = p0 + 0.5 * dt * k1p
-    u2 = G(0.5 * dt, u0 + 0.5 * dt * k1u)
-    k2p, k2u = slope(t + 0.5 * dt, p2, u2, stages_vphi[1])
-    g_k2u = G(0.5 * dt, k2u)
-    p3 = p0 + dt * (-k1p + 2.0 * k2p)
-    u3 = G(dt, u0 - dt * k1u) + 2.0 * dt * g_k2u
-    k3p, k3u = slope(t + dt, p3, u3, stages_vphi[2])
+    # Stages on the stacked (phi, u) spectra, G acting on the u rows. G is
+    # linear, so G(dt) u0 + c G(dt) k1u is applied as G(dt)(u0 + c k1u) and
+    # G(dt/2) k2u is applied once for both of its uses.
+    k1 = slope(t, y0, 0)
+    y2 = y0 + half * k1
+    y2[1:] = G(half, y2[1:])
+    k2 = slope(t + half, y2, 1)
+    g_k2u = G(half, k2[1:])
+    y3 = y0 + dt * (-k1 + 2.0 * k2)
+    y3[1:] = G(dt, y0[1:] - dt * k1[1:]) + 2.0 * dt * g_k2u
+    k3 = slope(t + dt, y3, 2)
 
-    phi_new = p0 + dt * (k1p + 4.0 * k2p + k3p) / 6.0
-    u_new = G(dt, u0 + (dt / 6.0) * k1u) + dt * (4.0 * g_k2u + k3u) / 6.0
-
-    if not (np.all(np.isfinite(phi_new)) and np.all(np.isfinite(u_new))):
-        raise SolverAbort("solution lost finiteness", t + dt)
-
-    count, mass = 0, 0.0
-    if coeffs.clip:
-        phi_new, count, mass = _clip(phi_new, grid.cell_volume)
+    # The update as an increment of the physical state, one inverse for both.
+    increment = dt * (k1 + 4.0 * k2 + k3) / 6.0
+    increment[1:] = (G(dt, y0[1:] + (dt / 6.0) * k1[1:]) - y0[1:]
+                     + dt * (4.0 * g_k2u + k3[1:]) / 6.0)
+    delta = grid.ifft(increment)
+    u_new = u.values + delta[1:]
+    phi_new, count, mass = _finish(phi.values + delta[0], coeffs.clip,
+                                   grid.cell_volume, t + dt, u_new)
     diag = MomentumDiag(nu1=nu1, nu2=nu2, coeff_min=coeff_min,
                         clip_count=count, clipped_mass=mass)
     return ScalarField(grid, phi_new), VectorField(grid, u_new), diag

@@ -142,8 +142,8 @@ def test_run_reports_solver_failure(tmp_path, capsys):
 
 def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,
                                                        monkeypatch):
-    monkeypatch.setattr("vacflow.linearized.advect",
-                        lambda grid, v, f: np.full(grid.shape, np.nan))
+    monkeypatch.setattr("vacflow.linearized._transport_rhs",
+                        lambda grid, *args: np.full(grid.spectral_shape, np.nan))
     text = BASE.format(beta="0.5", amplitude="0.2")
     out_dir = tmp_path / "out"
     assert main(["run", "--config", write(tmp_path, text),
@@ -233,8 +233,8 @@ def test_oracle_compare_within_gate(tmp_path, capsys):
      lambda grid, params, rho, mom, u: (np.full_like(rho, np.nan),
                                         np.full_like(mom, np.nan))),
     # the Picard solve inside cross_compare
-    ("vacflow.linearized.advect",
-     lambda grid, v, f: np.full(grid.shape, np.nan)),
+    ("vacflow.linearized._transport_rhs",
+     lambda grid, *args: np.full(grid.spectral_shape, np.nan)),
 ])
 def test_oracle_compare_nonfinite_state_is_a_solver_failure(
         tmp_path, capsys, monkeypatch, target, nan_out):

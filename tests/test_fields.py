@@ -90,7 +90,7 @@ def test_cached_multipliers_are_read_only_and_stay_intact(dim):
     assert np.array_equal(g.derivative_multiplier(e0), g.ik[0])
     second = (2,) + (0,) * (dim - 1)
     for arr in (g.derivative_multiplier(e0), g.derivative_multiplier(second),
-                g.ik, g.ik_masked):
+                g.ik, g.ik_masked, *g.k_projection):
         with pytest.raises(ValueError):
             arr[...] = 0.0
     # the masked multiplier is the plain one with the 2/3 rule applied

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.linearized import (
+    CallableForcing,
     ConstantCoefficients,
     FrozenCoefficients,
     SolverAbort,
     Trajectory,
     TrajectoryCoefficients,
-    _exp_shift,
     _momentum_rhs,
+    _shift,
+    _viscous_fields,
     adaptive_dt,
     march,
     momentum_step,
@@ -471,26 +473,35 @@ def test_masked_stage_equals_a_stage_masked_from_interpolated_fields(
         seed, dim, order):
     g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
     provider = random_trajectory(g, SAMPLE_TIMES, seed)
-    for t in order + order[::-1]:
+    # each time again at once, then interleaved with the one before it
+    queries = [t for a, b in zip(order, order[:1] + order) for t in (a, a, b, a)]
+    first = {}
+    for t in queries + queries[::-1]:
         got = provider.stage(g, t)
         assert len(provider._masked) <= 2
+        assert len({provider._bracket(s)[0] for s in provider._between}) <= 1
+        if t in first:
+            assert np.array_equal(got.packed, first[t]), t
+            continue
+        first[t] = got.packed.copy()
         for name, want in fresh_stage(g, provider, t).items():
             err = np.max(np.abs(getattr(got, name) - want))
             assert err <= 1e-12 * max(np.max(np.abs(want)), 1.0), (name, t)
 
 
 def seven_exponential_update(p, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
-    """The IF-RK3 update as first written, one exponential per term."""
+    """The IF-RK3 update as first written, one exponential per term, on the
+    spectra the step carries."""
     g = phi.grid
+    G = _shift(g, nu1, nu2, dt)
 
     def slope(ts, pa, ua, va):
-        return _momentum_rhs(g, p, coeffs.provider.stage(g, ts), va,
-                             coeffs.eta, pa, ua, nu1, nu2, None, None)
+        coeff_hat = g.fft(_viscous_fields(p, va, coeffs.eta)[0])
+        k = _momentum_rhs(g, p, coeffs.provider.stage(g, ts), coeff_hat,
+                          np.concatenate(([pa], ua)), nu1, nu2, None)
+        return k[0], k[1:]
 
-    def G(tau, vec):
-        return _exp_shift(g, nu1, nu2, tau, vec)
-
-    p0, u0 = phi.values, u.values
+    p0, u0 = g.fft(phi.values), g.fft(u.values)
     k1p, k1u = slope(t, p0, u0, stages_vphi[0])
     p2 = p0 + 0.5 * dt * k1p
     u2 = G(0.5 * dt, u0 + 0.5 * dt * k1u)
@@ -500,7 +511,7 @@ def seven_exponential_update(p, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
     k3p, k3u = slope(t + dt, p3, u3, stages_vphi[2])
     phi_new = p0 + dt * (k1p + 4.0 * k2p + k3p) / 6.0
     u_new = G(dt, u0) + dt * (G(dt, k1u) + 4.0 * G(0.5 * dt, k2u) + k3u) / 6.0
-    return phi_new, u_new
+    return g.ifft(phi_new), g.ifft(u_new)
 
 
 @settings(max_examples=20, deadline=None)
@@ -549,9 +560,11 @@ def test_exp_shift_equals_the_complex_route_with_nyquist_content(seed, dim):
     g = Grid(dim=dim, n=8, box_length=2.0 * np.pi)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((dim,) + g.shape)
-    got = _exp_shift(g, 0.3, 0.2, 0.05, u)
-    want = complex_exp_shift(g, 0.3, 0.2, 0.05, u)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    G = _shift(g, 0.3, 0.2, 0.1)
+    for tau in (0.05, 0.1):
+        got = g.ifft(G(tau, g.fft(u)))
+        want = complex_exp_shift(g, 0.3, 0.2, tau, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def per_product_slopes(g, p, stage, vphi, eta, phi, u, nu1, nu2):
@@ -591,10 +604,151 @@ def test_one_truncation_of_the_summed_products_equals_one_per_product(seed, dim)
     vphi = rng.uniform(0.1, 0.9, g.shape)
     phi = rng.uniform(0.0, 0.7, g.shape)
     u = rng.uniform(-0.3, 0.3, (dim,) + g.shape)
-    got = _momentum_rhs(g, p, stage, vphi, 0.1, phi, u, 0.3, 0.2, None, None)
+    coeff_hat = g.fft(_viscous_fields(p, vphi, 0.1)[0])
+    y_hat = g.fft(np.concatenate(([phi], u)))
+    got = g.ifft(_momentum_rhs(g, p, stage, coeff_hat, y_hat, 0.3, 0.2, None))
     want = per_product_slopes(g, p, stage, vphi, 0.1, phi, u, 0.3, 0.2)
-    for a, b in zip(got, want):
+    for a, b in zip((got[0], got[1:]), want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+# -- the physical-space route the spectral steps replaced ----------------------
+
+
+def physical_transport_step(p, g, f, coeffs, dt, t):
+    """SSP-RK3 in Shu-Osher form, every stage in physical space and every
+    right-hand side through its own transforms."""
+
+    def rhs(ts, arr):
+        stage = coeffs.provider.stage(g, ts)
+        out = -g.dealias(advect(g, stage.v, arr)
+                         + 0.5 * (p.delta1 - 1.0) * stage.vphit * stage.div_v)
+        if coeffs.forcing is not None:
+            out = out + coeffs.forcing.vphi_term(ts)
+        return out
+
+    u1 = f + dt * rhs(t, f)
+    u2 = 0.75 * f + 0.25 * (u1 + dt * rhs(t + dt, u1))
+    return f / 3.0 + (2.0 / 3.0) * (u2 + dt * rhs(t + 0.5 * dt, u2))
+
+
+def physical_momentum_rhs(g, p, stage, vphi, eta, phi, u, nu1, nu2):
+    """The phi and velocity slopes in physical space, truncated once."""
+    d = g.dim
+    press = 2.0 * p.A * p.gamma / (p.gamma - 1.0)
+    weight = vphi**2 + eta**2
+    c_shear = p.alpha * weight
+    c_compr = weight * (p.alpha + p.beta * stable_power(vphi, 2.0 * p.m))
+    s1 = p.alpha * p.delta1 / (p.delta1 - 1.0)
+    s2 = p.beta * p.delta2 / (p.delta2 - 1.0)
+    phi_u = np.concatenate((phi[None], u))
+    spectra = g.fft(np.concatenate((
+        phi_u, np.stack((vphi**2, stable_power(vphi, 2.0 * p.m + 2.0),
+                         c_shear, c_compr)))))
+    phi_hat, u_hat = spectra[0], spectra[1:d + 1]
+    sq_hat, hi_hat = spectra[d + 1], spectra[d + 2]
+    div_u_hat = np.sum(g.ik * u_hat, axis=0)
+    phys = g.ifft(np.concatenate((
+        div_u_hat[None], -g.k_squared * u_hat, g.ik * div_u_hat,
+        g.ik * phi_hat, g.ik_masked * sq_hat, g.ik_masked * hi_hat,
+        g.dealias_mask * spectra[d + 3:])))
+    div_u = phys[0]
+    lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m) = np.split(
+        phys[1:], [d, 2 * d, 3 * d, 4 * d, 5 * d])
+    products = np.concatenate((
+        (0.5 * (p.gamma - 1.0) * stage.phit * div_u)[None],
+        press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
+        - s1 * np.sum(stage.q1 * grad_sq_m, axis=1) - s2 * stage.div_v * grad_hi_m))
+    slopes = -g.dealias(advect(g, stage.v, phi_u) + products)
+    dphi, du = slopes[0], slopes[1:]
+    du -= nu1 * lap + nu2 * gd
+    return dphi, du
+
+
+def physical_exp_shift(g, nu1, nu2, tau, u):
+    """exp(tau (nu1 Lap + nu2 grad div)) u through one transform pair, the
+    projection built from the wavenumbers on every call."""
+    if tau == 0.0 or (nu1 == 0.0 and nu2 == 0.0):
+        return u
+    k2 = g.k_squared
+    decay_perp = np.exp(-nu1 * k2 * tau)
+    decay_par = np.exp(-(nu1 + nu2) * k2 * tau)
+    inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+    kn = g.ik.imag
+    ny = np.abs(np.stack(np.broadcast_arrays(*g.wavenumbers))) - np.abs(kn)
+    u_hat = g.fft(u)
+    par = (kn * np.sum(kn * u_hat, axis=0) + ny * np.sum(ny * u_hat, axis=0)) * inv_k2
+    return g.ifft(decay_perp * (u_hat - par) + decay_par * par)
+
+
+def physical_momentum_step(p, g, phi, u, coeffs, stages_vphi, dt, t):
+    """The IF-RK3 step with every stage in physical space; returns
+    (phi, u, nu1, nu2)."""
+    eta, forcing = coeffs.eta, coeffs.forcing
+    nu1 = max(p.alpha * float((v**2 + eta**2).max()) for v in stages_vphi)
+    nu2 = max(0.0, *(float(((v**2 + eta**2) * (p.alpha + p.beta * stable_power(
+        v, 2.0 * p.m))).max()) for v in stages_vphi))
+
+    def slope(ts, pa, ua, va):
+        dphi, du = physical_momentum_rhs(g, p, coeffs.provider.stage(g, ts),
+                                         va, eta, pa, ua, nu1, nu2)
+        if forcing is not None:
+            fm = forcing.momentum_term(g, ts)
+            dphi, du = dphi + fm[0], du + fm[1:]
+        return dphi, du
+
+    def G(tau, vec):
+        return physical_exp_shift(g, nu1, nu2, tau, vec)
+
+    k1p, k1u = slope(t, phi, u, stages_vphi[0])
+    p2 = phi + 0.5 * dt * k1p
+    u2 = G(0.5 * dt, u + 0.5 * dt * k1u)
+    k2p, k2u = slope(t + 0.5 * dt, p2, u2, stages_vphi[1])
+    g_k2u = G(0.5 * dt, k2u)
+    p3 = phi + dt * (-k1p + 2.0 * k2p)
+    u3 = G(dt, u - dt * k1u) + 2.0 * dt * g_k2u
+    k3p, k3u = slope(t + dt, p3, u3, stages_vphi[2])
+    phi_new = phi + dt * (k1p + 4.0 * k2p + k3p) / 6.0
+    u_new = G(dt, u + (dt / 6.0) * k1u) + dt * (4.0 * g_k2u + k3u) / 6.0
+    return phi_new, u_new, nu1, nu2
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       forced=st.booleans())
+def test_spectral_steps_equal_the_physical_route(seed, dim, forced):
+    # White noise fills every mode up to Nyquist in the state, the stage
+    # fields, the coefficients and the forcing.
+    p = soft_params()
+    g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    forcing = None
+    if forced:
+        a, b = rng.standard_normal((2, dim + 2) + g.shape)
+        forcing = CallableForcing(vphi=lambda t: a[0] + t * b[0],
+                                  phi=lambda t: a[1] + t * b[1],
+                                  velocity=lambda t: a[2:] + t * b[2:])
+    provider = random_trajectory(g, [0.0, 0.01, 0.02], seed + 1)
+    coeffs = FrozenCoefficients(provider=provider, eta=0.1, t_window=0.02,
+                                clip=False, forcing=forcing)
+    f, phi = rng.standard_normal((2,) + g.shape)
+    u = rng.standard_normal((dim,) + g.shape)
+    stages_vphi = tuple(rng.uniform(0.1, 0.9, (3,) + g.shape))
+    dt, t = 0.004, 0.003
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    got, _ = transport_step(p, ScalarField(g, f), coeffs, dt, t)
+    assert_close(got.values, physical_transport_step(p, g, f, coeffs, dt, t))
+
+    phi_new, u_new, diag = momentum_step(p, ScalarField(g, phi), VectorField(g, u),
+                                         coeffs, stages_vphi, dt, t)
+    want_phi, want_u, nu1, nu2 = physical_momentum_step(
+        p, g, phi, u, coeffs, stages_vphi, dt, t)
+    assert (diag.nu1, diag.nu2) == (nu1, nu2)
+    assert_close(phi_new.values, want_phi)
+    assert_close(u_new.values, want_u)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -602,19 +756,21 @@ def test_transform_budget_of_one_window(dim, monkeypatch):
     # Transforms of one window with every step landing on a sample, in d
     # dimensions, as (rfftn + irfftn calls, real fields transformed: the
     # stack size of the physical side of each call):
-    #   transport right-hand side: advect (a forward of f, an inverse of
-    #     its d masked derivatives), then one pair truncating advect plus
-    #     the vphitilde div v product                      (4, d + 3)
-    #     x 3 stages x 2 half steps                        (24, 6d + 18)
-    #   momentum slope: advect of (phi, u) (forward d + 1, inverse
-    #     d(d + 1)); one forward of (u, phi, vphi^2, vphi^(2m+2), c_shear,
-    #     c_compr) (d + 5); one inverse of div u, Lap u, grad div u,
-    #     grad phi, the masked gradients of vphi^2 and vphi^(2m+2) and the
-    #     masked viscous weights (5d + 3); one pair truncating the phi and
-    #     the d velocity slopes (2d + 2)          (6, d^2 + 10d + 11)
-    #     x 3 slopes                              (18, 3d^2 + 30d + 33)
-    #   shift exponentials: 4 x one pair of d fields           (8, 8d)
-    #   per step: 50 calls, 3d^2 + 44d + 51 = 98, 151, 210 fields
+    #   transport half step: one forward of f; per stage an inverse of the
+    #     d masked derivatives of the stage spectrum and a forward of the
+    #     summed products, (2, d + 1) x 3 stages; one inverse of the
+    #     increment                                        (8, 3d + 5)
+    #     x 2 half steps                                   (16, 6d + 10)
+    #   momentum step: one forward of (phi, u) and, for each of the three
+    #     stage fields, vphi^2, vphi^(2m+2), c_shear and c_compr (d + 13);
+    #     per slope one inverse of div u, Lap u, grad div u, grad phi, the
+    #     masked gradients of vphi^2 and vphi^(2m+2), the masked viscous
+    #     weights and the d(d + 1) masked gradients of (phi, u)
+    #     (d^2 + 6d + 3), then one forward of the d + 1 summed products,
+    #     (2, d^2 + 7d + 4) x 3 slopes; one inverse of the (phi, u)
+    #     increment (d + 1)                       (8, 3d^2 + 23d + 26)
+    #   shift exponentials: multiplies on the spectra        (0, 0)
+    #   per step: 24 calls, 3d^2 + 29d + 36 = 68, 106, 150 fields
     #   per sample, masked once: a forward of (v, phitilde, vphitilde)
     #     and an inverse of them masked with the upper triangle of Q1
     #                      (2, (d^2 + 5d + 8) / 2 = 7, 11, 16 fields)
@@ -645,6 +801,6 @@ def test_transform_budget_of_one_window(dim, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     traj = solve_linearized(init, coeffs, p)
     assert len(traj.dt_history) == steps
-    assert calls[0] == steps * 50 + len(times) * 2
-    assert fields[0] == (steps * (3 * dim**2 + 44 * dim + 51)
+    assert calls[0] == steps * 24 + len(times) * 2
+    assert fields[0] == (steps * (3 * dim**2 + 29 * dim + 36)
                          + len(times) * (dim**2 + 5 * dim + 8) // 2)
