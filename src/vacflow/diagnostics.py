@@ -644,12 +644,10 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
             fv = forcing.vphi_term(t)
             if fv is not None:
                 r1 = r1 - fv
-            fp = forcing.phi_term(t)
-            if fp is not None:
-                r2 = r2 - fp
-            fu = forcing.velocity_term(t)
-            if fu is not None:
-                r3 = r3 - fu
+            fm = forcing.momentum_term(grid, t)
+            if fm is not None:
+                r2 = r2 - fm[0]
+                r3 = r3 - fm[1:]
         rv = max(rv, quadrature_l2(grid, r1))
         rp = max(rp, quadrature_l2(grid, r2))
         ru = max(ru, quadrature_l2(grid, r3))

@@ -127,7 +127,12 @@ class TrajectoryCoefficients:
     when first needed, and only the (at most two) samples bracketing the
     latest query are kept: march lands on every sample, so no step needs a
     sample behind the one it starts from. Stages interpolated between them
-    are kept by time until the bracket moves, which masks a new sample."""
+    are kept by time until the bracket moves, which masks a new sample, and
+    only the BETWEEN_KEPT most recently queried: the stage times of one
+    outer step, t, t + dt/4, t + dt/2, t + 3dt/4 and t + dt, when a sample
+    interval holds many steps."""
+
+    BETWEEN_KEPT = 5
 
     def __init__(self, times, vphis, phis, velocities):
         self.times = np.asarray(times, dtype=float)
@@ -179,11 +184,16 @@ class TrajectoryCoefficients:
         j, w = self._bracket(t)
         if w == 0.0:
             return self._masked_sample(grid, j, None)
-        if t not in self._between:
+        stage = self._between.pop(t, None)
+        if stage is None:
             a = self._masked_sample(grid, j, j + 1)
             b = self._masked_sample(grid, j + 1, j)
-            self._between[t] = _StageCoeffs(grid, (1.0 - w) * a.packed + w * b.packed)
-        return self._between[t]
+            stage = _StageCoeffs(grid, (1.0 - w) * a.packed + w * b.packed)
+            if len(self._between) == self.BETWEEN_KEPT:
+                del self._between[next(iter(self._between))]
+        # reinserted last, so the dict runs from least to most recently queried
+        self._between[t] = stage
+        return stage
 
     def velocity(self, t: float) -> np.ndarray:
         return self._interp(self.velocities, t)

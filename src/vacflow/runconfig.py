@@ -187,19 +187,21 @@ def load_config(path) -> RunConfig:
         if required not in parser:
             raise ConfigError(f"missing required section [{required}]")
 
-    for optional in ("initial", "output", "sweep"):
-        if optional not in parser:
-            parser.add_section(optional)
-    params, grid_sec, init, solver, output, sweep = (parser[name] for name in (
-        "params", "grid", "initial", "solver", "output", "sweep"))
+    empty: dict = {}
+    params = parser["params"]
+    grid_sec = parser["grid"]
+    init = parser["initial"] if "initial" in parser else empty
+    solver = parser["solver"]
+    output = parser["output"] if "output" in parser else empty
+    sweep = parser["sweep"] if "sweep" in parser else empty
 
-    kind = init.get("kind", "bump").strip()
+    kind = (init.get("kind", "bump") if init is not empty else "bump").strip()
     if kind not in ("bump", "snapshot"):
         raise ConfigError(f"[initial] kind must be 'bump' or 'snapshot', "
                           f"got {kind!r}")
 
     center: tuple | None = None
-    raw_center = init.get("center", "")
+    raw_center = init.get("center", "") if init is not empty else ""
     if raw_center.strip():
         try:
             center = tuple(float(tok) for tok in raw_center.split(","))
@@ -208,7 +210,8 @@ def load_config(path) -> RunConfig:
                 f"[initial] center = {raw_center!r} is not a comma list "
                 f"of numbers") from exc
 
-    raw_diag = output.get("diagnostics", "all").strip()
+    raw_diag = (output.get("diagnostics", "all")
+                if output is not empty else "all").strip()
     if raw_diag in ("", "all"):
         diagnostics = _DIAGNOSTIC_NAMES
     else:
@@ -220,7 +223,8 @@ def load_config(path) -> RunConfig:
                     f"known: {', '.join(_DIAGNOSTIC_NAMES)}")
 
     scales: tuple = ()
-    raw_scales = sweep.get("amplitude_scales", "")
+    raw_scales = (sweep.get("amplitude_scales", "")
+                  if sweep is not empty else "")
     if raw_scales.strip():
         try:
             scales = tuple(float(tok) for tok in raw_scales.split(","))
@@ -234,6 +238,24 @@ def load_config(path) -> RunConfig:
                     f"[sweep] amplitude_scales entries must be positive, "
                     f"got {s}")
 
+    if init is not empty:
+        init_f = init
+    else:
+        class _Empty:
+            name = "initial"
+
+            @staticmethod
+            def get(key, default=None):
+                return default
+        init_f = _Empty()
+
+    if output is not empty:
+        out_dir = output.get("directory", "").strip()
+        snapshots = _get_bool(output, "snapshots", False)
+    else:
+        out_dir = ""
+        snapshots = False
+
     cfg = RunConfig(
         A=_get_float(params, "A"),
         gamma=_get_float(params, "gamma"),
@@ -246,14 +268,14 @@ def load_config(path) -> RunConfig:
         n=_get_int(grid_sec, "n"),
         length=_get_float(grid_sec, "length"),
         kind=kind,
-        amplitude=_get_float(init, "amplitude", 0.0),
-        width=_get_float(init, "width", 0.0),
-        background=_get_float(init, "background", 0.0),
+        amplitude=_get_float(init_f, "amplitude", 0.0),
+        width=_get_float(init_f, "width", 0.0),
+        background=_get_float(init_f, "background", 0.0),
         center=center,
-        velocity_amplitude=_get_float(init, "velocity_amplitude", 0.0),
-        velocity_mode=_get_int(init, "velocity_mode", 1),
-        density_snapshot=(init.get("density_snapshot") or "").strip(),
-        velocity_snapshot=(init.get("velocity_snapshot") or "").strip(),
+        velocity_amplitude=_get_float(init_f, "velocity_amplitude", 0.0),
+        velocity_mode=_get_int(init_f, "velocity_mode", 1),
+        density_snapshot=(init_f.get("density_snapshot") or "").strip(),
+        velocity_snapshot=(init_f.get("velocity_snapshot") or "").strip(),
         eta0=_get_float(solver, "eta0", 0.5),
         eta_factor=_get_float(solver, "eta_factor", 0.5),
         eta_levels=_get_int(solver, "eta_levels", 4),
@@ -263,8 +285,8 @@ def load_config(path) -> RunConfig:
         cfl_safety=_get_float(solver, "cfl_safety", 0.4),
         t_window=_get_float(solver, "t_window"),
         cadence=_get_int(solver, "cadence", 32),
-        directory=output.get("directory", "").strip(),
-        snapshots=_get_bool(output, "snapshots", False),
+        directory=out_dir,
+        snapshots=snapshots,
         diagnostics=diagnostics,
         amplitude_scales=scales,
     )

@@ -31,6 +31,7 @@ from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.fixedpoint import picard_solve
 from vacflow.initial_data import bump_density, reform_state_from_density
 from vacflow.operators import ReformState, stable_power
+from vacflow.oracle import default_case
 from vacflow.params import validate_params
 
 from stacking import stacked
@@ -409,6 +410,22 @@ def test_residuals_catch_a_static_non_solution():
     assert rep.reform_u_l2 > 1e-3
     with pytest.raises(ValueError, match="three samples"):
         nonlinear_residual(static_trajectory(st, [0.0, 0.1]), p)
+
+
+def test_residuals_subtract_a_manufactured_forcing():
+    # the manufactured fields solve the system forced by reform_forcing, so
+    # with it only the central-difference error, O(h^2), is left of the
+    # reformulated residual; without it the forcing itself shows
+    case = default_case(Grid(dim=2, n=16, box_length=2.0 * np.pi))
+    eta, h = 0.3, 1e-3
+    traj = stacked([case.state(t) for t in (0.2, 0.2 + h, 0.2 + 2 * h)],
+                   [0.2, 0.2 + h, 0.2 + 2 * h])
+    forced = nonlinear_residual(traj, case.params, eta,
+                                forcing=case.reform_forcing(eta))
+    unforced = nonlinear_residual(traj, case.params, eta)
+    assert forced.reform_linf < 1e-5
+    assert min(unforced.reform_phi_l2, unforced.reform_u_l2) > 1e-2
+    assert forced.primitive_linf == unforced.primitive_linf
 
 
 def test_reform_rhs_still_state_is_stationary():

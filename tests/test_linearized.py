@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vacflow import linearized
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.linearized import (
     CallableForcing,
@@ -480,6 +481,7 @@ def test_masked_stage_equals_a_stage_masked_from_interpolated_fields(
         got = provider.stage(g, t)
         assert len(provider._masked) <= 2
         assert len({provider._bracket(s)[0] for s in provider._between}) <= 1
+        assert len(provider._between) <= TrajectoryCoefficients.BETWEEN_KEPT
         if t in first:
             assert np.array_equal(got.packed, first[t]), t
             continue
@@ -487,6 +489,54 @@ def test_masked_stage_equals_a_stage_masked_from_interpolated_fields(
         for name, want in fresh_stage(g, provider, t).items():
             err = np.max(np.abs(getattr(got, name) - want))
             assert err <= 1e-12 * max(np.max(np.abs(want)), 1.0), (name, t)
+
+
+def test_interpolated_stages_stay_few_when_a_sample_interval_holds_many_steps(
+        monkeypatch):
+    # 40 steps between two samples: the kept stages are bounded by one
+    # step's stage times, yet no step interpolates a time more often than
+    # with every interpolated stage kept, and the window is bit-identical
+    p = soft_params()
+    g = Grid(dim=2, n=16, box_length=2.0 * np.pi)
+    built = []
+
+    class Counted(linearized._StageCoeffs):
+        __slots__ = ()
+
+        def __init__(self, grid, packed):
+            super().__init__(grid, packed)
+            built.append(1)
+
+    monkeypatch.setattr(linearized, "_StageCoeffs", Counted)
+
+    def solve():
+        provider = random_trajectory(g, [0.0, 1.0], seed=7)
+        stage, sizes = provider.stage, []
+
+        def recorded(grid, t):
+            got = stage(grid, t)
+            sizes.append(len(provider._between))
+            return got
+
+        provider.stage = recorded
+        init = ReformState(ScalarField(g, provider.vphis[0]),
+                           ScalarField(g, provider.phis[0]),
+                           VectorField(g, provider.velocities[0]))
+        coeffs = FrozenCoefficients(provider=provider, eta=0.2, t_window=1.0,
+                                    dt=1.0 / 40, sample_dt=1.0, clip=False)
+        built.clear()
+        traj = solve_linearized(init, coeffs, p)
+        assert len(traj.dt_history) == 40
+        return traj, len(built), max(sizes)
+
+    traj, count, most = solve()
+    assert most == TrajectoryCoefficients.BETWEEN_KEPT == 5
+    monkeypatch.setattr(TrajectoryCoefficients, "BETWEEN_KEPT", 10**6)
+    traj_all, count_all, most_all = solve()
+    assert most_all > 100
+    assert count == count_all < 5 * 40
+    for name in ("vphi", "phi", "u"):
+        assert np.array_equal(getattr(traj, name), getattr(traj_all, name))
 
 
 def seven_exponential_update(p, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
