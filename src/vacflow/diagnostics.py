@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,37 +42,32 @@ def density_of(vphi: np.ndarray, params: FluidParams) -> np.ndarray:
     return stable_power(vphi, 2.0 / (params.delta1 - 1.0))
 
 
-def _nonuniform_derivative(stack: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Second-order time derivative of sampled fields: three-point central
-    stencils inside, three-point one-sided at both ends. Handles a
-    non-uniform cadence (the last interval may be shorter)."""
-    nt = stack.shape[0]
+def _sample_derivative(sample, times: np.ndarray, i: int) -> np.ndarray:
+    """Second-order time derivative at sample i of sampled fields, sample(j)
+    the fields at times[j] (a stack's __getitem__, say): the three-point
+    central stencil inside, three-point one-sided at both ends. Handles a
+    non-uniform cadence (the last interval may be shorter). Reads only the
+    three samples of the stencil, so no derivative stack is ever built."""
+    nt = len(times)
     if nt < 3:
         raise ValueError("need at least three samples to differentiate")
-    out = np.empty_like(stack)
-    for i in range(1, nt - 1):
-        hl = times[i] - times[i - 1]
-        hr = times[i + 1] - times[i]
-        out[i] = (
-            -hr / (hl * (hl + hr)) * stack[i - 1]
-            + (hr - hl) / (hl * hr) * stack[i]
-            + hl / (hr * (hl + hr)) * stack[i + 1]
-        )
-    h0 = times[1] - times[0]
-    h1 = times[2] - times[1]
-    out[0] = (
-        -(2.0 * h0 + h1) / (h0 * (h0 + h1)) * stack[0]
-        + (h0 + h1) / (h0 * h1) * stack[1]
-        - h0 / (h1 * (h0 + h1)) * stack[2]
-    )
-    hm = times[-1] - times[-2]
-    hmm = times[-2] - times[-3]
-    out[-1] = (
-        hm / (hmm * (hm + hmm)) * stack[-3]
-        - (hm + hmm) / (hmm * hm) * stack[-2]
-        + (2.0 * hm + hmm) / (hm * (hm + hmm)) * stack[-1]
-    )
-    return out
+    if i == 0:
+        h0 = times[1] - times[0]
+        h1 = times[2] - times[1]
+        return (-(2.0 * h0 + h1) / (h0 * (h0 + h1)) * sample(0)
+                + (h0 + h1) / (h0 * h1) * sample(1)
+                - h0 / (h1 * (h0 + h1)) * sample(2))
+    if i == nt - 1:
+        hm = times[-1] - times[-2]
+        hmm = times[-2] - times[-3]
+        return (hm / (hmm * (hm + hmm)) * sample(nt - 3)
+                - (hm + hmm) / (hmm * hm) * sample(nt - 2)
+                + (2.0 * hm + hmm) / (hm * (hm + hmm)) * sample(nt - 1))
+    hl = times[i] - times[i - 1]
+    hr = times[i + 1] - times[i]
+    return (-hr / (hl * (hl + hr)) * sample(i - 1)
+            + (hr - hl) / (hl * hr) * sample(i)
+            + hl / (hr * (hl + hr)) * sample(i + 1))
 
 
 # -- a priori ledger ----------------------------------------------------------
@@ -147,6 +143,9 @@ def ledger(traj: Trajectory, params: FluidParams,
     phi_n = np.empty((nt, 3))
     u_n = np.empty((nt, 3))
     w_sq = np.empty((nt, 3))
+    dvphi_h2 = np.full(nt, math.nan)
+    dphi_h2 = np.full(nt, math.nan)
+    du_h1 = np.full(nt, math.nan)
     for i in range(nt):
         state = traj.state(i)
         for j, s in enumerate((1, 2, 3)):
@@ -154,23 +153,18 @@ def ledger(traj: Trajectory, params: FluidParams,
             phi_n[i, j] = sobolev_norm(state.phi, s)
             u_n[i, j] = sobolev_norm(state.u, s)
             w_sq[i, j] = weighted_seminorm(state.vphi, state.u, s + 1) ** 2
+        if nt >= 3:
+            dv = _sample_derivative(traj.vphi.__getitem__, times, i)
+            dp = _sample_derivative(traj.phi.__getitem__, times, i)
+            du = _sample_derivative(traj.u.__getitem__, times, i)
+            dvphi_h2[i] = sobolev_norm(ScalarField(grid, dv), 2)
+            dphi_h2[i] = sobolev_norm(ScalarField(grid, dp), 2)
+            du_h1[i] = sobolev_norm(VectorField(grid, du), 1)
 
     integrals = np.zeros((nt, 3))
     for i in range(1, nt):
         dt = times[i] - times[i - 1]
         integrals[i] = integrals[i - 1] + 0.5 * dt * (w_sq[i] + w_sq[i - 1])
-
-    if nt >= 3:
-        dv = _nonuniform_derivative(traj.vphi, times)
-        dp = _nonuniform_derivative(traj.phi, times)
-        du = _nonuniform_derivative(traj.u, times)
-        dvphi_h2 = np.array([sobolev_norm(ScalarField(grid, dv[i]), 2) for i in range(nt)])
-        dphi_h2 = np.array([sobolev_norm(ScalarField(grid, dp[i]), 2) for i in range(nt)])
-        du_h1 = np.array([sobolev_norm(VectorField(grid, du[i]), 1) for i in range(nt)])
-    else:
-        dvphi_h2 = np.full(nt, math.nan)
-        dphi_h2 = np.full(nt, math.nan)
-        du_h1 = np.full(nt, math.nan)
 
     s0 = traj.state(0)
     c0 = 1.0 + sobolev_norm(s0.vphi, 3) + sobolev_norm(s0.phi, 3) + sobolev_norm(s0.u, 3)
@@ -310,7 +304,6 @@ def vacuum_residual(traj: Trajectory, params: FluidParams,
     grid = traj.grid
     if len(times) < 3:
         raise ValueError("need at least three samples for the vacuum check")
-    dudt = _nonuniform_derivative(traj.u, times)
     worst = 0.0
     cells = 0
     for i, vphi in enumerate(traj.vphi):
@@ -321,7 +314,8 @@ def vacuum_residual(traj: Trajectory, params: FluidParams,
         if count == 0:
             continue
         u = traj.u[i]
-        resid = dudt[i] + np.sum(u * grid.grad(u), axis=1)
+        resid = (_sample_derivative(traj.u.__getitem__, times, i)
+                 + np.sum(u * grid.grad(u), axis=1))
         mag = np.sqrt(np.sum(resid**2, axis=0))
         worst = max(worst, float(mag[mask].max()))
     return VacuumReport(residual=worst, no_vacuum=cells == 0,
@@ -622,14 +616,13 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
     grid = traj.grid
     if len(times) < 3:
         raise ValueError("need at least three samples for residuals")
-    dvphi = _nonuniform_derivative(traj.vphi, times)
-    dphi = _nonuniform_derivative(traj.phi, times)
-    du = _nonuniform_derivative(traj.u, times)
 
-    rho_st = density_of(traj.vphi, params)
-    mom_st = rho_st[:, None] * traj.u
-    drho = _nonuniform_derivative(rho_st, times)
-    dmom = _nonuniform_derivative(mom_st, times)
+    # The stencils of consecutive interior samples overlap, so the density
+    # and momentum of the three latest samples are kept, each built once.
+    @lru_cache(maxsize=3)
+    def primitive(j: int) -> tuple[np.ndarray, np.ndarray]:
+        rho = density_of(traj.vphi[j], params)
+        return rho, rho[None] * traj.u[j]
 
     rv = rp = ru = rlinf = 0.0
     pm = pmom = plinf = 0.0
@@ -637,9 +630,9 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
     for i in interior:
         t = times[i]
         f_vphi, f_phi, f_u = reform_rhs(traj.state(i), params, eta)
-        r1 = dvphi[i] - f_vphi
-        r2 = dphi[i] - f_phi
-        r3 = du[i] - f_u
+        r1 = _sample_derivative(traj.vphi.__getitem__, times, i) - f_vphi
+        r2 = _sample_derivative(traj.phi.__getitem__, times, i) - f_phi
+        r3 = _sample_derivative(traj.u.__getitem__, times, i) - f_u
         if forcing is not None:
             fv = forcing.vphi_term(t)
             if fv is not None:
@@ -654,10 +647,11 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
         rlinf = max(rlinf, float(np.abs(r1).max()), float(np.abs(r2).max()),
                     float(np.abs(r3).max()))
 
-        rates_rho, rates_mom = primitive_rates(grid, params, rho_st[i],
-                                               mom_st[i], traj.u[i])
-        r_mass = drho[i] - rates_rho
-        r_mom = dmom[i] - rates_mom
+        drho = _sample_derivative(lambda j: primitive(j)[0], times, i)
+        dmom = _sample_derivative(lambda j: primitive(j)[1], times, i)
+        rates_rho, rates_mom = primitive_rates(grid, params, *primitive(i), traj.u[i])
+        r_mass = drho - rates_rho
+        r_mom = dmom - rates_mom
         pm = max(pm, quadrature_l2(grid, r_mass))
         pmom = max(pmom, quadrature_l2(grid, r_mom))
         plinf = max(plinf, float(np.abs(r_mass).max()),

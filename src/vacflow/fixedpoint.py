@@ -135,8 +135,10 @@ def _start_guess(init: ReformState, params: FluidParams, eta: float,
                  t_window: float, dt: float | None, cfl_safety: float,
                  sample_dt: float | None, clip: bool) -> Trajectory:
     """Iterate zero: both proxies advected by the initial velocity (stretch
-    terms dropped), the velocity itself held constant. Any guess inside the
-    contraction ball works; this one needs no extra solver machinery."""
+    terms dropped), the velocity itself held constant. Both proxies share
+    the coefficients and the step, so they advance as one stacked transport
+    step. Any guess inside the contraction ball works; this one needs no
+    extra solver machinery."""
     grid = init.grid
     zeros = np.zeros(grid.shape)
     provider = ConstantCoefficients(init.u.values, zeros, zeros)
@@ -146,8 +148,7 @@ def _start_guess(init: ReformState, params: FluidParams, eta: float,
                                               zeros, cfl_safety)
 
     def step(t: float, dt: float, vphi, phi, u):
-        vphi, _ = transport_step(params, vphi, coeffs, dt, t)
-        phi, _ = transport_step(params, phi, coeffs, dt, t)
+        (vphi, phi), _ = transport_step(params, (vphi, phi), coeffs, dt, t)
         return vphi, phi, u, 0, 0.0
 
     return record_window(init, t_window, sample_dt, lambda t: h, step,

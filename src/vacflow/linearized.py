@@ -30,6 +30,14 @@ div v, Q1(v), phitilde and vphitilde after the 2/3 rule. A stored
 trajectory masks each sample once and interpolates the masked samples in
 time, which equals masking the interpolated fields because truncation and
 interpolation are both linear.
+
+Memory: a continuation holds three windows at once, the previous level's
+solution, the Picard iterate whose coefficients are frozen, and the window
+being written. record_window writes each sample straight into stacks
+allocated once for the whole window, so a window never exists twice, and
+the diagnostics difference samples in time one at a time rather than
+building a whole-window derivative stack. Beside the windows, a step keeps
+only its stage spectra and one stage's factors.
 """
 
 from __future__ import annotations
@@ -306,15 +314,17 @@ def _slope_spectrum(grid: Grid, products: np.ndarray, forcing) -> np.ndarray:
     untruncated one of the forcing, both from one forward transform."""
     if forcing is None:
         return -(grid.dealias_mask * grid.fft(products))
-    spectra = grid.fft(np.stack((products, forcing)))
+    spectra = grid.fft(np.stack((products, np.broadcast_to(forcing, products.shape))))
     return spectra[1] - grid.dealias_mask * spectra[0]
 
 
 def _transport_rhs(grid, params, stage: _StageCoeffs, f_hat: np.ndarray, forcing_val):
     """Slope spectrum of -(v.grad f + ((delta1-1)/2) vphitilde div v) plus
-    the forcing, from the truncated gradient of f."""
-    grad = grid.ifft(grid.ik_masked * f_hat)
-    products = (np.sum(stage.v * grad, axis=0)
+    the forcing, from the truncated gradient of f; f_hat is one spectrum or
+    a stack of them."""
+    axis = -grid.dim - 1
+    grad = grid.ifft(grid.ik_masked * np.expand_dims(f_hat, axis))
+    products = (np.sum(stage.v * grad, axis=axis)
                 + 0.5 * (params.delta1 - 1.0) * stage.vphit * stage.div_v)
     return _slope_spectrum(grid, products, forcing_val)
 
@@ -343,26 +353,33 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, coeff_hat: np.ndarray,
     s1 = params.alpha * params.delta1 / (params.delta1 - 1.0)
     s2 = params.beta * params.delta2 / (params.delta2 - 1.0)
 
+    # The factors' spectra, written in place into one batch for the inverse:
+    # div u, Lap u, grad div u, grad phi, the masked gradients of vphi^2 and
+    # vphi^(2m+2), masked c_shear and c_compr, the masked gradients of y.
+    rows = np.cumsum((1, d, d, d, d, d, 2, (d + 1) * d))
+    batch = np.empty((rows[-1],) + grid.spectral_shape, dtype=complex)
+    div_u_hat, lap_hat, gd_hat, grad_phi_hat, grad_sq_hat, grad_hi_hat, c_hat, grads_hat = \
+        np.split(batch, rows[:-1])
     u_hat = y_hat[1:]
-    div_u_hat = np.sum(grid.ik * u_hat, axis=0)
-    lap_hat = -grid.k_squared * u_hat
-    gd_hat = grid.ik * div_u_hat
-    grads_hat = grid.ik_masked[None] * y_hat[:, None]
-    phys = grid.ifft(np.concatenate((
-        div_u_hat[None], lap_hat, gd_hat, grid.ik * y_hat[0],
-        grid.ik_masked * coeff_hat[0], grid.ik_masked * coeff_hat[1],
-        grid.dealias_mask * coeff_hat[2:],
-        grads_hat.reshape((-1,) + grid.spectral_shape))))
-    div_u = phys[0]
-    lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m), grads = np.split(
-        phys[1:], [d, 2 * d, 3 * d, 4 * d, 5 * d, 5 * d + 2])
+    np.sum(grid.ik * u_hat, axis=0, out=div_u_hat[0])
+    np.multiply(-grid.k_squared, u_hat, out=lap_hat)
+    np.multiply(grid.ik, div_u_hat[0], out=gd_hat)
+    np.multiply(grid.ik, y_hat[0], out=grad_phi_hat)
+    np.multiply(grid.ik_masked, coeff_hat[0], out=grad_sq_hat)
+    np.multiply(grid.ik_masked, coeff_hat[1], out=grad_hi_hat)
+    np.multiply(grid.dealias_mask, coeff_hat[2:], out=c_hat)
+    np.multiply(grid.ik_masked[None], y_hat[:, None],
+                out=grads_hat.reshape((d + 1, d) + grid.spectral_shape))
+    phys = grid.ifft(batch)
+    div_u, lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m), grads = \
+        np.split(phys, rows[:-1])
 
-    products = np.concatenate((
-        (0.5 * (params.gamma - 1.0) * stage.phit * div_u)[None],
-        press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
-        - s1 * np.sum(stage.q1 * grad_sq_m, axis=1) - s2 * stage.div_v * grad_hi_m))
-    advection = np.sum(stage.v * grads.reshape((d + 1, d) + grid.shape), axis=1)
-    slopes = _slope_spectrum(grid, advection + products, forcing)
+    products = np.sum(stage.v * grads.reshape((d + 1, d) + grid.shape), axis=1)
+    products[0] += 0.5 * (params.gamma - 1.0) * stage.phit * div_u[0]
+    products[1:] += (press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
+                     - s1 * np.sum(stage.q1 * grad_sq_m, axis=1)
+                     - s2 * stage.div_v * grad_hi_m)
+    slopes = _slope_spectrum(grid, products, forcing)
     slopes[1:] -= nu1 * lap_hat + nu2 * gd_hat
     return slopes
 
@@ -417,14 +434,22 @@ class TransportDiag:
     clipped_mass: float
 
 
-def transport_step(params: FluidParams, vphi: ScalarField,
-                   coeffs: FrozenCoefficients, dt: float, t: float = 0.0):
+def transport_step(params: FluidParams, vphi, coeffs: FrozenCoefficients,
+                   dt: float, t: float = 0.0, t_end: float | None = None):
     """One SSP-RK3 step of vphi_t + v.grad vphi + ((delta1-1)/2) vphitilde
     div v = 0 with frozen coefficients, clipping negatives afterwards when
-    coeffs.clip is set. Returns (new field, diagnostics)."""
-    grid = vphi.grid
+    coeffs.clip is set. vphi is one ScalarField or a tuple of them, which
+    share the coefficients and advance as one stack. t_end is the time the
+    step ends at, t + dt up to roundoff: the stage there reads the
+    coefficients at exactly t_end, so that a step ending at the same time
+    shares them. Returns (new field or tuple of fields, diagnostics summed
+    over the tuple)."""
+    single = isinstance(vphi, ScalarField)
+    grid = vphi.grid if single else vphi[0].grid
     forcing = coeffs.forcing
-    f = vphi.values
+    f = vphi.values if single else np.stack([g.values for g in vphi])
+    if t_end is None:
+        t_end = t + dt
 
     def rhs(ts: float, f_hat: np.ndarray) -> np.ndarray:
         stage = coeffs.provider.stage(grid, ts)
@@ -435,11 +460,14 @@ def transport_step(params: FluidParams, vphi: ScalarField,
     # the update f/3 + 2/3 (u2 + dt r3) as an increment of f.
     f_hat = grid.fft(f)
     r1 = rhs(t, f_hat)
-    r2 = rhs(t + dt, f_hat + dt * r1)
+    r2 = rhs(t_end, f_hat + dt * r1)
     r3 = rhs(t + 0.5 * dt, f_hat + 0.25 * dt * (r1 + r2))
     out, count, mass = _finish(f + grid.ifft(dt * (r1 + r2 + 4.0 * r3) / 6.0),
-                               coeffs.clip, grid.cell_volume, t + dt)
-    return ScalarField(grid, out), TransportDiag(clip_count=count, clipped_mass=mass)
+                               coeffs.clip, grid.cell_volume, t_end)
+    diag = TransportDiag(clip_count=count, clipped_mass=mass)
+    if single:
+        return ScalarField(grid, out), diag
+    return tuple(ScalarField(grid, o) for o in out), diag
 
 
 @dataclass(frozen=True)
@@ -463,6 +491,27 @@ def _stage_fields(vphi_new):
     return stages
 
 
+def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
+                     coeffs: FrozenCoefficients, vphi_new, t: float):
+    """The spectra a momentum step reads: y0 of (phi, u) and coeff_hat of the
+    (4, 3) _viscous_fields of the three stage proxies, with the shift's nu1
+    and nu2 and the grid minimum of alpha + beta vphi^(2m). The physical
+    fields they come from are dropped on return. Aborts when that minimum
+    drops below alpha/2."""
+    grid = phi.grid
+    d = grid.dim
+    fields, compr = _viscous_fields(params, np.stack(_stage_fields(vphi_new)), coeffs.eta)
+    coeff_min = float(compr.min())
+    nu1, nu2 = float(fields[2].max()), max(float(fields[3].max()), 0.0)
+    if coeff_min < 0.5 * params.alpha:
+        raise SolverAbort("ellipticity regime exit", t, "grid-min alpha + beta "
+                          f"vphi^(2m) = {coeff_min:.6g} < alpha/2")
+    spectra = grid.fft(np.concatenate(([phi.values], u.values,
+                                       fields.reshape((12,) + grid.shape))))
+    y0, coeff_hat = spectra[:d + 1], spectra[d + 1:].reshape((4, 3) + grid.spectral_shape)
+    return y0, coeff_hat, nu1, nu2, coeff_min
+
+
 def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
                   coeffs: FrozenCoefficients, vphi_new, dt: float, t: float = 0.0):
     """One integrating-factor RK3 step of the coupled (phi, u) pair.
@@ -472,18 +521,8 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
     when the compressive coefficient alpha + beta vphi^(2m) drops below
     alpha/2 anywhere on the grid."""
     grid = phi.grid
-    d = grid.dim
-    # the coefficients of the three stage fields, (4, 3) + shape
-    fields, compr = _viscous_fields(params, np.stack(_stage_fields(vphi_new)), coeffs.eta)
-    coeff_min = float(compr.min())
-    nu1, nu2 = float(fields[2].max()), max(float(fields[3].max()), 0.0)
-    if coeff_min < 0.5 * params.alpha:
-        raise SolverAbort("ellipticity regime exit", t, "grid-min alpha + beta "
-                          f"vphi^(2m) = {coeff_min:.6g} < alpha/2")
-
-    spectra = grid.fft(np.concatenate(([phi.values], u.values,
-                                       fields.reshape((12,) + grid.shape))))
-    y0, coeff_hat = spectra[:d + 1], spectra[d + 1:].reshape((4, 3) + grid.spectral_shape)
+    y0, coeff_hat, nu1, nu2, coeff_min = _momentum_inputs(params, phi, u, coeffs,
+                                                          vphi_new, t)
 
     def slope(ts: float, y_hat, i: int):
         stage = coeffs.provider.stage(grid, ts)
@@ -567,24 +606,30 @@ class Trajectory:
         return self.state(-1)
 
 
+def sample_times(t_window: float, sample_dt: float) -> list:
+    """The sample times of a window: 0, the multiples of sample_dt below
+    t_window, and t_window itself."""
+    tol = 1e-12 * max(1.0, t_window)
+    times = [0.0]
+    k = 1
+    while k * sample_dt < t_window - tol:
+        times.append(k * sample_dt)
+        k += 1
+    times.append(t_window)
+    return times
+
+
 def march(t_window: float, sample_dt: float | None, next_dt, advance) -> None:
     """Step time across [0, t_window], landing exactly on the sample times.
 
-    The sample times are the multiples of sample_dt below t_window followed
-    by t_window itself; sample_dt = None makes every step a sample. Each
-    step asks next_dt(t) for a size, cuts it to land on the next sample when
-    it would reach or pass it, snaps the new time onto that sample, and
-    calls advance(t, dt, t_new, at_sample). A step at or below
-    1e-13 max(t_window, 1) aborts with a step-size underflow."""
+    The sample times are sample_times(t_window, sample_dt) after 0;
+    sample_dt = None makes every step a sample. Each step asks next_dt(t) for
+    a size, cuts it to land on the next sample when it would reach or pass
+    it, snaps the new time onto that sample, and calls advance(t, dt, t_new,
+    at_sample). A step at or below 1e-13 max(t_window, 1) aborts with a
+    step-size underflow."""
     tol = 1e-12 * max(1.0, t_window)
-    samples = None
-    if sample_dt is not None:
-        samples = []
-        k = 1
-        while k * sample_dt < t_window - tol:
-            samples.append(k * sample_dt)
-            k += 1
-        samples.append(t_window)
+    samples = None if sample_dt is None else sample_times(t_window, sample_dt)[1:]
 
     t = 0.0
     sample_idx = 0
@@ -609,26 +654,38 @@ def record_window(init: ReformState, t_window: float, sample_dt: float | None,
                   next_dt, step, *, eta: float, clip: bool) -> Trajectory:
     """March init across [0, t_window] and record the window. step(t, dt,
     vphi, phi, u) returns the fields after one step followed by its clip
-    count and clipped mass; the fields at every sample time are stacked into
-    the trajectory when the window is done."""
+    count and clipped mass.
+
+    Each sample is written into stacks allocated once per window, sized by
+    sample_times, and the trajectory takes the stacks as they are: a window
+    never exists twice, so a caller holds only the windows it keeps plus the
+    one being written. With sample_dt None, every step is a sample and the
+    stacks double whenever they fill."""
     fields = (init.vphi, init.phi, init.u)
-    samples = tuple([f.values] for f in fields)
     times = [0.0]
+    size = 2 if sample_dt is None else len(sample_times(t_window, sample_dt))
+    stacks = [np.empty((size,) + f.values.shape) for f in fields]
+    for stack, f in zip(stacks, fields):
+        stack[0] = f.values
     dt_history, clip_counts, clipped_mass = [], [], []
 
     def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
-        nonlocal fields
+        nonlocal fields, stacks
         *fields, count, mass = step(t, dt, *fields)
         dt_history.append(dt)
         clip_counts.append(count)
         clipped_mass.append(mass)
         if at_sample:
-            for stack, f in zip(samples, fields):
-                stack.append(f.values)
+            n = len(times)
+            if n == len(stacks[0]):
+                stacks = [np.concatenate((s, np.empty_like(s))) for s in stacks]
+            for stack, f in zip(stacks, fields):
+                stack[n] = f.values
             times.append(t_new)
 
     march(t_window, sample_dt, next_dt, advance)
-    return Trajectory(init.grid, times, *(np.stack(s) for s in samples),
+    n = len(times)
+    return Trajectory(init.grid, times, *(s[:n] for s in stacks),
                       dt_history=dt_history, clip_counts=clip_counts,
                       clipped_mass=clipped_mass, eta=eta,
                       floor=CLIP_TOLERANCE if clip else None)
@@ -667,7 +724,8 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
 
     def step(t: float, dt: float, vphi, phi, u):
         vphi_half, d1 = transport_step(params, vphi, coeffs, 0.5 * dt, t)
-        vphi_full, d2 = transport_step(params, vphi_half, coeffs, 0.5 * dt, t + 0.5 * dt)
+        vphi_full, d2 = transport_step(params, vphi_half, coeffs, 0.5 * dt,
+                                       t + 0.5 * dt, t_end=t + dt)
         phi, u, mdiag = momentum_step(
             params, phi, u, coeffs, (vphi, vphi_half, vphi_full), dt, t
         )

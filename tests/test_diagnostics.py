@@ -12,7 +12,8 @@ from hypothesis import strategies as hst
 
 from vacflow.diagnostics import (
     SEAM_FRACTION,
-    _nonuniform_derivative,
+    ResidualReport,
+    _sample_derivative,
     characteristics_check,
     conservation,
     density_of,
@@ -27,9 +28,10 @@ from vacflow.diagnostics import (
     write_characteristics_csv,
     write_ledger_csv,
 )
-from vacflow.fields import Grid, ScalarField, VectorField
+from vacflow.fields import Grid, ScalarField, VectorField, quadrature_l2, sobolev_norm
 from vacflow.fixedpoint import picard_solve
 from vacflow.initial_data import bump_density, reform_state_from_density
+from vacflow.linearized import CallableForcing
 from vacflow.operators import ReformState, stable_power
 from vacflow.oracle import default_case
 from vacflow.params import validate_params
@@ -68,11 +70,105 @@ def zero_trajectory(n=16, times=(0.0, 0.5, 1.0)):
 def test_nonuniform_derivative_exact_on_quadratics():
     times = np.array([0.0, 0.3, 0.7, 1.0])
     stack = np.stack([1.0 + 2.0 * t + 3.0 * t**2 * np.ones(4) for t in times])
-    got = _nonuniform_derivative(stack, times)
-    want = np.stack([(2.0 + 6.0 * t) * np.ones(4) for t in times])
-    assert np.max(np.abs(got - want)) < 1e-12
+    for i, t in enumerate(times):
+        got = _sample_derivative(stack.__getitem__, times, i)
+        assert np.max(np.abs(got - (2.0 + 6.0 * t))) < 1e-12
     with pytest.raises(ValueError, match="three samples"):
-        _nonuniform_derivative(stack[:2], times[:2])
+        _sample_derivative(stack.__getitem__, times[:2], 0)
+
+
+def whole_stack_derivative(stack, times):
+    """The derivative of every sample at once, as the diagnostics computed
+    it before they streamed it: the reference of the streamed routes."""
+    out = np.empty_like(stack)
+    for i in range(1, len(times) - 1):
+        hl = times[i] - times[i - 1]
+        hr = times[i + 1] - times[i]
+        out[i] = (-hr / (hl * (hl + hr)) * stack[i - 1]
+                  + (hr - hl) / (hl * hr) * stack[i]
+                  + hl / (hr * (hl + hr)) * stack[i + 1])
+    h0, h1 = times[1] - times[0], times[2] - times[1]
+    out[0] = (-(2.0 * h0 + h1) / (h0 * (h0 + h1)) * stack[0]
+              + (h0 + h1) / (h0 * h1) * stack[1]
+              - h0 / (h1 * (h0 + h1)) * stack[2])
+    hm, hmm = times[-1] - times[-2], times[-2] - times[-3]
+    out[-1] = (hm / (hmm * (hm + hmm)) * stack[-3]
+               - (hm + hmm) / (hmm * hm) * stack[-2]
+               + (2.0 * hm + hmm) / (hm * (hm + hmm)) * stack[-1])
+    return out
+
+
+def whole_stack_residual(traj, p, eta, forcing):
+    """nonlinear_residual from whole-window derivative stacks."""
+    times = np.asarray(traj.times)
+    g = traj.grid
+    dvphi, dphi, du = (whole_stack_derivative(s, times)
+                       for s in (traj.vphi, traj.phi, traj.u))
+    rho_st = density_of(traj.vphi, p)
+    mom_st = rho_st[:, None] * traj.u
+    drho = whole_stack_derivative(rho_st, times)
+    dmom = whole_stack_derivative(mom_st, times)
+    rv = rp = ru = rlinf = pm = pmom = plinf = 0.0
+    interior = range(1, len(times) - 1)
+    for i in interior:
+        f_vphi, f_phi, f_u = reform_rhs(traj.state(i), p, eta)
+        fm = forcing.momentum_term(g, times[i])
+        r1 = dvphi[i] - f_vphi
+        r2 = dphi[i] - f_phi - fm[0]
+        r3 = du[i] - f_u - fm[1:]
+        rv = max(rv, quadrature_l2(g, r1))
+        rp = max(rp, quadrature_l2(g, r2))
+        ru = max(ru, quadrature_l2(g, r3))
+        rlinf = max(rlinf, float(np.abs(r1).max()), float(np.abs(r2).max()),
+                    float(np.abs(r3).max()))
+        rates_rho, rates_mom = primitive_rates(g, p, rho_st[i], mom_st[i], traj.u[i])
+        r_mass, r_mom = drho[i] - rates_rho, dmom[i] - rates_mom
+        pm = max(pm, quadrature_l2(g, r_mass))
+        pmom = max(pmom, quadrature_l2(g, r_mom))
+        plinf = max(plinf, float(np.abs(r_mass).max()), float(np.abs(r_mom).max()))
+    return ResidualReport(tuple(float(times[i]) for i in interior),
+                          rv, rp, ru, rlinf, pm, pmom, plinf)
+
+
+def test_streamed_derivatives_equal_the_whole_stack_references_bit_for_bit():
+    # uneven samples with a shorter last interval, vacuum cells and a
+    # momentum forcing: ledger, vacuum_residual and nonlinear_residual read
+    # their time derivatives per sample and must match the whole-window
+    # stacks exactly
+    p = soft_params()
+    g = Grid(dim=2, n=16, box_length=2.0 * np.pi)
+    times = [0.0, 0.1, 0.25, 0.3, 0.32]
+    rng = np.random.default_rng(11)
+    states = []
+    for t in times:
+        rho = np.clip(0.5 + 0.3 * rng.standard_normal(g.shape), 0.0, None)
+        states.append(state_from_density(g, rho, 0.1 * rng.standard_normal((2,) + g.shape),
+                                         p, t))
+    traj = stacked(states, times)
+    stamp = np.asarray(times)
+    forcing = CallableForcing(phi=lambda t: np.full(g.shape, t),
+                              velocity=lambda t: np.full((2,) + g.shape, -t))
+
+    got = nonlinear_residual(traj, p, 0.2, forcing=forcing)
+    assert got == whole_stack_residual(traj, p, 0.2, forcing)
+
+    led = ledger(traj, p)
+    dv, dp, du = (whole_stack_derivative(s, stamp) for s in (traj.vphi, traj.phi, traj.u))
+    for i in range(len(times)):
+        assert led.dvphi_h2[i] == sobolev_norm(ScalarField(g, dv[i]), 2)
+        assert led.dphi_h2[i] == sobolev_norm(ScalarField(g, dp[i]), 2)
+        assert led.du_h1[i] == sobolev_norm(VectorField(g, du[i]), 1)
+
+    rep = vacuum_residual(traj, p)
+    assert rep.cell_count > 0
+    worst = 0.0
+    for i, vphi in enumerate(traj.vphi):
+        mask = density_of(vphi, p) < rep.vac_eps
+        if mask.any():
+            u = traj.u[i]
+            resid = du[i] + np.sum(u * g.grad(u), axis=1)
+            worst = max(worst, float(np.sqrt(np.sum(resid**2, axis=0))[mask].max()))
+    assert rep.residual == worst
 
 
 def test_density_roundtrip_through_the_proxy():

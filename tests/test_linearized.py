@@ -1,6 +1,7 @@
 """Frozen-coefficient stepping: transport, momentum, and the window march."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from vacflow.linearized import (
     adaptive_dt,
     march,
     momentum_step,
+    record_window,
+    sample_times,
     solve_linearized,
     transport_step,
 )
@@ -326,12 +329,40 @@ def test_march_lands_on_every_sample_and_steps_sum_to_the_window(
 
     march(t_window, sample_dt, lambda t: dt, advance)
     tol = 1e-12 * max(1.0, t_window)
+    assert recorded == sample_times(t_window, sample_dt)[1:]
     assert recorded[:-1] == [k * sample_dt for k in range(1, len(recorded))]
     assert recorded[-1] == t_window
     assert len(recorded) * sample_dt >= t_window - tol
     assert all(b > a for a, b in zip(recorded, recorded[1:]))
     assert abs(sum(steps) - t_window) <= 1e-12 * t_window
     assert max(steps) <= dt + tol
+
+
+def test_record_window_holds_one_window_while_it_writes():
+    # a step that only copies its fields has no transient of its own, so the
+    # traced peak is what the recorder keeps: the window's stacks, written in
+    # place, and not a list of samples beside a stack built from it
+    g = Grid(dim=2, n=32, box_length=1.0)
+    rng = np.random.default_rng(3)
+    init = ReformState(ScalarField(g, rng.random(g.shape)),
+                       ScalarField(g, rng.random(g.shape)),
+                       VectorField(g, rng.random((2,) + g.shape)))
+
+    def step(t, dt, vphi, phi, u):
+        return (ScalarField(g, vphi.values.copy()), ScalarField(g, phi.values.copy()),
+                VectorField(g, u.values.copy()), 0, 0.0)
+
+    tracemalloc.start()
+    try:
+        traj = record_window(init, 1.0, 1.0 / 32, lambda t: 1.0 / 32, step,
+                             eta=0.0, clip=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.times == sample_times(1.0, 1.0 / 32)
+    assert np.array_equal(traj.u[-1], init.u.values)
+    window = traj.vphi.nbytes + traj.phi.nbytes + traj.u.nbytes
+    assert peak < 1.2 * window
 
 
 @settings(max_examples=30, deadline=None)
@@ -534,7 +565,9 @@ def test_interpolated_stages_stay_few_when_a_sample_interval_holds_many_steps(
     monkeypatch.setattr(TrajectoryCoefficients, "BETWEEN_KEPT", 10**6)
     traj_all, count_all, most_all = solve()
     assert most_all > 100
-    assert count == count_all < 5 * 40
+    # every step ends where the next begins, at one stage time: the two
+    # masked samples and 4 interpolated stage times per step but the last
+    assert count == count_all <= 2 + 4 * 40 - 1
     for name in ("vphi", "phi", "u"):
         assert np.array_equal(getattr(traj, name), getattr(traj_all, name))
 
