@@ -4,8 +4,12 @@ conservation totals, reconstruction back to primitive variables, particle
 tracing along characteristics, and residuals of the full nonlinear system.
 
 Everything here treats trajectories as immutable inputs and recomputes what
-it needs from the stored samples, so the checks stay independent of the
-solver's internal arithmetic.
+it needs from the stored samples. The reformulated residual runs the
+solver's own slope kernels (on masked spectra), so it measures how well the
+trajectory solves the discrete system, not whether that system is assembled
+right. The independent checks of the assembly are the primitive residual,
+whose mass and momentum rates share no code with the solver, and the
+symmetric momentum route of acceptance criterion 03.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from .fields import (
     weighted_seminorm,
 )
 from .linearized import Trajectory
-from .operators import (ReformState, advect, momentum_rhs_componentwise,
-                        stable_power)
+from .operators import ReformState, reform_slopes, stable_power
 from .params import FluidParams
 
 VAC_EPS = 1e-10
@@ -376,7 +379,7 @@ def reconstruct_primitive(state: ReformState,
     reference route; the pressure proxy provides the cross-check, and the
     returned gap is the pointwise disagreement between the two routes."""
     grid = state.grid
-    rho_ref = stable_power(state.vphi.values, 2.0 / (params.delta1 - 1.0))
+    rho_ref = density_of(state.vphi.values, params)
     rho_alt = stable_power(state.phi.values, 2.0 / (params.gamma - 1.0))
     gap = float(np.abs(rho_ref - rho_alt).max())
     prim = PrimitiveState(rho=ScalarField(grid, rho_ref), u=state.u,
@@ -540,18 +543,13 @@ def write_characteristics_csv(report: CharacteristicsReport, path) -> None:
 def reform_rhs(state: ReformState, params: FluidParams,
                eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time derivatives of all three fields under the reformulated system
-    with every coefficient read from the state itself. Shared between the
-    residual evaluation and manufactured-forcing construction so both sides
-    use the same discrete operators."""
-    grid = state.grid
-    vphi, phi, u = state.vphi.values, state.phi.values, state.u.values
-    factors = grid.dealias(np.concatenate((u, np.stack((vphi, phi, grid.div(u))))))
-    um, (vphi_m, phi_m, div_m) = factors[:grid.dim], factors[grid.dim:]
-    sources = np.stack((0.5 * (params.delta1 - 1.0) * vphi_m,
-                        0.5 * (params.gamma - 1.0) * phi_m)) * div_m
-    d_vphi, d_phi = -grid.dealias(advect(grid, um, np.stack((vphi, phi))) + sources)
-    d_u = momentum_rhs_componentwise(params, state, state.vphi, eta, state)
-    return d_vphi, d_phi, np.asarray(d_u, dtype=float)
+    with every coefficient read from the state itself: the solver's slope
+    kernels on the state's masked spectra (operators.reform_slopes), brought
+    back in one inverse. Shared between the residual evaluation and
+    manufactured-forcing construction so both sides use the same discrete
+    operators."""
+    slopes = state.grid.ifft(reform_slopes(params, state, state.vphi, eta, state))
+    return slopes[0], slopes[1], slopes[2:]
 
 
 def primitive_rates(grid: Grid, params: FluidParams, rho: np.ndarray,

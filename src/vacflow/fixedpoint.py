@@ -132,8 +132,8 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
 
 
 def _start_guess(init: ReformState, params: FluidParams, eta: float,
-                 t_window: float, dt: float | None, cfl_safety: float,
-                 sample_dt: float | None, clip: bool) -> Trajectory:
+                 t_window: float, cfl_safety: float,
+                 sample_dt: float | None) -> Trajectory:
     """Iterate zero: both proxies advected by the initial velocity (stretch
     terms dropped), the velocity itself held constant. Both proxies share
     the coefficients and the step, so they advance as one stacked transport
@@ -142,25 +142,22 @@ def _start_guess(init: ReformState, params: FluidParams, eta: float,
     grid = init.grid
     zeros = np.zeros(grid.shape)
     provider = ConstantCoefficients(init.u.values, zeros, zeros)
-    coeffs = FrozenCoefficients(provider=provider, eta=eta, t_window=t_window,
-                                clip=clip)
-    h = dt if dt is not None else adaptive_dt(params, grid, init.u.values,
-                                              zeros, cfl_safety)
+    coeffs = FrozenCoefficients(provider=provider, eta=eta, t_window=t_window)
+    h = adaptive_dt(params, grid, init.u.values, zeros, cfl_safety)
 
     def step(t: float, dt: float, vphi, phi, u):
         (vphi, phi), _ = transport_step(params, (vphi, phi), coeffs, dt, t)
         return vphi, phi, u, 0, 0.0
 
     return record_window(init, t_window, sample_dt, lambda t: h, step,
-                         eta=eta, clip=clip)
+                         eta=eta, clip=True)
 
 
 def picard_solve(init: ReformState, params: FluidParams, eta: float,
                  t_window: float, picard_tol: float = DEFAULT_PICARD_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER, *, dt: float | None = None,
+                 max_iter: int = DEFAULT_MAX_ITER, *,
                  cfl_safety: float = DEFAULT_CFL_SAFETY,
-                 sample_dt: float | None = None, clip: bool = True,
-                 forcing=None) -> tuple[Trajectory, PicardTrace]:
+                 sample_dt: float | None = None) -> tuple[Trajectory, PicardTrace]:
     """Iterate linearized window solves until the sup-in-time squared L2
     change between consecutive iterates drops to picard_tol.
 
@@ -182,8 +179,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     if sample_dt is None:
         sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
 
-    prev = _start_guess(init, params, eta, t_window, dt, cfl_safety,
-                        sample_dt, clip)
+    prev = _start_guess(init, params, eta, t_window, cfl_safety, sample_dt)
     iterations = []
     converged = False
     cur = prev
@@ -191,9 +187,8 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     for k in range(1, max_iter + 1):
         tic = time.perf_counter()
         coeffs = FrozenCoefficients(provider=prev.as_coefficients(), eta=eta,
-                                    t_window=t_window, dt=dt,
-                                    cfl_safety=cfl_safety, sample_dt=sample_dt,
-                                    clip=clip, forcing=forcing)
+                                    t_window=t_window, cfl_safety=cfl_safety,
+                                    sample_dt=sample_dt)
         cur = solve_linearized(init, coeffs, params)
         w_sq, v_sq, linf = trajectory_gap(cur, prev)
         S = w_sq + v_sq
@@ -210,10 +205,8 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
 
 def fixed_point_residual(traj: Trajectory, init: ReformState,
                          params: FluidParams, eta: float, *,
-                         dt: float | None = None,
                          cfl_safety: float = DEFAULT_CFL_SAFETY,
-                         sample_dt: float | None = None, clip: bool = True,
-                         forcing=None) -> float:
+                         sample_dt: float | None = None) -> float:
     """Run one more linearized solve from a converged trajectory and report
     how far it moves, in the same metric the iteration uses. Should land
     within a small multiple of picard_tol when the input really converged.
@@ -224,9 +217,8 @@ def fixed_point_residual(traj: Trajectory, init: ReformState,
             raise ValueError("trajectory has no cadence to infer")
         sample_dt = float(traj.times[1] - traj.times[0])
     coeffs = FrozenCoefficients(provider=traj.as_coefficients(), eta=eta,
-                                t_window=t_window, dt=dt,
-                                cfl_safety=cfl_safety, sample_dt=sample_dt,
-                                clip=clip, forcing=forcing)
+                                t_window=t_window, cfl_safety=cfl_safety,
+                                sample_dt=sample_dt)
     nxt = solve_linearized(init, coeffs, params)
     w_sq, v_sq, _ = trajectory_gap(nxt, traj)
     return w_sq + v_sq
@@ -291,10 +283,9 @@ def eta_continuation(init: ReformState, params: FluidParams,
                      schedule: EtaSchedule, t_window: float,
                      picard_tol: float = DEFAULT_PICARD_TOL,
                      max_iter: int = DEFAULT_MAX_ITER, *,
-                     dt: float | None = None,
                      cfl_safety: float = DEFAULT_CFL_SAFETY,
-                     sample_dt: float | None = None, clip: bool = True,
-                     forcing=None) -> tuple[Trajectory, ContinuationReport]:
+                     sample_dt: float | None = None
+                     ) -> tuple[Trajectory, ContinuationReport]:
     """Solve at each regularization level in turn and measure how far
     consecutive solutions sit from each other. Stops early once the gap
     drops to schedule.cauchy_tol; a level that fails to converge aborts the
@@ -306,10 +297,9 @@ def eta_continuation(init: ReformState, params: FluidParams,
     for j, eta_j in enumerate(schedule.levels()):
         try:
             traj, trace = picard_solve(init, params, eta_j, t_window,
-                                       picard_tol, max_iter, dt=dt,
+                                       picard_tol, max_iter,
                                        cfl_safety=cfl_safety,
-                                       sample_dt=sample_dt, clip=clip,
-                                       forcing=forcing)
+                                       sample_dt=sample_dt)
         except SolverAbort as exc:
             raise ContinuationError(j, f"solver abort: {exc}") from exc
         if not trace.converged:
@@ -341,7 +331,7 @@ class WindowScanRow:
 def window_scan(init: ReformState, params: FluidParams, eta: float,
                 t_window0: float, doublings: int,
                 picard_tol: float = DEFAULT_PICARD_TOL,
-                max_iter: int = DEFAULT_MAX_ITER, **numerics) -> list[WindowScanRow]:
+                max_iter: int = DEFAULT_MAX_ITER) -> list[WindowScanRow]:
     """Double the window until the iteration stops converging. The first
     failing length, when one exists, quantifies the small-time restriction
     empirically; rows after the first failure are not attempted."""
@@ -350,7 +340,7 @@ def window_scan(init: ReformState, params: FluidParams, eta: float,
     for _ in range(doublings + 1):
         try:
             _, trace = picard_solve(init, params, eta, t_win, picard_tol,
-                                    max_iter, **numerics)
+                                    max_iter)
             rows.append(WindowScanRow(t_window=t_win, converged=trace.converged,
                                       final_S=trace.final_S,
                                       iterations=trace.final_k))

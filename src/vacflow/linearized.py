@@ -23,7 +23,10 @@ physical space only for its products (one inverse of the derivatives it
 needs, one forward of the summed products, truncated once because truncation
 is linear). The exponential of M is a diagonal multiply. A step adds the
 inverse transform of its increment to the physical state, where the
-finiteness check and the clip act.
+finiteness check and the clip act. The right-hand sides themselves, the
+stage assembly and the slope kernels, live in operators; this module holds
+the time stepping. The steps pass the kernels raw spectra of their unknowns,
+so the factors div u, Lap u, grad div u and grad phi are not truncated.
 
 The steps read their coefficients as masked stages from the provider: v,
 div v, Q1(v), phitilde and vphitilde after the 2/3 rule. A stored
@@ -49,7 +52,9 @@ import numpy as np
 
 from .fields import Grid, ScalarField, VectorField, checked_values
 # advect is not called here; perfbench rebinds it as vacflow.linearized.advect
-from .operators import STATE_FLOOR, ReformState, advect, stable_power  # noqa: F401
+from .operators import (STATE_FLOOR, ReformState, _mask_coefficients,  # noqa: F401
+                        _momentum_rhs, _StageCoeffs, _transport_rhs,
+                        _viscous_fields, advect)
 from .params import FluidParams
 
 CLIP_TOLERANCE = -1e-12
@@ -85,7 +90,7 @@ class ConstantCoefficients:
         self.vphitilde = np.asarray(vphitilde, dtype=float)
         self._masked = None
 
-    def stage(self, grid: Grid, t: float) -> "_StageCoeffs":
+    def stage(self, grid: Grid, t: float) -> _StageCoeffs:
         """The masked coefficients, built on the first call."""
         if self._masked is None:
             self._masked = _mask_coefficients(grid, self.v, self.phitilde,
@@ -120,7 +125,7 @@ class AnalyticCoefficients:
     def vphi_coeff(self, t: float) -> np.ndarray:
         return self._vphi(t)
 
-    def stage(self, grid: Grid, t: float) -> "_StageCoeffs":
+    def stage(self, grid: Grid, t: float) -> _StageCoeffs:
         """The masked coefficients at t, built afresh on every call."""
         return _mask_coefficients(grid, self._velocity(t), self._phi(t),
                                   self._vphi(t))
@@ -177,7 +182,7 @@ class TrajectoryCoefficients:
             return stack[j]
         return (1.0 - w) * stack[j] + w * stack[j + 1]
 
-    def _masked_sample(self, grid: Grid, j: int, keep) -> "_StageCoeffs":
+    def _masked_sample(self, grid: Grid, j: int, keep) -> _StageCoeffs:
         """Sample j masked; on a miss every other cached sample but keep is
         dropped, and so is every interpolated stage."""
         if j not in self._masked:
@@ -187,7 +192,7 @@ class TrajectoryCoefficients:
                 grid, self.velocities[j], self.phis[j], self.vphis[j])
         return self._masked[j]
 
-    def stage(self, grid: Grid, t: float) -> "_StageCoeffs":
+    def stage(self, grid: Grid, t: float) -> _StageCoeffs:
         """The masked coefficients at t."""
         j, w = self._bracket(t)
         if w == 0.0:
@@ -266,122 +271,6 @@ class FrozenCoefficients:
             V.u.values, V.phi.values, vphi_tilde.values
         )
         return cls(provider=provider, eta=eta, t_window=t_window, **kwargs)
-
-
-# -- stage assembly ----------------------------------------------------------
-
-
-class _StageCoeffs:
-    """Masked coefficient fields at one stage time: v, div v, Q1(v),
-    phitilde and vphitilde, views into one packed array so that a time
-    interpolation is a single operation."""
-
-    __slots__ = ("packed", "v", "div_v", "q1", "phit", "vphit")
-
-    def __init__(self, grid: Grid, packed: np.ndarray):
-        d = grid.dim
-        self.packed = packed
-        self.v = packed[:d]
-        self.div_v = packed[d]
-        self.q1 = packed[d + 1:d + 1 + d * d].reshape((d, d) + grid.shape)
-        self.phit = packed[-2]
-        self.vphit = packed[-1]
-
-
-def _mask_coefficients(grid: Grid, v, phit, vphit) -> _StageCoeffs:
-    """Truncate one set of raw coefficients into a stage: one forward
-    transform of (v, phitilde, vphitilde), one inverse of their masked
-    spectra and the upper triangle of the masked Q1(v)."""
-    d = grid.dim
-    spectra = grid.fft(np.concatenate((v, [phit, vphit])))
-    upper = [(i, j) for i in range(d) for j in range(i, d)]
-    q1_hat = [grid.ik_masked[i] * spectra[j] + grid.ik_masked[j] * spectra[i]
-              for i, j in upper]
-    masked = grid.ifft(np.concatenate((grid.dealias_mask * spectra, q1_hat)))
-    stage = _StageCoeffs(grid, np.empty((d * d + d + 3,) + grid.shape))
-    stage.v[...] = masked[:d]
-    stage.phit[...] = masked[d]
-    stage.vphit[...] = masked[d + 1]
-    for (i, j), q in zip(upper, masked[d + 2:]):
-        stage.q1[i, j] = stage.q1[j, i] = q
-    # div v = tr Q1(v) / 2
-    stage.div_v[...] = 0.5 * sum(stage.q1[i, i] for i in range(d))
-    return stage
-
-
-def _slope_spectrum(grid: Grid, products: np.ndarray, forcing) -> np.ndarray:
-    """Minus the truncated spectrum of the summed products plus the
-    untruncated one of the forcing, both from one forward transform."""
-    if forcing is None:
-        return -(grid.dealias_mask * grid.fft(products))
-    spectra = grid.fft(np.stack((products, np.broadcast_to(forcing, products.shape))))
-    return spectra[1] - grid.dealias_mask * spectra[0]
-
-
-def _transport_rhs(grid, params, stage: _StageCoeffs, f_hat: np.ndarray, forcing_val):
-    """Slope spectrum of -(v.grad f + ((delta1-1)/2) vphitilde div v) plus
-    the forcing, from the truncated gradient of f; f_hat is one spectrum or
-    a stack of them."""
-    axis = -grid.dim - 1
-    grad = grid.ifft(grid.ik_masked * np.expand_dims(f_hat, axis))
-    products = (np.sum(stage.v * grad, axis=axis)
-                + 0.5 * (params.delta1 - 1.0) * stage.vphit * stage.div_v)
-    return _slope_spectrum(grid, products, forcing_val)
-
-
-def _viscous_fields(params, vphi: np.ndarray, eta: float):
-    """The momentum coefficients (vphi^2, vphi^(2m+2), c_shear, c_compr)
-    stacked along a new leading axis, and alpha + beta vphi^(2m), from one
-    power evaluation."""
-    sq = vphi**2
-    weight = sq + eta**2
-    power = stable_power(vphi, 2.0 * params.m)
-    compr = params.alpha + params.beta * power
-    return np.stack((sq, power * sq, params.alpha * weight, weight * compr)), compr
-
-
-def _momentum_rhs(grid, params, stage: _StageCoeffs, coeff_hat: np.ndarray,
-                  y_hat: np.ndarray, nu1, nu2, forcing):
-    """Slope spectra of the stacked (phi, u) spectra y_hat: the right-hand
-    side minus the shift (nu1 Lap + nu2 grad div) u, coeff_hat the spectra
-    of one stage's _viscous_fields. One inverse makes every factor, one
-    forward truncates the summed products of all d + 1 slopes. div u, Lap u,
-    grad div u and grad phi stay untruncated, so even at nu1 = nu2 = 0 this
-    is not momentum_rhs_componentwise, which truncates both factors."""
-    d = grid.dim
-    press = 2.0 * params.A * params.gamma / (params.gamma - 1.0)
-    s1 = params.alpha * params.delta1 / (params.delta1 - 1.0)
-    s2 = params.beta * params.delta2 / (params.delta2 - 1.0)
-
-    # The factors' spectra, written in place into one batch for the inverse:
-    # div u, Lap u, grad div u, grad phi, the masked gradients of vphi^2 and
-    # vphi^(2m+2), masked c_shear and c_compr, the masked gradients of y.
-    rows = np.cumsum((1, d, d, d, d, d, 2, (d + 1) * d))
-    batch = np.empty((rows[-1],) + grid.spectral_shape, dtype=complex)
-    div_u_hat, lap_hat, gd_hat, grad_phi_hat, grad_sq_hat, grad_hi_hat, c_hat, grads_hat = \
-        np.split(batch, rows[:-1])
-    u_hat = y_hat[1:]
-    np.sum(grid.ik * u_hat, axis=0, out=div_u_hat[0])
-    np.multiply(-grid.k_squared, u_hat, out=lap_hat)
-    np.multiply(grid.ik, div_u_hat[0], out=gd_hat)
-    np.multiply(grid.ik, y_hat[0], out=grad_phi_hat)
-    np.multiply(grid.ik_masked, coeff_hat[0], out=grad_sq_hat)
-    np.multiply(grid.ik_masked, coeff_hat[1], out=grad_hi_hat)
-    np.multiply(grid.dealias_mask, coeff_hat[2:], out=c_hat)
-    np.multiply(grid.ik_masked[None], y_hat[:, None],
-                out=grads_hat.reshape((d + 1, d) + grid.spectral_shape))
-    phys = grid.ifft(batch)
-    div_u, lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m), grads = \
-        np.split(phys, rows[:-1])
-
-    products = np.sum(stage.v * grads.reshape((d + 1, d) + grid.shape), axis=1)
-    products[0] += 0.5 * (params.gamma - 1.0) * stage.phit * div_u[0]
-    products[1:] += (press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
-                     - s1 * np.sum(stage.q1 * grad_sq_m, axis=1)
-                     - s2 * stage.div_v * grad_hi_m)
-    slopes = _slope_spectrum(grid, products, forcing)
-    slopes[1:] -= nu1 * lap_hat + nu2 * gd_hat
-    return slopes
 
 
 def _shift(grid: Grid, nu1: float, nu2: float, dt: float):

@@ -16,8 +16,11 @@ phitilde, vphitilde, the linearized system is
 
 where Q1(v) = grad v + (grad v)^T and a1 = (gamma-1)^2/(4 A gamma). Dividing
 the momentum row by a1 turns the pressure coupling into 2 A gamma/(gamma-1)
-phitilde grad phi and removes a1 everywhere else; both routes are implemented
-and checked against each other. All products are dealiased (2/3 rule).
+phitilde grad phi and removes a1 everywhere else. Both routes are here and
+checked against each other: the symmetric one slot by slot, one truncated
+product at a time, and the componentwise one through the batched kernels the
+solver steps with (the stage assembly, _transport_rhs and _momentum_rhs), fed
+masked spectra. All products are dealiased (2/3 rule).
 """
 
 from __future__ import annotations
@@ -90,6 +93,126 @@ def deformation(grid: Grid, v: np.ndarray) -> np.ndarray:
     return jac + np.swapaxes(jac, 0, 1)
 
 
+# -- stage assembly and slope kernels ----------------------------------------
+
+
+class _StageCoeffs:
+    """Masked coefficient fields at one stage time: v, div v, Q1(v),
+    phitilde and vphitilde, views into one packed array so that a time
+    interpolation is a single operation."""
+
+    __slots__ = ("packed", "v", "div_v", "q1", "phit", "vphit")
+
+    def __init__(self, grid: Grid, packed: np.ndarray):
+        d = grid.dim
+        self.packed = packed
+        self.v = packed[:d]
+        self.div_v = packed[d]
+        self.q1 = packed[d + 1:d + 1 + d * d].reshape((d, d) + grid.shape)
+        self.phit = packed[-2]
+        self.vphit = packed[-1]
+
+
+def _mask_coefficients(grid: Grid, v, phit, vphit) -> _StageCoeffs:
+    """Truncate one set of raw coefficients into a stage: one forward
+    transform of (v, phitilde, vphitilde), one inverse of their masked
+    spectra and the upper triangle of the masked Q1(v)."""
+    d = grid.dim
+    spectra = grid.fft(np.concatenate((v, [phit, vphit])))
+    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    q1_hat = [grid.ik_masked[i] * spectra[j] + grid.ik_masked[j] * spectra[i]
+              for i, j in upper]
+    masked = grid.ifft(np.concatenate((grid.dealias_mask * spectra, q1_hat)))
+    stage = _StageCoeffs(grid, np.empty((d * d + d + 3,) + grid.shape))
+    stage.v[...] = masked[:d]
+    stage.phit[...] = masked[d]
+    stage.vphit[...] = masked[d + 1]
+    for (i, j), q in zip(upper, masked[d + 2:]):
+        stage.q1[i, j] = stage.q1[j, i] = q
+    # div v = tr Q1(v) / 2
+    stage.div_v[...] = 0.5 * sum(stage.q1[i, i] for i in range(d))
+    return stage
+
+
+def _slope_spectrum(grid: Grid, products: np.ndarray, forcing) -> np.ndarray:
+    """Minus the truncated spectrum of the summed products plus the
+    untruncated one of the forcing, both from one forward transform."""
+    if forcing is None:
+        return -(grid.dealias_mask * grid.fft(products))
+    spectra = grid.fft(np.stack((products, np.broadcast_to(forcing, products.shape))))
+    return spectra[1] - grid.dealias_mask * spectra[0]
+
+
+def _transport_rhs(grid, params, stage: _StageCoeffs, f_hat: np.ndarray, forcing_val):
+    """Slope spectrum of -(v.grad f + ((delta1-1)/2) vphitilde div v) plus
+    the forcing, from the truncated gradient of f; f_hat is one spectrum or
+    a stack of them."""
+    axis = -grid.dim - 1
+    grad = grid.ifft(grid.ik_masked * np.expand_dims(f_hat, axis))
+    products = (np.sum(stage.v * grad, axis=axis)
+                + 0.5 * (params.delta1 - 1.0) * stage.vphit * stage.div_v)
+    return _slope_spectrum(grid, products, forcing_val)
+
+
+def _viscous_fields(params, vphi: np.ndarray, eta: float):
+    """The momentum coefficients (vphi^2, vphi^(2m+2), c_shear, c_compr)
+    stacked along a new leading axis, and alpha + beta vphi^(2m), from one
+    power evaluation."""
+    sq = vphi**2
+    weight = sq + eta**2
+    power = stable_power(vphi, 2.0 * params.m)
+    compr = params.alpha + params.beta * power
+    return np.stack((sq, power * sq, params.alpha * weight, weight * compr)), compr
+
+
+def _momentum_rhs(grid, params, stage: _StageCoeffs, coeff_hat: np.ndarray,
+                  y_hat: np.ndarray, nu1, nu2, forcing):
+    """Slope spectra of the stacked (phi, u) spectra y_hat: the right-hand
+    side minus the shift (nu1 Lap + nu2 grad div) u, coeff_hat the spectra
+    of one stage's _viscous_fields. One inverse makes every factor, one
+    forward truncates the summed products of all d + 1 slopes. div u, Lap u,
+    grad div u and grad phi are truncated exactly when y_hat is: the solver
+    passes raw spectra, so those factors alias into the kept band, and
+    reform_slopes passes masked ones, which truncates every factor."""
+    d = grid.dim
+    press = 2.0 * params.A * params.gamma / (params.gamma - 1.0)
+    s1 = params.alpha * params.delta1 / (params.delta1 - 1.0)
+    s2 = params.beta * params.delta2 / (params.delta2 - 1.0)
+
+    # The factors' spectra, written in place into one batch for the inverse:
+    # div u, Lap u, grad div u, grad phi, the masked gradients of vphi^2 and
+    # vphi^(2m+2), masked c_shear and c_compr, the masked gradients of y.
+    rows = np.cumsum((1, d, d, d, d, d, 2, (d + 1) * d))
+    batch = np.empty((rows[-1],) + grid.spectral_shape, dtype=complex)
+    div_u_hat, lap_hat, gd_hat, grad_phi_hat, grad_sq_hat, grad_hi_hat, c_hat, grads_hat = \
+        np.split(batch, rows[:-1])
+    u_hat = y_hat[1:]
+    np.sum(grid.ik * u_hat, axis=0, out=div_u_hat[0])
+    np.multiply(-grid.k_squared, u_hat, out=lap_hat)
+    np.multiply(grid.ik, div_u_hat[0], out=gd_hat)
+    np.multiply(grid.ik, y_hat[0], out=grad_phi_hat)
+    np.multiply(grid.ik_masked, coeff_hat[0], out=grad_sq_hat)
+    np.multiply(grid.ik_masked, coeff_hat[1], out=grad_hi_hat)
+    np.multiply(grid.dealias_mask, coeff_hat[2:], out=c_hat)
+    np.multiply(grid.ik_masked[None], y_hat[:, None],
+                out=grads_hat.reshape((d + 1, d) + grid.spectral_shape))
+    phys = grid.ifft(batch)
+    div_u, lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m), grads = \
+        np.split(phys, rows[:-1])
+
+    products = np.sum(stage.v * grads.reshape((d + 1, d) + grid.shape), axis=1)
+    products[0] += 0.5 * (params.gamma - 1.0) * stage.phit * div_u[0]
+    products[1:] += (press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
+                     - s1 * np.sum(stage.q1 * grad_sq_m, axis=1)
+                     - s2 * stage.div_v * grad_hi_m)
+    slopes = _slope_spectrum(grid, products, forcing)
+    slopes[1:] -= nu1 * lap_hat + nu2 * gd_hat
+    return slopes
+
+
+# -- the two momentum routes -------------------------------------------------
+
+
 def convection_apply(params: FluidParams, V: ReformState, W: ReformState):
     """Convection slots of the symmetric form, evaluated at coefficients V
     and unknowns W: scalar slot v.grad phi + ((gamma-1)/2) phitilde div u,
@@ -158,41 +281,34 @@ def momentum_rhs_symmetric(params, V: ReformState, vphi: ScalarField, eta: float
     return (-conv.values - visc.values + src.values) / params.a1
 
 
+def reform_slopes(params, V: ReformState, vphi: ScalarField, eta: float,
+                  W: ReformState) -> np.ndarray:
+    """Slope spectra of (W.vphi, W.phi, W.u) under the reformulated system,
+    coefficients from V and the viscosity proxy vphi: the solver's kernels
+    _transport_rhs and _momentum_rhs on the stage of (V.u, V.phi, vphi) and
+    the masked spectra of W, with no shift (nu1 = nu2 = 0). Masking the
+    unknowns truncates both factors of every product, as Grid.mult does,
+    because truncation is linear."""
+    grid = W.grid
+    d = grid.dim
+    stage = _mask_coefficients(grid, V.u.values, V.phi.values, vphi.values)
+    fields, _ = _viscous_fields(params, vphi.values, eta)
+    spectra = grid.dealias_mask * grid.fft(np.concatenate(
+        ([W.vphi.values, W.phi.values], W.u.values, fields)))
+    y_hat, coeff_hat = spectra[1:d + 2], spectra[d + 2:]
+    return np.concatenate((
+        _transport_rhs(grid, params, stage, spectra[0], None)[None],
+        _momentum_rhs(grid, params, stage, coeff_hat, y_hat, 0.0, 0.0, None)))
+
+
 def momentum_rhs_componentwise(params, V: ReformState, vphi: ScalarField, eta: float, W: ReformState):
     """u_t assembled directly in evolution form, no a1 anywhere:
     -v.grad u - (2 A gamma/(gamma-1)) phitilde grad phi
     + (vphi^2+eta^2)[alpha Lap u + (alpha+beta vphi^(2m)) grad div u]
     + (alpha delta1/(delta1-1)) Q1(v).grad(vphi^2)
-    + (beta delta2/(delta2-1)) (div v) grad(vphi^(2m+2))."""
-    grid = W.grid
-    v = V.u.values
-    phitilde = V.phi.values
-    press = 2.0 * params.A * params.gamma / (params.gamma - 1.0)
-    weight = vphi.values**2 + eta**2
-    c_shear = params.alpha * weight
-    c_compr = weight * (params.alpha + params.beta * stable_power(vphi.values, 2.0 * params.m))
-    s1 = params.alpha * params.delta1 / (params.delta1 - 1.0)
-    s2 = params.beta * params.delta2 / (params.delta2 - 1.0)
-
-    grad_phi = grid.grad(W.phi.values)
-    gd = grid.grad_div(W.u.values)
-    q1 = deformation(grid, v)
-    div_v = grid.div(v)
-    grad_sq = grid.grad(vphi.values**2)
-    grad_hi = grid.grad(stable_power(vphi.values, 2.0 * params.m + 2.0))
-
-    adv = grid.dealias(advect(grid, grid.dealias(v), W.u.values))
-    out = np.empty_like(W.u.values)
-    for i in range(grid.dim):
-        lap = grid.laplacian(W.u.values[i])
-        term = -adv[i] - press * grid.mult(phitilde, grad_phi[i])
-        term += grid.mult(c_shear, lap) + grid.mult(c_compr, gd[i])
-        acc = np.zeros(grid.shape)
-        for j in range(grid.dim):
-            acc += grid.mult(q1[i, j], grad_sq[j])
-        term += s1 * acc + s2 * grid.mult(div_v, grad_hi[i])
-        out[i] = term
-    return out
+    + (beta delta2/(delta2-1)) (div v) grad(vphi^(2m+2)),
+    the u rows of reform_slopes."""
+    return W.grid.ifft(reform_slopes(params, V, vphi, eta, W)[2:])
 
 
 def reformulation_gap(params, V: ReformState, vphi: ScalarField, eta: float, W: ReformState) -> float:

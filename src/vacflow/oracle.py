@@ -42,6 +42,7 @@ from .diagnostics import (
     reform_rhs,
 )
 from .fixedpoint import DEFAULT_MAX_ITER, DEFAULT_PICARD_TOL, picard_solve
+from .initial_data import reform_state_from_density
 from .operators import ReformState, stable_power
 from .params import FluidParams, validate_params
 
@@ -503,10 +504,7 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
     if sample_dt is None:
         sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
 
-    init = ReformState(
-        ScalarField(grid, stable_power(rho0.values, 0.5 * (params.delta1 - 1.0))),
-        ScalarField(grid, stable_power(rho0.values, 0.5 * (params.gamma - 1.0))),
-        u0)
+    init = reform_state_from_density(rho0, u0, params)
     reform_traj, trace = picard_solve(init, params, eta, t_window,
                                       picard_tol, max_iter,
                                       sample_dt=sample_dt,

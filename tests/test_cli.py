@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +270,15 @@ def test_mms_rejects_bad_config(tmp_path, capsys):
     cfg = write(tmp_path, text.replace("alpha = 1.0", "alpha = 0.0"))
     assert main(["mms", "--config", cfg]) == 1
     assert "constraint" in capsys.readouterr().err
+
+
+# -- benchmark harness ---------------------------------------------------------
+
+
+def test_perfbench_selftests_pass():
+    # perfbench/run.py refuses to measure when one of them fails, and they
+    # look vacflow names up by module (vacflow.linearized.advect among them)
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -32,7 +32,7 @@ from vacflow.fields import Grid, ScalarField, VectorField, quadrature_l2, sobole
 from vacflow.fixedpoint import picard_solve
 from vacflow.initial_data import bump_density, reform_state_from_density
 from vacflow.linearized import CallableForcing
-from vacflow.operators import ReformState, stable_power
+from vacflow.operators import ReformState, advect, momentum_rhs_symmetric, stable_power
 from vacflow.oracle import default_case
 from vacflow.params import validate_params
 
@@ -522,6 +522,54 @@ def test_residuals_subtract_a_manufactured_forcing():
     assert forced.reform_linf < 1e-5
     assert min(unforced.reform_phi_l2, unforced.reform_u_l2) > 1e-2
     assert forced.primitive_linf == unforced.primitive_linf
+
+
+HARD = validate_params(A=1.0, gamma=3.0, alpha=1.0, beta=0.5,
+                       delta1=3.0, delta2=6.0)
+
+
+def random_reform_state(g, rng):
+    return ReformState(ScalarField(g, rng.uniform(0.1, 0.9, g.shape)),
+                       ScalarField(g, rng.uniform(0.0, 0.7, g.shape)),
+                       VectorField(g, rng.uniform(-0.3, 0.3, (g.dim,) + g.shape)))
+
+
+def per_product_transport_rows(state, params):
+    """The vphi and phi rows of reform_rhs as first written: every factor
+    truncated on its own, the advection through operators.advect."""
+    grid = state.grid
+    vphi, phi, u = state.vphi.values, state.phi.values, state.u.values
+    factors = grid.dealias(np.concatenate((u, np.stack((vphi, phi, grid.div(u))))))
+    um, (vphi_m, phi_m, div_m) = factors[:grid.dim], factors[grid.dim:]
+    sources = np.stack((0.5 * (params.delta1 - 1.0) * vphi_m,
+                        0.5 * (params.gamma - 1.0) * phi_m)) * div_m
+    return -grid.dealias(advect(grid, um, np.stack((vphi, phi))) + sources)
+
+
+reform_cases = dict(seed=hst.integers(0, 2**32 - 1), dim=hst.integers(1, 3),
+                    hard=hst.booleans(), eta=hst.sampled_from((0.0, 0.25)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**reform_cases)
+def test_reform_rhs_transport_rows_equal_the_per_product_lines(seed, dim, hard, eta):
+    p = HARD if hard else soft_params()
+    g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
+    state = random_reform_state(g, np.random.default_rng(seed))
+    d_vphi, d_phi, _ = reform_rhs(state, p, eta)
+    for got, want in zip((d_vphi, d_phi), per_product_transport_rows(state, p)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**reform_cases)
+def test_reform_rhs_velocity_rows_equal_the_symmetric_route(seed, dim, hard, eta):
+    p = HARD if hard else soft_params()
+    g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
+    state = random_reform_state(g, np.random.default_rng(seed))
+    _, _, d_u = reform_rhs(state, p, eta)
+    want = momentum_rhs_symmetric(p, state, state.vphi, eta, state)
+    assert np.max(np.abs(d_u - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_reform_rhs_still_state_is_stationary():

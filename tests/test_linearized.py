@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vacflow import linearized
+from vacflow import linearized, operators
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.linearized import (
     CallableForcing,
@@ -531,13 +531,15 @@ def test_interpolated_stages_stay_few_when_a_sample_interval_holds_many_steps(
     g = Grid(dim=2, n=16, box_length=2.0 * np.pi)
     built = []
 
-    class Counted(linearized._StageCoeffs):
+    class Counted(operators._StageCoeffs):
         __slots__ = ()
 
         def __init__(self, grid, packed):
             super().__init__(grid, packed)
             built.append(1)
 
+    # masked samples are built in operators, interpolated stages here
+    monkeypatch.setattr(operators, "_StageCoeffs", Counted)
     monkeypatch.setattr(linearized, "_StageCoeffs", Counted)
 
     def solve():
@@ -567,7 +569,7 @@ def test_interpolated_stages_stay_few_when_a_sample_interval_holds_many_steps(
     assert most_all > 100
     # every step ends where the next begins, at one stage time: the two
     # masked samples and 4 interpolated stage times per step but the last
-    assert count == count_all <= 2 + 4 * 40 - 1
+    assert count == count_all == 2 + 4 * 40 - 1
     for name in ("vphi", "phi", "u"):
         assert np.array_equal(getattr(traj, name), getattr(traj_all, name))
 
