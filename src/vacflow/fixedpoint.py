@@ -6,15 +6,22 @@ coefficients of the quasilinear system at the previous iterate, solves the
 resulting linear window, and repeats until successive iterates stop moving
 in L2. The outer one, ``eta_continuation``, shrinks the elliptic
 regularization toward zero and watches consecutive solutions settle into a
-Cauchy sequence.
+Cauchy sequence. The levels share nothing but their initial data, so
+``run_forked`` solves them in concurrent child processes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
+import signal
 import time
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +52,88 @@ class ContinuationError(RuntimeError):
     def __init__(self, level: int, message: str):
         super().__init__(f"continuation level {level}: {message}")
         self.level = level
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.level, self.message)
+
+
+def _start_job(job):
+    """Fork a child that runs job and pickles ("ok", value) or ("err",
+    exception) into a pipe; returns its pid and the pipe's read end. The
+    child always leaves through os._exit, so it never returns into the
+    caller's stack nor flushes the stdio buffers it inherited."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = ("ok", job())
+            except BaseException as exc:
+                outcome = ("err", exc)
+            with open(write_fd, "wb") as fh:
+                pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _collect(pid: int, fh):
+    """The outcome the child wrote, or None when it ended without one. The
+    child is reaped either way; it is killed first if reading is cut short."""
+    try:
+        with fh:
+            return pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+
+
+def run_forked(jobs):
+    """Run each zero-argument job in its own forked child and yield the
+    results in job order; a job's exception is raised when its turn comes.
+
+    A child inherits the caller's memory, so jobs may be closures over
+    arrays without copying them. At most one child per CPU plus one runs
+    at a time. A single job, or a platform without os.fork, runs in this
+    process. Closing the generator, or an exception in it, kills and reaps
+    every child still running."""
+    jobs = list(jobs)
+    if len(jobs) < 2 or not hasattr(os, "fork"):
+        for job in jobs:
+            yield job()
+        return
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    width = cpus + 1
+    running = deque()
+    try:
+        for i in range(len(jobs)):
+            while len(running) < width and i + len(running) < len(jobs):
+                running.append(_start_job(jobs[i + len(running)]))
+            outcome = _collect(*running.popleft())
+            if outcome is None:
+                raise RuntimeError(f"job {i} ended without a result")
+            kind, value = outcome
+            if kind == "err":
+                raise value
+            yield value
+    finally:
+        for pid, fh in running:
+            os.kill(pid, signal.SIGKILL)
+            fh.close()
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -286,35 +375,38 @@ def eta_continuation(init: ReformState, params: FluidParams,
                      cfl_safety: float = DEFAULT_CFL_SAFETY,
                      sample_dt: float | None = None
                      ) -> tuple[Trajectory, ContinuationReport]:
-    """Solve at each regularization level in turn and measure how far
-    consecutive solutions sit from each other. Stops early once the gap
-    drops to schedule.cauchy_tol; a level that fails to converge aborts the
-    sweep with its index."""
+    """Solve every regularization level and measure how far consecutive
+    solutions sit from each other. The levels are independent solves, so
+    they run concurrently (run_forked) and are read in order. Stops early
+    once the gap drops to schedule.cauchy_tol; a level that fails to
+    converge aborts the sweep with its index."""
+    etas = schedule.levels()
+    jobs = [partial(picard_solve, init, params, eta_j, t_window, picard_tol,
+                    max_iter, cfl_safety=cfl_safety, sample_dt=sample_dt)
+            for eta_j in etas]
     levels: list[ContinuationLevel] = []
     prev_traj: Trajectory | None = None
     last_trace: PicardTrace | None = None
     reached = False
-    for j, eta_j in enumerate(schedule.levels()):
-        try:
-            traj, trace = picard_solve(init, params, eta_j, t_window,
-                                       picard_tol, max_iter,
-                                       cfl_safety=cfl_safety,
-                                       sample_dt=sample_dt)
-        except SolverAbort as exc:
-            raise ContinuationError(j, f"solver abort: {exc}") from exc
-        if not trace.converged:
-            raise ContinuationError(
-                j, f"no convergence in {trace.final_k} iterations "
-                   f"(S = {trace.final_S:.3e})")
-        d = math.nan if prev_traj is None else trajectory_distance(traj, prev_traj)
-        levels.append(ContinuationLevel(index=j, eta=eta_j,
-                                        picard_iters=trace.final_k,
-                                        picard_S=trace.final_S, distance=d))
-        prev_traj = traj
-        last_trace = trace
-        if not math.isnan(d) and d <= schedule.cauchy_tol:
-            reached = True
-            break
+    with closing(run_forked(jobs)) as solved:
+        for j, eta_j in enumerate(etas):
+            try:
+                traj, trace = next(solved)
+            except SolverAbort as exc:
+                raise ContinuationError(j, f"solver abort: {exc}") from exc
+            if not trace.converged:
+                raise ContinuationError(
+                    j, f"no convergence in {trace.final_k} iterations "
+                       f"(S = {trace.final_S:.3e})")
+            d = math.nan if prev_traj is None else trajectory_distance(traj, prev_traj)
+            levels.append(ContinuationLevel(index=j, eta=eta_j,
+                                            picard_iters=trace.final_k,
+                                            picard_S=trace.final_S, distance=d))
+            prev_traj = traj
+            last_trace = trace
+            if not math.isnan(d) and d <= schedule.cauchy_tol:
+                reached = True
+                break
     report = ContinuationReport(levels=tuple(levels), reached_tol=reached,
                                 final_trace=last_trace)
     return prev_traj, report

@@ -71,10 +71,14 @@ class SolverAbort(RuntimeError):
     def __init__(self, reason: str, time: float, detail: str = ""):
         self.reason = reason
         self.time = time
+        self.detail = detail
         message = f"{reason} at t = {time:.6g}"
         if detail:
             message += f" ({detail})"
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.time, self.detail)
 
 
 # -- coefficient providers ---------------------------------------------------

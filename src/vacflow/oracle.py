@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -41,7 +42,8 @@ from .diagnostics import (
     reconstruct_primitive,
     reform_rhs,
 )
-from .fixedpoint import DEFAULT_MAX_ITER, DEFAULT_PICARD_TOL, picard_solve
+from .fixedpoint import (DEFAULT_MAX_ITER, DEFAULT_PICARD_TOL, picard_solve,
+                         run_forked)
 from .initial_data import reform_state_from_density
 from .operators import ReformState, stable_power
 from .params import FluidParams, validate_params
@@ -240,21 +242,18 @@ class ManufacturedCase:
     def reform_forcing(self, eta: float) -> CallableForcing:
         """Forcing that makes the exact fields solve the reformulated
         system as discretized: analytic time derivative minus the discrete
-        right side evaluated on the exact state."""
+        right side evaluated on the exact state. One reform_rhs call gives
+        all three rows at a time; the last five times are kept, the stage
+        times of one outer step."""
 
-        def f_vphi(t: float) -> np.ndarray:
-            d1, _, _ = reform_rhs(self.state(t), self.params, eta)
-            return self.dvphi_dt(t) - d1
+        @lru_cache(maxsize=5)
+        def rows(t: float):
+            return reform_rhs(self.state(t), self.params, eta)
 
-        def f_phi(t: float) -> np.ndarray:
-            _, d2, _ = reform_rhs(self.state(t), self.params, eta)
-            return self.dphi_dt(t) - d2
-
-        def f_u(t: float) -> np.ndarray:
-            _, _, d3 = reform_rhs(self.state(t), self.params, eta)
-            return self.du_dt(t) - d3
-
-        return CallableForcing(vphi=f_vphi, phi=f_phi, velocity=f_u)
+        return CallableForcing(
+            vphi=lambda t: self.dvphi_dt(t) - rows(t)[0],
+            phi=lambda t: self.dphi_dt(t) - rows(t)[1],
+            velocity=lambda t: self.du_dt(t) - rows(t)[2])
 
     def primitive_forcing(self):
         """Forcing for the primitive solver, same construction: analytic
@@ -505,12 +504,12 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
         sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
 
     init = reform_state_from_density(rho0, u0, params)
-    reform_traj, trace = picard_solve(init, params, eta, t_window,
-                                      picard_tol, max_iter,
-                                      sample_dt=sample_dt,
-                                      cfl_safety=cfl_safety)
-    oracle_traj = primitive_solve(rho0, u0, params, t_window,
-                                  sample_dt=sample_dt)
+    # neither solve reads the other, so they run concurrently
+    (reform_traj, trace), oracle_traj = run_forked([
+        partial(picard_solve, init, params, eta, t_window, picard_tol,
+                max_iter, sample_dt=sample_dt, cfl_safety=cfl_safety),
+        partial(primitive_solve, rho0, u0, params, t_window,
+                sample_dt=sample_dt)])
 
     tr = np.asarray(reform_traj.times)
     to = np.asarray(oracle_traj.times)

@@ -194,6 +194,21 @@ def test_sweep_flags_rejected_rows(tmp_path, capsys):
     assert (out_dir / "row_01_scale_2").is_dir()
 
 
+def test_sweep_rows_do_not_depend_on_the_worker_count(tmp_path):
+    # with two workers each row's continuation forks from a pool worker
+    text = BASE.format(beta="0.5", amplitude="0.2")
+    text += "eta_levels = 3\n\n[sweep]\namplitude_scales = 1, 0.5\n"
+    cfg = write(tmp_path, text)
+    tables = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"w{workers}"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir),
+                     "--workers", workers]) == 0
+        tables.append((out_dir / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert tables[0].count(b",ok,") == 2
+
+
 # -- oracle-compare ------------------------------------------------------------
 
 
@@ -282,3 +297,28 @@ def test_perfbench_selftests_pass():
     done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("command, workload", [
+    ("run", "run-1d"),
+    ("oracle-compare", "oracle-3d"),
+])
+@pytest.mark.parametrize("mode", ["probe", "time"])
+def test_perfbench_stamps_setup_in_the_parent(tmp_path, command, workload,
+                                              mode):
+    # the benchmark's setup_s is the clock at the first call into the
+    # fixedpoint layer; that call must happen in the process it stamps, not
+    # in a child that solves one of the independent jobs
+    root = Path(__file__).resolve().parents[1]
+    record_path = tmp_path / "record.json"
+    argv = [sys.executable, "perfbench/child.py", mode, str(record_path), "--",
+            command, "--config", f"perfbench/configs/{workload}.ini",
+            "--seed", "101"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(record_path.read_text())
+    assert record["exit_code"] == 0
+    assert "setup_clock" in record

@@ -2,11 +2,15 @@
 
 import csv
 import math
+import os
+import pickle
+import time
 
 import numpy as np
 import pytest
 
-from vacflow.fields import Grid, ScalarField, VectorField
+import vacflow.fixedpoint
+from vacflow.fields import FieldError, Grid, ScalarField, VectorField
 from vacflow.fixedpoint import (
     ContinuationError,
     EtaSchedule,
@@ -15,14 +19,17 @@ from vacflow.fixedpoint import (
     eta_continuation,
     fixed_point_residual,
     picard_solve,
+    run_forked,
     trajectory_distance,
     trajectory_gap,
     window_scan,
     write_trace_csv,
 )
 from vacflow.initial_data import reform_state_from_density
+from vacflow.linearized import SolverAbort
 from vacflow.operators import ReformState
-from vacflow.params import validate_params
+from vacflow.params import ParameterError, validate_params
+from vacflow.runconfig import ConfigError
 
 from stacking import stacked
 
@@ -194,6 +201,8 @@ def test_continuation_limit_matches_the_unregularized_solve():
     traj, report = eta_continuation(init, p, sched, 0.005, picard_tol=1e-12)
     assert report.reached_tol
     assert report.distances == sorted(report.distances, reverse=True)
+    # the levels past the stop were still running when it came
+    assert_no_children()
     direct, _ = picard_solve(init, p, 0.0, 0.005, picard_tol=1e-12)
     assert trajectory_distance(traj, direct) <= 2.0 * cauchy_tol
 
@@ -205,6 +214,146 @@ def test_failed_level_raises_with_its_index():
         eta_continuation(init, soft_params(), sched, 0.004,
                          picard_tol=0.0, max_iter=1)
     assert err.value.level == 0
+    # raised in this process while the later levels still ran
+    assert_no_children()
+
+
+# -- levels in forked children ---------------------------------------------------
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_continuation_levels_equal_in_process_solves_bit_for_bit():
+    init = positive_state(n=32)
+    p = soft_params()
+    sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
+    traj, report = eta_continuation(init, p, sched, 0.004)
+    assert_no_children()
+    solves = [picard_solve(init, p, eta, 0.004) for eta in sched.levels()]
+    assert [lv.picard_S for lv in report.levels] == \
+        [trace.final_S for _, trace in solves]
+    assert [lv.picard_iters for lv in report.levels] == \
+        [trace.final_k for _, trace in solves]
+    assert report.distances == [
+        trajectory_distance(b, a) for (a, _), (b, _) in zip(solves, solves[1:])]
+    assert [(it.k, it.S_k, it.linf_delta) for it in report.final_trace.iterations] \
+        == [(it.k, it.S_k, it.linf_delta) for it in solves[-1][1].iterations]
+    direct = solves[-1][0]
+    assert traj.times == direct.times
+    assert traj.dt_history == direct.dt_history
+    assert traj.clip_counts == direct.clip_counts
+    for name in ("vphi", "phi", "u"):
+        got = getattr(traj, name)
+        assert np.array_equal(got, getattr(direct, name))
+        assert not got.flags.writeable
+
+
+def test_abort_in_one_level_child_surfaces_with_its_index(monkeypatch):
+    init = positive_state(n=32)
+    sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
+    parent = os.getpid()
+    solve = vacflow.fixedpoint.picard_solve
+
+    def abort_level_one(init, params, eta, *args, **kwargs):
+        if eta == sched.levels()[1] and os.getpid() != parent:
+            raise SolverAbort("injected failure", 0.00125, "level one only")
+        return solve(init, params, eta, *args, **kwargs)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "picard_solve", abort_level_one)
+    with pytest.raises(ContinuationError, match="injected failure") as err:
+        eta_continuation(init, soft_params(), sched, 0.004)
+    assert err.value.level == 1
+    cause = err.value.__cause__
+    assert isinstance(cause, SolverAbort)
+    assert (cause.reason, cause.time, cause.detail) == \
+        ("injected failure", 0.00125, "level one only")
+    assert_no_children()
+
+
+@pytest.mark.parametrize("exc", [
+    SolverAbort("solution lost finiteness", 0.0025, "min rho = -1e-3"),
+    SolverAbort("step size underflow", 1e-14),
+    ContinuationError(2, "solver abort: step size underflow at t = 0.001"),
+    ParameterError("exponent identities", "derived-constant residual 1e-3"),
+    ParameterError("m >= 3/2"),
+    FieldError("field values must be finite"),
+    ConfigError("unknown key"),
+], ids=lambda exc: type(exc).__name__)
+def test_exceptions_survive_pickling(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)
+
+
+def test_run_forked_yields_in_job_order_from_children():
+    def job(i):
+        time.sleep(0.05 * (3 - i))   # later jobs finish first
+        return i, os.getpid()
+
+    results = list(run_forked([lambda i=i: job(i) for i in range(4)]))
+    assert [i for i, _ in results] == [0, 1, 2, 3]
+    pids = {pid for _, pid in results}
+    assert len(pids) == 4 and os.getpid() not in pids
+    assert_no_children()
+
+
+def test_run_forked_runs_a_single_job_in_process():
+    assert list(run_forked([os.getpid])) == [os.getpid()]
+    assert list(run_forked([])) == []
+
+
+def test_run_forked_keeps_at_most_one_child_per_cpu_plus_one(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alive, peak = 0, 0
+    start, collect = vacflow.fixedpoint._start_job, vacflow.fixedpoint._collect
+
+    def counted_start(job):
+        nonlocal alive, peak
+        alive += 1
+        peak = max(peak, alive)
+        return start(job)
+
+    def counted_collect(pid, fh):
+        nonlocal alive
+        alive -= 1
+        return collect(pid, fh)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "_start_job", counted_start)
+    monkeypatch.setattr(vacflow.fixedpoint, "_collect", counted_collect)
+    assert list(run_forked([lambda i=i: i * i for i in range(5)])) == \
+        [0, 1, 4, 9, 16]
+    assert peak == 2
+
+
+def test_run_forked_raises_a_job_error_and_a_lost_child():
+    def fail():
+        raise SolverAbort("injected failure", 0.5)
+
+    with pytest.raises(SolverAbort, match="injected failure") as err:
+        list(run_forked([lambda: 1, fail, lambda: time.sleep(60)]))
+    assert err.value.time == 0.5
+    assert_no_children()
+    with pytest.raises(RuntimeError, match="job 1 ended without a result"):
+        list(run_forked([lambda: 1, lambda: os._exit(3)]))
+    assert_no_children()
+
+
+def test_run_forked_kills_its_children_when_the_caller_stops():
+    tic = time.monotonic()
+    solved = run_forked([lambda: 1] + [lambda: time.sleep(60)] * 2)
+    assert next(solved) == 1
+    solved.close()
+    assert_no_children()
+
+    with pytest.raises(KeyError):
+        for _ in run_forked([lambda: 1] + [lambda: time.sleep(60)] * 2):
+            raise KeyError("raised by the caller")
+    assert_no_children()
+    assert time.monotonic() - tic < 30.0
 
 
 def test_window_scan_stops_at_the_first_failure():

@@ -7,7 +7,12 @@ import pytest
 
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.initial_data import bump_density
-from vacflow.linearized import FrozenCoefficients, SolverAbort, solve_linearized
+from vacflow.linearized import (
+    CallableForcing,
+    FrozenCoefficients,
+    SolverAbort,
+    solve_linearized,
+)
 from vacflow.operators import ReformState
 from vacflow.oracle import (
     ManufacturedCase,
@@ -145,6 +150,42 @@ def test_forced_run_sits_on_the_exact_solution():
     soft = default_case(Grid(dim=1, n=64, box_length=L),
                         soft_viscosity_params())
     assert oracle_mms_error(soft, 2e-4, 0.004) <= 1e-13
+
+
+def test_manufactured_forcing_evaluates_each_stage_time_once(monkeypatch):
+    import vacflow.oracle
+
+    times = []
+    rhs = vacflow.oracle.reform_rhs
+
+    def counted(state, *args, **kwargs):
+        times.append(state.time)
+        return rhs(state, *args, **kwargs)
+
+    monkeypatch.setattr(vacflow.oracle, "reform_rhs", counted)
+    reform_mms_error(default_case(), 0.01, 0.04)
+    # 4 steps, each with stage times t, t + dt/4, t + dt/2, t + 3dt/4 and
+    # t + dt, the last shared with the next step: 4 * 4 + 1 = 17
+    assert len(times) == len(set(times)) == 17
+
+    # bit for bit the forcing with one reform_rhs call per row
+    case = default_case()
+
+    def row(i, derivative):
+        return lambda t: derivative(t) - rhs(case.state(t), case.params, 0.0)[i]
+
+    per_row = CallableForcing(vphi=row(0, case.dvphi_dt),
+                              phi=row(1, case.dphi_dt),
+                              velocity=row(2, case.du_dt))
+    finals = []
+    for forcing in (case.reform_forcing(0.0), per_row):
+        coeffs = FrozenCoefficients(provider=case.coefficients(), eta=0.0,
+                                    t_window=0.04, dt=0.01, forcing=forcing)
+        finals.append(solve_linearized(case.state(0.0), coeffs,
+                                       case.params).final)
+    for name in ("vphi", "phi", "u"):
+        assert np.array_equal(getattr(finals[0], name).values,
+                              getattr(finals[1], name).values)
 
 
 # -- order studies ------------------------------------------------------------
