@@ -24,6 +24,7 @@ from .diagnostics import (
     characteristics_check,
     conservation,
     horizon_times,
+    initial_constant,
     ledger,
     nonlinear_residual,
     vacuum_residual,
@@ -31,7 +32,7 @@ from .diagnostics import (
     write_characteristics_csv,
     write_ledger_csv,
 )
-from .fields import save_snapshot, sobolev_norm
+from .fields import save_snapshot
 from .fixedpoint import (
     ContinuationError,
     eta_continuation,
@@ -124,9 +125,7 @@ def cmd_validate(args) -> int:
                      f"{compat.message}", EXIT_VALIDATION)
     print(f"  initial data: {compat.message}")
 
-    state = cfg.initial_state()
-    c0 = 1.0 + (sobolev_norm(state.vphi, 3) + sobolev_norm(state.phi, 3)
-                + sobolev_norm(state.u, 3))
+    c0 = initial_constant(cfg.initial_state())
     c3 = math.sqrt(cfg.calib_C) * c0
     t1, t2, t3, tss = horizon_times(cfg.t_window, c3, params.m)
     print(f"  horizon preview (c0 = {c0:.6g}, c3 = {c3:.6g}, "

@@ -125,6 +125,12 @@ def horizon_times(t_end: float, c3: float, m: float) -> tuple:
     return (t1, t2, t3, tss)
 
 
+def initial_constant(state: ReformState) -> float:
+    """The ledger's initial constant c0 = 1 + |vphi|_3 + |phi|_3 + |u|_3."""
+    return (1.0 + sobolev_norm(state.vphi, 3) + sobolev_norm(state.phi, 3)
+            + sobolev_norm(state.u, 3))
+
+
 def ledger(traj: Trajectory, params: FluidParams,
            calib_C: float = 1.0) -> AprioriLedger:
     """Evaluate the norm ledger over a sampled trajectory.
@@ -169,8 +175,7 @@ def ledger(traj: Trajectory, params: FluidParams,
         dt = times[i] - times[i - 1]
         integrals[i] = integrals[i - 1] + 0.5 * dt * (w_sq[i] + w_sq[i - 1])
 
-    s0 = traj.state(0)
-    c0 = 1.0 + sobolev_norm(s0.vphi, 3) + sobolev_norm(s0.phi, 3) + sobolev_norm(s0.u, 3)
+    c0 = initial_constant(traj.state(0))
     c_val = math.sqrt(calib_C) * c0
     c_levels = (c_val, c_val, c_val)
     horizons = horizon_times(float(times[-1]), c_levels[2], params.m)

@@ -57,7 +57,6 @@ from .operators import (STATE_FLOOR, ReformState, _mask_coefficients,  # noqa: F
                         _viscous_fields, advect)
 from .params import FluidParams
 
-CLIP_TOLERANCE = -1e-12
 DEFAULT_CFL_SAFETY = 0.4
 DEFAULT_SAMPLES_PER_WINDOW = 32
 SAMPLE_SNAP = 1e-12
@@ -107,9 +106,6 @@ class ConstantCoefficients:
     def phi_coeff(self, t: float) -> np.ndarray:
         return self.phitilde
 
-    def vphi_coeff(self, t: float) -> np.ndarray:
-        return self.vphitilde
-
 
 class AnalyticCoefficients:
     """Coefficients given by closed-form time callables (used by manufactured
@@ -125,9 +121,6 @@ class AnalyticCoefficients:
 
     def phi_coeff(self, t: float) -> np.ndarray:
         return self._phi(t)
-
-    def vphi_coeff(self, t: float) -> np.ndarray:
-        return self._vphi(t)
 
     def stage(self, grid: Grid, t: float) -> _StageCoeffs:
         """The masked coefficients at t, built afresh on every call."""
@@ -217,9 +210,6 @@ class TrajectoryCoefficients:
 
     def phi_coeff(self, t: float) -> np.ndarray:
         return self._interp(self.phis, t)
-
-    def vphi_coeff(self, t: float) -> np.ndarray:
-        return self._interp(self.vphis, t)
 
 
 class CallableForcing:
@@ -311,7 +301,7 @@ def _finish(values: np.ndarray, clip: bool, cell_volume: float, t: float,
     if not clip:
         return values, 0, 0.0
     negative = values < 0.0
-    count = int(np.count_nonzero(values < CLIP_TOLERANCE))
+    count = int(np.count_nonzero(values < STATE_FLOOR))
     mass = -float(values[negative].sum()) * cell_volume if negative.any() else 0.0
     if negative.any():
         values = np.where(negative, 0.0, values)
@@ -581,7 +571,7 @@ def record_window(init: ReformState, t_window: float, sample_dt: float | None,
     return Trajectory(init.grid, times, *(s[:n] for s in stacks),
                       dt_history=dt_history, clip_counts=clip_counts,
                       clipped_mass=clipped_mass, eta=eta,
-                      floor=CLIP_TOLERANCE if clip else None)
+                      floor=STATE_FLOOR if clip else None)
 
 
 def adaptive_dt(params: FluidParams, grid: Grid, v: np.ndarray,

@@ -1,5 +1,8 @@
 """Run configuration: one INI file drives every experiment.
 
+The schema is the `RunConfig` fields. Each declares its section, its default
+(none for a required key) and the reader that parses its text, and the key
+check, the parse and the resolved writer all walk those fields in order.
 The schema is strict. Unknown sections or keys abort with a message naming
 them, so a typo cannot silently fall back to a default. Every run writes the
 fully resolved configuration (all defaults expanded) next to its outputs.
@@ -8,7 +11,7 @@ fully resolved configuration (all defaults expanded) next to its outputs.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .fields import Grid, ScalarField, VectorField, load_snapshot
 from .fixedpoint import EtaSchedule
@@ -21,60 +24,77 @@ class ConfigError(ValueError):
     """Raised when the configuration file cannot be used as written."""
 
 
-_SCHEMA = {
-    "params": {"A", "gamma", "alpha", "beta", "delta1", "delta2", "calib_C"},
-    "grid": {"dim", "n", "length"},
-    "initial": {"kind", "amplitude", "width", "background", "center",
-                "velocity_amplitude", "velocity_mode",
-                "density_snapshot", "velocity_snapshot"},
-    "solver": {"eta0", "eta_factor", "eta_levels", "cauchy_tol",
-               "picard_tol", "max_iter", "cfl_safety", "t_window",
-               "cadence"},
-    "output": {"directory", "snapshots", "diagnostics"},
-    "sweep": {"amplitude_scales"},
-}
-
 _DIAGNOSTIC_NAMES = ("ledger", "validity", "conservation", "vacuum",
                      "characteristics", "residual")
 
 
-@dataclass(frozen=True)
+def _bool(raw: str) -> bool:
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+    if state is None:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return state
+
+
+def _numbers(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(","))
+
+
+def _names(raw: str) -> tuple:
+    if raw == "all":
+        return _DIAGNOSTIC_NAMES
+    return tuple(tok.strip() for tok in raw.split(","))
+
+
+# what the text of a key with this reader must be, for the parse error
+_EXPECTED = {float: "a number", int: "an integer", _bool: "a boolean",
+             _numbers: "a comma list of numbers"}
+
+
+def _key(section: str, default=MISSING, read=float):
+    """One config key: its INI section, its default (none for a required
+    key) and the reader of its text. A blank value means the default, except
+    for a str key, where it is the empty string."""
+    return field(default=default, metadata={"section": section, "read": read})
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Parsed and validated configuration, with builder methods for the
-    solver-facing objects."""
+    solver-facing objects. The fields are the schema, in the order the
+    resolved file lists them."""
 
-    A: float
-    gamma: float
-    alpha: float
-    beta: float
-    delta1: float
-    delta2: float
-    calib_C: float
-    dim: int
-    n: int
-    length: float
-    kind: str
-    amplitude: float
-    width: float
-    background: float
-    center: tuple | None
-    velocity_amplitude: float
-    velocity_mode: int
-    density_snapshot: str
-    velocity_snapshot: str
-    eta0: float
-    eta_factor: float
-    eta_levels: int
-    cauchy_tol: float
-    picard_tol: float
-    max_iter: int
-    cfl_safety: float
-    t_window: float
-    cadence: int
-    directory: str
-    snapshots: bool
-    diagnostics: tuple
-    amplitude_scales: tuple = field(default=())
+    A: float = _key("params")
+    gamma: float = _key("params")
+    alpha: float = _key("params")
+    beta: float = _key("params")
+    delta1: float = _key("params")
+    delta2: float = _key("params")
+    calib_C: float = _key("params", 1.0)
+    dim: int = _key("grid", read=int)
+    n: int = _key("grid", read=int)
+    length: float = _key("grid")
+    kind: str = _key("initial", "bump", str)
+    amplitude: float = _key("initial", 0.0)
+    width: float = _key("initial", 0.0)
+    background: float = _key("initial", 0.0)
+    center: tuple | None = _key("initial", None, _numbers)
+    velocity_amplitude: float = _key("initial", 0.0)
+    velocity_mode: int = _key("initial", 1, int)
+    density_snapshot: str = _key("initial", "", str)
+    velocity_snapshot: str = _key("initial", "", str)
+    eta0: float = _key("solver", 0.5)
+    eta_factor: float = _key("solver", 0.5)
+    eta_levels: int = _key("solver", 4, int)
+    cauchy_tol: float = _key("solver", 1e-6)
+    picard_tol: float = _key("solver", 1e-10)
+    max_iter: int = _key("solver", 50, int)
+    cfl_safety: float = _key("solver", 0.4)
+    t_window: float = _key("solver")
+    cadence: int = _key("solver", 32, int)
+    directory: str = _key("output", "", str)
+    snapshots: bool = _key("output", False, _bool)
+    diagnostics: tuple = _key("output", _DIAGNOSTIC_NAMES, _names)
+    amplitude_scales: tuple = _key("sweep", (), _numbers)
 
     def fluid_params(self) -> FluidParams:
         return validate_params(A=self.A, gamma=self.gamma, alpha=self.alpha,
@@ -129,40 +149,6 @@ class RunConfig:
         return self.t_window / self.cadence
 
 
-def _get_float(sec, key, default=None) -> float:
-    raw = sec.get(key)
-    if raw is None or raw == "":
-        if default is None:
-            raise ConfigError(f"missing required key [{sec.name}] {key}")
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] {key} = {raw!r} is not a number") from exc
-
-
-def _get_int(sec, key, default=None) -> int:
-    raw = sec.get(key)
-    if raw is None or raw == "":
-        if default is None:
-            raise ConfigError(f"missing required key [{sec.name}] {key}")
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] {key} = {raw!r} is not an integer") from exc
-
-
-def _get_bool(sec, key, default: bool) -> bool:
-    raw = sec.get(key)
-    if raw is None or raw == "":
-        return default
-    try:
-        return sec.getboolean(key)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] {key} = {raw!r} is not a boolean") from exc
-
-
 def load_config(path) -> RunConfig:
     """Parse and validate one INI file; raises ConfigError on any schema or
     value problem. The file must at least name the fluid constants, the
@@ -177,103 +163,50 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
+    schema = fields(RunConfig)
+    section_of = {f.name: f.metadata["section"] for f in schema}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in section_of.values():
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if section_of.get(key) != section:
                 raise ConfigError(f"unknown key [{section}] {key}")
-    for required in ("params", "grid", "solver"):
+    for required in dict.fromkeys(f.metadata["section"] for f in schema
+                                  if f.default is MISSING):
         if required not in parser:
             raise ConfigError(f"missing required section [{required}]")
 
-    for optional in ("initial", "output", "sweep"):
-        if optional not in parser:
-            parser.add_section(optional)
-    params, grid_sec, init, solver, output, sweep = (
-        parser[name] for name in ("params", "grid", "initial", "solver",
-                                  "output", "sweep"))
-
-    kind = init.get("kind", "bump").strip()
-    if kind not in ("bump", "snapshot"):
-        raise ConfigError(f"[initial] kind must be 'bump' or 'snapshot', "
-                          f"got {kind!r}")
-
-    center: tuple | None = None
-    raw_center = init.get("center", "")
-    if raw_center.strip():
+    values = {}
+    for f in schema:
+        section, read = f.metadata["section"], f.metadata["read"]
+        raw = parser.get(section, f.name, fallback=None)
+        if raw is None or (raw == "" and read is not str):
+            if f.default is MISSING:
+                raise ConfigError(f"missing required key [{section}] {f.name}")
+            continue
         try:
-            center = tuple(float(tok) for tok in raw_center.split(","))
+            values[f.name] = read(raw)
         except ValueError as exc:
-            raise ConfigError(
-                f"[initial] center = {raw_center!r} is not a comma list "
-                f"of numbers") from exc
-
-    raw_diag = output.get("diagnostics", "all").strip()
-    if raw_diag in ("", "all"):
-        diagnostics = _DIAGNOSTIC_NAMES
-    else:
-        diagnostics = tuple(tok.strip() for tok in raw_diag.split(","))
-        for tok in diagnostics:
-            if tok not in _DIAGNOSTIC_NAMES:
-                raise ConfigError(
-                    f"[output] diagnostics names unknown check {tok!r}; "
-                    f"known: {', '.join(_DIAGNOSTIC_NAMES)}")
-
-    scales: tuple = ()
-    raw_scales = sweep.get("amplitude_scales", "")
-    if raw_scales.strip():
-        try:
-            scales = tuple(float(tok) for tok in raw_scales.split(","))
-        except ValueError as exc:
-            raise ConfigError(
-                f"[sweep] amplitude_scales = {raw_scales!r} is not a comma "
-                f"list of numbers") from exc
-        for s in scales:
-            if not s > 0:
-                raise ConfigError(
-                    f"[sweep] amplitude_scales entries must be positive, "
-                    f"got {s}")
-
-    cfg = RunConfig(
-        A=_get_float(params, "A"),
-        gamma=_get_float(params, "gamma"),
-        alpha=_get_float(params, "alpha"),
-        beta=_get_float(params, "beta"),
-        delta1=_get_float(params, "delta1"),
-        delta2=_get_float(params, "delta2"),
-        calib_C=_get_float(params, "calib_C", 1.0),
-        dim=_get_int(grid_sec, "dim"),
-        n=_get_int(grid_sec, "n"),
-        length=_get_float(grid_sec, "length"),
-        kind=kind,
-        amplitude=_get_float(init, "amplitude", 0.0),
-        width=_get_float(init, "width", 0.0),
-        background=_get_float(init, "background", 0.0),
-        center=center,
-        velocity_amplitude=_get_float(init, "velocity_amplitude", 0.0),
-        velocity_mode=_get_int(init, "velocity_mode", 1),
-        density_snapshot=init.get("density_snapshot", "").strip(),
-        velocity_snapshot=init.get("velocity_snapshot", "").strip(),
-        eta0=_get_float(solver, "eta0", 0.5),
-        eta_factor=_get_float(solver, "eta_factor", 0.5),
-        eta_levels=_get_int(solver, "eta_levels", 4),
-        cauchy_tol=_get_float(solver, "cauchy_tol", 1e-6),
-        picard_tol=_get_float(solver, "picard_tol", 1e-10),
-        max_iter=_get_int(solver, "max_iter", 50),
-        cfl_safety=_get_float(solver, "cfl_safety", 0.4),
-        t_window=_get_float(solver, "t_window"),
-        cadence=_get_int(solver, "cadence", 32),
-        directory=output.get("directory", "").strip(),
-        snapshots=_get_bool(output, "snapshots", False),
-        diagnostics=diagnostics,
-        amplitude_scales=scales,
-    )
+            raise ConfigError(f"[{section}] {f.name} = {raw!r} is not "
+                              f"{_EXPECTED[read]}") from exc
+    cfg = RunConfig(**values)
     _check_values(cfg)
     return cfg
 
 
 def _check_values(cfg: RunConfig) -> None:
+    if cfg.kind not in ("bump", "snapshot"):
+        raise ConfigError(f"[initial] kind must be 'bump' or 'snapshot', "
+                          f"got {cfg.kind!r}")
+    for tok in cfg.diagnostics:
+        if tok not in _DIAGNOSTIC_NAMES:
+            raise ConfigError(
+                f"[output] diagnostics names unknown check {tok!r}; "
+                f"known: {', '.join(_DIAGNOSTIC_NAMES)}")
+    for s in cfg.amplitude_scales:
+        if not s > 0:
+            raise ConfigError(
+                f"[sweep] amplitude_scales entries must be positive, got {s}")
     if cfg.calib_C < 1.0:
         raise ConfigError(f"calib_C must be >= 1, got {cfg.calib_C}")
     if cfg.kind == "bump":
@@ -300,46 +233,30 @@ def _check_values(cfg: RunConfig) -> None:
             f"velocity_mode must be nonnegative, got {cfg.velocity_mode}")
 
 
+def _format(value) -> str:
+    """The INI text of a value; floats by repr, so they read back exactly."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(_format(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def write_resolved(cfg: RunConfig, path) -> None:
     """Write the configuration with every key spelled out, defaults
-    included, in a fixed order so identical runs emit identical bytes."""
+    included, in a fixed order so identical runs emit identical bytes. A
+    section whose values are all blank ([sweep] without scales) is left
+    out."""
+    sections: dict = {}
+    for f in fields(cfg):
+        sections.setdefault(f.metadata["section"], {})[f.name] = _format(
+            getattr(cfg, f.name))
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    parser["params"] = {
-        "A": repr(cfg.A), "gamma": repr(cfg.gamma), "alpha": repr(cfg.alpha),
-        "beta": repr(cfg.beta), "delta1": repr(cfg.delta1),
-        "delta2": repr(cfg.delta2), "calib_C": repr(cfg.calib_C),
-    }
-    parser["grid"] = {"dim": str(cfg.dim), "n": str(cfg.n),
-                      "length": repr(cfg.length)}
-    parser["initial"] = {
-        "kind": cfg.kind,
-        "amplitude": repr(cfg.amplitude),
-        "width": repr(cfg.width),
-        "background": repr(cfg.background),
-        "center": ("" if cfg.center is None
-                   else ", ".join(repr(c) for c in cfg.center)),
-        "velocity_amplitude": repr(cfg.velocity_amplitude),
-        "velocity_mode": str(cfg.velocity_mode),
-        "density_snapshot": cfg.density_snapshot,
-        "velocity_snapshot": cfg.velocity_snapshot,
-    }
-    parser["solver"] = {
-        "eta0": repr(cfg.eta0), "eta_factor": repr(cfg.eta_factor),
-        "eta_levels": str(cfg.eta_levels),
-        "cauchy_tol": repr(cfg.cauchy_tol),
-        "picard_tol": repr(cfg.picard_tol), "max_iter": str(cfg.max_iter),
-        "cfl_safety": repr(cfg.cfl_safety), "t_window": repr(cfg.t_window),
-        "cadence": str(cfg.cadence),
-    }
-    parser["output"] = {
-        "directory": cfg.directory,
-        "snapshots": str(cfg.snapshots).lower(),
-        "diagnostics": ", ".join(cfg.diagnostics),
-    }
-    if cfg.amplitude_scales:
-        parser["sweep"] = {
-            "amplitude_scales": ", ".join(repr(s)
-                                          for s in cfg.amplitude_scales)}
+    for name, values in sections.items():
+        if any(values.values()):
+            parser[name] = values
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

