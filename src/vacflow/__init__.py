@@ -6,159 +6,7 @@ solve a frozen-coefficient linearized system per Picard sweep, drive the
 regularization parameter down a continuation schedule, and audit the result
 against the a priori ledger, the horizon ladder, conservation, the vacuum
 acceleration clause, and an independent primitive-variable oracle.
+
+The package exports nothing: callers import its modules (vacflow.cli,
+vacflow.fields, ...), so importing the package alone loads none of them.
 """
-
-from .fields import (
-    FieldError,
-    Grid,
-    ScalarField,
-    VectorField,
-    derivative,
-    load_snapshot,
-    quadrature_l2,
-    save_snapshot,
-    sobolev_norm,
-    support_margin,
-    weighted_seminorm,
-)
-from .params import (
-    CompatibilityReport,
-    FluidParams,
-    ParameterError,
-    check_initial_compatibility,
-    validate_params,
-)
-from .operators import (
-    ReformState,
-    ellipticity_check,
-    exponent_identity_residual,
-    momentum_rhs_componentwise,
-    momentum_rhs_symmetric,
-    reformulation_gap,
-    stable_power,
-)
-from .linearized import (
-    ConstantCoefficients,
-    FrozenCoefficients,
-    SolverAbort,
-    Trajectory,
-    TrajectoryCoefficients,
-    momentum_step,
-    solve_linearized,
-    transport_step,
-)
-from .fixedpoint import (
-    ContinuationError,
-    ContinuationReport,
-    EtaSchedule,
-    PicardTrace,
-    eta_continuation,
-    fixed_point_residual,
-    picard_solve,
-    trajectory_distance,
-    window_scan,
-)
-from .diagnostics import (
-    AprioriLedger,
-    CharacteristicsReport,
-    ConservationReport,
-    ResidualReport,
-    VacuumReport,
-    ValidityVerdict,
-    characteristics_check,
-    conservation,
-    horizon_times,
-    ledger,
-    nonlinear_residual,
-    reconstruct_primitive,
-    reform_rhs,
-    vacuum_residual,
-    validity,
-)
-from .oracle import (
-    CrossCompareReport,
-    ManufacturedCase,
-    acoustic_dispersion,
-    cross_compare,
-    default_case,
-    oracle_mass_drift,
-    primitive_solve,
-    soft_viscosity_params,
-)
-from .initial_data import bump_density, reform_state_from_density, velocity_modes
-from .runconfig import ConfigError, RunConfig, load_config, write_resolved
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AprioriLedger",
-    "CharacteristicsReport",
-    "CompatibilityReport",
-    "ConfigError",
-    "ConservationReport",
-    "ConstantCoefficients",
-    "ContinuationError",
-    "ContinuationReport",
-    "CrossCompareReport",
-    "EtaSchedule",
-    "FieldError",
-    "FluidParams",
-    "FrozenCoefficients",
-    "Grid",
-    "ManufacturedCase",
-    "ParameterError",
-    "PicardTrace",
-    "ReformState",
-    "ResidualReport",
-    "RunConfig",
-    "ScalarField",
-    "SolverAbort",
-    "Trajectory",
-    "TrajectoryCoefficients",
-    "VacuumReport",
-    "ValidityVerdict",
-    "VectorField",
-    "acoustic_dispersion",
-    "bump_density",
-    "characteristics_check",
-    "check_initial_compatibility",
-    "conservation",
-    "cross_compare",
-    "default_case",
-    "derivative",
-    "ellipticity_check",
-    "eta_continuation",
-    "exponent_identity_residual",
-    "fixed_point_residual",
-    "horizon_times",
-    "ledger",
-    "load_config",
-    "load_snapshot",
-    "momentum_rhs_componentwise",
-    "momentum_rhs_symmetric",
-    "momentum_step",
-    "nonlinear_residual",
-    "oracle_mass_drift",
-    "picard_solve",
-    "primitive_solve",
-    "quadrature_l2",
-    "reconstruct_primitive",
-    "reform_rhs",
-    "reform_state_from_density",
-    "reformulation_gap",
-    "save_snapshot",
-    "sobolev_norm",
-    "soft_viscosity_params",
-    "solve_linearized",
-    "stable_power",
-    "support_margin",
-    "trajectory_distance",
-    "transport_step",
-    "validate_params",
-    "validity",
-    "vacuum_residual",
-    "velocity_modes",
-    "weighted_seminorm",
-    "window_scan",
-    "write_resolved",
-]

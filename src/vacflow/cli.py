@@ -23,6 +23,7 @@ import sys
 from .diagnostics import (
     characteristics_check,
     conservation,
+    density_of,
     horizon_times,
     initial_constant,
     ledger,
@@ -32,7 +33,7 @@ from .diagnostics import (
     write_characteristics_csv,
     write_ledger_csv,
 )
-from .fields import save_snapshot
+from .fields import ScalarField, save_snapshot
 from .fixedpoint import (
     ContinuationError,
     eta_continuation,
@@ -152,7 +153,8 @@ def _failure_record(out_dir, phase: str, time, detail: str) -> None:
 
 def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
                  snapshots: bool, scale: float = 1.0) -> dict:
-    """Execute continuation plus diagnostics and write the report bundle.
+    """Execute continuation plus diagnostics and write the report bundle,
+    with snapshots when the flag or [output] snapshots asks for them.
     Returns the summary dictionary; raises SolverAbort or ContinuationError
     after writing failure.json when the solve dies."""
     os.makedirs(out_dir, exist_ok=True)
@@ -208,9 +210,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
             chars, os.path.join(out_dir, "characteristics.csv"))
         files.append("characteristics.csv")
 
-    if snapshots:
-        from .diagnostics import density_of
-        from .fields import ScalarField
+    if snapshots or cfg.snapshots:
         rho_final = ScalarField(traj.grid, density_of(traj.vphi[-1], params))
         save_snapshot(os.path.join(out_dir, "final_density.snap"),
                       rho_final, "density", time=traj.times[-1])
@@ -311,9 +311,8 @@ def cmd_run(args) -> int:
         params = cfg.fluid_params()
     except ParameterError as exc:
         return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
-    snapshots = args.snapshots or cfg.snapshots
     try:
-        summary = run_pipeline(cfg, out_dir, args.seed, snapshots)
+        summary = run_pipeline(cfg, out_dir, args.seed, args.snapshots)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     except (SolverAbort, ContinuationError) as exc:
@@ -333,11 +332,10 @@ def cmd_run(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _sweep_row(config_path: str, scale: float, row_dir: str, seed: int,
+def _sweep_row(cfg: RunConfig, scale: float, row_dir: str, seed: int,
                snapshots: bool) -> dict:
     """One sweep row, isolated in its own directory; importable at module
     level so worker processes can unpickle it."""
-    cfg = load_config(config_path)
     row = {"scale": scale, "status": "ok", "t_valid": "", "c0": "",
            "c3": "", "m": "", "T_star_star": "", "mass_drift": "",
            "picard_iters": "", "note": ""}
@@ -378,7 +376,7 @@ def cmd_sweep(args) -> int:
     jobs = []
     for i, scale in enumerate(scales):
         row_dir = os.path.join(out_dir, f"row_{i:02d}_scale_{scale:g}")
-        jobs.append((args.config, scale, row_dir, args.seed, args.snapshots))
+        jobs.append((cfg, scale, row_dir, args.seed, args.snapshots))
 
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(

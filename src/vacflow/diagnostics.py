@@ -109,10 +109,6 @@ class AprioriLedger:
         if self.horizons[3] != want:
             raise ValueError("stored horizon disagrees with its formula")
 
-    @property
-    def t_star_star(self) -> float:
-        return self.horizons[3]
-
 
 def horizon_times(t_end: float, c3: float, m: float) -> tuple:
     """The nested horizon ladder (T1, T2, T3, T**): each level shrinks the

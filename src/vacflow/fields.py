@@ -14,10 +14,9 @@ axes batch, so one call transforms a stack of fields. Each last-axis mode
 1..n/2-1 stands for itself and its mirror -m, so the norm sums give it
 weight 2, and the modes 0 and n/2 weight 1.
 
-Seminorms |f|_{D^k} replace the weight by |k|^{2k}. The weighted seminorm
-|w grad^k u|_2 is evaluated in physical space: all distinct k-th partials of
-every velocity component, squared with multinomial multiplicity, against the
-quadrature weight h^dim.
+The weighted seminorm |w grad^k u|_2 is evaluated in physical space: all
+distinct k-th partials of every velocity component, squared with multinomial
+multiplicity, against the quadrature weight h^dim.
 """
 
 from __future__ import annotations
@@ -246,9 +245,6 @@ class ScalarField:
     def __post_init__(self):
         object.__setattr__(self, "values", checked_values(self.values, self.grid.shape))
 
-    def linf(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -260,14 +256,6 @@ class VectorField:
             self, "values",
             checked_values(self.values, (self.grid.dim,) + self.grid.shape)
         )
-
-    def linf(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def derivative(field: ScalarField, order: tuple) -> ScalarField:
-    """Mixed partial d^order f of total order at most four."""
-    return ScalarField(field.grid, field.grid.deriv(field.values, order))
 
 
 # -- norms -----------------------------------------------------------------
@@ -281,29 +269,16 @@ def _component_list(field) -> list:
     raise FieldError(f"expected ScalarField or VectorField, got {type(field)}")
 
 
-def _spectral_norm(field, weight: np.ndarray) -> float:
-    """(sum_k weight_k |fhat_k|^2 L^dim)^(1/2), all components summed. The
-    half spectrum holds each last-axis mode 1..n/2-1 for itself and its
-    mirror, so those count twice."""
+def sobolev_norm(field, s: int) -> float:
+    """||f||_s with the quadrature-L2 normalization; vector fields sum
+    component squares before the square root."""
     grid = field.grid
     hermitian = np.full(grid.n // 2 + 1, 2.0)
     hermitian[0] = hermitian[-1] = 1.0
     scale = grid.box_length**grid.dim / grid.n ** (2 * grid.dim)
     power = np.abs(grid.fft(field.values)) ** 2
+    weight = (1.0 + grid.k_squared) ** s
     return math.sqrt(float(np.sum(weight * hermitian * power)) * scale)
-
-
-def sobolev_norm(field, s: int) -> float:
-    """||f||_s with the quadrature-L2 normalization; vector fields sum
-    component squares before the square root."""
-    return _spectral_norm(field, (1.0 + field.grid.k_squared) ** s)
-
-
-def seminorm(field, k: int) -> float:
-    """|f|_{D^k}: the |k|^{2k} spectral weight, all components summed."""
-    if k < 0 or k > MAX_DERIVATIVE_ORDER:
-        raise FieldError(f"seminorm order {k} outside 0..{MAX_DERIVATIVE_ORDER}")
-    return _spectral_norm(field, field.grid.k_squared**k)
 
 
 def quadrature_l2(grid: Grid, values: np.ndarray) -> float:

@@ -292,27 +292,6 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     return cur, trace
 
 
-def fixed_point_residual(traj: Trajectory, init: ReformState,
-                         params: FluidParams, eta: float, *,
-                         cfl_safety: float = DEFAULT_CFL_SAFETY,
-                         sample_dt: float | None = None) -> float:
-    """Run one more linearized solve from a converged trajectory and report
-    how far it moves, in the same metric the iteration uses. Should land
-    within a small multiple of picard_tol when the input really converged.
-    The sample cadence is read off the trajectory unless given."""
-    t_window = float(traj.times[-1])
-    if sample_dt is None:
-        if len(traj.times) < 2:
-            raise ValueError("trajectory has no cadence to infer")
-        sample_dt = float(traj.times[1] - traj.times[0])
-    coeffs = FrozenCoefficients(provider=traj.as_coefficients(), eta=eta,
-                                t_window=t_window, cfl_safety=cfl_safety,
-                                sample_dt=sample_dt)
-    nxt = solve_linearized(init, coeffs, params)
-    w_sq, v_sq, _ = trajectory_gap(nxt, traj)
-    return w_sq + v_sq
-
-
 @dataclass(frozen=True)
 class EtaSchedule:
     """Geometric ladder of regularization strengths."""
@@ -410,37 +389,3 @@ def eta_continuation(init: ReformState, params: FluidParams,
     report = ContinuationReport(levels=tuple(levels), reached_tol=reached,
                                 final_trace=last_trace)
     return prev_traj, report
-
-
-@dataclass(frozen=True)
-class WindowScanRow:
-    t_window: float
-    converged: bool
-    final_S: float
-    iterations: int
-
-
-def window_scan(init: ReformState, params: FluidParams, eta: float,
-                t_window0: float, doublings: int,
-                picard_tol: float = DEFAULT_PICARD_TOL,
-                max_iter: int = DEFAULT_MAX_ITER) -> list[WindowScanRow]:
-    """Double the window until the iteration stops converging. The first
-    failing length, when one exists, quantifies the small-time restriction
-    empirically; rows after the first failure are not attempted."""
-    rows: list[WindowScanRow] = []
-    t_win = t_window0
-    for _ in range(doublings + 1):
-        try:
-            _, trace = picard_solve(init, params, eta, t_win, picard_tol,
-                                    max_iter)
-            rows.append(WindowScanRow(t_window=t_win, converged=trace.converged,
-                                      final_S=trace.final_S,
-                                      iterations=trace.final_k))
-            if not trace.converged:
-                break
-        except SolverAbort:
-            rows.append(WindowScanRow(t_window=t_win, converged=False,
-                                      final_S=math.inf, iterations=0))
-            break
-        t_win *= 2.0
-    return rows

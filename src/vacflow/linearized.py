@@ -258,14 +258,6 @@ class FrozenCoefficients:
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive when fixed")
 
-    @classmethod
-    def from_state(cls, V: ReformState, vphi_tilde: ScalarField, eta: float,
-                   t_window: float, **kwargs) -> "FrozenCoefficients":
-        provider = ConstantCoefficients(
-            V.u.values, V.phi.values, vphi_tilde.values
-        )
-        return cls(provider=provider, eta=eta, t_window=t_window, **kwargs)
-
 
 def _shift(grid: Grid, nu1: float, nu2: float, dt: float):
     """G(tau) = exp(tau (nu1 Lap + nu2 grad div)) on velocity half spectra

@@ -29,12 +29,10 @@ from .linearized import (
     DEFAULT_SAMPLES_PER_WINDOW,
     AnalyticCoefficients,
     CallableForcing,
-    ConstantCoefficients,
     FrozenCoefficients,
     SolverAbort,
     march,
     solve_linearized,
-    transport_step,
 )
 from .diagnostics import (
     PrimitiveState,
@@ -378,101 +376,6 @@ def reform_spatial_errors(ns, dt: float, t_window: float,
         case = default_case(Grid(dim=dim, n=n, box_length=2.0 * math.pi), params)
         out.append(reform_mms_error(case, dt, t_window, eta))
     return out
-
-
-def advection_temporal_study(grid: Grid, dts, t_window: float) -> MMSStudy:
-    """Pure transport sub-case: a profile advected by a uniform unit
-    velocity, compared against its exactly shifted self."""
-    params = validate_params(A=1.0, gamma=3.0, alpha=1.0, beta=0.5,
-                             delta1=3.0, delta2=6.0)
-    k0 = 2.0 * math.pi / grid.box_length
-    x = grid.coordinates[0]
-    prof0 = np.broadcast_to(np.sin(k0 * x), grid.shape).copy()
-    vel = np.zeros((grid.dim,) + grid.shape)
-    vel[0] = 1.0
-    zeros = np.zeros(grid.shape)
-    coeffs = FrozenCoefficients(
-        provider=ConstantCoefficients(vel, zeros, zeros),
-        eta=0.0, t_window=t_window, clip=False)
-    errors = []
-    for dt in dts:
-        f = ScalarField(grid, prof0)
-
-        def advance(t: float, step: float, t_new: float, at_sample: bool) -> None:
-            nonlocal f
-            f, _ = transport_step(params, f, coeffs, step, t)
-
-        march(t_window, None, lambda t: dt, advance)
-        exact = np.broadcast_to(np.sin(k0 * x - t_window), grid.shape)
-        errors.append(quadrature_l2(grid, f.values - exact))
-    return observed_orders(list(dts), errors, "advection temporal")
-
-
-# -- acoustic dispersion ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DispersionReport:
-    omega_measured: float
-    omega_predicted: float
-    rel_error: float
-    crossings: int
-
-
-def acoustic_dispersion(params: FluidParams, n: int = 256,
-                        rho_bar: float = 1.0, mode: int = 1,
-                        amp: float = 1e-4, periods: float = 3.0,
-                        box_length: float = 2.0 * math.pi) -> DispersionReport:
-    """Ring a single density mode and read the oscillation frequency from
-    the zero crossings of its Fourier coefficient, then compare with the
-    viscosity-corrected sound speed.
-
-    The linearized prediction: a mode k oscillates at
-    omega = k sqrt(c^2 - (nu k / 2)^2) with c^2 = A gamma rho_bar^(gamma-1)
-    and nu = (2 mu + lambda)/rho at the background density, and decays like
-    exp(-nu k^2 t / 2). Crossing spacing of the cosine is pi/omega exactly,
-    damping notwithstanding.
-    """
-    grid = Grid(dim=1, n=n, box_length=box_length)
-    k = 2.0 * math.pi * mode / box_length
-    c2 = params.A * params.gamma * rho_bar ** (params.gamma - 1.0)
-    nu = (2.0 * params.alpha * rho_bar**params.delta1
-          + params.beta * rho_bar**params.delta2) / rho_bar
-    under = c2 - 0.25 * nu * nu * k * k
-    if under <= 0.0:
-        raise ValueError("mode is overdamped for these parameters; "
-                         "no oscillation to measure")
-    omega_pred = k * math.sqrt(under)
-
-    x = grid.coordinates[0]
-    rho0 = ScalarField(grid, rho_bar * (1.0 + amp * np.sin(k * x)))
-    u0 = VectorField(grid, np.zeros((1, n)))
-    t_window = periods * 2.0 * math.pi / omega_pred
-    sample_dt = t_window / max(int(200 * periods), 200)
-    traj = primitive_solve(rho0, u0, params, t_window, sample_dt=sample_dt)
-
-    series = []
-    for s in traj.states:
-        spec = grid.fft(s.rho.values - rho_bar)
-        series.append(float(spec[mode].imag))
-    times = np.asarray(traj.times)
-    vals = np.asarray(series)
-
-    crossings = []
-    for i in range(len(vals) - 1):
-        if vals[i] == 0.0:
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            w = vals[i] / (vals[i] - vals[i + 1])
-            crossings.append(float(times[i] + w * (times[i + 1] - times[i])))
-    if len(crossings) < 2:
-        raise ValueError("too few zero crossings to estimate a frequency")
-    spacings = np.diff(np.asarray(crossings))
-    omega_meas = math.pi / float(spacings.mean())
-    rel = abs(omega_meas - omega_pred) / omega_pred
-    return DispersionReport(omega_measured=omega_meas,
-                            omega_predicted=omega_pred, rel_error=rel,
-                            crossings=len(crossings))
 
 
 # -- cross-solver comparison --------------------------------------------------

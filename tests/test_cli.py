@@ -194,6 +194,19 @@ def test_sweep_flags_rejected_rows(tmp_path, capsys):
     assert (out_dir / "row_01_scale_2").is_dir()
 
 
+def test_sweep_honours_snapshots_in_the_config(tmp_path):
+    text = BASE.format(beta="0.5", amplitude="0.2")
+    text += "\n[output]\nsnapshots = true\n\n[sweep]\namplitude_scales = 1\n"
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", "--config", write(tmp_path, text),
+                 "--out", str(out_dir)]) == 0
+    row_dir = out_dir / "row_00_scale_1"
+    manifest = json.loads((row_dir / "manifest.json").read_text())
+    for name in ("final_density.snap", "final_velocity.snap"):
+        assert (row_dir / name).is_file()
+        assert name in manifest["files"]
+
+
 def test_sweep_rows_do_not_depend_on_the_worker_count(tmp_path):
     # with two workers each row's continuation forks from a pool worker
     text = BASE.format(beta="0.5", amplitude="0.2")

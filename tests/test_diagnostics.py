@@ -195,7 +195,6 @@ def test_ledger_zero_data_has_unit_constant_and_full_horizons():
     assert led.c0 == 1.0
     assert led.c_levels == (1.0, 1.0, 1.0)
     assert led.horizons == (0.25, 2.0**-10, 2.0**-12, 2.0**-12)
-    assert led.t_star_star == 2.0**-12
     assert led.level_ok.all()
     assert led.first_crossing is None
     assert np.all(led.weighted_integrals == 0.0)

@@ -12,11 +12,9 @@ from vacflow.fields import (
     Grid,
     ScalarField,
     VectorField,
-    derivative,
     load_snapshot,
     quadrature_l2,
     save_snapshot,
-    seminorm,
     sobolev_norm,
     support_margin,
     weighted_seminorm,
@@ -52,16 +50,16 @@ def test_derivative_of_constant_is_zero():
     g = grid1d()
     f = ScalarField(g, np.full(g.shape, 3.7))
     for order in ((1,), (2,), (3,), (4,)):
-        assert derivative(f, order).linf() == 0.0
+        assert np.abs(g.deriv(f.values, order)).max() == 0.0
 
 
 def test_derivative_of_single_mode_is_analytic():
     g = grid1d(128)
     x = g.coordinates[0].ravel()
     f = ScalarField(g, np.sin(2.0 * np.pi * x / L))
-    df = derivative(f, (1,))
+    df = g.deriv(f.values, (1,))
     want = (2.0 * np.pi / L) * np.cos(2.0 * np.pi * x / L)
-    assert np.max(np.abs(df.values - want)) < 1e-13
+    assert np.max(np.abs(df - want)) < 1e-13
 
 
 def test_product_rule_identity_for_resolved_products():
@@ -135,9 +133,9 @@ def test_h1_norm_splits_into_l2_plus_gradient():
         spectrum[k] = amp
         spectrum[-k] = np.conj(amp)
     f = ScalarField(g, np.fft.ifft(spectrum).real)
-    df = derivative(f, (1,))
+    df = g.deriv(f.values, (1,))
     lhs = sobolev_norm(f, 1) ** 2
-    rhs = sobolev_norm(f, 0) ** 2 + quadrature_l2(g, df.values) ** 2
+    rhs = sobolev_norm(f, 0) ** 2 + quadrature_l2(g, df) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -155,15 +153,16 @@ def test_sobolev_norms_nondecreasing_in_order(seed, kmax):
         assert b >= a - 1e-12 * max(1.0, a)
 
 
-def complex_spectral_norm(field, power):
-    """sqrt(sum_k w(|k|^2) |fhat_k|^2 L^dim) over the full complex spectrum,
-    fhat = fftn(f) / n^dim, all components summed; w = power(|k|^2)."""
+def complex_sobolev_norm(field, s):
+    """sqrt(sum_k (1 + |k|^2)^s |fhat_k|^2 L^dim) over the full complex
+    spectrum, fhat = fftn(f) / n^dim, all components summed."""
     g = field.grid
     k = 2.0 * np.pi / g.box_length * np.fft.fftfreq(g.n, 1.0 / g.n)
     k2 = sum(np.reshape(k, [-1 if a == axis else 1 for a in range(g.dim)])**2
              for axis in range(g.dim))
     comps = field.values.reshape((-1,) + g.shape)
-    total = sum(np.sum(power(k2) * np.abs(np.fft.fftn(c))**2) for c in comps)
+    total = sum(np.sum((1.0 + k2)**s * np.abs(np.fft.fftn(c))**2)
+                for c in comps)
     return math.sqrt(total * g.box_length**g.dim / g.n**(2 * g.dim))
 
 
@@ -180,11 +179,8 @@ def test_half_spectrum_norms_equal_the_complex_sums(seed, dim, vector):
     else:
         f = ScalarField(g, rng.standard_normal(g.shape))
     for s in range(4):
-        want = complex_spectral_norm(f, lambda k2: (1.0 + k2)**s)
+        want = complex_sobolev_norm(f, s)
         assert sobolev_norm(f, s) == pytest.approx(want, rel=1e-12)
-    for k in range(5):
-        want = complex_spectral_norm(f, lambda k2: k2**k)
-        assert seminorm(f, k) == pytest.approx(want, rel=1e-12)
 
 
 def test_weighted_seminorm_unit_weight_matches_unweighted():
@@ -192,9 +188,9 @@ def test_weighted_seminorm_unit_weight_matches_unweighted():
     x = g.coordinates[0]
     u = VectorField(g, (np.sin(3 * x) + 0.5 * np.cos(x)).reshape(1, -1))
     w1 = ScalarField(g, np.ones(g.shape))
-    du = derivative(ScalarField(g, u.values[0]), (1,))
+    du = g.deriv(u.values[0], (1,))
     assert weighted_seminorm(w1, u, 1) == pytest.approx(
-        quadrature_l2(g, du.values), rel=1e-13)
+        quadrature_l2(g, du), rel=1e-13)
 
 
 def test_weighted_seminorm_zero_weight_is_zero():

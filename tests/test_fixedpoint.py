@@ -17,16 +17,15 @@ from vacflow.fixedpoint import (
     PicardIteration,
     PicardTrace,
     eta_continuation,
-    fixed_point_residual,
     picard_solve,
     run_forked,
     trajectory_distance,
     trajectory_gap,
-    window_scan,
     write_trace_csv,
 )
 from vacflow.initial_data import reform_state_from_density
-from vacflow.linearized import SolverAbort
+from vacflow.linearized import (FrozenCoefficients, SolverAbort,
+                                solve_linearized)
 from vacflow.operators import ReformState
 from vacflow.params import ParameterError, validate_params
 from vacflow.runconfig import ConfigError
@@ -69,8 +68,8 @@ def test_zero_data_converges_in_one_iteration_with_zero_metric():
     assert trace.converged
     assert trace.final_k == 1
     assert trace.final_S == 0.0
-    assert traj.final.phi.linf() == 0.0
-    assert traj.final.u.linf() == 0.0
+    assert np.abs(traj.final.phi.values).max() == 0.0
+    assert np.abs(traj.final.u.values).max() == 0.0
 
 
 def test_picard_contracts_geometrically_on_smooth_data():
@@ -91,8 +90,13 @@ def test_fixed_point_residual_small_after_convergence():
     traj, trace = picard_solve(init, soft_params(), 0.25, 0.005,
                                picard_tol=tol)
     assert trace.converged
-    res = fixed_point_residual(traj, init, soft_params(), 0.25)
-    assert res <= 10.0 * tol
+    # one more linearized solve from the converged trajectory barely moves
+    # it, in the metric the iteration uses
+    coeffs = FrozenCoefficients(provider=traj.as_coefficients(), eta=0.25,
+                                t_window=0.005, sample_dt=traj.times[1])
+    nxt = solve_linearized(init, coeffs, soft_params())
+    w_sq, v_sq, _ = trajectory_gap(nxt, traj)
+    assert w_sq + v_sq <= 10.0 * tol
 
 
 def test_trace_validation_and_fitted_ratio():
@@ -354,18 +358,3 @@ def test_run_forked_kills_its_children_when_the_caller_stops():
             raise KeyError("raised by the caller")
     assert_no_children()
     assert time.monotonic() - tic < 30.0
-
-
-def test_window_scan_stops_at_the_first_failure():
-    init = positive_state(n=32)
-    p = soft_params()
-    rows = window_scan(init, p, 0.25, 0.002, doublings=2,
-                       picard_tol=1e-10, max_iter=20)
-    assert len(rows) == 3
-    assert all(r.converged for r in rows)
-    assert [r.t_window for r in rows] == [0.002, 0.004, 0.008]
-
-    rows = window_scan(init, p, 0.25, 0.002, doublings=3,
-                       picard_tol=0.0, max_iter=1)
-    assert len(rows) == 1
-    assert not rows[0].converged

@@ -1,0 +1,89 @@
+"""The package's public surface is sized to its callers: every public name
+in src/vacflow is used by the program itself or by an acceptance
+criterion, and importing the bare package loads none of its modules."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vacflow"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+# The plain spectral derivative the tests check the solver's batched
+# kernels against.
+EXEMPT = {"Grid.deriv"}
+
+
+class _References(ast.NodeVisitor):
+    """Every loaded name and attribute with the definitions enclosing it,
+    and every public module-level function and class with its public
+    methods."""
+
+    def __init__(self):
+        self.uses = {}       # (kind, identifier) -> [enclosing definitions]
+        self.public = []     # (qualified name, node, kind of reference)
+        self._enclosing = ()
+
+    def add_module(self, tree):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    self.public.append((node.name, node, "name"))
+                if isinstance(node, ast.ClassDef):
+                    self.public += [
+                        (f"{node.name}.{item.name}", item, "attr")
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")]
+        self.visit(tree)
+
+    def _enter(self, node):
+        outer = self._enclosing
+        self._enclosing = outer + (node,)
+        self.generic_visit(node)
+        self._enclosing = outer
+
+    visit_FunctionDef = visit_ClassDef = _enter
+
+    def visit_Name(self, node):
+        self.uses.setdefault(("name", node.id), []).append(self._enclosing)
+
+    def visit_Attribute(self, node):
+        self.uses.setdefault(("attr", node.attr), []).append(self._enclosing)
+        self.generic_visit(node)
+
+
+def test_every_public_name_has_a_caller():
+    refs = _References()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            refs.add_module(ast.parse(path.read_text(), str(path)))
+    refs.visit(ast.parse(ACCEPTANCE.read_text(), str(ACCEPTANCE)))
+
+    unused = []
+    for qualified, node, kind in refs.public:
+        ident = qualified.rpartition(".")[2]
+        # a module-level name may be reached as a module attribute too
+        kinds = ("name", "attr") if kind == "name" else ("attr",)
+        used = any(node not in enclosing
+                   for k in kinds for enclosing in refs.uses.get((k, ident), ()))
+        if not used and qualified not in EXEMPT:
+            unused.append(qualified)
+    assert unused == [], (
+        "public names with no caller in src/ or the acceptance criteria: "
+        f"{unused}")
+
+
+def test_importing_the_package_loads_no_module():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys, vacflow; "
+            "print(sorted(m for m in sys.modules if m.startswith('vacflow.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
