@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: validate, run, sweep, mms, oracle-compare. All behavior is
-driven by one INI configuration file; the only flags are --config, --out,
---workers, --seed, --snapshots, and there are no environment overrides, so
-a command line plus a config file pins a run completely.
+driven by one INI configuration file; the only flags are --config, --out and
+--seed on every subcommand, --snapshots on run and sweep, and --workers on
+sweep. There are no environment overrides, so a command line plus a config
+file pins a run completely.
 
 Exit codes: 0 success, 1 constraint or validation failure, 2 runtime solver
 or quality failure, 3 I/O failure.
@@ -40,6 +41,7 @@ from .fixedpoint import (
     write_continuation_csv,
     write_trace_csv,
 )
+from .initial_data import reform_state_from_density
 from .linearized import SolverAbort
 from .oracle import (
     cross_compare,
@@ -159,12 +161,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     after writing failure.json when the solve dies."""
     os.makedirs(out_dir, exist_ok=True)
     params = cfg.fluid_params()
-    init = cfg.initial_state(scale)
-
-    compat = check_initial_compatibility(params, cfg.density(scale))
+    rho0 = cfg.density(scale)
+    compat = check_initial_compatibility(params, rho0)
     if not compat.passed:
         raise ConfigError(f"initial data violates the density cap: "
                           f"{compat.message}")
+    init = reform_state_from_density(rho0, cfg.velocity(scale), params)
 
     resolved = os.path.join(out_dir, "resolved_config.ini")
     write_resolved(cfg, resolved)
@@ -308,11 +310,9 @@ def cmd_run(args) -> int:
         return _fail(f"cannot create output directory {out_dir}: {exc}",
                      EXIT_IO)
     try:
-        params = cfg.fluid_params()
+        summary = run_pipeline(cfg, out_dir, args.seed, args.snapshots)
     except ParameterError as exc:
         return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
-    try:
-        summary = run_pipeline(cfg, out_dir, args.seed, args.snapshots)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     except (SolverAbort, ContinuationError) as exc:
@@ -323,7 +323,8 @@ def cmd_run(args) -> int:
     print(f"run complete: t_valid = {summary['validity']['t_valid']:g} "
           f"of T = {cfg.t_window:g}")
     print(f"  T** = {summary['ledger']['T_star_star']:.6g}, "
-          f"m = {params.m:g}, c3 = {summary['ledger']['c_levels'][2]:.6g}")
+          f"m = {summary['params']['m']:g}, "
+          f"c3 = {summary['ledger']['c_levels'][2]:.6g}")
     print(f"  mass drift = {summary['conservation']['mass_drift']:.3e}")
     print(f"  bundle written to {out_dir}")
     return EXIT_OK
@@ -531,21 +532,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the INI run configuration")
         p.add_argument("--out", default="",
                        help="output directory (overrides [output] directory)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="concurrent sweep rows (sweep only)")
         p.add_argument("--seed", type=int, default=20250819,
                        help="seed for randomized diagnostics")
+        p.set_defaults(func=func)
+        return p
+
+    def snapshots(p):
         p.add_argument("--snapshots", action="store_true",
                        help="also write final-state snapshot files")
-        p.set_defaults(func=func)
         return p
 
     add("validate", cmd_validate,
         "check constants and initial data, print margins and horizons")
-    add("run", cmd_run,
-        "full continuation run with diagnostics and report bundle")
-    add("sweep", cmd_sweep,
-        "run a family of amplitude-scaled configs, aggregate one CSV")
+    snapshots(add("run", cmd_run,
+                  "full continuation run with diagnostics and report bundle"))
+    sweep = snapshots(add("sweep", cmd_sweep,
+                          "run a family of amplitude-scaled configs, "
+                          "aggregate one CSV"))
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="concurrent sweep rows")
     add("mms", cmd_mms, "manufactured-solution convergence tables",
         config_required=False)
     add("oracle-compare", cmd_oracle_compare,

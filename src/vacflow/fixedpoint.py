@@ -8,15 +8,25 @@ in L2. The outer one, ``eta_continuation``, shrinks the elliptic
 regularization toward zero and watches consecutive solutions settle into a
 Cauchy sequence. The levels share nothing but their initial data, so
 ``run_forked`` solves them in concurrent child processes.
+
+Iterate k + 1 steps across [t_j, t_j+1] reading only samples j and j + 1 of
+iterate k, so the Picard iterates run as a pipeline (``_Iterates``): each in
+its own forked child, one sample behind its predecessor, with the windows in
+shared memory. An iterate starts only once its predecessor's running metric
+has passed picard_tol, so the pipeline runs exactly the iterates the
+sequential loop runs and computes them bit for bit as it does.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import mmap
 import os
 import pickle
+import select
 import signal
+import struct
 import time
 from collections import deque
 from contextlib import closing
@@ -33,8 +43,10 @@ from .linearized import (
     FrozenCoefficients,
     SolverAbort,
     Trajectory,
+    TrajectoryCoefficients,
     adaptive_dt,
     record_window,
+    sample_times,
     solve_linearized,
     transport_step,
 )
@@ -44,6 +56,8 @@ from .params import FluidParams, ParameterError
 DEFAULT_PICARD_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
 IDENTITY_GUARD = 1e-10
+# Picard stops as diverging once S_k has grown on this many iterations in a row.
+DIVERGING_GROWTHS = 3
 
 
 class ContinuationError(RuntimeError):
@@ -58,29 +72,46 @@ class ContinuationError(RuntimeError):
         return type(self), (self.level, self.message)
 
 
+def _fork(body) -> int:
+    """Fork a child that runs body() and always leaves through os._exit, so
+    it never returns into the caller's stack nor flushes the stdio buffers it
+    inherited; returns the child's pid."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            body()
+        finally:
+            os._exit(0)
+    return pid
+
+
+def _width() -> int:
+    """How many children run at once: one per CPU plus one."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return cpus + 1
+
+
 def _start_job(job):
     """Fork a child that runs job and pickles ("ok", value) or ("err",
-    exception) into a pipe; returns its pid and the pipe's read end. The
-    child always leaves through os._exit, so it never returns into the
-    caller's stack nor flushes the stdio buffers it inherited."""
+    exception) into a pipe; returns its pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
+
+    def body():
+        os.close(read_fd)
+        try:
+            outcome = ("ok", job())
+        except BaseException as exc:
+            outcome = ("err", exc)
+        with open(write_fd, "wb") as fh:
+            pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
     try:
-        pid = os.fork()
+        pid = _fork(body)
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
         raise
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            try:
-                outcome = ("ok", job())
-            except BaseException as exc:
-                outcome = ("err", exc)
-            with open(write_fd, "wb") as fh:
-                pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        finally:
-            os._exit(0)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
 
@@ -114,9 +145,7 @@ def run_forked(jobs):
         for job in jobs:
             yield job()
         return
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    width = cpus + 1
+    width = _width()
     running = deque()
     try:
         for i in range(len(jobs)):
@@ -148,14 +177,21 @@ class PicardIteration:
 
 @dataclass(frozen=True)
 class PicardTrace:
+    """The iteration history and why it ended: "converged", "max_iter" or
+    "diverging"."""
+
     iterations: tuple
-    converged: bool
+    stop_reason: str
     final_k: int
 
     def __post_init__(self):
         for it in self.iterations:
             if not it.S_k >= 0.0:
                 raise ValueError(f"contraction metric negative at k={it.k}")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def final_S(self) -> float:
@@ -183,51 +219,36 @@ def write_trace_csv(trace: PicardTrace, path) -> None:
             writer.writerow([it.k, f"{it.S_k:.17e}", f"{it.linf_delta:.17e}"])
 
 
-def _sample_gaps(a: Trajectory, b: Trajectory):
-    """Per shared sample time: the squared L2 gaps of phi, u and vphi, and
-    the largest pointwise gap of the three."""
-    ta = np.asarray(a.times, dtype=float)
-    tb = np.asarray(b.times, dtype=float)
-    if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=0.0,
-                                               atol=1e-10 * max(1.0, float(ta[-1]))):
-        raise ValueError("trajectories are sampled on different time grids")
-    grid = a.grid
-    for i in range(len(ta)):
-        diffs = (a.phi[i] - b.phi[i], a.u[i] - b.u[i], a.vphi[i] - b.vphi[i])
-        yield (*(quadrature_l2(grid, d) ** 2 for d in diffs),
-               max(float(np.abs(d).max()) for d in diffs))
-
-
-def trajectory_gap(a: Trajectory, b: Trajectory) -> tuple[float, float, float]:
-    """Sup-in-time squared L2 gaps between two trajectories, measured
-    separately for the (phi, u) block and for the viscosity proxy, plus the
-    sup-in-time pointwise gap. The two blocks are kept apart because the
-    contraction metric adds their separate suprema."""
-    w_sq = 0.0
-    v_sq = 0.0
-    linf = 0.0
-    for phi_sq, u_sq, vphi_sq, gap in _sample_gaps(a, b):
-        w_sq = max(w_sq, phi_sq + u_sq)
-        v_sq = max(v_sq, vphi_sq)
-        linf = max(linf, gap)
-    return w_sq, v_sq, linf
+def _sample_gap(grid, a, b, i: int) -> tuple[float, float, float]:
+    """The gap between sample i of two windows, each given as its (vphi,
+    phi, u) stacks: the squared L2 gap of the (phi, u) block, that of vphi,
+    and the largest pointwise gap of the three."""
+    diffs = (a[1][i] - b[1][i], a[2][i] - b[2][i], a[0][i] - b[0][i])
+    phi_sq, u_sq, vphi_sq = (quadrature_l2(grid, d) ** 2 for d in diffs)
+    return phi_sq + u_sq, vphi_sq, max(float(np.abs(d).max()) for d in diffs)
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
     """Sup over shared sample times of the combined L2 distance between
     states (all three fields in one norm)."""
-    return max(math.sqrt(phi_sq + u_sq + vphi_sq)
-               for phi_sq, u_sq, vphi_sq, _ in _sample_gaps(a, b))
+    ta = np.asarray(a.times, dtype=float)
+    tb = np.asarray(b.times, dtype=float)
+    if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=0.0,
+                                               atol=1e-10 * max(1.0, float(ta[-1]))):
+        raise ValueError("trajectories are sampled on different time grids")
+    stacks_a, stacks_b = (a.vphi, a.phi, a.u), (b.vphi, b.phi, b.u)
+    gaps = (_sample_gap(a.grid, stacks_a, stacks_b, i) for i in range(len(ta)))
+    return max(math.sqrt(w_sq + v_sq) for w_sq, v_sq, _ in gaps)
 
 
 def _start_guess(init: ReformState, params: FluidParams, eta: float,
-                 t_window: float, cfl_safety: float,
-                 sample_dt: float | None) -> Trajectory:
-    """Iterate zero: both proxies advected by the initial velocity (stretch
-    terms dropped), the velocity itself held constant. Both proxies share
-    the coefficients and the step, so they advance as one stacked transport
-    step. Any guess inside the contraction ball works; this one needs no
-    extra solver machinery."""
+                 t_window: float, cfl_safety: float, sample_dt: float,
+                 stacks) -> Trajectory:
+    """Iterate zero, written into stacks: both proxies advected by the
+    initial velocity (stretch terms dropped), the velocity itself held
+    constant. Both proxies share the coefficients and the step, so they
+    advance as one stacked transport step. Any guess inside the contraction
+    ball works; this one needs no extra solver machinery."""
     grid = init.grid
     zeros = np.zeros(grid.shape)
     provider = ConstantCoefficients(init.u.values, zeros, zeros)
@@ -239,7 +260,239 @@ def _start_guess(init: ReformState, params: FluidParams, eta: float,
         return vphi, phi, u, 0, 0.0
 
     return record_window(init, t_window, sample_dt, lambda t: h, step,
-                         eta=eta, clip=True)
+                         eta=eta, clip=True, stacks=stacks)
+
+
+def _raise_mmap_threshold() -> None:
+    """Allocate and free one 16 MiB block. glibc raises its mmap threshold
+    to the size of a freed mapped block, so processes forked after this keep
+    their step temporaries on the heap instead of mapping and unmapping them
+    until their own frees raise it: a freshly forked iterate otherwise pays
+    that warm-up in page faults (run-2d: 72k against 10k per level). Under
+    another allocator this is an unused allocation."""
+    np.empty(1 << 21)
+
+
+def _window(grid, n: int, shared: bool) -> tuple:
+    """Empty (vphi, phi, u) stacks for n samples. Shared stacks live in one
+    anonymous shared mapping, which forked children write and read in place;
+    a process holds in memory only the pages of it that it touches."""
+    shapes = [(n,) + grid.shape] * 2 + [(n, grid.dim) + grid.shape]
+    if not shared:
+        return tuple(np.empty(shape) for shape in shapes)
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = mmap.mmap(-1, 8 * sum(sizes))
+    offsets = np.cumsum([0] + sizes[:-1])
+    return tuple(np.frombuffer(buf, count=size, offset=8 * int(off)).reshape(shape)
+                 for shape, size, off in zip(shapes, sizes, offsets))
+
+
+# An iterate child's reports to the driver, one record each: (kind, i, w_sq,
+# v_sq, linf). SAMPLE: sample i is written, with its gap to the predecessor;
+# NEED: the child waits for the predecessor's sample i; DONE: a pickled
+# outcome of i bytes follows.
+_REPORT = struct.Struct("<2q3d")
+_SAMPLE, _NEED, _DONE = 0, 1, 2
+# The driver's answer to NEED: how many predecessor samples are written.
+_COUNT = struct.Struct("<q")
+
+
+def _read_exact(fd: int, size: int) -> bytes:
+    """size bytes from fd, fewer only when its writer is gone."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Iterates:
+    """The Picard iterates 1, 2, ... of one solve, run as a pipeline.
+
+    solve(k, wait, report) computes iterate k into windows[k] from
+    windows[k - 1]; it calls wait(j) before it reads sample j of the
+    predecessor and report(_SAMPLE, i, w_sq, v_sq, linf) once it has written
+    its own sample i. Iterate k + 1 is launched as soon as iterate k's
+    running metric, the sup so far of w_sq plus the sup so far of v_sq,
+    exceeds tol. That metric never decreases and ends at S_k, so an iterate
+    runs exactly when the sequential loop would run it, only earlier.
+
+    With os.fork, each iterate runs in a child that writes its window in
+    shared memory and its reports into a pipe; the driver answers a NEED once
+    the predecessor has written the sample. At most width children run at
+    once. Without os.fork, launching an iterate defers it until every report
+    of its predecessor has been read, and it then runs in this process."""
+
+    def __init__(self, solve, windows: dict, new_window, tol: float,
+                 max_iter: int, forked: bool):
+        self.solve, self.windows, self.new_window = solve, windows, new_window
+        self.tol, self.max_iter, self.forked = tol, max_iter, forked
+        self.width = _width()
+        self.count = {0: len(windows[0][0])}   # samples written
+        self.sups: dict = {}        # k -> running [w_sq, v_sq, linf]
+        self.outcomes: dict = {}
+        self.started: dict = {}
+        self.wall: dict = {}
+        self.children: dict = {}    # k -> (pid, report fd, answer fd)
+        self.need: dict = {}        # k -> predecessor sample it waits for
+        self.queue = deque()        # in process: reports not yet read
+        self.deferred = None
+        self.newest = 0
+
+    def metric(self, k: int) -> float:
+        w_sq, v_sq, _ = self.sups[k]
+        return w_sq + v_sq
+
+    def launch(self, k: int) -> None:
+        self.windows[k] = self.new_window()
+        self.count[k] = 0
+        self.sups[k] = [0.0, 0.0, 0.0]
+        self.newest = k
+        self.started[k] = time.perf_counter()
+        if not self.forked:
+            self.deferred = k
+            return
+        report_r, report_w = os.pipe()
+        answer_r, answer_w = os.pipe()
+        ready = self.count[k - 1]
+
+        def body():
+            for _, fd, answer_fd in self.children.values():
+                os.close(fd)
+                os.close(answer_fd)
+            os.close(report_r)
+            os.close(answer_w)
+            for j in list(self.windows):
+                if j not in (k - 1, k):
+                    del self.windows[j]
+
+            def wait(j: int) -> None:
+                nonlocal ready
+                if j < ready:
+                    return
+                _write_all(report_w, _REPORT.pack(_NEED, j, 0.0, 0.0, 0.0))
+                answer = _read_exact(answer_r, _COUNT.size)
+                if len(answer) < _COUNT.size:
+                    raise RuntimeError("the Picard driver is gone")
+                (ready,) = _COUNT.unpack(answer)
+
+            def report(kind: int, i: int, *terms) -> None:
+                _write_all(report_w, _REPORT.pack(kind, i, *terms))
+
+            try:
+                outcome = ("ok", self.solve(k, wait, report))
+            except BaseException as exc:
+                outcome = ("err", exc)
+            payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+            _write_all(report_w,
+                       _REPORT.pack(_DONE, len(payload), 0.0, 0.0, 0.0) + payload)
+
+        try:
+            pid = _fork(body)
+        except OSError:
+            for fd in (report_r, report_w, answer_r, answer_w):
+                os.close(fd)
+            raise
+        os.close(report_w)
+        os.close(answer_r)
+        self.children[k] = (pid, report_r, answer_w)
+
+    def result(self, k: int):
+        """Iterate k's outcome fields once it has finished; raises its
+        exception."""
+        while k not in self.outcomes:
+            self._handle(*self._next_report())
+        kind, value = self.outcomes.pop(k)
+        if kind == "err":
+            raise value
+        return value
+
+    def _next_report(self) -> tuple:
+        """(k, kind, i, terms or outcome) of the next report to read."""
+        if not self.forked:
+            if not self.queue:
+                self._run_deferred()
+            return self.queue.popleft()
+        by_fd = {fd: k for k, (_, fd, _) in self.children.items()}
+        if not by_fd:
+            raise RuntimeError("no Picard iterate is in flight")
+        readable, _, _ = select.select(list(by_fd), [], [])
+        fd = min(readable, key=by_fd.get)
+        k = by_fd[fd]
+        head = _read_exact(fd, _REPORT.size)
+        if len(head) == _REPORT.size:
+            kind, i, *terms = _REPORT.unpack(head)
+            if kind != _DONE:
+                return k, kind, i, terms
+            payload = _read_exact(fd, i)
+            if len(payload) == i:
+                return k, kind, i, pickle.loads(payload)
+        return k, _DONE, 0, ("err", RuntimeError(
+            f"Picard iterate {k} ended without a result"))
+
+    def _run_deferred(self) -> None:
+        k, self.deferred = self.deferred, None
+        if k is None:
+            raise RuntimeError("no Picard iterate is in flight")
+
+        def report(kind: int, i: int, *terms) -> None:
+            self.queue.append((k, kind, i, terms))
+
+        try:
+            outcome = ("ok", self.solve(k, lambda j: None, report))
+        except Exception as exc:
+            outcome = ("err", exc)
+        self.queue.append((k, _DONE, 0, outcome))
+
+    def _handle(self, k: int, kind: int, i: int, data) -> None:
+        if kind == _SAMPLE:
+            self.count[k] = i + 1
+            sups = self.sups[k]
+            for n, term in enumerate(data):
+                sups[n] = max(sups[n], term)
+            self._answer(k + 1)
+        elif kind == _NEED:
+            self.need[k] = i
+            self._answer(k)
+        else:
+            self.outcomes[k] = data
+            self.wall[k] = time.perf_counter() - self.started[k]
+            self.need.pop(k, None)
+            if self.forked:
+                pid, fd, answer_fd = self.children.pop(k)
+                os.close(fd)
+                os.close(answer_fd)
+                os.waitpid(pid, 0)
+        k = self.newest
+        if (k < self.max_iter and self.metric(k) > self.tol
+                and len(self.children) < self.width):
+            self.launch(k + 1)
+
+    def _answer(self, k: int) -> None:
+        """Tell iterate k how many predecessor samples exist once it has the
+        one it waits for."""
+        if k in self.need and self.count[k - 1] > self.need[k]:
+            del self.need[k]
+            _write_all(self.children[k][2], _COUNT.pack(self.count[k - 1]))
+
+    def close(self) -> None:
+        """Kill and reap every child still running."""
+        for pid, fd, answer_fd in self.children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.close(answer_fd)
+            os.waitpid(pid, 0)
+        self.children.clear()
+        self.deferred = None
 
 
 def picard_solve(init: ReformState, params: FluidParams, eta: float,
@@ -254,8 +507,15 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     at the previous iterate, transports the viscosity proxy first, and then
     solves the (phi, u) block with the fresh proxy in the viscous and source
     coefficients. Returns the last trajectory with the iteration history;
-    a history that runs out of iterations comes back with converged=False
-    rather than raising.
+    a history that runs out of iterations, or whose metric grows on
+    DIVERGING_GROWTHS iterations in a row, comes back unconverged, with
+    its stop reason, rather than raising.
+
+    The start guess is computed here. The iterates run as a pipeline
+    (_Iterates): iterate k + 1 steps across [t_j, t_j+1] as soon as
+    iterate k has written samples j and j + 1, in a forked child where
+    os.fork exists, and starts only once iterate k has moved more than
+    picard_tol. The results do not depend on the process count.
     """
     if not t_window > 0.0:
         raise ValueError(f"t_window must be positive, got {t_window}")
@@ -267,27 +527,53 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
                              f"derived-constant residual {ident:.3e}")
     if sample_dt is None:
         sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
+    grid = init.grid
+    times = sample_times(t_window, sample_dt)
+    forked = hasattr(os, "fork")
 
-    prev = _start_guess(init, params, eta, t_window, cfl_safety, sample_dt)
+    def new_window():
+        return _window(grid, len(times), forked)
+
+    def solve(k, wait, report):
+        pred, own = windows[k - 1], windows[k]
+
+        def on_sample(i: int) -> None:
+            wait(i)
+            report(_SAMPLE, i, *_sample_gap(grid, own, pred, i))
+
+        coeffs = FrozenCoefficients(
+            provider=TrajectoryCoefficients(times, *pred, wait=wait), eta=eta,
+            t_window=t_window, cfl_safety=cfl_safety, sample_dt=sample_dt)
+        traj = solve_linearized(init, coeffs, params, stacks=own,
+                                on_sample=on_sample)
+        return traj.times, traj.dt_history, traj.clip_counts, traj.clipped_mass
+
+    windows = {0: new_window()}
+    _start_guess(init, params, eta, t_window, cfl_safety, sample_dt, windows[0])
+    _raise_mmap_threshold()
     iterations = []
-    converged = False
-    cur = prev
-    k = 0
-    for k in range(1, max_iter + 1):
-        tic = time.perf_counter()
-        coeffs = FrozenCoefficients(provider=prev.as_coefficients(), eta=eta,
-                                    t_window=t_window, cfl_safety=cfl_safety,
-                                    sample_dt=sample_dt)
-        cur = solve_linearized(init, coeffs, params)
-        w_sq, v_sq, linf = trajectory_gap(cur, prev)
-        S = w_sq + v_sq
-        iterations.append(PicardIteration(k=k, S_k=S, linf_delta=linf,
-                                          wall_time=time.perf_counter() - tic))
-        if S <= picard_tol:
-            converged = True
-            break
-        prev = cur
-    trace = PicardTrace(iterations=tuple(iterations), converged=converged,
+    reason = "max_iter"
+    growths = 0
+    with closing(_Iterates(solve, windows, new_window, picard_tol, max_iter,
+                           forked)) as its:
+        its.launch(1)
+        for k in range(1, max_iter + 1):
+            out_times, dt_history, clip_counts, clipped_mass = its.result(k)
+            w_sq, v_sq, linf = its.sups[k]
+            S = w_sq + v_sq
+            growths = growths + 1 if iterations and S > iterations[-1].S_k else 0
+            iterations.append(PicardIteration(k=k, S_k=S, linf_delta=linf,
+                                              wall_time=its.wall[k]))
+            del windows[k - 1]
+            if S <= picard_tol:
+                reason = "converged"
+                break
+            if growths >= DIVERGING_GROWTHS:
+                reason = "diverging"
+                break
+    cur = Trajectory(grid, out_times, *windows[k], dt_history=dt_history,
+                     clip_counts=clip_counts, clipped_mass=clipped_mass, eta=eta)
+    trace = PicardTrace(iterations=tuple(iterations), stop_reason=reason,
                         final_k=k)
     return cur, trace
 
@@ -375,8 +661,8 @@ def eta_continuation(init: ReformState, params: FluidParams,
                 raise ContinuationError(j, f"solver abort: {exc}") from exc
             if not trace.converged:
                 raise ContinuationError(
-                    j, f"no convergence in {trace.final_k} iterations "
-                       f"(S = {trace.final_S:.3e})")
+                    j, f"no convergence in {trace.final_k} iterations, "
+                       f"stopped as {trace.stop_reason} (S = {trace.final_S:.3e})")
             d = math.nan if prev_traj is None else trajectory_distance(traj, prev_traj)
             levels.append(ContinuationLevel(index=j, eta=eta_j,
                                             picard_iters=trace.final_k,

@@ -34,13 +34,13 @@ trajectory masks each sample once and interpolates the masked samples in
 time, which equals masking the interpolated fields because truncation and
 interpolation are both linear.
 
-Memory: a continuation holds three windows at once, the previous level's
-solution, the Picard iterate whose coefficients are frozen, and the window
-being written. record_window writes each sample straight into stacks
-allocated once for the whole window, so a window never exists twice, and
-the diagnostics difference samples in time one at a time rather than
-building a whole-window derivative stack. Beside the windows, a step keeps
-only its stage spectra and one stage's factors.
+Memory: a Picard iterate's process holds two windows, the predecessor
+whose coefficients are frozen and the window being written; the parent of a
+continuation holds two levels' solutions. record_window writes each sample
+straight into stacks allocated once for the whole window, so a window never
+exists twice, and the diagnostics difference samples in time one at a time
+rather than building a whole-window derivative stack. Beside the windows, a
+step keeps only its stage spectra and one stage's factors.
 """
 
 from __future__ import annotations
@@ -140,17 +140,23 @@ class TrajectoryCoefficients:
     are kept by time until the bracket moves, which masks a new sample, and
     only the BETWEEN_KEPT most recently queried: the stage times of one
     outer step, t, t + dt/4, t + dt/2, t + 3dt/4 and t + dt, when a sample
-    interval holds many steps."""
+    interval holds many steps.
+
+    The stacks may belong to a window that is still being written: then
+    times is its full sample grid (sample_times), so the weights are those
+    of the finished window, and wait(j) returns once sample j exists. Every
+    read of a sample waits for it first."""
 
     BETWEEN_KEPT = 5
 
-    def __init__(self, times, vphis, phis, velocities):
+    def __init__(self, times, vphis, phis, velocities, wait=None):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 1:
             raise ValueError("need at least one sample")
         self.vphis = np.asarray(vphis, dtype=float)
         self.phis = np.asarray(phis, dtype=float)
         self.velocities = np.asarray(velocities, dtype=float)
+        self._wait = wait
         self._masked: dict = {}
         self._between: dict = {}
 
@@ -161,16 +167,19 @@ class TrajectoryCoefficients:
         counts as the sample, so it needs no second one."""
         times = self.times
         if t <= times[0]:
-            return 0, 0.0
-        if t >= times[-1]:
-            return len(times) - 1, 0.0
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        j = min(j, len(times) - 2)
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        if w <= SAMPLE_SNAP:
-            return j, 0.0
-        if w >= 1.0 - SAMPLE_SNAP:
-            return j + 1, 0.0
+            j, w = 0, 0.0
+        elif t >= times[-1]:
+            j, w = len(times) - 1, 0.0
+        else:
+            j = int(np.searchsorted(times, t, side="right")) - 1
+            j = min(j, len(times) - 2)
+            w = (t - times[j]) / (times[j + 1] - times[j])
+            if w <= SAMPLE_SNAP:
+                w = 0.0
+            elif w >= 1.0 - SAMPLE_SNAP:
+                j, w = j + 1, 0.0
+        if self._wait is not None:
+            self._wait(j + 1 if w else j)
         return j, w
 
     def _interp(self, stack: np.ndarray, t: float) -> np.ndarray:
@@ -472,10 +481,6 @@ class Trajectory:
         return ReformState(ScalarField(g, self.vphi[i]), ScalarField(g, self.phi[i]),
                            VectorField(g, self.u[i]), time=self.times[i], floor=None)
 
-    def as_coefficients(self) -> TrajectoryCoefficients:
-        """The stacks as a coefficient provider, shared, not copied."""
-        return TrajectoryCoefficients(self.times, self.vphi, self.phi, self.u)
-
     @property
     def final(self) -> ReformState:
         return self.state(-1)
@@ -526,7 +531,8 @@ def march(t_window: float, sample_dt: float | None, next_dt, advance) -> None:
 
 
 def record_window(init: ReformState, t_window: float, sample_dt: float | None,
-                  next_dt, step, *, eta: float, clip: bool) -> Trajectory:
+                  next_dt, step, *, eta: float, clip: bool, stacks=None,
+                  on_sample=None) -> Trajectory:
     """March init across [0, t_window] and record the window. step(t, dt,
     vphi, phi, u) returns the fields after one step followed by its clip
     count and clipped mass.
@@ -535,14 +541,22 @@ def record_window(init: ReformState, t_window: float, sample_dt: float | None,
     sample_times, and the trajectory takes the stacks as they are: a window
     never exists twice, so a caller holds only the windows it keeps plus the
     one being written. With sample_dt None, every step is a sample and the
-    stacks double whenever they fill."""
+    stacks double whenever they fill. A caller may pass the (vphi, phi, u)
+    stacks, sized by sample_times, for instance in memory another process
+    reads while they fill; on_sample(i) is called once sample i is written,
+    sample 0 included."""
     fields = (init.vphi, init.phi, init.u)
     times = [0.0]
-    size = 2 if sample_dt is None else len(sample_times(t_window, sample_dt))
-    stacks = [np.empty((size,) + f.values.shape) for f in fields]
-    for stack, f in zip(stacks, fields):
-        stack[0] = f.values
+    if stacks is None:
+        size = 2 if sample_dt is None else len(sample_times(t_window, sample_dt))
+        stacks = [np.empty((size,) + f.values.shape) for f in fields]
     dt_history, clip_counts, clipped_mass = [], [], []
+
+    def write(n: int) -> None:
+        for stack, f in zip(stacks, fields):
+            stack[n] = f.values
+        if on_sample is not None:
+            on_sample(n)
 
     def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
         nonlocal fields, stacks
@@ -554,10 +568,10 @@ def record_window(init: ReformState, t_window: float, sample_dt: float | None,
             n = len(times)
             if n == len(stacks[0]):
                 stacks = [np.concatenate((s, np.empty_like(s))) for s in stacks]
-            for stack, f in zip(stacks, fields):
-                stack[n] = f.values
+            write(n)
             times.append(t_new)
 
+    write(0)
     march(t_window, sample_dt, next_dt, advance)
     n = len(times)
     return Trajectory(init.grid, times, *(s[:n] for s in stacks),
@@ -583,11 +597,13 @@ def adaptive_dt(params: FluidParams, grid: Grid, v: np.ndarray,
 
 
 def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
-                     params: FluidParams) -> Trajectory:
+                     params: FluidParams, *, stacks=None,
+                     on_sample=None) -> Trajectory:
     """March the linearized system across [0, t_window], landing exactly on
     the sample cadence, and return the sampled trajectory. The viscosity
     proxy advances in lockstep by two transport half steps per outer step,
-    feeding stage fields to the momentum update."""
+    feeding stage fields to the momentum update. stacks and on_sample go to
+    record_window."""
     grid = init.grid
 
     def next_dt(t: float) -> float:
@@ -609,4 +625,5 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
                 d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)
 
     return record_window(init, coeffs.t_window, coeffs.sample_dt, next_dt, step,
-                         eta=coeffs.eta, clip=coeffs.clip)
+                         eta=coeffs.eta, clip=coeffs.clip, stacks=stacks,
+                         on_sample=on_sample)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vacflow.runconfig
 from vacflow.cli import main
 
 BASE = """[params]
@@ -141,6 +142,7 @@ def test_run_reports_solver_failure(tmp_path, capsys):
         record = json.load(fh)
     assert record["phase"] == "continuation level 0"
     assert "no convergence" in record["detail"]
+    assert "stopped as max_iter" in record["detail"]
 
 
 def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,
@@ -170,6 +172,41 @@ def test_run_rejects_bad_constants(tmp_path, capsys):
     cfg = write(tmp_path, text.replace("alpha = 1.0", "alpha = 0.0"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "constraint" in capsys.readouterr().err
+
+
+def test_run_builds_the_density_and_validates_the_constants_once(
+        tmp_path, monkeypatch):
+    calls = {"bump_density": 0, "validate_params": 0}
+
+    def counted(name):
+        fn = getattr(vacflow.runconfig, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(vacflow.runconfig, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"bump_density": 1, "validate_params": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--workers", "2"],
+    ["run", "--workers", "2"],
+    ["oracle-compare", "--workers", "2"],
+    ["validate", "--snapshots"],
+    ["oracle-compare", "--snapshots"],
+], ids=" ".join)
+def test_a_flag_only_another_subcommand_reads_is_a_usage_error(
+        tmp_path, capsys, argv):
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
+    with pytest.raises(SystemExit) as err:
+        main(argv[:1] + ["--config", cfg] + argv[1:])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- sweep ---------------------------------------------------------------------

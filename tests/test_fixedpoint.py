@@ -12,6 +12,7 @@ import pytest
 import vacflow.fixedpoint
 from vacflow.fields import FieldError, Grid, ScalarField, VectorField
 from vacflow.fixedpoint import (
+    DIVERGING_GROWTHS,
     ContinuationError,
     EtaSchedule,
     PicardIteration,
@@ -19,13 +20,15 @@ from vacflow.fixedpoint import (
     eta_continuation,
     picard_solve,
     run_forked,
+    _sample_gap,
+    _start_guess,
     trajectory_distance,
-    trajectory_gap,
     write_trace_csv,
 )
 from vacflow.initial_data import reform_state_from_density
-from vacflow.linearized import (FrozenCoefficients, SolverAbort,
-                                solve_linearized)
+from vacflow.linearized import (DEFAULT_CFL_SAFETY, DEFAULT_SAMPLES_PER_WINDOW,
+                                FrozenCoefficients, SolverAbort,
+                                TrajectoryCoefficients, solve_linearized)
 from vacflow.operators import ReformState
 from vacflow.params import ParameterError, validate_params
 from vacflow.runconfig import ConfigError
@@ -53,6 +56,15 @@ def zero_state(n=16):
         phi=ScalarField(g, np.zeros(n)),
         u=VectorField(g, np.zeros((1, n))),
     )
+
+
+def trajectory_gap(a, b):
+    """The terms of the contraction metric between two trajectories: the
+    sup-in-time squared L2 gaps of the (phi, u) block and of vphi, and the
+    sup-in-time pointwise gap."""
+    gaps = [_sample_gap(a.grid, (a.vphi, a.phi, a.u), (b.vphi, b.phi, b.u), i)
+            for i in range(len(a.times))]
+    return tuple(max(terms) for terms in zip(*gaps))
 
 
 def test_picard_validates_window_and_iteration_budget():
@@ -92,8 +104,9 @@ def test_fixed_point_residual_small_after_convergence():
     assert trace.converged
     # one more linearized solve from the converged trajectory barely moves
     # it, in the metric the iteration uses
-    coeffs = FrozenCoefficients(provider=traj.as_coefficients(), eta=0.25,
-                                t_window=0.005, sample_dt=traj.times[1])
+    provider = TrajectoryCoefficients(traj.times, traj.vphi, traj.phi, traj.u)
+    coeffs = FrozenCoefficients(provider=provider, eta=0.25, t_window=0.005,
+                                sample_dt=traj.times[1])
     nxt = solve_linearized(init, coeffs, soft_params())
     w_sq, v_sq, _ = trajectory_gap(nxt, traj)
     assert w_sq + v_sq <= 10.0 * tol
@@ -104,19 +117,19 @@ def test_trace_validation_and_fitted_ratio():
         PicardIteration(k=k, S_k=4.0**-k, linf_delta=0.0, wall_time=0.0)
         for k in range(1, 5)
     )
-    trace = PicardTrace(iterations=rows, converged=True, final_k=4)
+    trace = PicardTrace(iterations=rows, stop_reason="converged", final_k=4)
     assert trace.geometric_ratio() == pytest.approx(0.25, rel=1e-12)
     assert trace.final_S == 4.0**-4
     with pytest.raises(ValueError, match="negative"):
         PicardTrace(
             iterations=(PicardIteration(k=1, S_k=-1.0, linf_delta=0.0,
                                         wall_time=0.0),),
-            converged=False, final_k=1,
+            stop_reason="max_iter", final_k=1,
         )
     short = PicardTrace(
         iterations=(PicardIteration(k=1, S_k=0.5, linf_delta=0.0,
                                     wall_time=0.0),),
-        converged=True, final_k=1,
+        stop_reason="converged", final_k=1,
     )
     assert math.isnan(short.geometric_ratio())
 
@@ -127,7 +140,7 @@ def test_trace_csv_columns(tmp_path):
                         wall_time=0.125)
         for k in (1, 2)
     )
-    trace = PicardTrace(iterations=rows, converged=True, final_k=2)
+    trace = PicardTrace(iterations=rows, stop_reason="converged", final_k=2)
 
     plain = tmp_path / "trace.csv"
     write_trace_csv(trace, plain)
@@ -165,7 +178,7 @@ def test_trajectory_gap_rejects_mismatched_time_grids():
     a = stacked([z, z], [0.0, 1.0])
     b = stacked([z, z], [0.0, 2.0])
     with pytest.raises(ValueError, match="time grids"):
-        trajectory_gap(a, b)
+        trajectory_distance(a, b)
 
 
 def test_eta_schedule_validation_and_levels():
@@ -358,3 +371,199 @@ def test_run_forked_kills_its_children_when_the_caller_stops():
             raise KeyError("raised by the caller")
     assert_no_children()
     assert time.monotonic() - tic < 30.0
+
+
+# -- Picard iterates in a pipeline -----------------------------------------------
+
+
+def diverging_state():
+    """Nearly inviscid data on a long window: S_k grows on three iterations
+    in a row (k = 8, 9, 10) long before the default budget runs out."""
+    params = validate_params(A=1.0, gamma=2.0, alpha=0.02, beta=0.01,
+                             delta1=1.5, delta2=2.5)
+    g = Grid(dim=1, n=16, box_length=2.0 * np.pi)
+    x = g.coordinates[0]
+    rho = ScalarField(g, 0.5 + 0.3 * np.cos(x))
+    u = VectorField(g, 2.0 * np.sin(x)[None, :])
+    return reform_state_from_density(rho, u, params), params
+
+
+def sequential_picard(init, params, eta, t_window, picard_tol, max_iter):
+    """The Picard loop one iterate after another in this process, with the
+    same stop rules: the reference the pipeline must reproduce."""
+    sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
+    prev = _start_guess(init, params, eta, t_window, DEFAULT_CFL_SAFETY,
+                        sample_dt, None)
+    rows = []
+    for k in range(1, max_iter + 1):
+        provider = TrajectoryCoefficients(prev.times, prev.vphi, prev.phi, prev.u)
+        coeffs = FrozenCoefficients(provider=provider, eta=eta,
+                                    t_window=t_window, sample_dt=sample_dt)
+        cur = solve_linearized(init, coeffs, params)
+        w_sq, v_sq, linf = trajectory_gap(cur, prev)
+        rows.append((k, w_sq + v_sq, linf))
+        if w_sq + v_sq <= picard_tol:
+            break
+        if k > DIVERGING_GROWTHS and all(
+                rows[j][1] > rows[j - 1][1]
+                for j in range(k - DIVERGING_GROWTHS, k)):
+            break
+        prev = cur
+    return cur, rows
+
+
+def assert_same_solve(got, want):
+    (traj, trace), (ref, rows) = got, want
+    assert [(it.k, it.S_k, it.linf_delta) for it in trace.iterations] == rows
+    assert traj.times == ref.times
+    assert traj.dt_history == ref.dt_history
+    assert traj.clip_counts == ref.clip_counts
+    assert traj.clipped_mass == ref.clipped_mass
+    for name in ("vphi", "phi", "u"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name))
+
+
+SOLVES = {
+    "smooth": lambda: ((positive_state(), soft_params()), 0.25, 0.005, 1e-16, 8),
+    "zero": lambda: ((zero_state(), soft_params()), 0.5, 0.01, 1e-10, 50),
+    "diverging": lambda: (diverging_state(), 0.25, 3.0, 1e-10, 50),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVES))
+def test_pipelined_picard_equals_the_sequential_loop_bit_for_bit(case):
+    (init, params), eta, t_window, tol, max_iter = SOLVES[case]()
+    got = picard_solve(init, params, eta, t_window, tol, max_iter)
+    assert_no_children()
+    assert_same_solve(got, sequential_picard(init, params, eta, t_window,
+                                             tol, max_iter))
+
+
+def test_without_fork_the_iterates_run_in_this_process(monkeypatch):
+    init, p = positive_state(), soft_params()
+    forked = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
+    monkeypatch.delattr(os, "fork")
+    ran_in = set()
+    solve = vacflow.fixedpoint.solve_linearized
+
+    def recorded(*args, **kwargs):
+        ran_in.add(os.getpid())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", recorded)
+    inline = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
+    assert ran_in == {os.getpid()}
+    traj, trace = forked
+    assert_same_solve(inline, (traj, [(it.k, it.S_k, it.linf_delta)
+                                      for it in trace.iterations]))
+
+
+def recorded_launches(monkeypatch):
+    """Every iterate launch as (k, running metric of iterate k - 1, its
+    samples written so far, iterates in flight)."""
+    launches = []
+    launch = vacflow.fixedpoint._Iterates.launch
+
+    def recorded(self, k):
+        metric = self.metric(k - 1) if k > 1 else math.inf
+        launches.append((k, metric, self.count[k - 1], len(self.children)))
+        launch(self, k)
+
+    monkeypatch.setattr(vacflow.fixedpoint._Iterates, "launch", recorded)
+    return launches
+
+
+def test_zero_data_forks_exactly_one_iterate(monkeypatch):
+    forks = []
+    fork = vacflow.fixedpoint._fork
+
+    def counted(body):
+        forks.append(body)
+        return fork(body)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "_fork", counted)
+    _, trace = picard_solve(zero_state(), soft_params(), 0.5, 0.01)
+    assert trace.final_k == 1 and trace.final_S == 0.0
+    assert len(forks) == 1
+
+
+def test_an_iterate_starts_only_once_its_predecessor_passed_the_tolerance(
+        monkeypatch):
+    launches = recorded_launches(monkeypatch)
+    tol = 1e-10
+    _, trace = picard_solve(positive_state(), soft_params(), 0.25, 0.005, tol)
+    assert trace.converged
+    assert [k for k, *_ in launches] == list(range(1, trace.final_k + 1))
+    for k, metric, _, _ in launches[1:]:
+        assert metric > tol
+    # iterate 2 starts while iterate 1 is still writing its window
+    assert launches[1][2] < DEFAULT_SAMPLES_PER_WINDOW + 1
+
+
+def test_iterates_in_flight_stay_within_one_per_cpu_plus_one(monkeypatch):
+    init, p = positive_state(), soft_params()
+    want = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    launches = recorded_launches(monkeypatch)
+    got = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
+    assert max(in_flight for *_, in_flight in launches) < 2
+    traj, trace = want
+    assert_same_solve(got, (traj, [(it.k, it.S_k, it.linf_delta)
+                                   for it in trace.iterations]))
+
+
+def fail_iterate_two(monkeypatch, failure):
+    """Make iterate 2 call failure() once it has written sample 20."""
+    launching = {}
+    launch = vacflow.fixedpoint._Iterates.launch
+    solve = vacflow.fixedpoint.solve_linearized
+
+    def tagged(self, k):
+        launching["k"] = k      # a child forked now inherits its k
+        launch(self, k)
+
+    def failing(init, coeffs, params, *, stacks, on_sample):
+        def hook(i):
+            on_sample(i)
+            if launching["k"] == 2 and i == 20:
+                failure()
+        return solve(init, coeffs, params, stacks=stacks, on_sample=hook)
+
+    monkeypatch.setattr(vacflow.fixedpoint._Iterates, "launch", tagged)
+    monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", failing)
+    return launching
+
+
+def test_abort_in_iterate_two_surfaces_unchanged_and_kills_the_rest(
+        monkeypatch):
+    def abort():
+        raise SolverAbort("injected failure", 0.003, "iterate two only")
+
+    launching = fail_iterate_two(monkeypatch, abort)
+    with pytest.raises(SolverAbort) as err:
+        # with this tolerance iterate 3 starts at sample 1 of iterate 2
+        picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
+    assert (err.value.reason, err.value.time, err.value.detail) == \
+        ("injected failure", 0.003, "iterate two only")
+    assert launching["k"] == 3
+    assert_no_children()
+
+
+def test_an_iterate_that_dies_without_a_result_is_an_error(monkeypatch):
+    fail_iterate_two(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="iterate 2 ended without a result"):
+        picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
+    assert_no_children()
+
+
+def test_a_diverging_solve_stops_before_its_budget():
+    init, p = diverging_state()
+    _, trace = picard_solve(init, p, 0.25, 3.0, max_iter=50)
+    assert trace.stop_reason == "diverging" and not trace.converged
+    assert trace.final_k < 50
+    last = [it.S_k for it in trace.iterations[-DIVERGING_GROWTHS - 1:]]
+    assert last == sorted(last) and len(set(last)) == len(last)
+    assert_no_children()
+    sched = EtaSchedule(eta0=0.25, factor=0.5, max_levels=1, cauchy_tol=1e-9)
+    with pytest.raises(ContinuationError, match="stopped as diverging"):
+        eta_continuation(init, p, sched, 3.0)

@@ -440,7 +440,7 @@ def test_trajectory_stacks_are_read_only_and_shared_with_the_provider():
             stack[0, 0] = 1.0
     with pytest.raises(ValueError):
         traj.state(1).u.values[0] += 1.0
-    tc = traj.as_coefficients()
+    tc = TrajectoryCoefficients(traj.times, traj.vphi, traj.phi, traj.u)
     assert np.shares_memory(tc.vphis, traj.vphi)
     assert np.shares_memory(tc.phis, traj.phi)
     assert np.shares_memory(tc.velocities, traj.u)
