@@ -128,7 +128,7 @@ def cmd_validate(args) -> int:
                      f"{compat.message}", EXIT_VALIDATION)
     print(f"  initial data: {compat.message}")
 
-    c0 = initial_constant(cfg.initial_state())
+    c0 = initial_constant(reform_state_from_density(rho0, u0, params))
     c3 = math.sqrt(cfg.calib_C) * c0
     t1, t2, t3, tss = horizon_times(cfg.t_window, c3, params.m)
     print(f"  horizon preview (c0 = {c0:.6g}, c3 = {c3:.6g}, "

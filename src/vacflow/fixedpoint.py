@@ -26,7 +26,6 @@ import os
 import pickle
 import select
 import signal
-import struct
 import time
 from collections import deque
 from contextlib import closing
@@ -72,19 +71,6 @@ class ContinuationError(RuntimeError):
         return type(self), (self.level, self.message)
 
 
-def _fork(body) -> int:
-    """Fork a child that runs body() and always leaves through os._exit, so
-    it never returns into the caller's stack nor flushes the stdio buffers it
-    inherited; returns the child's pid."""
-    pid = os.fork()
-    if pid == 0:
-        try:
-            body()
-        finally:
-            os._exit(0)
-    return pid
-
-
 def _width() -> int:
     """How many children run at once: one per CPU plus one."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -94,24 +80,27 @@ def _width() -> int:
 
 def _start_job(job):
     """Fork a child that runs job and pickles ("ok", value) or ("err",
-    exception) into a pipe; returns its pid and the pipe's read end."""
+    exception) into a pipe; returns its pid and the pipe's read end. The
+    child always leaves through os._exit, so it never returns into the
+    caller's stack nor flushes the stdio buffers it inherited."""
     read_fd, write_fd = os.pipe()
-
-    def body():
-        os.close(read_fd)
-        try:
-            outcome = ("ok", job())
-        except BaseException as exc:
-            outcome = ("err", exc)
-        with open(write_fd, "wb") as fh:
-            pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
     try:
-        pid = _fork(body)
+        pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
         raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = ("ok", job())
+            except BaseException as exc:
+                outcome = ("err", exc)
+            with open(write_fd, "wb") as fh:
+                pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
 
@@ -129,6 +118,13 @@ def _collect(pid: int, fh):
         raise
     finally:
         os.waitpid(pid, 0)
+
+
+def _kill(pid: int, fh) -> None:
+    """Kill and reap a child _start_job started."""
+    os.kill(pid, signal.SIGKILL)
+    fh.close()
+    os.waitpid(pid, 0)
 
 
 def run_forked(jobs):
@@ -159,10 +155,8 @@ def run_forked(jobs):
                 raise value
             yield value
     finally:
-        for pid, fh in running:
-            os.kill(pid, signal.SIGKILL)
-            fh.close()
-            os.waitpid(pid, 0)
+        for child in running:
+            _kill(*child)
 
 
 @dataclass(frozen=True)
@@ -287,212 +281,160 @@ def _window(grid, n: int, shared: bool) -> tuple:
                  for shape, size, off in zip(shapes, sizes, offsets))
 
 
-# An iterate child's reports to the driver, one record each: (kind, i, w_sq,
-# v_sq, linf). SAMPLE: sample i is written, with its gap to the predecessor;
-# NEED: the child waits for the predecessor's sample i; DONE: a pickled
-# outcome of i bytes follows.
-_REPORT = struct.Struct("<2q3d")
-_SAMPLE, _NEED, _DONE = 0, 1, 2
-# The driver's answer to NEED: how many predecessor samples are written.
-_COUNT = struct.Struct("<q")
-
-
-def _read_exact(fd: int, size: int) -> bytes:
-    """size bytes from fd, fewer only when its writer is gone."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 class _Iterates:
     """The Picard iterates 1, 2, ... of one solve, run as a pipeline.
 
-    solve(k, wait, report) computes iterate k into windows[k] from
+    solve(k, wait, sampled) computes iterate k into windows[k] from
     windows[k - 1]; it calls wait(j) before it reads sample j of the
-    predecessor and report(_SAMPLE, i, w_sq, v_sq, linf) once it has written
-    its own sample i. Iterate k + 1 is launched as soon as iterate k's
-    running metric, the sup so far of w_sq plus the sup so far of v_sq,
-    exceeds tol. That metric never decreases and ends at S_k, so an iterate
-    runs exactly when the sequential loop would run it, only earlier.
+    predecessor and sampled(w_sq, v_sq, linf) once it has written a sample
+    of its own. result(k) returns solve's value with iterate k's sups of
+    the three terms and its wall time. Iterate k + 1 is launched as soon as
+    iterate k's running metric, the sup so far of w_sq plus the sup so far
+    of v_sq, exceeds tol. That metric never decreases and ends at S_k, so an
+    iterate runs exactly when the sequential loop would run it, only
+    earlier.
 
-    With os.fork, each iterate runs in a child that writes its window in
-    shared memory and its reports into a pipe; the driver answers a NEED once
-    the predecessor has written the sample. At most width children run at
-    once. Without os.fork, launching an iterate defers it until every report
-    of its predecessor has been read, and it then runs in this process."""
+    When forked, each iterate is a _start_job child that writes its window
+    in shared memory and counts each sample on its own eventfd, which only
+    its successor reads; it writes one byte on its "passed" pipe once its
+    running metric exceeds tol. At most width children run at once. A child
+    watches the lifeline, a pipe whose write end only the driver holds,
+    while it waits and after each sample, and leaves once the driver is
+    gone. Otherwise result(k) runs iterate k in this process."""
 
     def __init__(self, solve, windows: dict, new_window, tol: float,
                  max_iter: int, forked: bool):
         self.solve, self.windows, self.new_window = solve, windows, new_window
         self.tol, self.max_iter, self.forked = tol, max_iter, forked
-        self.width = _width()
-        self.count = {0: len(windows[0][0])}   # samples written
-        self.sups: dict = {}        # k -> running [w_sq, v_sq, linf]
+        self.children: dict = {}    # k -> (pid, outcome file)
+        self.passing: dict = {}     # k -> read end of its passed pipe
+        self.passed: set = set()
         self.outcomes: dict = {}
-        self.started: dict = {}
-        self.wall: dict = {}
-        self.children: dict = {}    # k -> (pid, report fd, answer fd)
-        self.need: dict = {}        # k -> predecessor sample it waits for
-        self.queue = deque()        # in process: reports not yet read
-        self.deferred = None
         self.newest = 0
+        if forked:
+            self.width = _width()
+            # the newest iterate's sample count; window 0 is written
+            self.samples = os.eventfd(len(windows[0][0]))
+            self.lifeline = os.pipe()
 
-    def metric(self, k: int) -> float:
-        w_sq, v_sq, _ = self.sups[k]
-        return w_sq + v_sq
+    def _run(self, k: int, wait, counted, passed):
+        """Iterate k with its running sups: counted() after each sample,
+        passed() the first time the running metric exceeds tol."""
+        sups = [0.0, 0.0, 0.0]
+        tic = time.perf_counter()
+
+        def sampled(*terms) -> None:
+            counted()
+            below = sups[0] + sups[1] <= self.tol
+            sups[:] = map(max, sups, terms)
+            if below and sups[0] + sups[1] > self.tol:
+                passed()
+
+        fields = self.solve(k, wait, sampled)
+        return fields, tuple(sups), time.perf_counter() - tic
 
     def launch(self, k: int) -> None:
+        """Fork iterate k, which reads its predecessor's samples as the
+        predecessor's eventfd counts them."""
         self.windows[k] = self.new_window()
-        self.count[k] = 0
-        self.sups[k] = [0.0, 0.0, 0.0]
-        self.newest = k
-        self.started[k] = time.perf_counter()
-        if not self.forked:
-            self.deferred = k
-            return
-        report_r, report_w = os.pipe()
-        answer_r, answer_w = os.pipe()
-        ready = self.count[k - 1]
+        pred, own = self.samples, os.eventfd(0)
+        passed_r, passed_w = os.pipe()
+        lifeline, driver_end = self.lifeline
 
-        def body():
-            for _, fd, answer_fd in self.children.values():
-                os.close(fd)
-                os.close(answer_fd)
-            os.close(report_r)
-            os.close(answer_w)
+        def job():
+            os.close(driver_end)
             for j in list(self.windows):
                 if j not in (k - 1, k):
                     del self.windows[j]
+            ready = 0
+
+            def watch(*fds, timeout=None) -> None:
+                """Return once one of fds is readable, or at the timeout;
+                raise once the lifeline is cut."""
+                if lifeline in select.select([*fds, lifeline], [], [], timeout)[0]:
+                    raise RuntimeError("the Picard driver is gone")
 
             def wait(j: int) -> None:
                 nonlocal ready
-                if j < ready:
-                    return
-                _write_all(report_w, _REPORT.pack(_NEED, j, 0.0, 0.0, 0.0))
-                answer = _read_exact(answer_r, _COUNT.size)
-                if len(answer) < _COUNT.size:
-                    raise RuntimeError("the Picard driver is gone")
-                (ready,) = _COUNT.unpack(answer)
+                while j >= ready:
+                    watch(pred)
+                    ready += os.eventfd_read(pred)
 
-            def report(kind: int, i: int, *terms) -> None:
-                _write_all(report_w, _REPORT.pack(kind, i, *terms))
+            def counted() -> None:
+                os.eventfd_write(own, 1)
+                watch(timeout=0)
 
-            try:
-                outcome = ("ok", self.solve(k, wait, report))
-            except BaseException as exc:
-                outcome = ("err", exc)
-            payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-            _write_all(report_w,
-                       _REPORT.pack(_DONE, len(payload), 0.0, 0.0, 0.0) + payload)
+            return self._run(k, wait, counted,
+                             partial(os.write, passed_w, b"\x01"))
 
         try:
-            pid = _fork(body)
+            self.children[k] = _start_job(job)
         except OSError:
-            for fd in (report_r, report_w, answer_r, answer_w):
-                os.close(fd)
+            os.close(own)
+            os.close(passed_r)
             raise
-        os.close(report_w)
-        os.close(answer_r)
-        self.children[k] = (pid, report_r, answer_w)
+        finally:
+            os.close(passed_w)
+        os.close(pred)
+        self.samples = own
+        self.passing[k] = passed_r
+        self.newest = k
 
     def result(self, k: int):
-        """Iterate k's outcome fields once it has finished; raises its
-        exception."""
+        """(solve's value, sups, wall time) of iterate k once it has
+        finished; raises its exception."""
+        if not self.forked:
+            def ignore(*_):
+                pass
+            self.windows[k] = self.new_window()
+            return self._run(k, ignore, ignore, ignore)
+        if k > self.newest:
+            self.launch(k)
         while k not in self.outcomes:
-            self._handle(*self._next_report())
+            self._next_event()
         kind, value = self.outcomes.pop(k)
         if kind == "err":
             raise value
         return value
 
-    def _next_report(self) -> tuple:
-        """(k, kind, i, terms or outcome) of the next report to read."""
-        if not self.forked:
-            if not self.queue:
-                self._run_deferred()
-            return self.queue.popleft()
-        by_fd = {fd: k for k, (_, fd, _) in self.children.items()}
-        if not by_fd:
-            raise RuntimeError("no Picard iterate is in flight")
-        readable, _, _ = select.select(list(by_fd), [], [])
-        fd = min(readable, key=by_fd.get)
-        k = by_fd[fd]
-        head = _read_exact(fd, _REPORT.size)
-        if len(head) == _REPORT.size:
-            kind, i, *terms = _REPORT.unpack(head)
-            if kind != _DONE:
-                return k, kind, i, terms
-            payload = _read_exact(fd, i)
-            if len(payload) == i:
-                return k, kind, i, pickle.loads(payload)
-        return k, _DONE, 0, ("err", RuntimeError(
-            f"Picard iterate {k} ended without a result"))
-
-    def _run_deferred(self) -> None:
-        k, self.deferred = self.deferred, None
-        if k is None:
-            raise RuntimeError("no Picard iterate is in flight")
-
-        def report(kind: int, i: int, *terms) -> None:
-            self.queue.append((k, kind, i, terms))
-
-        try:
-            outcome = ("ok", self.solve(k, lambda j: None, report))
-        except Exception as exc:
-            outcome = ("err", exc)
-        self.queue.append((k, _DONE, 0, outcome))
-
-    def _handle(self, k: int, kind: int, i: int, data) -> None:
-        if kind == _SAMPLE:
-            self.count[k] = i + 1
-            sups = self.sups[k]
-            for n, term in enumerate(data):
-                sups[n] = max(sups[n], term)
-            self._answer(k + 1)
-        elif kind == _NEED:
-            self.need[k] = i
-            self._answer(k)
-        else:
-            self.outcomes[k] = data
-            self.wall[k] = time.perf_counter() - self.started[k]
-            self.need.pop(k, None)
-            if self.forked:
-                pid, fd, answer_fd = self.children.pop(k)
-                os.close(fd)
-                os.close(answer_fd)
-                os.waitpid(pid, 0)
+    def _next_event(self) -> None:
+        """Read the passed bytes and outcomes that are ready, then launch the
+        newest iterate's successor once it has passed and a slot is free."""
+        by_fd = {fh.fileno(): k for k, (_, fh) in self.children.items()}
+        passing = {fd: k for k, fd in self.passing.items()}
+        readable = set(select.select([*by_fd, *passing], [], [])[0])
+        for fd in readable & passing.keys():
+            self._read_passed(passing[fd])
+        for fd in readable & by_fd.keys():
+            k = by_fd[fd]
+            outcome = _collect(*self.children.pop(k))
+            if k in self.passing:   # the child has exited: this read is ready
+                self._read_passed(k)
+            self.outcomes[k] = outcome or ("err", RuntimeError(
+                f"Picard iterate {k} ended without a result"))
         k = self.newest
-        if (k < self.max_iter and self.metric(k) > self.tol
+        if (k in self.passed and k < self.max_iter
                 and len(self.children) < self.width):
             self.launch(k + 1)
 
-    def _answer(self, k: int) -> None:
-        """Tell iterate k how many predecessor samples exist once it has the
-        one it waits for."""
-        if k in self.need and self.count[k - 1] > self.need[k]:
-            del self.need[k]
-            _write_all(self.children[k][2], _COUNT.pack(self.count[k - 1]))
+    def _read_passed(self, k: int) -> None:
+        """Read iterate k's passed byte, or the EOF it leaves without one."""
+        fd = self.passing.pop(k)
+        try:
+            if os.read(fd, 1):
+                self.passed.add(k)
+        finally:
+            os.close(fd)
 
     def close(self) -> None:
-        """Kill and reap every child still running."""
-        for pid, fd, answer_fd in self.children.values():
-            os.kill(pid, signal.SIGKILL)
+        """Kill and reap every child still running and close the pipes."""
+        for child in self.children.values():
+            _kill(*child)
+        for fd in self.passing.values():
             os.close(fd)
-            os.close(answer_fd)
-            os.waitpid(pid, 0)
-        self.children.clear()
-        self.deferred = None
+        if self.forked:
+            for fd in (self.samples, *self.lifeline):
+                os.close(fd)
 
 
 def picard_solve(init: ReformState, params: FluidParams, eta: float,
@@ -514,7 +456,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     The start guess is computed here. The iterates run as a pipeline
     (_Iterates): iterate k + 1 steps across [t_j, t_j+1] as soon as
     iterate k has written samples j and j + 1, in a forked child where
-    os.fork exists, and starts only once iterate k has moved more than
+    os.fork and os.eventfd exist, and starts only once iterate k has moved more than
     picard_tol. The results do not depend on the process count.
     """
     if not t_window > 0.0:
@@ -529,17 +471,17 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
     grid = init.grid
     times = sample_times(t_window, sample_dt)
-    forked = hasattr(os, "fork")
+    forked = hasattr(os, "fork") and hasattr(os, "eventfd")
 
     def new_window():
         return _window(grid, len(times), forked)
 
-    def solve(k, wait, report):
+    def solve(k, wait, sampled):
         pred, own = windows[k - 1], windows[k]
 
         def on_sample(i: int) -> None:
             wait(i)
-            report(_SAMPLE, i, *_sample_gap(grid, own, pred, i))
+            sampled(*_sample_gap(grid, own, pred, i))
 
         coeffs = FrozenCoefficients(
             provider=TrajectoryCoefficients(times, *pred, wait=wait), eta=eta,
@@ -556,14 +498,12 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     growths = 0
     with closing(_Iterates(solve, windows, new_window, picard_tol, max_iter,
                            forked)) as its:
-        its.launch(1)
         for k in range(1, max_iter + 1):
-            out_times, dt_history, clip_counts, clipped_mass = its.result(k)
-            w_sq, v_sq, linf = its.sups[k]
+            fields, (w_sq, v_sq, linf), wall = its.result(k)
             S = w_sq + v_sq
             growths = growths + 1 if iterations and S > iterations[-1].S_k else 0
             iterations.append(PicardIteration(k=k, S_k=S, linf_delta=linf,
-                                              wall_time=its.wall[k]))
+                                              wall_time=wall))
             del windows[k - 1]
             if S <= picard_tol:
                 reason = "converged"
@@ -571,6 +511,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             if growths >= DIVERGING_GROWTHS:
                 reason = "diverging"
                 break
+    out_times, dt_history, clip_counts, clipped_mass = fields
     cur = Trajectory(grid, out_times, *windows[k], dt_history=dt_history,
                      clip_counts=clip_counts, clipped_mass=clipped_mass, eta=eta)
     trace = PicardTrace(iterations=tuple(iterations), stop_reason=reason,

@@ -15,8 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .fields import Grid, ScalarField, VectorField, load_snapshot
 from .fixedpoint import EtaSchedule
-from .initial_data import bump_density, reform_state_from_density, velocity_modes
-from .operators import ReformState
+from .initial_data import bump_density, velocity_modes
 from .params import FluidParams, validate_params
 
 
@@ -134,11 +133,6 @@ class RunConfig:
         if scale != 1.0:
             fld = VectorField(grid, scale * fld.values)
         return fld
-
-    def initial_state(self, scale: float = 1.0) -> ReformState:
-        return reform_state_from_density(self.density(scale),
-                                         self.velocity(scale),
-                                         self.fluid_params())
 
     def schedule(self) -> EtaSchedule:
         return EtaSchedule(eta0=self.eta0, factor=self.eta_factor,

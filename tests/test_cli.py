@@ -174,8 +174,9 @@ def test_run_rejects_bad_constants(tmp_path, capsys):
     assert "constraint" in capsys.readouterr().err
 
 
-def test_run_builds_the_density_and_validates_the_constants_once(
-        tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_the_density_is_built_and_the_constants_validated_once(
+        tmp_path, monkeypatch, command):
     calls = {"bump_density": 0, "validate_params": 0}
 
     def counted(name):
@@ -189,7 +190,7 @@ def test_run_builds_the_density_and_validates_the_constants_once(
     for name in calls:
         counted(name)
     cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert calls == {"bump_density": 1, "validate_params": 1}
 
 

@@ -2,8 +2,11 @@
 
 import csv
 import math
+import mmap
 import os
 import pickle
+import select
+import signal
 import time
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 import vacflow.fixedpoint
 from vacflow.fields import FieldError, Grid, ScalarField, VectorField
 from vacflow.fixedpoint import (
+    DEFAULT_MAX_ITER,
     DIVERGING_GROWTHS,
     ContinuationError,
     EtaSchedule,
@@ -439,10 +443,12 @@ def test_pipelined_picard_equals_the_sequential_loop_bit_for_bit(case):
                                              tol, max_iter))
 
 
-def test_without_fork_the_iterates_run_in_this_process(monkeypatch):
+@pytest.mark.parametrize("missing", ["fork", "eventfd"])
+def test_without_fork_or_eventfd_the_iterates_run_in_this_process(
+        monkeypatch, missing):
     init, p = positive_state(), soft_params()
     forked = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
-    monkeypatch.delattr(os, "fork")
+    monkeypatch.delattr(os, missing)
     ran_in = set()
     solve = vacflow.fixedpoint.solve_linearized
 
@@ -459,29 +465,54 @@ def test_without_fork_the_iterates_run_in_this_process(monkeypatch):
 
 
 def recorded_launches(monkeypatch):
-    """Every iterate launch as (k, running metric of iterate k - 1, its
-    samples written so far, iterates in flight)."""
+    """Every iterate launch as (k, running metric of iterate k - 1 over the
+    samples it had written by then, that sample count, iterates in flight).
+
+    Each iterate child logs the gap terms of every sample it writes into
+    shared memory, before it can tell the driver it passed the tolerance,
+    so the metric is the child's own, read at the moment of the launch."""
+    n = DEFAULT_SAMPLES_PER_WINDOW + 1
+    iterates = DEFAULT_MAX_ITER + 1
+    buf = mmap.mmap(-1, 8 * iterates * (2 * n + 1))
+    terms = np.frombuffer(buf, count=iterates * 2 * n).reshape(iterates, n, 2)
+    written = np.frombuffer(buf, count=iterates, offset=8 * iterates * 2 * n)
+    launching = {}
     launches = []
     launch = vacflow.fixedpoint._Iterates.launch
+    gap = vacflow.fixedpoint._sample_gap
+
+    def logged(grid, a, b, i):
+        out = gap(grid, a, b, i)
+        k = launching["k"]      # the iterate this child runs
+        terms[k, i] = out[:2]
+        written[k] = i + 1
+        return out
 
     def recorded(self, k):
-        metric = self.metric(k - 1) if k > 1 else math.inf
-        launches.append((k, metric, self.count[k - 1], len(self.children)))
+        if k == 1:
+            metric, count = math.inf, n
+        else:
+            count = int(written[k - 1])
+            metric = float(terms[k - 1, :count, 0].max(initial=0.0)
+                           + terms[k - 1, :count, 1].max(initial=0.0))
+        launches.append((k, metric, count, len(self.children)))
+        launching["k"] = k      # a child forked now inherits its k
         launch(self, k)
 
+    monkeypatch.setattr(vacflow.fixedpoint, "_sample_gap", logged)
     monkeypatch.setattr(vacflow.fixedpoint._Iterates, "launch", recorded)
     return launches
 
 
 def test_zero_data_forks_exactly_one_iterate(monkeypatch):
     forks = []
-    fork = vacflow.fixedpoint._fork
+    start = vacflow.fixedpoint._start_job
 
-    def counted(body):
-        forks.append(body)
-        return fork(body)
+    def counted(job):
+        forks.append(job)
+        return start(job)
 
-    monkeypatch.setattr(vacflow.fixedpoint, "_fork", counted)
+    monkeypatch.setattr(vacflow.fixedpoint, "_start_job", counted)
     _, trace = picard_solve(zero_state(), soft_params(), 0.5, 0.01)
     assert trace.final_k == 1 and trace.final_S == 0.0
     assert len(forks) == 1
@@ -554,6 +585,70 @@ def test_an_iterate_that_dies_without_a_result_is_an_error(monkeypatch):
     with pytest.raises(RuntimeError, match="iterate 2 ended without a result"):
         picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
     assert_no_children()
+
+
+def test_iterates_leave_once_their_solve_is_killed(monkeypatch):
+    """SIGKILL a solve's process while its iterates are in flight: every
+    iterate it started exits within a few seconds, although each would
+    take over ten seconds to write its window."""
+    held_r, held_w = os.pipe()      # every process of the solve holds held_w
+    launch = vacflow.fixedpoint._Iterates.launch
+    solve = vacflow.fixedpoint.solve_linearized
+
+    def announced(self, k):
+        launch(self, k)
+        os.write(held_w, b"%d " % self.children[k][0])
+
+    def slow(init, coeffs, params, *, stacks, on_sample):
+        def hook(i):
+            time.sleep(0.4)
+            on_sample(i)
+        return solve(init, coeffs, params, stacks=stacks, on_sample=hook)
+
+    monkeypatch.setattr(vacflow.fixedpoint._Iterates, "launch", announced)
+    monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", slow)
+    solver = os.fork()
+    if solver == 0:
+        try:
+            os.close(held_r)
+            picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
+        finally:
+            os._exit(0)
+    os.close(held_w)
+    announced_pids = b""
+
+    def read_until(done, seconds):
+        nonlocal announced_pids
+        deadline = time.monotonic() + seconds
+        while not done():
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([held_r], [], [], left)[0]:
+                return False
+            chunk = os.read(held_r, 64)
+            if not chunk:
+                return True
+            announced_pids += chunk
+        return True
+
+    try:
+        in_flight = read_until(lambda: announced_pids.count(b" ") >= 2, 60.0)
+    finally:
+        os.kill(solver, signal.SIGKILL)
+        os.waitpid(solver, 0)
+    gone = False
+    try:
+        # held_r reaches EOF once every iterate has exited
+        gone = in_flight and read_until(lambda: False, 5.0)
+    finally:
+        if not gone:
+            for pid in map(int, announced_pids.split()):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        os.close(held_r)
+    assert in_flight, "the solve never had two iterates in flight"
+    assert gone, "an iterate outlived its solve by 5 s"
 
 
 def test_a_diverging_solve_stops_before_its_budget():

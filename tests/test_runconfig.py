@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from vacflow.fields import Grid, save_snapshot
-from vacflow.initial_data import bump_density, velocity_modes
+from vacflow.initial_data import (bump_density, reform_state_from_density,
+                                  velocity_modes)
 from vacflow.runconfig import ConfigError, load_config, write_resolved
 
 MINIMAL = """\
@@ -209,7 +210,7 @@ def test_builders_produce_consistent_objects(tmp_path):
                           bump_density(g, 1.0, 0.8).values)
     u = cfg.velocity()
     assert np.array_equal(u.values, velocity_modes(g, 0.1, mode=2).values)
-    st = cfg.initial_state()
+    st = reform_state_from_density(rho, u, p)
     assert st.grid == g
     sched = cfg.schedule()
     assert sched.levels() == [0.5, 0.25, 0.125, 0.0625]
