@@ -2,9 +2,9 @@
 
 Subcommands: validate, run, sweep, mms, oracle-compare. All behavior is
 driven by one INI configuration file; the only flags are --config, --out and
---seed on every subcommand, --snapshots on run and sweep, and --workers on
-sweep. There are no environment overrides, so a command line plus a config
-file pins a run completely.
+--seed on every subcommand and --snapshots on run and sweep. There are no
+environment overrides, so a command line plus a config file pins a run
+completely.
 
 Exit codes: 0 success, 1 constraint or validation failure, 2 runtime solver
 or quality failure, 3 I/O failure.
@@ -13,7 +13,6 @@ or quality failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -82,6 +81,19 @@ def _load(path: str):
         return None, _fail(str(exc), EXIT_VALIDATION)
 
 
+def _initial_data(cfg: RunConfig, params, scale: float = 1.0):
+    """(rho0, u0, density-cap report), or ConfigError if unbuildable or capped."""
+    try:
+        rho0, u0 = cfg.density(scale), cfg.velocity(scale)
+    except ValueError as exc:
+        raise ConfigError(f"initial data: {exc}") from exc
+    compat = check_initial_compatibility(params, rho0)
+    if not compat.passed:
+        raise ConfigError(f"initial data violates the density cap: "
+                          f"{compat.message}")
+    return rho0, u0, compat
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -117,15 +129,9 @@ def cmd_validate(args) -> int:
         print(f"  density cap (beta < 0): {params.a2_density_cap:.9g}")
 
     try:
-        rho0 = cfg.density()
-        u0 = cfg.velocity()
-    except (ValueError, ConfigError) as exc:
-        return _fail(f"initial data: {exc}", EXIT_VALIDATION)
-
-    compat = check_initial_compatibility(params, rho0)
-    if not compat.passed:
-        return _fail(f"initial data violates the density cap: "
-                     f"{compat.message}", EXIT_VALIDATION)
+        rho0, u0, compat = _initial_data(cfg, params)
+    except ConfigError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
     print(f"  initial data: {compat.message}")
 
     c0 = initial_constant(reform_state_from_density(rho0, u0, params))
@@ -161,12 +167,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     after writing failure.json when the solve dies."""
     os.makedirs(out_dir, exist_ok=True)
     params = cfg.fluid_params()
-    rho0 = cfg.density(scale)
-    compat = check_initial_compatibility(params, rho0)
-    if not compat.passed:
-        raise ConfigError(f"initial data violates the density cap: "
-                          f"{compat.message}")
-    init = reform_state_from_density(rho0, cfg.velocity(scale), params)
+    rho0, u0, _ = _initial_data(cfg, params, scale)
+    init = reform_state_from_density(rho0, u0, params)
 
     resolved = os.path.join(out_dir, "resolved_config.ini")
     write_resolved(cfg, resolved)
@@ -335,8 +337,7 @@ def cmd_run(args) -> int:
 
 def _sweep_row(cfg: RunConfig, scale: float, row_dir: str, seed: int,
                snapshots: bool) -> dict:
-    """One sweep row, isolated in its own directory; importable at module
-    level so worker processes can unpickle it."""
+    """One sweep row, isolated in its own directory."""
     row = {"scale": scale, "status": "ok", "t_valid": "", "c0": "",
            "c3": "", "m": "", "T_star_star": "", "mass_drift": "",
            "picard_iters": "", "note": ""}
@@ -374,17 +375,10 @@ def cmd_sweep(args) -> int:
         return _fail(f"cannot create output directory {out_dir}: {exc}",
                      EXIT_IO)
 
-    jobs = []
-    for i, scale in enumerate(scales):
-        row_dir = os.path.join(out_dir, f"row_{i:02d}_scale_{scale:g}")
-        jobs.append((cfg, scale, row_dir, args.seed, args.snapshots))
-
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_row, *zip(*jobs)))
-    else:
-        rows = [_sweep_row(*job) for job in jobs]
+    rows = [_sweep_row(cfg, scale,
+                       os.path.join(out_dir, f"row_{i:02d}_scale_{scale:g}"),
+                       args.seed, args.snapshots)
+            for i, scale in enumerate(scales)]
 
     header = ["row", "scale", "status", "t_valid", "c0", "c3", "m",
               "T_star_star", "mass_drift", "picard_iters", "note"]
@@ -546,11 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check constants and initial data, print margins and horizons")
     snapshots(add("run", cmd_run,
                   "full continuation run with diagnostics and report bundle"))
-    sweep = snapshots(add("sweep", cmd_sweep,
-                          "run a family of amplitude-scaled configs, "
-                          "aggregate one CSV"))
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="concurrent sweep rows")
+    snapshots(add("sweep", cmd_sweep,
+                  "run a family of amplitude-scaled configs, aggregate one CSV"))
     add("mms", cmd_mms, "manufactured-solution convergence tables",
         config_required=False)
     add("oracle-compare", cmd_oracle_compare,

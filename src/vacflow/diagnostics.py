@@ -238,17 +238,17 @@ class ValidityVerdict:
             raise ValueError("t_valid cannot exceed the trajectory end")
 
 
-def validity(traj: Trajectory, led: AprioriLedger, params: FluidParams,
-             vac_eps: float = VAC_EPS) -> ValidityVerdict:
+def validity(traj: Trajectory, led: AprioriLedger,
+             params: FluidParams) -> ValidityVerdict:
     grid = traj.grid
     rho0 = density_of(traj.vphi[0], params)
-    margin0 = support_margin(ScalarField(grid, rho0), vac_eps)
+    margin0 = support_margin(ScalarField(grid, rho0), VAC_EPS)
     watch_support = math.isfinite(margin0) and margin0 > 0.0
     seam_floor = SEAM_FRACTION * grid.box_length
     # Fourier transport scatters harmless positive dust (size the spectral
     # tail of the data, well below any physical density) across the whole
     # box within one step, so the evolving support is read at a threshold
-    # relative to the instantaneous peak rather than at vac_eps.
+    # relative to the instantaneous peak rather than at VAC_EPS.
     dust_rel = SUPPORT_DUST_REL
 
     times = list(led.times)
@@ -268,7 +268,7 @@ def validity(traj: Trajectory, led: AprioriLedger, params: FluidParams,
                       ("ledger", row_ok)]
         if watch_support:
             rho = density_of(vphi, params)
-            dust = max(vac_eps, dust_rel * float(rho.max()))
+            dust = max(VAC_EPS, dust_rel * float(rho.max()))
             m = support_margin(ScalarField(grid, rho), dust)
             margins.append(m)
             conditions.append(("support", m >= seam_floor))
@@ -296,11 +296,9 @@ class VacuumReport:
     residual: float
     no_vacuum: bool
     cell_count: int
-    vac_eps: float
 
 
-def vacuum_residual(traj: Trajectory, params: FluidParams,
-                    vac_eps: float = VAC_EPS) -> VacuumReport:
+def vacuum_residual(traj: Trajectory, params: FluidParams) -> VacuumReport:
     """Pointwise size of u_t + (u . grad)u over cells the density has
     abandoned. Zero with a flag when no cell is below the cutoff; the time
     derivative comes from differencing the stored samples."""
@@ -312,7 +310,7 @@ def vacuum_residual(traj: Trajectory, params: FluidParams,
     cells = 0
     for i, vphi in enumerate(traj.vphi):
         rho = density_of(vphi, params)
-        mask = rho < vac_eps
+        mask = rho < VAC_EPS
         count = int(mask.sum())
         cells += count
         if count == 0:
@@ -323,7 +321,7 @@ def vacuum_residual(traj: Trajectory, params: FluidParams,
         mag = np.sqrt(np.sum(resid**2, axis=0))
         worst = max(worst, float(mag[mask].max()))
     return VacuumReport(residual=worst, no_vacuum=cells == 0,
-                        cell_count=cells, vac_eps=vac_eps)
+                        cell_count=cells)
 
 
 # -- conservation -------------------------------------------------------------
@@ -430,7 +428,6 @@ class CharacteristicsReport:
 
 def characteristics_check(traj: Trajectory, params: FluidParams,
                           n_particles: int = 64, seed: int = 20250819,
-                          vac_eps: float = VAC_EPS,
                           seam_buffer: float | None = None) -> CharacteristicsReport:
     """Trace particles through the stored velocity and compare the density
     they see against the initial density damped by the exponential of the
@@ -450,11 +447,11 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     rho_end = density_of(traj.vphi[-1], params)
 
     if seam_buffer is None:
-        margin0 = support_margin(ScalarField(grid, rho0), vac_eps)
+        margin0 = support_margin(ScalarField(grid, rho0), VAC_EPS)
         seam_buffer = (SEAM_FRACTION * grid.box_length
                        if math.isfinite(margin0) and margin0 > 0.0 else 0.0)
 
-    cells = np.argwhere(rho0 > vac_eps)
+    cells = np.argwhere(rho0 > VAC_EPS)
     if cells.shape[0] == 0:
         return CharacteristicsReport(max_rel_error=0.0, traced=0, dropped=0,
                                      particles=(), seam_buffer=seam_buffer)
@@ -508,7 +505,7 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     start_rho = _periodic_interp(grid, rho0, chosen.T.astype(float) * grid.spacing)
     predicted = start_rho * np.exp(-integ)
     seen = _periodic_interp(grid, rho_end, pos % grid.box_length)
-    rel = np.abs(seen - predicted) / np.maximum(np.abs(predicted), vac_eps)
+    rel = np.abs(seen - predicted) / np.maximum(np.abs(predicted), VAC_EPS)
 
     rows = []
     worst = 0.0

@@ -363,18 +363,6 @@ class MomentumDiag:
     clipped_mass: float
 
 
-def _stage_fields(vphi_new):
-    """Normalize the new-iterate viscosity proxy into per-stage arrays at
-    node offsets (0, 1/2, 1). A single field is reused at all stages (the
-    frozen mode); a 3-tuple supplies the lockstep-transported fields."""
-    if isinstance(vphi_new, ScalarField):
-        return (vphi_new.values,) * 3
-    stages = tuple(np.asarray(getattr(s, "values", s), dtype=float) for s in vphi_new)
-    if len(stages) != 3:
-        raise ValueError(f"expected 3 stage fields, got {len(stages)}")
-    return stages
-
-
 def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
                      coeffs: FrozenCoefficients, vphi_new, t: float):
     """The spectra a momentum step reads: y0 of (phi, u) and coeff_hat of the
@@ -384,7 +372,10 @@ def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
     drops below alpha/2."""
     grid = phi.grid
     d = grid.dim
-    fields, compr = _viscous_fields(params, np.stack(_stage_fields(vphi_new)), coeffs.eta)
+    if len(vphi_new) != 3:
+        raise ValueError(f"expected 3 stage fields, got {len(vphi_new)}")
+    fields, compr = _viscous_fields(params, np.stack([s.values for s in vphi_new]),
+                                    coeffs.eta)
     coeff_min = float(compr.min())
     nu1, nu2 = float(fields[2].max()), max(float(fields[3].max()), 0.0)
     if coeff_min < 0.5 * params.alpha:
@@ -400,10 +391,9 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
                   coeffs: FrozenCoefficients, vphi_new, dt: float, t: float = 0.0):
     """One integrating-factor RK3 step of the coupled (phi, u) pair.
 
-    vphi_new is the new-iterate viscosity proxy: either one field (frozen
-    across the step) or three stage fields at offsets (0, 1/2, 1)*dt. Aborts
-    when the compressive coefficient alpha + beta vphi^(2m) drops below
-    alpha/2 anywhere on the grid."""
+    vphi_new is the new-iterate viscosity proxy as three stage fields at
+    offsets (0, 1/2, 1)*dt. Aborts when the compressive coefficient
+    alpha + beta vphi^(2m) drops below alpha/2 anywhere on the grid."""
     grid = phi.grid
     y0, coeff_hat, nu1, nu2, coeff_min = _momentum_inputs(params, phi, u, coeffs,
                                                           vphi_new, t)

@@ -72,7 +72,7 @@ def primitive_rhs(grid: Grid, params: FluidParams, rho: np.ndarray,
 
 
 def oracle_dt(grid: Grid, params: FluidParams, rho: np.ndarray,
-              u: np.ndarray, safety: float = ORACLE_SAFETY) -> float:
+              u: np.ndarray) -> float:
     """Acoustic and viscous step bounds for the fully explicit update."""
     speed = float(np.sqrt(np.sum(u**2, axis=0)).max())
     sound = float(np.sqrt(params.A * params.gamma
@@ -83,13 +83,12 @@ def oracle_dt(grid: Grid, params: FluidParams, rho: np.ndarray,
     h = grid.spacing
     advective = h / (speed + sound + 1e-30)
     viscous = h * h / (2.0 * grid.dim * nu_max + 1e-30)
-    return safety * min(advective, viscous)
+    return ORACLE_SAFETY * min(advective, viscous)
 
 
 def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
-                    t_window: float, *, dt: float | None = None,
-                    sample_dt: float | None = None, forcing=None,
-                    safety: float = ORACLE_SAFETY) -> PrimitiveTrajectory:
+                    t_window: float, *, dt: float | None = None, forcing=None,
+                    sample_dt: float | None = None) -> PrimitiveTrajectory:
     """Explicit RK4 march of the primitive system on [0, t_window].
 
     forcing, when given, is a callable t -> (mass_term, momentum_term)
@@ -122,7 +121,7 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
 
     def next_dt(t: float) -> float:
         return dt if dt is not None else oracle_dt(grid, params, rho,
-                                                   mom / rho, safety)
+                                                   mom / rho)
 
     def advance(t: float, step: float, t_new: float, at_sample: bool) -> None:
         nonlocal rho, mom
@@ -301,13 +300,12 @@ def _state_error(a: ReformState, b: ReformState) -> float:
     )
 
 
-def reform_mms_error(case: ManufacturedCase, dt: float, t_window: float,
-                     eta: float = 0.0) -> float:
-    """Final-time L2 error of the main time integrator fed exact
-    coefficients and its own discrete forcing."""
-    coeffs = FrozenCoefficients(provider=case.coefficients(), eta=eta,
+def reform_mms_error(case: ManufacturedCase, dt: float, t_window: float) -> float:
+    """Final-time L2 error of the main time integrator at eta = 0, fed
+    exact coefficients and its own discrete forcing."""
+    coeffs = FrozenCoefficients(provider=case.coefficients(), eta=0.0,
                                 t_window=t_window, dt=dt,
-                                forcing=case.reform_forcing(eta))
+                                forcing=case.reform_forcing(0.0))
     traj = solve_linearized(case.state(0.0), coeffs, case.params)
     return _state_error(traj.final, case.state(traj.times[-1]))
 
@@ -354,9 +352,8 @@ def observed_orders(levels, errors, label: str) -> MMSStudy:
                     orders=tuple(orders), monotone=monotone)
 
 
-def reform_temporal_study(case: ManufacturedCase, dts, t_window: float,
-                          eta: float = 0.0) -> MMSStudy:
-    errors = [reform_mms_error(case, dt, t_window, eta) for dt in dts]
+def reform_temporal_study(case: ManufacturedCase, dts, t_window: float) -> MMSStudy:
+    errors = [reform_mms_error(case, dt, t_window) for dt in dts]
     return observed_orders(list(dts), errors, "reform temporal")
 
 
@@ -366,16 +363,11 @@ def oracle_temporal_study(case: ManufacturedCase, dts,
     return observed_orders(list(dts), errors, "oracle temporal")
 
 
-def reform_spatial_errors(ns, dt: float, t_window: float,
-                          eta: float = 0.0, dim: int = 1,
-                          params: FluidParams | None = None) -> list[float]:
-    """Error across grid sizes at one small fixed step. Band-limited exact
+def reform_spatial_errors(ns, dt: float, t_window: float) -> list[float]:
+    """Error across 1-D grid sizes at one small fixed step. Band-limited exact
     fields make these sit at the time-integration floor, independent of n."""
-    out = []
-    for n in ns:
-        case = default_case(Grid(dim=dim, n=n, box_length=2.0 * math.pi), params)
-        out.append(reform_mms_error(case, dt, t_window, eta))
-    return out
+    cases = (default_case(Grid(dim=1, n=n, box_length=2.0 * math.pi)) for n in ns)
+    return [reform_mms_error(case, dt, t_window) for case in cases]
 
 
 # -- cross-solver comparison --------------------------------------------------
@@ -391,14 +383,13 @@ class CrossCompareReport:
 
 
 def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
-                  t_window: float, *, eta: float = 0.0,
-                  sample_dt: float | None = None,
+                  t_window: float, *, sample_dt: float | None = None,
                   picard_tol: float = DEFAULT_PICARD_TOL,
                   max_iter: int = DEFAULT_MAX_ITER,
                   cfl_safety: float = DEFAULT_CFL_SAFETY) -> CrossCompareReport:
     """Run the main pipeline and the primitive oracle from the same smooth
     positive data and report the L2 distance of the reconstructed (rho, u)
-    at every shared sample time."""
+    at every shared sample time. The main pipeline runs at eta = 0."""
     if float(rho0.values.min()) <= ORACLE_MIN_RHO:
         raise ValueError("oracle requires min rho > 0; this comparison is "
                          "only defined away from vacuum")
@@ -409,7 +400,7 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
     init = reform_state_from_density(rho0, u0, params)
     # neither solve reads the other, so they run concurrently
     (reform_traj, trace), oracle_traj = run_forked([
-        partial(picard_solve, init, params, eta, t_window, picard_tol,
+        partial(picard_solve, init, params, 0.0, t_window, picard_tol,
                 max_iter, sample_dt=sample_dt, cfl_safety=cfl_safety),
         partial(primitive_solve, rho0, u0, params, t_window,
                 sample_dt=sample_dt)])

@@ -14,8 +14,9 @@ import configparser
 from dataclasses import MISSING, dataclass, field, fields
 
 from .fields import Grid, ScalarField, VectorField, load_snapshot
-from .fixedpoint import EtaSchedule
+from .fixedpoint import DEFAULT_MAX_ITER, DEFAULT_PICARD_TOL, EtaSchedule
 from .initial_data import bump_density, velocity_modes
+from .linearized import DEFAULT_CFL_SAFETY, DEFAULT_SAMPLES_PER_WINDOW
 from .params import FluidParams, validate_params
 
 
@@ -85,11 +86,11 @@ class RunConfig:
     eta_factor: float = _key("solver", 0.5)
     eta_levels: int = _key("solver", 4, int)
     cauchy_tol: float = _key("solver", 1e-6)
-    picard_tol: float = _key("solver", 1e-10)
-    max_iter: int = _key("solver", 50, int)
-    cfl_safety: float = _key("solver", 0.4)
+    picard_tol: float = _key("solver", DEFAULT_PICARD_TOL)
+    max_iter: int = _key("solver", DEFAULT_MAX_ITER, int)
+    cfl_safety: float = _key("solver", DEFAULT_CFL_SAFETY)
     t_window: float = _key("solver")
-    cadence: int = _key("solver", 32, int)
+    cadence: int = _key("solver", DEFAULT_SAMPLES_PER_WINDOW, int)
     directory: str = _key("output", "", str)
     snapshots: bool = _key("output", False, _bool)
     diagnostics: tuple = _key("output", _DIAGNOSTIC_NAMES, _names)
@@ -217,8 +218,15 @@ def _check_values(cfg: RunConfig) -> None:
             f"dim = {cfg.dim}")
     if not cfg.t_window > 0:
         raise ConfigError(f"t_window must be positive, got {cfg.t_window}")
-    if cfg.cadence < 1:
-        raise ConfigError(f"cadence must be >= 1, got {cfg.cadence}")
+    # the vacuum clause differences three of the cadence + 1 samples
+    if cfg.cadence < 2:
+        raise ConfigError(f"cadence must be >= 2, got {cfg.cadence}")
+    if cfg.max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {cfg.max_iter}")
+    try:
+        cfg.schedule()
+    except ValueError as exc:
+        raise ConfigError(f"[solver] eta schedule: {exc}") from exc
     if not 0 < cfg.cfl_safety <= 1:
         raise ConfigError(
             f"cfl_safety must lie in (0, 1], got {cfg.cfl_safety}")

@@ -169,9 +169,13 @@ def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,
 
 def test_run_rejects_bad_constants(tmp_path, capsys):
     text = BASE.format(beta="0.5", amplitude="0.2")
-    cfg = write(tmp_path, text.replace("alpha = 1.0", "alpha = 0.0"))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "constraint" in capsys.readouterr().err
+    for old, new, message in (
+            ("alpha = 1.0", "alpha = 0.0", "constraint"),
+            # a bump wider than a quarter of the box
+            ("width = 0.8", "width = 2.0", "initial data")):
+        cfg = write(tmp_path, text.replace(old, new))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -198,6 +202,7 @@ def test_the_density_is_built_and_the_constants_validated_once(
     ["validate", "--workers", "2"],
     ["run", "--workers", "2"],
     ["oracle-compare", "--workers", "2"],
+    ["sweep", "--workers", "2"],
     ["validate", "--snapshots"],
     ["oracle-compare", "--snapshots"],
 ], ids=" ".join)
@@ -205,7 +210,7 @@ def test_a_flag_only_another_subcommand_reads_is_a_usage_error(
         tmp_path, capsys, argv):
     cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
     with pytest.raises(SystemExit) as err:
-        main(argv[:1] + ["--config", cfg] + argv[1:])
+        main(argv[:1] + ["--config", cfg, "--out", str(tmp_path)] + argv[1:])
     assert err.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -243,21 +248,6 @@ def test_sweep_honours_snapshots_in_the_config(tmp_path):
     for name in ("final_density.snap", "final_velocity.snap"):
         assert (row_dir / name).is_file()
         assert name in manifest["files"]
-
-
-def test_sweep_rows_do_not_depend_on_the_worker_count(tmp_path):
-    # with two workers each row's continuation forks from a pool worker
-    text = BASE.format(beta="0.5", amplitude="0.2")
-    text += "eta_levels = 3\n\n[sweep]\namplitude_scales = 1, 0.5\n"
-    cfg = write(tmp_path, text)
-    tables = []
-    for workers in ("1", "2"):
-        out_dir = tmp_path / f"w{workers}"
-        assert main(["sweep", "--config", cfg, "--out", str(out_dir),
-                     "--workers", workers]) == 0
-        tables.append((out_dir / "sweep.csv").read_bytes())
-    assert tables[0] == tables[1]
-    assert tables[0].count(b",ok,") == 2
 
 
 # -- oracle-compare ------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 
 from vacflow.diagnostics import (
     SEAM_FRACTION,
+    VAC_EPS,
     ResidualReport,
     _sample_derivative,
     characteristics_check,
@@ -163,7 +164,7 @@ def test_streamed_derivatives_equal_the_whole_stack_references_bit_for_bit():
     assert rep.cell_count > 0
     worst = 0.0
     for i, vphi in enumerate(traj.vphi):
-        mask = density_of(vphi, p) < rep.vac_eps
+        mask = density_of(vphi, p) < VAC_EPS
         if mask.any():
             u = traj.u[i]
             resid = du[i] + np.sum(u * g.grad(u), axis=1)

@@ -221,7 +221,8 @@ def test_acoustic_pair_is_third_order():
         u = VectorField(g, np.zeros((1,) + g.shape))
         dt = T / steps
         for j in range(steps):
-            phi, u, _ = momentum_step(p, phi, u, coeffs, vphi0, dt, t=j * dt)
+            phi, u, _ = momentum_step(p, phi, u, coeffs, (vphi0,) * 3, dt,
+                                      t=j * dt)
         return max(
             float(np.max(np.abs(phi.values - phi_exact))),
             float(np.max(np.abs(u.values[0] - u_exact))),
@@ -241,7 +242,7 @@ def test_momentum_aborts_outside_the_coefficient_regime():
     u = VectorField(g, np.zeros((1, 16)))
     hot = ScalarField(g, np.full(16, 0.95))  # compr = 1 - 0.95^4 < 1/2
     with pytest.raises(SolverAbort, match="ellipticity regime exit") as err:
-        momentum_step(p, phi, u, coeffs, hot, dt=0.01, t=0.25)
+        momentum_step(p, phi, u, coeffs, (hot,) * 3, dt=0.01, t=0.25)
     assert err.value.reason == "ellipticity regime exit"
     assert err.value.time == 0.25
 
@@ -610,7 +611,8 @@ def test_four_exponential_update_equals_the_seven_exponential_form(seed, dim):
     u = VectorField(g, rng.uniform(-0.3, 0.3, (dim,) + g.shape))
     stages_vphi = tuple(rng.uniform(0.1, 0.9, g.shape) for _ in range(3))
     dt, t = 0.004, 0.003
-    phi_new, u_new, diag = momentum_step(p, phi, u, coeffs, stages_vphi, dt, t)
+    phi_new, u_new, diag = momentum_step(
+        p, phi, u, coeffs, tuple(ScalarField(g, v) for v in stages_vphi), dt, t)
     want_phi, want_u = seven_exponential_update(
         p, phi, u, coeffs, stages_vphi, dt, t, diag.nu1, diag.nu2)
     assert diag.nu1 > 0.0 and diag.nu2 > 0.0
@@ -825,8 +827,9 @@ def test_spectral_steps_equal_the_physical_route(seed, dim, forced):
     got, _ = transport_step(p, ScalarField(g, f), coeffs, dt, t)
     assert_close(got.values, physical_transport_step(p, g, f, coeffs, dt, t))
 
-    phi_new, u_new, diag = momentum_step(p, ScalarField(g, phi), VectorField(g, u),
-                                         coeffs, stages_vphi, dt, t)
+    phi_new, u_new, diag = momentum_step(
+        p, ScalarField(g, phi), VectorField(g, u), coeffs,
+        tuple(ScalarField(g, v) for v in stages_vphi), dt, t)
     want_phi, want_u, nu1, nu2 = physical_momentum_step(
         p, g, phi, u, coeffs, stages_vphi, dt, t)
     assert (diag.nu1, diag.nu2) == (nu1, nu2)

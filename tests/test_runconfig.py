@@ -160,6 +160,12 @@ def test_malformed_values_are_rejected(tmp_path):
                                           "beta = 0.5\ncalib_C = 0.5")))
     with pytest.raises(ConfigError, match="cadence"):
         load_config(write(tmp_path, MINIMAL + "cadence = 0\n"))
+    with pytest.raises(ConfigError, match="cadence must be >= 2"):
+        load_config(write(tmp_path, MINIMAL + "cadence = 1\n"))
+    with pytest.raises(ConfigError, match="max_iter"):
+        load_config(write(tmp_path, MINIMAL + "max_iter = 0\n"))
+    with pytest.raises(ConfigError, match=r"eta schedule: factor"):
+        load_config(write(tmp_path, MINIMAL + "eta_factor = 1.5\n"))
     with pytest.raises(ConfigError, match="cfl_safety"):
         load_config(write(tmp_path, MINIMAL + "cfl_safety = 1.5\n"))
     with pytest.raises(ConfigError, match="diagnostics"):

@@ -1,6 +1,8 @@
 """The package's public surface is sized to its callers: every public name
 in src/vacflow is used by the program itself or by an acceptance
-criterion, and importing the bare package loads none of its modules."""
+criterion, every parameter with a default of a public function or method
+is passed by some call in src/ or tests/, and importing the bare package
+loads none of its modules."""
 
 import ast
 import os
@@ -87,3 +89,74 @@ def test_importing_the_package_loads_no_module():
                           env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+class _Calls(ast.NodeVisitor):
+    """For each called name or attribute, the parameter positions and
+    keywords some call passes; a starred argument passes every position from
+    its own on. functools.partial(f, ...) counts as a call of f."""
+
+    def __init__(self):
+        self.positions = {}  # identifier -> max positions passed
+        self.keywords = {}   # identifier -> set of keywords passed
+
+    @staticmethod
+    def _ident(func):
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute):
+            return func.attr
+        return None
+
+    def _record(self, func, args, keywords):
+        ident = self._ident(func)
+        if ident is None:
+            return
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        count = float("inf") if starred else len(args)
+        self.positions[ident] = max(self.positions.get(ident, 0), count)
+        self.keywords.setdefault(ident, set()).update(
+            k.arg for k in keywords if k.arg is not None)
+
+    def visit_Call(self, node):
+        self._record(node.func, node.args, node.keywords)
+        if self._ident(node.func) == "partial" and node.args:
+            self._record(node.args[0], node.args[1:], node.keywords)
+        self.generic_visit(node)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    refs = _References()
+    calls = _Calls()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name != "__init__.py":
+            refs.add_module(tree)
+        calls.visit(tree)
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        calls.visit(ast.parse(path.read_text(), str(path)))
+
+    unpassed = []
+    for qualified, node, kind in refs.public:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        ident = qualified.rpartition(".")[2]
+        a = node.args
+        positional = a.posonlyargs + a.args
+        # a method's first parameter is bound, not passed
+        bound = int(kind == "attr" and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list))
+        defaulted = [(i - bound, p.arg) for i, p in enumerate(positional)
+                     if i >= len(positional) - len(a.defaults)]
+        defaulted += [(None, p.arg)
+                      for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+        for index, name in defaulted:
+            by_position = (index is not None
+                           and calls.positions.get(ident, 0) > index)
+            if not by_position and name not in calls.keywords.get(ident, ()):
+                unpassed.append(f"{qualified}({name})")
+    assert unpassed == [], (
+        "parameters with a default that no call in src/ or tests/ passes: "
+        f"{unpassed}")
