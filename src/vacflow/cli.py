@@ -36,6 +36,7 @@ from .diagnostics import (
 from .fields import ScalarField, save_snapshot
 from .fixedpoint import (
     ContinuationError,
+    LostChild,
     eta_continuation,
     write_continuation_csv,
     write_trace_csv,
@@ -72,9 +73,18 @@ def _fail(message: str, code: int) -> int:
 
 
 def _load(path: str):
-    """Returns (config, 0) or (None, exit code) with the message printed."""
+    """Returns (config, 0) or (None, exit code) with the message printed; a
+    config or snapshot file that cannot be read is an I/O failure."""
     try:
-        return load_config(path), EXIT_OK
+        cfg = load_config(path)
+        for key in ("density_snapshot", "velocity_snapshot"):
+            if cfg.kind == "snapshot" and getattr(cfg, key):
+                try:
+                    open(getattr(cfg, key), "rb").close()
+                except OSError as exc:
+                    raise ConfigError(f"cannot read [initial] {key}: "
+                                      f"{exc}") from exc
+        return cfg, EXIT_OK
     except ConfigError as exc:
         if isinstance(exc.__cause__, OSError):
             return None, _fail(str(exc), EXIT_IO)
@@ -494,7 +504,7 @@ def cmd_oracle_compare(args) -> int:
                                cfl_safety=cfg.cfl_safety)
     except ValueError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
-    except (SolverAbort, ContinuationError) as exc:
+    except (SolverAbort, LostChild) as exc:
         return _fail(f"solver failure: {exc}", EXIT_SOLVER)
 
     print("time        L2 distance")

@@ -10,11 +10,12 @@ Cauchy sequence. The levels share nothing but their initial data, so
 ``run_forked`` solves them in concurrent child processes.
 
 Iterate k + 1 steps across [t_j, t_j+1] reading only samples j and j + 1 of
-iterate k, so the Picard iterates run as a pipeline (``_Iterates``): each in
-its own forked child, one sample behind its predecessor, with the windows in
-shared memory. An iterate starts only once its predecessor's running metric
-has passed picard_tol, so the pipeline runs exactly the iterates the
-sequential loop runs and computes them bit for bit as it does.
+iterate k, so the Picard iterates are run_forked jobs too: each is forked as
+soon as a slot is free and reads its predecessor's window in shared memory
+as the predecessor counts its samples. An iterate counts none until its
+running metric has passed picard_tol, so its successor computes exactly when
+the sequential loop would run it, bit for bit as it does, and the successors
+of a converged iterate are killed before they compute anything.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
+from itertools import count, islice
 
 import numpy as np
 
@@ -71,11 +73,9 @@ class ContinuationError(RuntimeError):
         return type(self), (self.level, self.message)
 
 
-def _width() -> int:
-    """How many children run at once: one per CPU plus one."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return cpus + 1
+class LostChild(RuntimeError):
+    """A run_forked child ended without writing its result: it exited early,
+    or something killed it (the OOM killer, for one)."""
 
 
 def _start_job(job):
@@ -133,23 +133,27 @@ def run_forked(jobs):
 
     A child inherits the caller's memory, so jobs may be closures over
     arrays without copying them. At most one child per CPU plus one runs
-    at a time. A single job, or a platform without os.fork, runs in this
-    process. Closing the generator, or an exception in it, kills and reaps
-    every child still running."""
-    jobs = list(jobs)
-    if len(jobs) < 2 or not hasattr(os, "fork"):
+    at a time, and a job is drawn from the iterable only when its child can
+    start, so a generator may set each job up just before its fork. Without
+    os.fork every job runs in this process. Closing the generator, or an
+    exception in it, kills and reaps every child still running."""
+    if not hasattr(os, "fork"):
         for job in jobs:
             yield job()
         return
-    width = _width()
+    jobs = iter(jobs)
+    width = 1 + (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
     running = deque()
     try:
-        for i in range(len(jobs)):
-            while len(running) < width and i + len(running) < len(jobs):
-                running.append(_start_job(jobs[i + len(running)]))
+        for i in count():
+            for job in islice(jobs, width - len(running)):
+                running.append(_start_job(job))
+            if not running:
+                return
             outcome = _collect(*running.popleft())
             if outcome is None:
-                raise RuntimeError(f"job {i} ended without a result")
+                raise LostChild(f"job {i} ended without a result")
             kind, value = outcome
             if kind == "err":
                 raise value
@@ -267,174 +271,16 @@ def _raise_mmap_threshold() -> None:
     np.empty(1 << 21)
 
 
-def _window(grid, n: int, shared: bool) -> tuple:
-    """Empty (vphi, phi, u) stacks for n samples. Shared stacks live in one
-    anonymous shared mapping, which forked children write and read in place;
-    a process holds in memory only the pages of it that it touches."""
+def _window(grid, n: int) -> tuple:
+    """Empty (vphi, phi, u) stacks for n samples in one anonymous shared
+    mapping, which forked children write and read in place; a process holds
+    in memory only the pages of it that it touches."""
     shapes = [(n,) + grid.shape] * 2 + [(n, grid.dim) + grid.shape]
-    if not shared:
-        return tuple(np.empty(shape) for shape in shapes)
     sizes = [math.prod(shape) for shape in shapes]
     buf = mmap.mmap(-1, 8 * sum(sizes))
     offsets = np.cumsum([0] + sizes[:-1])
     return tuple(np.frombuffer(buf, count=size, offset=8 * int(off)).reshape(shape)
                  for shape, size, off in zip(shapes, sizes, offsets))
-
-
-class _Iterates:
-    """The Picard iterates 1, 2, ... of one solve, run as a pipeline.
-
-    solve(k, wait, sampled) computes iterate k into windows[k] from
-    windows[k - 1]; it calls wait(j) before it reads sample j of the
-    predecessor and sampled(w_sq, v_sq, linf) once it has written a sample
-    of its own. result(k) returns solve's value with iterate k's sups of
-    the three terms and its wall time. Iterate k + 1 is launched as soon as
-    iterate k's running metric, the sup so far of w_sq plus the sup so far
-    of v_sq, exceeds tol. That metric never decreases and ends at S_k, so an
-    iterate runs exactly when the sequential loop would run it, only
-    earlier.
-
-    When forked, each iterate is a _start_job child that writes its window
-    in shared memory and counts each sample on its own eventfd, which only
-    its successor reads; it writes one byte on its "passed" pipe once its
-    running metric exceeds tol. At most width children run at once. A child
-    watches the lifeline, a pipe whose write end only the driver holds,
-    while it waits and after each sample, and leaves once the driver is
-    gone. Otherwise result(k) runs iterate k in this process."""
-
-    def __init__(self, solve, windows: dict, new_window, tol: float,
-                 max_iter: int, forked: bool):
-        self.solve, self.windows, self.new_window = solve, windows, new_window
-        self.tol, self.max_iter, self.forked = tol, max_iter, forked
-        self.children: dict = {}    # k -> (pid, outcome file)
-        self.passing: dict = {}     # k -> read end of its passed pipe
-        self.passed: set = set()
-        self.outcomes: dict = {}
-        self.newest = 0
-        if forked:
-            self.width = _width()
-            # the newest iterate's sample count; window 0 is written
-            self.samples = os.eventfd(len(windows[0][0]))
-            self.lifeline = os.pipe()
-
-    def _run(self, k: int, wait, counted, passed):
-        """Iterate k with its running sups: counted() after each sample,
-        passed() the first time the running metric exceeds tol."""
-        sups = [0.0, 0.0, 0.0]
-        tic = time.perf_counter()
-
-        def sampled(*terms) -> None:
-            counted()
-            below = sups[0] + sups[1] <= self.tol
-            sups[:] = map(max, sups, terms)
-            if below and sups[0] + sups[1] > self.tol:
-                passed()
-
-        fields = self.solve(k, wait, sampled)
-        return fields, tuple(sups), time.perf_counter() - tic
-
-    def launch(self, k: int) -> None:
-        """Fork iterate k, which reads its predecessor's samples as the
-        predecessor's eventfd counts them."""
-        self.windows[k] = self.new_window()
-        pred, own = self.samples, os.eventfd(0)
-        passed_r, passed_w = os.pipe()
-        lifeline, driver_end = self.lifeline
-
-        def job():
-            os.close(driver_end)
-            for j in list(self.windows):
-                if j not in (k - 1, k):
-                    del self.windows[j]
-            ready = 0
-
-            def watch(*fds, timeout=None) -> None:
-                """Return once one of fds is readable, or at the timeout;
-                raise once the lifeline is cut."""
-                if lifeline in select.select([*fds, lifeline], [], [], timeout)[0]:
-                    raise RuntimeError("the Picard driver is gone")
-
-            def wait(j: int) -> None:
-                nonlocal ready
-                while j >= ready:
-                    watch(pred)
-                    ready += os.eventfd_read(pred)
-
-            def counted() -> None:
-                os.eventfd_write(own, 1)
-                watch(timeout=0)
-
-            return self._run(k, wait, counted,
-                             partial(os.write, passed_w, b"\x01"))
-
-        try:
-            self.children[k] = _start_job(job)
-        except OSError:
-            os.close(own)
-            os.close(passed_r)
-            raise
-        finally:
-            os.close(passed_w)
-        os.close(pred)
-        self.samples = own
-        self.passing[k] = passed_r
-        self.newest = k
-
-    def result(self, k: int):
-        """(solve's value, sups, wall time) of iterate k once it has
-        finished; raises its exception."""
-        if not self.forked:
-            def ignore(*_):
-                pass
-            self.windows[k] = self.new_window()
-            return self._run(k, ignore, ignore, ignore)
-        if k > self.newest:
-            self.launch(k)
-        while k not in self.outcomes:
-            self._next_event()
-        kind, value = self.outcomes.pop(k)
-        if kind == "err":
-            raise value
-        return value
-
-    def _next_event(self) -> None:
-        """Read the passed bytes and outcomes that are ready, then launch the
-        newest iterate's successor once it has passed and a slot is free."""
-        by_fd = {fh.fileno(): k for k, (_, fh) in self.children.items()}
-        passing = {fd: k for k, fd in self.passing.items()}
-        readable = set(select.select([*by_fd, *passing], [], [])[0])
-        for fd in readable & passing.keys():
-            self._read_passed(passing[fd])
-        for fd in readable & by_fd.keys():
-            k = by_fd[fd]
-            outcome = _collect(*self.children.pop(k))
-            if k in self.passing:   # the child has exited: this read is ready
-                self._read_passed(k)
-            self.outcomes[k] = outcome or ("err", RuntimeError(
-                f"Picard iterate {k} ended without a result"))
-        k = self.newest
-        if (k in self.passed and k < self.max_iter
-                and len(self.children) < self.width):
-            self.launch(k + 1)
-
-    def _read_passed(self, k: int) -> None:
-        """Read iterate k's passed byte, or the EOF it leaves without one."""
-        fd = self.passing.pop(k)
-        try:
-            if os.read(fd, 1):
-                self.passed.add(k)
-        finally:
-            os.close(fd)
-
-    def close(self) -> None:
-        """Kill and reap every child still running and close the pipes."""
-        for child in self.children.values():
-            _kill(*child)
-        for fd in self.passing.values():
-            os.close(fd)
-        if self.forked:
-            for fd in (self.samples, *self.lifeline):
-                os.close(fd)
 
 
 def picard_solve(init: ReformState, params: FluidParams, eta: float,
@@ -453,10 +299,10 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     DIVERGING_GROWTHS iterations in a row, comes back unconverged, with
     its stop reason, rather than raising.
 
-    The start guess is computed here. The iterates run as a pipeline
-    (_Iterates): iterate k + 1 steps across [t_j, t_j+1] as soon as
-    iterate k has written samples j and j + 1, in a forked child where
-    os.fork and os.eventfd exist, and starts only once iterate k has moved more than
+    The start guess is computed here. Iterate k is the run_forked job
+    partial(iterate, k) where os.fork and os.eventfd exist, and runs in this
+    process otherwise; either way it steps across [t_j, t_j+1] once iterate
+    k - 1 has written samples j and j + 1 and has moved more than
     picard_tol. The results do not depend on the process count.
     """
     if not t_window > 0.0:
@@ -471,46 +317,98 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
     grid = init.grid
     times = sample_times(t_window, sample_dt)
+    n = len(times)
     forked = hasattr(os, "fork") and hasattr(os, "eventfd")
+    windows = {0: _window(grid, n)}
+    _start_guess(init, params, eta, t_window, cfl_safety, sample_dt, windows[0])
+    _raise_mmap_threshold()
+    counts: dict = {}       # k -> eventfd counting the samples of iterate k
+    lifeline = ()           # a pipe whose write end only this process holds
 
-    def new_window():
-        return _window(grid, len(times), forked)
+    def iterate(k: int):
+        """Iterate k, written into windows[k] from windows[k - 1]: its
+        times, step sizes, clip counts and clipped mass, the sups of the
+        three gap terms, and the wall time.
 
-    def solve(k, wait, sampled):
+        Forked, it reads sample j of its predecessor once counts[k - 1] has
+        counted it, and it holds back its own count until its running
+        metric, the sup so far of w_sq plus that of v_sq, exceeds
+        picard_tol. That metric never decreases and ends at S_k, so
+        iterate k + 1 computes exactly when the sequential loop would run
+        it, only earlier. It leaves once the lifeline is cut, checked while
+        it waits and after each sample."""
         pred, own = windows[k - 1], windows[k]
+        sups = [0.0, 0.0, 0.0]
+        ready, held = (0 if forked else n), 0
+
+        def watch(*fds, timeout=None) -> None:
+            """Return once one of fds is readable, or at the timeout; raise
+            once the lifeline is cut."""
+            if lifeline[0] in select.select([*fds, lifeline[0]], [], [], timeout)[0]:
+                raise RuntimeError("the Picard driver is gone")
+
+        def wait(j: int) -> None:
+            nonlocal ready
+            while j >= ready:
+                watch(counts[k - 1])
+                ready += os.eventfd_read(counts[k - 1])
 
         def on_sample(i: int) -> None:
+            nonlocal held
             wait(i)
-            sampled(*_sample_gap(grid, own, pred, i))
+            sups[:] = map(max, sups, _sample_gap(grid, own, pred, i))
+            if forked:
+                held += 1
+                if sups[0] + sups[1] > picard_tol:
+                    os.eventfd_write(counts[k], held)
+                    held = 0
+                watch(timeout=0)
 
+        if forked:
+            os.close(lifeline[1])
+        wait(0)
+        tic = time.perf_counter()
         coeffs = FrozenCoefficients(
             provider=TrajectoryCoefficients(times, *pred, wait=wait), eta=eta,
             t_window=t_window, cfl_safety=cfl_safety, sample_dt=sample_dt)
         traj = solve_linearized(init, coeffs, params, stacks=own,
                                 on_sample=on_sample)
-        return traj.times, traj.dt_history, traj.clip_counts, traj.clipped_mass
+        fields = traj.times, traj.dt_history, traj.clip_counts, traj.clipped_mass
+        return fields, tuple(sups), time.perf_counter() - tic
 
-    windows = {0: new_window()}
-    _start_guess(init, params, eta, t_window, cfl_safety, sample_dt, windows[0])
-    _raise_mmap_threshold()
+    def jobs():
+        for k in range(1, max_iter + 1):
+            windows[k] = _window(grid, n)
+            if forked:
+                counts[k] = os.eventfd(0)
+            yield partial(iterate, k)
+
     iterations = []
     reason = "max_iter"
     growths = 0
-    with closing(_Iterates(solve, windows, new_window, picard_tol, max_iter,
-                           forked)) as its:
-        for k in range(1, max_iter + 1):
-            fields, (w_sq, v_sq, linf), wall = its.result(k)
-            S = w_sq + v_sq
-            growths = growths + 1 if iterations and S > iterations[-1].S_k else 0
-            iterations.append(PicardIteration(k=k, S_k=S, linf_delta=linf,
-                                              wall_time=wall))
-            del windows[k - 1]
-            if S <= picard_tol:
-                reason = "converged"
-                break
-            if growths >= DIVERGING_GROWTHS:
-                reason = "diverging"
-                break
+    try:
+        if forked:
+            counts[0] = os.eventfd(n)   # window 0 is written
+            lifeline = os.pipe()
+        solved = run_forked(jobs()) if forked else (job() for job in jobs())
+        with closing(solved):
+            for k, (fields, (w_sq, v_sq, linf), wall) in enumerate(solved, 1):
+                S = w_sq + v_sq
+                growths = growths + 1 if iterations and S > iterations[-1].S_k else 0
+                iterations.append(PicardIteration(k=k, S_k=S, linf_delta=linf,
+                                                  wall_time=wall))
+                del windows[k - 1]
+                if forked:
+                    os.close(counts.pop(k - 1))
+                if S <= picard_tol:
+                    reason = "converged"
+                    break
+                if growths >= DIVERGING_GROWTHS:
+                    reason = "diverging"
+                    break
+    finally:
+        for fd in (*counts.values(), *lifeline):
+            os.close(fd)
     out_times, dt_history, clip_counts, clipped_mass = fields
     cur = Trajectory(grid, out_times, *windows[k], dt_history=dt_history,
                      clip_counts=clip_counts, clipped_mass=clipped_mass, eta=eta)
@@ -585,7 +483,7 @@ def eta_continuation(init: ReformState, params: FluidParams,
     solutions sit from each other. The levels are independent solves, so
     they run concurrently (run_forked) and are read in order. Stops early
     once the gap drops to schedule.cauchy_tol; a level that fails to
-    converge aborts the sweep with its index."""
+    converge, or whose process is lost, aborts the sweep with its index."""
     etas = schedule.levels()
     jobs = [partial(picard_solve, init, params, eta_j, t_window, picard_tol,
                     max_iter, cfl_safety=cfl_safety, sample_dt=sample_dt)
@@ -600,6 +498,8 @@ def eta_continuation(init: ReformState, params: FluidParams,
                 traj, trace = next(solved)
             except SolverAbort as exc:
                 raise ContinuationError(j, f"solver abort: {exc}") from exc
+            except LostChild as exc:
+                raise ContinuationError(j, str(exc)) from exc
             if not trace.converged:
                 raise ContinuationError(
                     j, f"no convergence in {trace.final_k} iterations, "

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vacflow.fixedpoint
 import vacflow.runconfig
 from vacflow.cli import main
 
@@ -84,6 +86,21 @@ def test_missing_config_exits_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "sweep",
+                                     "oracle-compare"])
+def test_a_missing_snapshot_exits_three_naming_the_file(tmp_path, capsys,
+                                                        command):
+    missing = str(tmp_path / "nowhere.snap")
+    text = BASE.format(beta="0.5", amplitude="0.2").replace(
+        "[initial]\n", f"[initial]\nkind = snapshot\n"
+                       f"density_snapshot = {missing}\n")
+    assert main([command, "--config", write(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "density_snapshot" in err and missing in err
+
+
 # -- run -----------------------------------------------------------------------
 
 
@@ -143,6 +160,27 @@ def test_run_reports_solver_failure(tmp_path, capsys):
     assert record["phase"] == "continuation level 0"
     assert "no convergence" in record["detail"]
     assert "stopped as max_iter" in record["detail"]
+
+
+def test_a_lost_level_process_is_a_solver_failure(tmp_path, capsys,
+                                                  monkeypatch):
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
+    lost_eta = vacflow.runconfig.load_config(cfg).schedule().levels()[1]
+    parent = os.getpid()
+    solve = vacflow.fixedpoint.picard_solve
+
+    def exit_at_level_one(init, params, eta, *args, **kwargs):
+        if eta == lost_eta and os.getpid() != parent:
+            os._exit(3)
+        return solve(init, params, eta, *args, **kwargs)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "picard_solve", exit_at_level_one)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 2
+    assert "solver failure" in capsys.readouterr().err
+    record = json.loads((out_dir / "failure.json").read_text())
+    assert record["phase"] == "continuation level 1"
+    assert "ended without a result" in record["detail"]
 
 
 def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,
@@ -303,6 +341,19 @@ def test_oracle_compare_nonfinite_state_is_a_solver_failure(
     err = capsys.readouterr().err
     assert "solver failure" in err
     assert "solution lost finiteness" in err
+
+
+def test_oracle_compare_lost_solver_is_a_solver_failure(tmp_path, capsys,
+                                                       monkeypatch):
+    parent = os.getpid()
+
+    def exits(*args, **kwargs):
+        assert os.getpid() != parent
+        os._exit(3)
+
+    monkeypatch.setattr("vacflow.oracle.picard_solve", exits)
+    assert main(["oracle-compare", "--config", write(tmp_path, POSITIVE)]) == 2
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_oracle_compare_refuses_vacuum(tmp_path, capsys):

@@ -19,6 +19,7 @@ from vacflow.fixedpoint import (
     DIVERGING_GROWTHS,
     ContinuationError,
     EtaSchedule,
+    LostChild,
     PicardIteration,
     PicardTrace,
     eta_continuation,
@@ -302,6 +303,7 @@ def test_abort_in_one_level_child_surfaces_with_its_index(monkeypatch):
     ParameterError("m >= 3/2"),
     FieldError("field values must be finite"),
     ConfigError("unknown key"),
+    LostChild("job 1 ended without a result"),
 ], ids=lambda exc: type(exc).__name__)
 def test_exceptions_survive_pickling(exc):
     back = pickle.loads(pickle.dumps(exc))
@@ -322,9 +324,23 @@ def test_run_forked_yields_in_job_order_from_children():
     assert_no_children()
 
 
-def test_run_forked_runs_a_single_job_in_process():
-    assert list(run_forked([os.getpid])) == [os.getpid()]
+def test_run_forked_draws_a_generators_jobs_lazily(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    drawn = []
+
+    def jobs():
+        for i in range(6):
+            drawn.append(i)
+            yield lambda i=i: i * i
+
+    solved = run_forked(jobs())
+    assert next(solved) == 0
+    assert drawn == [0, 1, 2]       # CPUs + 1 before the first result
+    assert list(solved) == [1, 4, 9, 16, 25]
+    assert drawn == list(range(6))
+    assert_no_children()
     assert list(run_forked([])) == []
+    assert list(run_forked([os.getpid])) != [os.getpid()]
 
 
 def test_run_forked_keeps_at_most_one_child_per_cpu_plus_one(monkeypatch):
@@ -358,7 +374,7 @@ def test_run_forked_raises_a_job_error_and_a_lost_child():
         list(run_forked([lambda: 1, fail, lambda: time.sleep(60)]))
     assert err.value.time == 0.5
     assert_no_children()
-    with pytest.raises(RuntimeError, match="job 1 ended without a result"):
+    with pytest.raises(LostChild, match="job 1 ended without a result"):
         list(run_forked([lambda: 1, lambda: os._exit(3)]))
     assert_no_children()
 
@@ -464,80 +480,100 @@ def test_without_fork_or_eventfd_the_iterates_run_in_this_process(
                                       for it in trace.iterations]))
 
 
-def recorded_launches(monkeypatch):
-    """Every iterate launch as (k, running metric of iterate k - 1 over the
-    samples it had written by then, that sample count, iterates in flight).
+def shared(shape, fill=0.0):
+    """A float array in shared memory: forked children write it, the test
+    reads it."""
+    arr = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    arr[...] = fill
+    return arr
 
-    Each iterate child logs the gap terms of every sample it writes into
-    shared memory, before it can tell the driver it passed the tolerance,
-    so the metric is the child's own, read at the moment of the launch."""
+
+def tagged_iterates(monkeypatch):
+    """Rebind _start_job so that each child knows the iterate it runs as
+    tag["k"], the job's args[0] set just before the fork, and tag["peak"]
+    counts the most children in flight at once."""
+    tag = {"k": 0, "alive": 0, "peak": 0}
+    start = vacflow.fixedpoint._start_job
+    collect, kill = vacflow.fixedpoint._collect, vacflow.fixedpoint._kill
+
+    def started(job):
+        tag["k"] = job.args[0]
+        tag["alive"] += 1
+        tag["peak"] = max(tag["peak"], tag["alive"])
+        return start(job)
+
+    def ended(end):
+        def wrapper(pid, fh):
+            tag["alive"] -= 1
+            return end(pid, fh)
+        return wrapper
+
+    monkeypatch.setattr(vacflow.fixedpoint, "_start_job", started)
+    monkeypatch.setattr(vacflow.fixedpoint, "_collect", ended(collect))
+    monkeypatch.setattr(vacflow.fixedpoint, "_kill", ended(kill))
+    return tag
+
+
+def logged_iterates(monkeypatch):
+    """Log from every iterate child the gap terms of each sample it writes
+    (terms, written) and, at its sample 0, its predecessor's running metric
+    over the samples the predecessor had logged by then, with that count
+    (first). A child logs a sample before it can count it, and pauses
+    before its sample 1, so a successor let go at sample 0 logs a metric of
+    0 here."""
     n = DEFAULT_SAMPLES_PER_WINDOW + 1
     iterates = DEFAULT_MAX_ITER + 1
-    buf = mmap.mmap(-1, 8 * iterates * (2 * n + 1))
-    terms = np.frombuffer(buf, count=iterates * 2 * n).reshape(iterates, n, 2)
-    written = np.frombuffer(buf, count=iterates, offset=8 * iterates * 2 * n)
-    launching = {}
-    launches = []
-    launch = vacflow.fixedpoint._Iterates.launch
+    terms = shared((iterates, n, 2))
+    written = shared((iterates,))
+    first = shared((iterates, 2), math.nan)
+    tag = tagged_iterates(monkeypatch)
     gap = vacflow.fixedpoint._sample_gap
 
     def logged(grid, a, b, i):
+        k = tag["k"]
+        if i == 0:
+            count = int(written[k - 1])
+            first[k] = (terms[k - 1, :count].max(axis=0, initial=0.0).sum(),
+                        count)
+        elif i == 1:
+            time.sleep(0.05)
         out = gap(grid, a, b, i)
-        k = launching["k"]      # the iterate this child runs
         terms[k, i] = out[:2]
         written[k] = i + 1
         return out
 
-    def recorded(self, k):
-        if k == 1:
-            metric, count = math.inf, n
-        else:
-            count = int(written[k - 1])
-            metric = float(terms[k - 1, :count, 0].max(initial=0.0)
-                           + terms[k - 1, :count, 1].max(initial=0.0))
-        launches.append((k, metric, count, len(self.children)))
-        launching["k"] = k      # a child forked now inherits its k
-        launch(self, k)
-
     monkeypatch.setattr(vacflow.fixedpoint, "_sample_gap", logged)
-    monkeypatch.setattr(vacflow.fixedpoint._Iterates, "launch", recorded)
-    return launches
+    return written, first, tag
 
 
-def test_zero_data_forks_exactly_one_iterate(monkeypatch):
-    forks = []
-    start = vacflow.fixedpoint._start_job
-
-    def counted(job):
-        forks.append(job)
-        return start(job)
-
-    monkeypatch.setattr(vacflow.fixedpoint, "_start_job", counted)
+def test_zero_data_steps_exactly_one_iterate_past_sample_zero(monkeypatch):
+    written, _, tag = logged_iterates(monkeypatch)
     _, trace = picard_solve(zero_state(), soft_params(), 0.5, 0.01)
     assert trace.final_k == 1 and trace.final_S == 0.0
-    assert len(forks) == 1
+    assert tag["k"] > 1     # its successors were forked, then killed
+    assert np.flatnonzero(written).tolist() == [1]
 
 
 def test_an_iterate_starts_only_once_its_predecessor_passed_the_tolerance(
         monkeypatch):
-    launches = recorded_launches(monkeypatch)
+    written, first, _ = logged_iterates(monkeypatch)
     tol = 1e-10
     _, trace = picard_solve(positive_state(), soft_params(), 0.25, 0.005, tol)
     assert trace.converged
-    assert [k for k, *_ in launches] == list(range(1, trace.final_k + 1))
-    for k, metric, _, _ in launches[1:]:
+    assert np.flatnonzero(written).tolist() == list(range(1, trace.final_k + 1))
+    for metric, _ in first[2:trace.final_k + 1]:
         assert metric > tol
     # iterate 2 starts while iterate 1 is still writing its window
-    assert launches[1][2] < DEFAULT_SAMPLES_PER_WINDOW + 1
+    assert first[2, 1] < DEFAULT_SAMPLES_PER_WINDOW + 1
 
 
 def test_iterates_in_flight_stay_within_one_per_cpu_plus_one(monkeypatch):
     init, p = positive_state(), soft_params()
     want = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    launches = recorded_launches(monkeypatch)
+    tag = tagged_iterates(monkeypatch)
     got = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
-    assert max(in_flight for *_, in_flight in launches) < 2
+    assert tag["peak"] == 2
     traj, trace = want
     assert_same_solve(got, (traj, [(it.k, it.S_k, it.linf_delta)
                                    for it in trace.iterations]))
@@ -545,24 +581,18 @@ def test_iterates_in_flight_stay_within_one_per_cpu_plus_one(monkeypatch):
 
 def fail_iterate_two(monkeypatch, failure):
     """Make iterate 2 call failure() once it has written sample 20."""
-    launching = {}
-    launch = vacflow.fixedpoint._Iterates.launch
+    tag = tagged_iterates(monkeypatch)
     solve = vacflow.fixedpoint.solve_linearized
-
-    def tagged(self, k):
-        launching["k"] = k      # a child forked now inherits its k
-        launch(self, k)
 
     def failing(init, coeffs, params, *, stacks, on_sample):
         def hook(i):
             on_sample(i)
-            if launching["k"] == 2 and i == 20:
+            if tag["k"] == 2 and i == 20:
                 failure()
         return solve(init, coeffs, params, stacks=stacks, on_sample=hook)
 
-    monkeypatch.setattr(vacflow.fixedpoint._Iterates, "launch", tagged)
     monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", failing)
-    return launching
+    return tag
 
 
 def test_abort_in_iterate_two_surfaces_unchanged_and_kills_the_rest(
@@ -570,19 +600,18 @@ def test_abort_in_iterate_two_surfaces_unchanged_and_kills_the_rest(
     def abort():
         raise SolverAbort("injected failure", 0.003, "iterate two only")
 
-    launching = fail_iterate_two(monkeypatch, abort)
+    tag = fail_iterate_two(monkeypatch, abort)
     with pytest.raises(SolverAbort) as err:
-        # with this tolerance iterate 3 starts at sample 1 of iterate 2
         picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
     assert (err.value.reason, err.value.time, err.value.detail) == \
         ("injected failure", 0.003, "iterate two only")
-    assert launching["k"] == 3
+    assert tag["k"] >= 3    # a later iterate was in flight, and was killed
     assert_no_children()
 
 
 def test_an_iterate_that_dies_without_a_result_is_an_error(monkeypatch):
     fail_iterate_two(monkeypatch, lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match="iterate 2 ended without a result"):
+    with pytest.raises(LostChild, match="job 1 ended without a result"):
         picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
     assert_no_children()
 
@@ -592,12 +621,13 @@ def test_iterates_leave_once_their_solve_is_killed(monkeypatch):
     iterate it started exits within a few seconds, although each would
     take over ten seconds to write its window."""
     held_r, held_w = os.pipe()      # every process of the solve holds held_w
-    launch = vacflow.fixedpoint._Iterates.launch
+    start = vacflow.fixedpoint._start_job
     solve = vacflow.fixedpoint.solve_linearized
 
-    def announced(self, k):
-        launch(self, k)
-        os.write(held_w, b"%d " % self.children[k][0])
+    def announced(job):
+        pid, fh = start(job)
+        os.write(held_w, b"%d " % pid)
+        return pid, fh
 
     def slow(init, coeffs, params, *, stacks, on_sample):
         def hook(i):
@@ -605,7 +635,7 @@ def test_iterates_leave_once_their_solve_is_killed(monkeypatch):
             on_sample(i)
         return solve(init, coeffs, params, stacks=stacks, on_sample=hook)
 
-    monkeypatch.setattr(vacflow.fixedpoint._Iterates, "launch", announced)
+    monkeypatch.setattr(vacflow.fixedpoint, "_start_job", announced)
     monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", slow)
     solver = os.fork()
     if solver == 0:

@@ -2,7 +2,7 @@
 in src/vacflow is used by the program itself or by an acceptance
 criterion, every parameter with a default of a public function or method
 is passed by some call in src/ or tests/, and importing the bare package
-loads none of its modules."""
+loads none of its modules. One function forks child processes."""
 
 import ast
 import os
@@ -160,3 +160,20 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert unpassed == [], (
         "parameters with a default that no call in src/ or tests/ passes: "
         f"{unpassed}")
+
+
+def test_one_function_forks():
+    forking = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                forking += [f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "fork"
+                            and isinstance(node.func.value, ast.Name)
+                            and node.func.value.id == "os"]
+    assert forking == ["fixedpoint._start_job"], (
+        "every child process starts in fixedpoint._start_job, so that "
+        f"run_forked is its only lifecycle; os.fork is called in {forking}")
