@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from .diagnostics import (
     characteristics_check,
@@ -38,6 +39,7 @@ from .fixedpoint import (
     ContinuationError,
     LostChild,
     eta_continuation,
+    run_forked,
     write_continuation_csv,
     write_trace_csv,
 )
@@ -173,8 +175,10 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
                  snapshots: bool, scale: float = 1.0) -> dict:
     """Execute continuation plus diagnostics and write the report bundle,
     with snapshots when the flag or [output] snapshots asks for them.
-    Returns the summary dictionary; raises SolverAbort or ContinuationError
-    after writing failure.json when the solve dies."""
+    The diagnostics run as run_forked jobs over the final trajectory, which
+    the children inherit. Returns the summary dictionary; raises SolverAbort
+    or ContinuationError after writing failure.json when the solve dies, and
+    LostChild when a diagnostics child does."""
     os.makedirs(out_dir, exist_ok=True)
     params = cfg.fluid_params()
     rho0, u0, _ = _initial_data(cfg, params, scale)
@@ -199,17 +203,25 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
         _failure_record(out_dir, "solve", exc.time, str(exc))
         raise
 
-    led = ledger(traj, params, calib_C=cfg.calib_C)
-    verdict = validity(traj, led, params)
-    cons = conservation(traj, params)
-    vac = vacuum_residual(traj, params)
+    def certificates():
+        led = ledger(traj, params, calib_C=cfg.calib_C)
+        return (led, validity(traj, led, params), conservation(traj, params),
+                vacuum_residual(traj, params))
 
-    chars = None
+    jobs = {"ledger": certificates}
     if "characteristics" in cfg.diagnostics:
-        chars = characteristics_check(traj, params, seed=seed)
-    resid = None
+        jobs["characteristics"] = partial(characteristics_check, traj, params,
+                                          seed=seed)
     if "residual" in cfg.diagnostics:
-        resid = nonlinear_residual(traj, params, eta=traj.eta)
+        jobs["residual"] = partial(nonlinear_residual, traj, params,
+                                   eta=traj.eta)
+    try:
+        results = dict(zip(jobs, list(run_forked(jobs.values()))))
+    except LostChild as exc:
+        _failure_record(out_dir, "diagnostics", None, str(exc))
+        raise
+    led, verdict, cons, vac = results["ledger"]
+    chars, resid = results.get("characteristics"), results.get("residual")
 
     write_ledger_csv(led, os.path.join(out_dir, "ledger.csv"))
     files.append("ledger.csv")
@@ -327,7 +339,7 @@ def cmd_run(args) -> int:
         return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
-    except (SolverAbort, ContinuationError) as exc:
+    except (SolverAbort, ContinuationError, LostChild) as exc:
         return _fail(f"solver failure: {exc} (see failure.json)",
                      EXIT_SOLVER)
     except OSError as exc:
@@ -357,7 +369,7 @@ def _sweep_row(cfg: RunConfig, scale: float, row_dir: str, seed: int,
         row["status"] = "rejected"
         row["note"] = str(exc)
         return row
-    except (SolverAbort, ContinuationError) as exc:
+    except (SolverAbort, ContinuationError, LostChild) as exc:
         row["status"] = "failed"
         row["note"] = str(exc)
         return row

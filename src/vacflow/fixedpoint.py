@@ -75,7 +75,8 @@ class ContinuationError(RuntimeError):
 
 class LostChild(RuntimeError):
     """A run_forked child ended without writing its result: it exited early,
-    or something killed it (the OOM killer, for one)."""
+    or something killed it (the OOM killer, for one). The message gives its
+    exit code or the signal that killed it."""
 
 
 def _start_job(job):
@@ -105,19 +106,32 @@ def _start_job(job):
     return pid, open(read_fd, "rb")
 
 
+def _ending(status: int) -> str:
+    """How a child ended, from its os.waitpid status."""
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        return f"exit code {code}"
+    try:
+        return f"killed by {signal.Signals(-code).name}"
+    except ValueError:
+        return f"killed by signal {-code}"
+
+
 def _collect(pid: int, fh):
-    """The outcome the child wrote, or None when it ended without one. The
-    child is reaped either way; it is killed first if reading is cut short."""
+    """The outcome the child wrote, or ("lost", how it ended) when it ended
+    without one. The child is reaped either way; it is killed first if
+    reading is cut short."""
     try:
         with fh:
-            return pickle.load(fh)
+            outcome = pickle.load(fh)
     except (EOFError, pickle.UnpicklingError):
-        return None
+        outcome = None
     except BaseException:
         os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
         os.waitpid(pid, 0)
+        raise
+    status = os.waitpid(pid, 0)[1]
+    return outcome or ("lost", _ending(status))
 
 
 def _kill(pid: int, fh) -> None:
@@ -151,10 +165,9 @@ def run_forked(jobs):
                 running.append(_start_job(job))
             if not running:
                 return
-            outcome = _collect(*running.popleft())
-            if outcome is None:
-                raise LostChild(f"job {i} ended without a result")
-            kind, value = outcome
+            kind, value = _collect(*running.popleft())
+            if kind == "lost":
+                raise LostChild(f"job {i} ended without a result ({value})")
             if kind == "err":
                 raise value
             yield value

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vacflow.cli
 import vacflow.fixedpoint
 import vacflow.runconfig
-from vacflow.cli import main
+from vacflow.cli import main, run_pipeline
 
 BASE = """[params]
 A = 1.0
@@ -181,6 +182,66 @@ def test_a_lost_level_process_is_a_solver_failure(tmp_path, capsys,
     record = json.loads((out_dir / "failure.json").read_text())
     assert record["phase"] == "continuation level 1"
     assert "ended without a result" in record["detail"]
+
+
+def test_forked_diagnostics_equal_in_process_diagnostics(tmp_path,
+                                                          monkeypatch):
+    cfg = vacflow.runconfig.load_config(
+        write(tmp_path, BASE.format(beta="0.5", amplitude="0.2")))
+    ran = tmp_path / "ran"
+    ran.mkdir()
+
+    def logged(fn):
+        def wrapper(*args, **kwargs):
+            (ran / fn.__name__).write_text(str(os.getpid()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("ledger", "nonlinear_residual"):
+        monkeypatch.setattr(vacflow.cli, name, logged(getattr(vacflow.cli, name)))
+    forked, serial = tmp_path / "forked", tmp_path / "serial"
+    run_pipeline(cfg, str(forked), 7, True)
+    pids = {path.name: int(path.read_text()) for path in ran.iterdir()}
+    assert set(pids) == {"ledger", "nonlinear_residual"}
+    assert os.getpid() not in pids.values()
+    assert pids["ledger"] != pids["nonlinear_residual"]
+
+    monkeypatch.delattr(os, "fork")
+    run_pipeline(cfg, str(serial), 7, True)
+    assert {int(path.read_text()) for path in ran.iterdir()} == {os.getpid()}
+    names = sorted(os.listdir(forked))
+    assert names == sorted(os.listdir(serial)) and "manifest.json" in names
+    for name in names:
+        assert (forked / name).read_bytes() == (serial / name).read_bytes()
+
+
+def test_a_lost_diagnostics_process_is_a_solver_failure(tmp_path, capsys,
+                                                        monkeypatch):
+    parent = os.getpid()
+
+    def exits(*args, **kwargs):
+        assert os.getpid() != parent
+        os._exit(3)
+
+    monkeypatch.setattr(vacflow.cli, "nonlinear_residual", exits)
+    text = BASE.format(beta="0.5", amplitude="0.2")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text),
+                 "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failure") and err.count("\n") == 1
+    record = json.loads((out_dir / "failure.json").read_text())
+    assert record == {"phase": "diagnostics", "time": None,
+                      "detail": "job 2 ended without a result (exit code 3)"}
+
+    text += "\n[sweep]\namplitude_scales = 1\n"
+    sweep_dir = tmp_path / "sw"
+    assert main(["sweep", "--config", write(tmp_path, text, "sweep.ini"),
+                 "--out", str(sweep_dir)]) == 0
+    rows = (sweep_dir / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].split(",")[2] == "failed"
+    assert "exit code 3" in rows[1]
 
 
 def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,

@@ -379,6 +379,20 @@ def test_run_forked_raises_a_job_error_and_a_lost_child():
     assert_no_children()
 
 
+@pytest.mark.parametrize("end, ending", [
+    (lambda: os._exit(3), "exit code 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL"),
+    # a real-time signal has no name in signal.Signals
+    (lambda: os.kill(os.getpid(), signal.SIGRTMIN + 1),
+     f"killed by signal {signal.SIGRTMIN + 1}"),
+], ids=["exit", "signal", "unnamed-signal"])
+def test_a_lost_child_says_how_it_ended(end, ending):
+    with pytest.raises(LostChild) as err:
+        list(run_forked([lambda: 1, end]))
+    assert str(err.value) == f"job 1 ended without a result ({ending})"
+    assert_no_children()
+
+
 def test_run_forked_kills_its_children_when_the_caller_stops():
     tic = time.monotonic()
     solved = run_forked([lambda: 1] + [lambda: time.sleep(60)] * 2)
