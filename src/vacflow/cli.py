@@ -216,7 +216,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
         jobs["residual"] = partial(nonlinear_residual, traj, params,
                                    eta=traj.eta)
     try:
-        results = dict(zip(jobs, list(run_forked(jobs.values()))))
+        results = dict(zip(jobs, list(run_forked(jobs.items()))))
     except LostChild as exc:
         _failure_record(out_dir, "diagnostics", None, str(exc))
         raise
@@ -369,9 +369,10 @@ def _sweep_row(cfg: RunConfig, scale: float, row_dir: str, seed: int,
         row["status"] = "rejected"
         row["note"] = str(exc)
         return row
-    except (SolverAbort, ContinuationError, LostChild) as exc:
+    except (SolverAbort, ContinuationError, LostChild, OSError) as exc:
         row["status"] = "failed"
-        row["note"] = str(exc)
+        row["note"] = (f"cannot write bundle: {exc}" if isinstance(exc, OSError)
+                       else str(exc))
         return row
     row.update({
         "t_valid": repr(summary["validity"]["t_valid"]),
@@ -504,9 +505,8 @@ def cmd_oracle_compare(args) -> int:
         return code
     try:
         params = cfg.fluid_params()
-        rho0 = cfg.density()
-        u0 = cfg.velocity()
-    except (ParameterError, ConfigError, ValueError) as exc:
+        rho0, u0, _ = _initial_data(cfg, params)
+    except (ParameterError, ConfigError) as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     try:
         report = cross_compare(rho0, u0, params, cfg.t_window,

@@ -32,7 +32,7 @@ from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .fields import quadrature_l2
 from .linearized import (
     DEFAULT_CFL_SAFETY,
     DEFAULT_SAMPLES_PER_WINDOW,
-    ConstantCoefficients,
     FrozenCoefficients,
     SolverAbort,
     Trajectory,
@@ -75,8 +74,8 @@ class ContinuationError(RuntimeError):
 
 class LostChild(RuntimeError):
     """A run_forked child ended without writing its result: it exited early,
-    or something killed it (the OOM killer, for one). The message gives its
-    exit code or the signal that killed it."""
+    or something killed it (the OOM killer, for one). The message names the
+    job by its label and gives its exit code or the signal that killed it."""
 
 
 def _start_job(job):
@@ -142,8 +141,9 @@ def _kill(pid: int, fh) -> None:
 
 
 def run_forked(jobs):
-    """Run each zero-argument job in its own forked child and yield the
-    results in job order; a job's exception is raised when its turn comes.
+    """Run the zero-argument job of each (label, job) pair in its own
+    forked child and yield the results in job order; a job's exception is
+    raised when its turn comes, a lost child as a LostChild naming its label.
 
     A child inherits the caller's memory, so jobs may be closures over
     arrays without copying them. At most one child per CPU plus one runs
@@ -152,7 +152,7 @@ def run_forked(jobs):
     os.fork every job runs in this process. Closing the generator, or an
     exception in it, kills and reaps every child still running."""
     if not hasattr(os, "fork"):
-        for job in jobs:
+        for _, job in jobs:
             yield job()
         return
     jobs = iter(jobs)
@@ -160,19 +160,20 @@ def run_forked(jobs):
                  else os.cpu_count() or 1)
     running = deque()
     try:
-        for i in count():
-            for job in islice(jobs, width - len(running)):
-                running.append(_start_job(job))
+        while True:
+            for label, job in islice(jobs, width - len(running)):
+                running.append((label, _start_job(job)))
             if not running:
                 return
-            kind, value = _collect(*running.popleft())
+            label, child = running.popleft()
+            kind, value = _collect(*child)
             if kind == "lost":
-                raise LostChild(f"job {i} ended without a result ({value})")
+                raise LostChild(f"{label} ended without a result ({value})")
             if kind == "err":
                 raise value
             yield value
     finally:
-        for child in running:
+        for _, child in running:
             _kill(*child)
 
 
@@ -262,7 +263,7 @@ def _start_guess(init: ReformState, params: FluidParams, eta: float,
     ball works; this one needs no extra solver machinery."""
     grid = init.grid
     zeros = np.zeros(grid.shape)
-    provider = ConstantCoefficients(init.u.values, zeros, zeros)
+    provider = TrajectoryCoefficients([0.0], [zeros], [zeros], [init.u.values])
     coeffs = FrozenCoefficients(provider=provider, eta=eta, t_window=t_window)
     h = adaptive_dt(params, grid, init.u.values, zeros, cfl_safety)
 
@@ -394,7 +395,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             windows[k] = _window(grid, n)
             if forked:
                 counts[k] = os.eventfd(0)
-            yield partial(iterate, k)
+            yield f"iterate {k}", partial(iterate, k)
 
     iterations = []
     reason = "max_iter"
@@ -403,7 +404,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         if forked:
             counts[0] = os.eventfd(n)   # window 0 is written
             lifeline = os.pipe()
-        solved = run_forked(jobs()) if forked else (job() for job in jobs())
+        solved = run_forked(jobs()) if forked else (job() for _, job in jobs())
         with closing(solved):
             for k, (fields, (w_sq, v_sq, linf), wall) in enumerate(solved, 1):
                 S = w_sq + v_sq
@@ -498,9 +499,10 @@ def eta_continuation(init: ReformState, params: FluidParams,
     once the gap drops to schedule.cauchy_tol; a level that fails to
     converge, or whose process is lost, aborts the sweep with its index."""
     etas = schedule.levels()
-    jobs = [partial(picard_solve, init, params, eta_j, t_window, picard_tol,
-                    max_iter, cfl_safety=cfl_safety, sample_dt=sample_dt)
-            for eta_j in etas]
+    jobs = [(f"level {j}", partial(picard_solve, init, params, eta_j, t_window,
+                                   picard_tol, max_iter, cfl_safety=cfl_safety,
+                                   sample_dt=sample_dt))
+            for j, eta_j in enumerate(etas)]
     levels: list[ContinuationLevel] = []
     prev_traj: Trajectory | None = None
     last_trace: PicardTrace | None = None

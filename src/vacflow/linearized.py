@@ -28,11 +28,14 @@ stage assembly and the slope kernels, live in operators; this module holds
 the time stepping. The steps pass the kernels raw spectra of their unknowns,
 so the factors div u, Lap u, grad div u and grad phi are not truncated.
 
-The steps read their coefficients as masked stages from the provider: v,
-div v, Q1(v), phitilde and vphitilde after the 2/3 rule. A stored
-trajectory masks each sample once and interpolates the masked samples in
-time, which equals masking the interpolated fields because truncation and
-interpolation are both linear.
+A coefficient provider has one method, stage(grid, t): the masked
+coefficients at t, that is v, div v, Q1(v), phitilde and vphitilde after
+the 2/3 rule. The steps read nothing else, and neither does the adaptive
+step size, which reads v and phitilde of the stage the step starts from. A
+stored trajectory masks each sample once and interpolates the masked
+samples in time, which equals masking the interpolated fields because
+truncation and interpolation are both linear; one sample is a provider
+frozen in time.
 
 Memory: a Picard iterate's process holds two windows, the predecessor
 whose coefficients are frozen and the window being written; the parent of a
@@ -83,49 +86,16 @@ class SolverAbort(RuntimeError):
 # -- coefficient providers ---------------------------------------------------
 
 
-class ConstantCoefficients:
-    """Coefficients frozen at a single state: velocity v, pressure-proxy
-    phitilde, and viscosity-proxy vphitilde, all time independent."""
-
-    def __init__(self, v: np.ndarray, phitilde: np.ndarray, vphitilde: np.ndarray):
-        self.v = np.asarray(v, dtype=float)
-        self.phitilde = np.asarray(phitilde, dtype=float)
-        self.vphitilde = np.asarray(vphitilde, dtype=float)
-        self._masked = None
-
-    def stage(self, grid: Grid, t: float) -> _StageCoeffs:
-        """The masked coefficients, built on the first call."""
-        if self._masked is None:
-            self._masked = _mask_coefficients(grid, self.v, self.phitilde,
-                                              self.vphitilde)
-        return self._masked
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self.v
-
-    def phi_coeff(self, t: float) -> np.ndarray:
-        return self.phitilde
-
-
 class AnalyticCoefficients:
     """Coefficients given by closed-form time callables (used by manufactured
     cases, where the coefficient trajectory is known exactly)."""
 
     def __init__(self, velocity, phi_coeff, vphi_coeff):
-        self._velocity = velocity
-        self._phi = phi_coeff
-        self._vphi = vphi_coeff
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self._velocity(t)
-
-    def phi_coeff(self, t: float) -> np.ndarray:
-        return self._phi(t)
+        self._callables = (velocity, phi_coeff, vphi_coeff)
 
     def stage(self, grid: Grid, t: float) -> _StageCoeffs:
         """The masked coefficients at t, built afresh on every call."""
-        return _mask_coefficients(grid, self._velocity(t), self._phi(t),
-                                  self._vphi(t))
+        return _mask_coefficients(grid, *(f(t) for f in self._callables))
 
 
 class TrajectoryCoefficients:
@@ -182,12 +152,6 @@ class TrajectoryCoefficients:
             self._wait(j + 1 if w else j)
         return j, w
 
-    def _interp(self, stack: np.ndarray, t: float) -> np.ndarray:
-        j, w = self._bracket(t)
-        if w == 0.0:
-            return stack[j]
-        return (1.0 - w) * stack[j] + w * stack[j + 1]
-
     def _masked_sample(self, grid: Grid, j: int, keep) -> _StageCoeffs:
         """Sample j masked; on a miss every other cached sample but keep is
         dropped, and so is every interpolated stage."""
@@ -213,12 +177,6 @@ class TrajectoryCoefficients:
         # reinserted last, so the dict runs from least to most recently queried
         self._between[t] = stage
         return stage
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self._interp(self.velocities, t)
-
-    def phi_coeff(self, t: float) -> np.ndarray:
-        return self._interp(self.phis, t)
 
 
 class CallableForcing:
@@ -599,9 +557,8 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
     def next_dt(t: float) -> float:
         if coeffs.dt is not None:
             return coeffs.dt
-        v_now = np.asarray(coeffs.provider.velocity(t), dtype=float)
-        phit_now = np.asarray(coeffs.provider.phi_coeff(t), dtype=float)
-        return adaptive_dt(params, grid, v_now, phit_now, coeffs.cfl_safety)
+        stage = coeffs.provider.stage(grid, t)
+        return adaptive_dt(params, grid, stage.v, stage.phit, coeffs.cfl_safety)
 
     def step(t: float, dt: float, vphi, phi, u):
         vphi_half, d1 = transport_step(params, vphi, coeffs, 0.5 * dt, t)

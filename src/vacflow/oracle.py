@@ -400,10 +400,11 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
     init = reform_state_from_density(rho0, u0, params)
     # neither solve reads the other, so they run concurrently
     (reform_traj, trace), oracle_traj = run_forked([
-        partial(picard_solve, init, params, 0.0, t_window, picard_tol,
-                max_iter, sample_dt=sample_dt, cfl_safety=cfl_safety),
-        partial(primitive_solve, rho0, u0, params, t_window,
-                sample_dt=sample_dt)])
+        ("reform solve", partial(picard_solve, init, params, 0.0, t_window,
+                                 picard_tol, max_iter, sample_dt=sample_dt,
+                                 cfl_safety=cfl_safety)),
+        ("primitive solve", partial(primitive_solve, rho0, u0, params,
+                                    t_window, sample_dt=sample_dt))])
 
     tr = np.asarray(reform_traj.times)
     to = np.asarray(oracle_traj.times)

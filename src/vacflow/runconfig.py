@@ -11,6 +11,7 @@ fully resolved configuration (all defaults expanded) next to its outputs.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .fields import Grid, ScalarField, VectorField, load_snapshot
@@ -221,6 +222,9 @@ def _check_values(cfg: RunConfig) -> None:
     # the vacuum clause differences three of the cadence + 1 samples
     if cfg.cadence < 2:
         raise ConfigError(f"cadence must be >= 2, got {cfg.cadence}")
+    if not 0 < cfg.picard_tol < math.inf:
+        raise ConfigError(
+            f"picard_tol must be positive and finite, got {cfg.picard_tol}")
     if cfg.max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {cfg.max_iter}")
     try:

@@ -1,8 +1,9 @@
-"""Test helper: a Trajectory stacked from per-sample states."""
+"""Test helpers: a Trajectory stacked from per-sample states, and a
+coefficient provider frozen at one state."""
 
 import numpy as np
 
-from vacflow.linearized import Trajectory
+from vacflow.linearized import Trajectory, TrajectoryCoefficients
 
 
 def stacked(states, times, **kwargs):
@@ -14,3 +15,10 @@ def stacked(states, times, **kwargs):
         np.stack([s.u.values for s in states]),
         **kwargs,
     )
+
+
+def frozen(v, phitilde, vphitilde):
+    """The provider whose coefficients are v, phitilde and vphitilde at every
+    time: a one-sample TrajectoryCoefficients, which clamps every t to its
+    sample."""
+    return TrajectoryCoefficients([0.0], [vphitilde], [phitilde], [v])

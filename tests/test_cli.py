@@ -181,7 +181,8 @@ def test_a_lost_level_process_is_a_solver_failure(tmp_path, capsys,
     assert "solver failure" in capsys.readouterr().err
     record = json.loads((out_dir / "failure.json").read_text())
     assert record["phase"] == "continuation level 1"
-    assert "ended without a result" in record["detail"]
+    assert record["detail"].endswith(
+        "level 1 ended without a result (exit code 3)")
 
 
 def test_forked_diagnostics_equal_in_process_diagnostics(tmp_path,
@@ -232,7 +233,7 @@ def test_a_lost_diagnostics_process_is_a_solver_failure(tmp_path, capsys,
     assert err.startswith("error: solver failure") and err.count("\n") == 1
     record = json.loads((out_dir / "failure.json").read_text())
     assert record == {"phase": "diagnostics", "time": None,
-                      "detail": "job 2 ended without a result (exit code 3)"}
+                      "detail": "residual ended without a result (exit code 3)"}
 
     text += "\n[sweep]\namplitude_scales = 1\n"
     sweep_dir = tmp_path / "sw"
@@ -275,6 +276,18 @@ def test_run_rejects_bad_constants(tmp_path, capsys):
         cfg = write(tmp_path, text.replace(old, new))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_a_picard_tol_that_is_not_positive_and_finite_is_rejected(
+        tmp_path, capsys, value):
+    text = BASE.format(beta="0.5", amplitude="0.2") + f"picard_tol = {value}\n"
+    cfg = write(tmp_path, text)
+    with pytest.raises(vacflow.runconfig.ConfigError, match="picard_tol"):
+        vacflow.runconfig.load_config(cfg)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "picard_tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -334,6 +347,22 @@ def test_sweep_flags_rejected_rows(tmp_path, capsys):
     assert "density cap" in rows[2]
     assert (out_dir / "row_00_scale_1" / "summary.json").is_file()
     assert (out_dir / "row_01_scale_2").is_dir()
+
+
+def test_a_sweep_row_that_cannot_write_its_bundle_fails_and_the_sweep_goes_on(
+        tmp_path, capsys):
+    text = BASE.format(beta="0.5", amplitude="0.2")
+    text += "\n[sweep]\namplitude_scales = 1, 0.5\n"
+    out_dir = tmp_path / "sw"
+    out_dir.mkdir()
+    (out_dir / "row_00_scale_1").write_text("a file where the row's bundle goes")
+    assert main(["sweep", "--config", write(tmp_path, text),
+                 "--out", str(out_dir)]) == 0
+    assert "0 rejected, 1 failed" in capsys.readouterr().out
+    rows = (out_dir / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[2] for row in rows[1:]] == ["failed", "ok"]
+    assert "cannot write bundle: " in rows[1]
+    assert (out_dir / "row_01_scale_0.5" / "summary.json").is_file()
 
 
 def test_sweep_honours_snapshots_in_the_config(tmp_path):
@@ -415,6 +444,17 @@ def test_oracle_compare_lost_solver_is_a_solver_failure(tmp_path, capsys,
     monkeypatch.setattr("vacflow.oracle.picard_solve", exits)
     assert main(["oracle-compare", "--config", write(tmp_path, POSITIVE)]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_oracle_compare_refuses_data_above_the_density_cap(tmp_path, capsys):
+    # beta = -0.5 caps the density at 2/3; the bump rises to about 1.2
+    text = POSITIVE.replace("beta = 0.5", "beta = -0.5")
+    text = text.replace("amplitude = 0.2", "amplitude = 1.0")
+    text = text.replace("background = 1.0", "background = 0.2")
+    assert main(["oracle-compare", "--config", write(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert "initial data violates the density cap" in err
+    assert err.count("\n") == 1
 
 
 def test_oracle_compare_refuses_vacuum(tmp_path, capsys):

@@ -303,7 +303,7 @@ def test_abort_in_one_level_child_surfaces_with_its_index(monkeypatch):
     ParameterError("m >= 3/2"),
     FieldError("field values must be finite"),
     ConfigError("unknown key"),
-    LostChild("job 1 ended without a result"),
+    LostChild("iterate 2 ended without a result (killed by SIGKILL)"),
 ], ids=lambda exc: type(exc).__name__)
 def test_exceptions_survive_pickling(exc):
     back = pickle.loads(pickle.dumps(exc))
@@ -312,12 +312,17 @@ def test_exceptions_survive_pickling(exc):
     assert vars(back) == vars(exc)
 
 
+def labelled(jobs):
+    """(label, job) pairs that name each job by its index."""
+    return [(f"job {i}", job) for i, job in enumerate(jobs)]
+
+
 def test_run_forked_yields_in_job_order_from_children():
     def job(i):
         time.sleep(0.05 * (3 - i))   # later jobs finish first
         return i, os.getpid()
 
-    results = list(run_forked([lambda i=i: job(i) for i in range(4)]))
+    results = list(run_forked(labelled(lambda i=i: job(i) for i in range(4))))
     assert [i for i, _ in results] == [0, 1, 2, 3]
     pids = {pid for _, pid in results}
     assert len(pids) == 4 and os.getpid() not in pids
@@ -331,7 +336,7 @@ def test_run_forked_draws_a_generators_jobs_lazily(monkeypatch):
     def jobs():
         for i in range(6):
             drawn.append(i)
-            yield lambda i=i: i * i
+            yield f"job {i}", lambda i=i: i * i
 
     solved = run_forked(jobs())
     assert next(solved) == 0
@@ -340,7 +345,7 @@ def test_run_forked_draws_a_generators_jobs_lazily(monkeypatch):
     assert drawn == list(range(6))
     assert_no_children()
     assert list(run_forked([])) == []
-    assert list(run_forked([os.getpid])) != [os.getpid()]
+    assert list(run_forked(labelled([os.getpid]))) != [os.getpid()]
 
 
 def test_run_forked_keeps_at_most_one_child_per_cpu_plus_one(monkeypatch):
@@ -361,7 +366,7 @@ def test_run_forked_keeps_at_most_one_child_per_cpu_plus_one(monkeypatch):
 
     monkeypatch.setattr(vacflow.fixedpoint, "_start_job", counted_start)
     monkeypatch.setattr(vacflow.fixedpoint, "_collect", counted_collect)
-    assert list(run_forked([lambda i=i: i * i for i in range(5)])) == \
+    assert list(run_forked(labelled(lambda i=i: i * i for i in range(5)))) == \
         [0, 1, 4, 9, 16]
     assert peak == 2
 
@@ -371,11 +376,11 @@ def test_run_forked_raises_a_job_error_and_a_lost_child():
         raise SolverAbort("injected failure", 0.5)
 
     with pytest.raises(SolverAbort, match="injected failure") as err:
-        list(run_forked([lambda: 1, fail, lambda: time.sleep(60)]))
+        list(run_forked(labelled([lambda: 1, fail, lambda: time.sleep(60)])))
     assert err.value.time == 0.5
     assert_no_children()
-    with pytest.raises(LostChild, match="job 1 ended without a result"):
-        list(run_forked([lambda: 1, lambda: os._exit(3)]))
+    with pytest.raises(LostChild, match="exits ended without a result"):
+        list(run_forked([("returns", lambda: 1), ("exits", lambda: os._exit(3))]))
     assert_no_children()
 
 
@@ -388,20 +393,20 @@ def test_run_forked_raises_a_job_error_and_a_lost_child():
 ], ids=["exit", "signal", "unnamed-signal"])
 def test_a_lost_child_says_how_it_ended(end, ending):
     with pytest.raises(LostChild) as err:
-        list(run_forked([lambda: 1, end]))
-    assert str(err.value) == f"job 1 ended without a result ({ending})"
+        list(run_forked([("returns", lambda: 1), ("ends", end)]))
+    assert str(err.value) == f"ends ended without a result ({ending})"
     assert_no_children()
 
 
 def test_run_forked_kills_its_children_when_the_caller_stops():
     tic = time.monotonic()
-    solved = run_forked([lambda: 1] + [lambda: time.sleep(60)] * 2)
+    solved = run_forked(labelled([lambda: 1] + [lambda: time.sleep(60)] * 2))
     assert next(solved) == 1
     solved.close()
     assert_no_children()
 
     with pytest.raises(KeyError):
-        for _ in run_forked([lambda: 1] + [lambda: time.sleep(60)] * 2):
+        for _ in run_forked(labelled([lambda: 1] + [lambda: time.sleep(60)] * 2)):
             raise KeyError("raised by the caller")
     assert_no_children()
     assert time.monotonic() - tic < 30.0
@@ -625,8 +630,17 @@ def test_abort_in_iterate_two_surfaces_unchanged_and_kills_the_rest(
 
 def test_an_iterate_that_dies_without_a_result_is_an_error(monkeypatch):
     fail_iterate_two(monkeypatch, lambda: os._exit(3))
-    with pytest.raises(LostChild, match="job 1 ended without a result"):
+    with pytest.raises(LostChild, match="iterate 2 ended without a result"):
         picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
+    assert_no_children()
+
+
+def test_a_lost_iterate_is_named_by_its_label(monkeypatch):
+    fail_iterate_two(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(LostChild) as err:
+        picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
+    assert str(err.value) == \
+        "iterate 2 ended without a result (killed by SIGKILL)"
     assert_no_children()
 
 

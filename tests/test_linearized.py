@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from vacflow import linearized, operators
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.linearized import (
+    DEFAULT_CFL_SAFETY,
     CallableForcing,
-    ConstantCoefficients,
     FrozenCoefficients,
     SolverAbort,
     Trajectory,
@@ -31,7 +31,7 @@ from vacflow.linearized import (
 from vacflow.operators import ReformState, advect, deformation, stable_power
 from vacflow.params import validate_params
 
-from stacking import stacked
+from stacking import frozen, stacked
 
 
 def soft_params():
@@ -40,7 +40,7 @@ def soft_params():
 
 
 def still_coeffs(grid, t_window, vphitilde=None, phitilde=None, **kw):
-    provider = ConstantCoefficients(
+    provider = frozen(
         v=np.zeros((grid.dim,) + grid.shape),
         phitilde=np.zeros(grid.shape) if phitilde is None else phitilde,
         vphitilde=np.zeros(grid.shape) if vphitilde is None else vphitilde,
@@ -77,7 +77,7 @@ def test_transport_translation_is_third_order():
     x = g.coordinates[0]
     c, T = 0.7, 0.5
     f0 = 1.0 + 0.5 * np.sin(x)
-    provider = ConstantCoefficients(
+    provider = frozen(
         v=np.full((1,) + g.shape, c),
         phitilde=np.zeros(g.shape),
         vphitilde=np.zeros(g.shape),
@@ -111,7 +111,7 @@ def test_transport_matches_textbook_recursion():
     f0 = 1.0 + 0.25 * np.cos(x)
     dt = 0.02
 
-    provider = ConstantCoefficients(v=v[None, :], phitilde=np.zeros(n),
+    provider = frozen(v=v[None, :], phitilde=np.zeros(n),
                                     vphitilde=np.full(n, w0))
     coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0,
                                 clip=False)
@@ -131,7 +131,7 @@ def test_transport_clip_reports_count_and_mass():
     p = soft_params()
     g = Grid(dim=1, n=64, box_length=2.0 * np.pi)
     x = g.coordinates[0]
-    provider = ConstantCoefficients(v=np.sin(x)[None, :],
+    provider = frozen(v=np.sin(x)[None, :],
                                     phitilde=np.zeros(g.shape),
                                     vphitilde=np.ones(g.shape))
     f0 = ScalarField(g, np.full(g.shape, 1e-4))
@@ -388,6 +388,27 @@ def test_adaptive_dt_obeys_both_bounds_and_shrinks_with_speed():
         assert dt * (speed + 0.5 * (p.gamma - 1.0) * 0.5) <= 0.4 * g.spacing + 1e-12
 
 
+def test_the_adaptive_step_reads_the_masked_stage():
+    # unresolved random coefficients, whose masked stage peaks elsewhere
+    # than the raw fields; with dt None and no sample cadence adaptive_dt
+    # alone sets the first step
+    p = soft_params()
+    g = Grid(dim=1, n=16, box_length=2.0 * np.pi)
+    provider = random_trajectory(g, [0.0, 1.0], seed=3)
+    stage = provider.stage(g, 0.0)
+    want = adaptive_dt(p, g, stage.v, stage.phit, DEFAULT_CFL_SAFETY)
+    raw = adaptive_dt(p, g, provider.velocities[0], provider.phis[0],
+                      DEFAULT_CFL_SAFETY)
+    assert want != raw
+    init = ReformState(ScalarField(g, provider.vphis[0]),
+                       ScalarField(g, provider.phis[0]),
+                       VectorField(g, provider.velocities[0]))
+    coeffs = FrozenCoefficients(provider=provider, eta=0.2,
+                                t_window=1.5 * want, clip=False)
+    traj = solve_linearized(init, coeffs, p)
+    assert traj.dt_history[0] == want
+
+
 def test_trajectory_validation_and_lookup():
     g = Grid(dim=1, n=16, box_length=1.0)
     zero = ReformState(
@@ -448,13 +469,16 @@ def test_trajectory_stacks_are_read_only_and_shared_with_the_provider():
 
 
 def test_trajectory_coefficients_interpolate_and_clamp():
+    g = Grid(dim=1, n=8, box_length=2.0 * np.pi)
     times = [0.0, 1.0]
-    vphis = np.stack([np.zeros(4), np.ones(4)])
-    phis = np.stack([np.full(4, 2.0), np.full(4, 4.0)])
-    vels = np.stack([np.zeros((1, 4)), np.full((1, 4), 2.0)])
+    vphis = np.stack([np.zeros(8), np.ones(8)])
+    phis = np.stack([np.full(8, 2.0), np.full(8, 4.0)])
+    vels = np.stack([np.zeros((1, 8)), np.full((1, 8), 2.0)])
     tc = TrajectoryCoefficients(times, vphis, phis, vels)
-    assert np.allclose(tc.phi_coeff(0.25), 2.5)
-    assert np.allclose(tc.velocity(2.0), 2.0)
+    assert np.allclose(tc.stage(g, 0.25).phit, 2.5)
+    assert np.allclose(tc.stage(g, 0.25).vphit, 0.25)
+    assert np.allclose(tc.stage(g, 2.0).v, 2.0)
+    assert np.allclose(tc.stage(g, -1.0).phit, 2.0)
     with pytest.raises(ValueError, match="at least one"):
         TrajectoryCoefficients([], vphis[:0], phis[:0], vels[:0])
 
@@ -475,10 +499,18 @@ def random_trajectory(grid, times, seed):
     )
 
 
+def interpolated(times, stack, t):
+    """The field at t from stack[i], the field at times[i]: linear between
+    samples, clamped past both ends."""
+    weights = [np.interp(t, times, row) for row in np.eye(len(times))]
+    return np.tensordot(weights, stack, axes=1)
+
+
 def fresh_stage(grid, provider, t):
-    """The former per-stage build: interpolate the raw fields, then mask
+    """The former per-stage build: interpolate the stored stacks, then mask
     every coefficient from scratch."""
-    v = provider.velocity(t)
+    v, phit, vphit = (interpolated(provider.times, stack, t) for stack in
+                      (provider.velocities, provider.phis, provider.vphis))
     q1 = deformation(grid, v)
     d = grid.dim
     return {
@@ -486,8 +518,8 @@ def fresh_stage(grid, provider, t):
         "div_v": grid.dealias(grid.div(v)),
         "q1": np.stack([grid.dealias(q1[i, j]) for i in range(d)
                         for j in range(d)]).reshape((d, d) + grid.shape),
-        "phit": grid.dealias(provider.phi_coeff(t)),
-        "vphit": grid.dealias(provider._interp(provider.vphis, t)),
+        "phit": grid.dealias(phit),
+        "vphit": grid.dealias(vphit),
     }
 
 

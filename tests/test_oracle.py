@@ -9,7 +9,6 @@ from vacflow.fields import Grid, ScalarField, VectorField, quadrature_l2
 from vacflow.initial_data import bump_density
 from vacflow.linearized import (
     CallableForcing,
-    ConstantCoefficients,
     FrozenCoefficients,
     SolverAbort,
     solve_linearized,
@@ -30,6 +29,8 @@ from vacflow.oracle import (
     soft_viscosity_params,
 )
 from vacflow.params import validate_params
+
+from stacking import frozen
 
 L = 2.0 * math.pi
 
@@ -104,7 +105,7 @@ def test_both_solvers_sample_the_same_times():
     init = ReformState(
         ScalarField(g, rho0.values ** (0.5 * (p.delta1 - 1.0))),
         ScalarField(g, rho0.values ** (0.5 * (p.gamma - 1.0))), u0)
-    provider = ConstantCoefficients(init.u.values, init.phi.values,
+    provider = frozen(init.u.values, init.phi.values,
                                     init.vphi.values)
     coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=t_window,
                                 dt=0.003, sample_dt=sample_dt)
@@ -218,7 +219,7 @@ def test_advection_temporal_order_three():
     x = g.coordinates[0]
     zeros = np.zeros(g.shape)
     coeffs = FrozenCoefficients(
-        provider=ConstantCoefficients(np.ones((1,) + g.shape), zeros, zeros),
+        provider=frozen(np.ones((1,) + g.shape), zeros, zeros),
         eta=0.0, t_window=0.5, clip=False)
     dts = [0.05, 0.025, 0.0125]
     errors = []

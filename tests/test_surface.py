@@ -2,7 +2,8 @@
 in src/vacflow is used by the program itself or by an acceptance
 criterion, every parameter with a default of a public function or method
 is passed by some call in src/ or tests/, and importing the bare package
-loads none of its modules. One function forks child processes."""
+loads none of its modules. A coefficient provider has one public method,
+stage. One function forks child processes."""
 
 import ast
 import os
@@ -89,6 +90,21 @@ def test_importing_the_package_loads_no_module():
                           env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_a_coefficient_provider_has_one_method():
+    tree = ast.parse((PACKAGE / "linearized.py").read_text())
+    extra = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = {item.name for item in node.body
+                       if isinstance(item, ast.FunctionDef)
+                       and not item.name.startswith("_")}
+            if "stage" in methods and methods != {"stage"}:
+                extra[node.name] = sorted(methods - {"stage"})
+    assert extra == {}, (
+        "a coefficient provider answers one question, its masked stage at "
+        f"t; these define more public methods: {extra}")
 
 
 class _Calls(ast.NodeVisitor):
