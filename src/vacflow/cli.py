@@ -455,9 +455,19 @@ def cmd_mms(args) -> int:
         except ParameterError as exc:
             return _fail(f"parameter constraint violated: {exc}",
                          EXIT_VALIDATION)
+    try:
+        ok = _mms_tables(params)
+    except SolverAbort as exc:
+        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
+    if not ok:
+        return _fail("mms study missed a target", EXIT_SOLVER)
+    print("all mms targets met")
+    return EXIT_OK
 
-    ok = True
 
+def _mms_tables(params) -> bool:
+    """Print the temporal and spatial studies; True when every target is
+    met."""
     case = default_case(params=params, freq_rho=17.0, freq_u=23.0)
     t_win = 8e-3
     dts = [t_win / 10, t_win / 20, t_win / 40]
@@ -467,7 +477,6 @@ def cmd_mms(args) -> int:
     ok_r = abs(mean_r - MMS_REFORM_TARGET) <= MMS_REFORM_TOL
     print(f"  target {MMS_REFORM_TARGET} +- {MMS_REFORM_TOL}: "
           f"{'pass' if ok_r else 'FAIL'}")
-    ok = ok and ok_r
 
     soft = default_case(params=soft_viscosity_params(),
                         freq_rho=17.0, freq_u=23.0)
@@ -478,7 +487,6 @@ def cmd_mms(args) -> int:
     ok_o = abs(mean_o - MMS_ORACLE_TARGET) <= MMS_ORACLE_TOL
     print(f"  target {MMS_ORACLE_TARGET} +- {MMS_ORACLE_TOL}: "
           f"{'pass' if ok_o else 'FAIL'}")
-    ok = ok and ok_o
 
     ns = [128, 256, 512]
     spatial = reform_spatial_errors(ns, dt=5e-5, t_window=5e-4)
@@ -488,12 +496,7 @@ def cmd_mms(args) -> int:
     worst = max(spatial)
     ok_s = worst <= MMS_SPATIAL_FLOOR
     print(f"  floor {MMS_SPATIAL_FLOOR:g}: {'pass' if ok_s else 'FAIL'}")
-    ok = ok and ok_s
-
-    if not ok:
-        return _fail("mms study missed a target", EXIT_SOLVER)
-    print("all mms targets met")
-    return EXIT_OK
+    return ok_r and ok_o and ok_s
 
 
 # -- oracle-compare ----------------------------------------------------------

@@ -605,8 +605,9 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
     Both forms are evaluated: the reformulated system in the proxy
     variables, and the primitive mass/momentum equations with the stress
     assembled from the degenerate viscosities. A manufactured-solution
-    forcing, when given, is subtracted from the reformulated side only; the
-    primitive side is reported for the unforced system.
+    forcing, when given, maps t to rows stacked like (vphi, phi, u), which
+    are subtracted from the reformulated side only; the primitive side is
+    reported for the unforced system.
     """
     times = np.asarray(traj.times, dtype=float)
     grid = traj.grid
@@ -630,13 +631,8 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
         r2 = _sample_derivative(traj.phi.__getitem__, times, i) - f_phi
         r3 = _sample_derivative(traj.u.__getitem__, times, i) - f_u
         if forcing is not None:
-            fv = forcing.vphi_term(t)
-            if fv is not None:
-                r1 = r1 - fv
-            fm = forcing.momentum_term(grid, t)
-            if fm is not None:
-                r2 = r2 - fm[0]
-                r3 = r3 - fm[1:]
+            rows = forcing(t)
+            r1, r2, r3 = r1 - rows[0], r2 - rows[1], r3 - rows[2:]
         rv = max(rv, quadrature_l2(grid, r1))
         rp = max(rp, quadrature_l2(grid, r2))
         ru = max(ru, quadrature_l2(grid, r3))

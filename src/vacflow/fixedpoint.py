@@ -50,7 +50,7 @@ from .linearized import (
     solve_linearized,
     transport_step,
 )
-from .operators import ReformState, exponent_identity_residual
+from .operators import ReformState, _mask_coefficients, exponent_identity_residual
 from .params import FluidParams, ParameterError
 
 DEFAULT_PICARD_TOL = 1e-10
@@ -259,20 +259,20 @@ def _start_guess(init: ReformState, params: FluidParams, eta: float,
     """Iterate zero, written into stacks: both proxies advected by the
     initial velocity (stretch terms dropped), the velocity itself held
     constant. Both proxies share the coefficients and the step, so they
-    advance as one stacked transport step. Any guess inside the contraction
-    ball works; this one needs no extra solver machinery."""
+    advance as one stacked transport step, every stage of it reading the
+    one unforced pair of coefficients, masked once. Any guess inside the
+    contraction ball works; this one needs no extra solver machinery."""
     grid = init.grid
     zeros = np.zeros(grid.shape)
-    provider = TrajectoryCoefficients([0.0], [zeros], [zeros], [init.u.values])
-    coeffs = FrozenCoefficients(provider=provider, eta=eta, t_window=t_window)
+    frozen = (_mask_coefficients(grid, init.u.values, zeros, zeros), None)
     h = adaptive_dt(params, grid, init.u.values, zeros, cfl_safety)
 
     def step(t: float, dt: float, vphi, phi, u):
-        (vphi, phi), _ = transport_step(params, (vphi, phi), coeffs, dt, t)
+        (vphi, phi), _ = transport_step(params, (vphi, phi), (frozen,) * 3, dt, t)
         return vphi, phi, u, 0, 0.0
 
     return record_window(init, t_window, sample_dt, lambda t: h, step,
-                         eta=eta, clip=True, stacks=stacks)
+                         eta=eta, stacks=stacks)
 
 
 def _raise_mmap_threshold() -> None:

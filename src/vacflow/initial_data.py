@@ -40,6 +40,8 @@ def bump_density(grid: Grid, amplitude: float, width: float,
     if len(center) != grid.dim:
         raise ValueError(f"center has {len(center)} entries for a "
                          f"{grid.dim}-d grid")
+    if not all(map(math.isfinite, center)):
+        raise ValueError(f"center must be finite, got {center}")
     L = grid.box_length
     s2 = np.zeros(grid.shape)
     for axis, x in enumerate(grid.coordinates):

@@ -13,9 +13,9 @@ constant-coefficient shift
 is applied through its exact Fourier exponential, and the explicit slope
 carries the full right-hand side minus M u. Monotone nodes keep every
 exponential a decay multiplier, so the scheme is stable at transport-limited
-step sizes regardless of how stiff the shift is. Negative proxy values are
-clipped to zero after each step; cells below the tolerance -1e-12 are
-counted and the removed mass is tracked.
+step sizes regardless of how stiff the shift is. Every window clips:
+negative proxy values are set to zero after each step; cells below the
+tolerance -1e-12 are counted and the removed mass is tracked.
 
 As in Kassam and Trefethen (2005), the stages are truncated half spectra
 (Grid.fft output): a step transforms its state once, and each stage goes to
@@ -30,12 +30,14 @@ so the factors div u, Lap u, grad div u and grad phi are not truncated.
 
 A coefficient provider has one method, stage(grid, t): the masked
 coefficients at t, that is v, div v, Q1(v), phitilde and vphitilde after
-the 2/3 rule. The steps read nothing else, and neither does the adaptive
-step size, which reads v and phitilde of the stage the step starts from. A
-stored trajectory masks each sample once and interpolates the masked
-samples in time, which equals masking the interpolated fields because
-truncation and interpolation are both linear; one sample is a provider
-frozen in time.
+the 2/3 rule. A stored trajectory masks each sample once and interpolates
+the masked samples in time, which equals masking the interpolated fields
+because truncation and interpolation are both linear. The window solve
+asks for each stage time of an outer step once, t, t + dt/4, t + dt/2,
+t + 3dt/4 and t + dt, pairs each stage with the forcing rows at its time,
+and hands the steps their pairs; a step ends at the stage the next one
+starts from. The steps read nothing else, and neither does the adaptive
+step size, which reads v and phitilde of the stage the step starts from.
 
 Memory: a Picard iterate's process holds two windows, the predecessor
 whose coefficients are frozen and the window being written; the parent of a
@@ -43,7 +45,8 @@ continuation holds two levels' solutions. record_window writes each sample
 straight into stacks allocated once for the whole window, so a window never
 exists twice, and the diagnostics difference samples in time one at a time
 rather than building a whole-window derivative stack. Beside the windows, a
-step keeps only its stage spectra and one stage's factors.
+step keeps only its five stage pairs, its stage spectra and one stage's
+factors.
 """
 
 from __future__ import annotations
@@ -104,20 +107,15 @@ class TrajectoryCoefficients:
 
     Masked stages interpolate masked samples, which equals masking the
     interpolated fields because truncation is linear. Each sample is masked
-    when first needed, and only the (at most two) samples bracketing the
-    latest query are kept: march lands on every sample, so no step needs a
-    sample behind the one it starts from. Stages interpolated between them
-    are kept by time until the bracket moves, which masks a new sample, and
-    only the BETWEEN_KEPT most recently queried: the stage times of one
-    outer step, t, t + dt/4, t + dt/2, t + 3dt/4 and t + dt, when a sample
-    interval holds many steps.
+    when first needed, and only the (at most two) samples around the latest
+    query are kept: march lands on every sample, so no step needs a sample
+    behind the one it starts from. An interpolated stage is built on every
+    call; the window solve asks once per stage time.
 
     The stacks may belong to a window that is still being written: then
     times is its full sample grid (sample_times), so the weights are those
     of the finished window, and wait(j) returns once sample j exists. Every
     read of a sample waits for it first."""
-
-    BETWEEN_KEPT = 5
 
     def __init__(self, times, vphis, phis, velocities, wait=None):
         self.times = np.asarray(times, dtype=float)
@@ -128,7 +126,6 @@ class TrajectoryCoefficients:
         self.velocities = np.asarray(velocities, dtype=float)
         self._wait = wait
         self._masked: dict = {}
-        self._between: dict = {}
 
     def _bracket(self, t: float) -> tuple:
         """(j, w): t sits at weight w between samples j and j + 1; w = 0
@@ -152,61 +149,26 @@ class TrajectoryCoefficients:
             self._wait(j + 1 if w else j)
         return j, w
 
-    def _masked_sample(self, grid: Grid, j: int, keep) -> _StageCoeffs:
-        """Sample j masked; on a miss every other cached sample but keep is
-        dropped, and so is every interpolated stage."""
-        if j not in self._masked:
-            self._masked = {i: s for i, s in self._masked.items() if i == keep}
-            self._between = {}
-            self._masked[j] = _mask_coefficients(
-                grid, self.velocities[j], self.phis[j], self.vphis[j])
-        return self._masked[j]
-
     def stage(self, grid: Grid, t: float) -> _StageCoeffs:
-        """The masked coefficients at t."""
+        """The masked coefficients at t, from the masked samples around t,
+        which are the only ones kept."""
         j, w = self._bracket(t)
+        self._masked = {i: self._masked[i] if i in self._masked else
+                        _mask_coefficients(grid, self.velocities[i],
+                                           self.phis[i], self.vphis[i])
+                        for i in ((j, j + 1) if w else (j,))}
         if w == 0.0:
-            return self._masked_sample(grid, j, None)
-        stage = self._between.pop(t, None)
-        if stage is None:
-            a = self._masked_sample(grid, j, j + 1)
-            b = self._masked_sample(grid, j + 1, j)
-            stage = _StageCoeffs(grid, (1.0 - w) * a.packed + w * b.packed)
-            if len(self._between) == self.BETWEEN_KEPT:
-                del self._between[next(iter(self._between))]
-        # reinserted last, so the dict runs from least to most recently queried
-        self._between[t] = stage
-        return stage
-
-
-class CallableForcing:
-    """Optional right-hand-side forcing, one callable per equation, each
-    mapping t to an array (or None for an unforced slot)."""
-
-    def __init__(self, vphi=None, phi=None, velocity=None):
-        self._vphi, self._phi, self._velocity = vphi, phi, velocity
-
-    def vphi_term(self, t: float):
-        return None if self._vphi is None else self._vphi(t)
-
-    def momentum_term(self, grid: Grid, t: float):
-        """The (phi, u) forcing at t stacked like the state, an unforced
-        slot zero; None when neither is forced."""
-        if self._phi is None and self._velocity is None:
-            return None
-        out = np.zeros((grid.dim + 1,) + grid.shape)
-        if self._phi is not None:
-            out[0] = self._phi(t)
-        if self._velocity is not None:
-            out[1:] = self._velocity(t)
-        return out
+            return self._masked[j]
+        return _StageCoeffs(grid, (1.0 - w) * self._masked[j].packed
+                            + w * self._masked[j + 1].packed)
 
 
 @dataclass
 class FrozenCoefficients:
     """Everything a linearized solve needs besides the initial state: the
-    coefficient provider, the degeneracy shift eta, the window length, and
-    stepping controls. dt = None selects the adaptive step."""
+    coefficient provider, the degeneracy shift eta, the window length,
+    stepping controls, and the forcing, a map from t to rows stacked like
+    (vphi, phi, u), or None. dt = None selects the adaptive step."""
 
     provider: object
     eta: float
@@ -214,8 +176,7 @@ class FrozenCoefficients:
     dt: float | None = None
     cfl_safety: float = DEFAULT_CFL_SAFETY
     sample_dt: float | None = None
-    clip: bool = True
-    forcing: CallableForcing | None = None
+    forcing: object = None
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -250,15 +211,12 @@ def _shift(grid: Grid, nu1: float, nu2: float, dt: float):
     return G
 
 
-def _finish(values: np.ndarray, clip: bool, cell_volume: float, t: float,
-            *others):
-    """Abort unless values and others are all finite; with clip set, zero
-    every negative entry of values. Returns the values, the count below the
-    clip tolerance and the removed mass."""
+def _finish(values: np.ndarray, cell_volume: float, t: float, *others):
+    """Abort unless values and others are all finite, then zero every
+    negative entry of values. Returns the values, the count below the clip
+    tolerance and the removed mass."""
     if not all(np.all(np.isfinite(a)) for a in (values, *others)):
         raise SolverAbort("solution lost finiteness", t)
-    if not clip:
-        return values, 0, 0.0
     negative = values < 0.0
     count = int(np.count_nonzero(values < STATE_FLOOR))
     mass = -float(values[negative].sum()) * cell_volume if negative.any() else 0.0
@@ -276,36 +234,33 @@ class TransportDiag:
     clipped_mass: float
 
 
-def transport_step(params: FluidParams, vphi, coeffs: FrozenCoefficients,
-                   dt: float, t: float = 0.0, t_end: float | None = None):
+def transport_step(params: FluidParams, vphi, stages, dt: float,
+                   t: float = 0.0):
     """One SSP-RK3 step of vphi_t + v.grad vphi + ((delta1-1)/2) vphitilde
-    div v = 0 with frozen coefficients, clipping negatives afterwards when
-    coeffs.clip is set. vphi is one ScalarField or a tuple of them, which
-    share the coefficients and advance as one stack. t_end is the time the
-    step ends at, t + dt up to roundoff: the stage there reads the
-    coefficients at exactly t_end, so that a step ending at the same time
-    shares them. Returns (new field or tuple of fields, diagnostics summed
-    over the tuple)."""
+    div v = 0 with frozen coefficients, clipping negatives afterwards.
+    stages holds the (masked coefficients, forcing rows) pairs at t, t + dt
+    and t + dt/2, in the order the Shu-Osher stages read them; forcing rows
+    are stacked like (vphi, phi, u), or None. vphi is one ScalarField or a
+    tuple of them, which share the coefficients and advance as one stack.
+    Returns (new field or tuple of fields, diagnostics summed over the
+    tuple)."""
     single = isinstance(vphi, ScalarField)
     grid = vphi.grid if single else vphi[0].grid
-    forcing = coeffs.forcing
     f = vphi.values if single else np.stack([g.values for g in vphi])
-    if t_end is None:
-        t_end = t + dt
 
-    def rhs(ts: float, f_hat: np.ndarray) -> np.ndarray:
-        stage = coeffs.provider.stage(grid, ts)
-        fv = forcing.vphi_term(ts) if forcing is not None else None
-        return _transport_rhs(grid, params, stage, f_hat, fv)
+    def rhs(i: int, f_hat: np.ndarray) -> np.ndarray:
+        stage, rows = stages[i]
+        return _transport_rhs(grid, params, stage, f_hat,
+                              None if rows is None else rows[0])
 
     # The Shu-Osher stages f + dt r1 and f + dt (r1 + r2) / 4 on spectra;
     # the update f/3 + 2/3 (u2 + dt r3) as an increment of f.
     f_hat = grid.fft(f)
-    r1 = rhs(t, f_hat)
-    r2 = rhs(t_end, f_hat + dt * r1)
-    r3 = rhs(t + 0.5 * dt, f_hat + 0.25 * dt * (r1 + r2))
+    r1 = rhs(0, f_hat)
+    r2 = rhs(1, f_hat + dt * r1)
+    r3 = rhs(2, f_hat + 0.25 * dt * (r1 + r2))
     out, count, mass = _finish(f + grid.ifft(dt * (r1 + r2 + 4.0 * r3) / 6.0),
-                               coeffs.clip, grid.cell_volume, t_end)
+                               grid.cell_volume, t + dt)
     diag = TransportDiag(clip_count=count, clipped_mass=mass)
     if single:
         return ScalarField(grid, out), diag
@@ -322,7 +277,7 @@ class MomentumDiag:
 
 
 def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
-                     coeffs: FrozenCoefficients, vphi_new, t: float):
+                     eta: float, vphi_new, t: float):
     """The spectra a momentum step reads: y0 of (phi, u) and coeff_hat of the
     (4, 3) _viscous_fields of the three stage proxies, with the shift's nu1
     and nu2 and the grid minimum of alpha + beta vphi^(2m). The physical
@@ -333,7 +288,7 @@ def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
     if len(vphi_new) != 3:
         raise ValueError(f"expected 3 stage fields, got {len(vphi_new)}")
     fields, compr = _viscous_fields(params, np.stack([s.values for s in vphi_new]),
-                                    coeffs.eta)
+                                    eta)
     coeff_min = float(compr.min())
     nu1, nu2 = float(fields[2].max()), max(float(fields[3].max()), 0.0)
     if coeff_min < 0.5 * params.alpha:
@@ -346,20 +301,22 @@ def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
 
 
 def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
-                  coeffs: FrozenCoefficients, vphi_new, dt: float, t: float = 0.0):
+                  stages, eta: float, vphi_new, dt: float, t: float = 0.0):
     """One integrating-factor RK3 step of the coupled (phi, u) pair.
 
-    vphi_new is the new-iterate viscosity proxy as three stage fields at
-    offsets (0, 1/2, 1)*dt. Aborts when the compressive coefficient
+    stages holds the (masked coefficients, forcing rows) pairs at the Kutta
+    nodes t, t + dt/2 and t + dt, forcing rows stacked like (vphi, phi, u)
+    or None; vphi_new is the new-iterate viscosity proxy as three stage
+    fields at the same nodes. Aborts when the compressive coefficient
     alpha + beta vphi^(2m) drops below alpha/2 anywhere on the grid."""
     grid = phi.grid
-    y0, coeff_hat, nu1, nu2, coeff_min = _momentum_inputs(params, phi, u, coeffs,
+    y0, coeff_hat, nu1, nu2, coeff_min = _momentum_inputs(params, phi, u, eta,
                                                           vphi_new, t)
 
-    def slope(ts: float, y_hat, i: int):
-        stage = coeffs.provider.stage(grid, ts)
-        fm = coeffs.forcing.momentum_term(grid, ts) if coeffs.forcing is not None else None
-        return _momentum_rhs(grid, params, stage, coeff_hat[:, i], y_hat, nu1, nu2, fm)
+    def slope(i: int, y_hat):
+        stage, rows = stages[i]
+        return _momentum_rhs(grid, params, stage, coeff_hat[:, i], y_hat, nu1, nu2,
+                             None if rows is None else rows[1:])
 
     G = _shift(grid, nu1, nu2, dt)
     half = 0.5 * dt
@@ -367,14 +324,14 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
     # Stages on the stacked (phi, u) spectra, G acting on the u rows. G is
     # linear, so G(dt) u0 + c G(dt) k1u is applied as G(dt)(u0 + c k1u) and
     # G(dt/2) k2u is applied once for both of its uses.
-    k1 = slope(t, y0, 0)
+    k1 = slope(0, y0)
     y2 = y0 + half * k1
     y2[1:] = G(half, y2[1:])
-    k2 = slope(t + half, y2, 1)
+    k2 = slope(1, y2)
     g_k2u = G(half, k2[1:])
     y3 = y0 + dt * (-k1 + 2.0 * k2)
     y3[1:] = G(dt, y0[1:] - dt * k1[1:]) + 2.0 * dt * g_k2u
-    k3 = slope(t + dt, y3, 2)
+    k3 = slope(2, y3)
 
     # The update as an increment of the physical state, one inverse for both.
     increment = dt * (k1 + 4.0 * k2 + k3) / 6.0
@@ -382,8 +339,8 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
                      + dt * (4.0 * g_k2u + k3[1:]) / 6.0)
     delta = grid.ifft(increment)
     u_new = u.values + delta[1:]
-    phi_new, count, mass = _finish(phi.values + delta[0], coeffs.clip,
-                                   grid.cell_volume, t + dt, u_new)
+    phi_new, count, mass = _finish(phi.values + delta[0], grid.cell_volume,
+                                   t + dt, u_new)
     diag = MomentumDiag(nu1=nu1, nu2=nu2, coeff_min=coeff_min,
                         clip_count=count, clipped_mass=mass)
     return ScalarField(grid, phi_new), VectorField(grid, u_new), diag
@@ -397,8 +354,8 @@ class Trajectory:
     """Sampled solution of one linearized window: the sample times, one
     read-only stacked array per field (vphi and phi shaped (nt,) + shape, u
     shaped (nt, dim) + shape), plus per-step diagnostics. The proxies must be
-    nonnegative up to the clip tolerance at every sample; pass floor=None for
-    signed data produced with clipping disabled."""
+    nonnegative up to the clip tolerance at every sample, as every window
+    solve leaves them; pass floor=None for signed data."""
 
     grid: Grid
     times: list
@@ -479,7 +436,7 @@ def march(t_window: float, sample_dt: float | None, next_dt, advance) -> None:
 
 
 def record_window(init: ReformState, t_window: float, sample_dt: float | None,
-                  next_dt, step, *, eta: float, clip: bool, stacks=None,
+                  next_dt, step, *, eta: float, stacks=None,
                   on_sample=None) -> Trajectory:
     """March init across [0, t_window] and record the window. step(t, dt,
     vphi, phi, u) returns the fields after one step followed by its clip
@@ -524,8 +481,7 @@ def record_window(init: ReformState, t_window: float, sample_dt: float | None,
     n = len(times)
     return Trajectory(init.grid, times, *(s[:n] for s in stacks),
                       dt_history=dt_history, clip_counts=clip_counts,
-                      clipped_mass=clipped_mass, eta=eta,
-                      floor=STATE_FLOOR if clip else None)
+                      clipped_mass=clipped_mass, eta=eta)
 
 
 def adaptive_dt(params: FluidParams, grid: Grid, v: np.ndarray,
@@ -551,26 +507,40 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
     the sample cadence, and return the sampled trajectory. The viscosity
     proxy advances in lockstep by two transport half steps per outer step,
     feeding stage fields to the momentum update. stacks and on_sample go to
-    record_window."""
+    record_window.
+
+    A step of size dt = 2h builds the (masked coefficients, forcing rows)
+    pair of each of its stage times once: t, t + h/2, t + h, (t + h) + h/2
+    and t + dt. The pair at t + dt is the next step's pair at its start."""
     grid = init.grid
+
+    def pair(t: float) -> tuple:
+        rows = None if coeffs.forcing is None else coeffs.forcing(t)
+        return coeffs.provider.stage(grid, t), rows
+
+    start = pair(0.0)
 
     def next_dt(t: float) -> float:
         if coeffs.dt is not None:
             return coeffs.dt
-        stage = coeffs.provider.stage(grid, t)
+        stage = start[0]
         return adaptive_dt(params, grid, stage.v, stage.phit, coeffs.cfl_safety)
 
     def step(t: float, dt: float, vphi, phi, u):
-        vphi_half, d1 = transport_step(params, vphi, coeffs, 0.5 * dt, t)
-        vphi_full, d2 = transport_step(params, vphi_half, coeffs, 0.5 * dt,
-                                       t + 0.5 * dt, t_end=t + dt)
-        phi, u, mdiag = momentum_step(
-            params, phi, u, coeffs, (vphi, vphi_half, vphi_full), dt, t
-        )
+        nonlocal start
+        h = 0.5 * dt
+        quarter, half, three_quarters, end = map(
+            pair, (t + 0.5 * h, t + h, (t + h) + 0.5 * h, t + dt))
+        vphi_half, d1 = transport_step(params, vphi, (start, half, quarter), h, t)
+        vphi_full, d2 = transport_step(params, vphi_half,
+                                       (half, end, three_quarters), h, t + h)
+        phi, u, mdiag = momentum_step(params, phi, u, (start, half, end),
+                                      coeffs.eta, (vphi, vphi_half, vphi_full),
+                                      dt, t)
+        start = end
         return (vphi_full, phi, u,
                 d1.clip_count + d2.clip_count + mdiag.clip_count,
                 d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)
 
     return record_window(init, coeffs.t_window, coeffs.sample_dt, next_dt, step,
-                         eta=coeffs.eta, clip=coeffs.clip, stacks=stacks,
-                         on_sample=on_sample)
+                         eta=coeffs.eta, stacks=stacks, on_sample=on_sample)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .linearized import (
     DEFAULT_CFL_SAFETY,
     DEFAULT_SAMPLES_PER_WINDOW,
     AnalyticCoefficients,
-    CallableForcing,
     FrozenCoefficients,
     SolverAbort,
     march,
@@ -236,21 +235,18 @@ class ManufacturedCase:
     def primitive_state(self, t: float) -> tuple[ScalarField, VectorField]:
         return ScalarField(self.grid, self.rho(t)), VectorField(self.grid, self.u(t))
 
-    def reform_forcing(self, eta: float) -> CallableForcing:
+    def reform_forcing(self, eta: float):
         """Forcing that makes the exact fields solve the reformulated
         system as discretized: analytic time derivative minus the discrete
-        right side evaluated on the exact state. One reform_rhs call gives
-        all three rows at a time; the last five times are kept, the stage
-        times of one outer step."""
+        right side evaluated on the exact state. A map from t to the rows
+        stacked like (vphi, phi, u), all three from one reform_rhs call."""
 
-        @lru_cache(maxsize=5)
-        def rows(t: float):
-            return reform_rhs(self.state(t), self.params, eta)
+        def rows(t: float) -> np.ndarray:
+            f_vphi, f_phi, f_u = reform_rhs(self.state(t), self.params, eta)
+            return np.concatenate(([self.dvphi_dt(t) - f_vphi],
+                                   [self.dphi_dt(t) - f_phi], self.du_dt(t) - f_u))
 
-        return CallableForcing(
-            vphi=lambda t: self.dvphi_dt(t) - rows(t)[0],
-            phi=lambda t: self.dphi_dt(t) - rows(t)[1],
-            velocity=lambda t: self.du_dt(t) - rows(t)[2])
+        return rows
 
     def primitive_forcing(self):
         """Forcing for the primitive solver, same construction: analytic

@@ -203,8 +203,8 @@ def _check_values(cfg: RunConfig) -> None:
         if not s > 0:
             raise ConfigError(
                 f"[sweep] amplitude_scales entries must be positive, got {s}")
-    if cfg.calib_C < 1.0:
-        raise ConfigError(f"calib_C must be >= 1, got {cfg.calib_C}")
+    if not 1.0 <= cfg.calib_C < math.inf:
+        raise ConfigError(f"calib_C must be >= 1 and finite, got {cfg.calib_C}")
     if cfg.kind == "bump":
         if cfg.amplitude < 0 or cfg.width <= 0:
             raise ConfigError(

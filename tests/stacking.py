@@ -1,9 +1,11 @@
-"""Test helpers: a Trajectory stacked from per-sample states, and a
-coefficient provider frozen at one state."""
+"""Test helpers: a Trajectory stacked from per-sample states, a coefficient
+provider frozen at one state, and the two steps with their stages read from
+a FrozenCoefficients."""
 
 import numpy as np
 
-from vacflow.linearized import Trajectory, TrajectoryCoefficients
+from vacflow.linearized import (Trajectory, TrajectoryCoefficients,
+                                momentum_step, transport_step)
 
 
 def stacked(states, times, **kwargs):
@@ -22,3 +24,26 @@ def frozen(v, phitilde, vphitilde):
     time: a one-sample TrajectoryCoefficients, which clamps every t to its
     sample."""
     return TrajectoryCoefficients([0.0], [vphitilde], [phitilde], [v])
+
+
+def stages(coeffs, grid, times):
+    """The (masked coefficients, forcing rows) pairs of coeffs at times."""
+    return tuple((coeffs.provider.stage(grid, t),
+                  None if coeffs.forcing is None else coeffs.forcing(t))
+                 for t in times)
+
+
+def transport(params, vphi, coeffs, dt, t=0.0):
+    """transport_step with its stages read from coeffs at t, t + dt and
+    t + dt/2."""
+    return transport_step(params, vphi,
+                          stages(coeffs, vphi.grid, (t, t + dt, t + 0.5 * dt)),
+                          dt, t)
+
+
+def momentum(params, phi, u, coeffs, vphi_new, dt, t=0.0):
+    """momentum_step with its stages read from coeffs at t, t + dt/2 and
+    t + dt."""
+    return momentum_step(params, phi, u,
+                         stages(coeffs, phi.grid, (t, t + 0.5 * dt, t + dt)),
+                         coeffs.eta, vphi_new, dt, t)

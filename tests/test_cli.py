@@ -290,6 +290,29 @@ def test_a_picard_tol_that_is_not_positive_and_finite_is_rejected(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_calib_C_that_is_not_finite_is_rejected(tmp_path, capsys, command,
+                                                   value):
+    text = BASE.format(beta="0.5", amplitude="0.2").replace(
+        "beta = 0.5", f"beta = 0.5\ncalib_C = {value}")
+    cfg = write(tmp_path, text)
+    with pytest.raises(vacflow.runconfig.ConfigError, match="calib_C"):
+        vacflow.runconfig.load_config(cfg)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "calib_C must be >= 1 and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_center_that_is_not_finite_is_rejected(tmp_path, capsys, command):
+    text = BASE.format(beta="0.5", amplitude="0.2").replace(
+        "width = 0.8", "width = 0.8\ncenter = nan")
+    cfg = write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "center must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_the_density_is_built_and_the_constants_validated_once(
         tmp_path, monkeypatch, command):
@@ -478,6 +501,17 @@ def test_mms_rejects_bad_config(tmp_path, capsys):
     cfg = write(tmp_path, text.replace("alpha = 1.0", "alpha = 0.0"))
     assert main(["mms", "--config", cfg]) == 1
     assert "constraint" in capsys.readouterr().err
+
+
+def test_mms_outside_the_coefficient_regime_is_a_solver_failure(tmp_path,
+                                                                capsys):
+    # beta = -0.5 takes alpha + beta vphi^(2m) below alpha/2 on the
+    # manufactured fields at once
+    cfg = write(tmp_path, BASE.format(beta="-0.5", amplitude="0.2"))
+    assert main(["mms", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure: ellipticity regime exit" in err
+    assert "Traceback" not in err
 
 
 # -- benchmark harness ---------------------------------------------------------

@@ -32,7 +32,6 @@ from vacflow.diagnostics import (
 from vacflow.fields import Grid, ScalarField, VectorField, quadrature_l2, sobolev_norm
 from vacflow.fixedpoint import picard_solve
 from vacflow.initial_data import bump_density, reform_state_from_density
-from vacflow.linearized import CallableForcing
 from vacflow.operators import ReformState, advect, momentum_rhs_symmetric, stable_power
 from vacflow.oracle import default_case
 from vacflow.params import validate_params
@@ -113,10 +112,10 @@ def whole_stack_residual(traj, p, eta, forcing):
     interior = range(1, len(times) - 1)
     for i in interior:
         f_vphi, f_phi, f_u = reform_rhs(traj.state(i), p, eta)
-        fm = forcing.momentum_term(g, times[i])
-        r1 = dvphi[i] - f_vphi
-        r2 = dphi[i] - f_phi - fm[0]
-        r3 = du[i] - f_u - fm[1:]
+        rows = forcing(times[i])
+        r1 = dvphi[i] - f_vphi - rows[0]
+        r2 = dphi[i] - f_phi - rows[1]
+        r3 = du[i] - f_u - rows[2:]
         rv = max(rv, quadrature_l2(g, r1))
         rp = max(rp, quadrature_l2(g, r2))
         ru = max(ru, quadrature_l2(g, r3))
@@ -147,8 +146,11 @@ def test_streamed_derivatives_equal_the_whole_stack_references_bit_for_bit():
                                          p, t))
     traj = stacked(states, times)
     stamp = np.asarray(times)
-    forcing = CallableForcing(phi=lambda t: np.full(g.shape, t),
-                              velocity=lambda t: np.full((2,) + g.shape, -t))
+
+    def forcing(t):
+        """Rows stacked like (vphi, phi, u): vphi unforced, phi forced by t
+        and u by -t."""
+        return np.stack([np.full(g.shape, c) for c in (0.0, t, -t, -t)])
 
     got = nonlinear_residual(traj, p, 0.2, forcing=forcing)
     assert got == whole_stack_residual(traj, p, 0.2, forcing)

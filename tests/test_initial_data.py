@@ -67,6 +67,9 @@ def test_bump_validation():
         bump_density(g, amplitude=0.1, width=2.0)  # beyond L/4
     with pytest.raises(ValueError, match="center"):
         bump_density(g, amplitude=0.1, width=0.5, center=(1.0, 2.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="center must be finite"):
+            bump_density(g, amplitude=0.1, width=0.5, center=(bad,) * g.dim)
 
 
 def test_velocity_modes_analytic_values():

@@ -12,7 +12,6 @@ from vacflow import linearized, operators
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.linearized import (
     DEFAULT_CFL_SAFETY,
-    CallableForcing,
     FrozenCoefficients,
     SolverAbort,
     Trajectory,
@@ -22,16 +21,14 @@ from vacflow.linearized import (
     _viscous_fields,
     adaptive_dt,
     march,
-    momentum_step,
     record_window,
     sample_times,
     solve_linearized,
-    transport_step,
 )
 from vacflow.operators import ReformState, advect, deformation, stable_power
 from vacflow.params import validate_params
 
-from stacking import frozen, stacked
+from stacking import frozen, momentum, stacked, transport
 
 
 def soft_params():
@@ -64,7 +61,7 @@ def test_transport_still_velocity_leaves_proxy_unchanged():
     g = Grid(dim=1, n=64, box_length=2.0 * np.pi)
     f0 = 1.0 + 0.5 * np.sin(g.coordinates[0])
     coeffs = still_coeffs(g, 1.0, vphitilde=np.full(g.shape, 0.7))
-    out, diag = transport_step(p, ScalarField(g, f0), coeffs, dt=0.05)
+    out, diag = transport(p, ScalarField(g, f0), coeffs, dt=0.05)
     # the Shu-Osher convex recombination costs a few ulps even with a zero
     # right-hand side
     assert np.max(np.abs(out.values - f0)) < 1e-14
@@ -85,12 +82,11 @@ def test_transport_translation_is_third_order():
     exact = 1.0 + 0.5 * np.sin(x - c * T)
 
     def run(steps):
-        coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=T,
-                                    clip=False)
+        coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=T)
         f = ScalarField(g, f0)
         dt = T / steps
         for k in range(steps):
-            f, _ = transport_step(p, f, coeffs, dt, t=k * dt)
+            f, _ = transport(p, f, coeffs, dt, t=k * dt)
         return float(np.max(np.abs(f.values - exact)))
 
     e1, e2 = run(40), run(80)
@@ -113,9 +109,8 @@ def test_transport_matches_textbook_recursion():
 
     provider = frozen(v=v[None, :], phitilde=np.zeros(n),
                                     vphitilde=np.full(n, w0))
-    coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0,
-                                clip=False)
-    got, _ = transport_step(p, ScalarField(g, f0), coeffs, dt)
+    coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0)
+    got, _ = transport(p, ScalarField(g, f0), coeffs, dt)
 
     ik = 1j * np.fft.fftfreq(n, 1.0 / n)
     dx = lambda arr: np.fft.ifft(ik * np.fft.fft(arr)).real
@@ -137,16 +132,10 @@ def test_transport_clip_reports_count_and_mass():
     f0 = ScalarField(g, np.full(g.shape, 1e-4))
 
     clipped = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0)
-    out, diag = transport_step(p, f0, clipped, dt=0.01)
+    out, diag = transport(p, f0, clipped, dt=0.01)
     assert diag.clip_count > 0
     assert diag.clipped_mass > 0.0
     assert float(out.values.min()) == 0.0
-
-    raw = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0,
-                             clip=False)
-    out, diag = transport_step(p, f0, raw, dt=0.01)
-    assert float(out.values.min()) < 0.0
-    assert diag.clip_count == 0
 
 
 def test_zero_state_stays_zero_through_window():
@@ -211,17 +200,18 @@ def test_acoustic_pair_is_third_order():
     p0, k, T = 0.5, 2.0, 0.2
     c = math.sqrt(p.A * p.gamma) * p0
     b = 0.5 * (p.gamma - 1.0) * p0
-    phi_exact = np.sin(k * x) * math.cos(k * c * T)
+    # every window clips, so phi rides on a constant that keeps it positive
+    phi_exact = 2.0 + np.sin(k * x) * math.cos(k * c * T)
     u_exact = -(c / b) * np.cos(k * x) * math.sin(k * c * T)
     vphi0 = ScalarField(g, np.zeros(g.shape))
 
     def run(steps):
-        coeffs = still_coeffs(g, T, phitilde=np.full(g.shape, p0), clip=False)
-        phi = ScalarField(g, np.sin(k * x))
+        coeffs = still_coeffs(g, T, phitilde=np.full(g.shape, p0))
+        phi = ScalarField(g, 2.0 + np.sin(k * x))
         u = VectorField(g, np.zeros((1,) + g.shape))
         dt = T / steps
         for j in range(steps):
-            phi, u, _ = momentum_step(p, phi, u, coeffs, (vphi0,) * 3, dt,
+            phi, u, _ = momentum(p, phi, u, coeffs, (vphi0,) * 3, dt,
                                       t=j * dt)
         return max(
             float(np.max(np.abs(phi.values - phi_exact))),
@@ -242,7 +232,7 @@ def test_momentum_aborts_outside_the_coefficient_regime():
     u = VectorField(g, np.zeros((1, 16)))
     hot = ScalarField(g, np.full(16, 0.95))  # compr = 1 - 0.95^4 < 1/2
     with pytest.raises(SolverAbort, match="ellipticity regime exit") as err:
-        momentum_step(p, phi, u, coeffs, (hot,) * 3, dt=0.01, t=0.25)
+        momentum(p, phi, u, coeffs, (hot,) * 3, dt=0.01, t=0.25)
     assert err.value.reason == "ellipticity regime exit"
     assert err.value.time == 0.25
 
@@ -255,7 +245,7 @@ def test_momentum_rejects_wrong_stage_count():
     u = VectorField(g, np.zeros((1, 16)))
     z = np.zeros(16)
     with pytest.raises(ValueError, match="stage fields"):
-        momentum_step(p, phi, u, coeffs, (z, z), dt=0.01)
+        momentum(p, phi, u, coeffs, (z, z), dt=0.01)
 
 
 def test_window_lands_exactly_on_the_sample_cadence():
@@ -356,7 +346,7 @@ def test_record_window_holds_one_window_while_it_writes():
     tracemalloc.start()
     try:
         traj = record_window(init, 1.0, 1.0 / 32, lambda t: 1.0 / 32, step,
-                             eta=0.0, clip=True)
+                             eta=0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -404,7 +394,7 @@ def test_the_adaptive_step_reads_the_masked_stage():
                        ScalarField(g, provider.phis[0]),
                        VectorField(g, provider.velocities[0]))
     coeffs = FrozenCoefficients(provider=provider, eta=0.2,
-                                t_window=1.5 * want, clip=False)
+                                t_window=1.5 * want)
     traj = solve_linearized(init, coeffs, p)
     assert traj.dt_history[0] == want
 
@@ -542,8 +532,6 @@ def test_masked_stage_equals_a_stage_masked_from_interpolated_fields(
     for t in queries + queries[::-1]:
         got = provider.stage(g, t)
         assert len(provider._masked) <= 2
-        assert len({provider._bracket(s)[0] for s in provider._between}) <= 1
-        assert len(provider._between) <= TrajectoryCoefficients.BETWEEN_KEPT
         if t in first:
             assert np.array_equal(got.packed, first[t]), t
             continue
@@ -555,9 +543,8 @@ def test_masked_stage_equals_a_stage_masked_from_interpolated_fields(
 
 def test_interpolated_stages_stay_few_when_a_sample_interval_holds_many_steps(
         monkeypatch):
-    # 40 steps between two samples: the kept stages are bounded by one
-    # step's stage times, yet no step interpolates a time more often than
-    # with every interpolated stage kept, and the window is bit-identical
+    # 40 steps between two samples: the window solve asks for each stage
+    # time once, and the provider masks each sample once and keeps no more
     p = soft_params()
     g = Grid(dim=2, n=16, box_length=2.0 * np.pi)
     built = []
@@ -573,36 +560,28 @@ def test_interpolated_stages_stay_few_when_a_sample_interval_holds_many_steps(
     monkeypatch.setattr(operators, "_StageCoeffs", Counted)
     monkeypatch.setattr(linearized, "_StageCoeffs", Counted)
 
-    def solve():
-        provider = random_trajectory(g, [0.0, 1.0], seed=7)
-        stage, sizes = provider.stage, []
+    provider = random_trajectory(g, [0.0, 1.0], seed=7)
+    stage, asked = provider.stage, []
 
-        def recorded(grid, t):
-            got = stage(grid, t)
-            sizes.append(len(provider._between))
-            return got
+    def recorded(grid, t):
+        asked.append(t)
+        got = stage(grid, t)
+        assert len(provider._masked) <= 2
+        return got
 
-        provider.stage = recorded
-        init = ReformState(ScalarField(g, provider.vphis[0]),
-                           ScalarField(g, provider.phis[0]),
-                           VectorField(g, provider.velocities[0]))
-        coeffs = FrozenCoefficients(provider=provider, eta=0.2, t_window=1.0,
-                                    dt=1.0 / 40, sample_dt=1.0, clip=False)
-        built.clear()
-        traj = solve_linearized(init, coeffs, p)
-        assert len(traj.dt_history) == 40
-        return traj, len(built), max(sizes)
-
-    traj, count, most = solve()
-    assert most == TrajectoryCoefficients.BETWEEN_KEPT == 5
-    monkeypatch.setattr(TrajectoryCoefficients, "BETWEEN_KEPT", 10**6)
-    traj_all, count_all, most_all = solve()
-    assert most_all > 100
-    # every step ends where the next begins, at one stage time: the two
-    # masked samples and 4 interpolated stage times per step but the last
-    assert count == count_all == 2 + 4 * 40 - 1
-    for name in ("vphi", "phi", "u"):
-        assert np.array_equal(getattr(traj, name), getattr(traj_all, name))
+    provider.stage = recorded
+    init = ReformState(ScalarField(g, provider.vphis[0]),
+                       ScalarField(g, provider.phis[0]),
+                       VectorField(g, provider.velocities[0]))
+    coeffs = FrozenCoefficients(provider=provider, eta=0.2, t_window=1.0,
+                                dt=1.0 / 40, sample_dt=1.0)
+    traj = solve_linearized(init, coeffs, p)
+    assert len(traj.dt_history) == 40
+    # every step ends where the next begins, at one stage time
+    assert len(asked) == len(set(asked)) == 1 + 4 * 40
+    # the two masked samples and 4 interpolated stage times per step but the
+    # last, whose end is sample 1
+    assert len(built) == 2 + 4 * 40 - 1
 
 
 def seven_exponential_update(p, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
@@ -637,13 +616,12 @@ def test_four_exponential_update_equals_the_seven_exponential_form(seed, dim):
     g = Grid(dim=dim, n=16, box_length=2.0 * np.pi)
     rng = np.random.default_rng(seed)
     provider = random_trajectory(g, [0.0, 0.01, 0.02], seed + 1)
-    coeffs = FrozenCoefficients(provider=provider, eta=0.1, t_window=0.02,
-                                clip=False)
+    coeffs = FrozenCoefficients(provider=provider, eta=0.1, t_window=0.02)
     phi = ScalarField(g, rng.uniform(0.0, 0.7, g.shape))
     u = VectorField(g, rng.uniform(-0.3, 0.3, (dim,) + g.shape))
     stages_vphi = tuple(rng.uniform(0.1, 0.9, g.shape) for _ in range(3))
     dt, t = 0.004, 0.003
-    phi_new, u_new, diag = momentum_step(
+    phi_new, u_new, diag = momentum(
         p, phi, u, coeffs, tuple(ScalarField(g, v) for v in stages_vphi), dt, t)
     want_phi, want_u = seven_exponential_update(
         p, phi, u, coeffs, stages_vphi, dt, t, diag.nu1, diag.nu2)
@@ -741,7 +719,7 @@ def physical_transport_step(p, g, f, coeffs, dt, t):
         out = -g.dealias(advect(g, stage.v, arr)
                          + 0.5 * (p.delta1 - 1.0) * stage.vphit * stage.div_v)
         if coeffs.forcing is not None:
-            out = out + coeffs.forcing.vphi_term(ts)
+            out = out + coeffs.forcing(ts)[0]
         return out
 
     u1 = f + dt * rhs(t, f)
@@ -810,8 +788,8 @@ def physical_momentum_step(p, g, phi, u, coeffs, stages_vphi, dt, t):
         dphi, du = physical_momentum_rhs(g, p, coeffs.provider.stage(g, ts),
                                          va, eta, pa, ua, nu1, nu2)
         if forcing is not None:
-            fm = forcing.momentum_term(g, ts)
-            dphi, du = dphi + fm[0], du + fm[1:]
+            rows = forcing(ts)
+            dphi, du = dphi + rows[1], du + rows[2:]
         return dphi, du
 
     def G(tau, vec):
@@ -839,16 +817,13 @@ def test_spectral_steps_equal_the_physical_route(seed, dim, forced):
     p = soft_params()
     g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
     rng = np.random.default_rng(seed)
-    forcing = None
-    if forced:
-        a, b = rng.standard_normal((2, dim + 2) + g.shape)
-        forcing = CallableForcing(vphi=lambda t: a[0] + t * b[0],
-                                  phi=lambda t: a[1] + t * b[1],
-                                  velocity=lambda t: a[2:] + t * b[2:])
+    a, b = rng.standard_normal((2, dim + 2) + g.shape)
     provider = random_trajectory(g, [0.0, 0.01, 0.02], seed + 1)
     coeffs = FrozenCoefficients(provider=provider, eta=0.1, t_window=0.02,
-                                clip=False, forcing=forcing)
-    f, phi = rng.standard_normal((2,) + g.shape)
+                                forcing=(lambda t: a + t * b) if forced else None)
+    # every window clips, so f and phi ride on a constant that keeps them
+    # positive
+    f, phi = 10.0 + rng.standard_normal((2,) + g.shape)
     u = rng.standard_normal((dim,) + g.shape)
     stages_vphi = tuple(rng.uniform(0.1, 0.9, (3,) + g.shape))
     dt, t = 0.004, 0.003
@@ -856,10 +831,10 @@ def test_spectral_steps_equal_the_physical_route(seed, dim, forced):
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    got, _ = transport_step(p, ScalarField(g, f), coeffs, dt, t)
+    got, _ = transport(p, ScalarField(g, f), coeffs, dt, t)
     assert_close(got.values, physical_transport_step(p, g, f, coeffs, dt, t))
 
-    phi_new, u_new, diag = momentum_step(
+    phi_new, u_new, diag = momentum(
         p, ScalarField(g, phi), VectorField(g, u), coeffs,
         tuple(ScalarField(g, v) for v in stages_vphi), dt, t)
     want_phi, want_u, nu1, nu2 = physical_momentum_step(

@@ -8,11 +8,10 @@ import pytest
 from vacflow.fields import Grid, ScalarField, VectorField, quadrature_l2
 from vacflow.initial_data import bump_density
 from vacflow.linearized import (
-    CallableForcing,
+    AnalyticCoefficients,
     FrozenCoefficients,
     SolverAbort,
     solve_linearized,
-    transport_step,
 )
 from vacflow.operators import ReformState
 from vacflow.oracle import (
@@ -30,7 +29,7 @@ from vacflow.oracle import (
 )
 from vacflow.params import validate_params
 
-from stacking import frozen
+from stacking import frozen, transport
 
 L = 2.0 * math.pi
 
@@ -157,28 +156,36 @@ def test_forced_run_sits_on_the_exact_solution():
 def test_manufactured_forcing_evaluates_each_stage_time_once(monkeypatch):
     import vacflow.oracle
 
-    times = []
+    times, built = [], []
     rhs = vacflow.oracle.reform_rhs
+    stage = AnalyticCoefficients.stage
 
     def counted(state, *args, **kwargs):
         times.append(state.time)
         return rhs(state, *args, **kwargs)
 
+    def counted_stage(self, grid, t):
+        built.append(t)
+        return stage(self, grid, t)
+
     monkeypatch.setattr(vacflow.oracle, "reform_rhs", counted)
+    monkeypatch.setattr(AnalyticCoefficients, "stage", counted_stage)
     reform_mms_error(default_case(), 0.01, 0.04)
     # 4 steps, each with stage times t, t + dt/4, t + dt/2, t + 3dt/4 and
-    # t + dt, the last shared with the next step: 4 * 4 + 1 = 17
+    # t + dt, the last shared with the next step: 4 * 4 + 1 = 17, for the
+    # forcing and for the coefficients alike
     assert len(times) == len(set(times)) == 17
+    assert built == times
 
     # bit for bit the forcing with one reform_rhs call per row
     case = default_case()
 
-    def row(i, derivative):
-        return lambda t: derivative(t) - rhs(case.state(t), case.params, 0.0)[i]
+    def per_row(t):
+        return np.concatenate([
+            [case.dvphi_dt(t) - rhs(case.state(t), case.params, 0.0)[0]],
+            [case.dphi_dt(t) - rhs(case.state(t), case.params, 0.0)[1]],
+            case.du_dt(t) - rhs(case.state(t), case.params, 0.0)[2]])
 
-    per_row = CallableForcing(vphi=row(0, case.dvphi_dt),
-                              phi=row(1, case.dphi_dt),
-                              velocity=row(2, case.du_dt))
     finals = []
     for forcing in (case.reform_forcing(0.0), per_row):
         coeffs = FrozenCoefficients(provider=case.coefficients(), eta=0.0,
@@ -214,20 +221,21 @@ def test_oracle_temporal_order_four():
 
 def test_advection_temporal_order_three():
     # pure transport: a profile carried by a uniform unit velocity, against
-    # its exactly shifted self
+    # its exactly shifted self; it rides on 2 to stay positive, since every
+    # window clips
     g = Grid(dim=1, n=64, box_length=L)
     x = g.coordinates[0]
     zeros = np.zeros(g.shape)
     coeffs = FrozenCoefficients(
         provider=frozen(np.ones((1,) + g.shape), zeros, zeros),
-        eta=0.0, t_window=0.5, clip=False)
+        eta=0.0, t_window=0.5)
     dts = [0.05, 0.025, 0.0125]
     errors = []
     for dt in dts:
-        f = ScalarField(g, np.sin(x))
+        f = ScalarField(g, 2.0 + np.sin(x))
         for i in range(round(0.5 / dt)):
-            f, _ = transport_step(stiff_params(), f, coeffs, dt, i * dt)
-        errors.append(quadrature_l2(g, f.values - np.sin(x - 0.5)))
+            f, _ = transport(stiff_params(), f, coeffs, dt, i * dt)
+        errors.append(quadrature_l2(g, f.values - 2.0 - np.sin(x - 0.5)))
     study = observed_orders(dts, errors, "advection temporal")
     assert study.monotone
     for p in study.orders:
