@@ -35,9 +35,10 @@ the masked samples in time, which equals masking the interpolated fields
 because truncation and interpolation are both linear. The window solve
 asks for each stage time of an outer step once, t, t + dt/4, t + dt/2,
 t + 3dt/4 and t + dt, pairs each stage with the forcing rows at its time,
-and hands the steps their pairs; a step ends at the stage the next one
-starts from. The steps read nothing else, and neither does the adaptive
-step size, which reads v and phitilde of the stage the step starts from.
+and hands the steps their pairs; the next step starts from the pair this
+one ends at, unless march snapped that end onto a sample. The steps read
+nothing else, and neither does the adaptive step size, which reads v and
+phitilde of the stage the step starts from.
 
 Memory: a Picard iterate's process holds two windows, the predecessor
 whose coefficients are frozen and the window being written; the parent of a
@@ -45,14 +46,15 @@ continuation holds two levels' solutions. record_window writes each sample
 straight into stacks allocated once for the whole window, so a window never
 exists twice, and the diagnostics difference samples in time one at a time
 rather than building a whole-window derivative stack. Beside the windows, a
-step keeps only its five stage pairs, its stage spectra and one stage's
-factors.
+step holds at most four stage pairs at once (a quarter-point pair lives only
+through its half step, so the momentum step sees three), its stage spectra
+and one stage's factors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,10 +109,10 @@ class TrajectoryCoefficients:
 
     Masked stages interpolate masked samples, which equals masking the
     interpolated fields because truncation is linear. Each sample is masked
-    when first needed, and only the (at most two) samples around the latest
-    query are kept: march lands on every sample, so no step needs a sample
-    behind the one it starts from. An interpolated stage is built on every
-    call; the window solve asks once per stage time.
+    when first needed, and at most two are kept: a query that needs a sample
+    not kept keeps only the samples around it. march lands on every sample,
+    so no step needs a sample behind the one it starts from. An interpolated
+    stage is built on every call; the window solve asks once per stage time.
 
     The stacks may belong to a window that is still being written: then
     times is its full sample grid (sample_times), so the weights are those
@@ -127,11 +129,11 @@ class TrajectoryCoefficients:
         self._wait = wait
         self._masked: dict = {}
 
-    def _bracket(self, t: float) -> tuple:
-        """(j, w): t sits at weight w between samples j and j + 1; w = 0
-        at a sample time and past either clamped end. A stage time that
-        misses a sample by roundoff (t + dt against the snapped t_new)
-        counts as the sample, so it needs no second one."""
+    def stage(self, grid: Grid, t: float) -> _StageCoeffs:
+        """The masked coefficients at t, which sits at weight w between
+        samples j and j + 1; w = 0 at a sample time and past either clamped
+        end. A stage time that misses a sample by roundoff (t + dt against
+        the snapped t_new) counts as the sample, so it needs no second one."""
         times = self.times
         if t <= times[0]:
             j, w = 0, 0.0
@@ -145,18 +147,14 @@ class TrajectoryCoefficients:
                 w = 0.0
             elif w >= 1.0 - SAMPLE_SNAP:
                 j, w = j + 1, 0.0
+        around = (j, j + 1) if w else (j,)
         if self._wait is not None:
-            self._wait(j + 1 if w else j)
-        return j, w
-
-    def stage(self, grid: Grid, t: float) -> _StageCoeffs:
-        """The masked coefficients at t, from the masked samples around t,
-        which are the only ones kept."""
-        j, w = self._bracket(t)
-        self._masked = {i: self._masked[i] if i in self._masked else
-                        _mask_coefficients(grid, self.velocities[i],
-                                           self.phis[i], self.vphis[i])
-                        for i in ((j, j + 1) if w else (j,))}
+            self._wait(around[-1])
+        if not all(i in self._masked for i in around):
+            self._masked = {i: self._masked[i] if i in self._masked else
+                            _mask_coefficients(grid, self.velocities[i],
+                                               self.phis[i], self.vphis[i])
+                            for i in around}
         if w == 0.0:
             return self._masked[j]
         return _StageCoeffs(grid, (1.0 - w) * self._masked[j].packed
@@ -355,7 +353,7 @@ class Trajectory:
     read-only stacked array per field (vphi and phi shaped (nt,) + shape, u
     shaped (nt, dim) + shape), plus per-step diagnostics. The proxies must be
     nonnegative up to the clip tolerance at every sample, as every window
-    solve leaves them; pass floor=None for signed data."""
+    solve leaves them."""
 
     grid: Grid
     times: list
@@ -366,14 +364,13 @@ class Trajectory:
     clip_counts: list = field(default_factory=list)
     clipped_mass: list = field(default_factory=list)
     eta: float = 0.0
-    floor: InitVar[float | None] = STATE_FLOOR
 
-    def __post_init__(self, floor):
+    def __post_init__(self):
         g, nt = self.grid, len(self.times)
         for name, shape in (("vphi", g.shape), ("phi", g.shape),
                             ("u", (g.dim,) + g.shape)):
             stack = checked_values(getattr(self, name), (nt,) + shape)
-            if floor is not None and name != "u" and float(stack.min()) < floor:
+            if name != "u" and float(stack.min()) < STATE_FLOOR:
                 raise ValueError(f"{name} has negative values below the clip "
                                  f"tolerance: min = {float(stack.min()):.3e}")
             object.__setattr__(self, name, stack)
@@ -510,34 +507,40 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
     record_window.
 
     A step of size dt = 2h builds the (masked coefficients, forcing rows)
-    pair of each of its stage times once: t, t + h/2, t + h, (t + h) + h/2
-    and t + dt. The pair at t + dt is the next step's pair at its start."""
+    pair at each of its stage times once, t, t + h/2, t + h, (t + h) + h/2
+    and t + dt, a quarter-point pair only for its half step. The next step
+    starts from the pair at t + dt, or from one built at its own t where
+    march snapped t + dt onto a sample."""
     grid = init.grid
 
     def pair(t: float) -> tuple:
         rows = None if coeffs.forcing is None else coeffs.forcing(t)
         return coeffs.provider.stage(grid, t), rows
 
-    start = pair(0.0)
+    start = {0.0: pair(0.0)}
 
     def next_dt(t: float) -> float:
+        nonlocal start   # march asks before each step, at the step's t
+        start = {t: start.get(t) or pair(t)}
         if coeffs.dt is not None:
             return coeffs.dt
-        stage = start[0]
+        stage = start[t][0]
         return adaptive_dt(params, grid, stage.v, stage.phit, coeffs.cfl_safety)
 
     def step(t: float, dt: float, vphi, phi, u):
         nonlocal start
         h = 0.5 * dt
-        quarter, half, three_quarters, end = map(
-            pair, (t + 0.5 * h, t + h, (t + h) + 0.5 * h, t + dt))
-        vphi_half, d1 = transport_step(params, vphi, (start, half, quarter), h, t)
+        first, half = start[t], pair(t + h)
+        vphi_half, d1 = transport_step(params, vphi,
+                                       (first, half, pair(t + 0.5 * h)), h, t)
+        end = pair(t + dt)
         vphi_full, d2 = transport_step(params, vphi_half,
-                                       (half, end, three_quarters), h, t + h)
-        phi, u, mdiag = momentum_step(params, phi, u, (start, half, end),
+                                       (half, end, pair((t + h) + 0.5 * h)),
+                                       h, t + h)
+        phi, u, mdiag = momentum_step(params, phi, u, (first, half, end),
                                       coeffs.eta, (vphi, vphi_half, vphi_full),
                                       dt, t)
-        start = end
+        start = {t + dt: end}
         return (vphi_full, phi, u,
                 d1.clip_count + d2.clip_count + mdiag.clip_count,
                 d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)

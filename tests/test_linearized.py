@@ -12,6 +12,7 @@ from vacflow import linearized, operators
 from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.linearized import (
     DEFAULT_CFL_SAFETY,
+    AnalyticCoefficients,
     FrozenCoefficients,
     SolverAbort,
     Trajectory,
@@ -425,7 +426,6 @@ def test_trajectory_validation_and_lookup():
                          floor=None)
     with pytest.raises(ValueError, match="clip tolerance"):
         stacked([zero, signed], [0.0, 1.0])
-    stacked([zero, signed], [0.0, 1.0], floor=None)
     traj = stacked([zero, one, zero], [0.0, 0.5, 1.0])
     got = traj.state(1)
     assert got.time == 0.5
@@ -584,6 +584,39 @@ def test_interpolated_stages_stay_few_when_a_sample_interval_holds_many_steps(
     assert len(built) == 2 + 4 * 40 - 1
 
 
+def test_a_step_after_a_snapped_landing_reads_its_stage_at_the_sample(
+        monkeypatch):
+    # dt1 + (0.3 - dt1) misses the sample 0.3 by roundoff, so march snaps
+    # the landing onto it: the next step starts at 0.3 and must read its
+    # coefficients and forcing there, not at the landing step's t + dt
+    dt1 = 0.002529380658245123
+    assert dt1 + (0.3 - dt1) != 0.3
+    sizes = iter([dt1, 0.3, 0.3])
+    monkeypatch.setattr(linearized, "adaptive_dt", lambda *args: next(sizes))
+    g = Grid(dim=1, n=16, box_length=2.0 * np.pi)
+    zeros, asked = np.zeros(g.shape), []
+    provider = AnalyticCoefficients(lambda t: zeros[None], lambda t: zeros,
+                                    lambda t: zeros)
+    forced = []
+
+    def forcing(t):
+        forced.append(t)
+        return np.zeros((3,) + g.shape)
+
+    stage = provider.stage
+    provider.stage = lambda grid, t: asked.append(t) or stage(grid, t)
+    init = ReformState(ScalarField(g, zeros), ScalarField(g, zeros),
+                       VectorField(g, zeros[None]))
+    coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=0.6,
+                                sample_dt=0.3, forcing=forcing)
+    traj = solve_linearized(init, coeffs, soft_params())
+    assert traj.times == [0.0, 0.3, 0.6]
+    # each stage time once, the landing's end and the snapped sample both
+    for times in (asked, forced):
+        assert 0.3 in times and dt1 + (0.3 - dt1) in times
+        assert len(times) == len(set(times)) == 2 + 4 * 3
+
+
 def seven_exponential_update(p, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
     """The IF-RK3 update as first written, one exponential per term, on the
     spectra the step carries."""
@@ -617,7 +650,9 @@ def test_four_exponential_update_equals_the_seven_exponential_form(seed, dim):
     rng = np.random.default_rng(seed)
     provider = random_trajectory(g, [0.0, 0.01, 0.02], seed + 1)
     coeffs = FrozenCoefficients(provider=provider, eta=0.1, t_window=0.02)
-    phi = ScalarField(g, rng.uniform(0.0, 0.7, g.shape))
+    # the step clips negative phi, so phi rides on a constant that keeps it
+    # positive
+    phi = ScalarField(g, 1.0 + rng.uniform(0.0, 0.7, g.shape))
     u = VectorField(g, rng.uniform(-0.3, 0.3, (dim,) + g.shape))
     stages_vphi = tuple(rng.uniform(0.1, 0.9, g.shape) for _ in range(3))
     dt, t = 0.004, 0.003
