@@ -178,11 +178,13 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     The diagnostics run as run_forked jobs over the final trajectory, which
     the children inherit. Returns the summary dictionary; raises SolverAbort
     or ContinuationError after writing failure.json when the solve dies, and
-    LostChild when a diagnostics child does."""
-    os.makedirs(out_dir, exist_ok=True)
+    LostChild when a diagnostics child does. The parameters and the initial
+    data are checked before out_dir is created, so refused input leaves no
+    directory behind."""
     params = cfg.fluid_params()
     rho0, u0, _ = _initial_data(cfg, params, scale)
     init = reform_state_from_density(rho0, u0, params)
+    os.makedirs(out_dir, exist_ok=True)
 
     resolved = os.path.join(out_dir, "resolved_config.ini")
     write_resolved(cfg, resolved)
@@ -329,11 +331,6 @@ def cmd_run(args) -> int:
         return code
     out_dir = args.out or cfg.directory or "."
     try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        return _fail(f"cannot create output directory {out_dir}: {exc}",
-                     EXIT_IO)
-    try:
         summary = run_pipeline(cfg, out_dir, args.seed, args.snapshots)
     except ParameterError as exc:
         return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
@@ -343,6 +340,9 @@ def cmd_run(args) -> int:
         return _fail(f"solver failure: {exc} (see failure.json)",
                      EXIT_SOLVER)
     except OSError as exc:
+        if not os.path.isdir(out_dir):
+            return _fail(f"cannot create output directory {out_dir}: {exc}",
+                         EXIT_IO)
         return _fail(f"cannot write bundle: {exc}", EXIT_IO)
     print(f"run complete: t_valid = {summary['validity']['t_valid']:g} "
           f"of T = {cfg.t_window:g}")

@@ -39,7 +39,6 @@ import numpy as np
 from .fields import quadrature_l2
 from .linearized import (
     DEFAULT_CFL_SAFETY,
-    DEFAULT_SAMPLES_PER_WINDOW,
     FrozenCoefficients,
     SolverAbort,
     Trajectory,
@@ -299,11 +298,13 @@ def _window(grid, n: int) -> tuple:
 
 def picard_solve(init: ReformState, params: FluidParams, eta: float,
                  t_window: float, picard_tol: float = DEFAULT_PICARD_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER, *,
-                 cfl_safety: float = DEFAULT_CFL_SAFETY,
-                 sample_dt: float | None = None) -> tuple[Trajectory, PicardTrace]:
+                 max_iter: int = DEFAULT_MAX_ITER, *, sample_dt: float,
+                 cfl_safety: float = DEFAULT_CFL_SAFETY
+                 ) -> tuple[Trajectory, PicardTrace]:
     """Iterate linearized window solves until the sup-in-time squared L2
-    change between consecutive iterates drops to picard_tol.
+    change between consecutive iterates drops to picard_tol. Every iterate
+    is sampled at sample_times(t_window, sample_dt), and the metric reads
+    those samples.
 
     Each pass freezes the advecting velocity and both stretch coefficients
     at the previous iterate, transports the viscosity proxy first, and then
@@ -327,8 +328,6 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     if ident > IDENTITY_GUARD:
         raise ParameterError("exponent identities",
                              f"derived-constant residual {ident:.3e}")
-    if sample_dt is None:
-        sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
     grid = init.grid
     times = sample_times(t_window, sample_dt)
     n = len(times)
@@ -341,8 +340,8 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
 
     def iterate(k: int):
         """Iterate k, written into windows[k] from windows[k - 1]: its
-        times, step sizes, clip counts and clipped mass, the sups of the
-        three gap terms, and the wall time.
+        step sizes, clip counts and clipped mass, the sups of the three gap
+        terms, and the wall time.
 
         Forked, it reads sample j of its predecessor once counts[k - 1] has
         counted it, and it holds back its own count until its running
@@ -387,7 +386,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             t_window=t_window, cfl_safety=cfl_safety, sample_dt=sample_dt)
         traj = solve_linearized(init, coeffs, params, stacks=own,
                                 on_sample=on_sample)
-        fields = traj.times, traj.dt_history, traj.clip_counts, traj.clipped_mass
+        fields = traj.dt_history, traj.clip_counts, traj.clipped_mass
         return fields, tuple(sups), time.perf_counter() - tic
 
     def jobs():
@@ -423,8 +422,8 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     finally:
         for fd in (*counts.values(), *lifeline):
             os.close(fd)
-    out_times, dt_history, clip_counts, clipped_mass = fields
-    cur = Trajectory(grid, out_times, *windows[k], dt_history=dt_history,
+    dt_history, clip_counts, clipped_mass = fields
+    cur = Trajectory(grid, times, *windows[k], dt_history=dt_history,
                      clip_counts=clip_counts, clipped_mass=clipped_mass, eta=eta)
     trace = PicardTrace(iterations=tuple(iterations), stop_reason=reason,
                         final_k=k)
@@ -489,9 +488,8 @@ def write_continuation_csv(report: ContinuationReport, path) -> None:
 def eta_continuation(init: ReformState, params: FluidParams,
                      schedule: EtaSchedule, t_window: float,
                      picard_tol: float = DEFAULT_PICARD_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER, *,
-                     cfl_safety: float = DEFAULT_CFL_SAFETY,
-                     sample_dt: float | None = None
+                     max_iter: int = DEFAULT_MAX_ITER, *, sample_dt: float,
+                     cfl_safety: float = DEFAULT_CFL_SAFETY
                      ) -> tuple[Trajectory, ContinuationReport]:
     """Solve every regularization level and measure how far consecutive
     solutions sit from each other. The levels are independent solves, so

@@ -164,16 +164,18 @@ class TrajectoryCoefficients:
 @dataclass
 class FrozenCoefficients:
     """Everything a linearized solve needs besides the initial state: the
-    coefficient provider, the degeneracy shift eta, the window length,
-    stepping controls, and the forcing, a map from t to rows stacked like
-    (vphi, phi, u), or None. dt = None selects the adaptive step."""
+    coefficient provider, the degeneracy shift eta, the window length and
+    its sample interval (the solve records sample_times(t_window,
+    sample_dt)), stepping controls, and the forcing, a map from t to rows
+    stacked like (vphi, phi, u), or None. dt = None selects the adaptive
+    step."""
 
     provider: object
     eta: float
     t_window: float
+    sample_dt: float
     dt: float | None = None
     cfl_safety: float = DEFAULT_CFL_SAFETY
-    sample_dt: float | None = None
     forcing: object = None
 
     def __post_init__(self):
@@ -391,6 +393,8 @@ class Trajectory:
 def sample_times(t_window: float, sample_dt: float) -> list:
     """The sample times of a window: 0, the multiples of sample_dt below
     t_window, and t_window itself."""
+    if not sample_dt > 0:
+        raise ValueError(f"sample_dt must be positive, got {sample_dt}")
     tol = 1e-12 * max(1.0, t_window)
     times = [0.0]
     k = 1
@@ -401,84 +405,70 @@ def sample_times(t_window: float, sample_dt: float) -> list:
     return times
 
 
-def march(t_window: float, sample_dt: float | None, next_dt, advance) -> None:
-    """Step time across [0, t_window], landing exactly on the sample times.
+def march(t_window: float, sample_dt: float, next_dt, advance) -> None:
+    """Step time across [0, t_window], landing exactly on each sample time
+    of sample_times(t_window, sample_dt) after 0 in turn.
 
-    The sample times are sample_times(t_window, sample_dt) after 0;
-    sample_dt = None makes every step a sample. Each step asks next_dt(t) for
-    a size, cuts it to land on the next sample when it would reach or pass
-    it, snaps the new time onto that sample, and calls advance(t, dt, t_new,
-    at_sample). A step at or below 1e-13 max(t_window, 1) aborts with a
-    step-size underflow."""
-    tol = 1e-12 * max(1.0, t_window)
-    samples = None if sample_dt is None else sample_times(t_window, sample_dt)[1:]
-
-    t = 0.0
-    sample_idx = 0
+    Each step asks next_dt(t) for a size, cuts it to land on the next sample
+    when it would reach or pass it, snaps the new time onto that sample, and
+    calls advance(t, dt, t_new, at_sample). A step at or below
+    1e-13 max(t_window, 1) aborts with a step-size underflow."""
     dt_floor = 1e-13 * max(t_window, 1.0)
-    while t < t_window - tol:
-        dt = next_dt(t)
-        t_target = samples[sample_idx] if samples is not None else t_window
+    t = 0.0
+    for t_target in sample_times(t_window, sample_dt)[1:]:
         target_tol = 1e-12 * max(1.0, t_target)
-        if t + dt >= t_target - target_tol:
-            dt = t_target - t
-        if dt <= dt_floor:
-            raise SolverAbort("step size underflow", t, f"dt = {dt:.3e}")
-        t_new = t_target if abs(t + dt - t_target) <= target_tol else t + dt
-        at_sample = samples is None or t_new == t_target
-        advance(t, dt, t_new, at_sample)
-        if samples is not None and at_sample:
-            sample_idx += 1
-        t = t_new
+        while t < t_target:
+            dt = next_dt(t)
+            if t + dt >= t_target - target_tol:
+                dt = t_target - t
+            if dt <= dt_floor:
+                raise SolverAbort("step size underflow", t, f"dt = {dt:.3e}")
+            t_new = t_target if abs(t + dt - t_target) <= target_tol else t + dt
+            advance(t, dt, t_new, t_new == t_target)
+            t = t_new
 
 
-def record_window(init: ReformState, t_window: float, sample_dt: float | None,
+def record_window(init: ReformState, t_window: float, sample_dt: float,
                   next_dt, step, *, eta: float, stacks=None,
                   on_sample=None) -> Trajectory:
-    """March init across [0, t_window] and record the window. step(t, dt,
-    vphi, phi, u) returns the fields after one step followed by its clip
-    count and clipped mass.
+    """March init across [0, t_window] and record the window at
+    sample_times(t_window, sample_dt). step(t, dt, vphi, phi, u) returns the
+    fields after one step followed by its clip count and clipped mass.
 
     Each sample is written into stacks allocated once per window, sized by
     sample_times, and the trajectory takes the stacks as they are: a window
     never exists twice, so a caller holds only the windows it keeps plus the
-    one being written. With sample_dt None, every step is a sample and the
-    stacks double whenever they fill. A caller may pass the (vphi, phi, u)
-    stacks, sized by sample_times, for instance in memory another process
-    reads while they fill; on_sample(i) is called once sample i is written,
-    sample 0 included."""
+    one being written. A caller may pass the (vphi, phi, u) stacks, sized by
+    sample_times, for instance in memory another process reads while they
+    fill; on_sample(i) is called once sample i is written, sample 0
+    included."""
     fields = (init.vphi, init.phi, init.u)
-    times = [0.0]
+    times = sample_times(t_window, sample_dt)
     if stacks is None:
-        size = 2 if sample_dt is None else len(sample_times(t_window, sample_dt))
-        stacks = [np.empty((size,) + f.values.shape) for f in fields]
+        stacks = [np.empty((len(times),) + f.values.shape) for f in fields]
     dt_history, clip_counts, clipped_mass = [], [], []
+    samples = iter(range(len(times)))
 
-    def write(n: int) -> None:
+    def write() -> None:
+        n = next(samples)
         for stack, f in zip(stacks, fields):
             stack[n] = f.values
         if on_sample is not None:
             on_sample(n)
 
     def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
-        nonlocal fields, stacks
+        nonlocal fields
         *fields, count, mass = step(t, dt, *fields)
         dt_history.append(dt)
         clip_counts.append(count)
         clipped_mass.append(mass)
         if at_sample:
-            n = len(times)
-            if n == len(stacks[0]):
-                stacks = [np.concatenate((s, np.empty_like(s))) for s in stacks]
-            write(n)
-            times.append(t_new)
+            write()
 
-    write(0)
+    write()
     march(t_window, sample_dt, next_dt, advance)
-    n = len(times)
-    return Trajectory(init.grid, times, *(s[:n] for s in stacks),
-                      dt_history=dt_history, clip_counts=clip_counts,
-                      clipped_mass=clipped_mass, eta=eta)
+    return Trajectory(init.grid, times, *stacks, dt_history=dt_history,
+                      clip_counts=clip_counts, clipped_mass=clipped_mass, eta=eta)
 
 
 def adaptive_dt(params: FluidParams, grid: Grid, v: np.ndarray,

@@ -26,7 +26,6 @@ import numpy as np
 from .fields import Grid, ScalarField, VectorField, quadrature_l2
 from .linearized import (
     DEFAULT_CFL_SAFETY,
-    DEFAULT_SAMPLES_PER_WINDOW,
     AnalyticCoefficients,
     FrozenCoefficients,
     SolverAbort,
@@ -86,14 +85,14 @@ def oracle_dt(grid: Grid, params: FluidParams, rho: np.ndarray,
 
 
 def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
-                    t_window: float, *, dt: float | None = None, forcing=None,
-                    sample_dt: float | None = None) -> PrimitiveTrajectory:
+                    t_window: float, *, sample_dt: float,
+                    dt: float | None = None, forcing=None) -> PrimitiveTrajectory:
     """Explicit RK4 march of the primitive system on [0, t_window].
 
     forcing, when given, is a callable t -> (mass_term, momentum_term)
     added to the right sides. Sampling mirrors the main solver: states are
-    recorded at multiples of sample_dt plus the window end, or at every
-    step when sample_dt is None.
+    recorded at sample_times(t_window, sample_dt), the multiples of
+    sample_dt plus the window end.
     """
     grid = rho0.grid
     if u0.grid != grid:
@@ -300,22 +299,21 @@ def reform_mms_error(case: ManufacturedCase, dt: float, t_window: float) -> floa
     """Final-time L2 error of the main time integrator at eta = 0, fed
     exact coefficients and its own discrete forcing."""
     coeffs = FrozenCoefficients(provider=case.coefficients(), eta=0.0,
-                                t_window=t_window, dt=dt,
+                                t_window=t_window, sample_dt=t_window, dt=dt,
                                 forcing=case.reform_forcing(0.0))
     traj = solve_linearized(case.state(0.0), coeffs, case.params)
-    return _state_error(traj.final, case.state(traj.times[-1]))
+    return _state_error(traj.final, case.state(t_window))
 
 
 def oracle_mms_error(case: ManufacturedCase, dt: float,
                      t_window: float) -> float:
     rho0, u0 = case.primitive_state(0.0)
-    traj = primitive_solve(rho0, u0, case.params, t_window, dt=dt,
-                           forcing=case.primitive_forcing())
+    traj = primitive_solve(rho0, u0, case.params, t_window, sample_dt=t_window,
+                           dt=dt, forcing=case.primitive_forcing())
     grid = case.grid
-    t_end = traj.times[-1]
     return max(
-        quadrature_l2(grid, traj.final.rho.values - case.rho(t_end)),
-        quadrature_l2(grid, traj.final.u.values - case.u(t_end)),
+        quadrature_l2(grid, traj.final.rho.values - case.rho(t_window)),
+        quadrature_l2(grid, traj.final.u.values - case.u(t_window)),
     )
 
 
@@ -379,7 +377,7 @@ class CrossCompareReport:
 
 
 def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
-                  t_window: float, *, sample_dt: float | None = None,
+                  t_window: float, *, sample_dt: float,
                   picard_tol: float = DEFAULT_PICARD_TOL,
                   max_iter: int = DEFAULT_MAX_ITER,
                   cfl_safety: float = DEFAULT_CFL_SAFETY) -> CrossCompareReport:
@@ -390,8 +388,6 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
         raise ValueError("oracle requires min rho > 0; this comparison is "
                          "only defined away from vacuum")
     grid = rho0.grid
-    if sample_dt is None:
-        sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
 
     init = reform_state_from_density(rho0, u0, params)
     # neither solve reads the other, so they run concurrently

@@ -217,8 +217,9 @@ def _check_values(cfg: RunConfig) -> None:
         raise ConfigError(
             f"[initial] center has {len(cfg.center)} coordinates for "
             f"dim = {cfg.dim}")
-    if not cfg.t_window > 0:
-        raise ConfigError(f"t_window must be positive, got {cfg.t_window}")
+    if not 0 < cfg.t_window < math.inf:
+        raise ConfigError(
+            f"t_window must be positive and finite, got {cfg.t_window}")
     # the vacuum clause differences three of the cadence + 1 samples
     if cfg.cadence < 2:
         raise ConfigError(f"cadence must be >= 2, got {cfg.cadence}")

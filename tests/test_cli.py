@@ -311,6 +311,39 @@ def test_a_center_that_is_not_finite_is_rejected(tmp_path, capsys, command):
     cfg = write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "center must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"delta1 = 1.5": "delta1 = 2.0", "delta2 = 2.5": "delta2 = 3.0"},
+     "parameter constraint violated"),
+    ({"beta = 0.5": "beta = -1.0", "amplitude = 0.2": "amplitude = 0.5"},
+     "initial data violates the density cap"),
+], ids=["parameters", "density-cap"])
+def test_a_refused_run_creates_no_output_directory(tmp_path, capsys, edits,
+                                                   message):
+    text = BASE.format(beta="0.5", amplitude="0.2")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    out_dir = tmp_path / "o" / "nested"
+    assert main(["run", "--config", write(tmp_path, text),
+                 "--out", str(out_dir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_t_window_that_is_not_positive_and_finite_is_rejected(
+        tmp_path, capsys, command, value):
+    text = BASE.format(beta="0.5", amplitude="0.2").replace(
+        "t_window = 0.005", f"t_window = {value}")
+    cfg = write(tmp_path, text)
+    with pytest.raises(vacflow.runconfig.ConfigError, match="t_window"):
+        vacflow.runconfig.load_config(cfg)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "t_window must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -369,7 +402,7 @@ def test_sweep_flags_rejected_rows(tmp_path, capsys):
     assert rows[2].split(",")[2] == "rejected"
     assert "density cap" in rows[2]
     assert (out_dir / "row_00_scale_1" / "summary.json").is_file()
-    assert (out_dir / "row_01_scale_2").is_dir()
+    assert not (out_dir / "row_01_scale_2").exists()
 
 
 def test_a_sweep_row_that_cannot_write_its_bundle_fails_and_the_sweep_goes_on(

@@ -32,6 +32,7 @@ from vacflow.diagnostics import (
 from vacflow.fields import Grid, ScalarField, VectorField, quadrature_l2, sobolev_norm
 from vacflow.fixedpoint import picard_solve
 from vacflow.initial_data import bump_density, reform_state_from_density
+from vacflow.linearized import DEFAULT_SAMPLES_PER_WINDOW
 from vacflow.operators import ReformState, advect, momentum_rhs_symmetric, stable_power
 from vacflow.oracle import default_case
 from vacflow.params import validate_params
@@ -413,7 +414,8 @@ def test_characteristics_agree_with_a_solved_run():
     rho = ScalarField(g, 0.5 + 0.2 * np.cos(x))
     u = VectorField(g, 0.2 * np.sin(x)[None, :])
     init = reform_state_from_density(rho, u, p)
-    traj, trace = picard_solve(init, p, 0.0, 0.05, picard_tol=1e-12)
+    traj, trace = picard_solve(init, p, 0.0, 0.05, picard_tol=1e-12,
+                               sample_dt=0.05 / DEFAULT_SAMPLES_PER_WINDOW)
     assert trace.converged
     rep = characteristics_check(traj, p, n_particles=48, seed=3)
     assert rep.traced == 48

@@ -75,13 +75,16 @@ def trajectory_gap(a, b):
 def test_picard_validates_window_and_iteration_budget():
     p = soft_params()
     with pytest.raises(ValueError, match="t_window"):
-        picard_solve(zero_state(), p, 0.5, 0.0)
+        picard_solve(zero_state(), p, 0.5, 0.0,
+                     sample_dt=0.0 / DEFAULT_SAMPLES_PER_WINDOW)
     with pytest.raises(ValueError, match="max_iter"):
-        picard_solve(zero_state(), p, 0.5, 0.1, max_iter=0)
+        picard_solve(zero_state(), p, 0.5, 0.1, max_iter=0,
+                     sample_dt=0.1 / DEFAULT_SAMPLES_PER_WINDOW)
 
 
 def test_zero_data_converges_in_one_iteration_with_zero_metric():
-    traj, trace = picard_solve(zero_state(), soft_params(), 0.5, 0.01)
+    traj, trace = picard_solve(zero_state(), soft_params(), 0.5, 0.01,
+                               sample_dt=0.01 / DEFAULT_SAMPLES_PER_WINDOW)
     assert trace.converged
     assert trace.final_k == 1
     assert trace.final_S == 0.0
@@ -92,7 +95,8 @@ def test_zero_data_converges_in_one_iteration_with_zero_metric():
 def test_picard_contracts_geometrically_on_smooth_data():
     init = positive_state()
     traj, trace = picard_solve(init, soft_params(), 0.25, 0.005,
-                               picard_tol=1e-16, max_iter=8)
+                               picard_tol=1e-16, max_iter=8,
+                               sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     positives = [it.S_k for it in trace.iterations if it.S_k > 0.0]
     assert len(positives) >= 3
     ratio = trace.geometric_ratio()
@@ -105,7 +109,8 @@ def test_fixed_point_residual_small_after_convergence():
     init = positive_state()
     tol = 1e-12
     traj, trace = picard_solve(init, soft_params(), 0.25, 0.005,
-                               picard_tol=tol)
+                               picard_tol=tol,
+                               sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     assert trace.converged
     # one more linearized solve from the converged trajectory barely moves
     # it, in the metric the iteration uses
@@ -203,8 +208,10 @@ def test_single_level_continuation_equals_direct_picard():
     init = positive_state(n=32)
     p = soft_params()
     sched = EtaSchedule(eta0=0.25, factor=0.5, max_levels=1, cauchy_tol=1e-9)
-    traj_c, report = eta_continuation(init, p, sched, 0.004)
-    traj_d, _ = picard_solve(init, p, 0.25, 0.004)
+    traj_c, report = eta_continuation(init, p, sched, 0.004,
+                                      sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)
+    traj_d, _ = picard_solve(init, p, 0.25, 0.004,
+                             sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)
     assert len(report.levels) == 1
     assert math.isnan(report.levels[0].distance)
     assert report.distances == []
@@ -220,12 +227,14 @@ def test_continuation_limit_matches_the_unregularized_solve():
     cauchy_tol = 1e-4
     sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=20,
                         cauchy_tol=cauchy_tol)
-    traj, report = eta_continuation(init, p, sched, 0.005, picard_tol=1e-12)
+    traj, report = eta_continuation(init, p, sched, 0.005, picard_tol=1e-12,
+                                    sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     assert report.reached_tol
     assert report.distances == sorted(report.distances, reverse=True)
     # the levels past the stop were still running when it came
     assert_no_children()
-    direct, _ = picard_solve(init, p, 0.0, 0.005, picard_tol=1e-12)
+    direct, _ = picard_solve(init, p, 0.0, 0.005, picard_tol=1e-12,
+                             sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     assert trajectory_distance(traj, direct) <= 2.0 * cauchy_tol
 
 
@@ -234,7 +243,8 @@ def test_failed_level_raises_with_its_index():
     sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-9)
     with pytest.raises(ContinuationError, match="no convergence") as err:
         eta_continuation(init, soft_params(), sched, 0.004,
-                         picard_tol=0.0, max_iter=1)
+                         picard_tol=0.0, max_iter=1,
+                         sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)
     assert err.value.level == 0
     # raised in this process while the later levels still ran
     assert_no_children()
@@ -252,9 +262,12 @@ def test_continuation_levels_equal_in_process_solves_bit_for_bit():
     init = positive_state(n=32)
     p = soft_params()
     sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
-    traj, report = eta_continuation(init, p, sched, 0.004)
+    traj, report = eta_continuation(init, p, sched, 0.004,
+                                    sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)
     assert_no_children()
-    solves = [picard_solve(init, p, eta, 0.004) for eta in sched.levels()]
+    solves = [picard_solve(init, p, eta, 0.004,
+                           sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)
+              for eta in sched.levels()]
     assert [lv.picard_S for lv in report.levels] == \
         [trace.final_S for _, trace in solves]
     assert [lv.picard_iters for lv in report.levels] == \
@@ -286,7 +299,8 @@ def test_abort_in_one_level_child_surfaces_with_its_index(monkeypatch):
 
     monkeypatch.setattr(vacflow.fixedpoint, "picard_solve", abort_level_one)
     with pytest.raises(ContinuationError, match="injected failure") as err:
-        eta_continuation(init, soft_params(), sched, 0.004)
+        eta_continuation(init, soft_params(), sched, 0.004,
+                         sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)
     assert err.value.level == 1
     cause = err.value.__cause__
     assert isinstance(cause, SolverAbort)
@@ -472,7 +486,8 @@ SOLVES = {
 @pytest.mark.parametrize("case", sorted(SOLVES))
 def test_pipelined_picard_equals_the_sequential_loop_bit_for_bit(case):
     (init, params), eta, t_window, tol, max_iter = SOLVES[case]()
-    got = picard_solve(init, params, eta, t_window, tol, max_iter)
+    got = picard_solve(init, params, eta, t_window, tol, max_iter,
+                       sample_dt=t_window / DEFAULT_SAMPLES_PER_WINDOW)
     assert_no_children()
     assert_same_solve(got, sequential_picard(init, params, eta, t_window,
                                              tol, max_iter))
@@ -482,7 +497,8 @@ def test_pipelined_picard_equals_the_sequential_loop_bit_for_bit(case):
 def test_without_fork_or_eventfd_the_iterates_run_in_this_process(
         monkeypatch, missing):
     init, p = positive_state(), soft_params()
-    forked = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
+    forked = picard_solve(init, p, 0.25, 0.005, 1e-16, 8,
+                          sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     monkeypatch.delattr(os, missing)
     ran_in = set()
     solve = vacflow.fixedpoint.solve_linearized
@@ -492,7 +508,8 @@ def test_without_fork_or_eventfd_the_iterates_run_in_this_process(
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", recorded)
-    inline = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
+    inline = picard_solve(init, p, 0.25, 0.005, 1e-16, 8,
+                          sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     assert ran_in == {os.getpid()}
     traj, trace = forked
     assert_same_solve(inline, (traj, [(it.k, it.S_k, it.linf_delta)
@@ -567,7 +584,8 @@ def logged_iterates(monkeypatch):
 
 def test_zero_data_steps_exactly_one_iterate_past_sample_zero(monkeypatch):
     written, _, tag = logged_iterates(monkeypatch)
-    _, trace = picard_solve(zero_state(), soft_params(), 0.5, 0.01)
+    _, trace = picard_solve(zero_state(), soft_params(), 0.5, 0.01,
+                            sample_dt=0.01 / DEFAULT_SAMPLES_PER_WINDOW)
     assert trace.final_k == 1 and trace.final_S == 0.0
     assert tag["k"] > 1     # its successors were forked, then killed
     assert np.flatnonzero(written).tolist() == [1]
@@ -577,7 +595,8 @@ def test_an_iterate_starts_only_once_its_predecessor_passed_the_tolerance(
         monkeypatch):
     written, first, _ = logged_iterates(monkeypatch)
     tol = 1e-10
-    _, trace = picard_solve(positive_state(), soft_params(), 0.25, 0.005, tol)
+    _, trace = picard_solve(positive_state(), soft_params(), 0.25, 0.005, tol,
+                            sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     assert trace.converged
     assert np.flatnonzero(written).tolist() == list(range(1, trace.final_k + 1))
     for metric, _ in first[2:trace.final_k + 1]:
@@ -588,10 +607,12 @@ def test_an_iterate_starts_only_once_its_predecessor_passed_the_tolerance(
 
 def test_iterates_in_flight_stay_within_one_per_cpu_plus_one(monkeypatch):
     init, p = positive_state(), soft_params()
-    want = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
+    want = picard_solve(init, p, 0.25, 0.005, 1e-16, 8,
+                        sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     tag = tagged_iterates(monkeypatch)
-    got = picard_solve(init, p, 0.25, 0.005, 1e-16, 8)
+    got = picard_solve(init, p, 0.25, 0.005, 1e-16, 8,
+                       sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     assert tag["peak"] == 2
     traj, trace = want
     assert_same_solve(got, (traj, [(it.k, it.S_k, it.linf_delta)
@@ -621,7 +642,8 @@ def test_abort_in_iterate_two_surfaces_unchanged_and_kills_the_rest(
 
     tag = fail_iterate_two(monkeypatch, abort)
     with pytest.raises(SolverAbort) as err:
-        picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
+        picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8,
+                     sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     assert (err.value.reason, err.value.time, err.value.detail) == \
         ("injected failure", 0.003, "iterate two only")
     assert tag["k"] >= 3    # a later iterate was in flight, and was killed
@@ -631,14 +653,16 @@ def test_abort_in_iterate_two_surfaces_unchanged_and_kills_the_rest(
 def test_an_iterate_that_dies_without_a_result_is_an_error(monkeypatch):
     fail_iterate_two(monkeypatch, lambda: os._exit(3))
     with pytest.raises(LostChild, match="iterate 2 ended without a result"):
-        picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
+        picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8,
+                     sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     assert_no_children()
 
 
 def test_a_lost_iterate_is_named_by_its_label(monkeypatch):
     fail_iterate_two(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(LostChild) as err:
-        picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
+        picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8,
+                     sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     assert str(err.value) == \
         "iterate 2 ended without a result (killed by SIGKILL)"
     assert_no_children()
@@ -669,7 +693,8 @@ def test_iterates_leave_once_their_solve_is_killed(monkeypatch):
     if solver == 0:
         try:
             os.close(held_r)
-            picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8)
+            picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8,
+                         sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
         finally:
             os._exit(0)
     os.close(held_w)
@@ -711,7 +736,8 @@ def test_iterates_leave_once_their_solve_is_killed(monkeypatch):
 
 def test_a_diverging_solve_stops_before_its_budget():
     init, p = diverging_state()
-    _, trace = picard_solve(init, p, 0.25, 3.0, max_iter=50)
+    _, trace = picard_solve(init, p, 0.25, 3.0, max_iter=50,
+                            sample_dt=3.0 / DEFAULT_SAMPLES_PER_WINDOW)
     assert trace.stop_reason == "diverging" and not trace.converged
     assert trace.final_k < 50
     last = [it.S_k for it in trace.iterations[-DIVERGING_GROWTHS - 1:]]
@@ -719,4 +745,5 @@ def test_a_diverging_solve_stops_before_its_budget():
     assert_no_children()
     sched = EtaSchedule(eta0=0.25, factor=0.5, max_levels=1, cauchy_tol=1e-9)
     with pytest.raises(ContinuationError, match="stopped as diverging"):
-        eta_continuation(init, p, sched, 3.0)
+        eta_continuation(init, p, sched, 3.0,
+                         sample_dt=3.0 / DEFAULT_SAMPLES_PER_WINDOW)

@@ -38,6 +38,8 @@ def soft_params():
 
 
 def still_coeffs(grid, t_window, vphitilde=None, phitilde=None, **kw):
+    # one sample interval per window unless a test asks for a cadence
+    kw.setdefault("sample_dt", t_window)
     provider = frozen(
         v=np.zeros((grid.dim,) + grid.shape),
         phitilde=np.zeros(grid.shape) if phitilde is None else phitilde,
@@ -83,7 +85,8 @@ def test_transport_translation_is_third_order():
     exact = 1.0 + 0.5 * np.sin(x - c * T)
 
     def run(steps):
-        coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=T)
+        coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=T,
+                                    sample_dt=T)
         f = ScalarField(g, f0)
         dt = T / steps
         for k in range(steps):
@@ -110,7 +113,8 @@ def test_transport_matches_textbook_recursion():
 
     provider = frozen(v=v[None, :], phitilde=np.zeros(n),
                                     vphitilde=np.full(n, w0))
-    coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0)
+    coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0,
+                                sample_dt=1.0)
     got, _ = transport(p, ScalarField(g, f0), coeffs, dt)
 
     ik = 1j * np.fft.fftfreq(n, 1.0 / n)
@@ -132,7 +136,8 @@ def test_transport_clip_reports_count_and_mass():
                                     vphitilde=np.ones(g.shape))
     f0 = ScalarField(g, np.full(g.shape, 1e-4))
 
-    clipped = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0)
+    clipped = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0,
+                                 sample_dt=1.0)
     out, diag = transport(p, f0, clipped, dt=0.01)
     assert diag.clip_count > 0
     assert diag.clipped_mass > 0.0
@@ -357,6 +362,48 @@ def test_record_window_holds_one_window_while_it_writes():
     assert peak < 1.2 * window
 
 
+@pytest.mark.parametrize("sample_dt", [0.0, -0.25, math.nan])
+def test_a_sample_interval_that_is_not_positive_is_refused(sample_dt):
+    with pytest.raises(ValueError, match="sample_dt must be positive"):
+        sample_times(1.0, sample_dt)
+    with pytest.raises(ValueError, match="sample_dt must be positive"):
+        march(1.0, sample_dt, lambda t: 0.1, lambda *args: None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(5, 8), m=st.integers(1, 4), q=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_cadence_decides_only_what_is_recorded(k, m, q, seed):
+    # a dyadic step makes every time sum exact, and the sample interval m dt
+    # divides the window q m dt: sampled every m steps or only at the end,
+    # the window takes the same steps and ends in the same bits
+    p = soft_params()
+    g = Grid(dim=1, n=16, box_length=2.0 * np.pi)
+    dt = 2.0 ** -k
+    t_window = q * m * dt
+    rng = np.random.default_rng(seed)
+    a, b = 0.1 * rng.standard_normal((2, 3) + g.shape)
+    init = ReformState(ScalarField(g, rng.uniform(0.1, 0.9, g.shape)),
+                       ScalarField(g, 1.0 + rng.uniform(0.0, 0.7, g.shape)),
+                       VectorField(g, rng.uniform(-0.3, 0.3, (1,) + g.shape)))
+
+    def solve(sample_dt):
+        provider = random_trajectory(g, [0.0, 0.3 * t_window, t_window], seed)
+        coeffs = FrozenCoefficients(provider=provider, eta=0.2,
+                                    t_window=t_window, sample_dt=sample_dt,
+                                    dt=dt, forcing=lambda t: a + t * b)
+        return solve_linearized(init, coeffs, p)
+
+    sampled, whole = solve(m * dt), solve(t_window)
+    assert sampled.times == sample_times(t_window, m * dt)
+    assert len(sampled.times) == q + 1
+    assert whole.times == [0.0, t_window]
+    assert sampled.dt_history == whole.dt_history == [dt] * (q * m)
+    for name in ("vphi", "phi", "u"):
+        assert np.array_equal(getattr(sampled, name)[-1],
+                              getattr(whole, name)[-1])
+
+
 @settings(max_examples=30, deadline=None)
 @given(t_window=st.floats(1e-4, 10.0), frac=st.floats(0.0, 0.99))
 def test_march_aborts_on_a_step_below_the_floor(t_window, frac):
@@ -381,8 +428,8 @@ def test_adaptive_dt_obeys_both_bounds_and_shrinks_with_speed():
 
 def test_the_adaptive_step_reads_the_masked_stage():
     # unresolved random coefficients, whose masked stage peaks elsewhere
-    # than the raw fields; with dt None and no sample cadence adaptive_dt
-    # alone sets the first step
+    # than the raw fields; with dt None and one sample interval spanning the
+    # window adaptive_dt alone sets the first step
     p = soft_params()
     g = Grid(dim=1, n=16, box_length=2.0 * np.pi)
     provider = random_trajectory(g, [0.0, 1.0], seed=3)
@@ -395,7 +442,7 @@ def test_the_adaptive_step_reads_the_masked_stage():
                        ScalarField(g, provider.phis[0]),
                        VectorField(g, provider.velocities[0]))
     coeffs = FrozenCoefficients(provider=provider, eta=0.2,
-                                t_window=1.5 * want)
+                                t_window=1.5 * want, sample_dt=1.5 * want)
     traj = solve_linearized(init, coeffs, p)
     assert traj.dt_history[0] == want
 
@@ -443,7 +490,8 @@ def test_trajectory_stacks_are_read_only_and_shared_with_the_provider():
         phi=ScalarField(g, np.full(g.shape, 0.5)),
         u=VectorField(g, np.zeros((2,) + g.shape)),
     )
-    traj = solve_linearized(init, still_coeffs(g, 0.02, dt=0.01), p)
+    traj = solve_linearized(init, still_coeffs(g, 0.02, dt=0.01, sample_dt=0.01),
+                            p)
     assert traj.vphi.shape == (3,) + g.shape
     assert traj.phi.shape == (3,) + g.shape
     assert traj.u.shape == (3, 2) + g.shape
@@ -649,7 +697,8 @@ def test_four_exponential_update_equals_the_seven_exponential_form(seed, dim):
     g = Grid(dim=dim, n=16, box_length=2.0 * np.pi)
     rng = np.random.default_rng(seed)
     provider = random_trajectory(g, [0.0, 0.01, 0.02], seed + 1)
-    coeffs = FrozenCoefficients(provider=provider, eta=0.1, t_window=0.02)
+    coeffs = FrozenCoefficients(provider=provider, eta=0.1, t_window=0.02,
+                                sample_dt=0.02)
     # the step clips negative phi, so phi rides on a constant that keeps it
     # positive
     phi = ScalarField(g, 1.0 + rng.uniform(0.0, 0.7, g.shape))
@@ -855,6 +904,7 @@ def test_spectral_steps_equal_the_physical_route(seed, dim, forced):
     a, b = rng.standard_normal((2, dim + 2) + g.shape)
     provider = random_trajectory(g, [0.0, 0.01, 0.02], seed + 1)
     coeffs = FrozenCoefficients(provider=provider, eta=0.1, t_window=0.02,
+                                sample_dt=0.02,
                                 forcing=(lambda t: a + t * b) if forced else None)
     # every window clips, so f and phi ride on a constant that keeps them
     # positive

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacflow.fields import Grid, ScalarField, VectorField, quadrature_l2
 from vacflow.initial_data import bump_density
@@ -11,6 +13,7 @@ from vacflow.linearized import (
     AnalyticCoefficients,
     FrozenCoefficients,
     SolverAbort,
+    sample_times,
     solve_linearized,
 )
 from vacflow.operators import ReformState
@@ -54,7 +57,7 @@ def test_constant_state_is_exactly_stationary():
     g = Grid(dim=1, n=32, box_length=L)
     rho0 = ScalarField(g, np.full(g.shape, 1.0))
     u0 = VectorField(g, np.zeros((1,) + g.shape))
-    traj = primitive_solve(rho0, u0, stiff_params(), 0.05)
+    traj = primitive_solve(rho0, u0, stiff_params(), 0.05, sample_dt=0.05)
     assert float(np.max(np.abs(traj.final.rho.values - 1.0))) <= 1e-12
     assert float(np.max(np.abs(traj.final.u.values))) <= 1e-12
 
@@ -64,7 +67,7 @@ def test_oracle_refuses_vacuum_data():
     rho0 = bump_density(g, 0.5, 0.8)
     u0 = VectorField(g, np.zeros((1,) + g.shape))
     with pytest.raises(ValueError, match="min rho"):
-        primitive_solve(rho0, u0, stiff_params(), 0.01)
+        primitive_solve(rho0, u0, stiff_params(), 0.01, sample_dt=0.01)
 
 
 def test_oracle_rejects_grid_mismatch():
@@ -73,12 +76,13 @@ def test_oracle_rejects_grid_mismatch():
     rho0 = ScalarField(g, np.full(g.shape, 1.0))
     u0 = VectorField(other, np.zeros((1,) + other.shape))
     with pytest.raises(ValueError, match="grids disagree"):
-        primitive_solve(rho0, u0, stiff_params(), 0.01)
+        primitive_solve(rho0, u0, stiff_params(), 0.01, sample_dt=0.01)
 
 
 def test_oracle_mass_drift_at_roundoff():
     rho0, u0 = smooth_positive()
-    traj = primitive_solve(rho0, u0, stiff_params(), 0.02)
+    # a cadence finer than the adaptive step, so every step is a sample
+    traj = primitive_solve(rho0, u0, stiff_params(), 0.02, sample_dt=0.02 / 64)
     # measured 2.8e-16: the continuity update is a pure derivative, so the
     # mean mode never moves
     assert oracle_mass_drift(traj) <= 1e-13
@@ -94,6 +98,34 @@ def test_oracle_sampling_times_with_fixed_dt():
                                        abs=1e-12)
     assert len(traj.states) == 5
     assert traj.final is traj.states[-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(6, 8), m=st.integers(1, 4), q=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_oracle_cadence_decides_only_what_is_recorded(k, m, q, seed):
+    # as for the main solver: a dyadic step and a sample interval m dt that
+    # divides the window give the same steps and the same final bits
+    g = Grid(dim=1, n=16, box_length=L)
+    dt = 2.0 ** -k
+    t_window = q * m * dt
+    rng = np.random.default_rng(seed)
+    rho0 = ScalarField(g, rng.uniform(0.8, 1.2, g.shape))
+    u0 = VectorField(g, rng.uniform(-0.1, 0.1, (1,) + g.shape))
+    g_rate, f_rate = 0.1 * rng.standard_normal((2, 1) + g.shape)
+
+    def solve(sample_dt):
+        return primitive_solve(rho0, u0, soft_viscosity_params(), t_window,
+                               sample_dt=sample_dt, dt=dt,
+                               forcing=lambda t: (t * g_rate[0], t * f_rate))
+
+    sampled, whole = solve(m * dt), solve(t_window)
+    assert sampled.times == sample_times(t_window, m * dt)
+    assert [s.time for s in sampled.states] == sampled.times
+    assert whole.times == [0.0, t_window]
+    assert sampled.dt_history == whole.dt_history == [dt] * (q * m)
+    assert np.array_equal(sampled.final.rho.values, whole.final.rho.values)
+    assert np.array_equal(sampled.final.u.values, whole.final.u.values)
 
 
 def test_both_solvers_sample_the_same_times():
@@ -123,7 +155,8 @@ def test_oracle_aborts_when_density_leaves_regime():
         return np.full(g.shape, -5e-8), np.zeros((1,) + g.shape)
 
     with pytest.raises(SolverAbort, match="oracle regime"):
-        primitive_solve(rho0, u0, stiff_params(), 1.0, forcing=drain)
+        primitive_solve(rho0, u0, stiff_params(), 1.0, sample_dt=1.0,
+                        forcing=drain)
 
 
 # -- manufactured cases -------------------------------------------------------
@@ -189,7 +222,8 @@ def test_manufactured_forcing_evaluates_each_stage_time_once(monkeypatch):
     finals = []
     for forcing in (case.reform_forcing(0.0), per_row):
         coeffs = FrozenCoefficients(provider=case.coefficients(), eta=0.0,
-                                    t_window=0.04, dt=0.01, forcing=forcing)
+                                    t_window=0.04, sample_dt=0.04, dt=0.01,
+                                    forcing=forcing)
         finals.append(solve_linearized(case.state(0.0), coeffs,
                                        case.params).final)
     for name in ("vphi", "phi", "u"):
@@ -228,7 +262,7 @@ def test_advection_temporal_order_three():
     zeros = np.zeros(g.shape)
     coeffs = FrozenCoefficients(
         provider=frozen(np.ones((1,) + g.shape), zeros, zeros),
-        eta=0.0, t_window=0.5)
+        eta=0.0, t_window=0.5, sample_dt=0.5)
     dts = [0.05, 0.025, 0.0125]
     errors = []
     for dt in dts:
@@ -313,4 +347,4 @@ def test_cross_compare_refuses_vacuum():
     rho0 = bump_density(g, 0.5, 0.8)
     u0 = VectorField(g, np.zeros((1,) + g.shape))
     with pytest.raises(ValueError, match="min rho"):
-        cross_compare(rho0, u0, stiff_params(), 0.01)
+        cross_compare(rho0, u0, stiff_params(), 0.01, sample_dt=0.01 / 32)

@@ -3,7 +3,7 @@ in src/vacflow is used by the program itself or by an acceptance
 criterion, every parameter with a default of a public function or method
 is passed by some call in src/ or tests/, and importing the bare package
 loads none of its modules. A coefficient provider has one public method,
-stage. One function forks child processes."""
+stage. No sample_dt has a default. One function forks child processes."""
 
 import ast
 import os
@@ -105,6 +105,34 @@ def test_a_coefficient_provider_has_one_method():
     assert extra == {}, (
         "a coefficient provider answers one question, its masked stage at "
         f"t; these define more public methods: {extra}")
+
+
+def test_no_sample_dt_has_a_default():
+    defaulted = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                names = [p.arg for p in positional[len(positional)
+                                                   - len(a.defaults):]]
+                names += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                where = getattr(node, "name", "<lambda>")
+            elif isinstance(node, ast.ClassDef):
+                names = [item.target.id for item in node.body
+                         if isinstance(item, ast.AnnAssign)
+                         and isinstance(item.target, ast.Name)
+                         and item.value is not None]
+                where = node.name
+            else:
+                continue
+            if "sample_dt" in names:
+                defaulted.append(f"{path.stem}.{where}")
+    assert defaulted == [], (
+        "every window is sampled on its cadence, so sample_dt is always "
+        f"passed; these give it a default: {defaulted}")
 
 
 class _Calls(ast.NodeVisitor):
