@@ -216,7 +216,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
                                           seed=seed)
     if "residual" in cfg.diagnostics:
         jobs["residual"] = partial(nonlinear_residual, traj, params,
-                                   eta=traj.eta)
+                                   eta=report.levels[-1].eta)
     try:
         results = dict(zip(jobs, list(run_forked(jobs.items()))))
     except LostChild as exc:
@@ -406,14 +406,14 @@ def cmd_sweep(args) -> int:
     header = ["row", "scale", "status", "t_valid", "c0", "c3", "m",
               "T_star_star", "mass_drift", "picard_iters", "note"]
     csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, row in enumerate(rows):
-            writer.writerow([i, repr(row["scale"]), row["status"],
-                             row["t_valid"], row["c0"], row["c3"], row["m"],
-                             row["T_star_star"], row["mass_drift"],
-                             row["picard_iters"], row["note"]])
+    try:
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([i, repr(row["scale"])] + [row[k] for k in header[2:]]
+                             for i, row in enumerate(rows))
+    except OSError as exc:
+        return _fail(f"cannot write sweep table: {exc}", EXIT_IO)
 
     rejected = sum(1 for r in rows if r["status"] == "rejected")
     failed = sum(1 for r in rows if r["status"] == "failed")
@@ -509,7 +509,9 @@ def cmd_oracle_compare(args) -> int:
     try:
         params = cfg.fluid_params()
         rho0, u0, _ = _initial_data(cfg, params)
-    except (ParameterError, ConfigError) as exc:
+    except ParameterError as exc:
+        return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
+    except ConfigError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     try:
         report = cross_compare(rho0, u0, params, cfg.t_window,

@@ -1,6 +1,6 @@
 """Post-processing for solved trajectories: the norm ledger with its
 thresholds and guaranteed horizons, validity bookkeeping, vacuum behavior,
-conservation totals, reconstruction back to primitive variables, particle
+conservation totals, the density recovered from the viscosity proxy, particle
 tracing along characteristics, and residuals of the full nonlinear system.
 
 Everything here treats trajectories as immutable inputs and recomputes what
@@ -40,9 +40,25 @@ SUPPORT_DUST_REL = 1e-5
 
 
 def density_of(vphi: np.ndarray, params: FluidParams) -> np.ndarray:
-    """Density recovered from viscosity-proxy values (the reference route),
-    one sample or a whole stack."""
+    """Density recovered from viscosity-proxy values, one sample or a whole
+    stack: the one route from the proxies back to rho."""
     return stable_power(vphi, 2.0 / (params.delta1 - 1.0))
+
+
+def _seam_buffer(grid: Grid, rho0: np.ndarray) -> float:
+    """How near the box seam the support of a density that starts as rho0
+    may come: an eighth of the box for compactly supported data, 0
+    otherwise."""
+    margin0 = support_margin(ScalarField(grid, rho0), VAC_EPS)
+    return (SEAM_FRACTION * grid.box_length
+            if math.isfinite(margin0) and margin0 > 0.0 else 0.0)
+
+
+def relative_drift(totals) -> float:
+    """The largest departure of a sequence of totals from its first entry,
+    relative to that entry."""
+    scale = max(abs(totals[0]), 1e-300)
+    return max(abs(m - totals[0]) for m in totals) / scale
 
 
 def _sample_derivative(sample, times: np.ndarray, i: int) -> np.ndarray:
@@ -241,10 +257,8 @@ class ValidityVerdict:
 def validity(traj: Trajectory, led: AprioriLedger,
              params: FluidParams) -> ValidityVerdict:
     grid = traj.grid
-    rho0 = density_of(traj.vphi[0], params)
-    margin0 = support_margin(ScalarField(grid, rho0), VAC_EPS)
-    watch_support = math.isfinite(margin0) and margin0 > 0.0
-    seam_floor = SEAM_FRACTION * grid.box_length
+    seam_floor = _seam_buffer(grid, density_of(traj.vphi[0], params))
+    watch_support = seam_floor > 0.0
     # Fourier transport scatters harmless positive dust (size the spectral
     # tail of the data, well below any physical density) across the whole
     # box within one step, so the evolving support is read at a threshold
@@ -348,42 +362,15 @@ def conservation(traj: Trajectory, params: FluidParams) -> ConservationReport:
         masses.append(float(rho.sum()) * vol)
         momenta.append(tuple(float((rho * u[j]).sum()) * vol
                              for j in range(grid.dim)))
-    m0 = masses[0]
-    mass_scale = max(abs(m0), 1e-300)
-    mass_drift = max(abs(m - m0) for m in masses) / mass_scale
     p0 = np.asarray(momenta[0])
-    mom_scale = max(float(np.max(np.abs(p0))), mass_scale)
+    mom_scale = max(float(np.max(np.abs(p0))), abs(masses[0]), 1e-300)
     momentum_drift = max(
         float(np.max(np.abs(np.asarray(p) - p0))) for p in momenta
     ) / mom_scale
     return ConservationReport(
         times=tuple(traj.times), mass=tuple(masses), momentum=tuple(momenta),
-        mass_drift=mass_drift, momentum_drift=momentum_drift,
+        mass_drift=relative_drift(masses), momentum_drift=momentum_drift,
     )
-
-
-# -- primitive reconstruction -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrimitiveState:
-    rho: ScalarField
-    u: VectorField
-    time: float
-
-
-def reconstruct_primitive(state: ReformState,
-                          params: FluidParams) -> tuple[PrimitiveState, float]:
-    """Back out (rho, u) from the proxies. The viscosity proxy is the
-    reference route; the pressure proxy provides the cross-check, and the
-    returned gap is the pointwise disagreement between the two routes."""
-    grid = state.grid
-    rho_ref = density_of(state.vphi.values, params)
-    rho_alt = stable_power(state.phi.values, 2.0 / (params.gamma - 1.0))
-    gap = float(np.abs(rho_ref - rho_alt).max())
-    prim = PrimitiveState(rho=ScalarField(grid, rho_ref), u=state.u,
-                          time=state.time)
-    return prim, gap
 
 
 # -- characteristics ----------------------------------------------------------
@@ -447,9 +434,7 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     rho_end = density_of(traj.vphi[-1], params)
 
     if seam_buffer is None:
-        margin0 = support_margin(ScalarField(grid, rho0), VAC_EPS)
-        seam_buffer = (SEAM_FRACTION * grid.box_length
-                       if math.isfinite(margin0) and margin0 > 0.0 else 0.0)
+        seam_buffer = _seam_buffer(grid, rho0)
 
     cells = np.argwhere(rho0 > VAC_EPS)
     if cells.shape[0] == 0:

@@ -252,9 +252,8 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
     return max(math.sqrt(w_sq + v_sq) for w_sq, v_sq, _ in gaps)
 
 
-def _start_guess(init: ReformState, params: FluidParams, eta: float,
-                 t_window: float, cfl_safety: float, sample_dt: float,
-                 stacks) -> Trajectory:
+def _start_guess(init: ReformState, params: FluidParams, t_window: float,
+                 cfl_safety: float, sample_dt: float, stacks) -> Trajectory:
     """Iterate zero, written into stacks: both proxies advected by the
     initial velocity (stretch terms dropped), the velocity itself held
     constant. Both proxies share the coefficients and the step, so they
@@ -271,7 +270,7 @@ def _start_guess(init: ReformState, params: FluidParams, eta: float,
         return vphi, phi, u, 0, 0.0
 
     return record_window(init, t_window, sample_dt, lambda t: h, step,
-                         eta=eta, stacks=stacks)
+                         stacks=stacks)
 
 
 def _raise_mmap_threshold() -> None:
@@ -333,7 +332,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     n = len(times)
     forked = hasattr(os, "fork") and hasattr(os, "eventfd")
     windows = {0: _window(grid, n)}
-    _start_guess(init, params, eta, t_window, cfl_safety, sample_dt, windows[0])
+    _start_guess(init, params, t_window, cfl_safety, sample_dt, windows[0])
     _raise_mmap_threshold()
     counts: dict = {}       # k -> eventfd counting the samples of iterate k
     lifeline = ()           # a pipe whose write end only this process holds
@@ -424,7 +423,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             os.close(fd)
     dt_history, clip_counts, clipped_mass = fields
     cur = Trajectory(grid, times, *windows[k], dt_history=dt_history,
-                     clip_counts=clip_counts, clipped_mass=clipped_mass, eta=eta)
+                     clip_counts=clip_counts, clipped_mass=clipped_mass)
     trace = PicardTrace(iterations=tuple(iterations), stop_reason=reason,
                         final_k=k)
     return cur, trace

@@ -62,7 +62,7 @@ from .fields import Grid, ScalarField, VectorField, checked_values
 # advect is not called here; perfbench rebinds it as vacflow.linearized.advect
 from .operators import (STATE_FLOOR, ReformState, _mask_coefficients,  # noqa: F401
                         _momentum_rhs, _StageCoeffs, _transport_rhs,
-                        _viscous_fields, advect)
+                        _viscous_fields, advect, check_floor)
 from .params import FluidParams
 
 DEFAULT_CFL_SAFETY = 0.4
@@ -365,17 +365,14 @@ class Trajectory:
     dt_history: list = field(default_factory=list)
     clip_counts: list = field(default_factory=list)
     clipped_mass: list = field(default_factory=list)
-    eta: float = 0.0
 
     def __post_init__(self):
         g, nt = self.grid, len(self.times)
         for name, shape in (("vphi", g.shape), ("phi", g.shape),
                             ("u", (g.dim,) + g.shape)):
-            stack = checked_values(getattr(self, name), (nt,) + shape)
-            if name != "u" and float(stack.min()) < STATE_FLOOR:
-                raise ValueError(f"{name} has negative values below the clip "
-                                 f"tolerance: min = {float(stack.min()):.3e}")
-            object.__setattr__(self, name, stack)
+            object.__setattr__(self, name, checked_values(getattr(self, name),
+                                                          (nt,) + shape))
+        check_floor(STATE_FLOOR, vphi=self.vphi, phi=self.phi)
         if not all(b > a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("sample times must increase strictly")
 
@@ -383,7 +380,7 @@ class Trajectory:
         """Sample i as a ReformState whose fields are views into the stacks."""
         g = self.grid
         return ReformState(ScalarField(g, self.vphi[i]), ScalarField(g, self.phi[i]),
-                           VectorField(g, self.u[i]), time=self.times[i], floor=None)
+                           VectorField(g, self.u[i]), floor=None)
 
     @property
     def final(self) -> ReformState:
@@ -429,8 +426,7 @@ def march(t_window: float, sample_dt: float, next_dt, advance) -> None:
 
 
 def record_window(init: ReformState, t_window: float, sample_dt: float,
-                  next_dt, step, *, eta: float, stacks=None,
-                  on_sample=None) -> Trajectory:
+                  next_dt, step, *, stacks=None, on_sample=None) -> Trajectory:
     """March init across [0, t_window] and record the window at
     sample_times(t_window, sample_dt). step(t, dt, vphi, phi, u) returns the
     fields after one step followed by its clip count and clipped mass.
@@ -468,7 +464,7 @@ def record_window(init: ReformState, t_window: float, sample_dt: float,
     write()
     march(t_window, sample_dt, next_dt, advance)
     return Trajectory(init.grid, times, *stacks, dt_history=dt_history,
-                      clip_counts=clip_counts, clipped_mass=clipped_mass, eta=eta)
+                      clip_counts=clip_counts, clipped_mass=clipped_mass)
 
 
 def adaptive_dt(params: FluidParams, grid: Grid, v: np.ndarray,
@@ -536,4 +532,4 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
                 d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)
 
     return record_window(init, coeffs.t_window, coeffs.sample_dt, next_dt, step,
-                         eta=coeffs.eta, stacks=stacks, on_sample=on_sample)
+                         stacks=stacks, on_sample=on_sample)

@@ -47,16 +47,24 @@ def stable_power(values: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def check_floor(floor: float, **proxies: np.ndarray) -> None:
+    """Raise unless every named proxy array stays at or above floor."""
+    for name, values in proxies.items():
+        low = float(values.min())
+        if low < floor:
+            raise ValueError(f"{name} has negative values below the clip "
+                             f"tolerance: min = {low:.3e}")
+
+
 @dataclass(frozen=True)
 class ReformState:
     """One time slice (vphi, phi, u). The proxies must be nonnegative up to
-    the clip tolerance; pass floor=None for signed data produced with
-    clipping disabled."""
+    the clip tolerance; floor=None skips that check, for views of samples
+    that a Trajectory has already checked."""
 
     vphi: ScalarField
     phi: ScalarField
     u: VectorField
-    time: float = 0.0
     floor: InitVar[float | None] = STATE_FLOOR
 
     def __post_init__(self, floor):
@@ -64,13 +72,7 @@ class ReformState:
         if self.phi.grid != grid or self.u.grid != grid:
             raise ValueError("state components live on different grids")
         if floor is not None:
-            for name, field in (("vphi", self.vphi), ("phi", self.phi)):
-                low = float(field.values.min())
-                if low < floor:
-                    raise ValueError(
-                        f"{name} has negative values below the clip "
-                        f"tolerance: min = {low:.3e}"
-                    )
+            check_floor(floor, vphi=self.vphi.values, phi=self.phi.values)
 
     @property
     def grid(self) -> Grid:

@@ -6,9 +6,9 @@ a conservative continuity update, accepting the explicit viscous step-size
 penalty because oracle runs are deliberately small. It exists to check the
 main pipeline from outside: same physics, different variables, different
 time integrator. The only solver code it shares is the step-cadence
-driver ``march``, so both solvers sample the same times. It refuses data
-that touches vacuum; there the primitive form divides by rho and no oracle
-is possible.
+driver ``march`` and its sample grid, so both solvers sample the same
+times. It refuses data that touches vacuum; there the primitive form
+divides by rho and no oracle is possible.
 
 Manufactured cases carry closed-form fields with analytic time derivatives;
 their forcing terms come from applying the same discrete spatial operators
@@ -18,7 +18,7 @@ each solver uses, so a solver fed its own forcing sees pure time error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -30,14 +30,10 @@ from .linearized import (
     FrozenCoefficients,
     SolverAbort,
     march,
+    sample_times,
     solve_linearized,
 )
-from .diagnostics import (
-    PrimitiveState,
-    primitive_rates,
-    reconstruct_primitive,
-    reform_rhs,
-)
+from .diagnostics import density_of, primitive_rates, reform_rhs, relative_drift
 from .fixedpoint import (DEFAULT_MAX_ITER, DEFAULT_PICARD_TOL, picard_solve,
                          run_forked)
 from .initial_data import reform_state_from_density
@@ -51,15 +47,17 @@ ORACLE_MIN_RHO = 1e-8
 # -- primitive solver ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimitiveTrajectory:
-    states: list
-    times: list
-    dt_history: list = field(default_factory=list)
+    """Sampled oracle solution, in the form of a Trajectory: the sample
+    times, rho stacked (nt,) + shape, u stacked (nt, dim) + shape, and the
+    step sizes."""
 
-    @property
-    def final(self) -> PrimitiveState:
-        return self.states[-1]
+    grid: Grid
+    times: list
+    rho: np.ndarray
+    u: np.ndarray
+    dt_history: list
 
 
 def primitive_rhs(grid: Grid, params: FluidParams, rho: np.ndarray,
@@ -104,6 +102,10 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
 
     rho = rho0.values.copy()
     mom = rho * u0.values
+    times = sample_times(t_window, sample_dt)
+    traj = PrimitiveTrajectory(grid, times, np.empty((len(times),) + rho.shape),
+                               np.empty((len(times),) + mom.shape), [])
+    samples = iter(range(len(times)))
 
     def rhs(t: float, r: np.ndarray, m: np.ndarray):
         dr, dm = primitive_rhs(grid, params, r, m)
@@ -113,9 +115,10 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
             dm = dm + f
         return dr, dm
 
-    def snap(t: float) -> PrimitiveState:
-        return PrimitiveState(rho=ScalarField(grid, rho.copy()),
-                              u=VectorField(grid, mom / rho), time=t)
+    def write() -> None:
+        n = next(samples)
+        traj.rho[n] = rho
+        traj.u[n] = mom / rho
 
     def next_dt(t: float) -> float:
         return dt if dt is not None else oracle_dt(grid, params, rho,
@@ -136,20 +139,16 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
                               f"min rho = {float(rho.min()):.3e}")
         traj.dt_history.append(step)
         if at_sample:
-            traj.states.append(snap(t_new))
-            traj.times.append(t_new)
+            write()
 
-    traj = PrimitiveTrajectory(states=[snap(0.0)], times=[0.0])
+    write()
     march(t_window, sample_dt, next_dt, advance)
     return traj
 
 
 def oracle_mass_drift(traj: PrimitiveTrajectory) -> float:
-    grid = traj.states[0].rho.grid
-    vol = grid.cell_volume
-    masses = [float(s.rho.values.sum()) * vol for s in traj.states]
-    scale = max(abs(masses[0]), 1e-300)
-    return max(abs(m - masses[0]) for m in masses) / scale
+    vol = traj.grid.cell_volume
+    return relative_drift([float(rho.sum()) * vol for rho in traj.rho])
 
 
 # -- manufactured solutions ---------------------------------------------------
@@ -226,10 +225,7 @@ class ManufacturedCase:
         return p * stable_power(self.rho(t), p - 1.0) * self.drho_dt(t)
 
     def state(self, t: float) -> ReformState:
-        g = self.grid
-        return ReformState(ScalarField(g, self.vphi(t)),
-                           ScalarField(g, self.phi(t)),
-                           VectorField(g, self.u(t)), time=t)
+        return reform_state_from_density(*self.primitive_state(t), self.params)
 
     def primitive_state(self, t: float) -> tuple[ScalarField, VectorField]:
         return ScalarField(self.grid, self.rho(t)), VectorField(self.grid, self.u(t))
@@ -312,8 +308,8 @@ def oracle_mms_error(case: ManufacturedCase, dt: float,
                            dt=dt, forcing=case.primitive_forcing())
     grid = case.grid
     return max(
-        quadrature_l2(grid, traj.final.rho.values - case.rho(t_window)),
-        quadrature_l2(grid, traj.final.u.values - case.u(t_window)),
+        quadrature_l2(grid, traj.rho[-1] - case.rho(t_window)),
+        quadrature_l2(grid, traj.u[-1] - case.u(t_window)),
     )
 
 
@@ -390,7 +386,8 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
     grid = rho0.grid
 
     init = reform_state_from_density(rho0, u0, params)
-    # neither solve reads the other, so they run concurrently
+    # neither solve reads the other, so they run concurrently; both record
+    # at sample_times(t_window, sample_dt)
     (reform_traj, trace), oracle_traj = run_forked([
         ("reform solve", partial(picard_solve, init, params, 0.0, t_window,
                                  picard_tol, max_iter, sample_dt=sample_dt,
@@ -398,21 +395,15 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
         ("primitive solve", partial(primitive_solve, rho0, u0, params,
                                     t_window, sample_dt=sample_dt))])
 
-    tr = np.asarray(reform_traj.times)
-    to = np.asarray(oracle_traj.times)
-    if tr.shape != to.shape or not np.allclose(tr, to, rtol=0.0, atol=1e-10):
-        raise RuntimeError("solvers disagree on the sample grid")
-
     distances = []
-    for i in range(len(tr)):
-        prim, _ = reconstruct_primitive(reform_traj.state(i), params)
-        orac = oracle_traj.states[i]
+    for i in range(len(oracle_traj.times)):
+        rho = density_of(reform_traj.vphi[i], params)
         d = math.sqrt(
-            quadrature_l2(grid, prim.rho.values - orac.rho.values) ** 2
-            + quadrature_l2(grid, prim.u.values - orac.u.values) ** 2)
+            quadrature_l2(grid, rho - oracle_traj.rho[i]) ** 2
+            + quadrature_l2(grid, reform_traj.u[i] - oracle_traj.u[i]) ** 2)
         distances.append(d)
     return CrossCompareReport(
-        times=tuple(float(t) for t in tr),
+        times=tuple(oracle_traj.times),
         distances=tuple(distances),
         sup_distance=max(distances),
         picard_converged=trace.converged,

@@ -58,6 +58,17 @@ def _key(section: str, default=MISSING, read=float):
     return field(default=default, metadata={"section": section, "read": read})
 
 
+def _snapshot(path, role: str, kind: type, grid: Grid, scale: float):
+    """The field of kind a snapshot file holds, checked against the role and
+    the grid the config names, and multiplied by scale."""
+    fld, found, _ = load_snapshot(path)
+    if found != role:
+        raise ConfigError(f"{role}_snapshot holds role {found!r}, expected {role!r}")
+    if not isinstance(fld, kind) or fld.grid != grid:
+        raise ConfigError(f"{role}_snapshot grid disagrees with [grid]")
+    return fld if scale == 1.0 else kind(grid, scale * fld.values)
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Parsed and validated configuration, with builder methods for the
@@ -111,30 +122,16 @@ class RunConfig:
             return bump_density(grid, scale * self.amplitude, self.width,
                                 center=self.center,
                                 background=self.background)
-        fld, role, _ = load_snapshot(self.density_snapshot)
-        if role != "density":
-            raise ConfigError(
-                f"density_snapshot holds role {role!r}, expected 'density'")
-        if not isinstance(fld, ScalarField) or fld.grid != grid:
-            raise ConfigError("density_snapshot grid disagrees with [grid]")
-        if scale != 1.0:
-            fld = ScalarField(grid, scale * fld.values)
-        return fld
+        return _snapshot(self.density_snapshot, "density", ScalarField, grid,
+                         scale)
 
     def velocity(self, scale: float = 1.0) -> VectorField:
         grid = self.grid()
         if self.kind == "bump" or not self.velocity_snapshot:
             return velocity_modes(grid, scale * self.velocity_amplitude,
                                   mode=self.velocity_mode)
-        fld, role, _ = load_snapshot(self.velocity_snapshot)
-        if role != "velocity":
-            raise ConfigError(
-                f"velocity_snapshot holds role {role!r}, expected 'velocity'")
-        if not isinstance(fld, VectorField) or fld.grid != grid:
-            raise ConfigError("velocity_snapshot grid disagrees with [grid]")
-        if scale != 1.0:
-            fld = VectorField(grid, scale * fld.values)
-        return fld
+        return _snapshot(self.velocity_snapshot, "velocity", VectorField, grid,
+                         scale)
 
     def schedule(self) -> EtaSchedule:
         return EtaSchedule(eta0=self.eta0, factor=self.eta_factor,

@@ -267,6 +267,16 @@ def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,
     assert rows[1].split(",")[2] == "failed"
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "mms",
+                                     "oracle-compare"])
+def test_a_violated_constraint_is_reported_as_one(tmp_path, capsys, command):
+    text = BASE.format(beta="0.5", amplitude="0.2")
+    cfg = write(tmp_path, text.replace("delta1 = 1.5", "delta1 = 0.5"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter constraint violated: delta1 > 1")
+
+
 def test_run_rejects_bad_constants(tmp_path, capsys):
     text = BASE.format(beta="0.5", amplitude="0.2")
     for old, new, message in (
@@ -419,6 +429,16 @@ def test_a_sweep_row_that_cannot_write_its_bundle_fails_and_the_sweep_goes_on(
     assert [row.split(",")[2] for row in rows[1:]] == ["failed", "ok"]
     assert "cannot write bundle: " in rows[1]
     assert (out_dir / "row_01_scale_0.5" / "summary.json").is_file()
+
+
+def test_a_sweep_table_that_cannot_be_written_exits_three(tmp_path, capsys):
+    # beta = -1 caps the density below this bump, so the row is refused fast
+    text = BASE.format(beta="-1.0", amplitude="0.5")
+    out_dir = tmp_path / "sw"
+    (out_dir / "sweep.csv").mkdir(parents=True)
+    assert main(["sweep", "--config", write(tmp_path, text),
+                 "--out", str(out_dir)]) == 3
+    assert "error: cannot write sweep table: " in capsys.readouterr().err
 
 
 def test_sweep_honours_snapshots_in_the_config(tmp_path):

@@ -22,7 +22,6 @@ from vacflow.diagnostics import (
     ledger,
     nonlinear_residual,
     primitive_rates,
-    reconstruct_primitive,
     reform_rhs,
     vacuum_residual,
     validity,
@@ -45,12 +44,11 @@ def soft_params():
                            delta1=1.5, delta2=2.5)
 
 
-def state_from_density(grid, rho, u_values, params, t=0.0):
+def state_from_density(grid, rho, u_values, params):
     return ReformState(
         vphi=ScalarField(grid, stable_power(rho, 0.5 * (params.delta1 - 1.0))),
         phi=ScalarField(grid, stable_power(rho, 0.5 * (params.gamma - 1.0))),
         u=VectorField(grid, u_values),
-        time=t,
     )
 
 
@@ -144,7 +142,7 @@ def test_streamed_derivatives_equal_the_whole_stack_references_bit_for_bit():
     for t in times:
         rho = np.clip(0.5 + 0.3 * rng.standard_normal(g.shape), 0.0, None)
         states.append(state_from_density(g, rho, 0.1 * rng.standard_normal((2,) + g.shape),
-                                         p, t))
+                                         p))
     traj = stacked(states, times)
     stamp = np.asarray(times)
 
@@ -232,7 +230,6 @@ def test_ledger_trapezoid_integral_converges_second_order():
                 vphi=ScalarField(g, w),
                 phi=ScalarField(g, np.zeros(32)),
                 u=VectorField(g, ((1.0 + t**2) * np.sin(x))[None, :]),
-                time=float(t),
             )
             for t in times
         ]
@@ -350,31 +347,19 @@ def test_conservation_detects_a_doubling():
     p = soft_params()
     g = Grid(dim=1, n=32, box_length=2.0 * np.pi)
     rho = 0.4 + 0.1 * np.cos(g.coordinates[0])
-    a = state_from_density(g, rho, np.zeros((1, 32)), p, t=0.0)
-    b = state_from_density(g, 2.0 * rho, np.zeros((1, 32)), p, t=1.0)
+    a = state_from_density(g, rho, np.zeros((1, 32)), p)
+    b = state_from_density(g, 2.0 * rho, np.zeros((1, 32)), p)
     rep = conservation(stacked([a, b], [0.0, 1.0]), p)
     assert rep.mass_drift == pytest.approx(1.0, rel=1e-12)
 
 
-def test_reconstruction_gap_vanishes_when_the_proxies_coincide():
+def test_density_of_recovers_the_density():
     p = validate_params(A=1.0, gamma=3.0, alpha=1.0, beta=0.5,
                         delta1=3.0, delta2=6.0)
     g = Grid(dim=1, n=32, box_length=2.0 * np.pi)
     rho = 0.3 + 0.2 * np.cos(g.coordinates[0])
     st = state_from_density(g, rho, np.zeros((1, 32)), p)
-    prim, gap = reconstruct_primitive(st, p)
-    assert gap == 0.0
-    assert np.max(np.abs(prim.rho.values - rho)) < 1e-13
-
-
-def test_reconstruction_gap_small_for_consistent_data():
-    p = soft_params()
-    g = Grid(dim=1, n=32, box_length=2.0 * np.pi)
-    rho = 0.3 + 0.2 * np.cos(g.coordinates[0])
-    st = state_from_density(g, rho, np.zeros((1, 32)), p)
-    prim, gap = reconstruct_primitive(st, p)
-    assert gap < 1e-12
-    assert prim.time == 0.0
+    assert np.max(np.abs(density_of(st.vphi.values, p) - rho)) < 1e-13
 
 
 def test_characteristics_still_velocity_is_exact():
@@ -398,7 +383,7 @@ def test_characteristics_uniform_translation_small_error():
     times = np.linspace(0.0, T, 9)
     states = [
         state_from_density(g, 0.5 + 0.2 * np.cos(x - c * t),
-                           np.full((1, 64), c), p, t=float(t))
+                           np.full((1, 64), c), p)
         for t in times
     ]
     traj = stacked(states, times)

@@ -445,8 +445,8 @@ def sequential_picard(init, params, eta, t_window, picard_tol, max_iter):
     """The Picard loop one iterate after another in this process, with the
     same stop rules: the reference the pipeline must reproduce."""
     sample_dt = t_window / DEFAULT_SAMPLES_PER_WINDOW
-    prev = _start_guess(init, params, eta, t_window, DEFAULT_CFL_SAFETY,
-                        sample_dt, None)
+    prev = _start_guess(init, params, t_window, DEFAULT_CFL_SAFETY, sample_dt,
+                        None)
     rows = []
     for k in range(1, max_iter + 1):
         provider = TrajectoryCoefficients(prev.times, prev.vphi, prev.phi, prev.u)

@@ -351,8 +351,7 @@ def test_record_window_holds_one_window_while_it_writes():
 
     tracemalloc.start()
     try:
-        traj = record_window(init, 1.0, 1.0 / 32, lambda t: 1.0 / 32, step,
-                             eta=0.0)
+        traj = record_window(init, 1.0, 1.0 / 32, lambda t: 1.0 / 32, step)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -475,7 +474,6 @@ def test_trajectory_validation_and_lookup():
         stacked([zero, signed], [0.0, 1.0])
     traj = stacked([zero, one, zero], [0.0, 0.5, 1.0])
     got = traj.state(1)
-    assert got.time == 0.5
     assert np.array_equal(got.vphi.values, one.vphi.values)
     assert np.array_equal(got.phi.values, one.phi.values)
     assert np.array_equal(got.u.values, one.u.values)

@@ -3,7 +3,8 @@ in src/vacflow is used by the program itself or by an acceptance
 criterion, every parameter with a default of a public function or method
 is passed by some call in src/ or tests/, and importing the bare package
 loads none of its modules. A coefficient provider has one public method,
-stage. No sample_dt has a default. One function forks child processes."""
+stage. No sample_dt has a default. One function forks child processes. No
+module imports a name it does not use."""
 
 import ast
 import os
@@ -221,3 +222,24 @@ def test_one_function_forks():
     assert forking == ["fixedpoint._start_job"], (
         "every child process starts in fixedpoint._start_job, so that "
         f"run_forked is its only lifecycle; os.fork is called in {forking}")
+
+
+# perfbench rebinds this name in linearized to count the advect calls made
+# there; nothing in linearized calls it.
+UNUSED_IMPORT_EXEMPT = {"linearized.advect"}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported)
+                   if name not in used
+                   and f"{path.stem}.{name}" not in UNUSED_IMPORT_EXEMPT]
+    assert unused == [], f"imported names nothing in their module reads: {unused}"
