@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -107,6 +106,10 @@ def _initial_data(cfg: RunConfig, params, scale: float = 1.0):
 
 
 def _sha256(path) -> str:
+    # hashlib maps OpenSSL's libcrypto into the process; only a run bundle's
+    # manifest needs it
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -90,10 +90,6 @@ class Grid:
         return self.shape[:-1] + (self.n // 2 + 1,)
 
     @cached_property
-    def _axes(self) -> tuple:
-        return tuple(range(-self.dim, 0))
-
-    @cached_property
     def _modes(self) -> tuple:
         """Per-axis integer modes of the half spectrum shaped for
         broadcasting: fftfreq order on every axis but the last, which holds
@@ -129,11 +125,20 @@ class Grid:
     # -- spectral calculus -------------------------------------------------
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum over the trailing dim axes; leading axes batch."""
-        return np.fft.rfftn(values, axes=self._axes)
+        """Half spectrum over the trailing dim axes; leading axes batch.
+        numpy's 1-D passes in rfftn's order (rfft on the last axis, then fft
+        on axes -2 down to -dim), without rfftn's argument handling."""
+        spectrum = np.fft.rfft(values)
+        for axis in range(-2, -self.dim - 1, -1):
+            spectrum = np.fft.fft(spectrum, axis=axis)
+        return spectrum
 
     def ifft(self, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(spectrum, s=self.shape, axes=self._axes)
+        """Inverse of fft: ifft on axes -dim up to -2, then irfft of the last
+        axis to n points, the passes irfftn makes."""
+        for axis in range(-self.dim, -1):
+            spectrum = np.fft.ifft(spectrum, axis=axis)
+        return np.fft.irfft(spectrum, self.n)
 
     @cached_property
     def _multipliers(self) -> dict:

@@ -19,9 +19,11 @@ tolerance -1e-12 are counted and the removed mass is tracked.
 
 As in Kassam and Trefethen (2005), the stages are truncated half spectra
 (Grid.fft output): a step transforms its state once, and each stage goes to
-physical space only for its products (one inverse of the derivatives it
-needs, one forward of the summed products, truncated once because truncation
-is linear). The exponential of M is a diagonal multiply. A step adds the
+physical space only for its products (inverses of the derivatives it needs,
+one forward of the summed products, truncated once because truncation is
+linear). A transport stage makes one inverse; a momentum slope makes one per
+group of factors: those every row reads, the phi row's, and each velocity
+component's. The exponential of M is a diagonal multiply. A step adds the
 inverse transform of its increment to the physical state, where the
 finiteness check and the clip act. The right-hand sides themselves, the
 stage assembly and the slope kernels, live in operators; this module holds
@@ -48,7 +50,8 @@ exists twice, and the diagnostics difference samples in time one at a time
 rather than building a whole-window derivative stack. Beside the windows, a
 step holds at most four stage pairs at once (a quarter-point pair lives only
 through its half step, so the momentum step sees three), its stage spectra
-and one stage's factors.
+and, of one momentum slope, the factors every row reads, the buffer of the
+d + 1 products and one group of d + 4 factors.
 """
 
 from __future__ import annotations

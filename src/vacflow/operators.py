@@ -171,44 +171,45 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, coeff_hat: np.ndarray,
                   y_hat: np.ndarray, nu1, nu2, forcing):
     """Slope spectra of the stacked (phi, u) spectra y_hat: the right-hand
     side minus the shift (nu1 Lap + nu2 grad div) u, coeff_hat the spectra
-    of one stage's _viscous_fields. One inverse makes every factor, one
-    forward truncates the summed products of all d + 1 slopes. div u, Lap u,
-    grad div u and grad phi are truncated exactly when y_hat is: the solver
-    passes raw spectra, so those factors alias into the kept band, and
-    reform_slopes passes masked ones, which truncates every factor."""
+    of one stage's _viscous_fields. The factors go to physical space a
+    group at a time: one inverse of those every row reads (div u, masked
+    c_shear and c_compr, the masked gradient of vphi^2), one of the masked
+    gradient of phi for the phi row, and per velocity component i one of
+    the factors its row alone reads (the masked gradient of u_i, Lap u_i,
+    d_i div u, d_i phi, the masked d_i vphi^(2m+2)). Each row's product is
+    written into one buffer, and one forward truncates all d + 1 of them.
+    div u, Lap u, grad div u and grad phi are truncated exactly when y_hat
+    is: the solver passes raw spectra, so those factors alias into the kept
+    band, and reform_slopes passes masked ones, which truncates every
+    factor."""
     d = grid.dim
     press = 2.0 * params.A * params.gamma / (params.gamma - 1.0)
     s1 = params.alpha * params.delta1 / (params.delta1 - 1.0)
     s2 = params.beta * params.delta2 / (params.delta2 - 1.0)
 
-    # The factors' spectra, written in place into one batch for the inverse:
-    # div u, Lap u, grad div u, grad phi, the masked gradients of vphi^2 and
-    # vphi^(2m+2), masked c_shear and c_compr, the masked gradients of y.
-    rows = np.cumsum((1, d, d, d, d, d, 2, (d + 1) * d))
-    batch = np.empty((rows[-1],) + grid.spectral_shape, dtype=complex)
-    div_u_hat, lap_hat, gd_hat, grad_phi_hat, grad_sq_hat, grad_hi_hat, c_hat, grads_hat = \
-        np.split(batch, rows[:-1])
     u_hat = y_hat[1:]
-    np.sum(grid.ik * u_hat, axis=0, out=div_u_hat[0])
-    np.multiply(-grid.k_squared, u_hat, out=lap_hat)
-    np.multiply(grid.ik, div_u_hat[0], out=gd_hat)
-    np.multiply(grid.ik, y_hat[0], out=grad_phi_hat)
-    np.multiply(grid.ik_masked, coeff_hat[0], out=grad_sq_hat)
-    np.multiply(grid.ik_masked, coeff_hat[1], out=grad_hi_hat)
-    np.multiply(grid.dealias_mask, coeff_hat[2:], out=c_hat)
-    np.multiply(grid.ik_masked[None], y_hat[:, None],
-                out=grads_hat.reshape((d + 1, d) + grid.spectral_shape))
-    phys = grid.ifft(batch)
-    div_u, lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m), grads = \
-        np.split(phys, rows[:-1])
+    div_u_hat = np.sum(grid.ik * u_hat, axis=0)
+    shared = grid.ifft(np.concatenate((
+        [div_u_hat], grid.dealias_mask * coeff_hat[2:],
+        grid.ik_masked * coeff_hat[0])))
+    (div_u, c_shear_m, c_compr_m), grad_sq_m = shared[:3], shared[3:]
+    press_phit, s2_div_v = press * stage.phit, s2 * stage.div_v
 
-    products = np.sum(stage.v * grads.reshape((d + 1, d) + grid.shape), axis=1)
-    products[0] += 0.5 * (params.gamma - 1.0) * stage.phit * div_u[0]
-    products[1:] += (press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
-                     - s1 * np.sum(stage.q1 * grad_sq_m, axis=1)
-                     - s2 * stage.div_v * grad_hi_m)
+    products = np.empty((d + 1,) + grid.shape)
+    np.sum(stage.v * grid.ifft(grid.ik_masked * y_hat[0]), axis=0, out=products[0])
+    products[0] += 0.5 * (params.gamma - 1.0) * stage.phit * div_u
+    for i in range(d):
+        own = grid.ifft(np.concatenate((
+            grid.ik_masked * u_hat[i],
+            [-grid.k_squared * u_hat[i], grid.ik[i] * div_u_hat,
+             grid.ik[i] * y_hat[0], grid.ik_masked[i] * coeff_hat[1]])))
+        lap, gd, grad_phi, grad_hi_m = own[d:]
+        np.sum(stage.v * own[:d], axis=0, out=products[1 + i])
+        products[1 + i] += (press_phit * grad_phi - c_shear_m * lap - c_compr_m * gd
+                            - s1 * np.sum(stage.q1[i] * grad_sq_m, axis=0)
+                            - s2_div_v * grad_hi_m)
     slopes = _slope_spectrum(grid, products, forcing)
-    slopes[1:] -= nu1 * lap_hat + nu2 * gd_hat
+    slopes[1:] -= nu1 * (-grid.k_squared * u_hat) + nu2 * (grid.ik * div_u_hat)
     return slopes
 
 

@@ -789,6 +789,91 @@ def test_one_truncation_of_the_summed_products_equals_one_per_product(seed, dim)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
+def batched_momentum_rhs(grid, params, stage, coeff_hat, y_hat, nu1, nu2, forcing):
+    """The momentum slope with every factor from one batched inverse: the
+    kernel _momentum_rhs replaced by a group at a time, kept as the
+    reference its bits are checked against."""
+    d = grid.dim
+    press = 2.0 * params.A * params.gamma / (params.gamma - 1.0)
+    s1 = params.alpha * params.delta1 / (params.delta1 - 1.0)
+    s2 = params.beta * params.delta2 / (params.delta2 - 1.0)
+    rows = np.cumsum((1, d, d, d, d, d, 2, (d + 1) * d))
+    batch = np.empty((rows[-1],) + grid.spectral_shape, dtype=complex)
+    div_u_hat, lap_hat, gd_hat, grad_phi_hat, grad_sq_hat, grad_hi_hat, c_hat, grads_hat = \
+        np.split(batch, rows[:-1])
+    u_hat = y_hat[1:]
+    np.sum(grid.ik * u_hat, axis=0, out=div_u_hat[0])
+    np.multiply(-grid.k_squared, u_hat, out=lap_hat)
+    np.multiply(grid.ik, div_u_hat[0], out=gd_hat)
+    np.multiply(grid.ik, y_hat[0], out=grad_phi_hat)
+    np.multiply(grid.ik_masked, coeff_hat[0], out=grad_sq_hat)
+    np.multiply(grid.ik_masked, coeff_hat[1], out=grad_hi_hat)
+    np.multiply(grid.dealias_mask, coeff_hat[2:], out=c_hat)
+    np.multiply(grid.ik_masked[None], y_hat[:, None],
+                out=grads_hat.reshape((d + 1, d) + grid.spectral_shape))
+    phys = grid.ifft(batch)
+    div_u, lap, gd, grad_phi, grad_sq_m, grad_hi_m, (c_shear_m, c_compr_m), grads = \
+        np.split(phys, rows[:-1])
+    products = np.sum(stage.v * grads.reshape((d + 1, d) + grid.shape), axis=1)
+    products[0] += 0.5 * (params.gamma - 1.0) * stage.phit * div_u[0]
+    products[1:] += (press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
+                     - s1 * np.sum(stage.q1 * grad_sq_m, axis=1)
+                     - s2 * stage.div_v * grad_hi_m)
+    slopes = operators._slope_spectrum(grid, products, forcing)
+    slopes[1:] -= nu1 * lap_hat + nu2 * gd_hat
+    return slopes
+
+
+def momentum_kernel_inputs(g, p, seed, masked):
+    """A stage, coeff_hat and y_hat for one slope, y_hat raw as the solver
+    passes it or masked as reform_slopes does."""
+    rng = np.random.default_rng(seed)
+    stage = random_trajectory(g, [0.0], seed + 1).stage(g, 0.0)
+    vphi = rng.uniform(0.1, 0.9, g.shape)
+    coeff_hat = g.fft(_viscous_fields(p, vphi, 0.1)[0])
+    y_hat = g.fft(np.concatenate((rng.uniform(0.0, 0.7, (1,) + g.shape),
+                                  rng.uniform(-0.3, 0.3, (g.dim,) + g.shape))))
+    if masked:
+        y_hat = g.dealias_mask * y_hat
+    return stage, coeff_hat, y_hat, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       masked=st.booleans(), shifted=st.booleans(), forced=st.booleans())
+def test_the_grouped_momentum_slope_equals_the_batched_one_bit_for_bit(
+        seed, dim, masked, shifted, forced):
+    p = soft_params()
+    g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
+    stage, coeff_hat, y_hat, rng = momentum_kernel_inputs(g, p, seed, masked)
+    nu1, nu2 = (0.3, 0.2) if shifted else (0.0, 0.0)
+    forcing = rng.standard_normal((dim + 1,) + g.shape) if forced else None
+    args = (g, p, stage, coeff_hat, y_hat, nu1, nu2, forcing)
+    assert np.array_equal(_momentum_rhs(*args), batched_momentum_rhs(*args))
+
+
+def test_the_grouped_momentum_slope_holds_about_half_the_batched_transient():
+    # the batched inverse holds all d^2 + 6d + 3 factor spectra, the
+    # transform's intermediates and the physical factors at once; a group
+    # at a time holds the shared factors, the product buffer and the
+    # largest group (d + 4 rows)
+    p = soft_params()
+    g = Grid(dim=3, n=16, box_length=2.0 * np.pi)
+    stage, coeff_hat, y_hat, _ = momentum_kernel_inputs(g, p, 5, False)
+    args = (g, p, stage, coeff_hat, y_hat, 0.3, 0.2, None)
+    peaks = []
+    for kernel in (_momentum_rhs, batched_momentum_rhs):
+        kernel(*args)  # builds the grid's cached multipliers
+        tracemalloc.start()
+        try:
+            kernel(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    grouped, batched = peaks
+    assert grouped <= 0.6 * batched, (grouped, batched)
+
+
 # -- the physical-space route the spectral steps replaced ----------------------
 
 
@@ -930,8 +1015,8 @@ def test_spectral_steps_equal_the_physical_route(seed, dim, forced):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_transform_budget_of_one_window(dim, monkeypatch):
     # Transforms of one window with every step landing on a sample, in d
-    # dimensions, as (rfftn + irfftn calls, real fields transformed: the
-    # stack size of the physical side of each call):
+    # dimensions, as (Grid.fft + Grid.ifft calls, real fields transformed:
+    # the stack size of the physical side of each call):
     #   transport half step: one forward of f; per stage an inverse of the
     #     d masked derivatives of the stage spectrum and a forward of the
     #     summed products, (2, d + 1) x 3 stages; one inverse of the
@@ -939,14 +1024,16 @@ def test_transform_budget_of_one_window(dim, monkeypatch):
     #     x 2 half steps                                   (16, 6d + 10)
     #   momentum step: one forward of (phi, u) and, for each of the three
     #     stage fields, vphi^2, vphi^(2m+2), c_shear and c_compr (d + 13);
-    #     per slope one inverse of div u, Lap u, grad div u, grad phi, the
-    #     masked gradients of vphi^2 and vphi^(2m+2), the masked viscous
-    #     weights and the d(d + 1) masked gradients of (phi, u)
-    #     (d^2 + 6d + 3), then one forward of the d + 1 summed products,
-    #     (2, d^2 + 7d + 4) x 3 slopes; one inverse of the (phi, u)
-    #     increment (d + 1)                       (8, 3d^2 + 23d + 26)
+    #     per slope an inverse of the shared div u, masked c_shear and
+    #     c_compr and masked gradient of vphi^2 (d + 3), one of the masked
+    #     gradient of phi (d), and per component i one of the masked
+    #     gradient of u_i, Lap u_i, d_i div u, d_i phi and the masked
+    #     d_i vphi^(2m+2) (d + 4), then one forward of the d + 1 summed
+    #     products, (d + 3, d^2 + 7d + 4) x 3 slopes; one inverse of the
+    #     (phi, u) increment (d + 1)        (3d + 11, 3d^2 + 23d + 26)
     #   shift exponentials: multiplies on the spectra        (0, 0)
-    #   per step: 24 calls, 3d^2 + 29d + 36 = 68, 106, 150 fields
+    #   per step: 3d + 27 = 30, 33, 36 calls,
+    #             3d^2 + 29d + 36 = 68, 106, 150 fields
     #   per sample, masked once: a forward of (v, phitilde, vphitilde)
     #     and an inverse of them masked with the upper triangle of Q1
     #                      (2, (d^2 + 5d + 8) / 2 = 7, 11, 16 fields)
@@ -966,17 +1053,17 @@ def test_transform_budget_of_one_window(dim, monkeypatch):
     calls, fields = [0], [0]
 
     def counted(fn):
-        def wrapper(a, *args, **kwargs):
-            out = fn(a, *args, **kwargs)
+        def wrapper(grid, a):
+            out = fn(grid, a)
             calls[0] += 1
             fields[0] += max(a.size, out.size) // g.n**dim
             return out
         return wrapper
 
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(Grid, name, counted(getattr(Grid, name)))
     traj = solve_linearized(init, coeffs, p)
     assert len(traj.dt_history) == steps
-    assert calls[0] == steps * 24 + len(times) * 2
+    assert calls[0] == steps * (3 * dim + 27) + len(times) * 2
     assert fields[0] == (steps * (3 * dim**2 + 29 * dim + 36)
                          + len(times) * (dim**2 + 5 * dim + 8) // 2)

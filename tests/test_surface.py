@@ -2,9 +2,10 @@
 in src/vacflow is used by the program itself or by an acceptance
 criterion, every parameter with a default of a public function or method
 is passed by some call in src/ or tests/, and importing the bare package
-loads none of its modules. A coefficient provider has one public method,
-stage. No sample_dt has a default. One function forks child processes. No
-module imports a name it does not use."""
+loads none of its modules, and neither the CLI nor a command that writes no
+manifest loads hashlib (OpenSSL). A coefficient provider has one public
+method, stage. No sample_dt has a default. One function forks child
+processes. No module imports a name it does not use."""
 
 import ast
 import os
@@ -81,16 +82,61 @@ def test_every_public_name_has_a_caller():
         f"{unused}")
 
 
-def test_importing_the_package_loads_no_module():
+def run_python(code, *args):
+    """Run code in a fresh interpreter that imports vacflow from src/;
+    returns its stdout."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    code = ("import sys, vacflow; "
-            "print(sorted(m for m in sys.modules if m.startswith('vacflow.')))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60,
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_importing_the_package_loads_no_module():
+    out = run_python("import sys, vacflow; print(sorted(m for m in sys.modules "
+                     "if m.startswith('vacflow.')))")
+    assert out.strip() == "[]"
+
+
+ORACLE_CONFIG = """[params]
+A = 1.0
+gamma = 2.0
+alpha = 1.0
+beta = 0.5
+delta1 = 1.5
+delta2 = 2.5
+
+[grid]
+dim = 1
+n = 32
+length = 6.283185307179586
+
+[initial]
+amplitude = 0.2
+width = 0.8
+background = 1.0
+
+[solver]
+t_window = 0.002
+"""
+
+
+def test_only_a_manifest_loads_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto into the process; only the run
+    # bundle's manifest hashes, so importing the CLI and an oracle-compare
+    # run leave it out
+    config = tmp_path / "oracle.ini"
+    config.write_text(ORACLE_CONFIG)
+    out = run_python(
+        "import sys, vacflow.cli; "
+        "hashing = lambda: sorted({'hashlib', '_hashlib'} & set(sys.modules)); "
+        "print(hashing()); "
+        "code = vacflow.cli.main(['oracle-compare', '--config', sys.argv[1]]); "
+        "print(code, hashing())", str(config))
+    lines = out.strip().splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []"), out
 
 
 def test_a_coefficient_provider_has_one_method():
