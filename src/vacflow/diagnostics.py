@@ -107,7 +107,6 @@ class AprioriLedger:
     dphi_h2: np.ndarray
     du_h1: np.ndarray
     c0: float
-    calib_C: float
     c_levels: tuple
     m_exponent: float
     horizons: tuple
@@ -206,7 +205,7 @@ def ledger(traj: Trajectory, params: FluidParams,
         vphi_norms=vphi_n, phi_norms=phi_n, u_norms=u_n,
         weighted_integrals=integrals,
         dvphi_h2=dvphi_h2, dphi_h2=dphi_h2, du_h1=du_h1,
-        c0=c0, calib_C=calib_C, c_levels=c_levels, m_exponent=params.m,
+        c0=c0, c_levels=c_levels, m_exponent=params.m,
         horizons=horizons, level_ok=level_ok, first_crossing=first_crossing,
     )
 
@@ -246,8 +245,6 @@ class ValidityVerdict:
     reasons: tuple
     times: tuple
     coeff_min: tuple
-    margins: tuple | None
-    ledger_ok: tuple
 
     def __post_init__(self):
         if self.t_valid > self.times[-1]:
@@ -267,8 +264,6 @@ def validity(traj: Trajectory, led: AprioriLedger,
 
     times = list(led.times)
     coeffs = []
-    margins = [] if watch_support else None
-    ok_rows = []
     t_valid = 0.0
     reasons = []
     ended = False
@@ -276,15 +271,12 @@ def validity(traj: Trajectory, led: AprioriLedger,
         visc = params.alpha + params.beta * stable_power(vphi, 2.0 * params.m)
         cmin = float(visc.min())
         coeffs.append(cmin)
-        row_ok = bool(led.level_ok[i].all())
-        ok_rows.append(row_ok)
         conditions = [("coefficient", cmin >= 0.5 * params.alpha),
-                      ("ledger", row_ok)]
+                      ("ledger", bool(led.level_ok[i].all()))]
         if watch_support:
             rho = density_of(vphi, params)
             dust = max(VAC_EPS, dust_rel * float(rho.max()))
             m = support_margin(ScalarField(grid, rho), dust)
-            margins.append(m)
             conditions.append(("support", m >= seam_floor))
         bad = [name for name, ok in conditions if not ok]
         if bad and not ended:
@@ -297,8 +289,6 @@ def validity(traj: Trajectory, led: AprioriLedger,
     return ValidityVerdict(
         t_valid=t_valid, reasons=tuple(reasons), times=tuple(times),
         coeff_min=tuple(coeffs),
-        margins=None if margins is None else tuple(margins),
-        ledger_ok=tuple(ok_rows),
     )
 
 
@@ -343,16 +333,13 @@ def vacuum_residual(traj: Trajectory, params: FluidParams) -> VacuumReport:
 
 @dataclass(frozen=True)
 class ConservationReport:
-    times: tuple
-    mass: tuple
-    momentum: tuple
     mass_drift: float
     momentum_drift: float
 
 
 def conservation(traj: Trajectory, params: FluidParams) -> ConservationReport:
-    """Quadrature totals of density and momentum per sample, with the worst
-    relative drift against the initial totals."""
+    """The worst relative drift of the quadrature totals of density and
+    momentum over the samples, against the initial totals."""
     grid = traj.grid
     vol = grid.cell_volume
     masses = []
@@ -367,10 +354,8 @@ def conservation(traj: Trajectory, params: FluidParams) -> ConservationReport:
     momentum_drift = max(
         float(np.max(np.abs(np.asarray(p) - p0))) for p in momenta
     ) / mom_scale
-    return ConservationReport(
-        times=tuple(traj.times), mass=tuple(masses), momentum=tuple(momenta),
-        mass_drift=relative_drift(masses), momentum_drift=momentum_drift,
-    )
+    return ConservationReport(mass_drift=relative_drift(masses),
+                              momentum_drift=momentum_drift)
 
 
 # -- characteristics ----------------------------------------------------------
@@ -410,7 +395,6 @@ class CharacteristicsReport:
     traced: int
     dropped: int
     particles: tuple
-    seam_buffer: float
 
 
 def characteristics_check(traj: Trajectory, params: FluidParams,
@@ -439,7 +423,7 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     cells = np.argwhere(rho0 > VAC_EPS)
     if cells.shape[0] == 0:
         return CharacteristicsReport(max_rel_error=0.0, traced=0, dropped=0,
-                                     particles=(), seam_buffer=seam_buffer)
+                                     particles=())
     rng = np.random.default_rng(seed)
     take = min(n_particles, cells.shape[0])
     chosen = cells[rng.choice(cells.shape[0], size=take, replace=False)]
@@ -506,8 +490,7 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
             rel_error=float(rel[i]) if alive[i] else math.nan,
         ))
     return CharacteristicsReport(max_rel_error=worst, traced=int(alive.sum()),
-                                 dropped=dropped, particles=tuple(rows),
-                                 seam_buffer=seam_buffer)
+                                 dropped=dropped, particles=tuple(rows))
 
 
 def write_characteristics_csv(report: CharacteristicsReport, path) -> None:
@@ -572,8 +555,6 @@ def primitive_rates(grid: Grid, params: FluidParams, rho: np.ndarray,
 
 @dataclass(frozen=True)
 class ResidualReport:
-    times: tuple
-    reform_vphi_l2: float
     reform_phi_l2: float
     reform_u_l2: float
     reform_linf: float
@@ -606,10 +587,9 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
         rho = density_of(traj.vphi[j], params)
         return rho, rho[None] * traj.u[j]
 
-    rv = rp = ru = rlinf = 0.0
+    rp = ru = rlinf = 0.0
     pm = pmom = plinf = 0.0
-    interior = range(1, len(times) - 1)
-    for i in interior:
+    for i in range(1, len(times) - 1):
         t = times[i]
         f_vphi, f_phi, f_u = reform_rhs(traj.state(i), params, eta)
         r1 = _sample_derivative(traj.vphi.__getitem__, times, i) - f_vphi
@@ -618,7 +598,6 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
         if forcing is not None:
             rows = forcing(t)
             r1, r2, r3 = r1 - rows[0], r2 - rows[1], r3 - rows[2:]
-        rv = max(rv, quadrature_l2(grid, r1))
         rp = max(rp, quadrature_l2(grid, r2))
         ru = max(ru, quadrature_l2(grid, r3))
         rlinf = max(rlinf, float(np.abs(r1).max()), float(np.abs(r2).max()),
@@ -635,8 +614,6 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
                     float(np.abs(r_mom).max()))
 
     return ResidualReport(
-        times=tuple(float(times[i]) for i in interior),
-        reform_vphi_l2=rv, reform_phi_l2=rp, reform_u_l2=ru,
-        reform_linf=rlinf, primitive_mass_l2=pm, primitive_momentum_l2=pmom,
-        primitive_linf=plinf,
+        reform_phi_l2=rp, reform_u_l2=ru, reform_linf=rlinf,
+        primitive_mass_l2=pm, primitive_momentum_l2=pmom, primitive_linf=plinf,
     )

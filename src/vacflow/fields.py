@@ -61,7 +61,8 @@ class Grid:
         if not _is_power_of_two(self.n) or self.n < 8:
             raise FieldError(f"n must be a power of two >= 8, got {self.n}")
         if not (math.isfinite(self.box_length) and self.box_length > 0):
-            raise FieldError(f"box_length must be positive, got {self.box_length}")
+            raise FieldError("box_length must be positive and finite, "
+                             f"got {self.box_length}")
 
     @property
     def spacing(self) -> float:

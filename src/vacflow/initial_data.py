@@ -27,10 +27,12 @@ def bump_density(grid: Grid, amplitude: float, width: float,
     Width may not exceed a quarter of the box, keeping the support at least
     a quarter box away from the seam when centered.
     """
-    if amplitude < 0.0:
-        raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
-    if background < 0.0:
-        raise ValueError(f"background must be nonnegative, got {background}")
+    if not 0.0 <= amplitude < math.inf:
+        raise ValueError(
+            f"amplitude must be nonnegative and finite, got {amplitude}")
+    if not 0.0 <= background < math.inf:
+        raise ValueError(
+            f"background must be nonnegative and finite, got {background}")
     if not 0.0 < width <= grid.box_length / 4.0:
         raise ValueError(
             f"width must lie in (0, L/4] = (0, {grid.box_length / 4.0:g}], "
@@ -57,6 +59,8 @@ def velocity_modes(grid: Grid, amplitude: float, mode: int = 1) -> VectorField:
     """One sine mode per component: u_i = amplitude sin(mode k0 x_i)."""
     if mode < 0:
         raise ValueError(f"mode must be nonnegative, got {mode}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     k0 = 2.0 * math.pi / grid.box_length
     out = np.zeros((grid.dim,) + grid.shape)
     if amplitude != 0.0 and mode != 0:

@@ -274,7 +274,6 @@ def transport_step(params: FluidParams, vphi, stages, dt: float,
 class MomentumDiag:
     nu1: float
     nu2: float
-    coeff_min: float
     clip_count: int
     clipped_mass: float
 
@@ -283,9 +282,9 @@ def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
                      eta: float, vphi_new, t: float):
     """The spectra a momentum step reads: y0 of (phi, u) and coeff_hat of the
     (4, 3) _viscous_fields of the three stage proxies, with the shift's nu1
-    and nu2 and the grid minimum of alpha + beta vphi^(2m). The physical
-    fields they come from are dropped on return. Aborts when that minimum
-    drops below alpha/2."""
+    and nu2. The physical fields they come from are dropped on return.
+    Aborts when the grid minimum of alpha + beta vphi^(2m) drops below
+    alpha/2."""
     grid = phi.grid
     d = grid.dim
     if len(vphi_new) != 3:
@@ -300,7 +299,7 @@ def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
     spectra = grid.fft(np.concatenate(([phi.values], u.values,
                                        fields.reshape((12,) + grid.shape))))
     y0, coeff_hat = spectra[:d + 1], spectra[d + 1:].reshape((4, 3) + grid.spectral_shape)
-    return y0, coeff_hat, nu1, nu2, coeff_min
+    return y0, coeff_hat, nu1, nu2
 
 
 def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
@@ -313,8 +312,7 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
     fields at the same nodes. Aborts when the compressive coefficient
     alpha + beta vphi^(2m) drops below alpha/2 anywhere on the grid."""
     grid = phi.grid
-    y0, coeff_hat, nu1, nu2, coeff_min = _momentum_inputs(params, phi, u, eta,
-                                                          vphi_new, t)
+    y0, coeff_hat, nu1, nu2 = _momentum_inputs(params, phi, u, eta, vphi_new, t)
 
     def slope(i: int, y_hat):
         stage, rows = stages[i]
@@ -344,8 +342,7 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
     u_new = u.values + delta[1:]
     phi_new, count, mass = _finish(phi.values + delta[0], grid.cell_volume,
                                    t + dt, u_new)
-    diag = MomentumDiag(nu1=nu1, nu2=nu2, coeff_min=coeff_min,
-                        clip_count=count, clipped_mass=mass)
+    diag = MomentumDiag(nu1=nu1, nu2=nu2, clip_count=count, clipped_mass=mass)
     return ScalarField(grid, phi_new), VectorField(grid, u_new), diag
 
 

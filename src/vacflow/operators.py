@@ -351,11 +351,9 @@ _T_ALPHA, _T_BETA = _ellipticity_tables()
 
 @dataclass(frozen=True)
 class EllipticityReport:
-    samples: int
     min_ratio: float
     coeff_min: float
     passed: bool
-    seed: int
 
 
 def ellipticity_check(
@@ -393,11 +391,9 @@ def ellipticity_check(
     min_ratio = float(ratio.min())
     coeff_min = float(coeff.min())
     return EllipticityReport(
-        samples=samples,
         min_ratio=min_ratio,
         coeff_min=coeff_min,
         passed=bool(min_ratio >= 1.0 - 1e-9 and coeff_min > 0.0),
-        seed=seed,
     )
 
 

@@ -319,27 +319,22 @@ class MMSStudy:
     levels: tuple
     errors: tuple
     orders: tuple
-    monotone: bool
 
 
 def observed_orders(levels, errors, label: str) -> MMSStudy:
     """Pairwise observed orders log(e_i/e_{i+1}) / log(level_i/level_{i+1});
-    levels are step sizes (or spacings), finest last. Constant or growing
-    error pairs drop the monotone flag."""
+    levels are step sizes (or spacings), finest last."""
     if len(levels) != len(errors) or len(levels) < 2:
         raise ValueError("need matching levels and errors, at least two")
     orders = []
-    monotone = True
     for i in range(len(levels) - 1):
         ratio = levels[i] / levels[i + 1]
         if errors[i + 1] <= 0.0 or errors[i] <= 0.0:
             orders.append(math.nan)
             continue
-        if errors[i + 1] >= errors[i]:
-            monotone = False
         orders.append(math.log(errors[i] / errors[i + 1]) / math.log(ratio))
     return MMSStudy(label=label, levels=tuple(levels), errors=tuple(errors),
-                    orders=tuple(orders), monotone=monotone)
+                    orders=tuple(orders))
 
 
 def reform_temporal_study(case: ManufacturedCase, dts, t_window: float) -> MMSStudy:
@@ -369,7 +364,6 @@ class CrossCompareReport:
     distances: tuple
     sup_distance: float
     picard_converged: bool
-    picard_iterations: int
 
 
 def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
@@ -407,5 +401,4 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
         distances=tuple(distances),
         sup_distance=max(distances),
         picard_converged=trace.converged,
-        picard_iterations=trace.final_k,
     )

@@ -104,9 +104,6 @@ class CompatibilityReport:
 
     passed: bool
     margin: float
-    max_density: float
-    cap: float | None
-    worst_cell: tuple | None
     message: str
 
 
@@ -117,15 +114,11 @@ def check_initial_compatibility(params: FluidParams, rho0: ScalarField) -> Compa
     margin formula.
     """
     rho = rho0.values
-    max_density = float(rho.max())
     if float(rho.min()) < 0:
         worst = np.unravel_index(int(np.argmin(rho)), rho.shape)
         return CompatibilityReport(
             passed=False,
             margin=float("nan"),
-            max_density=max_density,
-            cap=params.a2_density_cap,
-            worst_cell=tuple(int(i) for i in worst),
             message=f"initial density negative at cell {tuple(int(i) for i in worst)}",
         )
     power = params.delta2 - params.delta1
@@ -133,14 +126,12 @@ def check_initial_compatibility(params: FluidParams, rho0: ScalarField) -> Compa
         coeff = params.alpha + params.beta * np.where(rho > 0, rho, 0.0) ** power
     margin = float(coeff.min())
     cap = params.a2_density_cap
+    max_density = float(rho.max())
     if cap is not None and max_density > cap:
         worst = np.unravel_index(int(np.argmax(rho)), rho.shape)
         return CompatibilityReport(
             passed=False,
             margin=margin,
-            max_density=max_density,
-            cap=cap,
-            worst_cell=tuple(int(i) for i in worst),
             message=(
                 f"max initial density {max_density:.6g} exceeds cap {cap:.6g} "
                 f"at cell {tuple(int(i) for i in worst)}"
@@ -149,8 +140,5 @@ def check_initial_compatibility(params: FluidParams, rho0: ScalarField) -> Compa
     return CompatibilityReport(
         passed=True,
         margin=margin,
-        max_density=max_density,
-        cap=cap,
-        worst_cell=None,
         message=f"compatible, coefficient margin {margin:.6g}",
     )

@@ -15,6 +15,7 @@ from vacflow.diagnostics import (
     VAC_EPS,
     ResidualReport,
     _sample_derivative,
+    _seam_buffer,
     characteristics_check,
     conservation,
     density_of,
@@ -107,15 +108,13 @@ def whole_stack_residual(traj, p, eta, forcing):
     mom_st = rho_st[:, None] * traj.u
     drho = whole_stack_derivative(rho_st, times)
     dmom = whole_stack_derivative(mom_st, times)
-    rv = rp = ru = rlinf = pm = pmom = plinf = 0.0
-    interior = range(1, len(times) - 1)
-    for i in interior:
+    rp = ru = rlinf = pm = pmom = plinf = 0.0
+    for i in range(1, len(times) - 1):
         f_vphi, f_phi, f_u = reform_rhs(traj.state(i), p, eta)
         rows = forcing(times[i])
         r1 = dvphi[i] - f_vphi - rows[0]
         r2 = dphi[i] - f_phi - rows[1]
         r3 = du[i] - f_u - rows[2:]
-        rv = max(rv, quadrature_l2(g, r1))
         rp = max(rp, quadrature_l2(g, r2))
         ru = max(ru, quadrature_l2(g, r3))
         rlinf = max(rlinf, float(np.abs(r1).max()), float(np.abs(r2).max()),
@@ -125,8 +124,7 @@ def whole_stack_residual(traj, p, eta, forcing):
         pm = max(pm, quadrature_l2(g, r_mass))
         pmom = max(pmom, quadrature_l2(g, r_mom))
         plinf = max(plinf, float(np.abs(r_mass).max()), float(np.abs(r_mom).max()))
-    return ResidualReport(tuple(float(times[i]) for i in interior),
-                          rv, rp, ru, rlinf, pm, pmom, plinf)
+    return ResidualReport(rp, ru, rlinf, pm, pmom, plinf)
 
 
 def test_streamed_derivatives_equal_the_whole_stack_references_bit_for_bit():
@@ -259,9 +257,7 @@ def test_validity_static_compact_bump_holds_to_the_end():
     verdict = validity(traj, led, p)
     assert verdict.t_valid == 0.1
     assert verdict.reasons == ("none",)
-    assert verdict.margins is not None
-    assert all(m >= SEAM_FRACTION * g.box_length for m in verdict.margins)
-    assert all(verdict.ledger_ok)
+    assert led.level_ok.all()
 
 
 def test_validity_flags_coefficient_regime_exit_at_start():
@@ -337,10 +333,11 @@ def test_conservation_static_trajectory_has_zero_drift():
     g = Grid(dim=1, n=64, box_length=2.0 * np.pi)
     rho = bump_density(g, amplitude=0.5, width=0.8)
     st = state_from_density(g, rho.values, 0.1 * np.ones((1, 64)), p)
-    rep = conservation(static_trajectory(st, [0.0, 0.1, 0.2]), p)
+    traj = static_trajectory(st, [0.0, 0.1, 0.2])
+    rep = conservation(traj, p)
     assert rep.mass_drift == 0.0
     assert rep.momentum_drift == 0.0
-    assert rep.mass[0] > 0.0
+    assert density_of(traj.vphi[0], p).sum() > 0.0
 
 
 def test_conservation_detects_a_doubling():
@@ -372,7 +369,7 @@ def test_characteristics_still_velocity_is_exact():
     assert rep.traced > 0
     assert rep.dropped == 0
     assert rep.max_rel_error < 1e-12
-    assert rep.seam_buffer == SEAM_FRACTION * g.box_length
+    assert _seam_buffer(g, rho.values) == SEAM_FRACTION * g.box_length
 
 
 def test_characteristics_uniform_translation_small_error():

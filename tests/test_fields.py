@@ -34,8 +34,10 @@ def test_grid_rejects_bad_shapes():
         Grid(dim=1, n=48, box_length=L)
     with pytest.raises(FieldError):
         Grid(dim=4, n=16, box_length=L)
-    with pytest.raises(FieldError):
-        Grid(dim=1, n=16, box_length=0.0)
+    for length in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(FieldError,
+                           match="box_length must be positive and finite"):
+            Grid(dim=1, n=16, box_length=length)
 
 
 def test_grid_geometry():

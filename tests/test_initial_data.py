@@ -70,6 +70,12 @@ def test_bump_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="center must be finite"):
             bump_density(g, amplitude=0.1, width=0.5, center=(bad,) * g.dim)
+        with pytest.raises(ValueError,
+                           match="amplitude must be nonnegative and finite"):
+            bump_density(g, amplitude=bad, width=0.5)
+        with pytest.raises(ValueError,
+                           match="background must be nonnegative and finite"):
+            bump_density(g, amplitude=0.1, width=0.5, background=bad)
 
 
 def test_velocity_modes_analytic_values():
@@ -86,6 +92,9 @@ def test_velocity_modes_degenerate_cases():
     assert not velocity_modes(g, amplitude=0.5, mode=0).values.any()
     with pytest.raises(ValueError, match="mode"):
         velocity_modes(g, amplitude=0.5, mode=-1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            velocity_modes(g, amplitude=bad, mode=0)
 
 
 def test_reform_state_builds_consistent_proxies():

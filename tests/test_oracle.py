@@ -244,7 +244,7 @@ def test_reform_temporal_order_three():
     case = default_case(Grid(dim=1, n=64, box_length=L))
     T = 0.02
     study = reform_temporal_study(case, [T / 4, T / 8, T / 16], T)
-    assert study.monotone
+    assert all(a > b for a, b in zip(study.errors, study.errors[1:]))
     for p in study.orders:
         assert 2.8 < p < 3.2
 
@@ -254,7 +254,7 @@ def test_oracle_temporal_order_four():
                         soft_viscosity_params())
     T = 0.02
     study = oracle_temporal_study(case, [T / 2, T / 4, T / 8], T)
-    assert study.monotone
+    assert all(a > b for a, b in zip(study.errors, study.errors[1:]))
     for p in study.orders:
         assert 3.7 < p < 4.3
 
@@ -277,7 +277,7 @@ def test_advection_temporal_order_three():
             f, _ = transport(stiff_params(), f, coeffs, dt, i * dt)
         errors.append(quadrature_l2(g, f.values - 2.0 - np.sin(x - 0.5)))
     study = observed_orders(dts, errors, "advection temporal")
-    assert study.monotone
+    assert all(a > b for a, b in zip(study.errors, study.errors[1:]))
     for p in study.orders:
         assert 2.8 < p < 3.2
 
@@ -292,7 +292,6 @@ def test_spatial_errors_sit_at_the_time_floor():
 def test_observed_orders_flags_degenerate_pairs():
     flat = observed_orders([0.1, 0.05], [1e-3, 1e-3], "flat")
     assert flat.orders == (0.0,)
-    assert not flat.monotone
     hit_zero = observed_orders([0.1, 0.05], [1e-3, 0.0], "zero")
     assert math.isnan(hit_zero.orders[0])
     with pytest.raises(ValueError, match="at least two"):
@@ -339,9 +338,8 @@ def test_acoustic_dispersion_matches_prediction():
 def test_cross_compare_agrees_on_smooth_data():
     rho0, u0 = smooth_positive()
     report = cross_compare(rho0, u0, stiff_params(), 0.01,
-                           sample_dt=0.01 / 8)
+                           sample_dt=0.01 / 8, max_iter=10)
     assert report.picard_converged
-    assert report.picard_iterations <= 10
     assert len(report.times) == 9
     # measured 5.7e-9 at this size and window
     assert report.sup_distance <= 1e-7

@@ -3,9 +3,11 @@ in src/vacflow is used by the program itself or by an acceptance
 criterion, every parameter with a default of a public function or method
 is passed by some call in src/ or tests/, and importing the bare package
 loads none of its modules, and neither the CLI nor a command that writes no
-manifest loads hashlib (OpenSSL). A coefficient provider has one public
-method, stage. No sample_dt has a default. One function forks child
-processes. No module imports a name it does not use."""
+manifest loads hashlib (OpenSSL). Every dataclass field is read by the
+program or an acceptance criterion, or is exempt with a reason. A
+coefficient provider has one public method, stage. No sample_dt has a
+default. One function forks child processes. No module imports a name it
+does not use."""
 
 import ast
 import os
@@ -80,6 +82,56 @@ def test_every_public_name_has_a_caller():
     assert unused == [], (
         "public names with no caller in src/ or the acceptance criteria: "
         f"{unused}")
+
+
+# Fields that nothing in src/ or the acceptance criteria reads, each kept for
+# the reason given: a test checks numerics through it, or a planned report
+# shows it.
+FIELD_EXEMPT = {
+    "MomentumDiag.nu1": "compared with the independent physical step",
+    "MomentumDiag.nu2": "compared with the independent physical step",
+    "CompatibilityReport.margin": "the worked example, and NaN on a "
+                                  "negative density",
+    "ResidualReport.primitive_mass_l2": "the mass residual at roundoff",
+    "ResidualReport.reform_phi_l2": "the phi row shows the forcing",
+    "PicardIteration.wall_time": "each iterate's wall time, which the run "
+                                 "report is to show (ROADMAP item 1c)",
+}
+
+
+def _is_dataclass(node):
+    """A class decorated @dataclass or @dataclass(...)."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Every annotated field of a dataclass in src/vacflow is loaded as an
+    attribute somewhere in src/vacflow or the acceptance criteria, or is
+    exempt; an exemption that no longer applies fails too. The scan goes by
+    name, so a field that shares its name with a read field of another class
+    is not caught."""
+    fields = []
+    loaded = set()
+    for path in sorted(PACKAGE.glob("*.py")) + [ACCEPTANCE]:
+        tree = ast.parse(path.read_text(), str(path))
+        loaded |= {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load)}
+        if path != ACCEPTANCE:
+            fields += [(f"{node.name}.{item.target.id}", item.target.id)
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                       for item in node.body
+                       if isinstance(item, ast.AnnAssign)
+                       and isinstance(item.target, ast.Name)]
+    unread = {qualified for qualified, name in fields if name not in loaded}
+    not_exempt = sorted(unread - FIELD_EXEMPT.keys())
+    assert not_exempt == [], (
+        "dataclass fields nothing in src/ or the acceptance criteria reads: "
+        f"{not_exempt}")
+    stale = sorted(FIELD_EXEMPT.keys() - unread)
+    assert stale == [], f"exempt fields that are read or not defined: {stale}"
 
 
 def run_python(code, *args):
