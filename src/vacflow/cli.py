@@ -232,10 +232,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     files.append("ledger.csv")
     write_continuation_csv(report, os.path.join(out_dir, "continuation.csv"))
     files.append("continuation.csv")
-    if report.final_trace is not None:
-        write_trace_csv(report.final_trace,
-                        os.path.join(out_dir, "picard_trace.csv"))
-        files.append("picard_trace.csv")
+    write_trace_csv(report.final_trace, os.path.join(out_dir, "picard_trace.csv"))
+    files.append("picard_trace.csv")
     if chars is not None:
         write_characteristics_csv(
             chars, os.path.join(out_dir, "characteristics.csv"))

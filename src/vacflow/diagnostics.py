@@ -30,7 +30,7 @@ from .fields import (
     support_margin,
     weighted_seminorm,
 )
-from .linearized import Trajectory
+from .linearized import Trajectory, sample_weight
 from .operators import ReformState, reform_slopes, stable_power
 from .params import FluidParams
 
@@ -427,27 +427,22 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     rng = np.random.default_rng(seed)
     take = min(n_particles, cells.shape[0])
     chosen = cells[rng.choice(cells.shape[0], size=take, replace=False)]
-    pos = chosen.T.astype(float) * grid.spacing
+    start = chosen.T.astype(float) * grid.spacing
 
     div_st = np.stack([grid.div(u) for u in traj.u])
 
-    def at(stack: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
-        """A sampled field, linear in time and multilinear in space."""
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        j = min(max(j, 0), len(times) - 2)
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        a = _periodic_interp(grid, stack[j], x % grid.box_length)
-        b = _periodic_interp(grid, stack[j + 1], x % grid.box_length)
-        return (1.0 - w) * a + w * b
+    def rate(t: float, y: np.ndarray) -> np.ndarray:
+        """dy/dt at t for y = (x, integral of div u): the velocity components
+        and div u at the points x, linear in time and multilinear in space,
+        each read from its sample stack."""
+        j, w = sample_weight(times, t)
+        x = y[:-1] % grid.box_length
 
-    def vel_at(t: float, x: np.ndarray) -> np.ndarray:
-        return np.stack([at(traj.u[:, comp], t, x) for comp in range(grid.dim)])
+        def at(i: int) -> np.ndarray:
+            return np.stack([_periodic_interp(grid, f, x)
+                             for f in (*traj.u[i], div_st[i])])
 
-    def div_at(t: float, x: np.ndarray) -> np.ndarray:
-        return at(div_st, t, x)
-
-    integ = np.zeros(take)
-    alive = np.ones(take, dtype=bool)
+        return at(j) if w == 0.0 else (1.0 - w) * at(j) + w * at(j + 1)
 
     def seam_ok(x: np.ndarray) -> np.ndarray:
         if seam_buffer <= 0.0:
@@ -456,22 +451,20 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
         dist = np.minimum(xm, grid.box_length - xm).min(axis=0)
         return dist >= seam_buffer
 
+    y = np.concatenate([start, np.zeros((1, take))])
+    alive = np.ones(take, dtype=bool)
     for j in range(len(times) - 1):
         dt = times[j + 1] - times[j]
         t0 = times[j]
-        k1x = vel_at(t0, pos)
-        k1i = div_at(t0, pos)
-        k2x = vel_at(t0 + 0.5 * dt, pos + 0.5 * dt * k1x)
-        k2i = div_at(t0 + 0.5 * dt, pos + 0.5 * dt * k1x)
-        k3x = vel_at(t0 + 0.5 * dt, pos + 0.5 * dt * k2x)
-        k3i = div_at(t0 + 0.5 * dt, pos + 0.5 * dt * k2x)
-        k4x = vel_at(t0 + dt, pos + dt * k3x)
-        k4i = div_at(t0 + dt, pos + dt * k3x)
-        pos = pos + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        integ = integ + dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-        alive &= seam_ok(pos)
+        k1 = rate(t0, y)
+        k2 = rate(t0 + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rate(t0 + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rate(t0 + dt, y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        alive &= seam_ok(y[:-1])
+    pos, integ = y[:-1], y[-1]
 
-    start_rho = _periodic_interp(grid, rho0, chosen.T.astype(float) * grid.spacing)
+    start_rho = _periodic_interp(grid, rho0, start)
     predicted = start_rho * np.exp(-integ)
     seen = _periodic_interp(grid, rho_end, pos % grid.box_length)
     rel = np.abs(seen - predicted) / np.maximum(np.abs(predicted), VAC_EPS)

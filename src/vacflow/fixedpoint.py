@@ -241,14 +241,12 @@ def _sample_gap(grid, a, b, i: int) -> tuple[float, float, float]:
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
     """Sup over shared sample times of the combined L2 distance between
-    states (all three fields in one norm)."""
-    ta = np.asarray(a.times, dtype=float)
-    tb = np.asarray(b.times, dtype=float)
-    if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=0.0,
-                                               atol=1e-10 * max(1.0, float(ta[-1]))):
+    states (all three fields in one norm). Both windows must carry the same
+    sample times exactly, as two windows of one sample_times call do."""
+    if a.times != b.times:
         raise ValueError("trajectories are sampled on different time grids")
     stacks_a, stacks_b = (a.vphi, a.phi, a.u), (b.vphi, b.phi, b.u)
-    gaps = (_sample_gap(a.grid, stacks_a, stacks_b, i) for i in range(len(ta)))
+    gaps = (_sample_gap(a.grid, stacks_a, stacks_b, i) for i in range(len(a.times)))
     return max(math.sqrt(w_sq + v_sq) for w_sq, v_sq, _ in gaps)
 
 
@@ -265,7 +263,7 @@ def _start_guess(init: ReformState, params: FluidParams, t_window: float,
     frozen = (_mask_coefficients(grid, init.u.values, zeros, zeros), None)
     h = adaptive_dt(params, grid, init.u.values, zeros, cfl_safety)
 
-    def step(t: float, dt: float, vphi, phi, u):
+    def step(t: float, dt: float, t_new: float, vphi, phi, u):
         (vphi, phi), _ = transport_step(params, (vphi, phi), (frozen,) * 3, dt, t)
         return vphi, phi, u, 0, 0.0
 
@@ -465,7 +463,7 @@ class ContinuationLevel:
 class ContinuationReport:
     levels: tuple
     reached_tol: bool
-    final_trace: PicardTrace | None = None
+    final_trace: PicardTrace
 
     @property
     def distances(self) -> list[float]:
@@ -502,7 +500,6 @@ def eta_continuation(init: ReformState, params: FluidParams,
             for j, eta_j in enumerate(etas)]
     levels: list[ContinuationLevel] = []
     prev_traj: Trajectory | None = None
-    last_trace: PicardTrace | None = None
     reached = False
     with closing(run_forked(jobs)) as solved:
         for j, eta_j in enumerate(etas):
@@ -521,10 +518,9 @@ def eta_continuation(init: ReformState, params: FluidParams,
                                             picard_iters=trace.final_k,
                                             picard_S=trace.final_S, distance=d))
             prev_traj = traj
-            last_trace = trace
             if not math.isnan(d) and d <= schedule.cauchy_tol:
                 reached = True
                 break
     report = ContinuationReport(levels=tuple(levels), reached_tol=reached,
-                                final_trace=last_trace)
+                                final_trace=trace)
     return prev_traj, report

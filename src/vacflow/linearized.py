@@ -36,11 +36,11 @@ the 2/3 rule. A stored trajectory masks each sample once and interpolates
 the masked samples in time, which equals masking the interpolated fields
 because truncation and interpolation are both linear. The window solve
 asks for each stage time of an outer step once, t, t + dt/4, t + dt/2,
-t + 3dt/4 and t + dt, pairs each stage with the forcing rows at its time,
-and hands the steps their pairs; the next step starts from the pair this
-one ends at, unless march snapped that end onto a sample. The steps read
-nothing else, and neither does the adaptive step size, which reads v and
-phitilde of the stage the step starts from.
+t + 3dt/4 and its end, pairs each stage with the forcing rows at its time,
+and hands the steps their pairs; the end is march's new time, a sample time
+exactly when the step lands, and the next step starts from the pair built
+there. The steps read nothing else, and neither does the adaptive step
+size, which reads v and phitilde of the stage the step starts from.
 
 Memory: a Picard iterate's process holds two windows, the predecessor
 whose coefficients are frozen and the window being written; the parent of a
@@ -70,7 +70,6 @@ from .params import FluidParams
 
 DEFAULT_CFL_SAFETY = 0.4
 DEFAULT_SAMPLES_PER_WINDOW = 32
-SAMPLE_SNAP = 1e-12
 STABILITY_COURANT = 0.9 * math.sqrt(3.0)
 
 
@@ -134,22 +133,9 @@ class TrajectoryCoefficients:
 
     def stage(self, grid: Grid, t: float) -> _StageCoeffs:
         """The masked coefficients at t, which sits at weight w between
-        samples j and j + 1; w = 0 at a sample time and past either clamped
-        end. A stage time that misses a sample by roundoff (t + dt against
-        the snapped t_new) counts as the sample, so it needs no second one."""
-        times = self.times
-        if t <= times[0]:
-            j, w = 0, 0.0
-        elif t >= times[-1]:
-            j, w = len(times) - 1, 0.0
-        else:
-            j = int(np.searchsorted(times, t, side="right")) - 1
-            j = min(j, len(times) - 2)
-            w = (t - times[j]) / (times[j + 1] - times[j])
-            if w <= SAMPLE_SNAP:
-                w = 0.0
-            elif w >= 1.0 - SAMPLE_SNAP:
-                j, w = j + 1, 0.0
+        samples j and j + 1 (sample_weight). A step lands on a sample at
+        exactly its time, so a sample is read alone there."""
+        j, w = sample_weight(self.times, t)
         around = (j, j + 1) if w else (j,)
         if self._wait is not None:
             self._wait(around[-1])
@@ -402,12 +388,25 @@ def sample_times(t_window: float, sample_dt: float) -> list:
     return times
 
 
+def sample_weight(times, t: float) -> tuple[int, float]:
+    """The sample j at or before t and the weight w of sample j + 1, so that
+    a quantity linear between samples reads (1 - w) f_j + w f_(j+1) at t.
+    w is 0 at a sample time, and past either end, where j is that end."""
+    if t <= times[0]:
+        return 0, 0.0
+    if t >= times[-1]:
+        return len(times) - 1, 0.0
+    j = int(np.searchsorted(times, t, side="right")) - 1
+    return j, (t - times[j]) / (times[j + 1] - times[j])
+
+
 def march(t_window: float, sample_dt: float, next_dt, advance) -> None:
     """Step time across [0, t_window], landing exactly on each sample time
     of sample_times(t_window, sample_dt) after 0 in turn.
 
-    Each step asks next_dt(t) for a size, cuts it to land on the next sample
-    when it would reach or pass it, snaps the new time onto that sample, and
+    Each step asks next_dt(t) for a size. A step that would reach the next
+    sample, or miss it by at most 1e-12 max(1, sample), lands: it is cut to
+    end there, and its new time is that sample time exactly. Then march
     calls advance(t, dt, t_new, at_sample). A step at or below
     1e-13 max(t_window, 1) aborts with a step-size underflow."""
     dt_floor = 1e-13 * max(t_window, 1.0)
@@ -416,20 +415,22 @@ def march(t_window: float, sample_dt: float, next_dt, advance) -> None:
         target_tol = 1e-12 * max(1.0, t_target)
         while t < t_target:
             dt = next_dt(t)
-            if t + dt >= t_target - target_tol:
+            landing = t + dt >= t_target - target_tol
+            if landing:
                 dt = t_target - t
             if dt <= dt_floor:
                 raise SolverAbort("step size underflow", t, f"dt = {dt:.3e}")
-            t_new = t_target if abs(t + dt - t_target) <= target_tol else t + dt
-            advance(t, dt, t_new, t_new == t_target)
+            t_new = t_target if landing else t + dt
+            advance(t, dt, t_new, landing)
             t = t_new
 
 
 def record_window(init: ReformState, t_window: float, sample_dt: float,
                   next_dt, step, *, stacks=None, on_sample=None) -> Trajectory:
     """March init across [0, t_window] and record the window at
-    sample_times(t_window, sample_dt). step(t, dt, vphi, phi, u) returns the
-    fields after one step followed by its clip count and clipped mass.
+    sample_times(t_window, sample_dt). step(t, dt, t_new, vphi, phi, u)
+    returns the fields at t_new, march's end of the step, then its clip
+    count and clipped mass.
 
     Each sample is written into stacks allocated once per window, sized by
     sample_times, and the trajectory takes the stacks as they are: a window
@@ -454,7 +455,7 @@ def record_window(init: ReformState, t_window: float, sample_dt: float,
 
     def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
         nonlocal fields
-        *fields, count, mass = step(t, dt, *fields)
+        *fields, count, mass = step(t, dt, t_new, *fields)
         dt_history.append(dt)
         clip_counts.append(count)
         clipped_mass.append(mass)
@@ -494,39 +495,36 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
 
     A step of size dt = 2h builds the (masked coefficients, forcing rows)
     pair at each of its stage times once, t, t + h/2, t + h, (t + h) + h/2
-    and t + dt, a quarter-point pair only for its half step. The next step
-    starts from the pair at t + dt, or from one built at its own t where
-    march snapped t + dt onto a sample."""
+    and t_new, march's end of the step, a quarter-point pair only for its
+    half step. The pair at t_new is the next step's start."""
     grid = init.grid
 
     def pair(t: float) -> tuple:
         rows = None if coeffs.forcing is None else coeffs.forcing(t)
         return coeffs.provider.stage(grid, t), rows
 
-    start = {0.0: pair(0.0)}
+    start = pair(0.0)
 
     def next_dt(t: float) -> float:
-        nonlocal start   # march asks before each step, at the step's t
-        start = {t: start.get(t) or pair(t)}
         if coeffs.dt is not None:
             return coeffs.dt
-        stage = start[t][0]
+        stage = start[0]
         return adaptive_dt(params, grid, stage.v, stage.phit, coeffs.cfl_safety)
 
-    def step(t: float, dt: float, vphi, phi, u):
+    def step(t: float, dt: float, t_new: float, vphi, phi, u):
         nonlocal start
         h = 0.5 * dt
-        first, half = start[t], pair(t + h)
+        first, half = start, pair(t + h)
         vphi_half, d1 = transport_step(params, vphi,
                                        (first, half, pair(t + 0.5 * h)), h, t)
-        end = pair(t + dt)
+        end = pair(t_new)
         vphi_full, d2 = transport_step(params, vphi_half,
                                        (half, end, pair((t + h) + 0.5 * h)),
                                        h, t + h)
         phi, u, mdiag = momentum_step(params, phi, u, (first, half, end),
                                       coeffs.eta, (vphi, vphi_half, vphi_full),
                                       dt, t)
-        start = {t + dt: end}
+        start = end
         return (vphi_full, phi, u,
                 d1.clip_count + d2.clip_count + mdiag.clip_count,
                 d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)

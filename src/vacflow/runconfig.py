@@ -197,9 +197,9 @@ def _check_values(cfg: RunConfig) -> None:
                 f"[output] diagnostics names unknown check {tok!r}; "
                 f"known: {', '.join(_DIAGNOSTIC_NAMES)}")
     for s in cfg.amplitude_scales:
-        if not s > 0:
-            raise ConfigError(
-                f"[sweep] amplitude_scales entries must be positive, got {s}")
+        if not 0 < s < math.inf:
+            raise ConfigError("[sweep] amplitude_scales entries must be "
+                              f"positive and finite, got {s}")
     if not 1.0 <= cfg.calib_C < math.inf:
         raise ConfigError(f"calib_C must be >= 1 and finite, got {cfg.calib_C}")
     if cfg.kind == "bump":

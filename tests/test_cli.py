@@ -314,6 +314,21 @@ def test_a_calib_C_that_is_not_finite_is_rejected(tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_a_sweep_scale_that_is_not_finite_is_rejected(tmp_path, capsys,
+                                                      command):
+    # refused with the config, before any row runs or gets a directory
+    text = (BASE.format(beta="0.5", amplitude="0.2")
+            + "\n[sweep]\namplitude_scales = 1, inf\n")
+    cfg = write(tmp_path, text)
+    with pytest.raises(vacflow.runconfig.ConfigError, match="amplitude_scales"):
+        vacflow.runconfig.load_config(cfg)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert ("amplitude_scales entries must be positive and finite"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_a_center_that_is_not_finite_is_rejected(tmp_path, capsys, command):
     text = BASE.format(beta="0.5", amplitude="0.2").replace(

@@ -191,6 +191,21 @@ def test_trajectory_gap_rejects_mismatched_time_grids():
         trajectory_distance(a, b)
 
 
+def test_trajectory_distance_refuses_grids_one_ulp_apart():
+    # windows of one sample_times call carry the same times exactly
+    g = Grid(dim=1, n=16, box_length=1.0)
+    z = ReformState(
+        vphi=ScalarField(g, np.zeros(16)),
+        phi=ScalarField(g, np.zeros(16)),
+        u=VectorField(g, np.zeros((1, 16))),
+    )
+    a = stacked([z, z, z], [0.0, 0.5, 1.0])
+    b = stacked([z, z, z], [0.0, float(np.nextafter(0.5, 1.0)), 1.0])
+    assert trajectory_distance(a, a) == 0.0
+    with pytest.raises(ValueError, match="time grids"):
+        trajectory_distance(a, b)
+
+
 def test_eta_schedule_validation_and_levels():
     s = EtaSchedule(eta0=0.5, factor=0.5, max_levels=4, cauchy_tol=1e-6)
     assert s.levels() == [0.5, 0.25, 0.125, 0.0625]

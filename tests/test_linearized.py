@@ -1,11 +1,12 @@
 """Frozen-coefficient stepping: transport, momentum, and the window march."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vacflow import linearized, operators
@@ -345,7 +346,7 @@ def test_record_window_holds_one_window_while_it_writes():
                        ScalarField(g, rng.random(g.shape)),
                        VectorField(g, rng.random((2,) + g.shape)))
 
-    def step(t, dt, vphi, phi, u):
+    def step(t, dt, t_new, vphi, phi, u):
         return (ScalarField(g, vphi.values.copy()), ScalarField(g, phi.values.copy()),
                 VectorField(g, u.values.copy()), 0, 0.0)
 
@@ -632,9 +633,9 @@ def test_interpolated_stages_stay_few_when_a_sample_interval_holds_many_steps(
 
 def test_a_step_after_a_snapped_landing_reads_its_stage_at_the_sample(
         monkeypatch):
-    # dt1 + (0.3 - dt1) misses the sample 0.3 by roundoff, so march snaps
-    # the landing onto it: the next step starts at 0.3 and must read its
-    # coefficients and forcing there, not at the landing step's t + dt
+    # dt1 + (0.3 - dt1) misses the sample 0.3 by roundoff: the landing step
+    # ends at march's t_new = 0.3 exactly, and the next step starts from the
+    # pair built there, so the off-by-roundoff time is never asked for
     dt1 = 0.002529380658245123
     assert dt1 + (0.3 - dt1) != 0.3
     sizes = iter([dt1, 0.3, 0.3])
@@ -657,10 +658,63 @@ def test_a_step_after_a_snapped_landing_reads_its_stage_at_the_sample(
                                 sample_dt=0.3, forcing=forcing)
     traj = solve_linearized(init, coeffs, soft_params())
     assert traj.times == [0.0, 0.3, 0.6]
-    # each stage time once, the landing's end and the snapped sample both
+    # each stage time once: the start and four per step
     for times in (asked, forced):
-        assert 0.3 in times and dt1 + (0.3 - dt1) in times
-        assert len(times) == len(set(times)) == 2 + 4 * 3
+        assert 0.3 in times and dt1 + (0.3 - dt1) not in times
+        assert len(times) == len(set(times)) == 1 + 4 * 3
+
+
+@st.composite
+def cadence_and_sizes(draw):
+    """A sample interval and the step sizes adaptive_dt is scripted to
+    return in turn, each in [1e-3, 1] sample intervals."""
+    sample_dt = draw(st.floats(0.05, 1.0))
+    sizes = draw(st.lists(st.floats(1e-3 * sample_dt, sample_dt),
+                          min_size=1, max_size=6))
+    return sample_dt, sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cadence_and_sizes(), samples=st.integers(1, 3))
+@example(case=(0.3, [0.002529380658245123, 0.3]), samples=2)
+def test_every_stage_time_is_a_sample_time_or_clear_of_all_of_them(case,
+                                                                   samples):
+    # a stage time never misses a sample by roundoff: the end of a landing
+    # step is the sample time itself. Only the times the window solve asks
+    # for matter here, so the steps carry their fields through unchanged.
+    sample_dt, sizes = case
+    t_window = samples * sample_dt
+    g = Grid(dim=1, n=8, box_length=2.0 * np.pi)
+    zeros, asked, forced = np.zeros(g.shape), [], []
+
+    class Recorded:
+        v = phit = None   # read only by the scripted adaptive_dt
+
+        def stage(self, grid, t):
+            asked.append(t)
+            return self
+
+    def forcing(t):
+        forced.append(t)
+
+    init = ReformState(ScalarField(g, zeros), ScalarField(g, zeros),
+                       VectorField(g, zeros[None]))
+    coeffs = FrozenCoefficients(provider=Recorded(), eta=0.0, t_window=t_window,
+                                sample_dt=sample_dt, forcing=forcing)
+    scripted = itertools.cycle(sizes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linearized, "adaptive_dt", lambda *args: next(scripted))
+        mp.setattr(linearized, "transport_step", lambda p, vphi, *args:
+                   (vphi, linearized.TransportDiag(0, 0.0)))
+        mp.setattr(linearized, "momentum_step", lambda p, phi, u, *args:
+                   (phi, u, linearized.MomentumDiag(0.0, 0.0, 0, 0.0)))
+        traj = solve_linearized(init, coeffs, soft_params())
+    grid_times = np.array(traj.times)
+    for times in (asked, forced):
+        assert len(times) == len(set(times))
+        for t in times:
+            gap = np.abs(grid_times - t).min()
+            assert gap == 0.0 or gap >= 1e-9 * t_window, t
 
 
 def seven_exponential_update(p, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
