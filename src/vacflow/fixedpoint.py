@@ -340,13 +340,16 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         step sizes, clip counts and clipped mass, the sups of the three gap
         terms, and the wall time.
 
-        Forked, it reads sample j of its predecessor once counts[k - 1] has
-        counted it, and it holds back its own count until its running
+        Forked, it first drops its copies of every other window and closes
+        every other count, so it maps two windows, and a window's shared
+        memory is freed once the solve and the two iterates that read it
+        have let go. It reads sample j of its predecessor once counts[k - 1]
+        has counted it, and it holds back its own count until its running
         metric, the sup so far of w_sq plus that of v_sq, exceeds
-        picard_tol. That metric never decreases and ends at S_k, so
-        iterate k + 1 computes exactly when the sequential loop would run
-        it, only earlier. It leaves once the lifeline is cut, checked while
-        it waits and after each sample."""
+        picard_tol. That metric never decreases and ends at S_k, so iterate
+        k + 1 computes exactly when the sequential loop would run it, only
+        earlier. It leaves once the lifeline is cut, checked while it waits
+        and after each sample."""
         pred, own = windows[k - 1], windows[k]
         sups = [0.0, 0.0, 0.0]
         ready, held = (0 if forked else n), 0
@@ -375,6 +378,12 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
                 watch(timeout=0)
 
         if forked:
+            # this process's copies: let go of every other window's shared
+            # memory and every other iterate's count
+            for j in [j for j in windows if j not in (k - 1, k)]:
+                del windows[j]
+            for j in [j for j in counts if j not in (k - 1, k)]:
+                os.close(counts.pop(j))
             os.close(lifeline[1])
         wait(0)
         tic = time.perf_counter()

@@ -31,27 +31,31 @@ the time stepping. The steps pass the kernels raw spectra of their unknowns,
 so the factors div u, Lap u, grad div u and grad phi are not truncated.
 
 A coefficient provider has one method, stage(grid, t): the masked
-coefficients at t, that is v, div v, Q1(v), phitilde and vphitilde after
-the 2/3 rule. A stored trajectory masks each sample once and interpolates
-the masked samples in time, which equals masking the interpolated fields
-because truncation and interpolation are both linear. The window solve
-asks for each stage time of an outer step once, t, t + dt/4, t + dt/2,
-t + 3dt/4 and its end, pairs each stage with the forcing rows at its time,
-and hands the steps their pairs; the end is march's new time, a sample time
-exactly when the step lands, and the next step starts from the pair built
-there. The steps read nothing else, and neither does the adaptive step
-size, which reads v and phitilde of the stage the step starts from.
+coefficients at t, that is v, div v, the upper triangle of the symmetric
+Q1(v), phitilde and vphitilde after the 2/3 rule (d(d + 1)/2 + d + 3 rows).
+A stored trajectory masks each sample once and interpolates the masked
+samples in time, which equals masking the interpolated fields because
+truncation and interpolation are both linear. The window solve asks for
+each stage time of an outer step once, t, t + dt/4, t + dt/2, t + 3dt/4 and
+its end, pairs each stage with the forcing rows at its time, and hands the
+steps their pairs; the end is march's new time, a sample time exactly when
+the step lands, and the next step starts from the pair built there. The
+steps read nothing else, and neither does the adaptive step size, which
+reads v and phitilde of the stage the step starts from.
 
-Memory: a Picard iterate's process holds two windows, the predecessor
-whose coefficients are frozen and the window being written; the parent of a
-continuation holds two levels' solutions. record_window writes each sample
-straight into stacks allocated once for the whole window, so a window never
-exists twice, and the diagnostics difference samples in time one at a time
-rather than building a whole-window derivative stack. Beside the windows, a
-step holds at most four stage pairs at once (a quarter-point pair lives only
-through its half step, so the momentum step sees three), its stage spectra
-and, of one momentum slope, the factors every row reads, the buffer of the
-d + 1 products and one group of d + 4 factors.
+Memory: a Picard iterate's process holds two windows, the predecessor whose
+coefficients are frozen and the window being written, and drops the windows
+it inherited at its fork; the parent of a continuation holds two levels'
+solutions. record_window writes each sample straight into stacks allocated
+once for the whole window, so a window never exists twice, and the
+diagnostics difference samples in time one at a time rather than building a
+whole-window derivative stack. Beside the windows, a step holds at most
+four stage pairs at once (a quarter-point pair lives only through its half
+step, so the momentum step sees three), its stage spectra and, of one
+momentum slope, the factors every row reads, the buffer of the d + 1
+products and one group of d + 4 factors. The momentum step's inputs are
+transformed one stage proxy at a time into their spectra, so the physical
+viscous fields of one stage exist at a time.
 """
 
 from __future__ import annotations
@@ -267,24 +271,32 @@ class MomentumDiag:
 def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
                      eta: float, vphi_new, t: float):
     """The spectra a momentum step reads: y0 of (phi, u) and coeff_hat of the
-    (4, 3) _viscous_fields of the three stage proxies, with the shift's nu1
-    and nu2. The physical fields they come from are dropped on return.
-    Aborts when the grid minimum of alpha + beta vphi^(2m) drops below
-    alpha/2."""
+    four _viscous_fields of each of the three stage proxies, stage by stage,
+    with the shift's nu1 and nu2. Both are views into one (d + 13)-row
+    buffer, which each stage's fields are transformed into in turn, so one
+    stage's physical fields exist at a time. Aborts when the grid minimum
+    of alpha + beta vphi^(2m) drops below alpha/2."""
     grid = phi.grid
     d = grid.dim
     if len(vphi_new) != 3:
         raise ValueError(f"expected 3 stage fields, got {len(vphi_new)}")
-    fields, compr = _viscous_fields(params, np.stack([s.values for s in vphi_new]),
-                                    eta)
-    coeff_min = float(compr.min())
-    nu1, nu2 = float(fields[2].max()), max(float(fields[3].max()), 0.0)
+    spectra = np.empty((d + 13,) + grid.spectral_shape, dtype=complex)
+    spectra[:d + 1] = grid.fft(np.concatenate(([phi.values], u.values)))
+    y0 = spectra[:d + 1]
+    coeff_hat = spectra[d + 1:].reshape((3, 4) + grid.spectral_shape)
+    # per stage: the minimum of alpha + beta vphi^(2m), the maxima of c_shear
+    # and c_compr, reduced over the stages as numpy reduces the whole stack
+    # (a NaN propagates)
+    extremes = np.empty((3, 3))
+    for i, stage in enumerate(vphi_new):
+        fields, compr = _viscous_fields(params, stage.values, eta)
+        extremes[i] = compr.min(), fields[2].max(), fields[3].max()
+        coeff_hat[i] = grid.fft(fields)
+    coeff_min = float(extremes[:, 0].min())
+    nu1, nu2 = float(extremes[:, 1].max()), max(float(extremes[:, 2].max()), 0.0)
     if coeff_min < 0.5 * params.alpha:
         raise SolverAbort("ellipticity regime exit", t, "grid-min alpha + beta "
                           f"vphi^(2m) = {coeff_min:.6g} < alpha/2")
-    spectra = grid.fft(np.concatenate(([phi.values], u.values,
-                                       fields.reshape((12,) + grid.shape))))
-    y0, coeff_hat = spectra[:d + 1], spectra[d + 1:].reshape((4, 3) + grid.spectral_shape)
     return y0, coeff_hat, nu1, nu2
 
 
@@ -302,7 +314,7 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
 
     def slope(i: int, y_hat):
         stage, rows = stages[i]
-        return _momentum_rhs(grid, params, stage, coeff_hat[:, i], y_hat, nu1, nu2,
+        return _momentum_rhs(grid, params, stage, coeff_hat[i], y_hat, nu1, nu2,
                              None if rows is None else rows[1:])
 
     G = _shift(grid, nu1, nu2, dt)

@@ -26,6 +26,7 @@ masked spectra. All products are dealiased (2/3 rule).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -98,19 +99,34 @@ def deformation(grid: Grid, v: np.ndarray) -> np.ndarray:
 # -- stage assembly and slope kernels ----------------------------------------
 
 
-class _StageCoeffs:
-    """Masked coefficient fields at one stage time: v, div v, Q1(v),
-    phitilde and vphitilde, views into one packed array so that a time
-    interpolation is a single operation."""
+def _upper_pairs(d: int) -> list:
+    """The (i, j), i <= j, of a symmetric d x d field in row-major order."""
+    return [(i, j) for i in range(d) for j in range(i, d)]
 
-    __slots__ = ("packed", "v", "div_v", "q1", "phit", "vphit")
+
+@cache
+def _q1_rows(d: int) -> tuple:
+    """For each i, the indices into _upper_pairs(d) of (i, 0), ..., (i, d-1),
+    a pair below the diagonal read as its mirror."""
+    pairs = _upper_pairs(d)
+    return tuple(tuple(pairs.index((min(i, j), max(i, j))) for j in range(d))
+                 for i in range(d))
+
+
+class _StageCoeffs:
+    """Masked coefficient fields at one stage time: v, div v, the upper
+    triangle of the symmetric Q1(v) (q1_upper, its d(d + 1)/2 entries in
+    _upper_pairs order), phitilde and vphitilde, views into one packed array
+    so that a time interpolation is a single operation."""
+
+    __slots__ = ("packed", "v", "div_v", "q1_upper", "phit", "vphit")
 
     def __init__(self, grid: Grid, packed: np.ndarray):
         d = grid.dim
         self.packed = packed
         self.v = packed[:d]
         self.div_v = packed[d]
-        self.q1 = packed[d + 1:d + 1 + d * d].reshape((d, d) + grid.shape)
+        self.q1_upper = packed[d + 1:-2]
         self.phit = packed[-2]
         self.vphit = packed[-1]
 
@@ -118,21 +134,20 @@ class _StageCoeffs:
 def _mask_coefficients(grid: Grid, v, phit, vphit) -> _StageCoeffs:
     """Truncate one set of raw coefficients into a stage: one forward
     transform of (v, phitilde, vphitilde), one inverse of their masked
-    spectra and the upper triangle of the masked Q1(v)."""
+    spectra and the upper triangle of the masked Q1(v), which is all of
+    Q1 the stage keeps."""
     d = grid.dim
     spectra = grid.fft(np.concatenate((v, [phit, vphit])))
-    upper = [(i, j) for i in range(d) for j in range(i, d)]
     q1_hat = [grid.ik_masked[i] * spectra[j] + grid.ik_masked[j] * spectra[i]
-              for i, j in upper]
+              for i, j in _upper_pairs(d)]
     masked = grid.ifft(np.concatenate((grid.dealias_mask * spectra, q1_hat)))
-    stage = _StageCoeffs(grid, np.empty((d * d + d + 3,) + grid.shape))
+    stage = _StageCoeffs(grid, np.empty((d * (d + 1) // 2 + d + 3,) + grid.shape))
     stage.v[...] = masked[:d]
     stage.phit[...] = masked[d]
     stage.vphit[...] = masked[d + 1]
-    for (i, j), q in zip(upper, masked[d + 2:]):
-        stage.q1[i, j] = stage.q1[j, i] = q
+    stage.q1_upper[...] = masked[d + 2:]
     # div v = tr Q1(v) / 2
-    stage.div_v[...] = 0.5 * sum(stage.q1[i, i] for i in range(d))
+    stage.div_v[...] = 0.5 * sum(stage.q1_upper[_q1_rows(d)[i][i]] for i in range(d))
     return stage
 
 
@@ -204,10 +219,14 @@ def _momentum_rhs(grid, params, stage: _StageCoeffs, coeff_hat: np.ndarray,
             [-grid.k_squared * u_hat[i], grid.ik[i] * div_u_hat,
              grid.ik[i] * y_hat[0], grid.ik_masked[i] * coeff_hat[1]])))
         lap, gd, grad_phi, grad_hi_m = own[d:]
+        # Q1_i . grad vphi^2, summed over j = 0, 1, ... through the triangle
+        row = _q1_rows(d)[i]
+        q1_grad = stage.q1_upper[row[0]] * grad_sq_m[0]
+        for r, grad in zip(row[1:], grad_sq_m[1:]):
+            q1_grad += stage.q1_upper[r] * grad
         np.sum(stage.v * own[:d], axis=0, out=products[1 + i])
         products[1 + i] += (press_phit * grad_phi - c_shear_m * lap - c_compr_m * gd
-                            - s1 * np.sum(stage.q1[i] * grad_sq_m, axis=0)
-                            - s2_div_v * grad_hi_m)
+                            - s1 * q1_grad - s2_div_v * grad_hi_m)
     slopes = _slope_spectrum(grid, products, forcing)
     slopes[1:] -= nu1 * (-grid.k_squared * u_hat) + nu2 * (grid.ik * div_u_hat)
     return slopes

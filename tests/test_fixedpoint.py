@@ -634,6 +634,43 @@ def test_iterates_in_flight_stay_within_one_per_cpu_plus_one(monkeypatch):
                                    for it in trace.iterations]))
 
 
+def windows_and_counts_held():
+    """This process's shared anonymous mappings (a window is one) and its
+    open eventfds (an iterate's count is one)."""
+    with open("/proc/self/maps") as fh:
+        mapped = sum(line.rstrip().endswith("/dev/zero (deleted)") for line in fh)
+    fds = os.listdir("/proc/self/fd")
+    counts = 0
+    for fd in fds:
+        try:
+            counts += os.readlink(f"/proc/self/fd/{fd}") == "anon_inode:[eventfd]"
+        except OSError:     # the directory fd listdir had open, closed since
+            pass
+    return mapped, counts
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc/self/maps")
+def test_an_iterate_holds_only_its_predecessors_window_and_its_own(monkeypatch):
+    # every iterate in flight was forked while older windows existed; once
+    # it computes, it maps windows k - 1 and k and holds their two counts
+    held = shared((DEFAULT_MAX_ITER + 1, 2), math.nan)
+    tag = tagged_iterates(monkeypatch)
+    solve = vacflow.fixedpoint.solve_linearized
+
+    def logged(*args, **kwargs):
+        held[tag["k"]] = windows_and_counts_held()
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", logged)
+    mapped, counts = windows_and_counts_held()
+    _, trace = picard_solve(positive_state(), soft_params(), 0.25, 0.005, 1e-16, 8,
+                            sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
+    assert trace.final_k >= 3
+    want = [[mapped + 2, counts + 2]] * trace.final_k
+    assert held[1:trace.final_k + 1].tolist() == want
+
+
 def fail_iterate_two(monkeypatch, failure):
     """Make iterate 2 call failure() once it has written sample 20."""
     tag = tagged_iterates(monkeypatch)

@@ -553,8 +553,8 @@ def fresh_stage(grid, provider, t):
     return {
         "v": np.stack([grid.dealias(v[i]) for i in range(d)]),
         "div_v": grid.dealias(grid.div(v)),
-        "q1": np.stack([grid.dealias(q1[i, j]) for i in range(d)
-                        for j in range(d)]).reshape((d, d) + grid.shape),
+        "q1_upper": np.stack([grid.dealias(q1[i, j]) for i in range(d)
+                              for j in range(i, d)]),
         "phit": grid.dealias(phit),
         "vphit": grid.dealias(vphit),
     }
@@ -798,6 +798,18 @@ def test_exp_shift_equals_the_complex_route_with_nyquist_content(seed, dim):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def full_q1(grid, stage):
+    """Q1(v) of a stage as its (d, d) stack: the stored upper triangle,
+    row-major with j >= i, and each entry below the diagonal its mirror."""
+    d = grid.dim
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    assert len(stage.q1_upper) == len(pairs)
+    q1 = np.empty((d, d) + grid.shape)
+    for (i, j), row in zip(pairs, stage.q1_upper):
+        q1[i, j] = q1[j, i] = row
+    return q1
+
+
 def per_product_slopes(g, p, stage, vphi, eta, phi, u, nu1, nu2):
     """The phi and velocity slopes with each of their products, advection
     included, truncated on its own."""
@@ -810,12 +822,13 @@ def per_product_slopes(g, p, stage, vphi, eta, phi, u, nu1, nu2):
     grad_sq = [g.dealias(c) for c in g.grad(vphi**2)]
     grad_hi = [g.dealias(c) for c in g.grad(stable_power(vphi, 2.0 * p.m + 2.0))]
     grad_phi, grad_div = g.grad(phi), g.grad_div(u)
+    q1 = full_q1(g, stage)
     dphi = (-g.dealias(advect(g, stage.v, phi))
             - 0.5 * (p.gamma - 1.0) * g.dealias(stage.phit * g.div(u)))
     out = np.empty_like(u)
     for i in range(g.dim):
         lap = g.laplacian(u[i])
-        q1_term = g.dealias(sum(stage.q1[i, j] * grad_sq[j] for j in range(g.dim)))
+        q1_term = g.dealias(sum(q1[i, j] * grad_sq[j] for j in range(g.dim)))
         out[i] = (-g.dealias(advect(g, stage.v, u[i]))
                   - press * g.dealias(stage.phit * grad_phi[i])
                   + g.dealias(c_shear_m * lap)
@@ -871,7 +884,7 @@ def batched_momentum_rhs(grid, params, stage, coeff_hat, y_hat, nu1, nu2, forcin
     products = np.sum(stage.v * grads.reshape((d + 1, d) + grid.shape), axis=1)
     products[0] += 0.5 * (params.gamma - 1.0) * stage.phit * div_u[0]
     products[1:] += (press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
-                     - s1 * np.sum(stage.q1 * grad_sq_m, axis=1)
+                     - s1 * np.sum(full_q1(grid, stage) * grad_sq_m, axis=1)
                      - s2 * stage.div_v * grad_hi_m)
     slopes = operators._slope_spectrum(grid, products, forcing)
     slopes[1:] -= nu1 * lap_hat + nu2 * gd_hat
@@ -928,6 +941,82 @@ def test_the_grouped_momentum_slope_holds_about_half_the_batched_transient():
     assert grouped <= 0.6 * batched, (grouped, batched)
 
 
+def batched_momentum_inputs(params, phi, u, eta, vphi_new, t):
+    """The momentum step's inputs with the three stage proxies stacked, their
+    _viscous_fields built at once and one forward of all of them with
+    (phi, u): the _momentum_inputs replaced by one stage at a time, kept as
+    the reference its bits are checked against."""
+    grid = phi.grid
+    d = grid.dim
+    fields, compr = _viscous_fields(params, np.stack([s.values for s in vphi_new]),
+                                    eta)
+    coeff_min = float(compr.min())
+    nu1, nu2 = float(fields[2].max()), max(float(fields[3].max()), 0.0)
+    if coeff_min < 0.5 * params.alpha:
+        raise SolverAbort("ellipticity regime exit", t, "grid-min alpha + beta "
+                          f"vphi^(2m) = {coeff_min:.6g} < alpha/2")
+    spectra = grid.fft(np.concatenate(([phi.values], u.values,
+                                       fields.reshape((12,) + grid.shape))))
+    coeff_hat = spectra[d + 1:].reshape((4, 3) + grid.spectral_shape)
+    return spectra[:d + 1], np.swapaxes(coeff_hat, 0, 1), nu1, nu2
+
+
+def momentum_input_args(g, seed, low=0.1):
+    """(phi, u, eta, three stage proxies, t) for _momentum_inputs."""
+    rng = np.random.default_rng(seed)
+    return (ScalarField(g, rng.uniform(0.0, 0.7, g.shape)),
+            VectorField(g, rng.uniform(-0.3, 0.3, (g.dim,) + g.shape)), 0.1,
+            tuple(ScalarField(g, v) for v in rng.uniform(low, 0.9, (3,) + g.shape)),
+            0.25)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_momentum_inputs_a_stage_at_a_time_equal_the_batched_ones_bit_for_bit(
+        seed, dim):
+    p = soft_params()
+    g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
+    args = momentum_input_args(g, seed)
+    y0, coeff_hat, nu1, nu2 = linearized._momentum_inputs(p, *args)
+    want = batched_momentum_inputs(p, *args)
+    assert np.array_equal(y0, want[0]) and np.array_equal(coeff_hat, want[1])
+    assert (nu1, nu2) == want[2:]
+
+
+def test_momentum_inputs_abort_with_the_batched_message():
+    p = validate_params(A=1.0, gamma=2.0, alpha=1.0, beta=-1.0,
+                        delta1=1.5, delta2=2.5)
+    g = Grid(dim=2, n=16, box_length=1.0)
+    args = momentum_input_args(g, 3, low=0.5)    # compr = 1 - vphi^4 dips below 1/2
+    messages = []
+    for inputs in (linearized._momentum_inputs, batched_momentum_inputs):
+        with pytest.raises(SolverAbort, match="ellipticity regime exit") as err:
+            inputs(p, *args)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_momentum_inputs_a_stage_at_a_time_hold_about_half_the_batched_transient():
+    # batched, the stacked proxies, all 12 viscous fields with their
+    # temporaries, their concatenation with (phi, u) and the transform's
+    # intermediates of all d + 13 rows exist at once; a stage at a time, the
+    # d + 13-row result and one stage's four fields and their transform
+    p = soft_params()
+    g = Grid(dim=3, n=16, box_length=2.0 * np.pi)
+    args = momentum_input_args(g, 5)
+    peaks = []
+    for inputs in (linearized._momentum_inputs, batched_momentum_inputs):
+        inputs(p, *args)  # builds the grid's cached multipliers
+        tracemalloc.start()
+        try:
+            inputs(p, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    staged, batched = peaks
+    assert staged <= 0.6 * batched, (staged, batched)
+
+
 # -- the physical-space route the spectral steps replaced ----------------------
 
 
@@ -974,7 +1063,8 @@ def physical_momentum_rhs(g, p, stage, vphi, eta, phi, u, nu1, nu2):
     products = np.concatenate((
         (0.5 * (p.gamma - 1.0) * stage.phit * div_u)[None],
         press * stage.phit * grad_phi - c_shear_m * lap - c_compr_m * gd
-        - s1 * np.sum(stage.q1 * grad_sq_m, axis=1) - s2 * stage.div_v * grad_hi_m))
+        - s1 * np.sum(full_q1(g, stage) * grad_sq_m, axis=1)
+        - s2 * stage.div_v * grad_hi_m))
     slopes = -g.dealias(advect(g, stage.v, phi_u) + products)
     dphi, du = slopes[0], slopes[1:]
     du -= nu1 * lap + nu2 * gd
@@ -1077,16 +1167,16 @@ def test_transform_budget_of_one_window(dim, monkeypatch):
     #     increment                                        (8, 3d + 5)
     #     x 2 half steps                                   (16, 6d + 10)
     #   momentum step: one forward of (phi, u) and, for each of the three
-    #     stage fields, vphi^2, vphi^(2m+2), c_shear and c_compr (d + 13);
-    #     per slope an inverse of the shared div u, masked c_shear and
+    #     stage fields, one of vphi^2, vphi^(2m+2), c_shear and c_compr
+    #     (4, d + 13); per slope an inverse of the shared div u, masked c_shear and
     #     c_compr and masked gradient of vphi^2 (d + 3), one of the masked
     #     gradient of phi (d), and per component i one of the masked
     #     gradient of u_i, Lap u_i, d_i div u, d_i phi and the masked
     #     d_i vphi^(2m+2) (d + 4), then one forward of the d + 1 summed
     #     products, (d + 3, d^2 + 7d + 4) x 3 slopes; one inverse of the
-    #     (phi, u) increment (d + 1)        (3d + 11, 3d^2 + 23d + 26)
+    #     (phi, u) increment (d + 1)        (3d + 14, 3d^2 + 23d + 26)
     #   shift exponentials: multiplies on the spectra        (0, 0)
-    #   per step: 3d + 27 = 30, 33, 36 calls,
+    #   per step: 3d + 30 = 33, 36, 39 calls,
     #             3d^2 + 29d + 36 = 68, 106, 150 fields
     #   per sample, masked once: a forward of (v, phitilde, vphitilde)
     #     and an inverse of them masked with the upper triangle of Q1
@@ -1118,6 +1208,6 @@ def test_transform_budget_of_one_window(dim, monkeypatch):
         monkeypatch.setattr(Grid, name, counted(getattr(Grid, name)))
     traj = solve_linearized(init, coeffs, p)
     assert len(traj.dt_history) == steps
-    assert calls[0] == steps * (3 * dim + 27) + len(times) * 2
+    assert calls[0] == steps * (3 * dim + 30) + len(times) * 2
     assert fields[0] == (steps * (3 * dim**2 + 29 * dim + 36)
                          + len(times) * (dim**2 + 5 * dim + 8) // 2)
