@@ -17,11 +17,16 @@ weight 2, and the modes 0 and n/2 weight 1.
 The weighted seminorm |w grad^k u|_2 is evaluated in physical space: all
 distinct k-th partials of every velocity component, squared with multinomial
 multiplicity, against the quadrature weight h^dim.
+
+A window of samples that forked processes share is a set of stacks in one
+anonymous shared mapping (_window); release drops this process's pages of
+some of its samples and leaves the data to the others.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -198,9 +203,6 @@ class Grid:
         self._multipliers[order] = _read_only(mult)
         return mult
 
-    def deriv(self, values: np.ndarray, order: tuple) -> np.ndarray:
-        return self.ifft(self.derivative_multiplier(order) * self.fft(values))
-
     def grad(self, values: np.ndarray) -> np.ndarray:
         """Gradient, its components along a new axis in front of the
         trailing dim axes (leading axes batch)."""
@@ -230,17 +232,64 @@ class Grid:
         return self.dealias(am * bm)
 
 
-def checked_values(values, expected: tuple) -> np.ndarray:
+def checked_values(values, expected: tuple, finite: bool = True) -> np.ndarray:
     """values as a read-only contiguous float array of the expected shape,
-    all finite."""
+    all finite unless finite is False, which leaves that check to the
+    caller."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != expected:
         raise FieldError(f"values shape {arr.shape}, expected {expected}")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise FieldError("field values must be finite")
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+class _Mapping(mmap.mmap):
+    """The anonymous shared mapping under the stacks of a _window; release
+    drops pages of this type of memory only."""
+
+
+def _window(grid: Grid, n: int, scalars: int = 2) -> tuple:
+    """Empty stacks for n samples in one anonymous shared mapping: scalars
+    stacks shaped (n,) + grid.shape, then one shaped (n, dim) + grid.shape,
+    so (vphi, phi, u) by default and (rho, u) with scalars=1. Forked children
+    write and read them in place, and a window crosses a process boundary
+    this way, never as a pickle. A process holds in memory only the pages it
+    has touched and not released (release); the data stays in the mapping
+    for every process that maps it, and the mapping is freed once the last
+    of them lets go."""
+    shapes = [(n,) + grid.shape] * scalars + [(n, grid.dim) + grid.shape]
+    sizes = [math.prod(shape) for shape in shapes]
+    whole = np.ndarray(sum(sizes), buffer=_Mapping(-1, 8 * sum(sizes)))
+    ends = np.cumsum(sizes)
+    return tuple(whole[end - size:end].reshape(shape)
+                 for shape, size, end in zip(shapes, sizes, ends))
+
+
+def release(stacks, start: int, stop: int) -> None:
+    """Drop this process's pages of samples start to stop - 1 of each stack
+    of a _window, with madvise(MADV_DONTNEED) over the pages that lie wholly
+    inside those samples. The data stays in the shared mapping, and the next
+    read maps it again. Any other array is left alone: on private memory
+    MADV_DONTNEED would zero-fill the pages. Without madvise (Windows) it
+    does nothing."""
+    if not hasattr(mmap, "MADV_DONTNEED"):
+        return
+    for stack in stacks:
+        root = stack
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        if not isinstance(root.base, _Mapping):
+            continue
+        samples = stack[start:stop]
+        first = (samples.__array_interface__["data"][0]
+                 - root.__array_interface__["data"][0])
+        lo = -(-first // mmap.PAGESIZE) * mmap.PAGESIZE
+        hi = (first + samples.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+        if hi > lo:
+            root.base.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,13 @@ regularization toward zero and watches consecutive solutions settle into a
 Cauchy sequence. The levels share nothing but their initial data, so
 ``run_forked`` solves them in concurrent child processes.
 
+Windows cross process boundaries in shared memory (fields._window), never as
+a pickle: each level's solve copies its last iterate into a window its
+caller allocated before the fork, and its result carries only the trace,
+the step sizes, the clip counts and the clipped mass. Every process keeps
+resident only the samples it is working on and releases the rest
+(fields.release); the data stays in the mapping for the other processes.
+
 Iterate k + 1 steps across [t_j, t_j+1] reading only samples j and j + 1 of
 iterate k, so the Picard iterates are run_forked jobs too: each is forked as
 soon as a slot is free and reads its predecessor's window in shared memory
@@ -22,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import math
-import mmap
 import os
 import pickle
 import select
@@ -36,7 +42,7 @@ from itertools import islice
 
 import numpy as np
 
-from .fields import quadrature_l2
+from .fields import _window, quadrature_l2, release
 from .linearized import (
     DEFAULT_CFL_SAFETY,
     FrozenCoefficients,
@@ -246,8 +252,13 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
     if a.times != b.times:
         raise ValueError("trajectories are sampled on different time grids")
     stacks_a, stacks_b = (a.vphi, a.phi, a.u), (b.vphi, b.phi, b.u)
-    gaps = (_sample_gap(a.grid, stacks_a, stacks_b, i) for i in range(len(a.times)))
-    return max(math.sqrt(w_sq + v_sq) for w_sq, v_sq, _ in gaps)
+
+    def distance(i: int) -> float:
+        w_sq, v_sq, _ = _sample_gap(a.grid, stacks_a, stacks_b, i)
+        release((*stacks_a, *stacks_b), 0, i + 1)
+        return math.sqrt(w_sq + v_sq)
+
+    return max(distance(i) for i in range(len(a.times)))
 
 
 def _start_guess(init: ReformState, params: FluidParams, t_window: float,
@@ -256,8 +267,9 @@ def _start_guess(init: ReformState, params: FluidParams, t_window: float,
     initial velocity (stretch terms dropped), the velocity itself held
     constant. Both proxies share the coefficients and the step, so they
     advance as one stacked transport step, every stage of it reading the
-    one unforced pair of coefficients, masked once. Any guess inside the
-    contraction ball works; this one needs no extra solver machinery."""
+    one unforced pair of coefficients, masked once. Each sample is released
+    once written (fields.release). Any guess inside the contraction ball
+    works; this one needs no extra solver machinery."""
     grid = init.grid
     zeros = np.zeros(grid.shape)
     frozen = (_mask_coefficients(grid, init.u.values, zeros, zeros), None)
@@ -268,7 +280,8 @@ def _start_guess(init: ReformState, params: FluidParams, t_window: float,
         return vphi, phi, u, 0, 0.0
 
     return record_window(init, t_window, sample_dt, lambda t: h, step,
-                         stacks=stacks)
+                         stacks=stacks,
+                         on_sample=lambda i: release(stacks or (), 0, i + 1))
 
 
 def _raise_mmap_threshold() -> None:
@@ -281,22 +294,10 @@ def _raise_mmap_threshold() -> None:
     np.empty(1 << 21)
 
 
-def _window(grid, n: int) -> tuple:
-    """Empty (vphi, phi, u) stacks for n samples in one anonymous shared
-    mapping, which forked children write and read in place; a process holds
-    in memory only the pages of it that it touches."""
-    shapes = [(n,) + grid.shape] * 2 + [(n, grid.dim) + grid.shape]
-    sizes = [math.prod(shape) for shape in shapes]
-    buf = mmap.mmap(-1, 8 * sum(sizes))
-    offsets = np.cumsum([0] + sizes[:-1])
-    return tuple(np.frombuffer(buf, count=size, offset=8 * int(off)).reshape(shape)
-                 for shape, size, off in zip(shapes, sizes, offsets))
-
-
 def picard_solve(init: ReformState, params: FluidParams, eta: float,
                  t_window: float, picard_tol: float = DEFAULT_PICARD_TOL,
                  max_iter: int = DEFAULT_MAX_ITER, *, sample_dt: float,
-                 cfl_safety: float = DEFAULT_CFL_SAFETY
+                 cfl_safety: float = DEFAULT_CFL_SAFETY, stacks=None
                  ) -> tuple[Trajectory, PicardTrace]:
     """Iterate linearized window solves until the sup-in-time squared L2
     change between consecutive iterates drops to picard_tol. Every iterate
@@ -316,6 +317,11 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     process otherwise; either way it steps across [t_j, t_j+1] once iterate
     k - 1 has written samples j and j + 1 and has moved more than
     picard_tol. The results do not depend on the process count.
+
+    The last iterate is returned in its own window, or, when the caller
+    passes (vphi, phi, u) stacks sized by sample_times (a _window that it
+    reads after this process ends, say), copied into those a sample at a
+    time, each sample released on both sides once copied.
     """
     if not t_window > 0.0:
         raise ValueError(f"t_window must be positive, got {t_window}")
@@ -348,8 +354,10 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         metric, the sup so far of w_sq plus that of v_sq, exceeds
         picard_tol. That metric never decreases and ends at S_k, so iterate
         k + 1 computes exactly when the sequential loop would run it, only
-        earlier. It leaves once the lifeline is cut, checked while it waits
-        and after each sample."""
+        earlier. Once it has taken the gap at sample i, it releases samples
+        up to i of both windows (fields.release), so it keeps resident only
+        the samples in flight. It leaves once the lifeline is cut, checked
+        while it waits and after each sample."""
         pred, own = windows[k - 1], windows[k]
         sups = [0.0, 0.0, 0.0]
         ready, held = (0 if forked else n), 0
@@ -370,6 +378,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             nonlocal held
             wait(i)
             sups[:] = map(max, sups, _sample_gap(grid, own, pred, i))
+            release((*own, *pred), 0, i + 1)
             if forked:
                 held += 1
                 if sups[0] + sups[1] > picard_tol:
@@ -429,7 +438,14 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         for fd in (*counts.values(), *lifeline):
             os.close(fd)
     dt_history, clip_counts, clipped_mass = fields
-    cur = Trajectory(grid, times, *windows[k], dt_history=dt_history,
+    last = windows.pop(k)
+    if stacks is not None:
+        for i in range(n):
+            for dst, src in zip(stacks, last):
+                dst[i] = src[i]
+            release((*stacks, *last), 0, i + 1)
+        last = stacks
+    cur = Trajectory(grid, times, *last, dt_history=dt_history,
                      clip_counts=clip_counts, clipped_mass=clipped_mass)
     trace = PicardTrace(iterations=tuple(iterations), stop_reason=reason,
                         final_k=k)
@@ -501,19 +517,33 @@ def eta_continuation(init: ReformState, params: FluidParams,
     solutions sit from each other. The levels are independent solves, so
     they run concurrently (run_forked) and are read in order. Stops early
     once the gap drops to schedule.cauchy_tol; a level that fails to
-    converge, or whose process is lost, aborts the sweep with its index."""
+    converge, or whose process is lost, aborts the sweep with its index.
+
+    Each level's solution comes back in a _window allocated here just
+    before its fork, which the level's solve copies its last iterate into;
+    the child's result holds the rest of the trajectory and the trace."""
     etas = schedule.levels()
-    jobs = [(f"level {j}", partial(picard_solve, init, params, eta_j, t_window,
-                                   picard_tol, max_iter, cfl_safety=cfl_safety,
-                                   sample_dt=sample_dt))
-            for j, eta_j in enumerate(etas)]
+    times = sample_times(t_window, sample_dt)
+    solutions: dict = {}    # j -> the window level j's solution is written to
+
+    def level(j: int):
+        traj, trace = picard_solve(init, params, etas[j], t_window, picard_tol,
+                                   max_iter, cfl_safety=cfl_safety,
+                                   sample_dt=sample_dt, stacks=solutions[j])
+        return (traj.dt_history, traj.clip_counts, traj.clipped_mass), trace
+
+    def jobs():
+        for j in range(len(etas)):
+            solutions[j] = _window(init.grid, len(times))
+            yield f"level {j}", partial(level, j)
+
     levels: list[ContinuationLevel] = []
     prev_traj: Trajectory | None = None
     reached = False
-    with closing(run_forked(jobs)) as solved:
+    with closing(run_forked(jobs())) as solved:
         for j, eta_j in enumerate(etas):
             try:
-                traj, trace = next(solved)
+                (dt_history, clip_counts, clipped_mass), trace = next(solved)
             except SolverAbort as exc:
                 raise ContinuationError(j, f"solver abort: {exc}") from exc
             except LostChild as exc:
@@ -522,6 +552,9 @@ def eta_continuation(init: ReformState, params: FluidParams,
                 raise ContinuationError(
                     j, f"no convergence in {trace.final_k} iterations, "
                        f"stopped as {trace.stop_reason} (S = {trace.final_S:.3e})")
+            traj = Trajectory(init.grid, times, *solutions.pop(j),
+                              dt_history=dt_history, clip_counts=clip_counts,
+                              clipped_mass=clipped_mass)
             d = math.nan if prev_traj is None else trajectory_distance(traj, prev_traj)
             levels.append(ContinuationLevel(index=j, eta=eta_j,
                                             picard_iters=trace.final_k,

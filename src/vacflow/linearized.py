@@ -43,19 +43,25 @@ the step lands, and the next step starts from the pair built there. The
 steps read nothing else, and neither does the adaptive step size, which
 reads v and phitilde of the stage the step starts from.
 
-Memory: a Picard iterate's process holds two windows, the predecessor whose
-coefficients are frozen and the window being written, and drops the windows
-it inherited at its fork; the parent of a continuation holds two levels'
-solutions. record_window writes each sample straight into stacks allocated
-once for the whole window, so a window never exists twice, and the
-diagnostics difference samples in time one at a time rather than building a
-whole-window derivative stack. Beside the windows, a step holds at most
-four stage pairs at once (a quarter-point pair lives only through its half
-step, so the momentum step sees three), its stage spectra and, of one
-momentum slope, the factors every row reads, the buffer of the d + 1
-products and one group of d + 4 factors. The momentum step's inputs are
-transformed one stage proxy at a time into their spectra, so the physical
-viscous fields of one stage exist at a time.
+Memory: windows live in shared memory (fields._window), cross a process
+boundary there and never as a pickle, and a process keeps resident only the
+samples it is working on: it releases the rest (fields.release), and the
+data stays in the mapping for the processes that read it next. A Picard
+iterate's process maps two windows, the predecessor whose coefficients are
+frozen and the window being written, drops the windows it inherited at its
+fork, and releases samples of both once it has taken their gap; the start
+guess releases each sample once written; a Trajectory releases its samples
+as it checks them, and the continuation's level distances release each
+sample once read. record_window writes each sample straight into stacks
+allocated once for the whole window, so a window never exists twice in one
+process, and the diagnostics difference samples in time one at a time
+rather than building a whole-window derivative stack. Beside the windows, a
+step holds at most four stage pairs at once (a quarter-point pair lives
+only through its half step, so the momentum step sees three), its stage
+spectra and, of one momentum slope, the factors every row reads, the buffer
+of the d + 1 products and one group of d + 4 factors. The momentum step's
+inputs are transformed one stage proxy at a time into their spectra, so the
+physical viscous fields of one stage exist at a time.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, checked_values
+from .fields import (FieldError, Grid, ScalarField, VectorField, checked_values,
+                     release)
 # advect is not called here; perfbench rebinds it as vacflow.linearized.advect
 from .operators import (STATE_FLOOR, ReformState, _mask_coefficients,  # noqa: F401
                         _momentum_rhs, _StageCoeffs, _transport_rhs,
@@ -74,6 +81,8 @@ from .params import FluidParams
 
 DEFAULT_CFL_SAFETY = 0.4
 DEFAULT_SAMPLES_PER_WINDOW = 32
+# Trajectory checks its samples in chunks of about this many bytes.
+CHECK_CHUNK_BYTES = 1 << 18
 STABILITY_COURANT = 0.9 * math.sqrt(3.0)
 
 
@@ -365,12 +374,28 @@ class Trajectory:
     clipped_mass: list = field(default_factory=list)
 
     def __post_init__(self):
+        """Shapes first, then finiteness and the floor a chunk of about
+        CHECK_CHUNK_BYTES of samples at a time, the samples checked so far
+        released after each chunk (fields.release), so a window in shared
+        memory is never resident here whole. The floor is checked against
+        the minimum over all chunks."""
         g, nt = self.grid, len(self.times)
+        stacks = []
         for name, shape in (("vphi", g.shape), ("phi", g.shape),
                             ("u", (g.dim,) + g.shape)):
-            object.__setattr__(self, name, checked_values(getattr(self, name),
-                                                          (nt,) + shape))
-        check_floor(STATE_FLOOR, vphi=self.vphi, phi=self.phi)
+            stacks.append(checked_values(getattr(self, name), (nt,) + shape,
+                                         finite=False))
+            object.__setattr__(self, name, stacks[-1])
+        per = max(1, CHECK_CHUNK_BYTES // (8 * (g.dim + 2) * math.prod(g.shape)))
+        lows = ([], [])
+        for i in range(0, nt, per):
+            chunk = [stack[i:i + per] for stack in stacks]
+            if not all(np.all(np.isfinite(c)) for c in chunk):
+                raise FieldError("field values must be finite")
+            for low, c in zip(lows, chunk[:2]):
+                low.append(c.min())
+            release(stacks, 0, i + per)
+        check_floor(STATE_FLOOR, vphi=np.array(lows[0]), phi=np.array(lows[1]))
         if not all(b > a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("sample times must increase strictly")
 

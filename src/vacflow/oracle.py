@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, quadrature_l2
+from .fields import Grid, ScalarField, VectorField, _window, quadrature_l2, release
 from .linearized import (
     DEFAULT_CFL_SAFETY,
     AnalyticCoefficients,
@@ -85,13 +84,16 @@ def oracle_dt(grid: Grid, params: FluidParams, rho: np.ndarray,
 
 def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
                     t_window: float, *, sample_dt: float,
-                    dt: float | None = None, forcing=None) -> PrimitiveTrajectory:
+                    dt: float | None = None, forcing=None,
+                    stacks=None) -> PrimitiveTrajectory:
     """Explicit RK4 march of the primitive system on [0, t_window].
 
     forcing, when given, is a callable t -> (mass_term, momentum_term)
     added to the right sides. Sampling mirrors the main solver: states are
     recorded at sample_times(t_window, sample_dt), the multiples of
-    sample_dt plus the window end.
+    sample_dt plus the window end, into (rho, u) stacks allocated here or
+    passed by the caller (a _window, say), each sample released once
+    written.
     """
     grid = rho0.grid
     if u0.grid != grid:
@@ -104,8 +106,10 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
     rho = rho0.values.copy()
     mom = rho * u0.values
     times = sample_times(t_window, sample_dt)
-    traj = PrimitiveTrajectory(grid, times, np.empty((len(times),) + rho.shape),
-                               np.empty((len(times),) + mom.shape), [])
+    if stacks is None:
+        stacks = (np.empty((len(times),) + rho.shape),
+                  np.empty((len(times),) + mom.shape))
+    traj = PrimitiveTrajectory(grid, times, *stacks, [])
     samples = iter(range(len(times)))
 
     def rhs(t: float, r: np.ndarray, m: np.ndarray):
@@ -120,6 +124,7 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
         n = next(samples)
         traj.rho[n] = rho
         traj.u[n] = mom / rho
+        release(stacks, 0, n + 1)
 
     def next_dt(t: float) -> float:
         return dt if dt is not None else oracle_dt(grid, params, rho,
@@ -374,11 +379,18 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
                   cfl_safety: float = DEFAULT_CFL_SAFETY) -> CrossCompareReport:
     """Run the main pipeline and the primitive oracle from the same smooth
     positive data and report the L2 distance of the reconstructed (rho, u)
-    at every shared sample time. The main pipeline runs at eta = 0."""
+    at every shared sample time. The main pipeline runs at eta = 0.
+
+    Each solve writes its trajectory into a _window allocated here before
+    the forks, and the distances read the two windows a sample at a time,
+    releasing each sample once read."""
     if float(rho0.values.min()) <= ORACLE_MIN_RHO:
         raise ValueError("oracle requires min rho > 0; this comparison is "
                          "only defined away from vacuum")
     grid = rho0.grid
+    times = sample_times(t_window, sample_dt)
+    reform_out = _window(grid, len(times))
+    oracle_out = _window(grid, len(times), scalars=1)
 
     init = reform_state_from_density(rho0, u0, params)
     caller = os.getpid()
@@ -391,25 +403,30 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
         if os.getpid() != caller:
             os.nice(10)
             _raise_mmap_threshold()
-        return primitive_solve(rho0, u0, params, t_window, sample_dt=sample_dt)
+        primitive_solve(rho0, u0, params, t_window, sample_dt=sample_dt,
+                        stacks=oracle_out)
+
+    def reform():
+        return picard_solve(init, params, 0.0, t_window, picard_tol, max_iter,
+                            sample_dt=sample_dt, cfl_safety=cfl_safety,
+                            stacks=reform_out)[1]
 
     # neither solve reads the other, so they run concurrently; both record
     # at sample_times(t_window, sample_dt)
-    (reform_traj, trace), oracle_traj = run_forked([
-        ("reform solve", partial(picard_solve, init, params, 0.0, t_window,
-                                 picard_tol, max_iter, sample_dt=sample_dt,
-                                 cfl_safety=cfl_safety)),
-        ("primitive solve", primitive)])
+    trace, _ = run_forked([("reform solve", reform),
+                           ("primitive solve", primitive)])
 
+    (vphi, _, u), (rho_oracle, u_oracle) = reform_out, oracle_out
     distances = []
-    for i in range(len(oracle_traj.times)):
-        rho = density_of(reform_traj.vphi[i], params)
+    for i in range(len(times)):
+        rho = density_of(vphi[i], params)
         d = math.sqrt(
-            quadrature_l2(grid, rho - oracle_traj.rho[i]) ** 2
-            + quadrature_l2(grid, reform_traj.u[i] - oracle_traj.u[i]) ** 2)
+            quadrature_l2(grid, rho - rho_oracle[i]) ** 2
+            + quadrature_l2(grid, u[i] - u_oracle[i]) ** 2)
         distances.append(d)
+        release((*reform_out, *oracle_out), 0, i + 1)
     return CrossCompareReport(
-        times=tuple(oracle_traj.times),
+        times=tuple(times),
         distances=tuple(distances),
         sup_distance=max(distances),
         picard_converged=trace.converged,

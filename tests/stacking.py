@@ -1,6 +1,7 @@
 """Test helpers: a Trajectory stacked from per-sample states, a coefficient
-provider frozen at one state, and the two steps with their stages read from
-a FrozenCoefficients."""
+provider frozen at one state, the two steps with their stages read from a
+FrozenCoefficients, and the plain spectral derivative the solver's batched
+kernels are checked against."""
 
 import numpy as np
 
@@ -47,3 +48,9 @@ def momentum(params, phi, u, coeffs, vphi_new, dt, t=0.0):
     return momentum_step(params, phi, u,
                          stages(coeffs, phi.grid, (t, t + 0.5 * dt, t + dt)),
                          coeffs.eta, vphi_new, dt, t)
+
+
+def deriv(grid, values, order):
+    """The partial derivative of the given order (one entry per axis), one
+    transform pair per call."""
+    return grid.ifft(grid.derivative_multiplier(order) * grid.fft(values))

@@ -37,7 +37,7 @@ from vacflow.operators import ReformState, advect, momentum_rhs_symmetric, stabl
 from vacflow.oracle import default_case
 from vacflow.params import validate_params
 
-from stacking import stacked
+from stacking import deriv, stacked
 
 
 def soft_params():
@@ -431,7 +431,7 @@ def per_product_primitive_rates(g, p, rho, mom, u):
     """(rho_t, (rho u)_t) with every product through Grid.mult and every
     derivative its own transform pair."""
     def dx(values, axis):
-        return g.deriv(values, tuple(int(a == axis) for a in range(g.dim)))
+        return deriv(g, values, tuple(int(a == axis) for a in range(g.dim)))
 
     drho = np.zeros_like(rho)
     for j in range(g.dim):

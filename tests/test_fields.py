@@ -1,6 +1,8 @@
 """Grid, derivative, norm, and snapshot behavior."""
 
 import math
+import mmap
+import os
 
 import numpy as np
 import pytest
@@ -12,13 +14,17 @@ from vacflow.fields import (
     Grid,
     ScalarField,
     VectorField,
+    _window,
     load_snapshot,
     quadrature_l2,
+    release,
     save_snapshot,
     sobolev_norm,
     support_margin,
     weighted_seminorm,
 )
+
+from stacking import deriv
 
 L = 2.0 * math.pi
 
@@ -52,14 +58,14 @@ def test_derivative_of_constant_is_zero():
     g = grid1d()
     f = ScalarField(g, np.full(g.shape, 3.7))
     for order in ((1,), (2,), (3,), (4,)):
-        assert np.abs(g.deriv(f.values, order)).max() == 0.0
+        assert np.abs(deriv(g, f.values, order)).max() == 0.0
 
 
 def test_derivative_of_single_mode_is_analytic():
     g = grid1d(128)
     x = g.coordinates[0].ravel()
     f = ScalarField(g, np.sin(2.0 * np.pi * x / L))
-    df = g.deriv(f.values, (1,))
+    df = deriv(g, f.values, (1,))
     want = (2.0 * np.pi / L) * np.cos(2.0 * np.pi * x / L)
     assert np.max(np.abs(df - want)) < 1e-13
 
@@ -74,12 +80,12 @@ def test_product_rule_identity_for_resolved_products():
     h = np.cos(5 * x) + np.sin(y)
 
     def lap(a):
-        return g.deriv(a, (2, 0)) + g.deriv(a, (0, 2))
+        return deriv(g, a, (2, 0)) + deriv(g, a, (0, 2))
 
     lhs = lap(f * h)
     rhs = (f * lap(h) + h * lap(f)
-           + 2.0 * (g.deriv(f, (1, 0)) * g.deriv(h, (1, 0))
-                    + g.deriv(f, (0, 1)) * g.deriv(h, (0, 1))))
+           + 2.0 * (deriv(g, f, (1, 0)) * deriv(g, h, (1, 0))
+                    + deriv(g, f, (0, 1)) * deriv(g, h, (0, 1))))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -102,9 +108,9 @@ def test_cached_multipliers_are_read_only_and_stay_intact(dim):
     u = VectorField(g, rng.standard_normal((dim,) + g.shape))
     w = ScalarField(g, rng.uniform(0.5, 1.5, g.shape))
     order = (1,) * dim
-    first = g.deriv(f, order)
+    first = deriv(g, f, order)
     norms = [weighted_seminorm(w, u, k) for k in (1, 2, 3)]
-    assert np.array_equal(g.deriv(f, order), first)
+    assert np.array_equal(deriv(g, f, order), first)
     assert [weighted_seminorm(w, u, k) for k in (1, 2, 3)] == norms
 
 
@@ -150,7 +156,7 @@ def test_h1_norm_splits_into_l2_plus_gradient():
         spectrum[k] = amp
         spectrum[-k] = np.conj(amp)
     f = ScalarField(g, np.fft.ifft(spectrum).real)
-    df = g.deriv(f.values, (1,))
+    df = deriv(g, f.values, (1,))
     lhs = sobolev_norm(f, 1) ** 2
     rhs = sobolev_norm(f, 0) ** 2 + quadrature_l2(g, df) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -205,7 +211,7 @@ def test_weighted_seminorm_unit_weight_matches_unweighted():
     x = g.coordinates[0]
     u = VectorField(g, (np.sin(3 * x) + 0.5 * np.cos(x)).reshape(1, -1))
     w1 = ScalarField(g, np.ones(g.shape))
-    du = g.deriv(u.values[0], (1,))
+    du = deriv(g, u.values[0], (1,))
     assert weighted_seminorm(w1, u, 1) == pytest.approx(
         quadrature_l2(g, du), rel=1e-13)
 
@@ -298,3 +304,47 @@ def test_fields_require_finite_values():
     bad[3] = np.nan
     with pytest.raises(FieldError):
         ScalarField(g, bad)
+
+
+def mapping_rss_kib(arr):
+    """The Rss, in KiB, of this process's mapping that holds arr's data, read
+    from /proc/self/smaps."""
+    address = arr.__array_interface__["data"][0]
+    inside = False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()[0]
+            if "-" in head and ":" not in head:
+                lo, hi = (int(a, 16) for a in head.split("-"))
+                inside = lo <= address < hi
+            elif inside and head == "Rss:":
+                return int(line.split()[1])
+    raise AssertionError("no mapping holds the array")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                    reason="needs /proc/self/smaps")
+def test_releasing_a_window_sample_drops_its_pages_and_keeps_its_data():
+    g = Grid(dim=2, n=64, box_length=L)
+    stacks = _window(g, 6)
+    data = [np.random.default_rng(i).standard_normal(s.shape)
+            for i, s in enumerate(stacks)]
+    for stack, values in zip(stacks, data):
+        stack[...] = values
+    before = mapping_rss_kib(stacks[0])
+    release(stacks, 2, 3)
+    # sample 2 is 1 + 1 + 2 grids of 32 KiB, each starting on a page
+    assert before - mapping_rss_kib(stacks[0]) >= 4 * 32
+    for stack, values in zip(stacks, data):
+        assert np.array_equal(stack, values)
+
+
+def test_release_leaves_memory_that_is_not_a_window_alone():
+    # MADV_DONTNEED would zero-fill these: a heap array, one that malloc
+    # maps privately, and one over a private anonymous mapping
+    size = 1 << 17
+    private_map = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE))
+    for arr in (np.arange(64.0), np.arange(float(size)), private_map):
+        arr[...] = np.arange(float(arr.size)) + 1.0
+        release((arr.reshape(-1, 64),), 0, arr.size // 64)
+        assert np.array_equal(arr, np.arange(float(arr.size)) + 1.0)

@@ -8,11 +8,13 @@ import pickle
 import select
 import signal
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 import vacflow.fixedpoint
+import vacflow.oracle
 from vacflow.fields import FieldError, Grid, ScalarField, VectorField
 from vacflow.fixedpoint import (
     DEFAULT_MAX_ITER,
@@ -669,6 +671,90 @@ def test_an_iterate_holds_only_its_predecessors_window_and_its_own(monkeypatch):
     assert trace.final_k >= 3
     want = [[mapped + 2, counts + 2]] * trace.final_k
     assert held[1:trace.final_k + 1].tolist() == want
+
+
+def window_rss_kib():
+    """The resident KiB of this process's shared anonymous mappings (a
+    window is one), summed from /proc/self/smaps."""
+    total, inside = 0, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split(maxsplit=1)[0]
+            if "-" in head and ":" not in head:     # a mapping's first line
+                inside = line.rstrip().endswith("/dev/zero (deleted)")
+            elif inside and head == "Rss:":
+                total += int(line.split()[1])
+    return total
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                    reason="needs /proc/self/smaps")
+def test_a_forked_iterate_keeps_only_the_samples_in_flight_resident(
+        monkeypatch):
+    # 1-D n = 4096: 96 KiB a sample over the three stacks, 3.1 MiB a window.
+    # Read after each sample and after the window's Trajectory is checked;
+    # an iterate that kept what it touched would hold both windows whole.
+    # A read fault may map the neighbouring pages too (the kernel's fault
+    # around), so the bound is a few samples, not one.
+    sample_kib = 3 * 4096 * 8 // 1024
+    resident = shared((DEFAULT_MAX_ITER + 1,))
+    tag = tagged_iterates(monkeypatch)
+    solve = vacflow.fixedpoint.solve_linearized
+
+    def watched(init, coeffs, params, *, stacks, on_sample):
+        def hook(i):
+            on_sample(i)
+            resident[tag["k"]] = max(resident[tag["k"]], window_rss_kib())
+        traj = solve(init, coeffs, params, stacks=stacks, on_sample=hook)
+        resident[tag["k"]] = max(resident[tag["k"]], window_rss_kib())
+        return traj
+
+    monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", watched)
+    _, trace = picard_solve(positive_state(n=4096), soft_params(), 0.25, 0.005,
+                            1e-16, 8, sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
+    assert trace.final_k >= 3
+    held = resident[1:trace.final_k + 1]
+    # a page of resident itself, and a few samples' worth of the windows
+    assert 0 < held.max() <= 4 + 4 * sample_kib, held.tolist()
+
+
+def pickled_sizes(monkeypatch, module):
+    """Rebind module.run_forked so that it logs the pickled size of each
+    result it hands back, as its child wrote it into the pipe."""
+    sizes = []
+    forked = module.run_forked
+
+    def logged(jobs):
+        with closing(forked(jobs)) as results:
+            for value in results:
+                sizes.append(len(pickle.dumps(value,
+                                              protocol=pickle.HIGHEST_PROTOCOL)))
+                yield value
+
+    monkeypatch.setattr(module, "run_forked", logged)
+    return sizes
+
+
+def test_forked_solves_hand_their_windows_back_in_shared_memory(monkeypatch):
+    # 1-D n = 256: a pickled window of 33 samples would take 198 KiB
+    init, p = positive_state(n=256), soft_params()
+    sample_dt = 0.004 / DEFAULT_SAMPLES_PER_WINDOW
+    sizes = pickled_sizes(monkeypatch, vacflow.fixedpoint)
+    sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=2, cauchy_tol=1e-14)
+    traj, _ = eta_continuation(init, p, sched, 0.004, sample_dt=sample_dt)
+    assert len(sizes) == 2 and max(sizes) < 64 * 1024, sizes
+    direct, _ = picard_solve(init, p, 0.25, 0.004, sample_dt=sample_dt)
+    assert trajectory_distance(traj, direct) == 0.0
+
+    sizes = pickled_sizes(monkeypatch, vacflow.oracle)
+    g = init.grid
+    x = g.coordinates[0]
+    report = vacflow.oracle.cross_compare(
+        ScalarField(g, 0.5 + 0.2 * np.cos(x)),
+        VectorField(g, 0.1 * np.sin(x)[None, :]), p, 0.004,
+        sample_dt=sample_dt)
+    assert report.picard_converged
+    assert len(sizes) == 2 and max(sizes) < 64 * 1024, sizes
 
 
 def fail_iterate_two(monkeypatch, failure):

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vacflow import linearized, operators
-from vacflow.fields import Grid, ScalarField, VectorField
+from vacflow.fields import FieldError, Grid, ScalarField, VectorField, _window
 from vacflow.linearized import (
+    CHECK_CHUNK_BYTES,
     DEFAULT_CFL_SAFETY,
     AnalyticCoefficients,
     FrozenCoefficients,
@@ -479,6 +480,47 @@ def test_trajectory_validation_and_lookup():
     assert np.array_equal(got.phi.values, one.phi.values)
     assert np.array_equal(got.u.values, one.u.values)
     assert np.array_equal(traj.final.vphi.values, zero.vphi.values)
+
+
+def test_trajectory_checks_chunk_by_chunk_as_it_checked_the_whole_window():
+    g = Grid(dim=2, n=64, box_length=1.0)
+    nt = 8
+    per = CHECK_CHUNK_BYTES // (8 * 4 * 64 * 64)
+    assert 1 < per < nt // 2    # at least three chunks of several samples
+
+    def checked(vphi_low=(), phi_low=(), nan_at=None):
+        """A Trajectory over a window of ones with the proxies set to
+        (sample, value) pairs, and u NaN at sample nan_at."""
+        vphi, phi, u = _window(g, nt)
+        for stack in (vphi, phi, u):
+            stack[...] = 1.0
+        for stack, lows in ((vphi, vphi_low), (phi, phi_low)):
+            for i, value in lows:
+                stack[i, 3, 5] = value
+        if nan_at is not None:
+            u[nan_at, 1, 2, 7] = math.nan
+        return Trajectory(g, [0.1 * i for i in range(nt)], vphi, phi, u)
+
+    # an offender in the first chunk, the global minimum in the last
+    with pytest.raises(ValueError) as err:
+        checked(vphi_low=((0, -1e-6), (nt - 1, -3e-6)))
+    assert str(err.value) == ("vphi has negative values below the clip "
+                              "tolerance: min = -3.000e-06")
+    with pytest.raises(ValueError) as err:
+        checked(phi_low=((per, -2e-6), (nt - 1, -5e-6)))
+    assert str(err.value) == ("phi has negative values below the clip "
+                              "tolerance: min = -5.000e-06")
+    # vphi is checked before phi, whichever chunk each offends in
+    with pytest.raises(ValueError, match="^vphi .* min = -1.000e-06$"):
+        checked(vphi_low=((nt - 1, -1e-6),), phi_low=((0, -4e-6),))
+    # finiteness comes first, in a later chunk than a floor offender
+    with pytest.raises(FieldError) as err:
+        checked(vphi_low=((0, -1e-6),), nan_at=nt - 1)
+    assert str(err.value) == "field values must be finite"
+    # within the tolerance passes, and the checked data reads back unchanged
+    traj = checked(vphi_low=((0, -1e-13), (nt - 1, -5e-13)))
+    assert traj.vphi[nt - 1, 3, 5] == -5e-13
+    assert float(traj.u.sum()) == nt * 2 * 64 * 64
 
 
 def test_trajectory_stacks_are_read_only_and_shared_with_the_provider():

@@ -19,10 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vacflow"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
-# The plain spectral derivative the tests check the solver's batched
-# kernels against.
-EXEMPT = {"Grid.deriv"}
-
 
 class _References(ast.NodeVisitor):
     """Every loaded name and attribute with the definitions enclosing it,
@@ -77,7 +73,7 @@ def test_every_public_name_has_a_caller():
         kinds = ("name", "attr") if kind == "name" else ("attr",)
         used = any(node not in enclosing
                    for k in kinds for enclosing in refs.uses.get((k, ident), ()))
-        if not used and qualified not in EXEMPT:
+        if not used:
             unused.append(qualified)
     assert unused == [], (
         "public names with no caller in src/ or the acceptance criteria: "
