@@ -26,6 +26,7 @@ from .fields import (
     ScalarField,
     VectorField,
     quadrature_l2,
+    release,
     sobolev_norm,
     support_margin,
     weighted_seminorm,
@@ -63,7 +64,7 @@ def relative_drift(totals) -> float:
 
 def _sample_derivative(sample, times: np.ndarray, i: int) -> np.ndarray:
     """Second-order time derivative at sample i of sampled fields, sample(j)
-    the fields at times[j] (a stack's __getitem__, say): the three-point
+    the fields at times[j] (a window's __getitem__, say): the three-point
     central stencil inside, three-point one-sided at both ends. Handles a
     non-uniform cadence (the last interval may be shorter). Reads only the
     three samples of the stencil, so no derivative stack is ever built."""
@@ -174,12 +175,10 @@ def ledger(traj: Trajectory, params: FluidParams,
             u_n[i, j] = sobolev_norm(state.u, s)
             w_sq[i, j] = weighted_seminorm(state.vphi, state.u, s + 1) ** 2
         if nt >= 3:
-            dv = _sample_derivative(traj.vphi.__getitem__, times, i)
-            dp = _sample_derivative(traj.phi.__getitem__, times, i)
-            du = _sample_derivative(traj.u.__getitem__, times, i)
-            dvphi_h2[i] = sobolev_norm(ScalarField(grid, dv), 2)
-            dphi_h2[i] = sobolev_norm(ScalarField(grid, dp), 2)
-            du_h1[i] = sobolev_norm(VectorField(grid, du), 1)
+            ds = _sample_derivative(traj.samples.__getitem__, times, i)
+            dvphi_h2[i] = sobolev_norm(ScalarField(grid, ds[0]), 2)
+            dphi_h2[i] = sobolev_norm(ScalarField(grid, ds[1]), 2)
+            du_h1[i] = sobolev_norm(VectorField(grid, ds[2:]), 1)
 
     integrals = np.zeros((nt, 3))
     for i in range(1, nt):
@@ -409,13 +408,17 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     and multilinear in space. Particles that wander closer to the box seam
     than seam_buffer are dropped and counted; by default the buffer is an
     eighth of the box for compactly supported data and zero otherwise.
+
+    The velocity and its divergence are kept for the two samples the
+    current interval reads, each built once; the older is dropped when a
+    third is needed, and each sample is released (fields.release) once
+    read.
     """
-    grid = traj.grid
+    grid, samples = traj.grid, traj.samples
     times = np.asarray(traj.times, dtype=float)
     if len(times) < 2:
         raise ValueError("need at least two samples to trace")
-    rho0 = density_of(traj.vphi[0], params)
-    rho_end = density_of(traj.vphi[-1], params)
+    rho0 = density_of(samples[0, 0], params)
 
     if seam_buffer is None:
         seam_buffer = _seam_buffer(grid, rho0)
@@ -429,18 +432,22 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     chosen = cells[rng.choice(cells.shape[0], size=take, replace=False)]
     start = chosen.T.astype(float) * grid.spacing
 
-    div_st = np.stack([grid.div(u) for u in traj.u])
+    @lru_cache(maxsize=2)
+    def velocity(i: int) -> np.ndarray:
+        """u and div u of sample i, d + 1 rows."""
+        u = samples[i, 2:]
+        rows = np.concatenate((u, [grid.div(u)]))
+        release(samples, 0, i + 1)
+        return rows
 
     def rate(t: float, y: np.ndarray) -> np.ndarray:
         """dy/dt at t for y = (x, integral of div u): the velocity components
-        and div u at the points x, linear in time and multilinear in space,
-        each read from its sample stack."""
+        and div u at the points x, linear in time and multilinear in space."""
         j, w = sample_weight(times, t)
         x = y[:-1] % grid.box_length
 
         def at(i: int) -> np.ndarray:
-            return np.stack([_periodic_interp(grid, f, x)
-                             for f in (*traj.u[i], div_st[i])])
+            return np.stack([_periodic_interp(grid, f, x) for f in velocity(i)])
 
         return at(j) if w == 0.0 else (1.0 - w) * at(j) + w * at(j + 1)
 
@@ -464,6 +471,7 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
         alive &= seam_ok(y[:-1])
     pos, integ = y[:-1], y[-1]
 
+    rho_end = density_of(samples[-1, 0], params)
     start_rho = _periodic_interp(grid, rho0, start)
     predicted = start_rho * np.exp(-integ)
     seen = _periodic_interp(grid, rho_end, pos % grid.box_length)
@@ -499,16 +507,14 @@ def write_characteristics_csv(report: CharacteristicsReport, path) -> None:
 # -- nonlinear residuals ------------------------------------------------------
 
 
-def reform_rhs(state: ReformState, params: FluidParams,
-               eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def reform_rhs(state: ReformState, params: FluidParams, eta: float) -> np.ndarray:
     """Time derivatives of all three fields under the reformulated system
-    with every coefficient read from the state itself: the solver's slope
-    kernels on the state's masked spectra (operators.reform_slopes), brought
-    back in one inverse. Shared between the residual evaluation and
-    manufactured-forcing construction so both sides use the same discrete
-    operators."""
-    slopes = state.grid.ifft(reform_slopes(params, state, state.vphi, eta, state))
-    return slopes[0], slopes[1], slopes[2:]
+    with every coefficient read from the state itself, as rows stacked like
+    the state: the solver's slope kernels on the state's masked spectra
+    (operators.reform_slopes), brought back in one inverse. Shared between
+    the residual evaluation and manufactured-forcing construction so both
+    sides use the same discrete operators."""
+    return state.grid.ifft(reform_slopes(params, state, state.vphi, eta, state))
 
 
 def primitive_rates(grid: Grid, params: FluidParams, rho: np.ndarray,
@@ -566,10 +572,11 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
     assembled from the degenerate viscosities. A manufactured-solution
     forcing, when given, maps t to rows stacked like (vphi, phi, u), which
     are subtracted from the reformulated side only; the primitive side is
-    reported for the unforced system.
+    reported for the unforced system. Each sample is released
+    (fields.release) once the stencils have moved past it.
     """
     times = np.asarray(traj.times, dtype=float)
-    grid = traj.grid
+    grid, samples = traj.grid, traj.samples
     if len(times) < 3:
         raise ValueError("need at least three samples for residuals")
 
@@ -577,34 +584,31 @@ def nonlinear_residual(traj: Trajectory, params: FluidParams,
     # and momentum of the three latest samples are kept, each built once.
     @lru_cache(maxsize=3)
     def primitive(j: int) -> tuple[np.ndarray, np.ndarray]:
-        rho = density_of(traj.vphi[j], params)
-        return rho, rho[None] * traj.u[j]
+        rho = density_of(samples[j, 0], params)
+        return rho, rho[None] * samples[j, 2:]
 
     rp = ru = rlinf = 0.0
     pm = pmom = plinf = 0.0
     for i in range(1, len(times) - 1):
-        t = times[i]
-        f_vphi, f_phi, f_u = reform_rhs(traj.state(i), params, eta)
-        r1 = _sample_derivative(traj.vphi.__getitem__, times, i) - f_vphi
-        r2 = _sample_derivative(traj.phi.__getitem__, times, i) - f_phi
-        r3 = _sample_derivative(traj.u.__getitem__, times, i) - f_u
+        r = (_sample_derivative(samples.__getitem__, times, i)
+             - reform_rhs(traj.state(i), params, eta))
         if forcing is not None:
-            rows = forcing(t)
-            r1, r2, r3 = r1 - rows[0], r2 - rows[1], r3 - rows[2:]
-        rp = max(rp, quadrature_l2(grid, r2))
-        ru = max(ru, quadrature_l2(grid, r3))
-        rlinf = max(rlinf, float(np.abs(r1).max()), float(np.abs(r2).max()),
-                    float(np.abs(r3).max()))
+            r = r - forcing(times[i])
+        rp = max(rp, quadrature_l2(grid, r[1]))
+        ru = max(ru, quadrature_l2(grid, r[2:]))
+        rlinf = max(rlinf, float(np.abs(r).max()))
 
         drho = _sample_derivative(lambda j: primitive(j)[0], times, i)
         dmom = _sample_derivative(lambda j: primitive(j)[1], times, i)
-        rates_rho, rates_mom = primitive_rates(grid, params, *primitive(i), traj.u[i])
+        rates_rho, rates_mom = primitive_rates(grid, params, *primitive(i),
+                                               samples[i, 2:])
         r_mass = drho - rates_rho
         r_mom = dmom - rates_mom
         pm = max(pm, quadrature_l2(grid, r_mass))
         pmom = max(pmom, quadrature_l2(grid, r_mom))
         plinf = max(plinf, float(np.abs(r_mass).max()),
                     float(np.abs(r_mom).max()))
+        release(samples, 0, i)
 
     return ResidualReport(
         reform_phi_l2=rp, reform_u_l2=ru, reform_linf=rlinf,

@@ -18,8 +18,9 @@ The weighted seminorm |w grad^k u|_2 is evaluated in physical space: all
 distinct k-th partials of every velocity component, squared with multinomial
 multiplicity, against the quadrature weight h^dim.
 
-A window of samples that forked processes share is a set of stacks in one
-anonymous shared mapping (_window); release drops this process's pages of
+A window of samples that forked processes share is one array in one
+anonymous shared mapping (_window), each sample a contiguous block of rows
+stacked like a state, (vphi, phi, u); release drops this process's pages of
 some of its samples and leaves the data to the others.
 """
 
@@ -247,49 +248,43 @@ def checked_values(values, expected: tuple, finite: bool = True) -> np.ndarray:
 
 
 class _Mapping(mmap.mmap):
-    """The anonymous shared mapping under the stacks of a _window; release
-    drops pages of this type of memory only."""
+    """The anonymous shared mapping under a _window; release drops pages of
+    this type of memory only."""
 
 
-def _window(grid: Grid, n: int, scalars: int = 2) -> tuple:
-    """Empty stacks for n samples in one anonymous shared mapping: scalars
-    stacks shaped (n,) + grid.shape, then one shaped (n, dim) + grid.shape,
-    so (vphi, phi, u) by default and (rho, u) with scalars=1. Forked children
-    write and read them in place, and a window crosses a process boundary
-    this way, never as a pickle. A process holds in memory only the pages it
-    has touched and not released (release); the data stays in the mapping
-    for every process that maps it, and the mapping is freed once the last
-    of them lets go."""
-    shapes = [(n,) + grid.shape] * scalars + [(n, grid.dim) + grid.shape]
-    sizes = [math.prod(shape) for shape in shapes]
-    whole = np.ndarray(sum(sizes), buffer=_Mapping(-1, 8 * sum(sizes)))
-    ends = np.cumsum(sizes)
-    return tuple(whole[end - size:end].reshape(shape)
-                 for shape, size, end in zip(shapes, sizes, ends))
+def _window(grid: Grid, n: int, rows: int) -> np.ndarray:
+    """An empty window of n samples, shaped (n, rows) + grid.shape in one
+    anonymous shared mapping, so each sample is one contiguous block: rows
+    is d + 2 for (vphi, phi, u), d + 1 for the oracle's (rho, u). Forked
+    children write and read it in place, and a window crosses a process
+    boundary this way, never as a pickle. A process holds in memory only
+    the pages it has touched and not released (release); the data stays in
+    the mapping for every process that maps it, and the mapping is freed
+    once the last of them lets go."""
+    shape = (n, rows) + grid.shape
+    return np.ndarray(shape, buffer=_Mapping(-1, 8 * math.prod(shape)))
 
 
-def release(stacks, start: int, stop: int) -> None:
-    """Drop this process's pages of samples start to stop - 1 of each stack
-    of a _window, with madvise(MADV_DONTNEED) over the pages that lie wholly
-    inside those samples. The data stays in the shared mapping, and the next
-    read maps it again. Any other array is left alone: on private memory
-    MADV_DONTNEED would zero-fill the pages. Without madvise (Windows) it
-    does nothing."""
+def release(window: np.ndarray, start: int, stop: int) -> None:
+    """Drop this process's pages of samples start to stop - 1 of a _window,
+    with madvise(MADV_DONTNEED) over the pages that lie wholly inside those
+    samples. The data stays in the shared mapping, and the next read maps it
+    again. Any other array is left alone: on private memory MADV_DONTNEED
+    would zero-fill the pages. Without madvise (Windows) it does nothing."""
     if not hasattr(mmap, "MADV_DONTNEED"):
         return
-    for stack in stacks:
-        root = stack
-        while isinstance(root.base, np.ndarray):
-            root = root.base
-        if not isinstance(root.base, _Mapping):
-            continue
-        samples = stack[start:stop]
-        first = (samples.__array_interface__["data"][0]
-                 - root.__array_interface__["data"][0])
-        lo = -(-first // mmap.PAGESIZE) * mmap.PAGESIZE
-        hi = (first + samples.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
-        if hi > lo:
-            root.base.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+    root = window
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if not isinstance(root.base, _Mapping):
+        return
+    samples = window[start:stop]
+    first = (samples.__array_interface__["data"][0]
+             - root.__array_interface__["data"][0])
+    lo = -(-first // mmap.PAGESIZE) * mmap.PAGESIZE
+    hi = (first + samples.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    if hi > lo:
+        root.base.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 @dataclass(frozen=True)

@@ -237,12 +237,13 @@ def write_trace_csv(trace: PicardTrace, path) -> None:
 
 
 def _sample_gap(grid, a, b, i: int) -> tuple[float, float, float]:
-    """The gap between sample i of two windows, each given as its (vphi,
-    phi, u) stacks: the squared L2 gap of the (phi, u) block, that of vphi,
-    and the largest pointwise gap of the three."""
-    diffs = (a[1][i] - b[1][i], a[2][i] - b[2][i], a[0][i] - b[0][i])
-    phi_sq, u_sq, vphi_sq = (quadrature_l2(grid, d) ** 2 for d in diffs)
-    return phi_sq + u_sq, vphi_sq, max(float(np.abs(d).max()) for d in diffs)
+    """The gap between sample i of two windows: the squared L2 gap of the
+    (phi, u) block, that of vphi, and the largest pointwise gap of the
+    three."""
+    diff = a[i] - b[i]
+    phi_sq, u_sq, vphi_sq = (quadrature_l2(grid, d) ** 2
+                             for d in (diff[1], diff[2:], diff[0]))
+    return phi_sq + u_sq, vphi_sq, float(np.abs(diff).max())
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
@@ -251,22 +252,22 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
     sample times exactly, as two windows of one sample_times call do."""
     if a.times != b.times:
         raise ValueError("trajectories are sampled on different time grids")
-    stacks_a, stacks_b = (a.vphi, a.phi, a.u), (b.vphi, b.phi, b.u)
 
     def distance(i: int) -> float:
-        w_sq, v_sq, _ = _sample_gap(a.grid, stacks_a, stacks_b, i)
-        release((*stacks_a, *stacks_b), 0, i + 1)
+        w_sq, v_sq, _ = _sample_gap(a.grid, a.samples, b.samples, i)
+        for samples in (a.samples, b.samples):
+            release(samples, 0, i + 1)
         return math.sqrt(w_sq + v_sq)
 
     return max(distance(i) for i in range(len(a.times)))
 
 
 def _start_guess(init: ReformState, params: FluidParams, t_window: float,
-                 cfl_safety: float, sample_dt: float, stacks) -> Trajectory:
-    """Iterate zero, written into stacks: both proxies advected by the
+                 cfl_safety: float, sample_dt: float, window) -> Trajectory:
+    """Iterate zero, written into window: both proxies advected by the
     initial velocity (stretch terms dropped), the velocity itself held
-    constant. Both proxies share the coefficients and the step, so they
-    advance as one stacked transport step, every stage of it reading the
+    constant. Both proxies share the coefficients and the step, so their
+    two rows advance as one transport step, every stage of it reading the
     one unforced pair of coefficients, masked once. Each sample is released
     once written (fields.release). Any guess inside the contraction ball
     works; this one needs no extra solver machinery."""
@@ -275,13 +276,13 @@ def _start_guess(init: ReformState, params: FluidParams, t_window: float,
     frozen = (_mask_coefficients(grid, init.u.values, zeros, zeros), None)
     h = adaptive_dt(params, grid, init.u.values, zeros, cfl_safety)
 
-    def step(t: float, dt: float, t_new: float, vphi, phi, u):
-        (vphi, phi), _ = transport_step(params, (vphi, phi), (frozen,) * 3, dt, t)
-        return vphi, phi, u, 0, 0.0
+    def step(t: float, dt: float, t_new: float, state: np.ndarray):
+        proxies, _ = transport_step(params, grid, state[:2], (frozen,) * 3, dt, t)
+        return np.concatenate((proxies, state[2:])), 0, 0.0
 
-    return record_window(init, t_window, sample_dt, lambda t: h, step,
-                         stacks=stacks,
-                         on_sample=lambda i: release(stacks or (), 0, i + 1))
+    return record_window(
+        init, t_window, sample_dt, lambda t: h, step, window=window,
+        on_sample=None if window is None else lambda i: release(window, 0, i + 1))
 
 
 def _raise_mmap_threshold() -> None:
@@ -297,7 +298,7 @@ def _raise_mmap_threshold() -> None:
 def picard_solve(init: ReformState, params: FluidParams, eta: float,
                  t_window: float, picard_tol: float = DEFAULT_PICARD_TOL,
                  max_iter: int = DEFAULT_MAX_ITER, *, sample_dt: float,
-                 cfl_safety: float = DEFAULT_CFL_SAFETY, stacks=None
+                 cfl_safety: float = DEFAULT_CFL_SAFETY, window=None
                  ) -> tuple[Trajectory, PicardTrace]:
     """Iterate linearized window solves until the sup-in-time squared L2
     change between consecutive iterates drops to picard_tol. Every iterate
@@ -319,9 +320,9 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     picard_tol. The results do not depend on the process count.
 
     The last iterate is returned in its own window, or, when the caller
-    passes (vphi, phi, u) stacks sized by sample_times (a _window that it
-    reads after this process ends, say), copied into those a sample at a
-    time, each sample released on both sides once copied.
+    passes a window sized by sample_times (a _window that it reads after
+    this process ends, say), copied into that a sample at a time, each
+    sample released on both sides once copied.
     """
     if not t_window > 0.0:
         raise ValueError(f"t_window must be positive, got {t_window}")
@@ -335,7 +336,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     times = sample_times(t_window, sample_dt)
     n = len(times)
     forked = hasattr(os, "fork") and hasattr(os, "eventfd")
-    windows = {0: _window(grid, n)}
+    windows = {0: _window(grid, n, grid.dim + 2)}
     _start_guess(init, params, t_window, cfl_safety, sample_dt, windows[0])
     _raise_mmap_threshold()
     counts: dict = {}       # k -> eventfd counting the samples of iterate k
@@ -378,7 +379,8 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             nonlocal held
             wait(i)
             sups[:] = map(max, sups, _sample_gap(grid, own, pred, i))
-            release((*own, *pred), 0, i + 1)
+            for taken in (own, pred):
+                release(taken, 0, i + 1)
             if forked:
                 held += 1
                 if sups[0] + sups[1] > picard_tol:
@@ -397,16 +399,16 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         wait(0)
         tic = time.perf_counter()
         coeffs = FrozenCoefficients(
-            provider=TrajectoryCoefficients(times, *pred, wait=wait), eta=eta,
+            provider=TrajectoryCoefficients(times, pred, wait=wait), eta=eta,
             t_window=t_window, cfl_safety=cfl_safety, sample_dt=sample_dt)
-        traj = solve_linearized(init, coeffs, params, stacks=own,
+        traj = solve_linearized(init, coeffs, params, window=own,
                                 on_sample=on_sample)
         fields = traj.dt_history, traj.clip_counts, traj.clipped_mass
         return fields, tuple(sups), time.perf_counter() - tic
 
     def jobs():
         for k in range(1, max_iter + 1):
-            windows[k] = _window(grid, n)
+            windows[k] = _window(grid, n, grid.dim + 2)
             if forked:
                 counts[k] = os.eventfd(0)
             yield f"iterate {k}", partial(iterate, k)
@@ -439,13 +441,13 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             os.close(fd)
     dt_history, clip_counts, clipped_mass = fields
     last = windows.pop(k)
-    if stacks is not None:
+    if window is not None:
         for i in range(n):
-            for dst, src in zip(stacks, last):
-                dst[i] = src[i]
-            release((*stacks, *last), 0, i + 1)
-        last = stacks
-    cur = Trajectory(grid, times, *last, dt_history=dt_history,
+            window[i] = last[i]
+            for copied in (window, last):
+                release(copied, 0, i + 1)
+        last = window
+    cur = Trajectory(grid, times, last, dt_history=dt_history,
                      clip_counts=clip_counts, clipped_mass=clipped_mass)
     trace = PicardTrace(iterations=tuple(iterations), stop_reason=reason,
                         final_k=k)
@@ -529,12 +531,12 @@ def eta_continuation(init: ReformState, params: FluidParams,
     def level(j: int):
         traj, trace = picard_solve(init, params, etas[j], t_window, picard_tol,
                                    max_iter, cfl_safety=cfl_safety,
-                                   sample_dt=sample_dt, stacks=solutions[j])
+                                   sample_dt=sample_dt, window=solutions[j])
         return (traj.dt_history, traj.clip_counts, traj.clipped_mass), trace
 
     def jobs():
         for j in range(len(etas)):
-            solutions[j] = _window(init.grid, len(times))
+            solutions[j] = _window(init.grid, len(times), init.grid.dim + 2)
             yield f"level {j}", partial(level, j)
 
     levels: list[ContinuationLevel] = []
@@ -552,7 +554,7 @@ def eta_continuation(init: ReformState, params: FluidParams,
                 raise ContinuationError(
                     j, f"no convergence in {trace.final_k} iterations, "
                        f"stopped as {trace.stop_reason} (S = {trace.final_S:.3e})")
-            traj = Trajectory(init.grid, times, *solutions.pop(j),
+            traj = Trajectory(init.grid, times, solutions.pop(j),
                               dt_history=dt_history, clip_counts=clip_counts,
                               clipped_mass=clipped_mass)
             d = math.nan if prev_traj is None else trajectory_distance(traj, prev_traj)

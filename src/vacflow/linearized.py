@@ -43,6 +43,10 @@ the step lands, and the next step starts from the pair built there. The
 steps read nothing else, and neither does the adaptive step size, which
 reads v and phitilde of the stage the step starts from.
 
+A state, a window sample and a forcing all have one layout: the d + 2 rows
+(vphi, phi, u) of one array. A window is one array of such samples, shaped
+(nt, d + 2) + grid.shape, and each sample is one contiguous block of it.
+
 Memory: windows live in shared memory (fields._window), cross a process
 boundary there and never as a pickle, and a process keeps resident only the
 samples it is working on: it releases the rest (fields.release), and the
@@ -52,16 +56,16 @@ frozen and the window being written, drops the windows it inherited at its
 fork, and releases samples of both once it has taken their gap; the start
 guess releases each sample once written; a Trajectory releases its samples
 as it checks them, and the continuation's level distances release each
-sample once read. record_window writes each sample straight into stacks
-allocated once for the whole window, so a window never exists twice in one
-process, and the diagnostics difference samples in time one at a time
-rather than building a whole-window derivative stack. Beside the windows, a
-step holds at most four stage pairs at once (a quarter-point pair lives
-only through its half step, so the momentum step sees three), its stage
-spectra and, of one momentum slope, the factors every row reads, the buffer
-of the d + 1 products and one group of d + 4 factors. The momentum step's
-inputs are transformed one stage proxy at a time into their spectra, so the
-physical viscous fields of one stage exist at a time.
+sample once read. record_window writes each sample straight into a window
+allocated once, so a window never exists twice in one process, and the
+diagnostics difference samples in time one at a time rather than building a
+whole-window derivative array. Beside the windows, a step holds at most four
+stage pairs at once (a quarter-point pair lives only through its half step,
+so the momentum step sees three), its stage spectra and, of one momentum
+slope, the factors every row reads, the buffer of the d + 1 products and one
+group of d + 4 factors. The momentum step's inputs are transformed one stage
+proxy at a time into their spectra, so the physical viscous fields of one
+stage exist at a time.
 """
 
 from __future__ import annotations
@@ -71,8 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (FieldError, Grid, ScalarField, VectorField, checked_values,
-                     release)
+from .fields import FieldError, Grid, ScalarField, VectorField, checked_values, release
 # advect is not called here; perfbench rebinds it as vacflow.linearized.advect
 from .operators import (STATE_FLOOR, ReformState, _mask_coefficients,  # noqa: F401
                         _momentum_rhs, _StageCoeffs, _transport_rhs,
@@ -129,18 +132,17 @@ class TrajectoryCoefficients:
     so no step needs a sample behind the one it starts from. An interpolated
     stage is built on every call; the window solve asks once per stage time.
 
-    The stacks may belong to a window that is still being written: then
-    times is its full sample grid (sample_times), so the weights are those
-    of the finished window, and wait(j) returns once sample j exists. Every
-    read of a sample waits for it first."""
+    samples is a window, its samples stacked like (vphi, phi, u). It may be
+    one that is still being written: then times is its full sample grid
+    (sample_times), so the weights are those of the finished window, and
+    wait(j) returns once sample j exists. Every read of a sample waits for
+    it first."""
 
-    def __init__(self, times, vphis, phis, velocities, wait=None):
+    def __init__(self, times, samples, wait=None):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 1:
             raise ValueError("need at least one sample")
-        self.vphis = np.asarray(vphis, dtype=float)
-        self.phis = np.asarray(phis, dtype=float)
-        self.velocities = np.asarray(velocities, dtype=float)
+        self.samples = np.asarray(samples, dtype=float)
         self._wait = wait
         self._masked: dict = {}
 
@@ -154,8 +156,8 @@ class TrajectoryCoefficients:
             self._wait(around[-1])
         if not all(i in self._masked for i in around):
             self._masked = {i: self._masked[i] if i in self._masked else
-                            _mask_coefficients(grid, self.velocities[i],
-                                               self.phis[i], self.vphis[i])
+                            _mask_coefficients(grid, self.samples[i, 2:],
+                                               self.samples[i, 1], self.samples[i, 0])
                             for i in around}
         if w == 0.0:
             return self._masked[j]
@@ -236,19 +238,16 @@ class TransportDiag:
     clipped_mass: float
 
 
-def transport_step(params: FluidParams, vphi, stages, dt: float,
-                   t: float = 0.0):
+def transport_step(params: FluidParams, grid: Grid, f: np.ndarray, stages,
+                   dt: float, t: float = 0.0):
     """One SSP-RK3 step of vphi_t + v.grad vphi + ((delta1-1)/2) vphitilde
     div v = 0 with frozen coefficients, clipping negatives afterwards.
     stages holds the (masked coefficients, forcing rows) pairs at t, t + dt
     and t + dt/2, in the order the Shu-Osher stages read them; forcing rows
-    are stacked like (vphi, phi, u), or None. vphi is one ScalarField or a
-    tuple of them, which share the coefficients and advance as one stack.
-    Returns (new field or tuple of fields, diagnostics summed over the
-    tuple)."""
-    single = isinstance(vphi, ScalarField)
-    grid = vphi.grid if single else vphi[0].grid
-    f = vphi.values if single else np.stack([g.values for g in vphi])
+    are stacked like (vphi, phi, u), or None. f is the proxy's values on
+    grid, or several proxies along a leading axis, which share the
+    coefficients and advance as one. Returns (new values, diagnostics summed
+    over them)."""
 
     def rhs(i: int, f_hat: np.ndarray) -> np.ndarray:
         stage, rows = stages[i]
@@ -263,10 +262,7 @@ def transport_step(params: FluidParams, vphi, stages, dt: float,
     r3 = rhs(2, f_hat + 0.25 * dt * (r1 + r2))
     out, count, mass = _finish(f + grid.ifft(dt * (r1 + r2 + 4.0 * r3) / 6.0),
                                grid.cell_volume, t + dt)
-    diag = TransportDiag(clip_count=count, clipped_mass=mass)
-    if single:
-        return ScalarField(grid, out), diag
-    return tuple(ScalarField(grid, o) for o in out), diag
+    return out, TransportDiag(clip_count=count, clipped_mass=mass)
 
 
 @dataclass(frozen=True)
@@ -277,20 +273,19 @@ class MomentumDiag:
     clipped_mass: float
 
 
-def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
+def _momentum_inputs(params: FluidParams, grid: Grid, y: np.ndarray,
                      eta: float, vphi_new, t: float):
-    """The spectra a momentum step reads: y0 of (phi, u) and coeff_hat of the
-    four _viscous_fields of each of the three stage proxies, stage by stage,
-    with the shift's nu1 and nu2. Both are views into one (d + 13)-row
-    buffer, which each stage's fields are transformed into in turn, so one
-    stage's physical fields exist at a time. Aborts when the grid minimum
-    of alpha + beta vphi^(2m) drops below alpha/2."""
-    grid = phi.grid
+    """The spectra a momentum step reads: y0 of the (phi, u) rows y and
+    coeff_hat of the four _viscous_fields of each of the three stage
+    proxies, stage by stage, with the shift's nu1 and nu2. Both are views
+    into one (d + 13)-row buffer, which each stage's fields are transformed
+    into in turn, so one stage's physical fields exist at a time. Aborts
+    when the grid minimum of alpha + beta vphi^(2m) drops below alpha/2."""
     d = grid.dim
     if len(vphi_new) != 3:
         raise ValueError(f"expected 3 stage fields, got {len(vphi_new)}")
     spectra = np.empty((d + 13,) + grid.spectral_shape, dtype=complex)
-    spectra[:d + 1] = grid.fft(np.concatenate(([phi.values], u.values)))
+    spectra[:d + 1] = grid.fft(y)
     y0 = spectra[:d + 1]
     coeff_hat = spectra[d + 1:].reshape((3, 4) + grid.spectral_shape)
     # per stage: the minimum of alpha + beta vphi^(2m), the maxima of c_shear
@@ -298,7 +293,7 @@ def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
     # (a NaN propagates)
     extremes = np.empty((3, 3))
     for i, stage in enumerate(vphi_new):
-        fields, compr = _viscous_fields(params, stage.values, eta)
+        fields, compr = _viscous_fields(params, stage, eta)
         extremes[i] = compr.min(), fields[2].max(), fields[3].max()
         coeff_hat[i] = grid.fft(fields)
     coeff_min = float(extremes[:, 0].min())
@@ -309,17 +304,18 @@ def _momentum_inputs(params: FluidParams, phi: ScalarField, u: VectorField,
     return y0, coeff_hat, nu1, nu2
 
 
-def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
-                  stages, eta: float, vphi_new, dt: float, t: float = 0.0):
-    """One integrating-factor RK3 step of the coupled (phi, u) pair.
+def momentum_step(params: FluidParams, grid: Grid, y: np.ndarray, stages,
+                  eta: float, vphi_new, dt: float, t: float = 0.0):
+    """One integrating-factor RK3 step of the coupled (phi, u) pair, given
+    as the d + 1 rows y, a state's rows after vphi. Returns (phi, u,
+    diagnostics).
 
     stages holds the (masked coefficients, forcing rows) pairs at the Kutta
     nodes t, t + dt/2 and t + dt, forcing rows stacked like (vphi, phi, u)
     or None; vphi_new is the new-iterate viscosity proxy as three stage
-    fields at the same nodes. Aborts when the compressive coefficient
+    arrays at the same nodes. Aborts when the compressive coefficient
     alpha + beta vphi^(2m) drops below alpha/2 anywhere on the grid."""
-    grid = phi.grid
-    y0, coeff_hat, nu1, nu2 = _momentum_inputs(params, phi, u, eta, vphi_new, t)
+    y0, coeff_hat, nu1, nu2 = _momentum_inputs(params, grid, y, eta, vphi_new, t)
 
     def slope(i: int, y_hat):
         stage, rows = stages[i]
@@ -345,12 +341,10 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
     increment = dt * (k1 + 4.0 * k2 + k3) / 6.0
     increment[1:] = (G(dt, y0[1:] + (dt / 6.0) * k1[1:]) - y0[1:]
                      + dt * (4.0 * g_k2u + k3[1:]) / 6.0)
-    delta = grid.ifft(increment)
-    u_new = u.values + delta[1:]
-    phi_new, count, mass = _finish(phi.values + delta[0], grid.cell_volume,
-                                   t + dt, u_new)
+    y_new = y + grid.ifft(increment)
+    phi, count, mass = _finish(y_new[0], grid.cell_volume, t + dt, y_new[1:])
     diag = MomentumDiag(nu1=nu1, nu2=nu2, clip_count=count, clipped_mass=mass)
-    return ScalarField(grid, phi_new), VectorField(grid, u_new), diag
+    return phi, y_new[1:], diag
 
 
 # -- window solve ------------------------------------------------------------
@@ -358,52 +352,52 @@ def momentum_step(params: FluidParams, phi: ScalarField, u: VectorField,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of one linearized window: the sample times, one
-    read-only stacked array per field (vphi and phi shaped (nt,) + shape, u
-    shaped (nt, dim) + shape), plus per-step diagnostics. The proxies must be
-    nonnegative up to the clip tolerance at every sample, as every window
-    solve leaves them."""
+    """Sampled solution of one linearized window: the sample times, the
+    samples as one read-only array shaped (nt, d + 2) + shape, sample i the
+    rows (vphi, phi, u) of the state at times[i], plus per-step diagnostics.
+    The proxies must be nonnegative up to the clip tolerance at every
+    sample, as every window solve leaves them."""
 
     grid: Grid
     times: list
-    vphi: np.ndarray
-    phi: np.ndarray
-    u: np.ndarray
+    samples: np.ndarray
     dt_history: list = field(default_factory=list)
     clip_counts: list = field(default_factory=list)
     clipped_mass: list = field(default_factory=list)
 
     def __post_init__(self):
-        """Shapes first, then finiteness and the floor a chunk of about
+        """The shape first, then finiteness and the floor a chunk of about
         CHECK_CHUNK_BYTES of samples at a time, the samples checked so far
         released after each chunk (fields.release), so a window in shared
         memory is never resident here whole. The floor is checked against
         the minimum over all chunks."""
         g, nt = self.grid, len(self.times)
-        stacks = []
-        for name, shape in (("vphi", g.shape), ("phi", g.shape),
-                            ("u", (g.dim,) + g.shape)):
-            stacks.append(checked_values(getattr(self, name), (nt,) + shape,
-                                         finite=False))
-            object.__setattr__(self, name, stacks[-1])
+        samples = checked_values(self.samples, (nt, g.dim + 2) + g.shape,
+                                 finite=False)
+        object.__setattr__(self, "samples", samples)
         per = max(1, CHECK_CHUNK_BYTES // (8 * (g.dim + 2) * math.prod(g.shape)))
-        lows = ([], [])
+        lows = []
         for i in range(0, nt, per):
-            chunk = [stack[i:i + per] for stack in stacks]
-            if not all(np.all(np.isfinite(c)) for c in chunk):
+            chunk = samples[i:i + per]
+            if not np.all(np.isfinite(chunk)):
                 raise FieldError("field values must be finite")
-            for low, c in zip(lows, chunk[:2]):
-                low.append(c.min())
-            release(stacks, 0, i + per)
-        check_floor(STATE_FLOOR, vphi=np.array(lows[0]), phi=np.array(lows[1]))
+            lows.append(chunk[:, :2].min(axis=(0, *range(2, chunk.ndim))))
+            release(samples, 0, i + per)
+        vphi, phi = np.min(lows, axis=0)
+        check_floor(STATE_FLOOR, vphi=vphi, phi=phi)
         if not all(b > a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("sample times must increase strictly")
 
+    # each field's rows of every sample, read-only views of samples
+    vphi = property(lambda self: self.samples[:, 0])
+    phi = property(lambda self: self.samples[:, 1])
+    u = property(lambda self: self.samples[:, 2:])
+
     def state(self, i: int) -> ReformState:
-        """Sample i as a ReformState whose fields are views into the stacks."""
-        g = self.grid
-        return ReformState(ScalarField(g, self.vphi[i]), ScalarField(g, self.phi[i]),
-                           VectorField(g, self.u[i]), floor=None)
+        """Sample i as a ReformState whose fields are views into samples."""
+        g, sample = self.grid, self.samples[i]
+        return ReformState(ScalarField(g, sample[0]), ScalarField(g, sample[1]),
+                           VectorField(g, sample[2:]), floor=None)
 
     @property
     def final(self) -> ReformState:
@@ -463,36 +457,35 @@ def march(t_window: float, sample_dt: float, next_dt, advance) -> None:
 
 
 def record_window(init: ReformState, t_window: float, sample_dt: float,
-                  next_dt, step, *, stacks=None, on_sample=None) -> Trajectory:
+                  next_dt, step, *, window=None, on_sample=None) -> Trajectory:
     """March init across [0, t_window] and record the window at
-    sample_times(t_window, sample_dt). step(t, dt, t_new, vphi, phi, u)
-    returns the fields at t_new, march's end of the step, then its clip
-    count and clipped mass.
+    sample_times(t_window, sample_dt). step(t, dt, t_new, state) returns the
+    state at t_new, march's end of the step, as one array stacked like a
+    sample, then its clip count and clipped mass.
 
-    Each sample is written into stacks allocated once per window, sized by
-    sample_times, and the trajectory takes the stacks as they are: a window
+    Each sample is written into a window allocated once, sized by
+    sample_times, and the trajectory takes the window as it is: a window
     never exists twice, so a caller holds only the windows it keeps plus the
-    one being written. A caller may pass the (vphi, phi, u) stacks, sized by
-    sample_times, for instance in memory another process reads while they
-    fill; on_sample(i) is called once sample i is written, sample 0
+    one being written. A caller may pass the window, shaped (len(times),
+    d + 2) + grid.shape, for instance in memory another process reads while
+    it fills; on_sample(i) is called once sample i is written, sample 0
     included."""
-    fields = (init.vphi, init.phi, init.u)
+    state = init.rows
     times = sample_times(t_window, sample_dt)
-    if stacks is None:
-        stacks = [np.empty((len(times),) + f.values.shape) for f in fields]
+    if window is None:
+        window = np.empty((len(times),) + state.shape)
     dt_history, clip_counts, clipped_mass = [], [], []
     samples = iter(range(len(times)))
 
     def write() -> None:
         n = next(samples)
-        for stack, f in zip(stacks, fields):
-            stack[n] = f.values
+        window[n] = state
         if on_sample is not None:
             on_sample(n)
 
     def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
-        nonlocal fields
-        *fields, count, mass = step(t, dt, t_new, *fields)
+        nonlocal state
+        state, count, mass = step(t, dt, t_new, state)
         dt_history.append(dt)
         clip_counts.append(count)
         clipped_mass.append(mass)
@@ -501,7 +494,7 @@ def record_window(init: ReformState, t_window: float, sample_dt: float,
 
     write()
     march(t_window, sample_dt, next_dt, advance)
-    return Trajectory(init.grid, times, *stacks, dt_history=dt_history,
+    return Trajectory(init.grid, times, window, dt_history=dt_history,
                       clip_counts=clip_counts, clipped_mass=clipped_mass)
 
 
@@ -522,12 +515,12 @@ def adaptive_dt(params: FluidParams, grid: Grid, v: np.ndarray,
 
 
 def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
-                     params: FluidParams, *, stacks=None,
+                     params: FluidParams, *, window=None,
                      on_sample=None) -> Trajectory:
     """March the linearized system across [0, t_window], landing exactly on
     the sample cadence, and return the sampled trajectory. The viscosity
     proxy advances in lockstep by two transport half steps per outer step,
-    feeding stage fields to the momentum update. stacks and on_sample go to
+    feeding stage fields to the momentum update. window and on_sample go to
     record_window.
 
     A step of size dt = 2h builds the (masked coefficients, forcing rows)
@@ -548,23 +541,23 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
         stage = start[0]
         return adaptive_dt(params, grid, stage.v, stage.phit, coeffs.cfl_safety)
 
-    def step(t: float, dt: float, t_new: float, vphi, phi, u):
+    def step(t: float, dt: float, t_new: float, state: np.ndarray):
         nonlocal start
         h = 0.5 * dt
         first, half = start, pair(t + h)
-        vphi_half, d1 = transport_step(params, vphi,
+        vphi_half, d1 = transport_step(params, grid, state[0],
                                        (first, half, pair(t + 0.5 * h)), h, t)
         end = pair(t_new)
-        vphi_full, d2 = transport_step(params, vphi_half,
+        vphi_full, d2 = transport_step(params, grid, vphi_half,
                                        (half, end, pair((t + h) + 0.5 * h)),
                                        h, t + h)
-        phi, u, mdiag = momentum_step(params, phi, u, (first, half, end),
-                                      coeffs.eta, (vphi, vphi_half, vphi_full),
+        phi, u, mdiag = momentum_step(params, grid, state[1:], (first, half, end),
+                                      coeffs.eta, (state[0], vphi_half, vphi_full),
                                       dt, t)
         start = end
-        return (vphi_full, phi, u,
+        return (np.concatenate(([vphi_full, phi], u)),
                 d1.clip_count + d2.clip_count + mdiag.clip_count,
                 d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)
 
     return record_window(init, coeffs.t_window, coeffs.sample_dt, next_dt, step,
-                         stacks=stacks, on_sample=on_sample)
+                         window=window, on_sample=on_sample)

@@ -79,6 +79,12 @@ class ReformState:
     def grid(self) -> Grid:
         return self.vphi.grid
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The state as one new array of d + 2 rows, (vphi, phi, u): the
+        layout of a window sample."""
+        return np.concatenate(([self.vphi.values, self.phi.values], self.u.values))
+
 
 def advect(grid: Grid, v: np.ndarray, f: np.ndarray) -> np.ndarray:
     """v . grad f for an already-truncated velocity v, with the truncated
@@ -315,8 +321,7 @@ def reform_slopes(params, V: ReformState, vphi: ScalarField, eta: float,
     d = grid.dim
     stage = _mask_coefficients(grid, V.u.values, V.phi.values, vphi.values)
     fields, _ = _viscous_fields(params, vphi.values, eta)
-    spectra = grid.dealias_mask * grid.fft(np.concatenate(
-        ([W.vphi.values, W.phi.values], W.u.values, fields)))
+    spectra = grid.dealias_mask * grid.fft(np.concatenate((W.rows, fields)))
     y_hat, coeff_hat = spectra[1:d + 2], spectra[d + 2:]
     return np.concatenate((
         _transport_rhs(grid, params, stage, spectra[0], None)[None],

@@ -50,14 +50,16 @@ ORACLE_MIN_RHO = 1e-8
 @dataclass(frozen=True)
 class PrimitiveTrajectory:
     """Sampled oracle solution, in the form of a Trajectory: the sample
-    times, rho stacked (nt,) + shape, u stacked (nt, dim) + shape, and the
-    step sizes."""
+    times, the samples shaped (nt, d + 1) + shape, sample i the rows
+    (rho, u) at times[i], and the step sizes."""
 
     grid: Grid
     times: list
-    rho: np.ndarray
-    u: np.ndarray
+    samples: np.ndarray
     dt_history: list
+
+    rho = property(lambda self: self.samples[:, 0])
+    u = property(lambda self: self.samples[:, 1:])
 
 
 def primitive_rhs(grid: Grid, params: FluidParams, rho: np.ndarray,
@@ -85,15 +87,15 @@ def oracle_dt(grid: Grid, params: FluidParams, rho: np.ndarray,
 def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
                     t_window: float, *, sample_dt: float,
                     dt: float | None = None, forcing=None,
-                    stacks=None) -> PrimitiveTrajectory:
+                    window=None) -> PrimitiveTrajectory:
     """Explicit RK4 march of the primitive system on [0, t_window].
 
     forcing, when given, is a callable t -> (mass_term, momentum_term)
     added to the right sides. Sampling mirrors the main solver: states are
     recorded at sample_times(t_window, sample_dt), the multiples of
-    sample_dt plus the window end, into (rho, u) stacks allocated here or
-    passed by the caller (a _window, say), each sample released once
-    written.
+    sample_dt plus the window end, into a window of (rho, u) samples
+    allocated here or passed by the caller (a _window, say), each sample
+    released once written.
     """
     grid = rho0.grid
     if u0.grid != grid:
@@ -103,46 +105,42 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
             f"oracle requires min rho > {ORACLE_MIN_RHO:g}; "
             f"got {float(rho0.values.min()):.3e}")
 
-    rho = rho0.values.copy()
-    mom = rho * u0.values
+    y = np.concatenate(([rho0.values], rho0.values * u0.values))   # (rho, rho u)
     times = sample_times(t_window, sample_dt)
-    if stacks is None:
-        stacks = (np.empty((len(times),) + rho.shape),
-                  np.empty((len(times),) + mom.shape))
-    traj = PrimitiveTrajectory(grid, times, *stacks, [])
+    if window is None:
+        window = np.empty((len(times), grid.dim + 1) + grid.shape)
+    traj = PrimitiveTrajectory(grid, times, window, [])
     samples = iter(range(len(times)))
 
-    def rhs(t: float, r: np.ndarray, m: np.ndarray):
-        dr, dm = primitive_rhs(grid, params, r, m)
+    def rhs(t: float, state: np.ndarray) -> np.ndarray:
+        dr, dm = primitive_rhs(grid, params, state[0], state[1:])
+        rates = np.concatenate(([dr], dm))
         if forcing is not None:
             g, f = forcing(t)
-            dr = dr + g
-            dm = dm + f
-        return dr, dm
+            rates += np.concatenate(([g], f))
+        return rates
 
     def write() -> None:
         n = next(samples)
-        traj.rho[n] = rho
-        traj.u[n] = mom / rho
-        release(stacks, 0, n + 1)
+        window[n, 0] = y[0]
+        window[n, 1:] = y[1:] / y[0]
+        release(window, 0, n + 1)
 
     def next_dt(t: float) -> float:
-        return dt if dt is not None else oracle_dt(grid, params, rho,
-                                                   mom / rho)
+        return dt if dt is not None else oracle_dt(grid, params, y[0], y[1:] / y[0])
 
     def advance(t: float, step: float, t_new: float, at_sample: bool) -> None:
-        nonlocal rho, mom
-        k1r, k1m = rhs(t, rho, mom)
-        k2r, k2m = rhs(t + 0.5 * step, rho + 0.5 * step * k1r, mom + 0.5 * step * k1m)
-        k3r, k3m = rhs(t + 0.5 * step, rho + 0.5 * step * k2r, mom + 0.5 * step * k2m)
-        k4r, k4m = rhs(t + step, rho + step * k3r, mom + step * k3m)
-        rho = rho + step / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        mom = mom + step / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(mom))):
+        nonlocal y
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
+        k3 = rhs(t + 0.5 * step, y + 0.5 * step * k2)
+        k4 = rhs(t + step, y + step * k3)
+        y = y + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
             raise SolverAbort("solution lost finiteness", t + step)
-        if float(rho.min()) <= ORACLE_MIN_RHO:
+        if float(y[0].min()) <= ORACLE_MIN_RHO:
             raise SolverAbort("density left the oracle regime", t + step,
-                              f"min rho = {float(rho.min()):.3e}")
+                              f"min rho = {float(y[0].min()):.3e}")
         traj.dt_history.append(step)
         if at_sample:
             write()
@@ -243,9 +241,8 @@ class ManufacturedCase:
         stacked like (vphi, phi, u), all three from one reform_rhs call."""
 
         def rows(t: float) -> np.ndarray:
-            f_vphi, f_phi, f_u = reform_rhs(self.state(t), self.params, eta)
-            return np.concatenate(([self.dvphi_dt(t) - f_vphi],
-                                   [self.dphi_dt(t) - f_phi], self.du_dt(t) - f_u))
+            return (np.concatenate(([self.dvphi_dt(t), self.dphi_dt(t)], self.du_dt(t)))
+                    - reform_rhs(self.state(t), self.params, eta))
 
         return rows
 
@@ -289,12 +286,8 @@ def soft_viscosity_params() -> FluidParams:
 
 
 def _state_error(a: ReformState, b: ReformState) -> float:
-    grid = a.grid
-    return max(
-        quadrature_l2(grid, a.vphi.values - b.vphi.values),
-        quadrature_l2(grid, a.phi.values - b.phi.values),
-        quadrature_l2(grid, a.u.values - b.u.values),
-    )
+    diff = a.rows - b.rows
+    return max(quadrature_l2(a.grid, d) for d in (diff[0], diff[1], diff[2:]))
 
 
 def reform_mms_error(case: ManufacturedCase, dt: float, t_window: float) -> float:
@@ -389,8 +382,8 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
                          "only defined away from vacuum")
     grid = rho0.grid
     times = sample_times(t_window, sample_dt)
-    reform_out = _window(grid, len(times))
-    oracle_out = _window(grid, len(times), scalars=1)
+    reform_out = _window(grid, len(times), grid.dim + 2)
+    oracle_out = _window(grid, len(times), grid.dim + 1)
 
     init = reform_state_from_density(rho0, u0, params)
     caller = os.getpid()
@@ -404,27 +397,27 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
             os.nice(10)
             _raise_mmap_threshold()
         primitive_solve(rho0, u0, params, t_window, sample_dt=sample_dt,
-                        stacks=oracle_out)
+                        window=oracle_out)
 
     def reform():
         return picard_solve(init, params, 0.0, t_window, picard_tol, max_iter,
                             sample_dt=sample_dt, cfl_safety=cfl_safety,
-                            stacks=reform_out)[1]
+                            window=reform_out)[1]
 
     # neither solve reads the other, so they run concurrently; both record
     # at sample_times(t_window, sample_dt)
     trace, _ = run_forked([("reform solve", reform),
                            ("primitive solve", primitive)])
 
-    (vphi, _, u), (rho_oracle, u_oracle) = reform_out, oracle_out
     distances = []
-    for i in range(len(times)):
-        rho = density_of(vphi[i], params)
+    for i, (solved, oracle) in enumerate(zip(reform_out, oracle_out)):
+        rho = density_of(solved[0], params)
         d = math.sqrt(
-            quadrature_l2(grid, rho - rho_oracle[i]) ** 2
-            + quadrature_l2(grid, u[i] - u_oracle[i]) ** 2)
+            quadrature_l2(grid, rho - oracle[0]) ** 2
+            + quadrature_l2(grid, solved[2:] - oracle[1:]) ** 2)
         distances.append(d)
-        release((*reform_out, *oracle_out), 0, i + 1)
+        for window in (reform_out, oracle_out):
+            release(window, 0, i + 1)
     return CrossCompareReport(
         times=tuple(times),
         distances=tuple(distances),

@@ -598,6 +598,28 @@ def test_perfbench_selftests_pass():
     ("run", "run-1d"),
     ("oracle-compare", "oracle-3d"),
 ])
+def test_perfbench_trace_mode_runs_the_workloads(tmp_path, command, workload):
+    # trace mode wraps every layer, in the forked solves too, and its hooks
+    # read what the steppers and the solves return: a changed return layout
+    # fails the traced run
+    root = Path(__file__).resolve().parents[1]
+    record_path = tmp_path / "record.json"
+    argv = [sys.executable, "perfbench/child.py", "trace", str(record_path),
+            "--", command, "--config", f"perfbench/configs/{workload}.ini",
+            "--seed", "101"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(record_path.read_text())
+    assert record["exit_code"] == 0
+
+
+@pytest.mark.parametrize("command, workload", [
+    ("run", "run-1d"),
+    ("oracle-compare", "oracle-3d"),
+])
 @pytest.mark.parametrize("mode", ["probe", "time"])
 def test_perfbench_stamps_setup_in_the_parent(tmp_path, command, workload,
                                               mode):

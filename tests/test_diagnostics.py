@@ -3,6 +3,7 @@ characteristic tracing, and nonlinear residuals."""
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from vacflow.operators import ReformState, advect, momentum_rhs_symmetric, stabl
 from vacflow.oracle import default_case
 from vacflow.params import validate_params
 
-from stacking import deriv, stacked
+from stacking import deriv, mapping_rss_kib, stacked, windowed
 
 
 def soft_params():
@@ -110,7 +111,8 @@ def whole_stack_residual(traj, p, eta, forcing):
     dmom = whole_stack_derivative(mom_st, times)
     rp = ru = rlinf = pm = pmom = plinf = 0.0
     for i in range(1, len(times) - 1):
-        f_vphi, f_phi, f_u = reform_rhs(traj.state(i), p, eta)
+        rhs = reform_rhs(traj.state(i), p, eta)
+        f_vphi, f_phi, f_u = rhs[0], rhs[1], rhs[2:]
         rows = forcing(times[i])
         r1 = dvphi[i] - f_vphi - rows[0]
         r2 = dphi[i] - f_phi - rows[1]
@@ -427,6 +429,57 @@ def test_characteristics_seam_buffer_drops_and_empty_density():
         characteristics_check(static_trajectory(st, [0.0]), p)
 
 
+# one sample of moving_bump_trajectory: d + 2 = 4 rows of 64 x 64
+SAMPLE_KIB = 4 * 64 * 64 * 8 // 1024
+
+
+def moving_bump_trajectory(nt):
+    """A 2-D n = 64 trajectory of nt samples: a compact bump that grows in
+    time under a velocity that fades."""
+    p = soft_params()
+    g = Grid(dim=2, n=64, box_length=2.0 * np.pi)
+    rho = bump_density(g, amplitude=0.5, width=0.8).values
+    x, y = g.coordinates
+    u = 0.1 * np.stack(np.broadcast_arrays(np.sin(y), np.cos(x)))
+    times = np.linspace(0.0, 0.05, nt)
+    return stacked([state_from_density(g, (1.0 + t) * rho, (1.0 - t) * u, p)
+                    for t in times], times)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                    reason="needs /proc/self/smaps")
+def test_characteristics_keep_only_the_samples_in_flight_resident():
+    # the check reads u of every sample of a window in shared memory; a read
+    # fault may map the neighbouring pages too (fault-around), so the bound
+    # is a few samples, where keeping what it read would hold the u rows of
+    # all 16 samples, 1 MiB
+    p = soft_params()
+    ref = moving_bump_trajectory(16)
+    traj = windowed(ref)
+    got = characteristics_check(traj, p, n_particles=16, seed=3)
+    assert mapping_rss_kib(traj.samples) <= 3 * SAMPLE_KIB
+    want = characteristics_check(ref, p, n_particles=16, seed=3)
+    assert got.traced == want.traced > 0
+    assert got.max_rel_error == want.max_rel_error
+
+
+def test_characteristics_take_each_samples_divergence_once(monkeypatch):
+    p = soft_params()
+    traj = moving_bump_trajectory(5)
+    taken = []
+    div = Grid.div
+
+    def logged(self, vec):
+        taken.append(vec.copy())
+        return div(self, vec)
+
+    monkeypatch.setattr(Grid, "div", logged)
+    characteristics_check(traj, p, n_particles=8, seed=3)
+    assert len(taken) == len(traj.times)
+    for vec, u in zip(taken, traj.u):
+        assert np.array_equal(vec, u)
+
+
 def per_product_primitive_rates(g, p, rho, mom, u):
     """(rho_t, (rho u)_t) with every product through Grid.mult and every
     derivative its own transform pair."""
@@ -494,6 +547,19 @@ def test_residuals_catch_a_static_non_solution():
         nonlinear_residual(static_trajectory(st, [0.0, 0.1]), p)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                    reason="needs /proc/self/smaps")
+def test_residuals_keep_only_the_samples_in_flight_resident():
+    # each sample is released once the three-point stencils have moved past
+    # it; keeping what they read would hold all 10 samples, 1.25 MiB
+    p = soft_params()
+    ref = moving_bump_trajectory(10)
+    traj = windowed(ref)
+    got = nonlinear_residual(traj, p)
+    assert mapping_rss_kib(traj.samples) <= 4 * SAMPLE_KIB
+    assert got == nonlinear_residual(ref, p)
+
+
 def test_residuals_subtract_a_manufactured_forcing():
     # the manufactured fields solve the system forced by reform_forcing, so
     # with it only the central-difference error, O(h^2), is left of the
@@ -542,8 +608,9 @@ def test_reform_rhs_transport_rows_equal_the_per_product_lines(seed, dim, hard, 
     p = HARD if hard else soft_params()
     g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
     state = random_reform_state(g, np.random.default_rng(seed))
-    d_vphi, d_phi, _ = reform_rhs(state, p, eta)
-    for got, want in zip((d_vphi, d_phi), per_product_transport_rows(state, p)):
+    rhs = reform_rhs(state, p, eta)
+    assert rhs.shape == (dim + 2,) + g.shape
+    for got, want in zip(rhs[:2], per_product_transport_rows(state, p)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -553,7 +620,7 @@ def test_reform_rhs_velocity_rows_equal_the_symmetric_route(seed, dim, hard, eta
     p = HARD if hard else soft_params()
     g = Grid(dim=dim, n=8 if dim == 3 else 16, box_length=2.0 * np.pi)
     state = random_reform_state(g, np.random.default_rng(seed))
-    _, _, d_u = reform_rhs(state, p, eta)
+    d_u = reform_rhs(state, p, eta)[2:]
     want = momentum_rhs_symmetric(p, state, state.vphi, eta, state)
     assert np.max(np.abs(d_u - want)) <= 1e-9 * np.max(np.abs(want))
 

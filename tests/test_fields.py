@@ -24,7 +24,7 @@ from vacflow.fields import (
     weighted_seminorm,
 )
 
-from stacking import deriv
+from stacking import deriv, mapping_rss_kib
 
 L = 2.0 * math.pi
 
@@ -306,37 +306,20 @@ def test_fields_require_finite_values():
         ScalarField(g, bad)
 
 
-def mapping_rss_kib(arr):
-    """The Rss, in KiB, of this process's mapping that holds arr's data, read
-    from /proc/self/smaps."""
-    address = arr.__array_interface__["data"][0]
-    inside = False
-    with open("/proc/self/smaps") as fh:
-        for line in fh:
-            head = line.split()[0]
-            if "-" in head and ":" not in head:
-                lo, hi = (int(a, 16) for a in head.split("-"))
-                inside = lo <= address < hi
-            elif inside and head == "Rss:":
-                return int(line.split()[1])
-    raise AssertionError("no mapping holds the array")
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
                     reason="needs /proc/self/smaps")
 def test_releasing_a_window_sample_drops_its_pages_and_keeps_its_data():
     g = Grid(dim=2, n=64, box_length=L)
-    stacks = _window(g, 6)
-    data = [np.random.default_rng(i).standard_normal(s.shape)
-            for i, s in enumerate(stacks)]
-    for stack, values in zip(stacks, data):
-        stack[...] = values
-    before = mapping_rss_kib(stacks[0])
-    release(stacks, 2, 3)
-    # sample 2 is 1 + 1 + 2 grids of 32 KiB, each starting on a page
-    assert before - mapping_rss_kib(stacks[0]) >= 4 * 32
-    for stack, values in zip(stacks, data):
-        assert np.array_equal(stack, values)
+    window = _window(g, 6, g.dim + 2)
+    assert window.shape == (6, 4) + g.shape
+    data = np.random.default_rng(0).standard_normal(window.shape)
+    window[...] = data
+    before = mapping_rss_kib(window)
+    release(window, 2, 3)
+    # sample 2 is its d + 2 = 4 rows of 32 KiB, one contiguous block that
+    # starts on a page
+    assert before - mapping_rss_kib(window) >= 4 * 32
+    assert np.array_equal(window, data)
 
 
 def test_release_leaves_memory_that_is_not_a_window_alone():
@@ -346,5 +329,5 @@ def test_release_leaves_memory_that_is_not_a_window_alone():
     private_map = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE))
     for arr in (np.arange(64.0), np.arange(float(size)), private_map):
         arr[...] = np.arange(float(arr.size)) + 1.0
-        release((arr.reshape(-1, 64),), 0, arr.size // 64)
+        release(arr.reshape(-1, 64), 0, arr.size // 64)
         assert np.array_equal(arr, np.arange(float(arr.size)) + 1.0)

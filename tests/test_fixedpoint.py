@@ -69,7 +69,7 @@ def trajectory_gap(a, b):
     """The terms of the contraction metric between two trajectories: the
     sup-in-time squared L2 gaps of the (phi, u) block and of vphi, and the
     sup-in-time pointwise gap."""
-    gaps = [_sample_gap(a.grid, (a.vphi, a.phi, a.u), (b.vphi, b.phi, b.u), i)
+    gaps = [_sample_gap(a.grid, a.samples, b.samples, i)
             for i in range(len(a.times))]
     return tuple(max(terms) for terms in zip(*gaps))
 
@@ -116,7 +116,7 @@ def test_fixed_point_residual_small_after_convergence():
     assert trace.converged
     # one more linearized solve from the converged trajectory barely moves
     # it, in the metric the iteration uses
-    provider = TrajectoryCoefficients(traj.times, traj.vphi, traj.phi, traj.u)
+    provider = TrajectoryCoefficients(traj.times, traj.samples)
     coeffs = FrozenCoefficients(provider=provider, eta=0.25, t_window=0.005,
                                 sample_dt=traj.times[1])
     nxt = solve_linearized(init, coeffs, soft_params())
@@ -466,7 +466,7 @@ def sequential_picard(init, params, eta, t_window, picard_tol, max_iter):
                         None)
     rows = []
     for k in range(1, max_iter + 1):
-        provider = TrajectoryCoefficients(prev.times, prev.vphi, prev.phi, prev.u)
+        provider = TrajectoryCoefficients(prev.times, prev.samples)
         coeffs = FrozenCoefficients(provider=provider, eta=eta,
                                     t_window=t_window, sample_dt=sample_dt)
         cur = solve_linearized(init, coeffs, params)
@@ -489,8 +489,7 @@ def assert_same_solve(got, want):
     assert traj.dt_history == ref.dt_history
     assert traj.clip_counts == ref.clip_counts
     assert traj.clipped_mass == ref.clipped_mass
-    for name in ("vphi", "phi", "u"):
-        assert np.array_equal(getattr(traj, name), getattr(ref, name))
+    assert np.array_equal(traj.samples, ref.samples)
 
 
 SOLVES = {
@@ -691,7 +690,7 @@ def window_rss_kib():
                     reason="needs /proc/self/smaps")
 def test_a_forked_iterate_keeps_only_the_samples_in_flight_resident(
         monkeypatch):
-    # 1-D n = 4096: 96 KiB a sample over the three stacks, 3.1 MiB a window.
+    # 1-D n = 4096: 96 KiB a sample over its three rows, 3.1 MiB a window.
     # Read after each sample and after the window's Trajectory is checked;
     # an iterate that kept what it touched would hold both windows whole.
     # A read fault may map the neighbouring pages too (the kernel's fault
@@ -701,11 +700,11 @@ def test_a_forked_iterate_keeps_only_the_samples_in_flight_resident(
     tag = tagged_iterates(monkeypatch)
     solve = vacflow.fixedpoint.solve_linearized
 
-    def watched(init, coeffs, params, *, stacks, on_sample):
+    def watched(init, coeffs, params, *, window, on_sample):
         def hook(i):
             on_sample(i)
             resident[tag["k"]] = max(resident[tag["k"]], window_rss_kib())
-        traj = solve(init, coeffs, params, stacks=stacks, on_sample=hook)
+        traj = solve(init, coeffs, params, window=window, on_sample=hook)
         resident[tag["k"]] = max(resident[tag["k"]], window_rss_kib())
         return traj
 
@@ -762,12 +761,12 @@ def fail_iterate_two(monkeypatch, failure):
     tag = tagged_iterates(monkeypatch)
     solve = vacflow.fixedpoint.solve_linearized
 
-    def failing(init, coeffs, params, *, stacks, on_sample):
+    def failing(init, coeffs, params, *, window, on_sample):
         def hook(i):
             on_sample(i)
             if tag["k"] == 2 and i == 20:
                 failure()
-        return solve(init, coeffs, params, stacks=stacks, on_sample=hook)
+        return solve(init, coeffs, params, window=window, on_sample=hook)
 
     monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", failing)
     return tag
@@ -819,11 +818,11 @@ def test_iterates_leave_once_their_solve_is_killed(monkeypatch):
         os.write(held_w, b"%d " % pid)
         return pid, fh
 
-    def slow(init, coeffs, params, *, stacks, on_sample):
+    def slow(init, coeffs, params, *, window, on_sample):
         def hook(i):
             time.sleep(0.4)
             on_sample(i)
-        return solve(init, coeffs, params, stacks=stacks, on_sample=hook)
+        return solve(init, coeffs, params, window=window, on_sample=hook)
 
     monkeypatch.setattr(vacflow.fixedpoint, "_start_job", announced)
     monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", slow)

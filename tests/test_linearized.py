@@ -66,10 +66,10 @@ def test_transport_still_velocity_leaves_proxy_unchanged():
     g = Grid(dim=1, n=64, box_length=2.0 * np.pi)
     f0 = 1.0 + 0.5 * np.sin(g.coordinates[0])
     coeffs = still_coeffs(g, 1.0, vphitilde=np.full(g.shape, 0.7))
-    out, diag = transport(p, ScalarField(g, f0), coeffs, dt=0.05)
+    out, diag = transport(p, g, f0, coeffs, dt=0.05)
     # the Shu-Osher convex recombination costs a few ulps even with a zero
     # right-hand side
-    assert np.max(np.abs(out.values - f0)) < 1e-14
+    assert np.max(np.abs(out - f0)) < 1e-14
     assert diag.clip_count == 0 and diag.clipped_mass == 0.0
 
 
@@ -89,11 +89,11 @@ def test_transport_translation_is_third_order():
     def run(steps):
         coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=T,
                                     sample_dt=T)
-        f = ScalarField(g, f0)
+        f = f0
         dt = T / steps
         for k in range(steps):
-            f, _ = transport(p, f, coeffs, dt, t=k * dt)
-        return float(np.max(np.abs(f.values - exact)))
+            f, _ = transport(p, g, f, coeffs, dt, t=k * dt)
+        return float(np.max(np.abs(f - exact)))
 
     e1, e2 = run(40), run(80)
     assert e2 > 1e-13
@@ -117,7 +117,7 @@ def test_transport_matches_textbook_recursion():
                                     vphitilde=np.full(n, w0))
     coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0,
                                 sample_dt=1.0)
-    got, _ = transport(p, ScalarField(g, f0), coeffs, dt)
+    got, _ = transport(p, g, f0, coeffs, dt)
 
     ik = 1j * np.fft.fftfreq(n, 1.0 / n)
     dx = lambda arr: np.fft.ifft(ik * np.fft.fft(arr)).real
@@ -126,7 +126,7 @@ def test_transport_matches_textbook_recursion():
     u1 = f0 + dt * L(f0)
     u2 = 0.75 * f0 + 0.25 * (u1 + dt * L(u1))
     want = f0 / 3.0 + (2.0 / 3.0) * (u2 + dt * L(u2))
-    assert np.max(np.abs(got.values - want)) < 1e-13
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_transport_clip_reports_count_and_mass():
@@ -136,14 +136,14 @@ def test_transport_clip_reports_count_and_mass():
     provider = frozen(v=np.sin(x)[None, :],
                                     phitilde=np.zeros(g.shape),
                                     vphitilde=np.ones(g.shape))
-    f0 = ScalarField(g, np.full(g.shape, 1e-4))
+    f0 = np.full(g.shape, 1e-4)
 
     clipped = FrozenCoefficients(provider=provider, eta=0.0, t_window=1.0,
                                  sample_dt=1.0)
-    out, diag = transport(p, f0, clipped, dt=0.01)
+    out, diag = transport(p, g, f0, clipped, dt=0.01)
     assert diag.clip_count > 0
     assert diag.clipped_mass > 0.0
-    assert float(out.values.min()) == 0.0
+    assert float(out.min()) == 0.0
 
 
 def test_zero_state_stays_zero_through_window():
@@ -211,19 +211,18 @@ def test_acoustic_pair_is_third_order():
     # every window clips, so phi rides on a constant that keeps it positive
     phi_exact = 2.0 + np.sin(k * x) * math.cos(k * c * T)
     u_exact = -(c / b) * np.cos(k * x) * math.sin(k * c * T)
-    vphi0 = ScalarField(g, np.zeros(g.shape))
+    vphi0 = np.zeros(g.shape)
 
     def run(steps):
         coeffs = still_coeffs(g, T, phitilde=np.full(g.shape, p0))
-        phi = ScalarField(g, 2.0 + np.sin(k * x))
-        u = VectorField(g, np.zeros((1,) + g.shape))
+        phi, u = 2.0 + np.sin(k * x), np.zeros((1,) + g.shape)
         dt = T / steps
         for j in range(steps):
-            phi, u, _ = momentum(p, phi, u, coeffs, (vphi0,) * 3, dt,
-                                      t=j * dt)
+            phi, u, _ = momentum(p, g, np.concatenate(([phi], u)), coeffs,
+                                 (vphi0,) * 3, dt, t=j * dt)
         return max(
-            float(np.max(np.abs(phi.values - phi_exact))),
-            float(np.max(np.abs(u.values[0] - u_exact))),
+            float(np.max(np.abs(phi - phi_exact))),
+            float(np.max(np.abs(u[0] - u_exact))),
         )
 
     e1, e2 = run(20), run(40)
@@ -236,11 +235,10 @@ def test_momentum_aborts_outside_the_coefficient_regime():
                         delta1=1.5, delta2=2.5)
     g = Grid(dim=1, n=16, box_length=1.0)
     coeffs = still_coeffs(g, 1.0)
-    phi = ScalarField(g, np.zeros(16))
-    u = VectorField(g, np.zeros((1, 16)))
-    hot = ScalarField(g, np.full(16, 0.95))  # compr = 1 - 0.95^4 < 1/2
+    y = np.zeros((2, 16))
+    hot = np.full(16, 0.95)  # compr = 1 - 0.95^4 < 1/2
     with pytest.raises(SolverAbort, match="ellipticity regime exit") as err:
-        momentum(p, phi, u, coeffs, (hot,) * 3, dt=0.01, t=0.25)
+        momentum(p, g, y, coeffs, (hot,) * 3, dt=0.01, t=0.25)
     assert err.value.reason == "ellipticity regime exit"
     assert err.value.time == 0.25
 
@@ -249,11 +247,10 @@ def test_momentum_rejects_wrong_stage_count():
     p = soft_params()
     g = Grid(dim=1, n=16, box_length=1.0)
     coeffs = still_coeffs(g, 1.0)
-    phi = ScalarField(g, np.zeros(16))
-    u = VectorField(g, np.zeros((1, 16)))
+    y = np.zeros((2, 16))
     z = np.zeros(16)
     with pytest.raises(ValueError, match="stage fields"):
-        momentum(p, phi, u, coeffs, (z, z), dt=0.01)
+        momentum(p, g, y, coeffs, (z, z), dt=0.01)
 
 
 def test_window_lands_exactly_on_the_sample_cadence():
@@ -338,18 +335,17 @@ def test_march_lands_on_every_sample_and_steps_sum_to_the_window(
 
 
 def test_record_window_holds_one_window_while_it_writes():
-    # a step that only copies its fields has no transient of its own, so the
-    # traced peak is what the recorder keeps: the window's stacks, written in
-    # place, and not a list of samples beside a stack built from it
+    # a step that only copies its state has no transient of its own, so the
+    # traced peak is what the recorder keeps: the window, written in place,
+    # and not a list of samples beside an array built from it
     g = Grid(dim=2, n=32, box_length=1.0)
     rng = np.random.default_rng(3)
     init = ReformState(ScalarField(g, rng.random(g.shape)),
                        ScalarField(g, rng.random(g.shape)),
                        VectorField(g, rng.random((2,) + g.shape)))
 
-    def step(t, dt, t_new, vphi, phi, u):
-        return (ScalarField(g, vphi.values.copy()), ScalarField(g, phi.values.copy()),
-                VectorField(g, u.values.copy()), 0, 0.0)
+    def step(t, dt, t_new, state):
+        return state.copy(), 0, 0.0
 
     tracemalloc.start()
     try:
@@ -359,8 +355,7 @@ def test_record_window_holds_one_window_while_it_writes():
         tracemalloc.stop()
     assert traj.times == sample_times(1.0, 1.0 / 32)
     assert np.array_equal(traj.u[-1], init.u.values)
-    window = traj.vphi.nbytes + traj.phi.nbytes + traj.u.nbytes
-    assert peak < 1.2 * window
+    assert peak < 1.2 * traj.samples.nbytes
 
 
 @pytest.mark.parametrize("sample_dt", [0.0, -0.25, math.nan])
@@ -436,12 +431,12 @@ def test_the_adaptive_step_reads_the_masked_stage():
     provider = random_trajectory(g, [0.0, 1.0], seed=3)
     stage = provider.stage(g, 0.0)
     want = adaptive_dt(p, g, stage.v, stage.phit, DEFAULT_CFL_SAFETY)
-    raw = adaptive_dt(p, g, provider.velocities[0], provider.phis[0],
+    raw = adaptive_dt(p, g, provider.samples[0, 2:], provider.samples[0, 1],
                       DEFAULT_CFL_SAFETY)
     assert want != raw
-    init = ReformState(ScalarField(g, provider.vphis[0]),
-                       ScalarField(g, provider.phis[0]),
-                       VectorField(g, provider.velocities[0]))
+    init = ReformState(ScalarField(g, provider.samples[0, 0]),
+                       ScalarField(g, provider.samples[0, 1]),
+                       VectorField(g, provider.samples[0, 2:]))
     coeffs = FrozenCoefficients(provider=provider, eta=0.2,
                                 t_window=1.5 * want, sample_dt=1.5 * want)
     traj = solve_linearized(init, coeffs, p)
@@ -463,11 +458,11 @@ def test_trajectory_validation_and_lookup():
     with pytest.raises(ValueError, match="shape"):
         stacked([zero], [0.0, 1.0])
     with pytest.raises(ValueError, match="shape"):
-        Trajectory(g, [0.0, 1.0], np.zeros((2, 16)), np.zeros((2, 16)),
-                   np.zeros((3, 1, 16)))
+        Trajectory(g, [0.0, 1.0], np.zeros((3, 3, 16)))
     with pytest.raises(ValueError, match="shape"):
-        Trajectory(g, [0.0], np.zeros((1, 8)), np.zeros((1, 16)),
-                   np.zeros((1, 1, 16)))
+        Trajectory(g, [0.0], np.zeros((1, 3, 8)))
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory(g, [0.0], np.zeros((1, 2, 16)))
     with pytest.raises(ValueError, match="increase"):
         stacked([zero, zero], [0.0, 0.0])
     signed = ReformState(ScalarField(g, np.full(16, -1e-6)), zero.phi, zero.u,
@@ -491,15 +486,14 @@ def test_trajectory_checks_chunk_by_chunk_as_it_checked_the_whole_window():
     def checked(vphi_low=(), phi_low=(), nan_at=None):
         """A Trajectory over a window of ones with the proxies set to
         (sample, value) pairs, and u NaN at sample nan_at."""
-        vphi, phi, u = _window(g, nt)
-        for stack in (vphi, phi, u):
-            stack[...] = 1.0
-        for stack, lows in ((vphi, vphi_low), (phi, phi_low)):
+        window = _window(g, nt, 4)
+        window[...] = 1.0
+        for row, lows in ((0, vphi_low), (1, phi_low)):
             for i, value in lows:
-                stack[i, 3, 5] = value
+                window[i, row, 3, 5] = value
         if nan_at is not None:
-            u[nan_at, 1, 2, 7] = math.nan
-        return Trajectory(g, [0.1 * i for i in range(nt)], vphi, phi, u)
+            window[nan_at, 2 + 1, 2, 7] = math.nan
+        return Trajectory(g, [0.1 * i for i in range(nt)], window)
 
     # an offender in the first chunk, the global minimum in the last
     with pytest.raises(ValueError) as err:
@@ -523,43 +517,58 @@ def test_trajectory_checks_chunk_by_chunk_as_it_checked_the_whole_window():
     assert float(traj.u.sum()) == nt * 2 * 64 * 64
 
 
-def test_trajectory_stacks_are_read_only_and_shared_with_the_provider():
-    p = soft_params()
+def still_trajectory():
+    """A solved 2-D window of three samples, (vphi, phi, u) rows each."""
     g = Grid(dim=2, n=16, box_length=1.0)
     init = ReformState(
         vphi=ScalarField(g, np.full(g.shape, 0.5)),
         phi=ScalarField(g, np.full(g.shape, 0.5)),
         u=VectorField(g, np.zeros((2,) + g.shape)),
     )
-    traj = solve_linearized(init, still_coeffs(g, 0.02, dt=0.01, sample_dt=0.01),
-                            p)
+    return solve_linearized(init, still_coeffs(g, 0.02, dt=0.01, sample_dt=0.01),
+                            soft_params())
+
+
+def test_trajectory_stacks_are_read_only_and_shared_with_the_provider():
+    traj = still_trajectory()
+    g = traj.grid
+    assert traj.samples.shape == (3, 4) + g.shape
     assert traj.vphi.shape == (3,) + g.shape
     assert traj.phi.shape == (3,) + g.shape
     assert traj.u.shape == (3, 2) + g.shape
-    for stack in (traj.vphi, traj.phi, traj.u):
+    for rows in (traj.samples, traj.vphi, traj.phi, traj.u):
         with pytest.raises(ValueError):
-            stack[0, 0] = 1.0
+            rows[0, 0] = 1.0
     with pytest.raises(ValueError):
         traj.state(1).u.values[0] += 1.0
-    tc = TrajectoryCoefficients(traj.times, traj.vphi, traj.phi, traj.u)
-    assert np.shares_memory(tc.vphis, traj.vphi)
-    assert np.shares_memory(tc.phis, traj.phi)
-    assert np.shares_memory(tc.velocities, traj.u)
+    tc = TrajectoryCoefficients(traj.times, traj.samples)
+    assert np.shares_memory(tc.samples, traj.samples)
+
+
+def test_trajectory_fields_are_read_only_views_of_its_samples():
+    traj = still_trajectory()
+    for rows, index in ((traj.vphi, np.s_[:, 0]), (traj.phi, np.s_[:, 1]),
+                        (traj.u, np.s_[:, 2:])):
+        assert rows.base is traj.samples
+        assert np.shares_memory(rows, traj.samples)
+        assert np.array_equal(rows, traj.samples[index])
+        assert not rows.flags.writeable
+    # the provider reads that same array, no copy of it
+    assert TrajectoryCoefficients(traj.times, traj.samples).samples is traj.samples
 
 
 def test_trajectory_coefficients_interpolate_and_clamp():
     g = Grid(dim=1, n=8, box_length=2.0 * np.pi)
     times = [0.0, 1.0]
-    vphis = np.stack([np.zeros(8), np.ones(8)])
-    phis = np.stack([np.full(8, 2.0), np.full(8, 4.0)])
-    vels = np.stack([np.zeros((1, 8)), np.full((1, 8), 2.0)])
-    tc = TrajectoryCoefficients(times, vphis, phis, vels)
+    samples = np.stack([np.stack([np.zeros(8), np.full(8, 2.0), np.zeros(8)]),
+                        np.stack([np.ones(8), np.full(8, 4.0), np.full(8, 2.0)])])
+    tc = TrajectoryCoefficients(times, samples)
     assert np.allclose(tc.stage(g, 0.25).phit, 2.5)
     assert np.allclose(tc.stage(g, 0.25).vphit, 0.25)
     assert np.allclose(tc.stage(g, 2.0).v, 2.0)
     assert np.allclose(tc.stage(g, -1.0).phit, 2.0)
     with pytest.raises(ValueError, match="at least one"):
-        TrajectoryCoefficients([], vphis[:0], phis[:0], vels[:0])
+        TrajectoryCoefficients([], samples[:0])
 
 
 # -- masked stages and the transform budget ------------------------------------
@@ -570,12 +579,10 @@ def random_trajectory(grid, times, seed):
     vphi in [0.1, 0.9] keeps the soft parameters inside the regime."""
     rng = np.random.default_rng(seed)
     k = len(times)
-    return TrajectoryCoefficients(
-        times,
-        rng.uniform(0.1, 0.9, (k,) + grid.shape),
-        rng.uniform(0.0, 0.7, (k,) + grid.shape),
-        rng.uniform(-0.3, 0.3, (k, grid.dim) + grid.shape),
-    )
+    return TrajectoryCoefficients(times, np.concatenate((
+        rng.uniform(0.1, 0.9, (k, 1) + grid.shape),
+        rng.uniform(0.0, 0.7, (k, 1) + grid.shape),
+        rng.uniform(-0.3, 0.3, (k, grid.dim) + grid.shape)), axis=1))
 
 
 def interpolated(times, stack, t):
@@ -586,10 +593,11 @@ def interpolated(times, stack, t):
 
 
 def fresh_stage(grid, provider, t):
-    """The former per-stage build: interpolate the stored stacks, then mask
+    """The former per-stage build: interpolate the stored samples, then mask
     every coefficient from scratch."""
-    v, phit, vphit = (interpolated(provider.times, stack, t) for stack in
-                      (provider.velocities, provider.phis, provider.vphis))
+    v, phit, vphit = (interpolated(provider.times, rows, t) for rows in
+                      (provider.samples[:, 2:], provider.samples[:, 1],
+                       provider.samples[:, 0]))
     q1 = deformation(grid, v)
     d = grid.dim
     return {
@@ -659,9 +667,9 @@ def test_interpolated_stages_stay_few_when_a_sample_interval_holds_many_steps(
         return got
 
     provider.stage = recorded
-    init = ReformState(ScalarField(g, provider.vphis[0]),
-                       ScalarField(g, provider.phis[0]),
-                       VectorField(g, provider.velocities[0]))
+    init = ReformState(ScalarField(g, provider.samples[0, 0]),
+                       ScalarField(g, provider.samples[0, 1]),
+                       VectorField(g, provider.samples[0, 2:]))
     coeffs = FrozenCoefficients(provider=provider, eta=0.2, t_window=1.0,
                                 dt=1.0 / 40, sample_dt=1.0)
     traj = solve_linearized(init, coeffs, p)
@@ -746,10 +754,10 @@ def test_every_stage_time_is_a_sample_time_or_clear_of_all_of_them(case,
     scripted = itertools.cycle(sizes)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linearized, "adaptive_dt", lambda *args: next(scripted))
-        mp.setattr(linearized, "transport_step", lambda p, vphi, *args:
-                   (vphi, linearized.TransportDiag(0, 0.0)))
-        mp.setattr(linearized, "momentum_step", lambda p, phi, u, *args:
-                   (phi, u, linearized.MomentumDiag(0.0, 0.0, 0, 0.0)))
+        mp.setattr(linearized, "transport_step", lambda p, grid, f, *args:
+                   (f, linearized.TransportDiag(0, 0.0)))
+        mp.setattr(linearized, "momentum_step", lambda p, grid, y, *args:
+                   (y[0], y[1:], linearized.MomentumDiag(0.0, 0.0, 0, 0.0)))
         traj = solve_linearized(init, coeffs, soft_params())
     grid_times = np.array(traj.times)
     for times in (asked, forced):
@@ -759,10 +767,9 @@ def test_every_stage_time_is_a_sample_time_or_clear_of_all_of_them(case,
             assert gap == 0.0 or gap >= 1e-9 * t_window, t
 
 
-def seven_exponential_update(p, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
+def seven_exponential_update(p, g, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
     """The IF-RK3 update as first written, one exponential per term, on the
     spectra the step carries."""
-    g = phi.grid
     G = _shift(g, nu1, nu2, dt)
 
     def slope(ts, pa, ua, va):
@@ -771,7 +778,7 @@ def seven_exponential_update(p, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2):
                           np.concatenate(([pa], ua)), nu1, nu2, None)
         return k[0], k[1:]
 
-    p0, u0 = g.fft(phi.values), g.fft(u.values)
+    p0, u0 = g.fft(phi), g.fft(u)
     k1p, k1u = slope(t, p0, u0, stages_vphi[0])
     p2 = p0 + 0.5 * dt * k1p
     u2 = G(0.5 * dt, u0 + 0.5 * dt * k1u)
@@ -795,16 +802,16 @@ def test_four_exponential_update_equals_the_seven_exponential_form(seed, dim):
                                 sample_dt=0.02)
     # the step clips negative phi, so phi rides on a constant that keeps it
     # positive
-    phi = ScalarField(g, 1.0 + rng.uniform(0.0, 0.7, g.shape))
-    u = VectorField(g, rng.uniform(-0.3, 0.3, (dim,) + g.shape))
+    phi = 1.0 + rng.uniform(0.0, 0.7, g.shape)
+    u = rng.uniform(-0.3, 0.3, (dim,) + g.shape)
     stages_vphi = tuple(rng.uniform(0.1, 0.9, g.shape) for _ in range(3))
     dt, t = 0.004, 0.003
     phi_new, u_new, diag = momentum(
-        p, phi, u, coeffs, tuple(ScalarField(g, v) for v in stages_vphi), dt, t)
+        p, g, np.concatenate(([phi], u)), coeffs, stages_vphi, dt, t)
     want_phi, want_u = seven_exponential_update(
-        p, phi, u, coeffs, stages_vphi, dt, t, diag.nu1, diag.nu2)
+        p, g, phi, u, coeffs, stages_vphi, dt, t, diag.nu1, diag.nu2)
     assert diag.nu1 > 0.0 and diag.nu2 > 0.0
-    for got, want in ((phi_new.values, want_phi), (u_new.values, want_u)):
+    for got, want in ((phi_new, want_phi), (u_new, want_u)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -983,33 +990,30 @@ def test_the_grouped_momentum_slope_holds_about_half_the_batched_transient():
     assert grouped <= 0.6 * batched, (grouped, batched)
 
 
-def batched_momentum_inputs(params, phi, u, eta, vphi_new, t):
+def batched_momentum_inputs(params, grid, y, eta, vphi_new, t):
     """The momentum step's inputs with the three stage proxies stacked, their
-    _viscous_fields built at once and one forward of all of them with
-    (phi, u): the _momentum_inputs replaced by one stage at a time, kept as
-    the reference its bits are checked against."""
-    grid = phi.grid
+    _viscous_fields built at once and one forward of all of them with the
+    (phi, u) rows y: the _momentum_inputs replaced by one stage at a time,
+    kept as the reference its bits are checked against."""
     d = grid.dim
-    fields, compr = _viscous_fields(params, np.stack([s.values for s in vphi_new]),
-                                    eta)
+    fields, compr = _viscous_fields(params, np.stack(vphi_new), eta)
     coeff_min = float(compr.min())
     nu1, nu2 = float(fields[2].max()), max(float(fields[3].max()), 0.0)
     if coeff_min < 0.5 * params.alpha:
         raise SolverAbort("ellipticity regime exit", t, "grid-min alpha + beta "
                           f"vphi^(2m) = {coeff_min:.6g} < alpha/2")
-    spectra = grid.fft(np.concatenate(([phi.values], u.values,
-                                       fields.reshape((12,) + grid.shape))))
+    spectra = grid.fft(np.concatenate((y, fields.reshape((12,) + grid.shape))))
     coeff_hat = spectra[d + 1:].reshape((4, 3) + grid.spectral_shape)
     return spectra[:d + 1], np.swapaxes(coeff_hat, 0, 1), nu1, nu2
 
 
 def momentum_input_args(g, seed, low=0.1):
-    """(phi, u, eta, three stage proxies, t) for _momentum_inputs."""
+    """(grid, the (phi, u) rows, eta, three stage proxies, t) for
+    _momentum_inputs."""
     rng = np.random.default_rng(seed)
-    return (ScalarField(g, rng.uniform(0.0, 0.7, g.shape)),
-            VectorField(g, rng.uniform(-0.3, 0.3, (g.dim,) + g.shape)), 0.1,
-            tuple(ScalarField(g, v) for v in rng.uniform(low, 0.9, (3,) + g.shape)),
-            0.25)
+    y = np.concatenate((rng.uniform(0.0, 0.7, (1,) + g.shape),
+                        rng.uniform(-0.3, 0.3, (g.dim,) + g.shape)))
+    return g, y, 0.1, tuple(rng.uniform(low, 0.9, (3,) + g.shape)), 0.25
 
 
 @settings(max_examples=20, deadline=None)
@@ -1185,17 +1189,16 @@ def test_spectral_steps_equal_the_physical_route(seed, dim, forced):
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    got, _ = transport(p, ScalarField(g, f), coeffs, dt, t)
-    assert_close(got.values, physical_transport_step(p, g, f, coeffs, dt, t))
+    got, _ = transport(p, g, f, coeffs, dt, t)
+    assert_close(got, physical_transport_step(p, g, f, coeffs, dt, t))
 
     phi_new, u_new, diag = momentum(
-        p, ScalarField(g, phi), VectorField(g, u), coeffs,
-        tuple(ScalarField(g, v) for v in stages_vphi), dt, t)
+        p, g, np.concatenate(([phi], u)), coeffs, stages_vphi, dt, t)
     want_phi, want_u, nu1, nu2 = physical_momentum_step(
         p, g, phi, u, coeffs, stages_vphi, dt, t)
     assert (diag.nu1, diag.nu2) == (nu1, nu2)
-    assert_close(phi_new.values, want_phi)
-    assert_close(u_new.values, want_u)
+    assert_close(phi_new, want_phi)
+    assert_close(u_new, want_u)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
