@@ -107,7 +107,7 @@ def _initial_data(cfg: RunConfig, params, scale: float = 1.0):
 
 def _sha256(path) -> str:
     # hashlib maps OpenSSL's libcrypto into the process; only a run bundle's
-    # manifest needs it
+    # manifest needs it, and run_pipeline hashes in a child
     import hashlib
 
     h = hashlib.sha256()
@@ -179,11 +179,13 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     """Execute continuation plus diagnostics and write the report bundle,
     with snapshots when the flag or [output] snapshots asks for them.
     The diagnostics run as run_forked jobs over the final trajectory, which
-    the children inherit. Returns the summary dictionary; raises SolverAbort
-    or ContinuationError after writing failure.json when the solve dies, and
-    LostChild when a diagnostics child does. The parameters and the initial
-    data are checked before out_dir is created, so refused input leaves no
-    directory behind."""
+    the children inherit, and the manifest's digests are taken in a
+    run_forked child, "manifest", so this process never loads hashlib
+    (OpenSSL). Returns the summary dictionary; raises SolverAbort or
+    ContinuationError after writing failure.json when the solve dies, and
+    LostChild when a diagnostics or the manifest child does. The parameters
+    and the initial data are checked before out_dir is created, so refused
+    input leaves no directory behind."""
     params = cfg.fluid_params()
     rho0, u0, _ = _initial_data(cfg, params, scale)
     init = reform_state_from_density(rho0, u0, params)
@@ -318,11 +320,16 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     files.append("summary.json")
 
-    manifest = {
-        "files": {name: _sha256(os.path.join(out_dir, name))
-                  for name in sorted(files)},
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    def digests():
+        return {name: _sha256(os.path.join(out_dir, name))
+                for name in sorted(files)}
+
+    try:
+        [hashed] = run_forked([("manifest", digests)])
+    except LostChild as exc:
+        _failure_record(out_dir, "manifest", None, str(exc))
+        raise
+    _write_json(os.path.join(out_dir, "manifest.json"), {"files": hashed})
     return summary
 
 

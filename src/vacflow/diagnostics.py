@@ -152,7 +152,8 @@ def ledger(traj: Trajectory, params: FluidParams,
     integral of the weighted seminorm of order s+1, stays at or below the
     squared level constant c_s. The level constants all sit at
     sqrt(calib_C) times the initial constant c0; calib_C is honest tuning,
-    reported rather than hidden.
+    reported rather than hidden. Each sample is released (fields.release)
+    once the derivative stencils have moved past it.
     """
     if not calib_C >= 1.0:
         raise ValueError(f"calib_C must be at least 1, got {calib_C}")
@@ -179,6 +180,7 @@ def ledger(traj: Trajectory, params: FluidParams,
             dvphi_h2[i] = sobolev_norm(ScalarField(grid, ds[0]), 2)
             dphi_h2[i] = sobolev_norm(ScalarField(grid, ds[1]), 2)
             du_h1[i] = sobolev_norm(VectorField(grid, ds[2:]), 1)
+        release(traj.samples, 0, i)
 
     integrals = np.zeros((nt, 3))
     for i in range(1, nt):
@@ -252,6 +254,8 @@ class ValidityVerdict:
 
 def validity(traj: Trajectory, led: AprioriLedger,
              params: FluidParams) -> ValidityVerdict:
+    """How far along traj every certificate held. Each sample is released
+    (fields.release) once read."""
     grid = traj.grid
     seam_floor = _seam_buffer(grid, density_of(traj.vphi[0], params))
     watch_support = seam_floor > 0.0
@@ -283,6 +287,7 @@ def validity(traj: Trajectory, led: AprioriLedger,
             ended = True
         if not ended:
             t_valid = float(times[i])
+        release(traj.samples, 0, i + 1)
     if not ended:
         reasons = ["none"]
     return ValidityVerdict(
@@ -304,7 +309,8 @@ class VacuumReport:
 def vacuum_residual(traj: Trajectory, params: FluidParams) -> VacuumReport:
     """Pointwise size of u_t + (u . grad)u over cells the density has
     abandoned. Zero with a flag when no cell is below the cutoff; the time
-    derivative comes from differencing the stored samples."""
+    derivative comes from differencing the stored samples. Each sample is
+    released (fields.release) once the stencils have moved past it."""
     times = np.asarray(traj.times, dtype=float)
     grid = traj.grid
     if len(times) < 3:
@@ -316,13 +322,13 @@ def vacuum_residual(traj: Trajectory, params: FluidParams) -> VacuumReport:
         mask = rho < VAC_EPS
         count = int(mask.sum())
         cells += count
-        if count == 0:
-            continue
-        u = traj.u[i]
-        resid = (_sample_derivative(traj.u.__getitem__, times, i)
-                 + np.sum(u * grid.grad(u), axis=1))
-        mag = np.sqrt(np.sum(resid**2, axis=0))
-        worst = max(worst, float(mag[mask].max()))
+        if count:
+            u = traj.u[i]
+            resid = (_sample_derivative(traj.u.__getitem__, times, i)
+                     + np.sum(u * grid.grad(u), axis=1))
+            mag = np.sqrt(np.sum(resid**2, axis=0))
+            worst = max(worst, float(mag[mask].max()))
+        release(traj.samples, 0, i)
     return VacuumReport(residual=worst, no_vacuum=cells == 0,
                         cell_count=cells)
 
@@ -338,16 +344,18 @@ class ConservationReport:
 
 def conservation(traj: Trajectory, params: FluidParams) -> ConservationReport:
     """The worst relative drift of the quadrature totals of density and
-    momentum over the samples, against the initial totals."""
+    momentum over the samples, against the initial totals. Each sample is
+    released (fields.release) once read."""
     grid = traj.grid
     vol = grid.cell_volume
     masses = []
     momenta = []
-    for vphi, u in zip(traj.vphi, traj.u):
+    for i, (vphi, u) in enumerate(zip(traj.vphi, traj.u)):
         rho = density_of(vphi, params)
         masses.append(float(rho.sum()) * vol)
         momenta.append(tuple(float((rho * u[j]).sum()) * vol
                              for j in range(grid.dim)))
+        release(traj.samples, 0, i + 1)
     p0 = np.asarray(momenta[0])
     mom_scale = max(float(np.max(np.abs(p0))), abs(masses[0]), 1e-300)
     momentum_drift = max(

@@ -6,8 +6,8 @@ coefficients of the quasilinear system at the previous iterate, solves the
 resulting linear window, and repeats until successive iterates stop moving
 in L2. The outer one, ``eta_continuation``, shrinks the elliptic
 regularization toward zero and watches consecutive solutions settle into a
-Cauchy sequence. The levels share nothing but their initial data, so
-``run_forked`` solves them in concurrent child processes.
+Cauchy sequence. The levels share nothing but their initial data and the
+start guess, so ``run_forked`` solves them in concurrent child processes.
 
 Windows cross process boundaries in shared memory (fields._window), never as
 a pickle: each level's solve copies its last iterate into a window its
@@ -22,7 +22,11 @@ soon as a slot is free and reads its predecessor's window in shared memory
 as the predecessor counts its samples. An iterate counts none until its
 running metric has passed picard_tol, so its successor computes exactly when
 the sequential loop would run it, bit for bit as it does, and the successors
-of a converged iterate are killed before they compute anything.
+of a converged iterate are killed before they compute anything. Iterate 0,
+the start guess, reads no eta and counts each sample once written. Where
+os.fork and os.eventfd exist the continuation computes it once, in a job of
+its own ahead of the levels, and each level's iterate 1 reads it as it is
+written.
 """
 
 from __future__ import annotations
@@ -263,14 +267,17 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
 
 
 def _start_guess(init: ReformState, params: FluidParams, t_window: float,
-                 cfl_safety: float, sample_dt: float, window) -> Trajectory:
+                 cfl_safety: float, sample_dt: float, window,
+                 on_sample=None) -> Trajectory:
     """Iterate zero, written into window: both proxies advected by the
     initial velocity (stretch terms dropped), the velocity itself held
-    constant. Both proxies share the coefficients and the step, so their
-    two rows advance as one transport step, every stage of it reading the
-    one unforced pair of coefficients, masked once. Each sample is released
-    once written (fields.release). Any guess inside the contraction ball
-    works; this one needs no extra solver machinery."""
+    constant. It reads no eta, so one guess serves every level. Both
+    proxies share the coefficients and the step, so their two rows advance
+    as one transport step, every stage of it reading the one unforced pair
+    of coefficients, masked once. Once sample i is written, on_sample(i) is
+    called (to count it for a reader) and the sample is released
+    (fields.release). Any guess inside the contraction ball works; this one
+    needs no extra solver machinery."""
     grid = init.grid
     zeros = np.zeros(grid.shape)
     frozen = (_mask_coefficients(grid, init.u.values, zeros, zeros), None)
@@ -280,9 +287,14 @@ def _start_guess(init: ReformState, params: FluidParams, t_window: float,
         proxies, _ = transport_step(params, grid, state[:2], (frozen,) * 3, dt, t)
         return np.concatenate((proxies, state[2:])), 0, 0.0
 
-    return record_window(
-        init, t_window, sample_dt, lambda t: h, step, window=window,
-        on_sample=None if window is None else lambda i: release(window, 0, i + 1))
+    def written(i: int) -> None:
+        if on_sample is not None:
+            on_sample(i)
+        release(window, 0, i + 1)
+
+    return record_window(init, t_window, sample_dt, lambda t: h, step,
+                         window=window,
+                         on_sample=None if window is None else written)
 
 
 def _raise_mmap_threshold() -> None:
@@ -298,8 +310,8 @@ def _raise_mmap_threshold() -> None:
 def picard_solve(init: ReformState, params: FluidParams, eta: float,
                  t_window: float, picard_tol: float = DEFAULT_PICARD_TOL,
                  max_iter: int = DEFAULT_MAX_ITER, *, sample_dt: float,
-                 cfl_safety: float = DEFAULT_CFL_SAFETY, window=None
-                 ) -> tuple[Trajectory, PicardTrace]:
+                 cfl_safety: float = DEFAULT_CFL_SAFETY, window=None,
+                 guess=None) -> tuple[Trajectory, PicardTrace]:
     """Iterate linearized window solves until the sup-in-time squared L2
     change between consecutive iterates drops to picard_tol. Every iterate
     is sampled at sample_times(t_window, sample_dt), and the metric reads
@@ -313,11 +325,17 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     DIVERGING_GROWTHS iterations in a row, comes back unconverged, with
     its stop reason, rather than raising.
 
-    The start guess is computed here. Iterate k is the run_forked job
-    partial(iterate, k) where os.fork and os.eventfd exist, and runs in this
-    process otherwise; either way it steps across [t_j, t_j+1] once iterate
-    k - 1 has written samples j and j + 1 and has moved more than
-    picard_tol. The results do not depend on the process count.
+    Iterate k is the run_forked job partial(iterate, k) where os.fork and
+    os.eventfd exist, and runs in this process otherwise; either way it
+    steps across [t_j, t_j+1] once iterate k - 1 has written samples j and
+    j + 1 and has moved more than picard_tol. Iterate 0 is the start guess,
+    the job "start guess", which counts each sample as it writes it. A
+    caller that runs the guess itself (eta_continuation shares one among
+    its levels) passes guess, a list [window 0, the eventfd counting its
+    samples for this solve]; this function takes both out of the list and
+    closes the eventfd when done, so no frame an iterate inherits holds
+    window 0 past iterate 1. The results do not depend on the process
+    count.
 
     The last iterate is returned in its own window, or, when the caller
     passes a window sized by sample_times (a _window that it reads after
@@ -336,16 +354,21 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     times = sample_times(t_window, sample_dt)
     n = len(times)
     forked = hasattr(os, "fork") and hasattr(os, "eventfd")
-    windows = {0: _window(grid, n, grid.dim + 2)}
-    _start_guess(init, params, t_window, cfl_safety, sample_dt, windows[0])
-    _raise_mmap_threshold()
+    windows: dict = {}      # k -> the window iterate k writes
     counts: dict = {}       # k -> eventfd counting the samples of iterate k
+    starting = guess is None    # the start guess is this solve's job 0
+    if starting:
+        windows[0] = _window(grid, n, grid.dim + 2)
+    else:
+        windows[0], counts[0] = guess
+        guess.clear()
     lifeline = ()           # a pipe whose write end only this process holds
 
     def iterate(k: int):
         """Iterate k, written into windows[k] from windows[k - 1]: its
         step sizes, clip counts and clipped mass, the sups of the three gap
-        terms, and the wall time.
+        terms, and the wall time. Iterate 0, the start guess, counts each
+        sample once written and returns None.
 
         Forked, it first drops its copies of every other window and closes
         every other count, so it maps two windows, and a window's shared
@@ -359,7 +382,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         up to i of both windows (fields.release), so it keeps resident only
         the samples in flight. It leaves once the lifeline is cut, checked
         while it waits and after each sample."""
-        pred, own = windows[k - 1], windows[k]
+        pred, own = windows.get(k - 1), windows[k]
         sups = [0.0, 0.0, 0.0]
         ready, held = (0 if forked else n), 0
 
@@ -388,6 +411,10 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
                     held = 0
                 watch(timeout=0)
 
+        def counted(i: int) -> None:
+            os.eventfd_write(counts[k], 1)
+            watch(timeout=0)
+
         if forked:
             # this process's copies: let go of every other window's shared
             # memory and every other iterate's count
@@ -396,6 +423,10 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             for j in [j for j in counts if j not in (k - 1, k)]:
                 os.close(counts.pop(j))
             os.close(lifeline[1])
+        if k == 0:
+            _start_guess(init, params, t_window, cfl_safety, sample_dt, own,
+                         on_sample=counted if forked else None)
+            return None
         wait(0)
         tic = time.perf_counter()
         coeffs = FrozenCoefficients(
@@ -407,6 +438,8 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         return fields, tuple(sups), time.perf_counter() - tic
 
     def jobs():
+        if starting:
+            yield "start guess", partial(iterate, 0)
         for k in range(1, max_iter + 1):
             windows[k] = _window(grid, n, grid.dim + 2)
             if forked:
@@ -417,11 +450,15 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     reason = "max_iter"
     growths = 0
     try:
+        _raise_mmap_threshold()
         if forked:
-            counts[0] = os.eventfd(n)   # window 0 is written
+            if starting:
+                counts[0] = os.eventfd(0)
             lifeline = os.pipe()
         solved = run_forked(jobs()) if forked else (job() for _, job in jobs())
         with closing(solved):
+            if starting:
+                next(solved)    # None, once the start guess is written
             for k, (fields, (w_sq, v_sq, linf), wall) in enumerate(solved, 1):
                 S = w_sq + v_sq
                 growths = growths + 1 if iterations and S > iterations[-1].S_k else 0
@@ -521,50 +558,93 @@ def eta_continuation(init: ReformState, params: FluidParams,
     once the gap drops to schedule.cauchy_tol; a level that fails to
     converge, or whose process is lost, aborts the sweep with its index.
 
+    The start guess reads no eta, so where os.fork and os.eventfd exist it
+    is computed once, by the job "start guess" forked ahead of the levels:
+    it writes window 0 in shared memory and counts each sample once for
+    each level, because an eventfd read consumes the count. Each level's
+    solve takes window 0 and its count, and its iterate 1 reads the window
+    while it is being written; an abort in the guess is level 0's. This
+    process lets go of window 0 and the counts once every level is forked.
+
     Each level's solution comes back in a _window allocated here just
     before its fork, which the level's solve copies its last iterate into;
     the child's result holds the rest of the trajectory and the trace."""
+    grid = init.grid
     etas = schedule.levels()
     times = sample_times(t_window, sample_dt)
+    shared = hasattr(os, "fork") and hasattr(os, "eventfd")
     solutions: dict = {}    # j -> the window level j's solution is written to
+    guesses: dict = {}      # j -> [window 0, the eventfd counting it for level j]
+
+    def drop_guesses() -> None:
+        while guesses:
+            os.close(guesses.popitem()[1][1])
+
+    def guess(k: int) -> None:
+        """Iterate k = 0 of every level, each sample counted once per level."""
+        def counted(i: int) -> None:
+            for _, count in guesses.values():
+                os.eventfd_write(count, 1)
+
+        _start_guess(init, params, t_window, cfl_safety, sample_dt,
+                     guesses[0][0], on_sample=counted)
 
     def level(j: int):
+        # this process's copies: keep level j's count, close the others
+        for i in [i for i in guesses if i != j]:
+            os.close(guesses.pop(i)[1])
         traj, trace = picard_solve(init, params, etas[j], t_window, picard_tol,
                                    max_iter, cfl_safety=cfl_safety,
-                                   sample_dt=sample_dt, window=solutions[j])
+                                   sample_dt=sample_dt, window=solutions[j],
+                                   guess=guesses.pop(j, None))
         return (traj.dt_history, traj.clip_counts, traj.clipped_mass), trace
 
     def jobs():
+        if shared:
+            window = _window(grid, len(times), grid.dim + 2)
+            guesses.update((j, [window, os.eventfd(0)]) for j in range(len(etas)))
+            del window      # held only in guesses, which each level empties
+            yield "start guess", partial(guess, 0)
         for j in range(len(etas)):
-            solutions[j] = _window(init.grid, len(times), init.grid.dim + 2)
+            solutions[j] = _window(grid, len(times), grid.dim + 2)
             yield f"level {j}", partial(level, j)
+        drop_guesses()
+
+    def outcome(j: int):
+        """The next job's result, its failure raised as level j's."""
+        try:
+            return next(solved)
+        except SolverAbort as exc:
+            raise ContinuationError(j, f"solver abort: {exc}") from exc
+        except LostChild as exc:
+            raise ContinuationError(j, str(exc)) from exc
 
     levels: list[ContinuationLevel] = []
     prev_traj: Trajectory | None = None
     reached = False
-    with closing(run_forked(jobs())) as solved:
-        for j, eta_j in enumerate(etas):
-            try:
-                (dt_history, clip_counts, clipped_mass), trace = next(solved)
-            except SolverAbort as exc:
-                raise ContinuationError(j, f"solver abort: {exc}") from exc
-            except LostChild as exc:
-                raise ContinuationError(j, str(exc)) from exc
-            if not trace.converged:
-                raise ContinuationError(
-                    j, f"no convergence in {trace.final_k} iterations, "
-                       f"stopped as {trace.stop_reason} (S = {trace.final_S:.3e})")
-            traj = Trajectory(init.grid, times, solutions.pop(j),
-                              dt_history=dt_history, clip_counts=clip_counts,
-                              clipped_mass=clipped_mass)
-            d = math.nan if prev_traj is None else trajectory_distance(traj, prev_traj)
-            levels.append(ContinuationLevel(index=j, eta=eta_j,
-                                            picard_iters=trace.final_k,
-                                            picard_S=trace.final_S, distance=d))
-            prev_traj = traj
-            if not math.isnan(d) and d <= schedule.cauchy_tol:
-                reached = True
-                break
+    try:
+        with closing(run_forked(jobs())) as solved:
+            if shared:
+                outcome(0)      # the start guess
+            for j, eta_j in enumerate(etas):
+                (dt_history, clip_counts, clipped_mass), trace = outcome(j)
+                if not trace.converged:
+                    raise ContinuationError(
+                        j, f"no convergence in {trace.final_k} iterations, "
+                           f"stopped as {trace.stop_reason} (S = {trace.final_S:.3e})")
+                traj = Trajectory(grid, times, solutions.pop(j),
+                                  dt_history=dt_history, clip_counts=clip_counts,
+                                  clipped_mass=clipped_mass)
+                d = math.nan if prev_traj is None else trajectory_distance(traj, prev_traj)
+                levels.append(ContinuationLevel(index=j, eta=eta_j,
+                                                picard_iters=trace.final_k,
+                                                picard_S=trace.final_S, distance=d))
+                prev_traj = traj
+                if not math.isnan(d) and d <= schedule.cauchy_tol:
+                    reached = True
+                    break
+    finally:
+        drop_guesses()
     report = ContinuationReport(levels=tuple(levels), reached_tol=reached,
                                 final_trace=trace)
     return prev_traj, report

@@ -245,6 +245,30 @@ def test_a_lost_diagnostics_process_is_a_solver_failure(tmp_path, capsys,
     assert "exit code 3" in rows[1]
 
 
+def test_a_lost_manifest_child_is_a_solver_failure(tmp_path, capsys,
+                                                  monkeypatch):
+    parent = os.getpid()
+
+    def exits(path):
+        assert os.getpid() != parent
+        os._exit(3)
+
+    monkeypatch.setattr(vacflow.cli, "_sha256", exits)
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
+    lost = "manifest ended without a result (exit code 3)"
+    out_dir = tmp_path / "out"
+    with pytest.raises(vacflow.fixedpoint.LostChild) as err:
+        run_pipeline(vacflow.runconfig.load_config(cfg), str(out_dir), 7, False)
+    assert str(err.value) == lost
+    record = json.loads((out_dir / "failure.json").read_text())
+    assert record == {"phase": "manifest", "time": None, "detail": lost}
+    assert not (out_dir / "manifest.json").exists()
+
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failure") and lost in err
+
+
 def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,
                                                        monkeypatch):
     monkeypatch.setattr("vacflow.linearized._transport_rhs",

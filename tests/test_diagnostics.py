@@ -463,6 +463,32 @@ def test_characteristics_keep_only_the_samples_in_flight_resident():
     assert got.max_rel_error == want.max_rel_error
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                    reason="needs /proc/self/smaps")
+def test_certificates_keep_only_the_samples_in_flight_resident():
+    # the ledger, validity, conservation and vacuum checks (a run's ledger
+    # job) each read every sample of a window in shared memory and release
+    # each once their stencils have moved past it; keeping what they read
+    # would hold all 16 samples, 2 MiB
+    p = soft_params()
+    ref = moving_bump_trajectory(16)
+    traj = windowed(ref)
+    led = ledger(ref, p)
+    checks = {
+        "ledger": lambda t: ledger(t, p),
+        "validity": lambda t: validity(t, led, p),
+        "conservation": lambda t: conservation(t, p),
+        "vacuum": lambda t: vacuum_residual(t, p),
+    }
+    for name, check in checks.items():
+        got = check(traj)
+        assert mapping_rss_kib(traj.samples) <= 3 * SAMPLE_KIB, name
+        want = check(ref)
+        for field, value in vars(want).items():
+            assert np.array_equal(getattr(got, field), value), (name, field)
+    assert vacuum_residual(ref, p).cell_count > 0
+
+
 def test_characteristics_take_each_samples_divergence_once(monkeypatch):
     p = soft_params()
     traj = moving_bump_trajectory(5)

@@ -303,6 +303,50 @@ def test_continuation_levels_equal_in_process_solves_bit_for_bit():
         assert not got.flags.writeable
 
 
+def calls_in_the_tree(monkeypatch, run):
+    """(name, pid) of every call of _start_guess and picard_solve that
+    run() makes in any process of its tree, each written into one pipe."""
+    log_r, log_w = os.pipe()
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            os.write(log_w, b"%s %d\n" % (name, os.getpid()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in ("_start_guess", "picard_solve"):
+            patch.setattr(vacflow.fixedpoint, name,
+                          logged(name.encode(), getattr(vacflow.fixedpoint, name)))
+        try:
+            result = run()
+        finally:
+            os.close(log_w)
+    with open(log_r, "rb") as fh:
+        calls = [line.split() for line in fh.read().splitlines()]
+    return result, [(name.decode(), int(pid)) for name, pid in calls]
+
+
+def test_without_eventfd_each_level_computes_its_own_start_guess(monkeypatch):
+    init, p = positive_state(n=32), soft_params()
+    sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
+    sample_dt = 0.004 / DEFAULT_SAMPLES_PER_WINDOW
+    shared, shared_report = eta_continuation(init, p, sched, 0.004,
+                                             sample_dt=sample_dt)
+    monkeypatch.delattr(os, "eventfd")
+    (own, own_report), calls = calls_in_the_tree(monkeypatch, lambda: (
+        eta_continuation(init, p, sched, 0.004, sample_dt=sample_dt)))
+    levels = {pid for name, pid in calls if name == "picard_solve"}
+    guesses = [pid for name, pid in calls if name == "_start_guess"]
+    assert len(levels) == 3 and sorted(guesses) == sorted(levels)
+    assert own_report.distances == shared_report.distances
+    assert [(lv.picard_iters, lv.picard_S) for lv in own_report.levels] == \
+        [(lv.picard_iters, lv.picard_S) for lv in shared_report.levels]
+    assert own.dt_history == shared.dt_history
+    assert np.array_equal(own.samples, shared.samples)
+    assert_no_children()
+
+
 def test_abort_in_one_level_child_surfaces_with_its_index(monkeypatch):
     init = positive_state(n=32)
     sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
@@ -635,6 +679,52 @@ def test_iterates_in_flight_stay_within_one_per_cpu_plus_one(monkeypatch):
                                    for it in trace.iterations]))
 
 
+def test_iterate_one_reads_the_start_guess_while_it_is_written(monkeypatch):
+    # the guess pauses after each sample it has counted; iterate 1 notes how
+    # many samples the guess had written when its own solve began
+    n = DEFAULT_SAMPLES_PER_WINDOW + 1
+    written = shared((1,))
+    seen = shared((1,), math.nan)
+    tag = tagged_iterates(monkeypatch)
+    guess = vacflow.fixedpoint._start_guess
+    solve = vacflow.fixedpoint.solve_linearized
+
+    def slow_guess(*args, on_sample):
+        def hook(i):
+            on_sample(i)
+            written[0] = i + 1
+            time.sleep(0.02)
+        return guess(*args, on_sample=hook)
+
+    def noted(*args, **kwargs):
+        if tag["k"] == 1:
+            seen[0] = written[0]
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "_start_guess", slow_guess)
+    monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", noted)
+    init, params = positive_state(), soft_params()
+    got = picard_solve(init, params, 0.25, 0.005, 1e-16, 8,
+                       sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
+    assert written[0] == n
+    assert seen[0] < n - 1, seen
+    monkeypatch.undo()
+    assert_same_solve(got, sequential_picard(init, params, 0.25, 0.005,
+                                             1e-16, 8))
+
+
+def test_one_start_guess_serves_every_level(monkeypatch):
+    sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
+    (_, report), calls = calls_in_the_tree(monkeypatch, lambda: (
+        eta_continuation(positive_state(n=32), soft_params(), sched, 0.004,
+                         sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)))
+    levels = {pid for name, pid in calls if name == "picard_solve"}
+    guesses = [pid for name, pid in calls if name == "_start_guess"]
+    assert len(report.levels) == len(levels) == 3
+    assert len(guesses) == 1
+    assert guesses[0] not in levels | {os.getpid()}
+
+
 def windows_and_counts_held():
     """This process's shared anonymous mappings (a window is one) and its
     open eventfds (an iterate's count is one)."""
@@ -670,6 +760,46 @@ def test_an_iterate_holds_only_its_predecessors_window_and_its_own(monkeypatch):
     assert trace.final_k >= 3
     want = [[mapped + 2, counts + 2]] * trace.final_k
     assert held[1:trace.final_k + 1].tolist() == want
+
+
+def maps_at(address):
+    """Whether this process maps a region that starts at address."""
+    with open("/proc/self/maps") as fh:
+        return any(int(line.split("-", 1)[0], 16) == address for line in fh)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc/self/maps")
+def test_only_iterate_one_maps_the_shared_start_guess(monkeypatch):
+    # a mapping keeps its address across fork, so every process can look
+    # for window 0 where the guess's process saw it
+    address = shared((1,))
+    log_r, log_w = os.pipe()
+    tag = tagged_iterates(monkeypatch)
+    guess = vacflow.fixedpoint._start_guess
+    solve = vacflow.fixedpoint.solve_linearized
+
+    def located(*args, **kwargs):
+        address[0] = args[5].__array_interface__["data"][0]
+        return guess(*args, **kwargs)
+
+    def logged(*args, **kwargs):
+        os.write(log_w, b"%d %d\n" % (tag["k"], maps_at(int(address[0]))))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "_start_guess", located)
+    monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", logged)
+    sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
+    try:
+        eta_continuation(positive_state(n=32), soft_params(), sched, 0.004,
+                         sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)
+    finally:
+        os.close(log_w)
+    with open(log_r, "rb") as fh:
+        held = sorted(tuple(map(int, line.split()))
+                      for line in fh.read().splitlines())
+    assert held[:3] == [(1, 1)] * 3
+    assert len(held) > 3 and all(mapped == 0 for _, mapped in held[3:]), held
 
 
 def window_rss_kib():
@@ -741,7 +871,8 @@ def test_forked_solves_hand_their_windows_back_in_shared_memory(monkeypatch):
     sizes = pickled_sizes(monkeypatch, vacflow.fixedpoint)
     sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=2, cauchy_tol=1e-14)
     traj, _ = eta_continuation(init, p, sched, 0.004, sample_dt=sample_dt)
-    assert len(sizes) == 2 and max(sizes) < 64 * 1024, sizes
+    # the start guess's result and the two levels'
+    assert len(sizes) == 3 and max(sizes) < 64 * 1024, sizes
     direct, _ = picard_solve(init, p, 0.25, 0.004, sample_dt=sample_dt)
     assert trajectory_distance(traj, direct) == 0.0
 

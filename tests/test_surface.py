@@ -2,14 +2,15 @@
 in src/vacflow is used by the program itself or by an acceptance
 criterion, every parameter with a default of a public function or method
 is passed by some call in src/ or tests/, and importing the bare package
-loads none of its modules, and neither the CLI nor a command that writes no
-manifest loads hashlib (OpenSSL). Every dataclass field is read by the
-program or an acceptance criterion, or is exempt with a reason. A
-coefficient provider has one public method, stage. No sample_dt has a
-default. One function forks child processes. No module imports a name it
-does not use."""
+loads none of its modules, and no command loads hashlib (OpenSSL) into
+the calling process: a run's manifest is hashed in a child. Every
+dataclass field is read by the program or an acceptance criterion, or is
+exempt with a reason. A coefficient provider has one public method,
+stage. No sample_dt has a default. One function forks child processes. No
+module imports a name it does not use."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -173,18 +174,24 @@ t_window = 0.002
 
 def test_only_a_manifest_loads_hashlib(tmp_path):
     # hashlib maps OpenSSL's libcrypto into the process; only the run
-    # bundle's manifest hashes, so importing the CLI and an oracle-compare
-    # run leave it out
+    # bundle's manifest hashes, in a child of its own, so importing the CLI,
+    # an oracle-compare run and a run that writes a manifest leave it out
     config = tmp_path / "oracle.ini"
     config.write_text(ORACLE_CONFIG)
+    out_dir = tmp_path / "run"
     out = run_python(
         "import sys, vacflow.cli; "
         "hashing = lambda: sorted({'hashlib', '_hashlib'} & set(sys.modules)); "
-        "print(hashing()); "
+        "print('loaded', hashing()); "
         "code = vacflow.cli.main(['oracle-compare', '--config', sys.argv[1]]); "
-        "print(code, hashing())", str(config))
-    lines = out.strip().splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "0 []"), out
+        "print('loaded', code, hashing()); "
+        "code = vacflow.cli.main(['run', '--config', sys.argv[1], "
+        "'--out', sys.argv[2]]); "
+        "print('loaded', code, hashing())", str(config), str(out_dir))
+    loaded = [line for line in out.splitlines() if line.startswith("loaded")]
+    assert loaded == ["loaded []", "loaded 0 []", "loaded 0 []"], out
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert "summary.json" in manifest["files"]
 
 
 def test_a_coefficient_provider_has_one_method():
