@@ -30,8 +30,6 @@ from .diagnostics import (
     nonlinear_residual,
     vacuum_residual,
     validity,
-    write_characteristics_csv,
-    write_ledger_csv,
 )
 from .fields import ScalarField, save_snapshot
 from .fixedpoint import (
@@ -39,8 +37,6 @@ from .fixedpoint import (
     LostChild,
     eta_continuation,
     run_forked,
-    write_continuation_csv,
-    write_trace_csv,
 )
 from .initial_data import reform_state_from_density
 from .linearized import SolverAbort
@@ -169,6 +165,66 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """Every table of a bundle or a sweep: a header row, then the rows, all
+    ASCII, floats already formatted by the caller."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _e_or_blank(value: float) -> str:
+    """A table float, or "" for NaN: level 0's distance, a dropped
+    particle's error."""
+    return "" if math.isnan(value) else f"{value:.17e}"
+
+
+def _bundle_tables(led, report, chars) -> dict:
+    """name -> (header, rows) of each table of a run bundle, each row built
+    as it is written. Floats carry 17 significant digits, so each reads
+    back exactly."""
+    header = ["time"]
+    header += [f"vphi_h{s}" for s in (1, 2, 3)]
+    header += [f"phi_h{s}" for s in (1, 2, 3)]
+    header += [f"u_h{s}" for s in (1, 2, 3)]
+    header += [f"int_weighted_d{s + 1}" for s in (1, 2, 3)]
+    header += ["dvphi_h2", "dphi_h2", "du_h1", "ok1", "ok2", "ok3"]
+
+    def ledger_rows():
+        for i, t in enumerate(led.times):
+            row = [f"{t:.17e}"]
+            row += [f"{v:.17e}" for v in led.vphi_norms[i]]
+            row += [f"{v:.17e}" for v in led.phi_norms[i]]
+            row += [f"{v:.17e}" for v in led.u_norms[i]]
+            row += [f"{v:.17e}" for v in led.weighted_integrals[i]]
+            row += [f"{led.dvphi_h2[i]:.17e}", f"{led.dphi_h2[i]:.17e}",
+                    f"{led.du_h1[i]:.17e}"]
+            row += [int(b) for b in led.level_ok[i]]
+            yield row
+
+    tables = {
+        "ledger.csv": (header, ledger_rows()),
+        "continuation.csv": (
+            ["level", "eta", "picard_iters", "picard_S", "distance"],
+            ([lv.index, f"{lv.eta:.17e}", lv.picard_iters,
+              f"{lv.picard_S:.17e}", _e_or_blank(lv.distance)]
+             for lv in report.levels)),
+        # wall times are left out so reruns of the same configuration
+        # produce byte-identical files
+        "picard_trace.csv": (
+            ["k", "S_k", "linf_delta"],
+            ([it.k, f"{it.S_k:.17e}", f"{it.linf_delta:.17e}"]
+             for it in report.final_trace.iterations)),
+    }
+    if chars is not None:
+        tables["characteristics.csv"] = (
+            ["start", "dropped", "rel_error"],
+            ([";".join(f"{c:.17e}" for c in row.start), int(row.dropped),
+              _e_or_blank(row.rel_error)] for row in chars.particles))
+    return tables
+
+
 def _failure_record(out_dir, phase: str, time, detail: str) -> None:
     _write_json(os.path.join(out_dir, "failure.json"),
                 {"phase": phase, "time": time, "detail": detail})
@@ -181,8 +237,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     The diagnostics run as run_forked jobs over the final trajectory, which
     the children inherit, and the manifest's digests are taken in a
     run_forked child, "manifest", so this process never loads hashlib
-    (OpenSSL). Returns the summary dictionary; raises SolverAbort or
-    ContinuationError after writing failure.json when the solve dies, and
+    (OpenSSL). Returns the summary dictionary; raises ContinuationError
+    after writing failure.json when the solve dies (eta_continuation
+    raises every SolverAbort as the failing level's), and
     LostChild when a diagnostics or the manifest child does. The parameters
     and the initial data are checked before out_dir is created, so refused
     input leaves no directory behind."""
@@ -206,9 +263,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
         _failure_record(out_dir, f"continuation level {exc.level}",
                         t_fail, str(exc))
         raise
-    except SolverAbort as exc:
-        _failure_record(out_dir, "solve", exc.time, str(exc))
-        raise
 
     def certificates():
         led = ledger(traj, params, calib_C=cfg.calib_C)
@@ -230,16 +284,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     led, verdict, cons, vac = results["ledger"]
     chars, resid = results.get("characteristics"), results.get("residual")
 
-    write_ledger_csv(led, os.path.join(out_dir, "ledger.csv"))
-    files.append("ledger.csv")
-    write_continuation_csv(report, os.path.join(out_dir, "continuation.csv"))
-    files.append("continuation.csv")
-    write_trace_csv(report.final_trace, os.path.join(out_dir, "picard_trace.csv"))
-    files.append("picard_trace.csv")
-    if chars is not None:
-        write_characteristics_csv(
-            chars, os.path.join(out_dir, "characteristics.csv"))
-        files.append("characteristics.csv")
+    for name, (header, rows) in _bundle_tables(led, report, chars).items():
+        _write_csv(os.path.join(out_dir, name), header, rows)
+        files.append(name)
 
     if snapshots or cfg.snapshots:
         rho_final = ScalarField(traj.grid, density_of(traj.vphi[-1], params))
@@ -415,11 +462,9 @@ def cmd_sweep(args) -> int:
               "T_star_star", "mass_drift", "picard_iters", "note"]
     csv_path = os.path.join(out_dir, "sweep.csv")
     try:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows([i, repr(row["scale"])] + [row[k] for k in header[2:]]
-                             for i, row in enumerate(rows))
+        _write_csv(csv_path, header,
+                   ([i, repr(row["scale"])] + [row[k] for k in header[2:]]
+                    for i, row in enumerate(rows)))
     except OSError as exc:
         return _fail(f"cannot write sweep table: {exc}", EXIT_IO)
 

@@ -14,7 +14,6 @@ symmetric momentum route of acceptance criterion 03.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -187,7 +186,8 @@ def ledger(traj: Trajectory, params: FluidParams,
         dt = times[i] - times[i - 1]
         integrals[i] = integrals[i - 1] + 0.5 * dt * (w_sq[i] + w_sq[i - 1])
 
-    c0 = initial_constant(traj.state(0))
+    # initial_constant(traj.state(0)), summed from the norms already taken
+    c0 = float(1.0 + vphi_n[0, 2] + phi_n[0, 2] + u_n[0, 2])
     c_val = math.sqrt(calib_C) * c0
     c_levels = (c_val, c_val, c_val)
     horizons = horizon_times(float(times[-1]), c_levels[2], params.m)
@@ -209,28 +209,6 @@ def ledger(traj: Trajectory, params: FluidParams,
         c0=c0, c_levels=c_levels, m_exponent=params.m,
         horizons=horizons, level_ok=level_ok, first_crossing=first_crossing,
     )
-
-
-def write_ledger_csv(led: AprioriLedger, path) -> None:
-    header = ["time"]
-    header += [f"vphi_h{s}" for s in (1, 2, 3)]
-    header += [f"phi_h{s}" for s in (1, 2, 3)]
-    header += [f"u_h{s}" for s in (1, 2, 3)]
-    header += [f"int_weighted_d{s + 1}" for s in (1, 2, 3)]
-    header += ["dvphi_h2", "dphi_h2", "du_h1", "ok1", "ok2", "ok3"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(led.times):
-            row = [f"{t:.17e}"]
-            row += [f"{v:.17e}" for v in led.vphi_norms[i]]
-            row += [f"{v:.17e}" for v in led.phi_norms[i]]
-            row += [f"{v:.17e}" for v in led.u_norms[i]]
-            row += [f"{v:.17e}" for v in led.weighted_integrals[i]]
-            row += [f"{led.dvphi_h2[i]:.17e}", f"{led.dphi_h2[i]:.17e}",
-                    f"{led.du_h1[i]:.17e}"]
-            row += [int(b) for b in led.level_ok[i]]
-            writer.writerow(row)
 
 
 # -- validity verdict ---------------------------------------------------------
@@ -500,16 +478,6 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
         ))
     return CharacteristicsReport(max_rel_error=worst, traced=int(alive.sum()),
                                  dropped=dropped, particles=tuple(rows))
-
-
-def write_characteristics_csv(report: CharacteristicsReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start", "dropped", "rel_error"])
-        for row in report.particles:
-            start = ";".join(f"{c:.17e}" for c in row.start)
-            err = "" if math.isnan(row.rel_error) else f"{row.rel_error:.17e}"
-            writer.writerow([start, int(row.dropped), err])
 
 
 # -- nonlinear residuals ------------------------------------------------------

@@ -31,7 +31,6 @@ written.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import pickle
@@ -228,16 +227,6 @@ class PicardTrace:
             return math.nan
         slope = np.polyfit(ks, vals, 1)[0]
         return float(math.exp(slope))
-
-
-def write_trace_csv(trace: PicardTrace, path) -> None:
-    """Dump the iteration history. Wall times are left out so reruns of the
-    same configuration produce byte-identical files."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "S_k", "linf_delta"])
-        for it in trace.iterations:
-            writer.writerow([it.k, f"{it.S_k:.17e}", f"{it.linf_delta:.17e}"])
 
 
 def _sample_gap(grid, a, b, i: int) -> tuple[float, float, float]:
@@ -534,16 +523,6 @@ class ContinuationReport:
         """The consecutive-level gaps d_j, skipping the first level (which
         has nothing to compare against)."""
         return [lv.distance for lv in self.levels[1:]]
-
-
-def write_continuation_csv(report: ContinuationReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "eta", "picard_iters", "picard_S", "distance"])
-        for lv in report.levels:
-            writer.writerow([lv.index, f"{lv.eta:.17e}", lv.picard_iters,
-                             f"{lv.picard_S:.17e}",
-                             "" if math.isnan(lv.distance) else f"{lv.distance:.17e}"])
 
 
 def eta_continuation(init: ReformState, params: FluidParams,

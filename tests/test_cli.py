@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, bundles, determinism."""
 
+import csv
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import vacflow.cli
 import vacflow.fixedpoint
 import vacflow.runconfig
 from vacflow.cli import main, run_pipeline
+from vacflow.linearized import sample_times
 
 BASE = """[params]
 A = 1.0
@@ -149,6 +151,73 @@ def test_run_is_byte_identical_on_rerun(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    """The bundle of one run of the 1-D bump: its directory, config and
+    summary. The tables write floats with 17 digits, so each reads back
+    exactly and equals the summary's value."""
+    tmp = tmp_path_factory.mktemp("bundle")
+    cfg = vacflow.runconfig.load_config(
+        write(tmp, BASE.format(beta="0.5", amplitude="0.2")))
+    summary = run_pipeline(cfg, str(tmp / "out"), 7, False)
+    return tmp / "out", cfg, summary
+
+
+def read_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_ledger_and_characteristics_csv_shapes(bundle):
+    out_dir, cfg, summary = bundle
+    rows = read_table(out_dir / "ledger.csv")
+    assert rows[0][0] == "time"
+    assert rows[0][-3:] == ["ok1", "ok2", "ok3"]
+    assert len(rows) == len(sample_times(cfg.t_window, cfg.sample_dt())) + 1
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert float(rows[1][0]) == 0.0 and float(rows[-1][0]) == cfg.t_window
+    for name in ("vphi_h3", "phi_h3", "u_h3"):
+        col = rows[0].index(name)
+        assert (max(float(row[col]) for row in rows[1:])
+                == summary["ledger"][f"sup_{name}"])
+    assert (all(row[-3:] == ["1", "1", "1"] for row in rows[1:])
+            == summary["ledger"]["all_levels_ok"])
+
+    rows = read_table(out_dir / "characteristics.csv")
+    chars = summary["characteristics"]
+    assert rows[0] == ["start", "dropped", "rel_error"]
+    assert len(rows) == chars["traced"] + chars["dropped"] + 1
+    assert [row[1] for row in rows[1:]].count("1") == chars["dropped"]
+    assert all(row[2] == "" for row in rows[1:] if row[1] == "1")
+    assert (max(float(row[2]) for row in rows[1:] if row[1] == "0")
+            == chars["max_rel_error"])
+    assert {len(row[0].split(";")) for row in rows[1:]} == {cfg.dim}
+
+
+def test_trace_csv_columns(bundle):
+    out_dir, _, summary = bundle
+    rows = read_table(out_dir / "picard_trace.csv")
+    assert rows[0] == ["k", "S_k", "linf_delta"]
+    iters = summary["picard"]["iterations"]
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, iters + 1))
+    assert float(rows[-1][1]) == summary["picard"]["final_S"]
+
+
+def test_continuation_csv_columns(bundle):
+    out_dir, _, summary = bundle
+    rows = read_table(out_dir / "continuation.csv")
+    assert rows[0] == ["level", "eta", "picard_iters", "picard_S", "distance"]
+    levels = summary["continuation"]["levels"]
+    assert len(rows) == len(levels) + 1 > 2
+    assert rows[1][4] == ""     # level 0 has no level to be compared with
+    for row, lv in zip(rows[1:], levels):
+        assert int(row[0]) == lv["index"] and float(row[1]) == lv["eta"]
+        assert int(row[2]) == lv["picard_iters"]
+        assert float(row[3]) == lv["picard_S"]
+        if lv["distance"] is not None:
+            assert float(row[4]) == lv["distance"]
+
+
 def test_run_reports_solver_failure(tmp_path, capsys):
     text = BASE.format(beta="0.5", amplitude="0.2")
     text += "picard_tol = 1e-30\nmax_iter = 1\n"
@@ -269,8 +338,13 @@ def test_a_lost_manifest_child_is_a_solver_failure(tmp_path, capsys,
     assert err.startswith("error: solver failure") and lost in err
 
 
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
 def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,
-                                                       monkeypatch):
+                                                       monkeypatch, forked):
+    # eta_continuation raises a SolverAbort as its level's ContinuationError,
+    # whether the level ran in a child or in this process
+    if not forked:
+        monkeypatch.delattr(os, "fork")
     monkeypatch.setattr("vacflow.linearized._transport_rhs",
                         lambda grid, *args: np.full(grid.spectral_shape, np.nan))
     text = BASE.format(beta="0.5", amplitude="0.2")
@@ -447,6 +521,10 @@ def test_sweep_flags_rejected_rows(tmp_path, capsys):
 
     rows = (out_dir / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3
+    assert rows[0] == ("row,scale,status,t_valid,c0,c3,m,T_star_star,"
+                       "mass_drift,picard_iters,note")
+    assert [row.split(",")[:2] for row in rows[1:]] == [["0", "1.0"],
+                                                       ["1", "2.0"]]
     assert rows[1].split(",")[2] == "ok"
     assert rows[2].split(",")[2] == "rejected"
     assert "density cap" in rows[2]

@@ -1,7 +1,6 @@
 """Ledger, validity verdict, vacuum clause, conservation, reconstruction,
 characteristic tracing, and nonlinear residuals."""
 
-import csv
 import math
 import os
 
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 # st names a state in this module
 from hypothesis import strategies as hst
 
+import vacflow.diagnostics
 from vacflow.diagnostics import (
     SEAM_FRACTION,
     VAC_EPS,
@@ -21,14 +21,13 @@ from vacflow.diagnostics import (
     conservation,
     density_of,
     horizon_times,
+    initial_constant,
     ledger,
     nonlinear_residual,
     primitive_rates,
     reform_rhs,
     vacuum_residual,
     validity,
-    write_characteristics_csv,
-    write_ledger_csv,
 )
 from vacflow.fields import Grid, ScalarField, VectorField, quadrature_l2, sobolev_norm
 from vacflow.fixedpoint import picard_solve
@@ -213,6 +212,22 @@ def test_ledger_first_row_is_always_inside_threshold():
     assert led.c0 > 1.0
     with pytest.raises(ValueError, match="calib_C"):
         ledger(static_trajectory(st, [0.0, 0.001]), p, calib_C=0.5)
+
+
+def test_ledger_sums_c0_from_its_own_norms(monkeypatch):
+    # c0 is summed from the level-3 norms the loop takes of sample 0, so the
+    # ledger neither computes them again nor reads sample 0 once released
+    p = soft_params()
+    traj = moving_bump_trajectory(4)
+    want = initial_constant(traj.state(0))
+
+    def refused(state):
+        raise AssertionError("ledger recomputed c0")
+
+    monkeypatch.setattr(vacflow.diagnostics, "initial_constant", refused)
+    led = ledger(traj, p)
+    assert led.c0 == want > 1.0
+    assert type(led.c0) is float
 
 
 def test_ledger_trapezoid_integral_converges_second_order():
@@ -659,27 +674,3 @@ def test_reform_rhs_still_state_is_stationary():
     assert np.max(np.abs(d_vphi)) < 1e-14
     assert np.max(np.abs(d_phi)) < 1e-14
     assert np.max(np.abs(d_u)) < 1e-14
-
-
-def test_ledger_and_characteristics_csv_shapes(tmp_path):
-    p = soft_params()
-    g = Grid(dim=1, n=64, box_length=2.0 * np.pi)
-    rho = bump_density(g, amplitude=0.5, width=0.8)
-    st = state_from_density(g, rho.values, np.zeros((1, 64)), p)
-    traj = static_trajectory(st, [0.0, 0.05, 0.1])
-
-    led_path = tmp_path / "ledger.csv"
-    write_ledger_csv(ledger(traj, p), led_path)
-    with open(led_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "time"
-    assert rows[0][-3:] == ["ok1", "ok2", "ok3"]
-    assert len(rows) == 4
-
-    char_path = tmp_path / "chars.csv"
-    write_characteristics_csv(
-        characteristics_check(traj, p, n_particles=6, seed=4), char_path)
-    with open(char_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["start", "dropped", "rel_error"]
-    assert len(rows) == 7

@@ -1,6 +1,5 @@
 """Picard iteration, the regularization ladder, and their bookkeeping."""
 
-import csv
 import math
 import mmap
 import os
@@ -30,7 +29,6 @@ from vacflow.fixedpoint import (
     _sample_gap,
     _start_guess,
     trajectory_distance,
-    write_trace_csv,
 )
 from vacflow.initial_data import reform_state_from_density
 from vacflow.linearized import (DEFAULT_CFL_SAFETY, DEFAULT_SAMPLES_PER_WINDOW,
@@ -144,24 +142,6 @@ def test_trace_validation_and_fitted_ratio():
         stop_reason="converged", final_k=1,
     )
     assert math.isnan(short.geometric_ratio())
-
-
-def test_trace_csv_columns(tmp_path):
-    rows = tuple(
-        PicardIteration(k=k, S_k=10.0**-k, linf_delta=2.0 * 10.0**-k,
-                        wall_time=0.125)
-        for k in (1, 2)
-    )
-    trace = PicardTrace(iterations=rows, stop_reason="converged", final_k=2)
-
-    plain = tmp_path / "trace.csv"
-    write_trace_csv(trace, plain)
-    with open(plain, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got[0] == ["k", "S_k", "linf_delta"]
-    assert len(got) == 3
-    assert float(got[1][1]) == 0.1
-    assert float(got[2][2]) == 0.02
 
 
 def test_trajectory_gap_separates_the_two_blocks():

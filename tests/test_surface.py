@@ -7,7 +7,9 @@ the calling process: a run's manifest is hashed in a child. Every
 dataclass field is read by the program or an acceptance criterion, or is
 exempt with a reason. A coefficient provider has one public method,
 stage. No sample_dt has a default. One function forks child processes. No
-module imports a name it does not use."""
+module imports a name it does not use. Only cli, fields and runconfig
+import csv or open a file by path: the computation modules return reports,
+and cli writes every table of a bundle."""
 
 import ast
 import json
@@ -344,3 +346,47 @@ def test_no_module_imports_a_name_it_does_not_use():
                    if name not in used
                    and f"{path.stem}.{name}" not in UNUSED_IMPORT_EXEMPT]
     assert unused == [], f"imported names nothing in their module reads: {unused}"
+
+
+# cli writes the bundle; fields and runconfig each read back the format they
+# write (snapshots, resolved configs)
+FILE_MODULES = {"cli", "fields", "runconfig"}
+# _start_job wraps its own pipe's descriptors in file objects; a pipe is not
+# a file on disk
+OPEN_EXEMPT = {"fixedpoint._start_job"}
+
+
+def _opens(node, where):
+    """where.function for every call of open, os.open or a path's open inside
+    node, each attributed to the innermost function that makes it."""
+    for child in ast.iter_child_nodes(node):
+        inner = (f"{where.partition('.')[0]}.{child.name}"
+                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else where)
+        if isinstance(child, ast.Call) and "open" in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None)):
+            yield where
+        yield from _opens(child, inner)
+
+
+def test_only_the_cli_and_the_file_formats_touch_files():
+    touching, opened = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imports_csv = any(
+            isinstance(node, ast.Import)
+            and any(alias.name == "csv" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "csv"
+            for node in ast.walk(tree))
+        opens = set(_opens(tree, path.stem))
+        opened |= opens
+        if path.stem in FILE_MODULES:
+            continue
+        if imports_csv:
+            touching.append(f"{path.stem}: import csv")
+        touching += sorted(opens - OPEN_EXEMPT)
+    assert touching == [], (
+        "only cli, fields and runconfig write or read files; the other "
+        f"modules return what they compute: {touching}")
+    assert OPEN_EXEMPT <= opened, "an exemption that no longer applies"
