@@ -391,7 +391,7 @@ def cmd_run(args) -> int:
         return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
-    except (SolverAbort, ContinuationError, LostChild) as exc:
+    except (ContinuationError, LostChild) as exc:
         return _fail(f"solver failure: {exc} (see failure.json)",
                      EXIT_SOLVER)
     except OSError as exc:
@@ -424,7 +424,7 @@ def _sweep_row(cfg: RunConfig, scale: float, row_dir: str, seed: int,
         row["status"] = "rejected"
         row["note"] = str(exc)
         return row
-    except (SolverAbort, ContinuationError, LostChild, OSError) as exc:
+    except (ContinuationError, LostChild, OSError) as exc:
         row["status"] = "failed"
         row["note"] = (f"cannot write bundle: {exc}" if isinstance(exc, OSError)
                        else str(exc))
@@ -607,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="",
                        help="output directory (overrides [output] directory)")
         p.add_argument("--seed", type=int, default=20250819,
-                       help="seed for randomized diagnostics")
+                       help="seed of random.Random, which draws the "
+                            "characteristics check's particles")
         p.set_defaults(func=func)
         return p
 

@@ -15,6 +15,7 @@ symmetric momentum route of acceptance criterion 03.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -399,6 +400,9 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     current interval reads, each built once; the older is dropped when a
     third is needed, and each sample is released (fields.release) once
     read.
+
+    The starts are min(n_particles, support size) distinct support cells,
+    drawn by random.Random(seed), which unlike numpy.random loads no OpenSSL.
     """
     grid, samples = traj.grid, traj.samples
     times = np.asarray(traj.times, dtype=float)
@@ -413,9 +417,8 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     if cells.shape[0] == 0:
         return CharacteristicsReport(max_rel_error=0.0, traced=0, dropped=0,
                                      particles=())
-    rng = np.random.default_rng(seed)
     take = min(n_particles, cells.shape[0])
-    chosen = cells[rng.choice(cells.shape[0], size=take, replace=False)]
+    chosen = cells[random.Random(seed).sample(range(cells.shape[0]), take)]
     start = chosen.T.astype(float) * grid.spacing
 
     @lru_cache(maxsize=2)

@@ -444,6 +444,29 @@ def test_characteristics_seam_buffer_drops_and_empty_density():
         characteristics_check(static_trajectory(st, [0.0]), p)
 
 
+def test_characteristics_draw_distinct_support_cells_by_seed():
+    p = soft_params()
+    g = Grid(dim=2, n=16, box_length=2.0 * np.pi)
+    rho = bump_density(g, amplitude=0.5, width=1.2).values
+    traj = static_trajectory(state_from_density(g, rho, np.zeros((2, 16, 16)),
+                                                p), [0.0, 0.1])
+    support = {tuple(float(c) * g.spacing for c in cell)
+               for cell in np.argwhere(rho > VAC_EPS)}
+    assert 8 < len(support) < rho.size
+
+    def starts(n_particles, seed):
+        rep = characteristics_check(traj, p, n_particles=n_particles,
+                                    seed=seed, seam_buffer=0.0)
+        return [row.start for row in rep.particles]
+
+    drawn = starts(8, 1)
+    assert len(set(drawn)) == 8 and set(drawn) <= support
+    assert starts(8, 1) == drawn
+    assert starts(8, 2) != drawn
+    every = starts(rho.size, 1)
+    assert len(every) == len(support) and set(every) == support
+
+
 # one sample of moving_bump_trajectory: d + 2 = 4 rows of 64 x 64
 SAMPLE_KIB = 4 * 64 * 64 * 8 // 1024
 

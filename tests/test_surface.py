@@ -3,7 +3,9 @@ in src/vacflow is used by the program itself or by an acceptance
 criterion, every parameter with a default of a public function or method
 is passed by some call in src/ or tests/, and importing the bare package
 loads none of its modules, and no command loads hashlib (OpenSSL) into
-the calling process: a run's manifest is hashed in a child. Every
+the calling process: a run's manifest is hashed in a child. No process
+of oracle-compare or run loads numpy.random (which loads OpenSSL through
+secrets, hmac and hashlib), and only the manifest child loads hashlib. Every
 dataclass field is read by the program or an acceptance criterion, or is
 exempt with a reason. A coefficient provider has one public method,
 stage. No sample_dt has a default. One function forks child processes. No
@@ -194,6 +196,53 @@ def test_only_a_manifest_loads_hashlib(tmp_path):
     assert loaded == ["loaded []", "loaded 0 []", "loaded 0 []"], out
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert "summary.json" in manifest["files"]
+
+
+# Rebinds fixedpoint._start_job, through which every fork goes, so that each
+# child appends to a log, after its job, the job's function name and which
+# watched modules it holds; the calling process prints its own at the end.
+TREE_AUDIT = """
+import json, sys, vacflow.cli
+from vacflow import fixedpoint
+
+WATCHED = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
+config, out_dir, log = sys.argv[1:]
+start = fixedpoint._start_job
+
+def audited(job):
+    def run():
+        try:
+            return job()
+        finally:
+            name = getattr(job, "func", job).__name__
+            loaded = [m for m in WATCHED if m in sys.modules]
+            with open(log, "a") as fh:
+                fh.write(json.dumps([name, loaded]) + "\\n")
+    return start(run)
+
+fixedpoint._start_job = audited
+codes = [vacflow.cli.main(["oracle-compare", "--config", config]),
+         vacflow.cli.main(["run", "--config", config, "--out", out_dir])]
+print("main", json.dumps([codes, [m for m in WATCHED if m in sys.modules]]))
+"""
+
+
+def test_no_process_of_a_run_loads_numpy_random_or_openssl(tmp_path):
+    # numpy.random imports secrets, which loads OpenSSL through hmac and
+    # hashlib; the process tree of oracle-compare and of run holds neither,
+    # except the manifest child, which hashes the bundle
+    config = tmp_path / "oracle.ini"
+    config.write_text(ORACLE_CONFIG)
+    log = tmp_path / "children.jsonl"
+    out = run_python(TREE_AUDIT, str(config), str(tmp_path / "run"), str(log))
+    assert "main [[0, 0], []]" in out.splitlines(), out
+    children = [json.loads(line) for line in log.read_text().splitlines()]
+    jobs = {name for name, _ in children}
+    assert {"reform", "primitive", "guess", "iterate", "level", "certificates",
+            "characteristics_check", "nonlinear_residual", "digests"} <= jobs
+    loading = sorted({(name, tuple(loaded)) for name, loaded in children
+                      if loaded})
+    assert loading == [("digests", ("hashlib", "_hashlib"))], loading
 
 
 def test_a_coefficient_provider_has_one_method():
