@@ -6,8 +6,8 @@ coefficients of the quasilinear system at the previous iterate, solves the
 resulting linear window, and repeats until successive iterates stop moving
 in L2. The outer one, ``eta_continuation``, shrinks the elliptic
 regularization toward zero and watches consecutive solutions settle into a
-Cauchy sequence. The levels share nothing but their initial data and the
-start guess, so ``run_forked`` solves them in concurrent child processes.
+Cauchy sequence. The levels share nothing but their initial data, so
+``run_forked`` solves them in concurrent child processes.
 
 Windows cross process boundaries in shared memory (fields._window), never as
 a pickle: each level's solve copies its last iterate into a window its
@@ -23,10 +23,8 @@ as the predecessor counts its samples. An iterate counts none until its
 running metric has passed picard_tol, so its successor computes exactly when
 the sequential loop would run it, bit for bit as it does, and the successors
 of a converged iterate are killed before they compute anything. Iterate 0,
-the start guess, reads no eta and counts each sample once written. Where
-os.fork and os.eventfd exist the continuation computes it once, in a job of
-its own ahead of the levels, and each level's iterate 1 reads it as it is
-written.
+the start guess, counts each sample once written, and iterate 1 reads it as
+it is written.
 """
 
 from __future__ import annotations
@@ -260,13 +258,12 @@ def _start_guess(init: ReformState, params: FluidParams, t_window: float,
                  on_sample=None) -> Trajectory:
     """Iterate zero, written into window: both proxies advected by the
     initial velocity (stretch terms dropped), the velocity itself held
-    constant. It reads no eta, so one guess serves every level. Both
-    proxies share the coefficients and the step, so their two rows advance
-    as one transport step, every stage of it reading the one unforced pair
-    of coefficients, masked once. Once sample i is written, on_sample(i) is
-    called (to count it for a reader) and the sample is released
-    (fields.release). Any guess inside the contraction ball works; this one
-    needs no extra solver machinery."""
+    constant. Both proxies share the coefficients and the step, so their
+    two rows advance as one transport step, every stage of it reading the
+    one unforced pair of coefficients, masked once. Once sample i is
+    written, on_sample(i) is called (to count it for a reader) and the
+    sample is released (fields.release). Any guess inside the contraction
+    ball works; this one needs no extra solver machinery."""
     grid = init.grid
     zeros = np.zeros(grid.shape)
     frozen = (_mask_coefficients(grid, init.u.values, zeros, zeros), None)
@@ -299,8 +296,8 @@ def _raise_mmap_threshold() -> None:
 def picard_solve(init: ReformState, params: FluidParams, eta: float,
                  t_window: float, picard_tol: float = DEFAULT_PICARD_TOL,
                  max_iter: int = DEFAULT_MAX_ITER, *, sample_dt: float,
-                 cfl_safety: float = DEFAULT_CFL_SAFETY, window=None,
-                 guess=None) -> tuple[Trajectory, PicardTrace]:
+                 cfl_safety: float = DEFAULT_CFL_SAFETY, window=None
+                 ) -> tuple[Trajectory, PicardTrace]:
     """Iterate linearized window solves until the sup-in-time squared L2
     change between consecutive iterates drops to picard_tol. Every iterate
     is sampled at sample_times(t_window, sample_dt), and the metric reads
@@ -318,13 +315,8 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     os.eventfd exist, and runs in this process otherwise; either way it
     steps across [t_j, t_j+1] once iterate k - 1 has written samples j and
     j + 1 and has moved more than picard_tol. Iterate 0 is the start guess,
-    the job "start guess", which counts each sample as it writes it. A
-    caller that runs the guess itself (eta_continuation shares one among
-    its levels) passes guess, a list [window 0, the eventfd counting its
-    samples for this solve]; this function takes both out of the list and
-    closes the eventfd when done, so no frame an iterate inherits holds
-    window 0 past iterate 1. The results do not depend on the process
-    count.
+    the job "start guess", which counts each sample as it writes it. The
+    results do not depend on the process count.
 
     The last iterate is returned in its own window, or, when the caller
     passes a window sized by sample_times (a _window that it reads after
@@ -336,21 +328,15 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ident = exponent_identity_residual(params)
-    if ident > IDENTITY_GUARD:
+    if not ident <= IDENTITY_GUARD:     # a nan residual fails too
         raise ParameterError("exponent identities",
                              f"derived-constant residual {ident:.3e}")
     grid = init.grid
     times = sample_times(t_window, sample_dt)
     n = len(times)
     forked = hasattr(os, "fork") and hasattr(os, "eventfd")
-    windows: dict = {}      # k -> the window iterate k writes
+    windows = {0: _window(grid, n, grid.dim + 2)}  # k -> iterate k's window
     counts: dict = {}       # k -> eventfd counting the samples of iterate k
-    starting = guess is None    # the start guess is this solve's job 0
-    if starting:
-        windows[0] = _window(grid, n, grid.dim + 2)
-    else:
-        windows[0], counts[0] = guess
-        guess.clear()
     lifeline = ()           # a pipe whose write end only this process holds
 
     def iterate(k: int):
@@ -427,8 +413,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         return fields, tuple(sups), time.perf_counter() - tic
 
     def jobs():
-        if starting:
-            yield "start guess", partial(iterate, 0)
+        yield "start guess", partial(iterate, 0)
         for k in range(1, max_iter + 1):
             windows[k] = _window(grid, n, grid.dim + 2)
             if forked:
@@ -441,13 +426,11 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     try:
         _raise_mmap_threshold()
         if forked:
-            if starting:
-                counts[0] = os.eventfd(0)
+            counts[0] = os.eventfd(0)
             lifeline = os.pipe()
         solved = run_forked(jobs()) if forked else (job() for _, job in jobs())
         with closing(solved):
-            if starting:
-                next(solved)    # None, once the start guess is written
+            next(solved)    # None, once the start guess is written
             for k, (fields, (w_sq, v_sq, linf), wall) in enumerate(solved, 1):
                 S = w_sq + v_sq
                 growths = growths + 1 if iterations and S > iterations[-1].S_k else 0
@@ -537,93 +520,51 @@ def eta_continuation(init: ReformState, params: FluidParams,
     once the gap drops to schedule.cauchy_tol; a level that fails to
     converge, or whose process is lost, aborts the sweep with its index.
 
-    The start guess reads no eta, so where os.fork and os.eventfd exist it
-    is computed once, by the job "start guess" forked ahead of the levels:
-    it writes window 0 in shared memory and counts each sample once for
-    each level, because an eventfd read consumes the count. Each level's
-    solve takes window 0 and its count, and its iterate 1 reads the window
-    while it is being written; an abort in the guess is level 0's. This
-    process lets go of window 0 and the counts once every level is forked.
-
     Each level's solution comes back in a _window allocated here just
     before its fork, which the level's solve copies its last iterate into;
     the child's result holds the rest of the trajectory and the trace."""
     grid = init.grid
     etas = schedule.levels()
     times = sample_times(t_window, sample_dt)
-    shared = hasattr(os, "fork") and hasattr(os, "eventfd")
     solutions: dict = {}    # j -> the window level j's solution is written to
-    guesses: dict = {}      # j -> [window 0, the eventfd counting it for level j]
-
-    def drop_guesses() -> None:
-        while guesses:
-            os.close(guesses.popitem()[1][1])
-
-    def guess(k: int) -> None:
-        """Iterate k = 0 of every level, each sample counted once per level."""
-        def counted(i: int) -> None:
-            for _, count in guesses.values():
-                os.eventfd_write(count, 1)
-
-        _start_guess(init, params, t_window, cfl_safety, sample_dt,
-                     guesses[0][0], on_sample=counted)
 
     def level(j: int):
-        # this process's copies: keep level j's count, close the others
-        for i in [i for i in guesses if i != j]:
-            os.close(guesses.pop(i)[1])
         traj, trace = picard_solve(init, params, etas[j], t_window, picard_tol,
                                    max_iter, cfl_safety=cfl_safety,
-                                   sample_dt=sample_dt, window=solutions[j],
-                                   guess=guesses.pop(j, None))
+                                   sample_dt=sample_dt, window=solutions[j])
         return (traj.dt_history, traj.clip_counts, traj.clipped_mass), trace
 
     def jobs():
-        if shared:
-            window = _window(grid, len(times), grid.dim + 2)
-            guesses.update((j, [window, os.eventfd(0)]) for j in range(len(etas)))
-            del window      # held only in guesses, which each level empties
-            yield "start guess", partial(guess, 0)
         for j in range(len(etas)):
             solutions[j] = _window(grid, len(times), grid.dim + 2)
             yield f"level {j}", partial(level, j)
-        drop_guesses()
-
-    def outcome(j: int):
-        """The next job's result, its failure raised as level j's."""
-        try:
-            return next(solved)
-        except SolverAbort as exc:
-            raise ContinuationError(j, f"solver abort: {exc}") from exc
-        except LostChild as exc:
-            raise ContinuationError(j, str(exc)) from exc
 
     levels: list[ContinuationLevel] = []
     prev_traj: Trajectory | None = None
     reached = False
-    try:
-        with closing(run_forked(jobs())) as solved:
-            if shared:
-                outcome(0)      # the start guess
-            for j, eta_j in enumerate(etas):
-                (dt_history, clip_counts, clipped_mass), trace = outcome(j)
-                if not trace.converged:
-                    raise ContinuationError(
-                        j, f"no convergence in {trace.final_k} iterations, "
-                           f"stopped as {trace.stop_reason} (S = {trace.final_S:.3e})")
-                traj = Trajectory(grid, times, solutions.pop(j),
-                                  dt_history=dt_history, clip_counts=clip_counts,
-                                  clipped_mass=clipped_mass)
-                d = math.nan if prev_traj is None else trajectory_distance(traj, prev_traj)
-                levels.append(ContinuationLevel(index=j, eta=eta_j,
-                                                picard_iters=trace.final_k,
-                                                picard_S=trace.final_S, distance=d))
-                prev_traj = traj
-                if not math.isnan(d) and d <= schedule.cauchy_tol:
-                    reached = True
-                    break
-    finally:
-        drop_guesses()
+    with closing(run_forked(jobs())) as solved:
+        for j, eta_j in enumerate(etas):
+            try:
+                (dt_history, clip_counts, clipped_mass), trace = next(solved)
+            except SolverAbort as exc:
+                raise ContinuationError(j, f"solver abort: {exc}") from exc
+            except LostChild as exc:
+                raise ContinuationError(j, str(exc)) from exc
+            if not trace.converged:
+                raise ContinuationError(
+                    j, f"no convergence in {trace.final_k} iterations, "
+                       f"stopped as {trace.stop_reason} (S = {trace.final_S:.3e})")
+            traj = Trajectory(grid, times, solutions.pop(j),
+                              dt_history=dt_history, clip_counts=clip_counts,
+                              clipped_mass=clipped_mass)
+            d = math.nan if prev_traj is None else trajectory_distance(traj, prev_traj)
+            levels.append(ContinuationLevel(index=j, eta=eta_j,
+                                            picard_iters=trace.final_k,
+                                            picard_S=trace.final_S, distance=d))
+            prev_traj = traj
+            if not math.isnan(d) and d <= schedule.cauchy_tol:
+                reached = True
+                break
     report = ContinuationReport(levels=tuple(levels), reached_tol=reached,
                                 final_trace=trace)
     return prev_traj, report

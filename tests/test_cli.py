@@ -496,6 +496,8 @@ def test_the_density_is_built_and_the_constants_validated_once(
     ["sweep", "--workers", "2"],
     ["validate", "--snapshots"],
     ["oracle-compare", "--snapshots"],
+    ["validate", "--seed", "1"],
+    ["mms", "--seed", "1"],
 ], ids=" ".join)
 def test_a_flag_only_another_subcommand_reads_is_a_usage_error(
         tmp_path, capsys, argv):

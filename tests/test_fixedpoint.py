@@ -82,6 +82,19 @@ def test_picard_validates_window_and_iteration_budget():
                      sample_dt=0.1 / DEFAULT_SAMPLES_PER_WINDOW)
 
 
+@pytest.mark.parametrize("residual", [math.nan, math.inf, 1e-9])
+def test_an_identity_residual_not_within_the_guard_is_refused(monkeypatch,
+                                                              residual):
+    # the guard fails closed: a residual that compares false is refused too
+    monkeypatch.setattr(vacflow.fixedpoint, "exponent_identity_residual",
+                        lambda params: residual)
+    with pytest.raises(ParameterError) as err:
+        picard_solve(zero_state(), soft_params(), 0.5, 0.01,
+                     sample_dt=0.01 / DEFAULT_SAMPLES_PER_WINDOW)
+    assert err.value.constraint == "exponent identities"
+    assert_no_children()
+
+
 def test_zero_data_converges_in_one_iteration_with_zero_metric():
     traj, trace = picard_solve(zero_state(), soft_params(), 0.5, 0.01,
                                sample_dt=0.01 / DEFAULT_SAMPLES_PER_WINDOW)
@@ -693,16 +706,31 @@ def test_iterate_one_reads_the_start_guess_while_it_is_written(monkeypatch):
                                              1e-16, 8))
 
 
-def test_one_start_guess_serves_every_level(monkeypatch):
+def test_each_level_forks_its_own_start_guess(monkeypatch):
+    # the guess is iterate 0 of each level's solve: a child of the level's
+    # process, so it runs neither here nor in the level itself
+    log_r, log_w = os.pipe()
+    guess = vacflow.fixedpoint._start_guess
+
+    def parented(*args, **kwargs):
+        os.write(log_w, b"%d %d\n" % (os.getpid(), os.getppid()))
+        return guess(*args, **kwargs)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "_start_guess", parented)
     sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
-    (_, report), calls = calls_in_the_tree(monkeypatch, lambda: (
-        eta_continuation(positive_state(n=32), soft_params(), sched, 0.004,
-                         sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)))
+    try:
+        (_, report), calls = calls_in_the_tree(monkeypatch, lambda: (
+            eta_continuation(positive_state(n=32), soft_params(), sched, 0.004,
+                             sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)))
+    finally:
+        os.close(log_w)
+    with open(log_r, "rb") as fh:
+        guesses = [tuple(map(int, line.split()))
+                   for line in fh.read().splitlines()]
     levels = {pid for name, pid in calls if name == "picard_solve"}
-    guesses = [pid for name, pid in calls if name == "_start_guess"]
     assert len(report.levels) == len(levels) == 3
-    assert len(guesses) == 1
-    assert guesses[0] not in levels | {os.getpid()}
+    assert sorted(parent for _, parent in guesses) == sorted(levels)
+    assert not {pid for pid, _ in guesses} & (levels | {os.getpid()})
 
 
 def windows_and_counts_held():
@@ -742,44 +770,49 @@ def test_an_iterate_holds_only_its_predecessors_window_and_its_own(monkeypatch):
     assert held[1:trace.final_k + 1].tolist() == want
 
 
-def maps_at(address):
-    """Whether this process maps a region that starts at address."""
+def window_inodes():
+    """Start address -> inode of this process's shared anonymous mappings
+    (a window is one). Each mapping has an inode of its own, so an inode
+    names one window even once a later window reuses a freed address."""
     with open("/proc/self/maps") as fh:
-        return any(int(line.split("-", 1)[0], 16) == address for line in fh)
+        return {int(line.split("-", 1)[0], 16): int(line.split()[4])
+                for line in fh if line.rstrip().endswith("/dev/zero (deleted)")}
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
                     reason="needs /proc/self/maps")
-def test_only_iterate_one_maps_the_shared_start_guess(monkeypatch):
-    # a mapping keeps its address across fork, so every process can look
-    # for window 0 where the guess's process saw it
-    address = shared((1,))
+def test_only_iterate_one_maps_the_start_guess(monkeypatch):
+    # the guess's process names window 0 by its inode; every iterate that
+    # computes looks for that inode among its own mappings
+    inode = shared((1,))
     log_r, log_w = os.pipe()
     tag = tagged_iterates(monkeypatch)
     guess = vacflow.fixedpoint._start_guess
     solve = vacflow.fixedpoint.solve_linearized
 
     def located(*args, **kwargs):
-        address[0] = args[5].__array_interface__["data"][0]
+        inode[0] = window_inodes()[args[5].__array_interface__["data"][0]]
         return guess(*args, **kwargs)
 
     def logged(*args, **kwargs):
-        os.write(log_w, b"%d %d\n" % (tag["k"], maps_at(int(address[0]))))
+        mapped = inode[0] in window_inodes().values()
+        os.write(log_w, b"%d %d\n" % (tag["k"], mapped))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(vacflow.fixedpoint, "_start_guess", located)
     monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", logged)
-    sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
     try:
-        eta_continuation(positive_state(n=32), soft_params(), sched, 0.004,
-                         sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)
+        _, trace = picard_solve(positive_state(), soft_params(), 0.25, 0.005,
+                                1e-16, 8,
+                                sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
     finally:
         os.close(log_w)
     with open(log_r, "rb") as fh:
         held = sorted(tuple(map(int, line.split()))
                       for line in fh.read().splitlines())
-    assert held[:3] == [(1, 1)] * 3
-    assert len(held) > 3 and all(mapped == 0 for _, mapped in held[3:]), held
+    assert trace.final_k >= 3 and inode[0] > 0
+    assert held[0] == (1, 1)
+    assert len(held) > 1 and all(mapped == 0 for _, mapped in held[1:]), held
 
 
 def window_rss_kib():
@@ -851,8 +884,8 @@ def test_forked_solves_hand_their_windows_back_in_shared_memory(monkeypatch):
     sizes = pickled_sizes(monkeypatch, vacflow.fixedpoint)
     sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=2, cauchy_tol=1e-14)
     traj, _ = eta_continuation(init, p, sched, 0.004, sample_dt=sample_dt)
-    # the start guess's result and the two levels'
-    assert len(sizes) == 3 and max(sizes) < 64 * 1024, sizes
+    # the two levels' results
+    assert len(sizes) == 2 and max(sizes) < 64 * 1024, sizes
     direct, _ = picard_solve(init, p, 0.25, 0.004, sample_dt=sample_dt)
     assert trajectory_distance(traj, direct) == 0.0
 

@@ -1,5 +1,7 @@
 """Spatial operator assembly, its two momentum routes, and ellipticity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,3 +335,15 @@ def test_ellipticity_check_is_seeded_and_validates_samples():
 def test_exponent_identities_hold(kwargs):
     p = validate_params(**kwargs)
     assert exponent_identity_residual(p) <= 1e-12
+
+
+def test_exponent_identities_compare_only_finite_powers_when_m_is_large():
+    # delta1 = 1.001, delta2 = 2 is admissible with m = 999, so vphi^(2m+2)
+    # overflows near vphi = 2; inf - inf there must not hide the comparison
+    p = validate_params(A=1.0, gamma=3.0, alpha=1.0, beta=0.5,
+                        delta1=1.001, delta2=2.0)
+    assert round(p.m) == 999
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = exponent_identity_residual(p)
+    assert np.isfinite(residual) and residual <= 1e-10

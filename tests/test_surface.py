@@ -238,7 +238,7 @@ def test_no_process_of_a_run_loads_numpy_random_or_openssl(tmp_path):
     assert "main [[0, 0], []]" in out.splitlines(), out
     children = [json.loads(line) for line in log.read_text().splitlines()]
     jobs = {name for name, _ in children}
-    assert {"reform", "primitive", "guess", "iterate", "level", "certificates",
+    assert {"reform", "primitive", "iterate", "level", "certificates",
             "characteristics_check", "nonlinear_residual", "digests"} <= jobs
     loading = sorted({(name, tuple(loaded)) for name, loaded in children
                       if loaded})
