@@ -1,13 +1,17 @@
 """Command line front end.
 
 Subcommands: validate, run, sweep, mms, oracle-compare. All behavior is
-driven by one INI configuration file; the only flags are --config and --out
-on every subcommand, --seed on run, sweep and oracle-compare (which ignores
-it), and --snapshots on run and sweep. There are no environment overrides,
-so a command line plus a config file pins a run completely.
+driven by one INI configuration file; the only flags are --config on every
+subcommand (optional on mms), --out and --snapshots on run and sweep, the
+two that write a bundle, and --seed on run, sweep and oracle-compare (which
+ignores it). There are no environment overrides, so a command line plus a
+config file pins a run completely.
 
 Exit codes: 0 success, 1 constraint or validation failure, 2 runtime solver
-or quality failure, 3 I/O failure.
+or quality failure, 3 I/O failure. A subcommand raises its failures, and
+main alone maps each to its exit code and its one "error:" line; a
+subcommand returns a failing code itself only with a message of its own:
+a bundle or table it cannot write, or a quality gate its results miss.
 """
 
 from __future__ import annotations
@@ -69,23 +73,19 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load(path: str):
-    """Returns (config, 0) or (None, exit code) with the message printed; a
-    config or snapshot file that cannot be read is an I/O failure."""
-    try:
-        cfg = load_config(path)
-        for key in ("density_snapshot", "velocity_snapshot"):
-            if cfg.kind == "snapshot" and getattr(cfg, key):
-                try:
-                    open(getattr(cfg, key), "rb").close()
-                except OSError as exc:
-                    raise ConfigError(f"cannot read [initial] {key}: "
-                                      f"{exc}") from exc
-        return cfg, EXIT_OK
-    except ConfigError as exc:
-        if isinstance(exc.__cause__, OSError):
-            return None, _fail(str(exc), EXIT_IO)
-        return None, _fail(str(exc), EXIT_VALIDATION)
+def _load(path: str) -> RunConfig:
+    """The config at path, with its snapshot files checked readable; a
+    config or snapshot file that cannot be read raises a ConfigError from
+    its OSError."""
+    cfg = load_config(path)
+    for key in ("density_snapshot", "velocity_snapshot"):
+        if cfg.kind == "snapshot" and getattr(cfg, key):
+            try:
+                open(getattr(cfg, key), "rb").close()
+            except OSError as exc:
+                raise ConfigError(f"cannot read [initial] {key}: "
+                                  f"{exc}") from exc
+    return cfg
 
 
 def _initial_data(cfg: RunConfig, params, scale: float = 1.0):
@@ -117,10 +117,7 @@ def _sha256(path) -> str:
 
 
 def cmd_validate(args) -> int:
-    cfg, code = _load(args.config)
-    if cfg is None:
-        return code
-
+    cfg = _load(args.config)
     print(f"constraint report for {args.config}")
     rows = admissibility_rows(cfg.A, cfg.gamma, cfg.alpha, cfg.delta1,
                               cfg.delta2)
@@ -129,20 +126,13 @@ def cmd_validate(args) -> int:
         mark = "pass" if ok else "FAIL"
         print(f"  {name:<{width}}  margin {margin:+.6g}  {mark}")
 
-    try:
-        params = cfg.fluid_params()
-    except ParameterError as exc:
-        return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
-
+    params = cfg.fluid_params()
     print(f"  a1 = {params.a1:.9g}")
     print(f"  m  = {params.m:.9g}")
     if params.a2_density_cap is not None:
         print(f"  density cap (beta < 0): {params.a2_density_cap:.9g}")
 
-    try:
-        rho0, u0, compat = _initial_data(cfg, params)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    rho0, u0, compat = _initial_data(cfg, params)
     print(f"  initial data: {compat.message}")
 
     c0 = initial_constant(reform_state_from_density(rho0, u0, params))
@@ -381,19 +371,10 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
 
 
 def cmd_run(args) -> int:
-    cfg, code = _load(args.config)
-    if cfg is None:
-        return code
+    cfg = _load(args.config)
     out_dir = args.out or cfg.directory or "."
     try:
         summary = run_pipeline(cfg, out_dir, args.seed, args.snapshots)
-    except ParameterError as exc:
-        return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    except (ContinuationError, LostChild) as exc:
-        return _fail(f"solver failure: {exc} (see failure.json)",
-                     EXIT_SOLVER)
     except OSError as exc:
         if not os.path.isdir(out_dir):
             return _fail(f"cannot create output directory {out_dir}: {exc}",
@@ -442,9 +423,7 @@ def _sweep_row(cfg: RunConfig, scale: float, row_dir: str, seed: int,
 
 
 def cmd_sweep(args) -> int:
-    cfg, code = _load(args.config)
-    if cfg is None:
-        return code
+    cfg = _load(args.config)
     scales = cfg.amplitude_scales or (1.0,)
     out_dir = args.out or cfg.directory or "."
     try:
@@ -487,32 +466,9 @@ def cmd_sweep(args) -> int:
 # -- mms ---------------------------------------------------------------------
 
 
-def _print_study(study) -> None:
-    print(f"{study.label}:")
-    for lev, err in zip(study.levels, study.errors):
-        print(f"  level {lev:g}  error {err:.6e}")
-    if study.orders:
-        mean = sum(study.orders) / len(study.orders)
-        orders = ", ".join(f"{o:.3f}" for o in study.orders)
-        print(f"  observed orders: {orders} (mean {mean:.3f})")
-
-
 def cmd_mms(args) -> int:
-    params = None
-    if args.config:
-        cfg, code = _load(args.config)
-        if cfg is None:
-            return code
-        try:
-            params = cfg.fluid_params()
-        except ParameterError as exc:
-            return _fail(f"parameter constraint violated: {exc}",
-                         EXIT_VALIDATION)
-    try:
-        ok = _mms_tables(params)
-    except SolverAbort as exc:
-        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
-    if not ok:
+    params = _load(args.config).fluid_params() if args.config else None
+    if not _mms_tables(params):
         return _fail("mms study missed a target", EXIT_SOLVER)
     print("all mms targets met")
     return EXIT_OK
@@ -521,25 +477,24 @@ def cmd_mms(args) -> int:
 def _mms_tables(params) -> bool:
     """Print the temporal and spatial studies; True when every target is
     met."""
-    case = default_case(params=params, freq_rho=17.0, freq_u=23.0)
     t_win = 8e-3
-    dts = [t_win / 10, t_win / 20, t_win / 40]
-    reform = reform_temporal_study(case, dts, t_win)
-    _print_study(reform)
-    mean_r = sum(reform.orders) / len(reform.orders)
-    ok_r = abs(mean_r - MMS_REFORM_TARGET) <= MMS_REFORM_TOL
-    print(f"  target {MMS_REFORM_TARGET} +- {MMS_REFORM_TOL}: "
-          f"{'pass' if ok_r else 'FAIL'}")
-
-    soft = default_case(params=soft_viscosity_params(),
-                        freq_rho=17.0, freq_u=23.0)
-    odts = [t_win / 5, t_win / 10, t_win / 20]
-    orc = oracle_temporal_study(soft, odts, t_win)
-    _print_study(orc)
-    mean_o = sum(orc.orders) / len(orc.orders)
-    ok_o = abs(mean_o - MMS_ORACLE_TARGET) <= MMS_ORACLE_TOL
-    print(f"  target {MMS_ORACLE_TARGET} +- {MMS_ORACLE_TOL}: "
-          f"{'pass' if ok_o else 'FAIL'}")
+    ok = True
+    for study_of, case_params, steps, target, tol in (
+            (reform_temporal_study, params, (10, 20, 40),
+             MMS_REFORM_TARGET, MMS_REFORM_TOL),
+            (oracle_temporal_study, soft_viscosity_params(), (5, 10, 20),
+             MMS_ORACLE_TARGET, MMS_ORACLE_TOL)):
+        case = default_case(params=case_params, freq_rho=17.0, freq_u=23.0)
+        study = study_of(case, [t_win / k for k in steps], t_win)
+        print(f"{study.label}:")
+        for lev, err in zip(study.levels, study.errors):
+            print(f"  level {lev:g}  error {err:.6e}")
+        mean = sum(study.orders) / len(study.orders)
+        orders = ", ".join(f"{o:.3f}" for o in study.orders)
+        print(f"  observed orders: {orders} (mean {mean:.3f})")
+        met = abs(mean - target) <= tol
+        print(f"  target {target} +- {tol}: {'pass' if met else 'FAIL'}")
+        ok = ok and met
 
     ns = [128, 256, 512]
     spatial = reform_spatial_errors(ns, dt=5e-5, t_window=5e-4)
@@ -549,23 +504,16 @@ def _mms_tables(params) -> bool:
     worst = max(spatial)
     ok_s = worst <= MMS_SPATIAL_FLOOR
     print(f"  floor {MMS_SPATIAL_FLOOR:g}: {'pass' if ok_s else 'FAIL'}")
-    return ok_r and ok_o and ok_s
+    return ok and ok_s
 
 
 # -- oracle-compare ----------------------------------------------------------
 
 
 def cmd_oracle_compare(args) -> int:
-    cfg, code = _load(args.config)
-    if cfg is None:
-        return code
-    try:
-        params = cfg.fluid_params()
-        rho0, u0, _ = _initial_data(cfg, params)
-    except ParameterError as exc:
-        return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    cfg = _load(args.config)
+    params = cfg.fluid_params()
+    rho0, u0, _ = _initial_data(cfg, params)
     try:
         report = cross_compare(rho0, u0, params, cfg.t_window,
                                sample_dt=cfg.sample_dt(),
@@ -573,9 +521,8 @@ def cmd_oracle_compare(args) -> int:
                                max_iter=cfg.max_iter,
                                cfl_safety=cfg.cfl_safety)
     except ValueError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    except (SolverAbort, LostChild) as exc:
-        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
+        # data the oracle refuses, such as data touching vacuum
+        raise ConfigError(str(exc)) from exc
 
     print("time        L2 distance")
     for t, d in zip(report.times, report.distances):
@@ -604,8 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=config_required, default="",
                        help="path to the INI run configuration")
-        p.add_argument("--out", default="",
-                       help="output directory (overrides [output] directory)")
         p.set_defaults(func=func)
         return p
 
@@ -614,17 +559,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=20250819, help=help_text)
         return p
 
-    def snapshots(p):
+    def bundled(p):
+        p.add_argument("--out", default="",
+                       help="output directory (overrides [output] directory)")
         p.add_argument("--snapshots", action="store_true",
                        help="also write final-state snapshot files")
         return p
 
     add("validate", cmd_validate,
         "check constants and initial data, print margins and horizons")
-    snapshots(seeded(add(
+    bundled(seeded(add(
         "run", cmd_run,
         "full continuation run with diagnostics and report bundle")))
-    snapshots(seeded(add(
+    bundled(seeded(add(
         "sweep", cmd_sweep,
         "run a family of amplitude-scaled configs, aggregate one CSV")))
     add("mms", cmd_mms, "manufactured-solution convergence tables",
@@ -643,6 +590,16 @@ def main(argv=None) -> int:
         return args.func(args)
     except KeyboardInterrupt:
         return 130
+    except ParameterError as exc:
+        return _fail(f"parameter constraint violated: {exc}", EXIT_VALIDATION)
+    except ConfigError as exc:
+        return _fail(str(exc), EXIT_IO if isinstance(exc.__cause__, OSError)
+                     else EXIT_VALIDATION)
+    except (SolverAbort, ContinuationError, LostChild) as exc:
+        # run_pipeline writes failure.json before it raises either failure
+        # that reaches here from run: a failed level or a lost child
+        seen = " (see failure.json)" if args.command == "run" else ""
+        return _fail(f"solver failure: {exc}{seen}", EXIT_SOLVER)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ import vacflow.cli
 import vacflow.fixedpoint
 import vacflow.runconfig
 from vacflow.cli import main, run_pipeline
-from vacflow.linearized import sample_times
+from vacflow.fixedpoint import ContinuationError, LostChild
+from vacflow.linearized import SolverAbort, sample_times
+from vacflow.params import ParameterError
+from vacflow.runconfig import ConfigError
 
 BASE = """[params]
 A = 1.0
@@ -44,6 +47,15 @@ def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def argv_of(command, cfg, out_dir):
+    """The command line of command on cfg, with --out where the command
+    writes a bundle (run and sweep)."""
+    argv = [command, "--config", cfg]
+    if command in ("run", "sweep"):
+        argv += ["--out", str(out_dir)]
+    return argv
 
 
 def read_summary(out_dir):
@@ -89,6 +101,33 @@ def test_missing_config_exits_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("failure, cause, code, prefix", [
+    (ParameterError("delta1 > 1", "margin -0.5"), None, 1,
+     "error: parameter constraint violated: delta1 > 1: margin -0.5"),
+    (ConfigError("missing required section [solver]"), None, 1,
+     "error: missing required section [solver]"),
+    (ConfigError("cannot read config run.ini"), FileNotFoundError(2, "gone"),
+     3, "error: cannot read config run.ini"),
+    (SolverAbort("solution lost finiteness", 0.25), None, 2,
+     "error: solver failure: solution lost finiteness at t = 0.25"),
+    (ContinuationError(1, "no convergence"), None, 2,
+     "error: solver failure: continuation level 1: no convergence"),
+    (LostChild("level 1 ended without a result (exit code 3)"), None, 2,
+     "error: solver failure: level 1 ended without a result"),
+], ids=["parameter", "config", "config-io", "solver-abort", "continuation",
+        "lost-child"])
+def test_main_maps_each_failure_to_its_exit_code_and_one_error_line(
+        capsys, monkeypatch, failure, cause, code, prefix):
+    def fails(args):
+        raise failure from cause
+
+    monkeypatch.setattr(vacflow.cli, "cmd_validate", fails)
+    assert main(["validate", "--config", "run.ini"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "sweep",
                                      "oracle-compare"])
 def test_a_missing_snapshot_exits_three_naming_the_file(tmp_path, capsys,
@@ -97,8 +136,8 @@ def test_a_missing_snapshot_exits_three_naming_the_file(tmp_path, capsys,
     text = BASE.format(beta="0.5", amplitude="0.2").replace(
         "[initial]\n", f"[initial]\nkind = snapshot\n"
                        f"density_snapshot = {missing}\n")
-    assert main([command, "--config", write(tmp_path, text),
-                 "--out", str(tmp_path / "out")]) == 3
+    assert main(argv_of(command, write(tmp_path, text),
+                        tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "density_snapshot" in err and missing in err
@@ -224,7 +263,9 @@ def test_run_reports_solver_failure(tmp_path, capsys):
     cfg = write(tmp_path, text)
     out_dir = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 2
-    assert "solver failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failure: continuation level 0: ")
+    assert err.endswith(" (see failure.json)\n")
     with open(out_dir / "failure.json", encoding="utf-8") as fh:
         record = json.load(fh)
     assert record["phase"] == "continuation level 0"
@@ -370,7 +411,7 @@ def test_nonfinite_transport_stage_is_a_solver_failure(tmp_path, capsys,
 def test_a_violated_constraint_is_reported_as_one(tmp_path, capsys, command):
     text = BASE.format(beta="0.5", amplitude="0.2")
     cfg = write(tmp_path, text.replace("delta1 = 1.5", "delta1 = 0.5"))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(argv_of(command, cfg, tmp_path / "o")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: parameter constraint violated: delta1 > 1")
 
@@ -407,7 +448,7 @@ def test_a_calib_C_that_is_not_finite_is_rejected(tmp_path, capsys, command,
     cfg = write(tmp_path, text)
     with pytest.raises(vacflow.runconfig.ConfigError, match="calib_C"):
         vacflow.runconfig.load_config(cfg)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(argv_of(command, cfg, tmp_path / "o")) == 1
     assert "calib_C must be >= 1 and finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -421,7 +462,7 @@ def test_a_sweep_scale_that_is_not_finite_is_rejected(tmp_path, capsys,
     cfg = write(tmp_path, text)
     with pytest.raises(vacflow.runconfig.ConfigError, match="amplitude_scales"):
         vacflow.runconfig.load_config(cfg)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(argv_of(command, cfg, tmp_path / "o")) == 1
     assert ("amplitude_scales entries must be positive and finite"
             in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
@@ -432,7 +473,7 @@ def test_a_center_that_is_not_finite_is_rejected(tmp_path, capsys, command):
     text = BASE.format(beta="0.5", amplitude="0.2").replace(
         "width = 0.8", "width = 0.8\ncenter = nan")
     cfg = write(tmp_path, text)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(argv_of(command, cfg, tmp_path / "o")) == 1
     assert "center must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -464,7 +505,7 @@ def test_a_t_window_that_is_not_positive_and_finite_is_rejected(
     cfg = write(tmp_path, text)
     with pytest.raises(vacflow.runconfig.ConfigError, match="t_window"):
         vacflow.runconfig.load_config(cfg)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(argv_of(command, cfg, tmp_path / "o")) == 1
     assert "t_window must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -485,7 +526,7 @@ def test_the_density_is_built_and_the_constants_validated_once(
     for name in calls:
         counted(name)
     cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert main(argv_of(command, cfg, tmp_path / "o")) == 0
     assert calls == {"bump_density": 1, "validate_params": 1}
 
 
@@ -498,12 +539,15 @@ def test_the_density_is_built_and_the_constants_validated_once(
     ["oracle-compare", "--snapshots"],
     ["validate", "--seed", "1"],
     ["mms", "--seed", "1"],
+    ["validate", "--out", "D"],
+    ["mms", "--out", "D"],
+    ["oracle-compare", "--out", "D"],
 ], ids=" ".join)
 def test_a_flag_only_another_subcommand_reads_is_a_usage_error(
         tmp_path, capsys, argv):
     cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
     with pytest.raises(SystemExit) as err:
-        main(argv[:1] + ["--config", cfg, "--out", str(tmp_path)] + argv[1:])
+        main(argv_of(argv[0], cfg, tmp_path) + argv[1:])
     assert err.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

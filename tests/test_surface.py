@@ -8,10 +8,11 @@ of oracle-compare or run loads numpy.random (which loads OpenSSL through
 secrets, hmac and hashlib), and only the manifest child loads hashlib. Every
 dataclass field is read by the program or an acceptance criterion, or is
 exempt with a reason. A coefficient provider has one public method,
-stage. No sample_dt has a default. One function forks child processes. No
-module imports a name it does not use. Only cli, fields and runconfig
-import csv or open a file by path: the computation modules return reports,
-and cli writes every table of a bundle."""
+stage. No sample_dt has a default. One function forks child processes.
+Only cli.main maps a failure to an exit code (and _sweep_row to a row
+status). No module imports a name it does not use. Only cli, fields and
+runconfig import csv or open a file by path: the computation modules
+return reports, and cli writes every table of a bundle."""
 
 import ast
 import json
@@ -374,6 +375,28 @@ def test_one_function_forks():
     assert forking == ["fixedpoint._start_job"], (
         "every child process starts in fixedpoint._start_job, so that "
         f"run_forked is its only lifecycle; os.fork is called in {forking}")
+
+
+# failures that main maps to their exit codes; _sweep_row records them as row
+# statuses instead, since one failed row does not end a sweep
+MAPPED_FAILURES = {"ParameterError", "ConfigError", "SolverAbort"}
+
+
+def test_only_main_maps_a_failure_to_an_exit_code():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(), "cli.py")
+    catching = []
+    for fn in tree.body:
+        if (isinstance(fn, ast.FunctionDef)
+                and fn.name not in ("main", "_sweep_row")):
+            catching += [f"cli.{fn.name}" for node in ast.walk(fn)
+                         if isinstance(node, ast.ExceptHandler)
+                         and node.type is not None
+                         and MAPPED_FAILURES & {
+                             n.id for n in ast.walk(node.type)
+                             if isinstance(n, ast.Name)}]
+    assert catching == [], (
+        "cli.main alone turns a ParameterError, ConfigError or SolverAbort "
+        f"into an exit code and an error line; caught in {catching}")
 
 
 # perfbench rebinds this name in linearized to count the advect calls made
