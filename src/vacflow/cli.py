@@ -8,7 +8,8 @@ ignores it). There are no environment overrides, so a command line plus a
 config file pins a run completely.
 
 Exit codes: 0 success, 1 constraint or validation failure, 2 runtime solver
-or quality failure, 3 I/O failure. A subcommand raises its failures, and
+or quality failure, 3 I/O failure. An argparse usage error exits 2 too; its
+"usage:" line on stderr tells it apart. A subcommand raises its failures, and
 main alone maps each to its exit code and its one "error:" line; a
 subcommand returns a failing code itself only with a message of its own:
 a bundle or table it cannot write, or a quality gate its results miss.
@@ -401,7 +402,7 @@ def _sweep_row(cfg: RunConfig, scale: float, row_dir: str, seed: int,
            "picard_iters": "", "note": ""}
     try:
         summary = run_pipeline(cfg, row_dir, seed, snapshots, scale=scale)
-    except (ConfigError, ParameterError, ValueError) as exc:
+    except (ConfigError, ParameterError) as exc:
         row["status"] = "rejected"
         row["note"] = str(exc)
         return row

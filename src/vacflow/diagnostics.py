@@ -368,6 +368,15 @@ def _periodic_interp(grid: Grid, values: np.ndarray,
     return out
 
 
+def rk4_step(rate, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classic RK4 step of dy/dt = rate(t, y) from t to t + dt."""
+    k1 = rate(t, y)
+    k2 = rate(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rate(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rate(t + dt, y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 @dataclass(frozen=True)
 class ParticleRow:
     start: tuple
@@ -450,13 +459,7 @@ def characteristics_check(traj: Trajectory, params: FluidParams,
     y = np.concatenate([start, np.zeros((1, take))])
     alive = np.ones(take, dtype=bool)
     for j in range(len(times) - 1):
-        dt = times[j + 1] - times[j]
-        t0 = times[j]
-        k1 = rate(t0, y)
-        k2 = rate(t0 + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rate(t0 + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rate(t0 + dt, y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(rate, times[j], y, times[j + 1] - times[j])
         alive &= seam_ok(y[:-1])
     pos, integ = y[:-1], y[-1]
 

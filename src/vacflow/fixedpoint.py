@@ -46,7 +46,6 @@ import numpy as np
 from .fields import _window, quadrature_l2, release
 from .linearized import (
     DEFAULT_CFL_SAFETY,
-    FrozenCoefficients,
     SolverAbort,
     Trajectory,
     TrajectoryCoefficients,
@@ -323,8 +322,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     this process ends, say), copied into that a sample at a time, each
     sample released on both sides once copied.
     """
-    if not t_window > 0.0:
-        raise ValueError(f"t_window must be positive, got {t_window}")
+    times = sample_times(t_window, sample_dt)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ident = exponent_identity_residual(params)
@@ -332,7 +330,6 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         raise ParameterError("exponent identities",
                              f"derived-constant residual {ident:.3e}")
     grid = init.grid
-    times = sample_times(t_window, sample_dt)
     n = len(times)
     forked = hasattr(os, "fork") and hasattr(os, "eventfd")
     windows = {0: _window(grid, n, grid.dim + 2)}  # k -> iterate k's window
@@ -404,11 +401,10 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             return None
         wait(0)
         tic = time.perf_counter()
-        coeffs = FrozenCoefficients(
-            provider=TrajectoryCoefficients(times, pred, wait=wait), eta=eta,
-            t_window=t_window, cfl_safety=cfl_safety, sample_dt=sample_dt)
-        traj = solve_linearized(init, coeffs, params, window=own,
-                                on_sample=on_sample)
+        stage = TrajectoryCoefficients(times, pred, wait=wait).stage
+        traj = solve_linearized(init, params, stage, eta, t_window,
+                                sample_dt=sample_dt, cfl_safety=cfl_safety,
+                                window=own, on_sample=on_sample)
         fields = traj.dt_history, traj.clip_counts, traj.clipped_mass
         return fields, tuple(sups), time.perf_counter() - tic
 

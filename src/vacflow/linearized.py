@@ -30,18 +30,19 @@ stage assembly and the slope kernels, live in operators; this module holds
 the time stepping. The steps pass the kernels raw spectra of their unknowns,
 so the factors div u, Lap u, grad div u and grad phi are not truncated.
 
-A coefficient provider has one method, stage(grid, t): the masked
-coefficients at t, that is v, div v, the upper triangle of the symmetric
-Q1(v), phitilde and vphitilde after the 2/3 rule (d(d + 1)/2 + d + 3 rows).
-A stored trajectory masks each sample once and interpolates the masked
-samples in time, which equals masking the interpolated fields because
-truncation and interpolation are both linear. The window solve asks for
-each stage time of an outer step once, t, t + dt/4, t + dt/2, t + 3dt/4 and
-its end, pairs each stage with the forcing rows at its time, and hands the
-steps their pairs; the end is march's new time, a sample time exactly when
-the step lands, and the next step starts from the pair built there. The
-steps read nothing else, and neither does the adaptive step size, which
-reads v and phitilde of the stage the step starts from.
+The window solve reads its coefficients from a stage function, stage(grid,
+t): the masked coefficients at t, that is v, div v, the upper triangle of
+the symmetric Q1(v), phitilde and vphitilde after the 2/3 rule
+(d(d + 1)/2 + d + 3 rows). TrajectoryCoefficients masks each stored sample
+once and interpolates the masked samples in time, which equals masking the
+interpolated fields because truncation and interpolation are both linear.
+The window solve asks for each stage time of an outer step once, t,
+t + dt/4, t + dt/2, t + 3dt/4 and its end, pairs each stage with the
+forcing rows at its time, and hands the steps their pairs; the end is
+march's new time, a sample time exactly when the step lands, and the next
+step starts from the pair built there. The steps read nothing else, and
+neither does the adaptive step size, which reads v and phitilde of the
+stage the step starts from.
 
 A state, a window sample and a forcing all have one layout: the d + 2 rows
 (vphi, phi, u) of one array. A window is one array of such samples, shaped
@@ -106,19 +107,7 @@ class SolverAbort(RuntimeError):
         return type(self), (self.reason, self.time, self.detail)
 
 
-# -- coefficient providers ---------------------------------------------------
-
-
-class AnalyticCoefficients:
-    """Coefficients given by closed-form time callables (used by manufactured
-    cases, where the coefficient trajectory is known exactly)."""
-
-    def __init__(self, velocity, phi_coeff, vphi_coeff):
-        self._callables = (velocity, phi_coeff, vphi_coeff)
-
-    def stage(self, grid: Grid, t: float) -> _StageCoeffs:
-        """The masked coefficients at t, built afresh on every call."""
-        return _mask_coefficients(grid, *(f(t) for f in self._callables))
+# -- stored coefficients -----------------------------------------------------
 
 
 class TrajectoryCoefficients:
@@ -163,32 +152,6 @@ class TrajectoryCoefficients:
             return self._masked[j]
         return _StageCoeffs(grid, (1.0 - w) * self._masked[j].packed
                             + w * self._masked[j + 1].packed)
-
-
-@dataclass
-class FrozenCoefficients:
-    """Everything a linearized solve needs besides the initial state: the
-    coefficient provider, the degeneracy shift eta, the window length and
-    its sample interval (the solve records sample_times(t_window,
-    sample_dt)), stepping controls, and the forcing, a map from t to rows
-    stacked like (vphi, phi, u), or None. dt = None selects the adaptive
-    step."""
-
-    provider: object
-    eta: float
-    t_window: float
-    sample_dt: float
-    dt: float | None = None
-    cfl_safety: float = DEFAULT_CFL_SAFETY
-    forcing: object = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not self.t_window > 0:
-            raise ValueError("t_window must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive when fixed")
 
 
 def _shift(grid: Grid, nu1: float, nu2: float, dt: float):
@@ -407,6 +370,8 @@ class Trajectory:
 def sample_times(t_window: float, sample_dt: float) -> list:
     """The sample times of a window: 0, the multiples of sample_dt below
     t_window, and t_window itself."""
+    if not t_window > 0.0:
+        raise ValueError(f"t_window must be positive, got {t_window}")
     if not sample_dt > 0:
         raise ValueError(f"sample_dt must be positive, got {sample_dt}")
     tol = 1e-12 * max(1.0, t_window)
@@ -431,18 +396,20 @@ def sample_weight(times, t: float) -> tuple[int, float]:
     return j, (t - times[j]) / (times[j + 1] - times[j])
 
 
-def march(t_window: float, sample_dt: float, next_dt, advance) -> None:
+def march(t_window: float, sample_dt: float, next_dt, advance, write) -> None:
     """Step time across [0, t_window], landing exactly on each sample time
-    of sample_times(t_window, sample_dt) after 0 in turn.
+    of sample_times(t_window, sample_dt) after 0 in turn, and call write(n)
+    for sample n: for sample 0 at once, for each later one right after the
+    step that lands on it.
 
     Each step asks next_dt(t) for a size. A step that would reach the next
     sample, or miss it by at most 1e-12 max(1, sample), lands: it is cut to
     end there, and its new time is that sample time exactly. Then march
-    calls advance(t, dt, t_new, at_sample). A step at or below
-    1e-13 max(t_window, 1) aborts with a step-size underflow."""
+    calls advance(t, dt, t_new). A step at or below 1e-13 max(t_window, 1)
+    aborts with a step-size underflow."""
     dt_floor = 1e-13 * max(t_window, 1.0)
     t = 0.0
-    for t_target in sample_times(t_window, sample_dt)[1:]:
+    for n, t_target in enumerate(sample_times(t_window, sample_dt)):
         target_tol = 1e-12 * max(1.0, t_target)
         while t < t_target:
             dt = next_dt(t)
@@ -452,8 +419,9 @@ def march(t_window: float, sample_dt: float, next_dt, advance) -> None:
             if dt <= dt_floor:
                 raise SolverAbort("step size underflow", t, f"dt = {dt:.3e}")
             t_new = t_target if landing else t + dt
-            advance(t, dt, t_new, landing)
+            advance(t, dt, t_new)
             t = t_new
+        write(n)
 
 
 def record_window(init: ReformState, t_window: float, sample_dt: float,
@@ -475,25 +443,20 @@ def record_window(init: ReformState, t_window: float, sample_dt: float,
     if window is None:
         window = np.empty((len(times),) + state.shape)
     dt_history, clip_counts, clipped_mass = [], [], []
-    samples = iter(range(len(times)))
 
-    def write() -> None:
-        n = next(samples)
+    def write(n: int) -> None:
         window[n] = state
         if on_sample is not None:
             on_sample(n)
 
-    def advance(t: float, dt: float, t_new: float, at_sample: bool) -> None:
+    def advance(t: float, dt: float, t_new: float) -> None:
         nonlocal state
         state, count, mass = step(t, dt, t_new, state)
         dt_history.append(dt)
         clip_counts.append(count)
         clipped_mass.append(mass)
-        if at_sample:
-            write()
 
-    write()
-    march(t_window, sample_dt, next_dt, advance)
+    march(t_window, sample_dt, next_dt, advance, write)
     return Trajectory(init.grid, times, window, dt_history=dt_history,
                       clip_counts=clip_counts, clipped_mass=clipped_mass)
 
@@ -514,32 +477,39 @@ def adaptive_dt(params: FluidParams, grid: Grid, v: np.ndarray,
     return min(formula, stability)
 
 
-def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
-                     params: FluidParams, *, window=None,
-                     on_sample=None) -> Trajectory:
+def solve_linearized(init: ReformState, params: FluidParams, stage, eta: float,
+                     t_window: float, *, sample_dt: float,
+                     dt: float | None = None,
+                     cfl_safety: float = DEFAULT_CFL_SAFETY, forcing=None,
+                     window=None, on_sample=None) -> Trajectory:
     """March the linearized system across [0, t_window], landing exactly on
-    the sample cadence, and return the sampled trajectory. The viscosity
-    proxy advances in lockstep by two transport half steps per outer step,
-    feeding stage fields to the momentum update. window and on_sample go to
-    record_window.
+    sample_times(t_window, sample_dt), and return the sampled trajectory.
+    stage(grid, t) gives the frozen masked coefficients at t, eta in [0, 1]
+    is the degeneracy shift, and forcing maps t to rows stacked like (vphi,
+    phi, u), or is None; dt = None selects the adaptive step at cfl_safety.
+    The viscosity proxy advances in lockstep by two transport half steps
+    per outer step, feeding stage fields to the momentum update. window and
+    on_sample go to record_window.
 
     A step of size dt = 2h builds the (masked coefficients, forcing rows)
     pair at each of its stage times once, t, t + h/2, t + h, (t + h) + h/2
     and t_new, march's end of the step, a quarter-point pair only for its
     half step. The pair at t_new is the next step's start."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if dt is not None and dt <= 0:
+        raise ValueError("dt must be positive when fixed")
     grid = init.grid
 
     def pair(t: float) -> tuple:
-        rows = None if coeffs.forcing is None else coeffs.forcing(t)
-        return coeffs.provider.stage(grid, t), rows
+        return stage(grid, t), None if forcing is None else forcing(t)
 
     start = pair(0.0)
 
     def next_dt(t: float) -> float:
-        if coeffs.dt is not None:
-            return coeffs.dt
-        stage = start[0]
-        return adaptive_dt(params, grid, stage.v, stage.phit, coeffs.cfl_safety)
+        if dt is not None:
+            return dt
+        return adaptive_dt(params, grid, start[0].v, start[0].phit, cfl_safety)
 
     def step(t: float, dt: float, t_new: float, state: np.ndarray):
         nonlocal start
@@ -552,12 +522,12 @@ def solve_linearized(init: ReformState, coeffs: FrozenCoefficients,
                                        (half, end, pair((t + h) + 0.5 * h)),
                                        h, t + h)
         phi, u, mdiag = momentum_step(params, grid, state[1:], (first, half, end),
-                                      coeffs.eta, (state[0], vphi_half, vphi_full),
+                                      eta, (state[0], vphi_half, vphi_full),
                                       dt, t)
         start = end
         return (np.concatenate(([vphi_full, phi], u)),
                 d1.clip_count + d2.clip_count + mdiag.clip_count,
                 d1.clipped_mass + d2.clipped_mass + mdiag.clipped_mass)
 
-    return record_window(init, coeffs.t_window, coeffs.sample_dt, next_dt, step,
+    return record_window(init, t_window, sample_dt, next_dt, step,
                          window=window, on_sample=on_sample)

@@ -26,18 +26,17 @@ import numpy as np
 from .fields import Grid, ScalarField, VectorField, _window, quadrature_l2, release
 from .linearized import (
     DEFAULT_CFL_SAFETY,
-    AnalyticCoefficients,
-    FrozenCoefficients,
     SolverAbort,
     march,
     sample_times,
     solve_linearized,
 )
-from .diagnostics import density_of, primitive_rates, reform_rhs, relative_drift
+from .diagnostics import (density_of, primitive_rates, reform_rhs, relative_drift,
+                          rk4_step)
 from .fixedpoint import (DEFAULT_MAX_ITER, DEFAULT_PICARD_TOL,
                          _raise_mmap_threshold, picard_solve, run_forked)
 from .initial_data import reform_state_from_density
-from .operators import ReformState, stable_power
+from .operators import ReformState, _mask_coefficients, stable_power
 from .params import FluidParams, validate_params
 
 ORACLE_SAFETY = 0.3
@@ -67,6 +66,14 @@ def primitive_rhs(grid: Grid, params: FluidParams, rho: np.ndarray,
     """Unforced time derivatives of (rho, rho u) in conservative form, all
     products dealiased. Divides by rho, so callers must keep it positive."""
     return primitive_rates(grid, params, rho, mom, mom / rho)
+
+
+def _refuse_vacuum(rho: np.ndarray) -> None:
+    """Refuse a density at or below ORACLE_MIN_RHO anywhere: the primitive
+    form divides by rho, so the oracle is defined only away from vacuum."""
+    if float(rho.min()) <= ORACLE_MIN_RHO:
+        raise ValueError(f"oracle requires min rho > {ORACLE_MIN_RHO:g}; "
+                         f"got {float(rho.min()):.3e}")
 
 
 def oracle_dt(grid: Grid, params: FluidParams, rho: np.ndarray,
@@ -100,17 +107,13 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
     grid = rho0.grid
     if u0.grid != grid:
         raise ValueError("density and velocity grids disagree")
-    if float(rho0.values.min()) <= ORACLE_MIN_RHO:
-        raise ValueError(
-            f"oracle requires min rho > {ORACLE_MIN_RHO:g}; "
-            f"got {float(rho0.values.min()):.3e}")
+    _refuse_vacuum(rho0.values)
 
     y = np.concatenate(([rho0.values], rho0.values * u0.values))   # (rho, rho u)
     times = sample_times(t_window, sample_dt)
     if window is None:
         window = np.empty((len(times), grid.dim + 1) + grid.shape)
     traj = PrimitiveTrajectory(grid, times, window, [])
-    samples = iter(range(len(times)))
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         dr, dm = primitive_rhs(grid, params, state[0], state[1:])
@@ -120,8 +123,7 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
             rates += np.concatenate(([g], f))
         return rates
 
-    def write() -> None:
-        n = next(samples)
+    def write(n: int) -> None:
         window[n, 0] = y[0]
         window[n, 1:] = y[1:] / y[0]
         release(window, 0, n + 1)
@@ -129,24 +131,17 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
     def next_dt(t: float) -> float:
         return dt if dt is not None else oracle_dt(grid, params, y[0], y[1:] / y[0])
 
-    def advance(t: float, step: float, t_new: float, at_sample: bool) -> None:
+    def advance(t: float, step: float, t_new: float) -> None:
         nonlocal y
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = rhs(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = rhs(t + step, y + step * k3)
-        y = y + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(rhs, t, y, step)
         if not np.all(np.isfinite(y)):
             raise SolverAbort("solution lost finiteness", t + step)
         if float(y[0].min()) <= ORACLE_MIN_RHO:
             raise SolverAbort("density left the oracle regime", t + step,
                               f"min rho = {float(y[0].min()):.3e}")
         traj.dt_history.append(step)
-        if at_sample:
-            write()
 
-    write()
-    march(t_window, sample_dt, next_dt, advance)
+    march(t_window, sample_dt, next_dt, advance, write)
     return traj
 
 
@@ -260,8 +255,9 @@ class ManufacturedCase:
 
         return terms
 
-    def coefficients(self) -> AnalyticCoefficients:
-        return AnalyticCoefficients(self.u, self.phi, self.vphi)
+    def stage(self, grid: Grid, t: float):
+        """The exact coefficients at t, masked: the window solve's stage."""
+        return _mask_coefficients(grid, self.u(t), self.phi(t), self.vphi(t))
 
 
 def default_case(grid: Grid | None = None, params: FluidParams | None = None,
@@ -293,10 +289,9 @@ def _state_error(a: ReformState, b: ReformState) -> float:
 def reform_mms_error(case: ManufacturedCase, dt: float, t_window: float) -> float:
     """Final-time L2 error of the main time integrator at eta = 0, fed
     exact coefficients and its own discrete forcing."""
-    coeffs = FrozenCoefficients(provider=case.coefficients(), eta=0.0,
-                                t_window=t_window, sample_dt=t_window, dt=dt,
-                                forcing=case.reform_forcing(0.0))
-    traj = solve_linearized(case.state(0.0), coeffs, case.params)
+    traj = solve_linearized(case.state(0.0), case.params, case.stage, 0.0,
+                            t_window, sample_dt=t_window, dt=dt,
+                            forcing=case.reform_forcing(0.0))
     return _state_error(traj.final, case.state(t_window))
 
 
@@ -377,9 +372,7 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
     Each solve writes its trajectory into a _window allocated here before
     the forks, and the distances read the two windows a sample at a time,
     releasing each sample once read."""
-    if float(rho0.values.min()) <= ORACLE_MIN_RHO:
-        raise ValueError("oracle requires min rho > 0; this comparison is "
-                         "only defined away from vacuum")
+    _refuse_vacuum(rho0.values)
     grid = rho0.grid
     times = sample_times(t_window, sample_dt)
     reform_out = _window(grid, len(times), grid.dim + 2)

@@ -1,6 +1,6 @@
 """Test helpers: a Trajectory stacked from per-sample states, the same
-trajectory over a shared window, a coefficient provider frozen at one state,
-the two steps with their stages read from a FrozenCoefficients, the plain
+trajectory over a shared window, a stage function frozen at one state, the
+two steps with their stages read from the window solve's keywords, the plain
 spectral derivative the solver's batched kernels are checked against, and
 the resident size of the mapping that holds an array. States and samples are
 arrays of the d + 2 rows (vphi, phi, u)."""
@@ -45,18 +45,19 @@ def mapping_rss_kib(arr):
 
 
 def frozen(v, phitilde, vphitilde):
-    """The provider whose coefficients are v, phitilde and vphitilde at every
-    time: a one-sample TrajectoryCoefficients, which clamps every t to its
-    sample."""
+    """The stage function whose coefficients are v, phitilde and vphitilde
+    at every time: that of a one-sample TrajectoryCoefficients, which clamps
+    every t to its sample."""
     sample = np.concatenate(([vphitilde, phitilde], v))
-    return TrajectoryCoefficients([0.0], sample[None])
+    return TrajectoryCoefficients([0.0], sample[None]).stage
 
 
 def stages(coeffs, grid, times):
-    """The (masked coefficients, forcing rows) pairs of coeffs at times."""
-    return tuple((coeffs.provider.stage(grid, t),
-                  None if coeffs.forcing is None else coeffs.forcing(t))
-                 for t in times)
+    """The (masked coefficients, forcing rows) pairs at times of coeffs, the
+    window solve's keywords as a dict: its stage and, if any, its forcing."""
+    forcing = coeffs.get("forcing")
+    return tuple((coeffs["stage"](grid, t),
+                  None if forcing is None else forcing(t)) for t in times)
 
 
 def transport(params, grid, f, coeffs, dt, t=0.0):
@@ -72,7 +73,7 @@ def momentum(params, grid, y, coeffs, vphi_new, dt, t=0.0):
     at t, t + dt/2 and t + dt."""
     return momentum_step(params, grid, y,
                          stages(coeffs, grid, (t, t + 0.5 * dt, t + dt)),
-                         coeffs.eta, vphi_new, dt, t)
+                         coeffs["eta"], vphi_new, dt, t)
 
 
 def deriv(grid, values, order):

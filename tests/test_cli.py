@@ -594,6 +594,21 @@ def test_a_sweep_row_that_cannot_write_its_bundle_fails_and_the_sweep_goes_on(
     assert (out_dir / "row_01_scale_0.5" / "summary.json").is_file()
 
 
+def test_a_value_error_inside_the_solve_is_not_a_rejected_row(tmp_path,
+                                                               monkeypatch):
+    # only refused input makes a row "rejected": a plain ValueError from
+    # inside the solve is no verdict on the input, so it is not caught
+    def broken(*args, **kwargs):
+        raise ValueError("contraction metric negative at k=1")
+
+    monkeypatch.setattr("vacflow.cli.eta_continuation", broken)
+    text = BASE.format(beta="0.5", amplitude="0.2")
+    out_dir = tmp_path / "sw"
+    with pytest.raises(ValueError, match="contraction metric negative"):
+        main(["sweep", "--config", write(tmp_path, text), "--out", str(out_dir)])
+    assert not (out_dir / "sweep.csv").exists()
+
+
 def test_a_sweep_table_that_cannot_be_written_exits_three(tmp_path, capsys):
     # beta = -1 caps the density below this bump, so the row is refused fast
     text = BASE.format(beta="-1.0", amplitude="0.5")
@@ -700,6 +715,16 @@ def test_oracle_compare_refuses_vacuum(tmp_path, capsys):
     cfg = write(tmp_path, POSITIVE.replace("background = 1.0\n", ""))
     assert main(["oracle-compare", "--config", cfg]) == 1
     assert "min rho" in capsys.readouterr().err
+
+
+def test_oracle_compare_names_its_vacuum_threshold(tmp_path, capsys):
+    # positive everywhere, but the bump's flat background of 5e-9 sits below
+    # the oracle's floor
+    text = POSITIVE.replace("background = 1.0", "background = 5e-9")
+    assert main(["oracle-compare", "--config", write(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert "min rho > 1e-08; got 5.000e-09" in err
+    assert err.count("\n") == 1
 
 
 # -- mms -----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from vacflow.diagnostics import (
     nonlinear_residual,
     primitive_rates,
     reform_rhs,
+    rk4_step,
     vacuum_residual,
     validity,
 )
@@ -374,6 +375,26 @@ def test_density_of_recovers_the_density():
     rho = 0.3 + 0.2 * np.cos(g.coordinates[0])
     st = state_from_density(g, rho, np.zeros((1, 32)), p)
     assert np.max(np.abs(density_of(st.vphi.values, p) - rho)) < 1e-13
+
+
+def test_rk4_step_is_fourth_order_and_reads_the_stage_times():
+    # dy/dt = t y from y(0) = 1 has y(1) = exp(1/2); the error at t = 1
+    # falls about 16-fold per halving of the step
+    asked = []
+
+    def rate(t, y):
+        asked.append(t)
+        return t * y
+
+    def error(n):
+        y = np.array([1.0])
+        for k in range(n):
+            y = rk4_step(rate, k / n, y, 1.0 / n)
+        return abs(float(y[0]) - math.exp(0.5))
+
+    coarse, fine = error(8), error(16)
+    assert 14.0 < coarse / fine < 18.0
+    assert asked[:4] == [0.0, 1.0 / 16, 1.0 / 16, 1.0 / 8]
 
 
 def test_characteristics_still_velocity_is_exact():

@@ -32,8 +32,8 @@ from vacflow.fixedpoint import (
 )
 from vacflow.initial_data import reform_state_from_density
 from vacflow.linearized import (DEFAULT_CFL_SAFETY, DEFAULT_SAMPLES_PER_WINDOW,
-                                FrozenCoefficients, SolverAbort,
-                                TrajectoryCoefficients, solve_linearized)
+                                SolverAbort, TrajectoryCoefficients,
+                                solve_linearized)
 from vacflow.operators import ReformState
 from vacflow.params import ParameterError, validate_params
 from vacflow.runconfig import ConfigError
@@ -127,10 +127,9 @@ def test_fixed_point_residual_small_after_convergence():
     assert trace.converged
     # one more linearized solve from the converged trajectory barely moves
     # it, in the metric the iteration uses
-    provider = TrajectoryCoefficients(traj.times, traj.samples)
-    coeffs = FrozenCoefficients(provider=provider, eta=0.25, t_window=0.005,
-                                sample_dt=traj.times[1])
-    nxt = solve_linearized(init, coeffs, soft_params())
+    stage = TrajectoryCoefficients(traj.times, traj.samples).stage
+    nxt = solve_linearized(init, soft_params(), stage, 0.25, 0.005,
+                           sample_dt=traj.times[1])
     w_sq, v_sq, _ = trajectory_gap(nxt, traj)
     assert w_sq + v_sq <= 10.0 * tol
 
@@ -503,10 +502,9 @@ def sequential_picard(init, params, eta, t_window, picard_tol, max_iter):
                         None)
     rows = []
     for k in range(1, max_iter + 1):
-        provider = TrajectoryCoefficients(prev.times, prev.samples)
-        coeffs = FrozenCoefficients(provider=provider, eta=eta,
-                                    t_window=t_window, sample_dt=sample_dt)
-        cur = solve_linearized(init, coeffs, params)
+        stage = TrajectoryCoefficients(prev.times, prev.samples).stage
+        cur = solve_linearized(init, params, stage, eta, t_window,
+                               sample_dt=sample_dt)
         w_sq, v_sq, linf = trajectory_gap(cur, prev)
         rows.append((k, w_sq + v_sq, linf))
         if w_sq + v_sq <= picard_tol:
@@ -843,11 +841,11 @@ def test_a_forked_iterate_keeps_only_the_samples_in_flight_resident(
     tag = tagged_iterates(monkeypatch)
     solve = vacflow.fixedpoint.solve_linearized
 
-    def watched(init, coeffs, params, *, window, on_sample):
+    def watched(*args, window, on_sample, **kwargs):
         def hook(i):
             on_sample(i)
             resident[tag["k"]] = max(resident[tag["k"]], window_rss_kib())
-        traj = solve(init, coeffs, params, window=window, on_sample=hook)
+        traj = solve(*args, window=window, on_sample=hook, **kwargs)
         resident[tag["k"]] = max(resident[tag["k"]], window_rss_kib())
         return traj
 
@@ -905,12 +903,12 @@ def fail_iterate_two(monkeypatch, failure):
     tag = tagged_iterates(monkeypatch)
     solve = vacflow.fixedpoint.solve_linearized
 
-    def failing(init, coeffs, params, *, window, on_sample):
+    def failing(*args, window, on_sample, **kwargs):
         def hook(i):
             on_sample(i)
             if tag["k"] == 2 and i == 20:
                 failure()
-        return solve(init, coeffs, params, window=window, on_sample=hook)
+        return solve(*args, window=window, on_sample=hook, **kwargs)
 
     monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", failing)
     return tag
@@ -962,11 +960,11 @@ def test_iterates_leave_once_their_solve_is_killed(monkeypatch):
         os.write(held_w, b"%d " % pid)
         return pid, fh
 
-    def slow(init, coeffs, params, *, window, on_sample):
+    def slow(*args, window, on_sample, **kwargs):
         def hook(i):
             time.sleep(0.4)
             on_sample(i)
-        return solve(init, coeffs, params, window=window, on_sample=hook)
+        return solve(*args, window=window, on_sample=hook, **kwargs)
 
     monkeypatch.setattr(vacflow.fixedpoint, "_start_job", announced)
     monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", slow)

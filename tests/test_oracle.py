@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from vacflow.fields import Grid, ScalarField, VectorField, quadrature_l2
 from vacflow.initial_data import bump_density
 from vacflow.linearized import (
-    AnalyticCoefficients,
-    FrozenCoefficients,
     SolverAbort,
     sample_times,
     solve_linearized,
@@ -136,11 +134,9 @@ def test_both_solvers_sample_the_same_times():
     init = ReformState(
         ScalarField(g, rho0.values ** (0.5 * (p.delta1 - 1.0))),
         ScalarField(g, rho0.values ** (0.5 * (p.gamma - 1.0))), u0)
-    provider = frozen(init.u.values, init.phi.values,
-                                    init.vphi.values)
-    coeffs = FrozenCoefficients(provider=provider, eta=0.0, t_window=t_window,
-                                dt=0.003, sample_dt=sample_dt)
-    reform = solve_linearized(init, coeffs, p)
+    stage = frozen(init.u.values, init.phi.values, init.vphi.values)
+    reform = solve_linearized(init, p, stage, 0.0, t_window, dt=0.003,
+                              sample_dt=sample_dt)
     oracle = primitive_solve(rho0, u0, p, t_window, dt=0.002,
                              sample_dt=sample_dt)
     assert reform.times == oracle.times
@@ -191,7 +187,7 @@ def test_manufactured_forcing_evaluates_each_stage_time_once(monkeypatch):
 
     times, built = [], []
     rhs = vacflow.oracle.reform_rhs
-    stage = AnalyticCoefficients.stage
+    stage = ManufacturedCase.stage
     reform_forcing = ManufacturedCase.reform_forcing
 
     def counted(self, eta):
@@ -208,7 +204,7 @@ def test_manufactured_forcing_evaluates_each_stage_time_once(monkeypatch):
         return stage(self, grid, t)
 
     monkeypatch.setattr(ManufacturedCase, "reform_forcing", counted)
-    monkeypatch.setattr(AnalyticCoefficients, "stage", counted_stage)
+    monkeypatch.setattr(ManufacturedCase, "stage", counted_stage)
     reform_mms_error(default_case(), 0.01, 0.04)
     # 4 steps, each with stage times t, t + dt/4, t + dt/2, t + 3dt/4 and
     # t + dt, the last shared with the next step: 4 * 4 + 1 = 17, for the
@@ -227,11 +223,9 @@ def test_manufactured_forcing_evaluates_each_stage_time_once(monkeypatch):
 
     finals = []
     for forcing in (case.reform_forcing(0.0), per_row):
-        coeffs = FrozenCoefficients(provider=case.coefficients(), eta=0.0,
-                                    t_window=0.04, sample_dt=0.04, dt=0.01,
-                                    forcing=forcing)
-        finals.append(solve_linearized(case.state(0.0), coeffs,
-                                       case.params).final)
+        finals.append(solve_linearized(case.state(0.0), case.params,
+                                       case.stage, 0.0, 0.04, sample_dt=0.04,
+                                       dt=0.01, forcing=forcing).final)
     for name in ("vphi", "phi", "u"):
         assert np.array_equal(getattr(finals[0], name).values,
                               getattr(finals[1], name).values)
@@ -266,9 +260,7 @@ def test_advection_temporal_order_three():
     g = Grid(dim=1, n=64, box_length=L)
     x = g.coordinates[0]
     zeros = np.zeros(g.shape)
-    coeffs = FrozenCoefficients(
-        provider=frozen(np.ones((1,) + g.shape), zeros, zeros),
-        eta=0.0, t_window=0.5, sample_dt=0.5)
+    coeffs = {"stage": frozen(np.ones((1,) + g.shape), zeros, zeros)}
     dts = [0.05, 0.025, 0.0125]
     errors = []
     for dt in dts:
