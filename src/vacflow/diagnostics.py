@@ -369,12 +369,17 @@ def _periodic_interp(grid: Grid, values: np.ndarray,
 
 
 def rk4_step(rate, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classic RK4 step of dy/dt = rate(t, y) from t to t + dt."""
-    k1 = rate(t, y)
-    k2 = rate(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rate(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rate(t + dt, y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classic RK4 step of dy/dt = rate(t, y) from t to t + dt. Each
+    slope is added into the sum ((k1 + 2 k2) + 2 k3) + k4 as it arrives, so
+    a rate call runs beside y, that sum and the slope before it alone."""
+    k = rate(t, y)
+    total = k
+    k = rate(t + 0.5 * dt, y + 0.5 * dt * k)
+    total = total + 2.0 * k
+    k = rate(t + 0.5 * dt, y + 0.5 * dt * k)
+    total += 2.0 * k
+    k = rate(t + dt, y + dt * k)
+    return y + dt / 6.0 * (total + k)
 
 
 @dataclass(frozen=True)
@@ -505,22 +510,21 @@ def primitive_rates(grid: Grid, params: FluidParams, rho: np.ndarray,
     products dealiased. The velocity u is passed alongside the momentum so
     that vacuum cells need no division by rho.
 
-    The factors rho, mu, lambda, u and rho u, with Q1(u) and div u built
-    from the spectrum of u, are truncated in one batched transform pair.
-    The mass and momentum fluxes formed from them are transformed in one
-    call, differentiated with the truncating multipliers (the pressure with
-    the plain ones), and brought back in one inverse call."""
+    The factors rho, mu, lambda, u and rho u are transformed in one call
+    and brought back truncated in one inverse, and the Jacobian of u in a
+    second, so no inverse holds all 3 + 2d + d^2 rows. The mass and
+    momentum fluxes formed from them are transformed in one call,
+    differentiated with the truncating multipliers (the pressure with the
+    plain ones), and brought back in one inverse call."""
     d = grid.dim
     mu = params.alpha * stable_power(rho, params.delta1)
     lam = params.beta * stable_power(rho, params.delta2)
     spectra = grid.fft(np.concatenate((np.stack((rho, mu, lam)), u, mom)))
-    # jac_hat[a, b] is the truncated d_b u_a
-    jac_hat = spectra[3:3 + d, None] * grid.ik_masked
-    masked = grid.ifft(np.concatenate((
-        grid.dealias_mask * spectra,
-        jac_hat.reshape((d * d,) + grid.spectral_shape))))
-    (rho_m, mu_m, lam_m), u_m, mom_m, jac = np.split(masked, [3, 3 + d, 3 + 2 * d])
-    jac = jac.reshape((d, d) + grid.shape)
+    (rho_m, mu_m, lam_m), u_m, mom_m = np.split(
+        grid.ifft(grid.dealias_mask * spectra), [3, 3 + d])
+    # jac[a, b] is the truncated d_b u_a
+    jac = grid.ifft(spectra[3:3 + d, None] * grid.ik_masked)
+    del spectra
 
     stress = mu_m * (jac + np.swapaxes(jac, 0, 1)) - mom_m[:, None] * u_m
     stress[range(d), range(d)] += lam_m * np.trace(jac)

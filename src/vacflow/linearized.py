@@ -64,9 +64,8 @@ whole-window derivative array. Beside the windows, a step holds at most four
 stage pairs at once (a quarter-point pair lives only through its half step,
 so the momentum step sees three), its stage spectra and, of one momentum
 slope, the factors every row reads, the buffer of the d + 1 products and one
-group of d + 4 factors. The momentum step's inputs are transformed one stage
-proxy at a time into their spectra, so the physical viscous fields of one
-stage exist at a time.
+group of d + 4 factors; momentum_step says which of its spectra live
+through each slope.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ from .fields import FieldError, Grid, ScalarField, VectorField, checked_values, 
 # advect is not called here; perfbench rebinds it as vacflow.linearized.advect
 from .operators import (STATE_FLOOR, ReformState, _mask_coefficients,  # noqa: F401
                         _momentum_rhs, _StageCoeffs, _transport_rhs,
-                        _viscous_fields, advect, check_floor)
+                        _viscous_fields, advect, check_floor, stable_power)
 from .params import FluidParams
 
 DEFAULT_CFL_SAFETY = 0.4
@@ -238,33 +237,28 @@ class MomentumDiag:
 
 def _momentum_inputs(params: FluidParams, grid: Grid, y: np.ndarray,
                      eta: float, vphi_new, t: float):
-    """The spectra a momentum step reads: y0 of the (phi, u) rows y and
-    coeff_hat of the four _viscous_fields of each of the three stage
-    proxies, stage by stage, with the shift's nu1 and nu2. Both are views
-    into one (d + 13)-row buffer, which each stage's fields are transformed
-    into in turn, so one stage's physical fields exist at a time. Aborts
-    when the grid minimum of alpha + beta vphi^(2m) drops below alpha/2."""
-    d = grid.dim
+    """What a momentum step reads before its first slope: y0, the spectra
+    of the (phi, u) rows y, vphi^(2m) of the three stage proxies as three
+    rows, and the shift's nu1 and nu2 from the stages' _viscous_fields,
+    built a stage at a time and dropped. Aborts when the grid minimum of
+    alpha + beta vphi^(2m) drops below alpha/2."""
     if len(vphi_new) != 3:
         raise ValueError(f"expected 3 stage fields, got {len(vphi_new)}")
-    spectra = np.empty((d + 13,) + grid.spectral_shape, dtype=complex)
-    spectra[:d + 1] = grid.fft(y)
-    y0 = spectra[:d + 1]
-    coeff_hat = spectra[d + 1:].reshape((3, 4) + grid.spectral_shape)
+    powers = np.empty((3,) + grid.shape)
     # per stage: the minimum of alpha + beta vphi^(2m), the maxima of c_shear
     # and c_compr, reduced over the stages as numpy reduces the whole stack
     # (a NaN propagates)
     extremes = np.empty((3, 3))
     for i, stage in enumerate(vphi_new):
-        fields, compr = _viscous_fields(params, stage, eta)
+        powers[i] = stable_power(stage, 2.0 * params.m)
+        fields, compr = _viscous_fields(params, stage, eta, powers[i])
         extremes[i] = compr.min(), fields[2].max(), fields[3].max()
-        coeff_hat[i] = grid.fft(fields)
     coeff_min = float(extremes[:, 0].min())
     nu1, nu2 = float(extremes[:, 1].max()), max(float(extremes[:, 2].max()), 0.0)
     if coeff_min < 0.5 * params.alpha:
         raise SolverAbort("ellipticity regime exit", t, "grid-min alpha + beta "
                           f"vphi^(2m) = {coeff_min:.6g} < alpha/2")
-    return y0, coeff_hat, nu1, nu2
+    return grid.fft(y), powers, nu1, nu2
 
 
 def momentum_step(params: FluidParams, grid: Grid, y: np.ndarray, stages,
@@ -277,12 +271,19 @@ def momentum_step(params: FluidParams, grid: Grid, y: np.ndarray, stages,
     nodes t, t + dt/2 and t + dt, forcing rows stacked like (vphi, phi, u)
     or None; vphi_new is the new-iterate viscosity proxy as three stage
     arrays at the same nodes. Aborts when the compressive coefficient
-    alpha + beta vphi^(2m) drops below alpha/2 anywhere on the grid."""
-    y0, coeff_hat, nu1, nu2 = _momentum_inputs(params, grid, y, eta, vphi_new, t)
+    alpha + beta vphi^(2m) drops below alpha/2 anywhere on the grid.
+
+    Each slope transforms its own stage's four viscous fields, from the
+    stage's vphi^(2m) row, and k1 and k2 are summed into the update before
+    the third slope, so three (phi, u) spectra live through a slope: y0, k1
+    and the second stage in the second, where the step peaks, and the third
+    stage, the partial update and G(dt/2) k2u in the third."""
+    y0, powers, nu1, nu2 = _momentum_inputs(params, grid, y, eta, vphi_new, t)
 
     def slope(i: int, y_hat):
         stage, rows = stages[i]
-        return _momentum_rhs(grid, params, stage, coeff_hat[i], y_hat, nu1, nu2,
+        coeff_hat = grid.fft(_viscous_fields(params, vphi_new[i], eta, powers[i])[0])
+        return _momentum_rhs(grid, params, stage, coeff_hat, y_hat, nu1, nu2,
                              None if rows is None else rows[1:])
 
     G = _shift(grid, nu1, nu2, dt)
@@ -298,12 +299,16 @@ def momentum_step(params: FluidParams, grid: Grid, y: np.ndarray, stages,
     g_k2u = G(half, k2[1:])
     y3 = y0 + dt * (-k1 + 2.0 * k2)
     y3[1:] = G(dt, y0[1:] - dt * k1[1:]) + 2.0 * dt * g_k2u
+    # The update's terms in y0, k1 and k2 are summed before the third slope,
+    # which then runs beside y3, that sum and G(dt/2) k2u alone.
+    increment = k1 + 4.0 * k2
+    increment[1:] = G(dt, y0[1:] + (dt / 6.0) * k1[1:]) - y0[1:]
+    del y0, k1, k2, y2
     k3 = slope(2, y3)
 
     # The update as an increment of the physical state, one inverse for both.
-    increment = dt * (k1 + 4.0 * k2 + k3) / 6.0
-    increment[1:] = (G(dt, y0[1:] + (dt / 6.0) * k1[1:]) - y0[1:]
-                     + dt * (4.0 * g_k2u + k3[1:]) / 6.0)
+    increment[0] = dt * (increment[0] + k3[0]) / 6.0
+    increment[1:] += dt * (4.0 * g_k2u + k3[1:]) / 6.0
     y_new = y + grid.ifft(increment)
     phi, count, mass = _finish(y_new[0], grid.cell_volume, t + dt, y_new[1:])
     diag = MomentumDiag(nu1=nu1, nu2=nu2, clip_count=count, clipped_mass=mass)

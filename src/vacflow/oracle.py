@@ -68,7 +68,7 @@ def primitive_rhs(grid: Grid, params: FluidParams, rho: np.ndarray,
     return primitive_rates(grid, params, rho, mom, mom / rho)
 
 
-def _refuse_vacuum(rho: np.ndarray) -> None:
+def refuse_vacuum(rho: np.ndarray) -> None:
     """Refuse a density at or below ORACLE_MIN_RHO anywhere: the primitive
     form divides by rho, so the oracle is defined only away from vacuum."""
     if float(rho.min()) <= ORACLE_MIN_RHO:
@@ -107,7 +107,7 @@ def primitive_solve(rho0: ScalarField, u0: VectorField, params: FluidParams,
     grid = rho0.grid
     if u0.grid != grid:
         raise ValueError("density and velocity grids disagree")
-    _refuse_vacuum(rho0.values)
+    refuse_vacuum(rho0.values)
 
     y = np.concatenate(([rho0.values], rho0.values * u0.values))   # (rho, rho u)
     times = sample_times(t_window, sample_dt)
@@ -372,7 +372,7 @@ def cross_compare(rho0: ScalarField, u0: VectorField, params: FluidParams,
     Each solve writes its trajectory into a _window allocated here before
     the forks, and the distances read the two windows a sample at a time,
     releasing each sample once read."""
-    _refuse_vacuum(rho0.values)
+    refuse_vacuum(rho0.values)
     grid = rho0.grid
     times = sample_times(t_window, sample_dt)
     reform_out = _window(grid, len(times), grid.dim + 2)

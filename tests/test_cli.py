@@ -700,6 +700,28 @@ def test_oracle_compare_lost_solver_is_a_solver_failure(tmp_path, capsys,
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_oracle_compare_refuses_as_input_only_what_it_refuses_before_the_forks(
+        tmp_path, capsys, monkeypatch):
+    # only the vacuum refusal, made before the forks, is refused input; what
+    # the forked reform solve raises reaches main as it was raised there
+    def refuses(*args, **kwargs):
+        raise ParameterError("exponent identities",
+                             "derived-constant residual 1.000e-03")
+
+    def breaks(*args, **kwargs):
+        raise ValueError("contraction metric negative at k=1")
+
+    cfg = write(tmp_path, POSITIVE)
+    monkeypatch.setattr("vacflow.oracle.picard_solve", refuses)
+    assert main(["oracle-compare", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: parameter constraint violated: exponent identities: "
+        "derived-constant residual 1.000e-03\n")
+    monkeypatch.setattr("vacflow.oracle.picard_solve", breaks)
+    with pytest.raises(ValueError, match="contraction metric negative"):
+        main(["oracle-compare", "--config", cfg])
+
+
 def test_oracle_compare_refuses_data_above_the_density_cap(tmp_path, capsys):
     # beta = -0.5 caps the density at 2/3; the bump rises to about 1.2
     text = POSITIVE.replace("beta = 0.5", "beta = -0.5")
