@@ -23,8 +23,8 @@ as the predecessor counts its samples. An iterate counts none until its
 running metric has passed picard_tol, so its successor computes exactly when
 the sequential loop would run it, bit for bit as it does, and the successors
 of a converged iterate are killed before they compute anything. Iterate 0,
-the start guess, counts each sample once written, and iterate 1 reads it as
-it is written.
+the start guess, is computed whole in the solve's own process before the
+first fork, so iterate 1 finds all of its samples counted.
 """
 
 from __future__ import annotations
@@ -253,16 +253,14 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
 
 
 def _start_guess(init: ReformState, params: FluidParams, t_window: float,
-                 cfl_safety: float, sample_dt: float, window,
-                 on_sample=None) -> Trajectory:
+                 cfl_safety: float, sample_dt: float, window) -> Trajectory:
     """Iterate zero, written into window: both proxies advected by the
     initial velocity (stretch terms dropped), the velocity itself held
     constant. Both proxies share the coefficients and the step, so their
     two rows advance as one transport step, every stage of it reading the
-    one unforced pair of coefficients, masked once. Once sample i is
-    written, on_sample(i) is called (to count it for a reader) and the
-    sample is released (fields.release). Any guess inside the contraction
-    ball works; this one needs no extra solver machinery."""
+    one unforced pair of coefficients, masked once. Each sample is released
+    once written (fields.release). Any guess inside the contraction ball
+    works; this one needs no extra solver machinery."""
     grid = init.grid
     zeros = np.zeros(grid.shape)
     frozen = (_mask_coefficients(grid, init.u.values, zeros, zeros), None)
@@ -272,14 +270,10 @@ def _start_guess(init: ReformState, params: FluidParams, t_window: float,
         proxies, _ = transport_step(params, grid, state[:2], (frozen,) * 3, dt, t)
         return np.concatenate((proxies, state[2:])), 0, 0.0
 
-    def written(i: int) -> None:
-        if on_sample is not None:
-            on_sample(i)
-        release(window, 0, i + 1)
-
     return record_window(init, t_window, sample_dt, lambda t: h, step,
                          window=window,
-                         on_sample=None if window is None else written)
+                         on_sample=None if window is None
+                         else lambda i: release(window, 0, i + 1))
 
 
 def _raise_mmap_threshold() -> None:
@@ -310,12 +304,12 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     DIVERGING_GROWTHS iterations in a row, comes back unconverged, with
     its stop reason, rather than raising.
 
-    Iterate k is the run_forked job partial(iterate, k) where os.fork and
+    Iterate 0, the start guess, is written here before any fork. Iterate
+    k >= 1 is the run_forked job partial(iterate, k) where os.fork and
     os.eventfd exist, and runs in this process otherwise; either way it
     steps across [t_j, t_j+1] once iterate k - 1 has written samples j and
-    j + 1 and has moved more than picard_tol. Iterate 0 is the start guess,
-    the job "start guess", which counts each sample as it writes it. The
-    results do not depend on the process count.
+    j + 1 and has moved more than picard_tol. The results do not depend on
+    the process count.
 
     The last iterate is returned in its own window, or, when the caller
     passes a window sized by sample_times (a _window that it reads after
@@ -339,8 +333,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     def iterate(k: int):
         """Iterate k, written into windows[k] from windows[k - 1]: its
         step sizes, clip counts and clipped mass, the sups of the three gap
-        terms, and the wall time. Iterate 0, the start guess, counts each
-        sample once written and returns None.
+        terms, and the wall time.
 
         Forked, it first drops its copies of every other window and closes
         every other count, so it maps two windows, and a window's shared
@@ -354,7 +347,7 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         up to i of both windows (fields.release), so it keeps resident only
         the samples in flight. It leaves once the lifeline is cut, checked
         while it waits and after each sample."""
-        pred, own = windows.get(k - 1), windows[k]
+        pred, own = windows[k - 1], windows[k]
         sups = [0.0, 0.0, 0.0]
         ready, held = (0 if forked else n), 0
 
@@ -383,10 +376,6 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
                     held = 0
                 watch(timeout=0)
 
-        def counted(i: int) -> None:
-            os.eventfd_write(counts[k], 1)
-            watch(timeout=0)
-
         if forked:
             # this process's copies: let go of every other window's shared
             # memory and every other iterate's count
@@ -395,10 +384,6 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
             for j in [j for j in counts if j not in (k - 1, k)]:
                 os.close(counts.pop(j))
             os.close(lifeline[1])
-        if k == 0:
-            _start_guess(init, params, t_window, cfl_safety, sample_dt, own,
-                         on_sample=counted if forked else None)
-            return None
         wait(0)
         tic = time.perf_counter()
         stage = TrajectoryCoefficients(times, pred, wait=wait).stage
@@ -409,7 +394,6 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
         return fields, tuple(sups), time.perf_counter() - tic
 
     def jobs():
-        yield "start guess", partial(iterate, 0)
         for k in range(1, max_iter + 1):
             windows[k] = _window(grid, n, grid.dim + 2)
             if forked:
@@ -419,14 +403,14 @@ def picard_solve(init: ReformState, params: FluidParams, eta: float,
     iterations = []
     reason = "max_iter"
     growths = 0
+    _start_guess(init, params, t_window, cfl_safety, sample_dt, windows[0])
+    _raise_mmap_threshold()
     try:
-        _raise_mmap_threshold()
         if forked:
-            counts[0] = os.eventfd(0)
+            counts[0] = os.eventfd(n)   # the start guess, written whole
             lifeline = os.pipe()
         solved = run_forked(jobs()) if forked else (job() for _, job in jobs())
         with closing(solved):
-            next(solved)    # None, once the start guess is written
             for k, (fields, (w_sq, v_sq, linf), wall) in enumerate(solved, 1):
                 S = w_sq + v_sq
                 growths = growths + 1 if iterations and S > iterations[-1].S_k else 0

@@ -79,7 +79,8 @@ from .fields import FieldError, Grid, ScalarField, VectorField, checked_values, 
 # advect is not called here; perfbench rebinds it as vacflow.linearized.advect
 from .operators import (STATE_FLOOR, ReformState, _mask_coefficients,  # noqa: F401
                         _momentum_rhs, _StageCoeffs, _transport_rhs,
-                        _viscous_fields, advect, check_floor, stable_power)
+                        _viscosities, _viscous_fields, advect, check_floor,
+                        stable_power)
 from .params import FluidParams
 
 DEFAULT_CFL_SAFETY = 0.4
@@ -239,9 +240,9 @@ def _momentum_inputs(params: FluidParams, grid: Grid, y: np.ndarray,
                      eta: float, vphi_new, t: float):
     """What a momentum step reads before its first slope: y0, the spectra
     of the (phi, u) rows y, vphi^(2m) of the three stage proxies as three
-    rows, and the shift's nu1 and nu2 from the stages' _viscous_fields,
-    built a stage at a time and dropped. Aborts when the grid minimum of
-    alpha + beta vphi^(2m) drops below alpha/2."""
+    rows, and the shift's nu1 and nu2, the maxima of the stages' c_shear
+    and c_compr, built a stage at a time and dropped. Aborts when the grid
+    minimum of alpha + beta vphi^(2m) drops below alpha/2."""
     if len(vphi_new) != 3:
         raise ValueError(f"expected 3 stage fields, got {len(vphi_new)}")
     powers = np.empty((3,) + grid.shape)
@@ -251,8 +252,8 @@ def _momentum_inputs(params: FluidParams, grid: Grid, y: np.ndarray,
     extremes = np.empty((3, 3))
     for i, stage in enumerate(vphi_new):
         powers[i] = stable_power(stage, 2.0 * params.m)
-        fields, compr = _viscous_fields(params, stage, eta, powers[i])
-        extremes[i] = compr.min(), fields[2].max(), fields[3].max()
+        c_shear, c_compr, compr = _viscosities(params, stage**2, powers[i], eta)
+        extremes[i] = compr.min(), c_shear.max(), c_compr.max()
     coeff_min = float(extremes[:, 0].min())
     nu1, nu2 = float(extremes[:, 1].max()), max(float(extremes[:, 2].max()), 0.0)
     if coeff_min < 0.5 * params.alpha:

@@ -177,16 +177,23 @@ def _transport_rhs(grid, params, stage: _StageCoeffs, f_hat: np.ndarray, forcing
     return _slope_spectrum(grid, products, forcing_val)
 
 
+def _viscosities(params, sq: np.ndarray, power: np.ndarray, eta: float):
+    """c_shear and c_compr, then alpha + beta vphi^(2m), from vphi^2 and
+    vphi^(2m)."""
+    weight = sq + eta**2
+    compr = params.alpha + params.beta * power
+    return params.alpha * weight, weight * compr, compr
+
+
 def _viscous_fields(params, vphi: np.ndarray, eta: float, power=None):
     """The momentum coefficients (vphi^2, vphi^(2m+2), c_shear, c_compr)
     stacked along a new leading axis, and alpha + beta vphi^(2m), from one
     power evaluation, vphi^(2m), or from power when it is given."""
     sq = vphi**2
-    weight = sq + eta**2
     if power is None:
         power = stable_power(vphi, 2.0 * params.m)
-    compr = params.alpha + params.beta * power
-    return np.stack((sq, power * sq, params.alpha * weight, weight * compr)), compr
+    c_shear, c_compr, compr = _viscosities(params, sq, power, eta)
+    return np.stack((sq, power * sq, c_shear, c_compr)), compr
 
 
 def _momentum_rhs(grid, params, stage: _StageCoeffs, coeff_hat: np.ndarray,

@@ -17,6 +17,7 @@ import vacflow.oracle
 from vacflow.fields import FieldError, Grid, ScalarField, VectorField
 from vacflow.fixedpoint import (
     DEFAULT_MAX_ITER,
+    DEFAULT_PICARD_TOL,
     DIVERGING_GROWTHS,
     ContinuationError,
     EtaSchedule,
@@ -319,24 +320,35 @@ def calls_in_the_tree(monkeypatch, run):
     return result, [(name.decode(), int(pid)) for name, pid in calls]
 
 
-def test_without_eventfd_each_level_computes_its_own_start_guess(monkeypatch):
+@pytest.mark.parametrize("eventfd", [True, False],
+                         ids=["eventfd", "without-eventfd"])
+def test_each_level_computes_its_own_start_guess_in_its_own_process(
+        monkeypatch, eventfd):
+    # the guess is iterate 0 of each level's solve, written in the level's
+    # process before any iterate forks, and never here
     init, p = positive_state(n=32), soft_params()
     sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
-    sample_dt = 0.004 / DEFAULT_SAMPLES_PER_WINDOW
-    shared, shared_report = eta_continuation(init, p, sched, 0.004,
-                                             sample_dt=sample_dt)
-    monkeypatch.delattr(os, "eventfd")
-    (own, own_report), calls = calls_in_the_tree(monkeypatch, lambda: (
-        eta_continuation(init, p, sched, 0.004, sample_dt=sample_dt)))
-    levels = {pid for name, pid in calls if name == "picard_solve"}
-    guesses = [pid for name, pid in calls if name == "_start_guess"]
-    assert len(levels) == 3 and sorted(guesses) == sorted(levels)
-    assert own_report.distances == shared_report.distances
-    assert [(lv.picard_iters, lv.picard_S) for lv in own_report.levels] == \
-        [(lv.picard_iters, lv.picard_S) for lv in shared_report.levels]
-    assert own.dt_history == shared.dt_history
-    assert np.array_equal(own.samples, shared.samples)
+    if not eventfd:
+        monkeypatch.delattr(os, "eventfd")
+    (traj, report), calls = calls_in_the_tree(monkeypatch, lambda: (
+        eta_continuation(init, p, sched, 0.004,
+                         sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)))
     assert_no_children()
+    levels = [pid for name, pid in calls if name == "picard_solve"]
+    guesses = [pid for name, pid in calls if name == "_start_guess"]
+    assert len(set(levels)) == len(levels) == 3
+    assert sorted(guesses) == sorted(levels)
+    assert os.getpid() not in guesses
+    solves = [sequential_picard(init, p, eta, 0.004, DEFAULT_PICARD_TOL,
+                                DEFAULT_MAX_ITER) for eta in sched.levels()]
+    assert [(lv.picard_iters, lv.picard_S) for lv in report.levels] == \
+        [(len(rows), rows[-1][1]) for _, rows in solves]
+    assert report.distances == [
+        trajectory_distance(b, a) for (a, _), (b, _) in zip(solves, solves[1:])]
+    ref = solves[-1][0]
+    assert traj.dt_history == ref.dt_history
+    assert traj.clip_counts == ref.clip_counts
+    assert np.array_equal(traj.samples, ref.samples)
 
 
 def test_abort_in_one_level_child_surfaces_with_its_index(monkeypatch):
@@ -668,67 +680,6 @@ def test_iterates_in_flight_stay_within_one_per_cpu_plus_one(monkeypatch):
     traj, trace = want
     assert_same_solve(got, (traj, [(it.k, it.S_k, it.linf_delta)
                                    for it in trace.iterations]))
-
-
-def test_iterate_one_reads_the_start_guess_while_it_is_written(monkeypatch):
-    # the guess pauses after each sample it has counted; iterate 1 notes how
-    # many samples the guess had written when its own solve began
-    n = DEFAULT_SAMPLES_PER_WINDOW + 1
-    written = shared((1,))
-    seen = shared((1,), math.nan)
-    tag = tagged_iterates(monkeypatch)
-    guess = vacflow.fixedpoint._start_guess
-    solve = vacflow.fixedpoint.solve_linearized
-
-    def slow_guess(*args, on_sample):
-        def hook(i):
-            on_sample(i)
-            written[0] = i + 1
-            time.sleep(0.02)
-        return guess(*args, on_sample=hook)
-
-    def noted(*args, **kwargs):
-        if tag["k"] == 1:
-            seen[0] = written[0]
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(vacflow.fixedpoint, "_start_guess", slow_guess)
-    monkeypatch.setattr(vacflow.fixedpoint, "solve_linearized", noted)
-    init, params = positive_state(), soft_params()
-    got = picard_solve(init, params, 0.25, 0.005, 1e-16, 8,
-                       sample_dt=0.005 / DEFAULT_SAMPLES_PER_WINDOW)
-    assert written[0] == n
-    assert seen[0] < n - 1, seen
-    monkeypatch.undo()
-    assert_same_solve(got, sequential_picard(init, params, 0.25, 0.005,
-                                             1e-16, 8))
-
-
-def test_each_level_forks_its_own_start_guess(monkeypatch):
-    # the guess is iterate 0 of each level's solve: a child of the level's
-    # process, so it runs neither here nor in the level itself
-    log_r, log_w = os.pipe()
-    guess = vacflow.fixedpoint._start_guess
-
-    def parented(*args, **kwargs):
-        os.write(log_w, b"%d %d\n" % (os.getpid(), os.getppid()))
-        return guess(*args, **kwargs)
-
-    monkeypatch.setattr(vacflow.fixedpoint, "_start_guess", parented)
-    sched = EtaSchedule(eta0=0.5, factor=0.5, max_levels=3, cauchy_tol=1e-14)
-    try:
-        (_, report), calls = calls_in_the_tree(monkeypatch, lambda: (
-            eta_continuation(positive_state(n=32), soft_params(), sched, 0.004,
-                             sample_dt=0.004 / DEFAULT_SAMPLES_PER_WINDOW)))
-    finally:
-        os.close(log_w)
-    with open(log_r, "rb") as fh:
-        guesses = [tuple(map(int, line.split()))
-                   for line in fh.read().splitlines()]
-    levels = {pid for name, pid in calls if name == "picard_solve"}
-    assert len(report.levels) == len(levels) == 3
-    assert sorted(parent for _, parent in guesses) == sorted(levels)
-    assert not {pid for pid, _ in guesses} & (levels | {os.getpid()})
 
 
 def windows_and_counts_held():
