@@ -32,7 +32,7 @@ from .fields import (
     weighted_seminorm,
 )
 from .linearized import Trajectory, sample_weight
-from .operators import ReformState, reform_slopes, stable_power
+from .operators import ReformState, coefficient_floor, reform_slopes, stable_power
 from .params import FluidParams
 
 VAC_EPS = 1e-10
@@ -113,17 +113,6 @@ class AprioriLedger:
     horizons: tuple
     level_ok: np.ndarray
     first_crossing: float | None
-
-    def __post_init__(self):
-        if not self.c0 >= 1.0:
-            raise ValueError(f"c0 must be at least 1, got {self.c0}")
-        c1, c2, c3 = self.c_levels
-        if not (c1 <= c2 <= c3):
-            raise ValueError("c levels must be nondecreasing")
-        t_end = self.times[-1]
-        want = min(t_end, (1.0 + c3) ** (-4.0 * self.m_exponent - 4.0))
-        if self.horizons[3] != want:
-            raise ValueError("stored horizon disagrees with its formula")
 
 
 def horizon_times(t_end: float, c3: float, m: float) -> tuple:
@@ -226,10 +215,6 @@ class ValidityVerdict:
     times: tuple
     coeff_min: tuple
 
-    def __post_init__(self):
-        if self.t_valid > self.times[-1]:
-            raise ValueError("t_valid cannot exceed the trajectory end")
-
 
 def validity(traj: Trajectory, led: AprioriLedger,
              params: FluidParams) -> ValidityVerdict:
@@ -253,7 +238,7 @@ def validity(traj: Trajectory, led: AprioriLedger,
         visc = params.alpha + params.beta * stable_power(vphi, 2.0 * params.m)
         cmin = float(visc.min())
         coeffs.append(cmin)
-        conditions = [("coefficient", cmin >= 0.5 * params.alpha),
+        conditions = [("coefficient", cmin >= coefficient_floor(params)),
                       ("ledger", bool(led.level_ok[i].all()))]
         if watch_support:
             rho = density_of(vphi, params)

@@ -235,8 +235,8 @@ class Grid:
 
 def checked_values(values, expected: tuple, finite: bool = True) -> np.ndarray:
     """values as a read-only contiguous float array of the expected shape,
-    all finite unless finite is False, which leaves that check to the
-    caller."""
+    all finite unless finite is False, for values whose writer checked
+    them."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != expected:
         raise FieldError(f"values shape {arr.shape}, expected {expected}")

@@ -78,9 +78,11 @@ class ContinuationError(RuntimeError):
 
 
 class LostChild(RuntimeError):
-    """A run_forked child ended without writing its result: it exited early,
-    or something killed it (the OOM killer, for one). The message names the
-    job by its label and gives its exit code or the signal that killed it."""
+    """A run_forked child gave no result: it could not be forked (os.fork
+    failed, under a process limit, say), or it ended without writing its
+    result, because it exited early or something killed it (the OOM killer,
+    for one). The message names the job by its label and gives the fork's
+    error, the child's exit code or the signal that killed it."""
 
 
 def _start_job(job):
@@ -167,7 +169,11 @@ def run_forked(jobs):
     try:
         while True:
             for label, job in islice(jobs, width - len(running)):
-                running.append((label, _start_job(job)))
+                try:
+                    child = _start_job(job)
+                except OSError as exc:
+                    raise LostChild(f"{label} could not start ({exc})") from exc
+                running.append((label, child))
             if not running:
                 return
             label, child = running.popleft()
@@ -200,11 +206,6 @@ class PicardTrace:
     iterations: tuple
     stop_reason: str
     final_k: int
-
-    def __post_init__(self):
-        for it in self.iterations:
-            if not it.S_k >= 0.0:
-                raise ValueError(f"contraction metric negative at k={it.k}")
 
     @property
     def converged(self) -> bool:

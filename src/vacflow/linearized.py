@@ -55,12 +55,13 @@ data stays in the mapping for the processes that read it next. A Picard
 iterate's process maps two windows, the predecessor whose coefficients are
 frozen and the window being written, drops the windows it inherited at its
 fork, and releases samples of both once it has taken their gap; the start
-guess releases each sample once written; a Trajectory releases its samples
-as it checks them, and the continuation's level distances release each
-sample once read. record_window writes each sample straight into a window
-allocated once, so a window never exists twice in one process, and the
-diagnostics difference samples in time one at a time rather than building a
-whole-window derivative array. Beside the windows, a step holds at most four
+guess releases each sample once written, and the continuation's level
+distances release each sample once read. A Trajectory reads none of its
+samples: _finish checked and clipped each state as it was stepped.
+record_window writes each sample straight into a window allocated once, so
+a window never exists twice in one process, and the diagnostics difference
+samples in time one at a time rather than building a whole-window
+derivative array. Beside the windows, a step holds at most four
 stage pairs at once (a quarter-point pair lives only through its half step,
 so the momentum step sees three), its stage spectra and, of one momentum
 slope, the factors every row reads, the buffer of the d + 1 products and one
@@ -75,18 +76,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldError, Grid, ScalarField, VectorField, checked_values, release
+from .fields import Grid, ScalarField, VectorField, checked_values
 # advect is not called here; perfbench rebinds it as vacflow.linearized.advect
 from .operators import (STATE_FLOOR, ReformState, _mask_coefficients,  # noqa: F401
                         _momentum_rhs, _StageCoeffs, _transport_rhs,
-                        _viscosities, _viscous_fields, advect, check_floor,
-                        stable_power)
+                        _viscosities, _viscous_fields, advect,
+                        coefficient_floor, stable_power)
 from .params import FluidParams
 
 DEFAULT_CFL_SAFETY = 0.4
 DEFAULT_SAMPLES_PER_WINDOW = 32
-# Trajectory checks its samples in chunks of about this many bytes.
-CHECK_CHUNK_BYTES = 1 << 18
 STABILITY_COURANT = 0.9 * math.sqrt(3.0)
 
 
@@ -256,7 +255,7 @@ def _momentum_inputs(params: FluidParams, grid: Grid, y: np.ndarray,
         extremes[i] = compr.min(), c_shear.max(), c_compr.max()
     coeff_min = float(extremes[:, 0].min())
     nu1, nu2 = float(extremes[:, 1].max()), max(float(extremes[:, 2].max()), 0.0)
-    if coeff_min < 0.5 * params.alpha:
+    if coeff_min < coefficient_floor(params):
         raise SolverAbort("ellipticity regime exit", t, "grid-min alpha + beta "
                           f"vphi^(2m) = {coeff_min:.6g} < alpha/2")
     return grid.fft(y), powers, nu1, nu2
@@ -324,8 +323,8 @@ class Trajectory:
     """Sampled solution of one linearized window: the sample times, the
     samples as one read-only array shaped (nt, d + 2) + shape, sample i the
     rows (vphi, phi, u) of the state at times[i], plus per-step diagnostics.
-    The proxies must be nonnegative up to the clip tolerance at every
-    sample, as every window solve leaves them."""
+    Only the shape is checked: every window solve writes finite samples
+    with both proxies clipped at zero (_finish)."""
 
     grid: Grid
     times: list
@@ -335,27 +334,9 @@ class Trajectory:
     clipped_mass: list = field(default_factory=list)
 
     def __post_init__(self):
-        """The shape first, then finiteness and the floor a chunk of about
-        CHECK_CHUNK_BYTES of samples at a time, the samples checked so far
-        released after each chunk (fields.release), so a window in shared
-        memory is never resident here whole. The floor is checked against
-        the minimum over all chunks."""
-        g, nt = self.grid, len(self.times)
-        samples = checked_values(self.samples, (nt, g.dim + 2) + g.shape,
-                                 finite=False)
-        object.__setattr__(self, "samples", samples)
-        per = max(1, CHECK_CHUNK_BYTES // (8 * (g.dim + 2) * math.prod(g.shape)))
-        lows = []
-        for i in range(0, nt, per):
-            chunk = samples[i:i + per]
-            if not np.all(np.isfinite(chunk)):
-                raise FieldError("field values must be finite")
-            lows.append(chunk[:, :2].min(axis=(0, *range(2, chunk.ndim))))
-            release(samples, 0, i + per)
-        vphi, phi = np.min(lows, axis=0)
-        check_floor(STATE_FLOOR, vphi=vphi, phi=phi)
-        if not all(b > a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("sample times must increase strictly")
+        g = self.grid
+        object.__setattr__(self, "samples", checked_values(
+            self.samples, (len(self.times), g.dim + 2) + g.shape, finite=False))
 
     # each field's rows of every sample, read-only views of samples
     vphi = property(lambda self: self.samples[:, 0])

@@ -48,20 +48,11 @@ def stable_power(values: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def check_floor(floor: float, **proxies: np.ndarray) -> None:
-    """Raise unless every named proxy array stays at or above floor."""
-    for name, values in proxies.items():
-        low = float(values.min())
-        if low < floor:
-            raise ValueError(f"{name} has negative values below the clip "
-                             f"tolerance: min = {low:.3e}")
-
-
 @dataclass(frozen=True)
 class ReformState:
     """One time slice (vphi, phi, u). The proxies must be nonnegative up to
     the clip tolerance; floor=None skips that check, for views of samples
-    that a Trajectory has already checked."""
+    that the window solve clipped as it wrote them."""
 
     vphi: ScalarField
     phi: ScalarField
@@ -72,8 +63,13 @@ class ReformState:
         grid = self.vphi.grid
         if self.phi.grid != grid or self.u.grid != grid:
             raise ValueError("state components live on different grids")
-        if floor is not None:
-            check_floor(floor, vphi=self.vphi.values, phi=self.phi.values)
+        if floor is None:
+            return
+        for name, proxy in (("vphi", self.vphi), ("phi", self.phi)):
+            low = float(proxy.values.min())
+            if low < floor:
+                raise ValueError(f"{name} has negative values below the clip "
+                                 f"tolerance: min = {low:.3e}")
 
     @property
     def grid(self) -> Grid:
@@ -175,6 +171,13 @@ def _transport_rhs(grid, params, stage: _StageCoeffs, f_hat: np.ndarray, forcing
     products = (np.sum(stage.v * grad, axis=axis)
                 + 0.5 * (params.delta1 - 1.0) * stage.vphit * stage.div_v)
     return _slope_spectrum(grid, products, forcing_val)
+
+
+def coefficient_floor(params: FluidParams) -> float:
+    """alpha/2, the least the compressive coefficient alpha + beta vphi^(2m)
+    may reach: a momentum step aborts below it, and validity certifies a
+    sample only at or above it."""
+    return 0.5 * params.alpha
 
 
 def _viscosities(params, sq: np.ndarray, power: np.ndarray, eta: float):

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, bundles, determinism."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -293,6 +294,41 @@ def test_a_lost_level_process_is_a_solver_failure(tmp_path, capsys,
     assert record["phase"] == "continuation level 1"
     assert record["detail"].endswith(
         "level 1 ended without a result (exit code 3)")
+
+
+def no_fork():
+    """os.fork under a process limit."""
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+FORK_ERROR = str(OSError(errno.EAGAIN, os.strerror(errno.EAGAIN)))
+
+
+def test_a_level_that_cannot_be_forked_is_a_solver_failure(tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 2
+    detail = f"continuation level 0: level 0 could not start ({FORK_ERROR})"
+    assert capsys.readouterr().err == \
+        f"error: solver failure: {detail} (see failure.json)\n"
+    record = json.loads((out_dir / "failure.json").read_text())
+    assert record["phase"] == "continuation level 0"
+    assert record["detail"] == detail
+
+
+def test_a_sweep_row_that_cannot_fork_fails_with_its_level(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(os, "fork", no_fork)
+    text = BASE.format(beta="0.5", amplitude="0.2")
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", "--config", write(tmp_path, text),
+                 "--out", str(out_dir)]) == 0
+    assert "0 rejected, 1 failed" in capsys.readouterr().out
+    [row] = list(csv.DictReader((out_dir / "sweep.csv").open()))
+    assert (row["status"], row["note"]) == (
+        "failed", f"continuation level 0: level 0 could not start ({FORK_ERROR})")
 
 
 def test_forked_diagnostics_equal_in_process_diagnostics(tmp_path,
@@ -698,6 +734,16 @@ def test_oracle_compare_lost_solver_is_a_solver_failure(tmp_path, capsys,
     monkeypatch.setattr("vacflow.oracle.picard_solve", exits)
     assert main(["oracle-compare", "--config", write(tmp_path, POSITIVE)]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_oracle_compare_that_cannot_fork_is_a_solver_failure(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["oracle-compare", "--config", write(tmp_path, POSITIVE)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: solver failure: reform solve could not "
+                            f"start ({FORK_ERROR})\n")
 
 
 def test_oracle_compare_refuses_as_input_only_what_it_refuses_before_the_forks(

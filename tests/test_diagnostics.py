@@ -506,6 +506,20 @@ def moving_bump_trajectory(nt):
                     for t in times], times)
 
 
+def test_ledger_horizons_follow_their_formula_and_t_valid_is_a_sample_time():
+    # the ledger builds its constants and horizons from horizon_times and
+    # validity reads t_valid off the sample grid; neither report checks them
+    p = soft_params()
+    traj = moving_bump_trajectory(8)
+    for calib_C in (1.0, 4.0):
+        led = ledger(traj, p, calib_C=calib_C)
+        c1, c2, c3 = led.c_levels
+        assert led.c0 >= 1.0
+        assert c1 == c2 == c3 == math.sqrt(calib_C) * led.c0
+        assert led.horizons == horizon_times(traj.times[-1], c3, p.m)
+        assert validity(traj, led, p).t_valid in traj.times
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
                     reason="needs /proc/self/smaps")
 def test_characteristics_keep_only_the_samples_in_flight_resident():

@@ -11,6 +11,8 @@ from contextlib import closing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vacflow.fixedpoint
 import vacflow.oracle
@@ -31,7 +33,7 @@ from vacflow.fixedpoint import (
     _start_guess,
     trajectory_distance,
 )
-from vacflow.initial_data import reform_state_from_density
+from vacflow.initial_data import bump_density, reform_state_from_density, velocity_modes
 from vacflow.linearized import (DEFAULT_CFL_SAFETY, DEFAULT_SAMPLES_PER_WINDOW,
                                 SolverAbort, TrajectoryCoefficients,
                                 solve_linearized)
@@ -143,18 +145,39 @@ def test_trace_validation_and_fitted_ratio():
     trace = PicardTrace(iterations=rows, stop_reason="converged", final_k=4)
     assert trace.geometric_ratio() == pytest.approx(0.25, rel=1e-12)
     assert trace.final_S == 4.0**-4
-    with pytest.raises(ValueError, match="negative"):
-        PicardTrace(
-            iterations=(PicardIteration(k=1, S_k=-1.0, linf_delta=0.0,
-                                        wall_time=0.0),),
-            stop_reason="max_iter", final_k=1,
-        )
     short = PicardTrace(
         iterations=(PicardIteration(k=1, S_k=0.5, linf_delta=0.0,
                                     wall_time=0.0),),
         stop_reason="converged", final_k=1,
     )
     assert math.isnan(short.geometric_ratio())
+
+
+@settings(max_examples=12, deadline=None)
+@given(dim=st.integers(1, 2), amplitude=st.floats(0.05, 0.6),
+       width=st.floats(0.4, 1.5), speed=st.floats(-0.5, 0.5),
+       eta=st.floats(0.0, 0.5))
+def test_every_written_sample_is_finite_and_clipped_on_data_touching_vacuum(
+        dim, amplitude, width, speed, eta):
+    # a Trajectory checks only its shape: the window solve and the start
+    # guess must write finite samples with both proxies clipped at zero,
+    # sample 0 the initial state itself
+    params = soft_params()
+    g = Grid(dim=dim, n=16, box_length=2.0 * np.pi)
+    rho = bump_density(g, amplitude, width)
+    assert rho.values.min() == 0.0
+    init = reform_state_from_density(rho, velocity_modes(g, speed), params)
+    t_window = 0.02
+    sample_dt = t_window / 8
+    guess = _start_guess(init, params, t_window, DEFAULT_CFL_SAFETY, sample_dt,
+                         None)
+    stage = TrajectoryCoefficients(guess.times, guess.samples).stage
+    solved = solve_linearized(init, params, stage, eta, t_window,
+                              sample_dt=sample_dt)
+    for traj in (guess, solved):
+        assert np.all(np.isfinite(traj.samples))
+        assert traj.samples[:, :2].min() >= 0.0
+        assert np.array_equal(traj.samples[0], init.rows)
 
 
 def test_trajectory_gap_separates_the_two_blocks():

@@ -10,9 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vacflow import linearized, operators
-from vacflow.fields import FieldError, Grid, ScalarField, VectorField, _window
+from vacflow.fields import Grid, ScalarField, VectorField
 from vacflow.linearized import (
-    CHECK_CHUNK_BYTES,
     DEFAULT_CFL_SAFETY,
     SolverAbort,
     Trajectory,
@@ -466,58 +465,12 @@ def test_trajectory_validation_and_lookup():
         Trajectory(g, [0.0], np.zeros((1, 3, 8)))
     with pytest.raises(ValueError, match="shape"):
         Trajectory(g, [0.0], np.zeros((1, 2, 16)))
-    with pytest.raises(ValueError, match="increase"):
-        stacked([zero, zero], [0.0, 0.0])
-    signed = ReformState(ScalarField(g, np.full(16, -1e-6)), zero.phi, zero.u,
-                         floor=None)
-    with pytest.raises(ValueError, match="clip tolerance"):
-        stacked([zero, signed], [0.0, 1.0])
     traj = stacked([zero, one, zero], [0.0, 0.5, 1.0])
     got = traj.state(1)
     assert np.array_equal(got.vphi.values, one.vphi.values)
     assert np.array_equal(got.phi.values, one.phi.values)
     assert np.array_equal(got.u.values, one.u.values)
     assert np.array_equal(traj.final.vphi.values, zero.vphi.values)
-
-
-def test_trajectory_checks_chunk_by_chunk_as_it_checked_the_whole_window():
-    g = Grid(dim=2, n=64, box_length=1.0)
-    nt = 8
-    per = CHECK_CHUNK_BYTES // (8 * 4 * 64 * 64)
-    assert 1 < per < nt // 2    # at least three chunks of several samples
-
-    def checked(vphi_low=(), phi_low=(), nan_at=None):
-        """A Trajectory over a window of ones with the proxies set to
-        (sample, value) pairs, and u NaN at sample nan_at."""
-        window = _window(g, nt, 4)
-        window[...] = 1.0
-        for row, lows in ((0, vphi_low), (1, phi_low)):
-            for i, value in lows:
-                window[i, row, 3, 5] = value
-        if nan_at is not None:
-            window[nan_at, 2 + 1, 2, 7] = math.nan
-        return Trajectory(g, [0.1 * i for i in range(nt)], window)
-
-    # an offender in the first chunk, the global minimum in the last
-    with pytest.raises(ValueError) as err:
-        checked(vphi_low=((0, -1e-6), (nt - 1, -3e-6)))
-    assert str(err.value) == ("vphi has negative values below the clip "
-                              "tolerance: min = -3.000e-06")
-    with pytest.raises(ValueError) as err:
-        checked(phi_low=((per, -2e-6), (nt - 1, -5e-6)))
-    assert str(err.value) == ("phi has negative values below the clip "
-                              "tolerance: min = -5.000e-06")
-    # vphi is checked before phi, whichever chunk each offends in
-    with pytest.raises(ValueError, match="^vphi .* min = -1.000e-06$"):
-        checked(vphi_low=((nt - 1, -1e-6),), phi_low=((0, -4e-6),))
-    # finiteness comes first, in a later chunk than a floor offender
-    with pytest.raises(FieldError) as err:
-        checked(vphi_low=((0, -1e-6),), nan_at=nt - 1)
-    assert str(err.value) == "field values must be finite"
-    # within the tolerance passes, and the checked data reads back unchanged
-    traj = checked(vphi_low=((0, -1e-13), (nt - 1, -5e-13)))
-    assert traj.vphi[nt - 1, 3, 5] == -5e-13
-    assert float(traj.u.sum()) == nt * 2 * 64 * 64
 
 
 def still_trajectory():
