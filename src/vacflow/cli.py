@@ -318,7 +318,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
         },
         "ledger": {
             "c0": led.c0, "c_levels": list(led.c_levels),
-            "m": led.m_exponent,
+            "m": params.m,
             "T1": t1, "T2": t2, "T3": t3, "T_star_star": tss,
             "first_crossing": led.first_crossing,
             "sup_vphi_h3": float(led.vphi_norms[:, 2].max()),

@@ -109,7 +109,6 @@ class AprioriLedger:
     du_h1: np.ndarray
     c0: float
     c_levels: tuple
-    m_exponent: float
     horizons: tuple
     level_ok: np.ndarray
     first_crossing: float | None
@@ -196,7 +195,7 @@ def ledger(traj: Trajectory, params: FluidParams,
         vphi_norms=vphi_n, phi_norms=phi_n, u_norms=u_n,
         weighted_integrals=integrals,
         dvphi_h2=dvphi_h2, dphi_h2=dphi_h2, du_h1=du_h1,
-        c0=c0, c_levels=c_levels, m_exponent=params.m,
+        c0=c0, c_levels=c_levels,
         horizons=horizons, level_ok=level_ok, first_crossing=first_crossing,
     )
 
@@ -212,7 +211,6 @@ class ValidityVerdict:
 
     t_valid: float
     reasons: tuple
-    times: tuple
     coeff_min: tuple
 
 
@@ -229,14 +227,11 @@ def validity(traj: Trajectory, led: AprioriLedger,
     # relative to the instantaneous peak rather than at VAC_EPS.
     dust_rel = SUPPORT_DUST_REL
 
-    times = list(led.times)
     coeffs = []
     t_valid = 0.0
     reasons = []
-    ended = False
     for i, vphi in enumerate(traj.vphi):
-        visc = params.alpha + params.beta * stable_power(vphi, 2.0 * params.m)
-        cmin = float(visc.min())
+        cmin = float(params.compressive(stable_power(vphi, 2.0 * params.m)).min())
         coeffs.append(cmin)
         conditions = [("coefficient", cmin >= coefficient_floor(params)),
                       ("ledger", bool(led.level_ok[i].all()))]
@@ -245,19 +240,13 @@ def validity(traj: Trajectory, led: AprioriLedger,
             dust = max(VAC_EPS, dust_rel * float(rho.max()))
             m = support_margin(ScalarField(grid, rho), dust)
             conditions.append(("support", m >= seam_floor))
-        bad = [name for name, ok in conditions if not ok]
-        if bad and not ended:
-            reasons = bad
-            ended = True
-        if not ended:
-            t_valid = float(times[i])
+        if not reasons:
+            reasons = [name for name, ok in conditions if not ok]
+        if not reasons:
+            t_valid = float(traj.times[i])
         release(traj.samples, 0, i + 1)
-    if not ended:
-        reasons = ["none"]
-    return ValidityVerdict(
-        t_valid=t_valid, reasons=tuple(reasons), times=tuple(times),
-        coeff_min=tuple(coeffs),
-    )
+    return ValidityVerdict(t_valid=t_valid, reasons=tuple(reasons or ["none"]),
+                           coeff_min=tuple(coeffs))
 
 
 # -- vacuum clause ------------------------------------------------------------

@@ -81,8 +81,9 @@ class LostChild(RuntimeError):
     """A run_forked child gave no result: it could not be forked (os.fork
     failed, under a process limit, say), or it ended without writing its
     result, because it exited early or something killed it (the OOM killer,
-    for one). The message names the job by its label and gives the fork's
-    error, the child's exit code or the signal that killed it."""
+    for one). It is raised in the job's own turn, after the jobs before it
+    are yielded. The message names the job by its label and gives the
+    fork's error, the child's exit code or the signal that killed it."""
 
 
 def _start_job(job):
@@ -155,7 +156,9 @@ def run_forked(jobs):
     A child inherits the caller's memory, so jobs may be closures over
     arrays without copying them. At most one child per CPU plus one runs
     at a time, and a job is drawn from the iterable only when its child can
-    start, so a generator may set each job up just before its fork. Without
+    start, so a generator may set each job up just before its fork. A job
+    whose fork fails fails in its own turn: no later job is drawn, the jobs
+    started before it are yielded, and then its LostChild is raised. Without
     os.fork every job runs in this process. Closing the generator, or an
     exception in it, kills and reaps every child still running."""
     if not hasattr(os, "fork"):
@@ -166,15 +169,19 @@ def run_forked(jobs):
     width = 1 + (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
     running = deque()
+    unstarted = None    # (label, OSError) of the job whose fork failed
     try:
         while True:
-            for label, job in islice(jobs, width - len(running)):
+            for label, job in islice(jobs, 0 if unstarted else width - len(running)):
                 try:
-                    child = _start_job(job)
+                    running.append((label, _start_job(job)))
                 except OSError as exc:
-                    raise LostChild(f"{label} could not start ({exc})") from exc
-                running.append((label, child))
+                    unstarted = label, exc
+                    break
             if not running:
+                if unstarted:
+                    label, exc = unstarted
+                    raise LostChild(f"{label} could not start ({exc})") from exc
                 return
             label, child = running.popleft()
             kind, value = _collect(*child)

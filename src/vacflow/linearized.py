@@ -282,7 +282,7 @@ def momentum_step(params: FluidParams, grid: Grid, y: np.ndarray, stages,
 
     def slope(i: int, y_hat):
         stage, rows = stages[i]
-        coeff_hat = grid.fft(_viscous_fields(params, vphi_new[i], eta, powers[i])[0])
+        coeff_hat = grid.fft(_viscous_fields(params, vphi_new[i], eta, powers[i]))
         return _momentum_rhs(grid, params, stage, coeff_hat, y_hat, nu1, nu2,
                              None if rows is None else rows[1:])
 

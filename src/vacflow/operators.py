@@ -181,22 +181,19 @@ def coefficient_floor(params: FluidParams) -> float:
 
 
 def _viscosities(params, sq: np.ndarray, power: np.ndarray, eta: float):
-    """c_shear and c_compr, then alpha + beta vphi^(2m), from vphi^2 and
-    vphi^(2m)."""
+    """c_shear and c_compr, then the compressive coefficient
+    params.compressive(power), from vphi^2 and power = vphi^(2m)."""
     weight = sq + eta**2
-    compr = params.alpha + params.beta * power
+    compr = params.compressive(power)
     return params.alpha * weight, weight * compr, compr
 
 
-def _viscous_fields(params, vphi: np.ndarray, eta: float, power=None):
+def _viscous_fields(params, vphi: np.ndarray, eta: float, power: np.ndarray):
     """The momentum coefficients (vphi^2, vphi^(2m+2), c_shear, c_compr)
-    stacked along a new leading axis, and alpha + beta vphi^(2m), from one
-    power evaluation, vphi^(2m), or from power when it is given."""
+    stacked along a new leading axis, from vphi and power = vphi^(2m)."""
     sq = vphi**2
-    if power is None:
-        power = stable_power(vphi, 2.0 * params.m)
-    c_shear, c_compr, compr = _viscosities(params, sq, power, eta)
-    return np.stack((sq, power * sq, c_shear, c_compr)), compr
+    c_shear, c_compr, _ = _viscosities(params, sq, power, eta)
+    return np.stack((sq, power * sq, c_shear, c_compr))
 
 
 def _momentum_rhs(grid, params, stage: _StageCoeffs, coeff_hat: np.ndarray,
@@ -331,7 +328,8 @@ def reform_slopes(params, V: ReformState, vphi: ScalarField, eta: float,
     grid = W.grid
     d = grid.dim
     stage = _mask_coefficients(grid, V.u.values, V.phi.values, vphi.values)
-    fields, _ = _viscous_fields(params, vphi.values, eta)
+    fields = _viscous_fields(params, vphi.values, eta,
+                             stable_power(vphi.values, 2.0 * params.m))
     spectra = grid.dealias_mask * grid.fft(np.concatenate((W.rows, fields)))
     y_hat, coeff_hat = spectra[1:d + 2], spectra[d + 2:]
     return np.concatenate((
@@ -422,7 +420,7 @@ def ellipticity_check(
     degen = np.einsum("pqij,sp,sq,si,sj->s", tb, xi, xi, zeta, zeta)
     form = params.a1 * params.alpha * base + params.a1 * params.beta * pw * degen
     ratio = form / (params.a1 * params.alpha)
-    coeff = params.alpha + params.beta * stable_power(flat, 2.0 * params.m)
+    coeff = params.compressive(stable_power(flat, 2.0 * params.m))
     min_ratio = float(ratio.min())
     coeff_min = float(coeff.min())
     return EllipticityReport(

@@ -156,7 +156,9 @@ def oracle_mass_drift(traj: PrimitiveTrajectory) -> float:
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Closed-form (rho, u) pair, low-mode trig in space with a positive
-    density floor, plus analytic time derivatives. Forcing for either
+    density floor, plus analytic time derivatives. The proxies come from
+    the density through state(t), the map the solver's initial data take,
+    and their time derivatives by the chain rule. Forcing for either
     solver is assembled on demand from the discrete operators."""
 
     params: FluidParams
@@ -209,19 +211,15 @@ class ManufacturedCase:
                 np.sin(axes[i]), self.grid.shape)
         return out
 
-    def vphi(self, t: float) -> np.ndarray:
-        return stable_power(self.rho(t), 0.5 * (self.params.delta1 - 1.0))
+    def _proxy_rate(self, t: float, p: float) -> np.ndarray:
+        """d/dt rho^p by the chain rule, for the proxy rho^p."""
+        return p * stable_power(self.rho(t), p - 1.0) * self.drho_dt(t)
 
     def dvphi_dt(self, t: float) -> np.ndarray:
-        p = 0.5 * (self.params.delta1 - 1.0)
-        return p * stable_power(self.rho(t), p - 1.0) * self.drho_dt(t)
-
-    def phi(self, t: float) -> np.ndarray:
-        return stable_power(self.rho(t), 0.5 * (self.params.gamma - 1.0))
+        return self._proxy_rate(t, 0.5 * (self.params.delta1 - 1.0))
 
     def dphi_dt(self, t: float) -> np.ndarray:
-        p = 0.5 * (self.params.gamma - 1.0)
-        return p * stable_power(self.rho(t), p - 1.0) * self.drho_dt(t)
+        return self._proxy_rate(t, 0.5 * (self.params.gamma - 1.0))
 
     def state(self, t: float) -> ReformState:
         return reform_state_from_density(*self.primitive_state(t), self.params)
@@ -257,7 +255,9 @@ class ManufacturedCase:
 
     def stage(self, grid: Grid, t: float):
         """The exact coefficients at t, masked: the window solve's stage."""
-        return _mask_coefficients(grid, self.u(t), self.phi(t), self.vphi(t))
+        state = self.state(t)
+        return _mask_coefficients(grid, state.u.values, state.phi.values,
+                                  state.vphi.values)
 
 
 def default_case(grid: Grid | None = None, params: FluidParams | None = None,

@@ -48,6 +48,12 @@ class FluidParams:
     m: float
     a2_density_cap: float | None
 
+    def compressive(self, power):
+        """alpha + beta power, the compressive viscosity coefficient, from
+        power = rho^(delta2-delta1) = vphi^(2m). The momentum equation stays
+        elliptic while this stays positive."""
+        return self.alpha + self.beta * power
+
 
 def admissibility_rows(A, gamma, alpha, delta1, delta2) -> list:
     """(name, margin, ok) per admissibility inequality in declaration order.
@@ -121,10 +127,7 @@ def check_initial_compatibility(params: FluidParams, rho0: ScalarField) -> Compa
             margin=float("nan"),
             message=f"initial density negative at cell {tuple(int(i) for i in worst)}",
         )
-    power = params.delta2 - params.delta1
-    with np.errstate(divide="ignore"):
-        coeff = params.alpha + params.beta * np.where(rho > 0, rho, 0.0) ** power
-    margin = float(coeff.min())
+    margin = float(params.compressive(rho ** (params.delta2 - params.delta1)).min())
     cap = params.a2_density_cap
     max_density = float(rho.max())
     if cap is not None and max_density > cap:

@@ -16,6 +16,7 @@ import vacflow.cli
 import vacflow.fixedpoint
 import vacflow.runconfig
 from vacflow.cli import main, run_pipeline
+from vacflow.fields import _HEADER, SNAPSHOT_MAGIC
 from vacflow.fixedpoint import ContinuationError, LostChild
 from vacflow.linearized import SolverAbort, sample_times
 from vacflow.params import ParameterError
@@ -142,6 +143,63 @@ def test_a_missing_snapshot_exits_three_naming_the_file(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "density_snapshot" in err and missing in err
+
+
+def snapshot_bytes(version=1, ncomp=1, payload=32, extra=b""):
+    """A density snapshot of BASE's grid, written field by field; payload is
+    the number of floats that follow the header."""
+    header = _HEADER.pack(SNAPSHOT_MAGIC, version, 1, 32, ncomp,
+                          b"density".ljust(16, b"\0"), 2.0 * np.pi, 0.0)
+    return header + np.ones(payload, dtype="<f8").tobytes() + extra
+
+
+@pytest.mark.parametrize("raw, refusal", [
+    (b"NOTSNAPS" + snapshot_bytes()[8:], "has bad magic b'NOTSNAPS'"),
+    (snapshot_bytes(version=2), "has unsupported version 2"),
+    (snapshot_bytes(payload=31), "truncated in payload"),
+    (snapshot_bytes(extra=b"\0"), "has trailing bytes"),
+    (snapshot_bytes(ncomp=2, payload=64), "has 2 components on a 1-d grid"),
+], ids=["magic", "version", "payload", "trailing", "components"])
+def test_a_malformed_snapshot_is_refused_input(tmp_path, capsys, raw, refusal):
+    snap = tmp_path / "rho.snap"
+    snap.write_bytes(raw)
+    text = BASE.format(beta="0.5", amplitude="0.2").replace(
+        "[initial]\n", f"[initial]\nkind = snapshot\ndensity_snapshot = {snap}\n")
+    assert main(["validate", "--config", write(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: initial data: snapshot {snap} {refusal}\n"
+
+
+BUMP_REFUSAL = "error: bump initial data needs amplitude >= 0 and width > 0\n"
+
+
+@pytest.mark.parametrize("old, new, code, err", [
+    ("cadence = 4\n", "cadence = 4\n\n[output]\ndiagnostics = all\n", 0, ""),
+    ("amplitude = 0.2", "amplitude = -0.2", 1, BUMP_REFUSAL),
+    ("width = 0.8", "width = 0", 1, BUMP_REFUSAL),
+    ("width = 0.8", "width = 0.8\nvelocity_mode = -1", 1,
+     "error: velocity_mode must be nonnegative, got -1\n"),
+], ids=["all-diagnostics", "amplitude", "width", "velocity-mode"])
+def test_initial_and_output_keys_are_read_or_refused(tmp_path, capsys, old, new,
+                                                     code, err):
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2").replace(old, new))
+    assert main(["validate", "--config", cfg]) == code
+    assert capsys.readouterr().err == err
+    if code == 0:
+        assert vacflow.runconfig.load_config(cfg).diagnostics == \
+            vacflow.runconfig._DIAGNOSTIC_NAMES
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_output_directory_that_cannot_be_created_exits_three(tmp_path, capsys,
+                                                                command):
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "out"
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
+    assert main([command, "--config", cfg, "--out", str(out_dir)]) == 3
+    exc = NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
+    assert capsys.readouterr().err == \
+        f"error: cannot create output directory {out_dir}: {exc}\n"
 
 
 # -- run -----------------------------------------------------------------------
@@ -316,6 +374,30 @@ def test_a_level_that_cannot_be_forked_is_a_solver_failure(tmp_path, capsys,
     record = json.loads((out_dir / "failure.json").read_text())
     assert record["phase"] == "continuation level 0"
     assert record["detail"] == detail
+
+
+def test_a_level_that_cannot_be_forked_fails_in_its_own_turn(tmp_path, capsys,
+                                                              monkeypatch):
+    # only the run's own process is limited: its second fork, level 1's,
+    # fails, and the levels' children fork as usual
+    fork, run_pid, forks = os.fork, os.getpid(), []
+
+    def second_fork_fails():
+        if os.getpid() == run_pid:
+            forks.append(None)
+            if len(forks) == 2:
+                no_fork()
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 2
+    detail = f"continuation level 1: level 1 could not start ({FORK_ERROR})"
+    assert capsys.readouterr().err == \
+        f"error: solver failure: {detail} (see failure.json)\n"
+    record = json.loads((out_dir / "failure.json").read_text())
+    assert (record["phase"], record["detail"]) == ("continuation level 1", detail)
 
 
 def test_a_sweep_row_that_cannot_fork_fails_with_its_level(tmp_path, capsys,

@@ -1,5 +1,6 @@
 """Picard iteration, the regularization ladder, and their bookkeeping."""
 
+import errno
 import math
 import mmap
 import os
@@ -483,6 +484,29 @@ def test_run_forked_raises_a_job_error_and_a_lost_child():
     assert_no_children()
     with pytest.raises(LostChild, match="exits ended without a result"):
         list(run_forked([("returns", lambda: 1), ("exits", lambda: os._exit(3))]))
+    assert_no_children()
+
+
+def test_a_job_that_cannot_start_fails_after_the_jobs_before_it(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    start, drawn = vacflow.fixedpoint._start_job, []
+
+    def second_start_fails(job):
+        if len(drawn) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return start(job)
+
+    def jobs():
+        for i in range(5):
+            drawn.append(i)
+            yield f"job {i}", lambda i=i: i * i
+
+    monkeypatch.setattr(vacflow.fixedpoint, "_start_job", second_start_fails)
+    solved = run_forked(jobs())
+    assert next(solved) == 0
+    with pytest.raises(LostChild, match="^job 1 could not start"):
+        next(solved)
+    assert drawn == [0, 1]      # no job is drawn after the one that failed
     assert_no_children()
 
 

@@ -722,7 +722,8 @@ def seven_exponential_update(p, g, phi, u, coeffs, stages_vphi, dt, t, nu1, nu2)
     G = _shift(g, nu1, nu2, dt)
 
     def slope(ts, pa, ua, va):
-        coeff_hat = g.fft(_viscous_fields(p, va, coeffs["eta"])[0])
+        coeff_hat = g.fft(_viscous_fields(p, va, coeffs["eta"],
+                                          stable_power(va, 2.0 * p.m)))
         k = _momentum_rhs(g, p, coeffs["stage"](g, ts), coeff_hat,
                           np.concatenate(([pa], ua)), nu1, nu2, None)
         return k[0], k[1:]
@@ -845,7 +846,7 @@ def test_one_truncation_of_the_summed_products_equals_one_per_product(seed, dim)
     vphi = rng.uniform(0.1, 0.9, g.shape)
     phi = rng.uniform(0.0, 0.7, g.shape)
     u = rng.uniform(-0.3, 0.3, (dim,) + g.shape)
-    coeff_hat = g.fft(_viscous_fields(p, vphi, 0.1)[0])
+    coeff_hat = g.fft(_viscous_fields(p, vphi, 0.1, stable_power(vphi, 2.0 * p.m)))
     y_hat = g.fft(np.concatenate(([phi], u)))
     got = g.ifft(_momentum_rhs(g, p, stage, coeff_hat, y_hat, 0.3, 0.2, None))
     want = per_product_slopes(g, p, stage, vphi, 0.1, phi, u, 0.3, 0.2)
@@ -894,7 +895,7 @@ def momentum_kernel_inputs(g, p, seed, masked):
     rng = np.random.default_rng(seed)
     stage = random_trajectory(g, [0.0], seed + 1).stage(g, 0.0)
     vphi = rng.uniform(0.1, 0.9, g.shape)
-    coeff_hat = g.fft(_viscous_fields(p, vphi, 0.1)[0])
+    coeff_hat = g.fft(_viscous_fields(p, vphi, 0.1, stable_power(vphi, 2.0 * p.m)))
     y_hat = g.fft(np.concatenate((rng.uniform(0.0, 0.7, (1,) + g.shape),
                                   rng.uniform(-0.3, 0.3, (g.dim,) + g.shape))))
     if masked:
@@ -944,8 +945,10 @@ def batched_momentum_inputs(params, grid, y, eta, vphi_new, t):
     (phi, u) rows y: the _momentum_inputs replaced by one stage at a time,
     kept as the reference its bits are checked against."""
     d = grid.dim
-    fields, compr = _viscous_fields(params, np.stack(vphi_new), eta)
-    coeff_min = float(compr.min())
+    stacked = np.stack(vphi_new)
+    power = stable_power(stacked, 2.0 * params.m)
+    fields = _viscous_fields(params, stacked, eta, power)
+    coeff_min = float(params.compressive(power).min())
     nu1, nu2 = float(fields[2].max()), max(float(fields[3].max()), 0.0)
     if coeff_min < 0.5 * params.alpha:
         raise SolverAbort("ellipticity regime exit", t, "grid-min alpha + beta "

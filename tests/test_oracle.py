@@ -168,7 +168,8 @@ def test_manufactured_time_derivatives_match_finite_differences():
     h = 1e-5
     t = 0.37
     pairs = [(case.rho, case.drho_dt), (case.u, case.du_dt),
-             (case.vphi, case.dvphi_dt), (case.phi, case.dphi_dt)]
+             (lambda s: case.state(s).vphi.values, case.dvphi_dt),
+             (lambda s: case.state(s).phi.values, case.dphi_dt)]
     for f, df in pairs:
         fd = (f(t + h) - f(t - h)) / (2.0 * h)
         assert float(np.max(np.abs(fd - df(t)))) <= 1e-8

@@ -377,6 +377,39 @@ def test_one_function_forks():
         f"run_forked is its only lifecycle; os.fork is called in {forking}")
 
 
+# FluidParams.compressive is the coefficient; viscous_apply is criterion 03's
+# symmetric route, kept as an independent second assembly on purpose
+COMPRESSIVE_COPIES = {"params.FluidParams.compressive", "operators.viscous_apply"}
+
+
+def _alpha_plus_beta(node, where):
+    """where for every sum of an alpha attribute and a product holding a beta
+    attribute inside node, where naming the innermost enclosing function by
+    its dotted path in its module (module.function, module.Class.method)."""
+    for child in ast.iter_child_nodes(node):
+        inner = (f"{where}.{child.name}"
+                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                 else where)
+        if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add):
+            for a, b in ((child.left, child.right), (child.right, child.left)):
+                if (isinstance(a, ast.Attribute) and a.attr == "alpha"
+                        and isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mult)
+                        and any(isinstance(n, ast.Attribute) and n.attr == "beta"
+                                for n in ast.walk(b))):
+                    yield where
+        yield from _alpha_plus_beta(child, inner)
+
+
+def test_the_compressive_coefficient_is_written_once():
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        copies += _alpha_plus_beta(ast.parse(path.read_text(), str(path)), path.stem)
+    assert sorted(copies) == sorted(COMPRESSIVE_COPIES), (
+        "alpha + beta vphi^(2m) is FluidParams.compressive; call it rather "
+        f"than writing the sum again: {sorted(set(copies) - COMPRESSIVE_COPIES)}")
+
+
 # failures that main maps to their exit codes; _sweep_row records them as row
 # statuses instead, since one failed row does not end a sweep
 MAPPED_FAILURES = {"ParameterError", "ConfigError", "SolverAbort"}
