@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
@@ -217,9 +218,17 @@ def _bundle_tables(led, report, chars) -> dict:
     return tables
 
 
-def _failure_record(out_dir, phase: str, time, detail: str) -> None:
+def _level_json(lv, key: str) -> dict:
+    """The fields of a continuation level (a continuation.csv row) for a
+    JSON file: its index under key, and a NaN distance (level 0's) as null."""
+    return {key: lv.index, "eta": lv.eta, "picard_iters": lv.picard_iters,
+            "picard_S": lv.picard_S,
+            "distance": None if math.isnan(lv.distance) else lv.distance}
+
+
+def _failure_record(out_dir, phase: str, time, detail: str, **more) -> None:
     _write_json(os.path.join(out_dir, "failure.json"),
-                {"phase": phase, "time": time, "detail": detail})
+                {"phase": phase, "time": time, "detail": detail, **more})
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
@@ -230,8 +239,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     the children inherit, and the manifest's digests are taken in a
     run_forked child, "manifest", so this process never loads hashlib
     (OpenSSL). Returns the summary dictionary; raises ContinuationError
-    after writing failure.json when the solve dies (eta_continuation
-    raises every SolverAbort as the failing level's), and
+    after writing failure.json, with the rows of the levels read before
+    it, when the solve dies (eta_continuation raises every SolverAbort as
+    the failing level's), and
     LostChild when a diagnostics or the manifest child does. The parameters
     and the initial data are checked before out_dir is created, so refused
     input leaves no directory behind."""
@@ -252,8 +262,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
     except ContinuationError as exc:
         cause = exc.__cause__
         t_fail = getattr(cause, "time", None)
-        _failure_record(out_dir, f"continuation level {exc.level}",
-                        t_fail, str(exc))
+        _failure_record(out_dir, f"continuation level {exc.level}", t_fail,
+                        str(exc), levels=[_level_json(lv, "level")
+                                          for lv in exc.levels])
         raise
 
     def certificates():
@@ -303,12 +314,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, seed: int,
         "t_window": cfg.t_window,
         "cadence": cfg.cadence,
         "continuation": {
-            "levels": [
-                {"index": lv.index, "eta": lv.eta,
-                 "picard_iters": lv.picard_iters, "picard_S": lv.picard_S,
-                 "distance": None if math.isnan(lv.distance) else lv.distance}
-                for lv in report.levels
-            ],
+            "levels": [_level_json(lv, "index") for lv in report.levels],
             "reached_tol": report.reached_tol,
         },
         "picard": {
@@ -585,8 +591,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _trim_heap() -> None:
+    """Return the heap the imports freed to the system (glibc's malloc_trim),
+    so no child forked later holds it; elsewhere this does nothing."""
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    trim = getattr(libc, "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+        trim(0)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _trim_heap()
     try:
         return args.func(args)
     except KeyboardInterrupt:

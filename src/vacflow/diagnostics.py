@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,7 @@ def _sample_derivative(sample, times: np.ndarray, i: int) -> np.ndarray:
 # -- a priori ledger ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AprioriLedger:
+class AprioriLedger(NamedTuple):
     """Per-sample Sobolev levels of all three fields, running weighted
     integrals, time-derivative norms, and the derived constants with their
     horizon predictions."""
@@ -203,8 +202,7 @@ def ledger(traj: Trajectory, params: FluidParams,
 # -- validity verdict ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidityVerdict:
+class ValidityVerdict(NamedTuple):
     """How far along the trajectory every certificate held: the viscosity
     coefficient floor, the ledger thresholds, and (for compactly supported
     data) the distance of the support from the box seam."""
@@ -252,8 +250,7 @@ def validity(traj: Trajectory, led: AprioriLedger,
 # -- vacuum clause ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VacuumReport:
+class VacuumReport(NamedTuple):
     residual: float
     no_vacuum: bool
     cell_count: int
@@ -289,8 +286,7 @@ def vacuum_residual(traj: Trajectory, params: FluidParams) -> VacuumReport:
 # -- conservation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     mass_drift: float
     momentum_drift: float
 
@@ -356,15 +352,13 @@ def rk4_step(rate, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     return y + dt / 6.0 * (total + k)
 
 
-@dataclass(frozen=True)
-class ParticleRow:
+class ParticleRow(NamedTuple):
     start: tuple
     dropped: bool
     rel_error: float
 
 
-@dataclass(frozen=True)
-class CharacteristicsReport:
+class CharacteristicsReport(NamedTuple):
     max_rel_error: float
     traced: int
     dropped: int
@@ -512,8 +506,7 @@ def primitive_rates(grid: Grid, params: FluidParams, rho: np.ndarray,
     return rates[0], rates[1:]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     reform_phi_l2: float
     reform_u_l2: float
     reform_linf: float

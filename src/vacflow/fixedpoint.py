@@ -40,6 +40,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,15 +67,17 @@ DIVERGING_GROWTHS = 3
 
 
 class ContinuationError(RuntimeError):
-    """A regularization level failed to converge; carries the level index."""
+    """A regularization level failed to converge; carries the level index
+    and the ContinuationLevel rows of the levels read before it."""
 
-    def __init__(self, level: int, message: str):
+    def __init__(self, level: int, message: str, levels: tuple = ()):
         super().__init__(f"continuation level {level}: {message}")
         self.level = level
         self.message = message
+        self.levels = levels
 
     def __reduce__(self):
-        return type(self), (self.level, self.message)
+        return type(self), (self.level, self.message, self.levels)
 
 
 class LostChild(RuntimeError):
@@ -195,8 +198,7 @@ def run_forked(jobs):
             _kill(*child)
 
 
-@dataclass(frozen=True)
-class PicardIteration:
+class PicardIteration(NamedTuple):
     """One row of the iteration history."""
 
     k: int
@@ -205,8 +207,7 @@ class PicardIteration:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class PicardTrace:
+class PicardTrace(NamedTuple):
     """The iteration history and why it ended: "converged", "max_iter" or
     "diverging"."""
 
@@ -474,8 +475,7 @@ class EtaSchedule:
         return [self.eta0 * self.factor**j for j in range(self.max_levels)]
 
 
-@dataclass(frozen=True)
-class ContinuationLevel:
+class ContinuationLevel(NamedTuple):
     index: int
     eta: float
     picard_iters: int
@@ -483,8 +483,7 @@ class ContinuationLevel:
     distance: float
 
 
-@dataclass(frozen=True)
-class ContinuationReport:
+class ContinuationReport(NamedTuple):
     levels: tuple
     reached_tol: bool
     final_trace: PicardTrace
@@ -506,7 +505,8 @@ def eta_continuation(init: ReformState, params: FluidParams,
     solutions sit from each other. The levels are independent solves, so
     they run concurrently (run_forked) and are read in order. Stops early
     once the gap drops to schedule.cauchy_tol; a level that fails to
-    converge, or whose process is lost, aborts the sweep with its index.
+    converge, or whose process is lost, aborts the sweep with its index and
+    the rows of the levels read before it.
 
     Each level's solution comes back in a _window allocated here just
     before its fork, which the level's solve copies its last iterate into;
@@ -535,13 +535,15 @@ def eta_continuation(init: ReformState, params: FluidParams,
             try:
                 (dt_history, clip_counts, clipped_mass), trace = next(solved)
             except SolverAbort as exc:
-                raise ContinuationError(j, f"solver abort: {exc}") from exc
+                raise ContinuationError(j, f"solver abort: {exc}",
+                                        tuple(levels)) from exc
             except LostChild as exc:
-                raise ContinuationError(j, str(exc)) from exc
+                raise ContinuationError(j, str(exc), tuple(levels)) from exc
             if not trace.converged:
                 raise ContinuationError(
                     j, f"no convergence in {trace.final_k} iterations, "
-                       f"stopped as {trace.stop_reason} (S = {trace.final_S:.3e})")
+                       f"stopped as {trace.stop_reason} (S = {trace.final_S:.3e})",
+                    tuple(levels))
             traj = Trajectory(grid, times, solutions.pop(j),
                               dt_history=dt_history, clip_counts=clip_counts,
                               clipped_mass=clipped_mass)

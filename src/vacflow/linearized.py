@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,8 +195,7 @@ def _finish(values: np.ndarray, cell_volume: float, t: float, *others):
 # -- public steps ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransportDiag:
+class TransportDiag(NamedTuple):
     clip_count: int
     clipped_mass: float
 
@@ -227,8 +227,7 @@ def transport_step(params: FluidParams, grid: Grid, f: np.ndarray, stages,
     return out, TransportDiag(clip_count=count, clipped_mass=mass)
 
 
-@dataclass(frozen=True)
-class MomentumDiag:
+class MomentumDiag(NamedTuple):
     nu1: float
     nu2: float
     clip_count: int

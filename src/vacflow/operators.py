@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -382,8 +383,7 @@ def _ellipticity_tables():
 _T_ALPHA, _T_BETA = _ellipticity_tables()
 
 
-@dataclass(frozen=True)
-class EllipticityReport:
+class EllipticityReport(NamedTuple):
     min_ratio: float
     coeff_min: float
     passed: bool

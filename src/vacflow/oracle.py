@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,7 @@ ORACLE_MIN_RHO = 1e-8
 # -- primitive solver ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimitiveTrajectory:
+class PrimitiveTrajectory(NamedTuple):
     """Sampled oracle solution, in the form of a Trajectory: the sample
     times, the samples shaped (nt, d + 1) + shape, sample i the rows
     (rho, u) at times[i], and the step sizes."""
@@ -307,8 +307,7 @@ def oracle_mms_error(case: ManufacturedCase, dt: float,
     )
 
 
-@dataclass(frozen=True)
-class MMSStudy:
+class MMSStudy(NamedTuple):
     label: str
     levels: tuple
     errors: tuple
@@ -352,8 +351,7 @@ def reform_spatial_errors(ns, dt: float, t_window: float) -> list[float]:
 # -- cross-solver comparison --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossCompareReport:
+class CrossCompareReport(NamedTuple):
     times: tuple
     distances: tuple
     sup_distance: float

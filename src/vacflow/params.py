@@ -18,7 +18,7 @@ with m >= 3/2 a consequence of the inequalities above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ class ParameterError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class FluidParams:
+class FluidParams(NamedTuple):
     """Validated constants; construct through validate_params."""
 
     A: float
@@ -91,21 +90,11 @@ def validate_params(A, gamma, alpha, beta, delta1, delta2) -> FluidParams:
         except OverflowError:
             # a vanishing negative beta puts the cap beyond every float
             cap = math.inf
-    return FluidParams(
-        A=float(A),
-        gamma=float(gamma),
-        alpha=float(alpha),
-        beta=float(beta),
-        delta1=float(delta1),
-        delta2=float(delta2),
-        a1=a1,
-        m=m,
-        a2_density_cap=cap,
-    )
+    return FluidParams(**{k: float(v) for k, v in values.items()}, a1=a1, m=m,
+                       a2_density_cap=cap)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     """Outcome of checking initial density against the negative-beta cap."""
 
     passed: bool

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, bundles, determinism."""
 
 import csv
+import ctypes
 import errno
 import hashlib
 import json
@@ -63,6 +64,40 @@ def argv_of(command, cfg, out_dir):
 def read_summary(out_dir):
     with open(out_dir / "summary.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# -- start -----------------------------------------------------------------------
+
+
+class FakeLibc:
+    """ctypes.CDLL(None) stand-in whose malloc_trim logs its calls."""
+
+    def __init__(self, log):
+        def malloc_trim(pad):
+            log.append(("trim", pad, malloc_trim.argtypes,
+                        malloc_trim.restype))
+            return 1
+        self.malloc_trim = malloc_trim
+
+
+def test_main_trims_the_heap_once_before_the_command(monkeypatch):
+    log = []
+    monkeypatch.setattr(vacflow.cli.ctypes, "CDLL",
+                        lambda name: FakeLibc(log))
+    monkeypatch.setattr(vacflow.cli, "cmd_mms",
+                        lambda args: log.append("command") or 0)
+    assert main(["mms"]) == 0
+    assert log == [("trim", 0, (ctypes.c_size_t,), ctypes.c_int), "command"]
+
+
+def test_main_runs_unchanged_without_malloc_trim(tmp_path, capsys,
+                                                 monkeypatch):
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
+    assert main(["validate", "--config", cfg]) == 0
+    trimmed = capsys.readouterr()
+    monkeypatch.setattr(vacflow.cli.ctypes, "CDLL", lambda name: object())
+    assert main(["validate", "--config", cfg]) == 0
+    assert capsys.readouterr() == trimmed
 
 
 # -- validate ------------------------------------------------------------------
@@ -352,6 +387,31 @@ def test_a_lost_level_process_is_a_solver_failure(tmp_path, capsys,
     assert record["phase"] == "continuation level 1"
     assert record["detail"].endswith(
         "level 1 ended without a result (exit code 3)")
+
+
+def test_a_failed_level_leaves_the_rows_of_the_levels_before_it(
+        tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, BASE.format(beta="0.5", amplitude="0.2"))
+    etas = vacflow.runconfig.load_config(cfg).schedule().levels()
+    solve = vacflow.fixedpoint.picard_solve
+
+    def abort_at_level_one(init, params, eta, *args, **kwargs):
+        if eta == etas[1]:
+            raise SolverAbort("injected failure", 0.00125)
+        return solve(init, params, eta, *args, **kwargs)
+
+    monkeypatch.setattr(vacflow.fixedpoint, "picard_solve", abort_at_level_one)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 2
+    assert "solver failure" in capsys.readouterr().err
+    record = json.loads((out_dir / "failure.json").read_text())
+    assert (record["phase"], record["time"]) == ("continuation level 1",
+                                                 0.00125)
+    [row] = record["levels"]
+    assert set(row) == {"level", "eta", "picard_iters", "picard_S",
+                        "distance"}   # the columns of continuation.csv
+    assert (row["level"], row["eta"], row["distance"]) == (0, etas[0], None)
+    assert row["picard_iters"] >= 1 and 0.0 <= row["picard_S"] < 1e-10
 
 
 def no_fork():

@@ -558,7 +558,7 @@ def test_certificates_keep_only_the_samples_in_flight_resident():
         got = check(traj)
         assert mapping_rss_kib(traj.samples) <= 3 * SAMPLE_KIB, name
         want = check(ref)
-        for field, value in vars(want).items():
+        for field, value in want._asdict().items():
             assert np.array_equal(getattr(got, field), value), (name, field)
     assert vacuum_residual(ref, p).cell_count > 0
 

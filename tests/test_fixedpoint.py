@@ -1,10 +1,12 @@
 """Picard iteration, the regularization ladder, and their bookkeeping."""
 
 import errno
+import importlib
 import math
 import mmap
 import os
 import pickle
+import pkgutil
 import select
 import signal
 import time
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vacflow
 import vacflow.fixedpoint
 import vacflow.oracle
 from vacflow.fields import FieldError, Grid, ScalarField, VectorField
@@ -23,6 +26,7 @@ from vacflow.fixedpoint import (
     DEFAULT_PICARD_TOL,
     DIVERGING_GROWTHS,
     ContinuationError,
+    ContinuationLevel,
     EtaSchedule,
     LostChild,
     PicardIteration,
@@ -413,6 +417,52 @@ def test_exceptions_survive_pickling(exc):
     assert type(back) is type(exc)
     assert str(back) == str(exc)
     assert vars(back) == vars(exc)
+
+
+def test_a_continuation_error_keeps_the_rows_before_it_across_pickling():
+    rows = (ContinuationLevel(index=0, eta=0.5, picard_iters=3,
+                              picard_S=1e-12, distance=math.nan),
+            ContinuationLevel(index=1, eta=0.25, picard_iters=3,
+                              picard_S=2e-12, distance=1e-3))
+    exc = ContinuationError(2, "solver abort: step size underflow", rows)
+    back = pickle.loads(pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL))
+    assert (back.level, back.message, str(back)) == (2, exc.message, str(exc))
+    assert back.levels[1] == rows[1] and math.isnan(back.levels[0].distance)
+
+
+def _records():
+    """Every typing.NamedTuple record class vacflow defines."""
+    found = []
+    for info in pkgutil.iter_modules(vacflow.__path__):
+        mod = importlib.import_module(f"vacflow.{info.name}")
+        found += [cls for cls in vars(mod).values()
+                  if isinstance(cls, type) and issubclass(cls, tuple)
+                  and cls.__module__ == mod.__name__]
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+RECORDS = _records()
+
+
+def test_the_plain_records_are_named_tuples():
+    # the 18 report and diagnostic records, and FluidParams
+    assert len(RECORDS) == 19
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_survive_pickling(record):
+    # run_forked pickles every job's result back to the parent
+    value = record._make(f"{record.__name__}.{name}" for name in record._fields)
+    back = pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    assert type(back) is record and back == value
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_refuse_assignment(record):
+    value = record._make(range(len(record._fields)))
+    for name in record._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
 
 
 def labelled(jobs):

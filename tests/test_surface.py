@@ -6,11 +6,12 @@ loads none of its modules, and no command loads hashlib (OpenSSL) into
 the calling process: a run's manifest is hashed in a child. No process
 of oracle-compare or run loads numpy.random (which loads OpenSSL through
 secrets, hmac and hashlib), and only the manifest child loads hashlib. Every
-dataclass field is read by the program or an acceptance criterion, or is
-exempt with a reason. A coefficient provider has one public method,
-stage. No sample_dt has a default. One function forks child processes.
-Only cli.main maps a failure to an exit code (and _sweep_row to a row
-status). No module imports a name it does not use. Only cli, fields and
+field of a record (a dataclass or a NamedTuple) is read by the program or an
+acceptance criterion, or is exempt with a reason, and a record is a
+dataclass only when it uses a dataclass feature. A coefficient provider has
+one public method, stage. No sample_dt has a default. One function forks
+child processes. Only cli.main maps a failure to an exit code (and
+_sweep_row to a row status). No module imports a name it does not use. Only cli, fields and
 runconfig import csv or open a file by path: the computation modules
 return reports, and cli writes every table of a bundle."""
 
@@ -101,10 +102,16 @@ FIELD_EXEMPT = {
 }
 
 
-def _is_dataclass(node):
+def _decorated_dataclass(node):
     """A class decorated @dataclass or @dataclass(...)."""
     return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
                == "dataclass" for d in node.decorator_list)
+
+
+def _is_dataclass(node):
+    """A record class: decorated @dataclass, or a typing.NamedTuple."""
+    return _decorated_dataclass(node) or any(
+        getattr(b, "id", None) == "NamedTuple" for b in node.bases)
 
 
 def test_every_dataclass_field_is_read():
@@ -134,6 +141,40 @@ def test_every_dataclass_field_is_read():
         f"{not_exempt}")
     stale = sorted(FIELD_EXEMPT.keys() - unread)
     assert stale == [], f"exempt fields that are read or not defined: {stale}"
+
+
+# What only a dataclass gives a record; a record that uses none of them is a
+# typing.NamedTuple, whose class is built without exec'ing generated methods.
+DATACLASS_FEATURES = {"__post_init__", "InitVar", "field", "kw_only",
+                      "cached_property"}
+
+
+def test_every_dataclass_uses_a_dataclass_feature():
+    """Every @dataclass in src/vacflow defines __post_init__, takes an
+    InitVar, calls field(...), is kw_only, has a cached_property, or is read
+    as a schema through fields(); any other record is a NamedTuple."""
+    plain = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        schemas = {node.args[0].id for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "fields"
+                   and node.args and isinstance(node.args[0], ast.Name)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef)
+                    and _decorated_dataclass(node)):
+                continue
+            used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            used |= {n.name for n in node.body
+                     if isinstance(n, ast.FunctionDef)}
+            used |= {k.arg for d in node.decorator_list
+                     if isinstance(d, ast.Call) for k in d.keywords
+                     if getattr(k.value, "value", False) is True}
+            if not used & DATACLASS_FEATURES and node.name not in schemas:
+                plain.append(f"{path.name}:{node.name}")
+    assert plain == [], (
+        "dataclasses that use no dataclass feature (make them NamedTuples): "
+        f"{plain}")
 
 
 def run_python(code, *args):
